@@ -8,8 +8,11 @@
 //!    16-row × 10-qubit `BatchedStates` (two 128 KiB planes,
 //!    cache-resident), plus the block measurement kernels
 //!    (`branch_probabilities_block` / `collapse_block_into`) on the same
-//!    block. This is where the PR-7 split-plane layout shows up; the PR-6
-//!    interleaved-layout record is compiled in as the *before* number
+//!    block, and the seam at one thread against the default thread count
+//!    (recorded only: its tile sits below the fork threshold, which a
+//!    `const` assert pins). This is where the PR-7 split-plane layout
+//!    shows up; the PR-6 interleaved-layout record is compiled in as the
+//!    *before* number
 //!    (measured at commit 6b04277 with identical workload, iteration
 //!    policy, and `-C target-cpu=x86-64-v3`, in the same session as the
 //!    PR-7 record so machine conditions match).
@@ -105,6 +108,36 @@ fn time_ns(mut f: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// Median wall time in nanoseconds of the two sides of `f` — `f(true)`
+/// and `f(false)` — alternated every ~2 ms block over 41 rounds, so the
+/// host's slow and fast spells (each far longer than a block) land on both
+/// sides alike. Returns `(true_ns, false_ns)`.
+fn paired_ns(mut f: impl FnMut(bool)) -> (f64, f64) {
+    let mut iters = 1u64;
+    loop {
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            f(true);
+        }
+        if t0.elapsed().as_micros() >= 2000 || iters >= 1 << 24 {
+            break;
+        }
+        iters *= 2;
+    }
+    let mut block = |side: bool| {
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            f(side);
+        }
+        t0.elapsed().as_nanos() as f64 / iters as f64
+    };
+    let (mut first, mut second): (Vec<f64>, Vec<f64>) =
+        (0..41).map(|_| (block(true), block(false))).unzip();
+    first.sort_by(f64::total_cmp);
+    second.sort_by(f64::total_cmp);
+    (first[first.len() / 2], second[second.len() / 2])
+}
+
 /// A random normalized `n`-qubit state (the micro-workload inputs — same
 /// generator and seeds as the PR-6 baseline run).
 fn random_state(n: usize, seed: u64) -> StateVector {
@@ -176,6 +209,20 @@ fn main() {
     let gate_rx_ns = time_ns(|| micro_batch.apply_gate(&rx, &[5]));
     let gate_rz_ns = time_ns(|| micro_batch.apply_gate(&rz, &[6]));
     let gate_cnot_ns = time_ns(|| micro_batch.apply_gate(&cnot, &[3, 7]));
+
+    // The same four gates at one thread against the default count,
+    // recorded for the trend. The seam's tile is below the fork threshold,
+    // so both sides run the same serial code; the assert pins that.
+    const { assert!(16 << 10 < qdp_par::FORK_MIN_WORK) };
+    let (seam_default_ns, seam_1t_ns) = paired_ns(|default| {
+        qdp_par::set_max_threads(if default { 0 } else { 1 });
+        micro_batch.apply_gate(&h, &[4]);
+        micro_batch.apply_gate(&rx, &[5]);
+        micro_batch.apply_gate(&rz, &[6]);
+        micro_batch.apply_gate(&cnot, &[3, 7]);
+    });
+    qdp_par::set_max_threads(0);
+    let seam_thread_ratio = seam_1t_ns / seam_default_ns;
 
     // PR-9 SIMD micro-workloads: the `mask = 1` deinterleave orbits the
     // explicit kernels target (row qubit 9 → stride-2 plane pairs) and a
@@ -648,7 +695,7 @@ fn main() {
     let meas_micro_speedup_vs_pr7 = pr7_meas_micro_total_ns / meas_micro_total_ns;
 
     let json = format!(
-        "{{\n  \"bench\": \"sim\",\n  \"threads\": {},\n  \"gate_apply\": {{\n    \"workload\": \"16x10q batched seam, L2-resident, one gate per dispatch class (H dense-real, RX dense-complex, RZ diagonal, CNOT block-diagonal)\",\n    \"gate_h_ns\": {gate_h_ns:.1},\n    \"gate_rx_ns\": {gate_rx_ns:.1},\n    \"gate_rz_ns\": {gate_rz_ns:.1},\n    \"gate_cnot_ns\": {gate_cnot_ns:.1},\n    \"simd_tier\": \"{simd_tier:?}\",\n    \"gate_h_mask1_ns\": {gate_h_m1_ns:.1},\n    \"gate_rx_mask1_ns\": {gate_rx_m1_ns:.1},\n    \"gate_rz_mask1_ns\": {gate_rz_m1_ns:.1},\n    \"gate_cnot_mask1_ns\": {gate_cnot_m1_ns:.1},\n    \"gate_rxx_ns\": {gate_rxx_ns:.1},\n    \"scalar_gate_rx_ns\": {scalar_rx_ns:.1},\n    \"scalar_gate_rx_mask1_ns\": {scalar_rx_m1_ns:.1},\n    \"scalar_gate_cnot_mask1_ns\": {scalar_cnot_m1_ns:.1},\n    \"scalar_gate_rxx_ns\": {scalar_rxx_ns:.1},\n    \"simd_rx_speedup\": {simd_rx_speedup:.2},\n    \"simd_mask1_speedup\": {simd_mask1_speedup:.2},\n    \"simd_cnot_mask1_speedup\": {simd_cnot_mask1_speedup:.2},\n    \"simd_rxx_speedup\": {simd_rxx_speedup:.2},\n    \"total_ns\": {gate_total_ns:.1},\n    \"pr6_gate_h_ns\": {PR6_GATE_H_NS:.1},\n    \"pr6_gate_rx_ns\": {PR6_GATE_RX_NS:.1},\n    \"pr6_gate_rz_ns\": {PR6_GATE_RZ_NS:.1},\n    \"pr6_gate_cnot_ns\": {PR6_GATE_CNOT_NS:.1},\n    \"pr6_total_ns\": {pr6_gate_total_ns:.1},\n    \"speedup_vs_pr6\": {gate_apply_speedup:.2},\n    \"pr7_gate_h_ns\": {PR7_GATE_H_NS:.1},\n    \"pr7_gate_rx_ns\": {PR7_GATE_RX_NS:.1},\n    \"pr7_gate_rz_ns\": {PR7_GATE_RZ_NS:.1},\n    \"pr7_gate_cnot_ns\": {PR7_GATE_CNOT_NS:.1},\n    \"pr7_total_ns\": {pr7_gate_total_ns:.1},\n    \"speedup_vs_pr7\": {gate_apply_speedup_vs_pr7:.2}\n  }},\n  \"gate_apply_10q_density\": {{\n    \"gate\": \"H on row qubit 4\",\n    \"fast_ns\": {gate_fast_ns:.1},\n    \"reference_ns\": {gate_ref_ns:.1},\n    \"speedup\": {gate_speedup:.2}\n  }},\n  \"gradient_p1_24_params\": {{\n    \"workload\": \"GradientEngine::gradient_pure on P1\",\n    \"fast_ns\": {grad_fast_ns:.1},\n    \"reference_ns\": {grad_ref_ns:.1},\n    \"speedup\": {grad_speedup:.2}\n  }},\n  \"gradient_batch_16x\": {{\n    \"workload\": \"Trainer::loss_gradient on P1, {batch_size}-sample batch\",\n    \"batched_ns\": {batch_fast_ns:.1},\n    \"serial_loop_ns\": {batch_serial_ns:.1},\n    \"speedup\": {batch_speedup:.2}\n  }},\n  \"estimator_shots\": {{\n    \"workload\": \"shot-noise P1 gradient, {est_shots} shots x 24 params\",\n    \"batched_ns\": {shots_batched_ns:.1},\n    \"pr6_batched_ns\": {PR6_ESTIMATOR_SHOTS_BATCHED_NS:.1},\n    \"serial_loop_ns\": {shots_serial_ns:.1},\n    \"speedup\": {shots_speedup:.2}\n  }},\n  \"gradient_branching_batch\": {{\n    \"workload\": \"branch-weighted P2 gradient, {batch_size}-sample batch x {branch_params} params\",\n    \"batched_ns\": {branch_batched_ns:.1},\n    \"pr6_batched_ns\": {PR6_BRANCHING_BATCHED_NS:.1},\n    \"per_row_ns\": {branch_serial_ns:.1},\n    \"speedup\": {branch_speedup:.2}\n  }},\n  \"measurement_sweep\": {{\n    \"workload\": \"P2 branching gradient multisets ({branch_params} params, {batch_size}-row exact sweeps) + {meas_shots}-shot estimate, block vs per-row measurement\",\n    \"exact_block_ns\": {meas_block_ns:.1},\n    \"exact_per_row_ns\": {meas_per_row_ns:.1},\n    \"sampled_block_ns\": {meas_sampled_block_ns:.1},\n    \"sampled_serial_ns\": {meas_sampled_serial_ns:.1},\n    \"sampled_speedup\": {meas_sampled_speedup:.2},\n    \"speedup\": {meas_speedup:.2},\n    \"block_probs_ns\": {block_probs_ns:.1},\n    \"block_collapse_ns\": {block_collapse_ns:.1},\n    \"micro_total_ns\": {meas_micro_total_ns:.1},\n    \"pr6_block_probs_ns\": {PR6_BLOCK_PROBS_NS:.1},\n    \"pr6_block_collapse_ns\": {PR6_BLOCK_COLLAPSE_NS:.1},\n    \"pr6_micro_total_ns\": {pr6_meas_micro_total_ns:.1},\n    \"micro_speedup_vs_pr6\": {meas_micro_speedup:.2},\n    \"pr7_block_probs_ns\": {PR7_BLOCK_PROBS_NS:.1},\n    \"pr7_block_collapse_ns\": {PR7_BLOCK_COLLAPSE_NS:.1},\n    \"pr7_micro_total_ns\": {pr7_meas_micro_total_ns:.1},\n    \"micro_speedup_vs_pr7\": {meas_micro_speedup_vs_pr7:.2}\n  }},\n  \"compile_cache\": {{\n    \"workload\": \"36-param P2 gradient, 1 input; fresh 36-multiset lowering vs interned warm path vs single-skeleton shift rule\",\n    \"lower_36_multisets_ns\": {lower_36_ns:.1},\n    \"gradient_cold_ns\": {grad_cold_ns:.1},\n    \"gradient_warm_ns\": {grad_warm_ns:.1},\n    \"warm_speedup_vs_cold\": {warm_speedup:.2},\n    \"gradient_shift_ns\": {grad_shift_ns:.1},\n    \"shift_lowered_programs\": {shift_lowered_programs},\n    \"shift_speedup_vs_warm\": {shift_speedup:.2}\n  }},\n  \"service_overload\": {{\n    \"workload\": \"{overload_clients} clients vs a max_pending={overload_bound} tenant (typed shedding), then {live_threads}x{live_per_thread} live requests at min_batch=1 (latency proxy)\",\n    \"queue_fill_clients\": {overload_clients},\n    \"max_pending\": {overload_bound},\n    \"shed\": {overload_shed},\n    \"served\": {overload_served},\n    \"shed_rate\": {overload_shed_rate:.3},\n    \"live_requests\": {live_total},\n    \"live_p50_ns\": {live_p50_ns:.1},\n    \"live_p99_ns\": {live_p99_ns:.1}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"sim\",\n  \"threads\": {},\n  \"gate_apply\": {{\n    \"workload\": \"16x10q batched seam, L2-resident, one gate per dispatch class (H dense-real, RX dense-complex, RZ diagonal, CNOT block-diagonal)\",\n    \"gate_h_ns\": {gate_h_ns:.1},\n    \"gate_rx_ns\": {gate_rx_ns:.1},\n    \"gate_rz_ns\": {gate_rz_ns:.1},\n    \"gate_cnot_ns\": {gate_cnot_ns:.1},\n    \"simd_tier\": \"{simd_tier:?}\",\n    \"gate_h_mask1_ns\": {gate_h_m1_ns:.1},\n    \"gate_rx_mask1_ns\": {gate_rx_m1_ns:.1},\n    \"gate_rz_mask1_ns\": {gate_rz_m1_ns:.1},\n    \"gate_cnot_mask1_ns\": {gate_cnot_m1_ns:.1},\n    \"gate_rxx_ns\": {gate_rxx_ns:.1},\n    \"scalar_gate_rx_ns\": {scalar_rx_ns:.1},\n    \"scalar_gate_rx_mask1_ns\": {scalar_rx_m1_ns:.1},\n    \"scalar_gate_cnot_mask1_ns\": {scalar_cnot_m1_ns:.1},\n    \"scalar_gate_rxx_ns\": {scalar_rxx_ns:.1},\n    \"simd_rx_speedup\": {simd_rx_speedup:.2},\n    \"simd_mask1_speedup\": {simd_mask1_speedup:.2},\n    \"simd_cnot_mask1_speedup\": {simd_cnot_mask1_speedup:.2},\n    \"simd_rxx_speedup\": {simd_rxx_speedup:.2},\n    \"total_ns\": {gate_total_ns:.1},\n    \"pr6_gate_h_ns\": {PR6_GATE_H_NS:.1},\n    \"pr6_gate_rx_ns\": {PR6_GATE_RX_NS:.1},\n    \"pr6_gate_rz_ns\": {PR6_GATE_RZ_NS:.1},\n    \"pr6_gate_cnot_ns\": {PR6_GATE_CNOT_NS:.1},\n    \"pr6_total_ns\": {pr6_gate_total_ns:.1},\n    \"speedup_vs_pr6\": {gate_apply_speedup:.2},\n    \"pr7_gate_h_ns\": {PR7_GATE_H_NS:.1},\n    \"pr7_gate_rx_ns\": {PR7_GATE_RX_NS:.1},\n    \"pr7_gate_rz_ns\": {PR7_GATE_RZ_NS:.1},\n    \"pr7_gate_cnot_ns\": {PR7_GATE_CNOT_NS:.1},\n    \"pr7_total_ns\": {pr7_gate_total_ns:.1},\n    \"speedup_vs_pr7\": {gate_apply_speedup_vs_pr7:.2},\n    \"seam_default_threads_ns\": {seam_default_ns:.1},\n    \"seam_1_thread_ns\": {seam_1t_ns:.1},\n    \"seam_thread_speed_ratio\": {seam_thread_ratio:.2}\n  }},\n  \"gate_apply_10q_density\": {{\n    \"gate\": \"H on row qubit 4\",\n    \"fast_ns\": {gate_fast_ns:.1},\n    \"reference_ns\": {gate_ref_ns:.1},\n    \"speedup\": {gate_speedup:.2}\n  }},\n  \"gradient_p1_24_params\": {{\n    \"workload\": \"GradientEngine::gradient_pure on P1\",\n    \"fast_ns\": {grad_fast_ns:.1},\n    \"reference_ns\": {grad_ref_ns:.1},\n    \"speedup\": {grad_speedup:.2}\n  }},\n  \"gradient_batch_16x\": {{\n    \"workload\": \"Trainer::loss_gradient on P1, {batch_size}-sample batch\",\n    \"batched_ns\": {batch_fast_ns:.1},\n    \"serial_loop_ns\": {batch_serial_ns:.1},\n    \"speedup\": {batch_speedup:.2}\n  }},\n  \"estimator_shots\": {{\n    \"workload\": \"shot-noise P1 gradient, {est_shots} shots x 24 params\",\n    \"batched_ns\": {shots_batched_ns:.1},\n    \"pr6_batched_ns\": {PR6_ESTIMATOR_SHOTS_BATCHED_NS:.1},\n    \"serial_loop_ns\": {shots_serial_ns:.1},\n    \"speedup\": {shots_speedup:.2}\n  }},\n  \"gradient_branching_batch\": {{\n    \"workload\": \"branch-weighted P2 gradient, {batch_size}-sample batch x {branch_params} params\",\n    \"batched_ns\": {branch_batched_ns:.1},\n    \"pr6_batched_ns\": {PR6_BRANCHING_BATCHED_NS:.1},\n    \"per_row_ns\": {branch_serial_ns:.1},\n    \"speedup\": {branch_speedup:.2}\n  }},\n  \"measurement_sweep\": {{\n    \"workload\": \"P2 branching gradient multisets ({branch_params} params, {batch_size}-row exact sweeps) + {meas_shots}-shot estimate, block vs per-row measurement\",\n    \"exact_block_ns\": {meas_block_ns:.1},\n    \"exact_per_row_ns\": {meas_per_row_ns:.1},\n    \"sampled_block_ns\": {meas_sampled_block_ns:.1},\n    \"sampled_serial_ns\": {meas_sampled_serial_ns:.1},\n    \"sampled_speedup\": {meas_sampled_speedup:.2},\n    \"speedup\": {meas_speedup:.2},\n    \"block_probs_ns\": {block_probs_ns:.1},\n    \"block_collapse_ns\": {block_collapse_ns:.1},\n    \"micro_total_ns\": {meas_micro_total_ns:.1},\n    \"pr6_block_probs_ns\": {PR6_BLOCK_PROBS_NS:.1},\n    \"pr6_block_collapse_ns\": {PR6_BLOCK_COLLAPSE_NS:.1},\n    \"pr6_micro_total_ns\": {pr6_meas_micro_total_ns:.1},\n    \"micro_speedup_vs_pr6\": {meas_micro_speedup:.2},\n    \"pr7_block_probs_ns\": {PR7_BLOCK_PROBS_NS:.1},\n    \"pr7_block_collapse_ns\": {PR7_BLOCK_COLLAPSE_NS:.1},\n    \"pr7_micro_total_ns\": {pr7_meas_micro_total_ns:.1},\n    \"micro_speedup_vs_pr7\": {meas_micro_speedup_vs_pr7:.2}\n  }},\n  \"compile_cache\": {{\n    \"workload\": \"36-param P2 gradient, 1 input; fresh 36-multiset lowering vs interned warm path vs single-skeleton shift rule\",\n    \"lower_36_multisets_ns\": {lower_36_ns:.1},\n    \"gradient_cold_ns\": {grad_cold_ns:.1},\n    \"gradient_warm_ns\": {grad_warm_ns:.1},\n    \"warm_speedup_vs_cold\": {warm_speedup:.2},\n    \"gradient_shift_ns\": {grad_shift_ns:.1},\n    \"shift_lowered_programs\": {shift_lowered_programs},\n    \"shift_speedup_vs_warm\": {shift_speedup:.2}\n  }},\n  \"service_overload\": {{\n    \"workload\": \"{overload_clients} clients vs a max_pending={overload_bound} tenant (typed shedding), then {live_threads}x{live_per_thread} live requests at min_batch=1 (latency proxy)\",\n    \"queue_fill_clients\": {overload_clients},\n    \"max_pending\": {overload_bound},\n    \"shed\": {overload_shed},\n    \"served\": {overload_served},\n    \"shed_rate\": {overload_shed_rate:.3},\n    \"live_requests\": {live_total},\n    \"live_p50_ns\": {live_p50_ns:.1},\n    \"live_p99_ns\": {live_p99_ns:.1}\n  }}\n}}\n",
         qdp_par::max_threads(),
     );
     std::fs::write(&out_path, &json).expect("write benchmark record");

@@ -930,7 +930,7 @@ impl GradientEngine {
             .collect();
         // Pure per valuation, so a panicked worker tile retries
         // bit-identically before the failure is surfaced. Inner batch
-        // evaluations degrade to sequential under the global token budget.
+        // evaluations run inline on the pool worker that took the job.
         let evals: Vec<Vec<f64>> = qdp_par::try_par_map_retry(
             &jobs,
             |&(slot, shift)| {

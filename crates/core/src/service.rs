@@ -131,13 +131,27 @@ enum Output {
 }
 
 /// Whether two requests may share one batched sweep: same kind, same
-/// valuation (`Params` is an ordered map, compared by value bits), same
-/// observable (register width, targets, matrix entries — compared
-/// bitwise via `Matrix: PartialEq`), same shot budget. Seeds are
-/// intentionally excluded: they become per-row streams.
+/// valuation (`Params` is an ordered map; names equal, values compared by
+/// `f64::to_bits`), same observable (register width, targets, matrix
+/// shape, entries compared by `to_bits`), same shot budget. Bits, not
+/// `==`: `-0.0` and `+0.0` requests never share a sweep, so each stays
+/// bit-identical to its solo run by construction. Seeds are intentionally
+/// excluded: they become per-row streams.
 fn compatible(a: &Request, b: &Request) -> bool {
+    fn params_eq(x: &Params, y: &Params) -> bool {
+        x.len() == y.len()
+            && x.iter()
+                .zip(y.iter())
+                .all(|((n1, v1), (n2, v2))| n1 == n2 && v1.to_bits() == v2.to_bits())
+    }
     fn obs_eq(x: &Observable, y: &Observable) -> bool {
-        x.num_qubits() == y.num_qubits() && x.targets() == y.targets() && x.matrix() == y.matrix()
+        let (mx, my) = (x.matrix(), y.matrix());
+        x.num_qubits() == y.num_qubits()
+            && x.targets() == y.targets()
+            && (mx.rows(), mx.cols()) == (my.rows(), my.cols())
+            && mx.as_slice().iter().zip(my.as_slice()).all(|(u, v)| {
+                u.re.to_bits() == v.re.to_bits() && u.im.to_bits() == v.im.to_bits()
+            })
     }
     match (a, b) {
         (
@@ -151,15 +165,15 @@ fn compatible(a: &Request, b: &Request) -> bool {
         | (
             Request::ShiftGradient { params: p1, obs: o1 },
             Request::ShiftGradient { params: p2, obs: o2 },
-        ) => p1 == p2 && obs_eq(o1, o2),
+        ) => params_eq(p1, p2) && obs_eq(o1, o2),
         (
             Request::ValueShots { params: p1, obs: o1, shots: s1, .. },
             Request::ValueShots { params: p2, obs: o2, shots: s2, .. },
-        ) => s1 == s2 && p1 == p2 && obs_eq(o1, o2),
+        ) => s1 == s2 && params_eq(p1, p2) && obs_eq(o1, o2),
         (
             Request::GradientShots { params: p1, obs: o1, shots_per_param: s1, .. },
             Request::GradientShots { params: p2, obs: o2, shots_per_param: s2, .. },
-        ) => s1 == s2 && p1 == p2 && obs_eq(o1, o2),
+        ) => s1 == s2 && params_eq(p1, p2) && obs_eq(o1, o2),
         _ => false,
     }
 }

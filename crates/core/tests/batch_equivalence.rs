@@ -23,10 +23,9 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// Serializes **every** test in this binary: `set_max_threads` requires a
-/// quiesced process (a concurrently running sibling test would hold
-/// acquired worker tokens across the budget reset and re-inflate it on
-/// release, silently undoing the forced configuration), so the
+/// Serializes **every** test in this binary: `set_max_threads` is
+/// process-global (a concurrently running sibling test could reset it
+/// mid-run, silently undoing the forced configuration), so the
 /// determinism test below must never overlap any other parallel work.
 static THREAD_OVERRIDE: Mutex<()> = Mutex::new(());
 

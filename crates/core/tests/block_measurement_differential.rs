@@ -34,8 +34,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
 
-/// Serializes every test in this binary: `set_max_threads` requires a
-/// quiesced process (see `batch_equivalence.rs`).
+/// Serializes every test in this binary: `set_max_threads` is
+/// process-global, so a concurrently running sibling test could reset it
+/// mid-run (see `batch_equivalence.rs`).
 static THREAD_OVERRIDE: Mutex<()> = Mutex::new(());
 
 fn serialized() -> std::sync::MutexGuard<'static, ()> {
@@ -372,6 +373,10 @@ fn sampled_trajectories_are_bitwise_invariant_under_batch_composition() {
     }
 }
 
+/// 600 shots split into three `SHOT_TILE` tiles, which fan out whatever
+/// their size, so the 2- and 8-thread legs run on the pool. The exact
+/// sweep's row-tiled fan-out is pinned by `layout_differential.rs`'s
+/// 10-qubit case instead.
 #[test]
 fn sampled_estimates_are_bitwise_deterministic_across_thread_counts() {
     let _guard = serialized();

@@ -28,8 +28,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
 
-/// Serializes every test in this binary: `set_max_threads` requires a
-/// quiesced process (see `batch_equivalence.rs`).
+/// Serializes every test in this binary: `set_max_threads` is
+/// process-global, so a concurrently running sibling test could reset it
+/// mid-run (see `batch_equivalence.rs`).
 static THREAD_OVERRIDE: Mutex<()> = Mutex::new(());
 
 fn serialized() -> std::sync::MutexGuard<'static, ()> {
@@ -314,7 +315,10 @@ fn leaf_weights_sum_to_one_per_row() {
 
 /// Branch-weighted evaluation must be **bitwise** reproducible under
 /// forced 1-, 2-, and 8-thread `qdp_par` configurations — CI runs the
-/// suite under `QDP_PAR_THREADS=1` and `=8` on top of this.
+/// suite under `QDP_PAR_THREADS=1` and `=8` on top of this. The gradient's
+/// per-parameter fan-out forks here, but each exact sweep sits below
+/// `qdp_par::FORK_MIN_WORK` and runs as one block; the sweep's row-tiled
+/// fan-out is pinned by `layout_differential.rs`'s 10-qubit case.
 #[test]
 fn branch_weighted_results_are_bitwise_deterministic_across_thread_counts() {
     let _guard = serialized();

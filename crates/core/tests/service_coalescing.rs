@@ -283,6 +283,58 @@ fn incompatible_requests_split_into_separate_sweeps_with_correct_results() {
 }
 
 #[test]
+fn signed_zero_requests_never_share_a_sweep_and_each_matches_solo() {
+    // The coalescing key compares valuations and observable entries by
+    // bits: `-0.0` and `+0.0` are equal under `==` but never share a
+    // sweep, so each request's bits equal its own solo run by construction.
+    let program = parse_program(SRC).unwrap();
+    let psi = StateVector::zero_state(2);
+    let solo_engine = qdp_ad::GradientEngine::new(&program).unwrap();
+    let solo = |params: &Params, obs: &Observable| {
+        solo_engine.value_pure_batch(params, obs, &BatchedStates::gather(&[&psi]))[0]
+    };
+    let params_at = |sa: f64| Params::from_pairs([("sa", sa), ("sb", -0.7), ("sc", 1.9)]);
+    // Z with its off-diagonal zeros negated.
+    let z_neg = {
+        let z = qdp_linalg::Matrix::pauli_z();
+        let neg = qdp_linalg::C64::new(-0.0, -0.0);
+        Observable::new(
+            2,
+            vec![0],
+            qdp_linalg::Matrix::from_data(2, 2, vec![z.get(0, 0), neg, neg, z.get(1, 1)]),
+        )
+    };
+    let pairs = [
+        (params_at(0.0), params_at(-0.0), Observable::pauli_z(2, 0), Observable::pauli_z(2, 0)),
+        (fixed_params(), fixed_params(), Observable::pauli_z(2, 0), z_neg),
+    ];
+    for (k, (pa, pb, oa, ob)) in pairs.into_iter().enumerate() {
+        let (want_a, want_b) = (solo(&pa, &oa), solo(&pb, &ob));
+        let service = Arc::new(GradientService::with_admission(4));
+        let handle = service.register(&program).unwrap();
+        let workers: Vec<_> = (0..4)
+            .map(|i| {
+                let service = Arc::clone(&service);
+                let handle = handle.clone();
+                let (params, obs) =
+                    if i % 2 == 0 { (pa.clone(), oa.clone()) } else { (pb.clone(), ob.clone()) };
+                let psi = psi.clone();
+                std::thread::spawn(move || service.expectation(&handle, &params, &obs, &psi))
+            })
+            .collect();
+        let results: Vec<f64> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+        for (i, got) in results.iter().enumerate() {
+            let want = if i % 2 == 0 { want_a } else { want_b };
+            assert_eq!(got.to_bits(), want.to_bits(), "case {k} client {i}");
+        }
+        // All four are queued when the admission gate opens; the head
+        // group takes one sign, the admitted rest the other.
+        assert_eq!(service.served(&handle), 4, "case {k}");
+        assert_eq!(service.sweeps(&handle), 2, "case {k}: signed zeros must not coalesce");
+    }
+}
+
+#[test]
 fn flush_serves_partial_batches_below_the_admission_threshold() {
     let program = parse_program(SRC).unwrap();
     let service = Arc::new(GradientService::with_admission(4));

@@ -23,10 +23,9 @@ use qdp_sim::{Observable, StateVector};
 use std::sync::Mutex;
 
 /// Serializes the thread-override test against every other test in this
-/// binary: `set_max_threads` requires a quiesced process (a concurrently
-/// running sibling test would hold acquired worker tokens across the
-/// budget reset and re-inflate it on release, silently undoing the forced
-/// configuration).
+/// binary: `set_max_threads` is process-global, so a concurrently running
+/// sibling test could reset it mid-run and silently undo the forced
+/// configuration.
 static THREAD_OVERRIDE: Mutex<()> = Mutex::new(());
 
 fn serialized() -> std::sync::MutexGuard<'static, ()> {

@@ -1,6 +1,7 @@
 //! # qdp-par
 //!
-//! Minimal deterministic fork-join parallelism built on [`std::thread::scope`].
+//! Minimal deterministic fork-join parallelism on a std-only pool of parked
+//! worker threads.
 //!
 //! The build environment for this workspace is fully offline, so `rayon` is
 //! not available; this crate provides the small subset the simulator and the
@@ -9,7 +10,8 @@
 //! * [`par_map`] — order-preserving parallel map over a slice,
 //! * [`par_chunks_mut`] — parallel iteration over disjoint contiguous chunks
 //!   of a mutable slice (each callback also receives the chunk's offset),
-//! * [`max_threads`] / [`set_max_threads`] — the global worker budget.
+//! * [`max_threads`] / [`set_max_threads`] — the global worker budget,
+//! * [`FORK_MIN_WORK`] / [`fork_pays`] — the least work worth a fork.
 //!
 //! **Determinism.** Results are always assembled in input order and any
 //! reductions are performed by the caller over that ordered output, so a
@@ -17,15 +19,25 @@
 //! actually ran — including the degenerate single-thread case. The test suite
 //! of `qdp-ad` relies on this.
 //!
-//! **Nesting.** A global token budget caps the number of *extra* worker
-//! threads alive at any instant. Nested calls (e.g. a parallel gradient whose
-//! per-parameter work parallelises gate application) degrade gracefully to
-//! sequential execution instead of oversubscribing the machine.
+//! **The pool.** Workers are spawned lazily, on the first fork that wants
+//! them, and the pool grows to at most `max_threads() − 1` of them. An idle
+//! worker parks on a [`Condvar`] and never spins, so a quiet pool costs no
+//! CPU. A fork try-claims idle workers, hands each one part, runs the first
+//! part on the calling thread, and waits for the rest; when no worker is
+//! free it runs everything inline. Handing a part to a parked worker costs
+//! a wake-up, not a thread spawn.
+//!
+//! **Nesting.** A call made from inside a worker always runs inline. Nested
+//! parallelism (a parallel gradient whose per-parameter work splits gate
+//! application) therefore never oversubscribes the machine and never waits
+//! on the pool it runs in. Busy workers count against the budget, so the
+//! pool never runs more than `max_threads() − 1` parts at once, however many
+//! callers fork concurrently.
 //!
 //! **Environment override.** The `QDP_PAR_THREADS` environment variable,
 //! when set to a positive integer, fixes the detected parallelism for the
 //! whole process (it is read once, on first use). CI uses it to run the
-//! entire test suite under forced 1- and 8-thread configurations so that
+//! entire test suite under forced 1-, 2- and 8-thread configurations so that
 //! any result depending on the thread count fails loudly. A runtime
 //! [`set_max_threads`] call still takes precedence; `set_max_threads(0)`
 //! falls back to the environment value (or hardware detection when the
@@ -33,9 +45,9 @@
 //!
 //! **Panic isolation.** Every item of a parallel map runs under
 //! [`std::panic::catch_unwind`], so a panicking tile never tears down the
-//! process by itself. [`try_par_map`] surfaces the failure as a typed
-//! [`TileError`] naming the lowest failing item index (deterministic under
-//! any thread interleaving); [`try_par_map_retry`] additionally re-runs
+//! process or a worker by itself. [`try_par_map`] surfaces the failure as a
+//! typed [`TileError`] naming the lowest failing item index (deterministic
+//! under any thread interleaving); [`try_par_map_retry`] additionally re-runs
 //! failed items — valid because tiles are pure and order-invariant by
 //! contract, so a retry is bit-identical to a first-try success. [`par_map`]
 //! keeps its infallible signature by re-raising the original panic message
@@ -44,12 +56,25 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::cell::Cell;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// Global budget of extra worker threads (beyond the calling thread).
-static TOKENS: OnceLock<AtomicUsize> = OnceLock::new();
+/// The least work, in amplitude updates, that pays for one fork.
+///
+/// Measured on a 2-vCPU KVM guest (Intel Xeon, AVX-512): handing a part
+/// to a parked worker costs ~5 µs of process CPU, and the worker starts
+/// ~30 µs after the handoff (a spawned thread cost ~20–35 µs CPU and
+/// started as late). The gate kernels run at 0.3–0.8 ns per amplitude
+/// update, 0.7–0.8 for dense and diagonal gates on DRAM-resident states.
+/// At `2¹⁸` updates each half of a split runs ~100 µs — several worker
+/// start-ups — and the handoff is a few percent of the work: forked
+/// kernels there cost 0–5% more CPU than serial ones, against 10–25% at
+/// `2¹⁷`. Below this, every split runs inline.
+pub const FORK_MIN_WORK: usize = 1 << 18;
+
 /// Optional override of the detected parallelism (0 = auto-detect).
 static MAX_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Cached effective parallelism — the `QDP_PAR_THREADS` environment
@@ -57,10 +82,6 @@ static MAX_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Cached because `available_parallelism()` is a syscall and this is
 /// queried on every kernel invocation.
 static DETECTED: OnceLock<usize> = OnceLock::new();
-
-fn tokens() -> &'static AtomicUsize {
-    TOKENS.get_or_init(|| AtomicUsize::new(detected_parallelism().saturating_sub(1)))
-}
 
 fn detected_parallelism() -> usize {
     let over = MAX_OVERRIDE.load(Ordering::Relaxed);
@@ -85,49 +106,200 @@ pub fn max_threads() -> usize {
 /// Overrides the detected hardware parallelism (useful in tests; pass 1 to
 /// force sequential execution globally, 0 to restore auto-detection).
 ///
-/// Resets the worker budget to the new effective parallelism; callers must
-/// be quiesced (no parallel call in flight) when switching.
+/// The pool follows at the next fork: it grows when the budget rises, and
+/// workers beyond a lowered budget stay parked and are not claimed.
 pub fn set_max_threads(n: usize) {
     MAX_OVERRIDE.store(n, Ordering::Relaxed);
-    let effective = detected_parallelism();
-    if let Some(t) = TOKENS.get() {
-        t.store(effective.saturating_sub(1), Ordering::Relaxed);
-    }
 }
 
-/// Tries to reserve up to `want` extra worker threads from the global budget;
-/// returns how many were actually granted (possibly zero).
-fn acquire(want: usize) -> usize {
-    if want == 0 {
+/// Whether `work` amplitude updates are worth splitting across threads:
+/// at least [`FORK_MIN_WORK`], with more than one thread allowed.
+pub fn fork_pays(work: usize) -> bool {
+    work >= FORK_MIN_WORK && max_threads() > 1
+}
+
+/// A part of a fork, erased to `'static` while it sits in the pool queue.
+/// It returns the latch its fork waits on; the worker counts it down.
+type Job = Box<dyn FnOnce() -> Arc<Latch> + Send>;
+
+/// The pool's bookkeeping, under one lock.
+struct PoolState {
+    /// Worker threads alive.
+    spawned: usize,
+    /// Workers parked (or about to park) and not claimed by a fork.
+    idle: usize,
+    /// Parts handed to claimed workers and not yet picked up.
+    jobs: VecDeque<Job>,
+}
+
+static POOL: Mutex<PoolState> = Mutex::new(PoolState {
+    spawned: 0,
+    idle: 0,
+    jobs: VecDeque::new(),
+});
+/// Parked workers wait here for jobs.
+static WAKE: Condvar = Condvar::new();
+
+thread_local! {
+    /// Set on pool workers: their nested calls run inline.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Locks `m`, ignoring poison: every critical section in this crate leaves
+/// its data consistent, and user code never runs under these locks.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Claims up to `want` idle workers, spawning new ones while the pool is
+/// below `max_threads() − 1`. Returns how many were claimed (possibly 0).
+/// Busy workers count against the budget, so concurrent top-level callers
+/// share it instead of each taking a full set.
+fn claim(want: usize) -> usize {
+    if want == 0 || IN_WORKER.get() {
         return 0;
     }
-    let t = tokens();
-    let mut cur = t.load(Ordering::Relaxed);
+    let cap = max_threads() - 1;
+    let mut pool = lock(&POOL);
+    let busy = pool.spawned - pool.idle;
+    let allowed = cap.saturating_sub(busy).min(want);
+    while pool.idle < allowed && pool.spawned < cap {
+        // Detached on purpose: a worker never returns, and every job it
+        // runs catches its own panics, so there is nothing to join.
+        let name = format!("qdp-par-{}", pool.spawned);
+        if std::thread::Builder::new()
+            .name(name)
+            .spawn(worker)
+            .is_err()
+        {
+            break;
+        }
+        pool.spawned += 1;
+        pool.idle += 1;
+    }
+    let granted = allowed.min(pool.idle);
+    pool.idle -= granted;
+    granted
+}
+
+/// A worker's life: take a job, run it, report idle, park.
+fn worker() {
+    IN_WORKER.set(true);
+    let mut pool = lock(&POOL);
     loop {
-        let grant = want.min(cur);
-        if grant == 0 {
-            return 0;
-        }
-        match t.compare_exchange_weak(cur, cur - grant, Ordering::AcqRel, Ordering::Relaxed) {
-            Ok(_) => return grant,
-            Err(now) => cur = now,
+        match pool.jobs.pop_front() {
+            Some(job) => {
+                drop(pool);
+                let latch = job();
+                pool = lock(&POOL);
+                // Idle before the fork sees its part done, so the caller's
+                // next fork can claim this worker straight away.
+                pool.idle += 1;
+                latch.count_down();
+            }
+            None => pool = WAKE.wait(pool).unwrap_or_else(PoisonError::into_inner),
         }
     }
 }
 
-fn release(n: usize) {
-    if n > 0 {
-        tokens().fetch_add(n, Ordering::AcqRel);
+/// Counts a fork's outstanding parts down to zero.
+struct Latch {
+    pending: Mutex<usize>,
+    done: Condvar,
+}
+
+impl Latch {
+    fn count_down(&self) {
+        let mut pending = lock(&self.pending);
+        *pending -= 1;
+        if *pending == 0 {
+            self.done.notify_all();
+        }
     }
 }
 
-/// Returns acquired tokens even if the parallel region unwinds (a panicking
-/// worker must not permanently drain the global budget).
-struct TokenGuard(usize);
+/// Blocks until every part handed to the pool has finished — on drop, so
+/// the fork's frame outlives its jobs even if the caller unwinds.
+struct Join(Arc<Latch>);
 
-impl Drop for TokenGuard {
+impl Drop for Join {
     fn drop(&mut self) {
-        release(self.0);
+        let mut pending = lock(&self.0.pending);
+        while *pending > 0 {
+            pending = self
+                .0
+                .done
+                .wait(pending)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// The shared fan-out core: runs `f` on every part — the first on the
+/// calling thread, the others on `claimed` workers (at least
+/// `parts.len() − 1` of them; any surplus returns to the pool) — and
+/// returns each part's outcome in part order. Every part runs under
+/// `catch_unwind`, so a panic never kills a worker or strands the join.
+fn fork_join<P, Q, F>(claimed: usize, parts: Vec<P>, f: &F) -> Vec<std::thread::Result<Q>>
+where
+    P: Send,
+    Q: Send,
+    F: Fn(P) -> Q + Sync,
+{
+    debug_assert!(!parts.is_empty() && parts.len() - 1 <= claimed);
+    let mut parts = parts.into_iter();
+    let first = parts.next();
+    let slots: Vec<Mutex<Option<std::thread::Result<Q>>>> =
+        parts.as_slice().iter().map(|_| Mutex::new(None)).collect();
+    let latch = Arc::new(Latch {
+        pending: Mutex::new(0),
+        done: Condvar::new(),
+    });
+    let join = Join(Arc::clone(&latch));
+    let jobs: Vec<Job> = parts
+        .zip(&slots)
+        .map(|(part, slot)| {
+            let latch = Arc::clone(&latch);
+            let job: Box<dyn FnOnce() -> Arc<Latch> + Send + '_> = Box::new(move || {
+                *lock(slot) = Some(catch_unwind(AssertUnwindSafe(|| f(part))));
+                latch
+            });
+            // SAFETY: the job borrows `f`, its part and its slot from this
+            // frame. `join` is dropped — and blocks until the latch reaches
+            // zero — before this frame ends, on return and on unwind alike,
+            // and the latch is counted down only after the job has returned
+            // and made its last access to borrowed data. So no job outlives
+            // what it borrows. Jobs that never reach the queue are dropped
+            // here without running.
+            unsafe { std::mem::transmute::<Box<dyn FnOnce() -> Arc<Latch> + Send + '_>, Job>(job) }
+        })
+        .collect();
+    let handed = jobs.len();
+    *lock(&latch.pending) = handed;
+    {
+        let mut pool = lock(&POOL);
+        pool.idle += claimed - handed;
+        pool.jobs.extend(jobs);
+    }
+    for _ in 0..handed {
+        WAKE.notify_one();
+    }
+    let own = first.map(|part| catch_unwind(AssertUnwindSafe(|| f(part))));
+    drop(join);
+    own.into_iter()
+        .chain(slots.into_iter().map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .unwrap_or_else(|| unreachable!("the join waits for every part"))
+        }))
+        .collect()
+}
+
+/// Re-raises the lowest-index part failure of a chunked fork, if any, with
+/// its original message.
+fn rethrow_first(results: Vec<std::thread::Result<()>>) {
+    if let Some(Err(payload)) = results.into_iter().find(Result::is_err) {
+        panic!("{}", panic_message(payload));
     }
 }
 
@@ -165,10 +337,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The shared fan-out core: order-preserving map with every item call
-/// isolated under `catch_unwind`. Worker threads can therefore never
-/// panic through `f`; a `join` error is re-raised verbatim (it can only
-/// mean a panic outside the guarded call, e.g. allocator failure).
+/// Order-preserving map with every item call isolated under
+/// `catch_unwind`. A part can therefore only fail outside the guarded
+/// calls (e.g. allocator failure); such a failure is re-raised verbatim.
 fn map_isolated<T, R, F>(items: &[T], f: &F) -> Vec<Result<R, String>>
 where
     T: Sync,
@@ -176,31 +347,17 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let call = |x: &T| catch_unwind(AssertUnwindSafe(|| f(x))).map_err(panic_message);
-    let n = items.len();
-    let extra = if n < 2 { 0 } else { acquire((n - 1).min(max_threads().saturating_sub(1))) };
-    if extra == 0 {
+    let claimed = claim(items.len().saturating_sub(1));
+    if claimed == 0 {
         return items.iter().map(call).collect();
     }
-    let _guard = TokenGuard(extra);
-    let workers = extra + 1;
-    let chunk = n.div_ceil(workers);
-    let call = &call;
+    let chunk = items.len().div_ceil(claimed + 1);
     let parts: Vec<&[T]> = items.chunks(chunk).collect();
-    let mut results: Vec<Vec<Result<R, String>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = parts[1..]
-            .iter()
-            .map(|&part| s.spawn(move || part.iter().map(call).collect::<Vec<_>>()))
-            .collect();
-        let first: Vec<Result<R, String>> = parts[0].iter().map(call).collect();
-        let mut all = vec![first];
-        for h in handles {
-            all.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-        }
-        all
-    });
-    let mut out = Vec::with_capacity(n);
-    for part in &mut results {
-        out.append(part);
+    let mut out = Vec::with_capacity(items.len());
+    for part in fork_join(claimed, parts, &|part: &[T]| {
+        part.iter().map(call).collect::<Vec<_>>()
+    }) {
+        out.extend(part.unwrap_or_else(|p| resume_unwind(p)));
     }
     out
 }
@@ -227,10 +384,10 @@ fn collect_tiles<R>(results: Vec<Result<R, String>>) -> Result<Vec<R>, TileError
 
 /// Order-preserving parallel map: `out[i] = f(&items[i])`.
 ///
-/// Splits `items` into contiguous runs, maps each run on its own scoped
-/// thread, and concatenates the per-run outputs in order. Falls back to a
-/// plain sequential map when `items` is small or the thread budget is
-/// exhausted.
+/// Splits `items` into contiguous runs, maps each run on its own pool
+/// worker (the first on the calling thread), and concatenates the per-run
+/// outputs in order. Falls back to a plain sequential map when `items` is
+/// small or no worker is free.
 ///
 /// # Panics
 ///
@@ -254,8 +411,8 @@ where
 /// Fallible order-preserving parallel map: like [`par_map`], but a
 /// panicking item surfaces as `Err(TileError)` — naming the lowest failing
 /// item index — instead of tearing down the calling thread. All items run
-/// to completion before the error is reported, so the global thread budget
-/// is fully restored on return.
+/// to completion before the error is reported, so every claimed worker is
+/// back in the pool on return.
 pub fn try_par_map<T, R, F>(items: &[T], f: F) -> Result<Vec<R>, TileError>
 where
     T: Sync,
@@ -295,69 +452,42 @@ where
     collect_tiles(results)
 }
 
+/// The chunk length of an `n`-element split among `1 + claimed` threads,
+/// rounded up to a multiple of `align`.
+fn chunk_len(n: usize, claimed: usize, align: usize) -> usize {
+    n.div_ceil(claimed + 1).div_ceil(align) * align
+}
+
 /// Parallel iteration over disjoint contiguous chunks of `data`.
 ///
 /// `f(offset, chunk)` is invoked once per chunk, where `offset` is the index
 /// of the chunk's first element in `data`. Chunk boundaries are aligned to
 /// multiples of `align` elements (pass 1 for no constraint) so kernels can
 /// guarantee that index orbits never cross a boundary. Runs sequentially when
-/// the slice is short or no worker threads are available.
+/// the slice is short or no worker is free.
+///
+/// # Panics
+///
+/// A panicking chunk re-raises the lowest-offset failure's message after
+/// every chunk has finished.
 pub fn par_chunks_mut<T, F>(data: &mut [T], align: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let n = data.len();
     let align = align.max(1);
-    let max_chunks = n / align;
-    let extra = if max_chunks < 2 {
-        0
-    } else {
-        acquire((max_chunks - 1).min(max_threads().saturating_sub(1)))
-    };
-    if extra == 0 {
+    let claimed = claim((data.len() / align).saturating_sub(1));
+    if claimed == 0 {
         f(0, data);
         return;
     }
-    let _guard = TokenGuard(extra);
-    let workers = extra + 1;
-    // Round the chunk length up to a multiple of `align`.
-    let chunk = n.div_ceil(workers).div_ceil(align) * align;
-    let f = &f;
-    let first_err = std::thread::scope(|s| {
-        let mut offset = 0usize;
-        let mut rest = data;
-        let mut handles = Vec::with_capacity(workers);
-        while rest.len() > chunk {
-            let (head, tail) = rest.split_at_mut(chunk);
-            let off = offset;
-            handles.push(s.spawn(move || {
-                catch_unwind(AssertUnwindSafe(|| f(off, head))).map_err(panic_message)
-            }));
-            offset += chunk;
-            rest = tail;
-        }
-        let own = if rest.is_empty() {
-            Ok(())
-        } else {
-            catch_unwind(AssertUnwindSafe(|| f(offset, rest))).map_err(panic_message)
-        };
-        // Join every worker before deciding the outcome so a panic never
-        // leaves chunks half-processed behind the caller's back; report
-        // the lowest-offset failure (spawn order) deterministically.
-        let mut first_err: Option<String> = None;
-        for h in handles {
-            if let Err(msg) = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)) {
-                if first_err.is_none() {
-                    first_err = Some(msg);
-                }
-            }
-        }
-        first_err.or(own.err())
-    });
-    if let Some(msg) = first_err {
-        panic!("{msg}");
-    }
+    let chunk = chunk_len(data.len(), claimed, align);
+    let parts: Vec<(usize, &mut [T])> = data
+        .chunks_mut(chunk)
+        .enumerate()
+        .map(|(i, c)| (i * chunk, c))
+        .collect();
+    rethrow_first(fork_join(claimed, parts, &|(offset, c)| f(offset, c)));
 }
 
 /// Parallel iteration over two equal-length mutable slices split at the same
@@ -373,52 +503,7 @@ where
     T: Send,
     F: Fn(&mut [T], &mut [T]) + Sync,
 {
-    assert_eq!(a.len(), b.len(), "zipped slices must have equal lengths");
-    let n = a.len();
-    let extra = if n < 2 {
-        0
-    } else {
-        acquire((n - 1).min(max_threads().saturating_sub(1)))
-    };
-    if extra == 0 {
-        f(a, b);
-        return;
-    }
-    let _guard = TokenGuard(extra);
-    let workers = extra + 1;
-    let chunk = n.div_ceil(workers);
-    let f = &f;
-    let first_err = std::thread::scope(|s| {
-        let mut rest_a = a;
-        let mut rest_b = b;
-        let mut handles = Vec::with_capacity(workers);
-        while rest_a.len() > chunk {
-            let (head_a, tail_a) = rest_a.split_at_mut(chunk);
-            let (head_b, tail_b) = rest_b.split_at_mut(chunk);
-            handles.push(s.spawn(move || {
-                catch_unwind(AssertUnwindSafe(|| f(head_a, head_b))).map_err(panic_message)
-            }));
-            rest_a = tail_a;
-            rest_b = tail_b;
-        }
-        let own = if rest_a.is_empty() {
-            Ok(())
-        } else {
-            catch_unwind(AssertUnwindSafe(|| f(rest_a, rest_b))).map_err(panic_message)
-        };
-        let mut first_err: Option<String> = None;
-        for h in handles {
-            if let Err(msg) = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)) {
-                if first_err.is_none() {
-                    first_err = Some(msg);
-                }
-            }
-        }
-        first_err.or(own.err())
-    });
-    if let Some(msg) = first_err {
-        panic!("{msg}");
-    }
+    par_chunks2_mut(a, b, 1, |_, ca, cb| f(ca, cb));
 }
 
 /// Parallel iteration over two equal-length mutable slices split at the
@@ -437,56 +522,22 @@ where
     F: Fn(usize, &mut [T], &mut [T]) + Sync,
 {
     assert_eq!(a.len(), b.len(), "zipped slices must have equal lengths");
-    let n = a.len();
     let align = align.max(1);
-    let max_chunks = n / align;
-    let extra = if max_chunks < 2 {
-        0
-    } else {
-        acquire((max_chunks - 1).min(max_threads().saturating_sub(1)))
-    };
-    if extra == 0 {
+    let claimed = claim((a.len() / align).saturating_sub(1));
+    if claimed == 0 {
         f(0, a, b);
         return;
     }
-    let _guard = TokenGuard(extra);
-    let workers = extra + 1;
-    let chunk = n.div_ceil(workers).div_ceil(align) * align;
-    let f = &f;
-    let first_err = std::thread::scope(|s| {
-        let mut offset = 0usize;
-        let mut rest_a = a;
-        let mut rest_b = b;
-        let mut handles = Vec::with_capacity(workers);
-        while rest_a.len() > chunk {
-            let (head_a, tail_a) = rest_a.split_at_mut(chunk);
-            let (head_b, tail_b) = rest_b.split_at_mut(chunk);
-            let off = offset;
-            handles.push(s.spawn(move || {
-                catch_unwind(AssertUnwindSafe(|| f(off, head_a, head_b))).map_err(panic_message)
-            }));
-            offset += chunk;
-            rest_a = tail_a;
-            rest_b = tail_b;
-        }
-        let own = if rest_a.is_empty() {
-            Ok(())
-        } else {
-            catch_unwind(AssertUnwindSafe(|| f(offset, rest_a, rest_b))).map_err(panic_message)
-        };
-        let mut first_err: Option<String> = None;
-        for h in handles {
-            if let Err(msg) = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)) {
-                if first_err.is_none() {
-                    first_err = Some(msg);
-                }
-            }
-        }
-        first_err.or(own.err())
-    });
-    if let Some(msg) = first_err {
-        panic!("{msg}");
-    }
+    let chunk = chunk_len(a.len(), claimed, align);
+    let parts: Vec<(usize, &mut [T], &mut [T])> = a
+        .chunks_mut(chunk)
+        .zip(b.chunks_mut(chunk))
+        .enumerate()
+        .map(|(i, (ca, cb))| (i * chunk, ca, cb))
+        .collect();
+    rethrow_first(fork_join(claimed, parts, &|(offset, ca, cb)| {
+        f(offset, ca, cb)
+    }));
 }
 
 /// Parallel iteration over four equal-length mutable slices split at the
@@ -508,57 +559,22 @@ where
         b.len() == n && c.len() == n && d.len() == n,
         "zipped slices must have equal lengths"
     );
-    let extra = if n < 2 {
-        0
-    } else {
-        acquire((n - 1).min(max_threads().saturating_sub(1)))
-    };
-    if extra == 0 {
+    let claimed = claim(n.saturating_sub(1));
+    if claimed == 0 {
         f(a, b, c, d);
         return;
     }
-    let _guard = TokenGuard(extra);
-    let workers = extra + 1;
-    let chunk = n.div_ceil(workers);
-    let f = &f;
-    let first_err = std::thread::scope(|s| {
-        let mut rest_a = a;
-        let mut rest_b = b;
-        let mut rest_c = c;
-        let mut rest_d = d;
-        let mut handles = Vec::with_capacity(workers);
-        while rest_a.len() > chunk {
-            let (ha, ta) = rest_a.split_at_mut(chunk);
-            let (hb, tb) = rest_b.split_at_mut(chunk);
-            let (hc, tc) = rest_c.split_at_mut(chunk);
-            let (hd, td) = rest_d.split_at_mut(chunk);
-            handles.push(s.spawn(move || {
-                catch_unwind(AssertUnwindSafe(|| f(ha, hb, hc, hd))).map_err(panic_message)
-            }));
-            rest_a = ta;
-            rest_b = tb;
-            rest_c = tc;
-            rest_d = td;
-        }
-        let own = if rest_a.is_empty() {
-            Ok(())
-        } else {
-            catch_unwind(AssertUnwindSafe(|| f(rest_a, rest_b, rest_c, rest_d)))
-                .map_err(panic_message)
-        };
-        let mut first_err: Option<String> = None;
-        for h in handles {
-            if let Err(msg) = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)) {
-                if first_err.is_none() {
-                    first_err = Some(msg);
-                }
-            }
-        }
-        first_err.or(own.err())
-    });
-    if let Some(msg) = first_err {
-        panic!("{msg}");
-    }
+    let chunk = chunk_len(n, claimed, 1);
+    let parts: Vec<_> = a
+        .chunks_mut(chunk)
+        .zip(b.chunks_mut(chunk))
+        .zip(c.chunks_mut(chunk))
+        .zip(d.chunks_mut(chunk))
+        .map(|(((ca, cb), cc), cd)| (ca, cb, cc, cd))
+        .collect();
+    rethrow_first(fork_join(claimed, parts, &|(ca, cb, cc, cd)| {
+        f(ca, cb, cc, cd)
+    }));
 }
 
 #[cfg(test)]
@@ -688,25 +704,6 @@ mod tests {
     }
 
     #[test]
-    fn set_max_threads_zero_restores_detected_budget() {
-        // Exact token counts race with sibling tests acquiring workers, so
-        // assert the reported parallelism and that work still completes.
-        // `QDP_PAR_THREADS` (the CI matrix) takes precedence over hardware
-        // detection, so the restored value must honour it too.
-        let detected = std::env::var("QDP_PAR_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        set_max_threads(4);
-        assert_eq!(max_threads(), 4);
-        set_max_threads(0);
-        assert_eq!(max_threads(), detected);
-        let out = par_map(&[1usize, 2, 3, 4], |&x| x * x);
-        assert_eq!(out, vec![1, 4, 9, 16]);
-    }
-
-    #[test]
     fn deterministic_across_repeats() {
         let items: Vec<f64> = (0..10_000).map(|i| (i as f64).sin()).collect();
         let a: f64 = par_map(&items, |&x| x * x).iter().sum();
@@ -814,23 +811,6 @@ mod tests {
             }))
             .unwrap_err();
             assert!(panic_message(caught).contains("original payload 100"));
-        });
-    }
-
-    #[test]
-    fn worker_panic_does_not_drain_token_budget() {
-        with_quiet_panics(|| {
-            let items: Vec<usize> = (0..256).collect();
-            for _ in 0..4 {
-                let _ = try_par_map(&items, |&x| {
-                    assert!(x % 97 != 96, "boom");
-                    x
-                });
-            }
-            // Budget must be fully restored: a healthy run still parallelises
-            // and produces the right answer.
-            let out = par_map(&items, |&x| x * 3);
-            assert_eq!(out, (0..256).map(|x| x * 3).collect::<Vec<_>>());
         });
     }
 

@@ -7,7 +7,7 @@
 //! tick (Lemma D.2).
 
 use crate::density::DensityMatrix;
-use crate::kernels::{left_mul, right_mul_transposed, PAR_MIN_LEN};
+use crate::kernels::{left_mul, right_mul_transposed};
 use qdp_linalg::{C64, Matrix};
 
 /// A completely positive, trace-non-increasing map given by Kraus operators
@@ -232,7 +232,8 @@ impl KrausChannel {
     /// Applies the channel: `ρ ↦ Σk KρK†`.
     ///
     /// Uses the cached conjugates (no per-call transpose allocation) and
-    /// evaluates the Kraus branches in parallel on large states; the branch
+    /// evaluates the Kraus branches in parallel once their combined size
+    /// reaches [`qdp_par::FORK_MIN_WORK`] amplitudes; the branch
     /// sum is always taken in operator order, so the result is deterministic
     /// under any thread count.
     pub fn apply(&self, rho: &DensityMatrix) -> DensityMatrix {
@@ -245,7 +246,7 @@ impl KrausChannel {
             term
         };
         let indices: Vec<usize> = (0..self.kraus.len()).collect();
-        let terms: Vec<Vec<C64>> = if data.len() >= PAR_MIN_LEN && self.kraus.len() > 1 {
+        let terms: Vec<Vec<C64>> = if qdp_par::fork_pays(data.len() * self.kraus.len()) {
             qdp_par::par_map(&indices, branch)
         } else {
             indices.iter().map(branch).collect()

@@ -26,11 +26,18 @@
 //!   `|0⟩⟨0| ⊗ A + |1⟩⟨1| ⊗ B` — every controlled rotation the
 //!   differentiation gadget emits, plus `CNOT` — skip the zero blocks,
 //!   halving the multiply count.
-//! * **Parallel split.** Above [`PAR_MIN_LEN`] amplitudes the work is split
-//!   across threads via `qdp_par`: in place over contiguous aligned chunks
-//!   when the target bits lie below the chunk boundary, or by zipping the
-//!   two contiguous orbit halves in lockstep when the target is the top
-//!   bit. Every split performs the identical floating-point operations per
+//! * **Parallel split.** From [`qdp_par::FORK_MIN_WORK`] (`2¹⁸`)
+//!   amplitudes the work is split across threads via `qdp_par`: in place
+//!   over contiguous aligned chunks when the target bits lie below the
+//!   chunk boundary, or by zipping the two contiguous orbit halves in
+//!   lockstep when the target is the top bit. The threshold comes from a
+//!   2-vCPU KVM guest (Intel Xeon, AVX-512): a pool handoff costs ~5 µs of
+//!   CPU and the worker starts ~30 µs later, while these kernels run at
+//!   0.3–0.8 ns per amplitude (0.7–0.8 for dense and diagonal gates at
+//!   `2¹⁸`). Split there, each half outlasts several worker start-ups and
+//!   the fork adds 0–5% CPU; at `2¹⁷` it added 10–25%. An L2-sized batch
+//!   tile (`2¹⁴` amplitudes) never forks.
+//!   Every split performs the identical floating-point operations per
 //!   output element as the serial kernel, so results are bit-for-bit
 //!   deterministic regardless of thread count.
 //!
@@ -40,9 +47,6 @@
 use crate::simd::{self, Chain1q, SimdTier};
 use qdp_linalg::{C64, Matrix};
 use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Arrays at least this long may be split across threads.
-pub const PAR_MIN_LEN: usize = 1 << 14;
 
 /// When set, [`apply_matrix`] routes through [`apply_matrix_reference`] —
 /// used by benchmarks to measure end-to-end speedups of the fast paths.
@@ -212,7 +216,7 @@ fn apply_1q_with(amps: &mut [C64], mask: usize, pair: impl Fn(C64, C64) -> (C64,
     };
     // Small arrays (the pure-state gradient path) never touch the parallel
     // machinery: straight into the serial loop.
-    if amps.len() < PAR_MIN_LEN || qdp_par::max_threads() < 2 {
+    if !qdp_par::fork_pays(amps.len()) {
         serial(amps);
         return;
     }
@@ -308,7 +312,7 @@ fn apply_2q(amps: &mut [C64], n: usize, m: &Matrix, t0: usize, t1: usize) {
     };
 
     let align = 1usize << (b_hi + 1);
-    if amps.len() >= PAR_MIN_LEN && qdp_par::max_threads() > 1 && amps.len() / align >= 2 {
+    if qdp_par::fork_pays(amps.len()) && amps.len() / align >= 2 {
         // Aligned chunks contain whole orbits: bases within a chunk start at
         // base index offset/4 adjusted for deposited bits. Easier and just as
         // fast: recompute the global base range per chunk.
@@ -354,7 +358,7 @@ fn apply_blockdiag_ctrl(amps: &mut [C64], cmask: usize, tmask: usize, a: [C64; 4
             chunk[base | cmask | tmask] = C64::ZERO.mul_add(b[2], s2).mul_add(b[3], s3);
         }
     };
-    if amps.len() < PAR_MIN_LEN || qdp_par::max_threads() < 2 {
+    if !qdp_par::fork_pays(amps.len()) {
         body(0, amps);
     } else {
         qdp_par::par_chunks_mut(amps, align, body);
@@ -406,7 +410,7 @@ fn apply_diag(amps: &mut [C64], masks: &[usize], diag: &[C64]) {
             }
         }
     };
-    if amps.len() < PAR_MIN_LEN || qdp_par::max_threads() < 2 {
+    if !qdp_par::fork_pays(amps.len()) {
         body(0, amps);
     } else {
         qdp_par::par_chunks_mut(amps, run, body);
@@ -668,7 +672,7 @@ fn apply_1q_with_planes(
         }
     }
     let align = mask << 1;
-    if re.len() < PAR_MIN_LEN || qdp_par::max_threads() < 2 {
+    if !qdp_par::fork_pays(re.len()) {
         sweep(re, im, mask, pair);
         return;
     }
@@ -705,7 +709,7 @@ fn apply_1q_dense_simd(
 ) {
     let g = *g;
     let align = mask << 1;
-    if re.len() < PAR_MIN_LEN || qdp_par::max_threads() < 2 {
+    if !qdp_par::fork_pays(re.len()) {
         simd::sweep_1q(tier, re, im, mask, &g, chain);
         return;
     }
@@ -810,7 +814,7 @@ fn apply_2q_planes(re: &mut [f64], im: &mut [f64], n: usize, m: &Matrix, t0: usi
     };
 
     let align = 1usize << (b_hi + 1);
-    if re.len() >= PAR_MIN_LEN && qdp_par::max_threads() > 1 && re.len() / align >= 2 {
+    if qdp_par::fork_pays(re.len()) && re.len() / align >= 2 {
         qdp_par::par_chunks2_mut(re, im, align, |offset, cre, cim| {
             let first = offset >> 2;
             if simd_runs {
@@ -857,7 +861,7 @@ fn apply_blockdiag_ctrl_planes(
         let body = move |_: usize, cre: &mut [f64], cim: &mut [f64]| {
             simd::sweep_blockdiag_t1(tier, cre, cim, cmask, &a, &b, identity_a);
         };
-        if re.len() < PAR_MIN_LEN || qdp_par::max_threads() < 2 {
+        if !qdp_par::fork_pays(re.len()) {
             body(0, re, im);
         } else {
             qdp_par::par_chunks2_mut(re, im, align, body);
@@ -994,7 +998,7 @@ fn apply_blockdiag_ctrl_planes(
         }
     };
 
-    if re.len() < PAR_MIN_LEN || qdp_par::max_threads() < 2 {
+    if !qdp_par::fork_pays(re.len()) {
         if use_simd {
             body_simd(0, re, im);
         } else {
@@ -1058,7 +1062,7 @@ fn apply_diag_planes(re: &mut [f64], im: &mut [f64], masks: &[usize], diag: &[C6
             let body = move |_: usize, cre: &mut [f64], cim: &mut [f64]| {
                 simd::sweep_diag1(tier, cre, cim, d0, d1);
             };
-            if re.len() < PAR_MIN_LEN || qdp_par::max_threads() < 2 {
+            if !qdp_par::fork_pays(re.len()) {
                 body(0, re, im);
             } else {
                 qdp_par::par_chunks2_mut(re, im, 2, body);
@@ -1074,7 +1078,7 @@ fn apply_diag_planes(re: &mut [f64], im: &mut [f64], masks: &[usize], diag: &[C6
                 scale_run(hre, him, d1);
             }
         };
-        if re.len() < PAR_MIN_LEN || qdp_par::max_threads() < 2 {
+        if !qdp_par::fork_pays(re.len()) {
             body(0, re, im);
         } else {
             qdp_par::par_chunks2_mut(re, im, run << 1, body);
@@ -1118,7 +1122,7 @@ fn apply_diag_planes(re: &mut [f64], im: &mut [f64], masks: &[usize], diag: &[C6
             }
         }
     };
-    if re.len() < PAR_MIN_LEN || qdp_par::max_threads() < 2 {
+    if !qdp_par::fork_pays(re.len()) {
         body(0, re, im);
     } else {
         qdp_par::par_chunks2_mut(re, im, run, body);
@@ -1531,8 +1535,11 @@ mod tests {
     /// strategies: aligned chunks (low target), four-stream zip (top bit),
     /// and the 2q chunked path.
     #[test]
+    #[cfg_attr(miri, ignore = "2^19 amplitudes: too large for the interpreter")]
     fn plane_kernels_match_aos_bitwise_above_parallel_threshold() {
-        let n = 15; // 2^15 = 32768 ≥ PAR_MIN_LEN
+        const N: usize = qdp_par::FORK_MIN_WORK.ilog2() as usize + 1;
+        const { assert!(1 << N > qdp_par::FORK_MIN_WORK) };
+        let n = N;
         let gates: Vec<(Matrix, Vec<usize>)> = vec![
             (Matrix::hadamard(), vec![n - 1]), // low bit → aligned chunks
             (Matrix::hadamard(), vec![0]),     // top bit → zip halves

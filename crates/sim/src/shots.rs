@@ -70,11 +70,12 @@ use qdp_linalg::{C64, Matrix};
 pub const SHOT_TILE: usize = 256;
 
 /// Rows per parallel tile of the exact branch-weighted sweep
-/// ([`ShotEngine::expectation_sweep`]). Smaller than [`SHOT_TILE`]
-/// because exact batches are datasets (tens of rows), not shot blocks:
-/// the tile must be small enough that one branching program over one
-/// training batch still fans out across workers. Fixed for a predictable
-/// partition; per-row bits do not depend on it.
+/// ([`ShotEngine::expectation_sweep`]) once its work pays for a fork.
+/// Smaller than [`SHOT_TILE`] because exact batches are datasets (tens of
+/// rows), not shot blocks: the tile must be small enough that one large
+/// branching program over one training batch still fans out across
+/// workers. Fixed for a predictable partition; per-row bits do not depend
+/// on it.
 pub const EXACT_TILE: usize = 8;
 
 /// One operation of a sampled-trajectory program.
@@ -186,6 +187,20 @@ impl TrajProgram {
     /// Number of top-level operations.
     pub fn len(&self) -> usize {
         self.ops.len()
+    }
+
+    /// Number of operations including every `Case` arm's — the ops the
+    /// exact sweep, which follows every arm, executes at most.
+    fn op_count(&self) -> usize {
+        self.ops
+            .iter()
+            .map(|op| match op {
+                TrajOp::Case { arms, .. } => {
+                    1 + arms.iter().map(TrajProgram::op_count).sum::<usize>()
+                }
+                _ => 1,
+            })
+            .sum()
     }
 
     /// Whether the program is a bare `skip`.
@@ -436,10 +451,9 @@ impl RegroupScratch {
 }
 
 thread_local! {
-    /// The per-thread regroup arena. The serial paths (and every sweep on
-    /// a 1-thread configuration) keep their pools warm across calls; a
-    /// fresh `qdp_par` scoped worker starts cold and warms within its
-    /// first fork.
+    /// The per-thread regroup arena. The serial paths, and the `qdp_par`
+    /// pool workers, which live as long as the process, keep their pools
+    /// warm across calls and forks.
     static SCRATCH: std::cell::RefCell<RegroupScratch> =
         std::cell::RefCell::new(RegroupScratch::default());
 }
@@ -1004,9 +1018,11 @@ impl ShotEngine {
     /// at weight ≤ [`BRANCH_PRUNE`] are dropped, matching the per-row
     /// enumerators.
     ///
-    /// Batches beyond [`EXACT_TILE`] rows split into fixed-size row tiles
-    /// fanned out across `qdp_par`, so a single branching program over a
-    /// large batch still scales with threads. Tiling is harmless to the
+    /// Batches whose work — rows × amplitudes × program ops — reaches
+    /// [`qdp_par::FORK_MIN_WORK`] split into fixed-size [`EXACT_TILE`]-row
+    /// tiles fanned out across `qdp_par`, so a single branching program
+    /// over a large batch still scales with threads; smaller sweeps run as
+    /// one block on the calling thread. Tiling is harmless to the
     /// contract precisely *because* of the decomposition invariance above:
     /// every row's bits are the same in any tile.
     pub fn expectation_sweep(&self, states: BatchedStates, obs: &Observable) -> Vec<f64> {
@@ -1034,10 +1050,12 @@ impl ShotEngine {
         if total_rows == 0 {
             return Ok(Vec::new());
         }
-        if total_rows <= EXACT_TILE || qdp_par::max_threads() < 2 {
+        let dim = states.dim();
+        if total_rows <= EXACT_TILE
+            || !qdp_par::fork_pays(total_rows * dim * self.program.op_count())
+        {
             return self.expectation_sweep_tile(states, obs);
         }
-        let dim = states.dim();
         let n = states.num_qubits();
         let tiles: Vec<(usize, usize)> = (0..total_rows)
             .step_by(EXACT_TILE)

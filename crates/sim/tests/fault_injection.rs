@@ -318,13 +318,15 @@ fn panicked_tiles_are_retried_bit_identically_or_surface_typed_errors() {
         });
     }
 
-    // Exact row-tile fan-out (needs >1 thread to tile).
+    // Exact row-tile fan-out: needs >1 thread and enough rows that the
+    // sweep's work (rows × 4 amplitudes × 5 ops) pays for a fork.
+    const TILED_ROWS: usize = qdp_par::FORK_MIN_WORK / (4 * 5) + 1;
     qdp_par::set_max_threads(8);
-    let clean = engine().expectation_sweep(batch(20), &obs);
+    let clean = engine().expectation_sweep(batch(TILED_ROWS), &obs);
     with_quiet_panics(|| {
         let guard = inject(FaultSite::Tile { index: 2, panics: 1 });
         let healed = engine()
-            .try_expectation_sweep(batch(20), &obs)
+            .try_expectation_sweep(batch(TILED_ROWS), &obs)
             .expect("retry must heal the exact tile");
         assert_bits_eq(&healed, &clean, "exact sweep after tile retry");
         assert_eq!(fired_count(), 1);

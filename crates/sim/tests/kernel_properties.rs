@@ -185,10 +185,12 @@ fn specialised_shapes_match_reference() {
 fn parallel_split_paths_are_bitwise_deterministic() {
     // Force the thread override high enough that both the aligned in-place
     // split and the zipped-halves top-bit path actually engage (the array
-    // length 2^15 exceeds PAR_MIN_LEN), then require bitwise equality with
-    // the single-threaded result.
+    // is one qubit above the fork threshold), then require bitwise equality
+    // with the single-threaded result.
+    const N: usize = qdp_par::FORK_MIN_WORK.ilog2() as usize + 1;
+    const { assert!(1 << N > qdp_par::FORK_MIN_WORK) };
     let mut rng = TestRng::new(4);
-    let n = 15usize;
+    let n = N;
     let amps = rng.amps(1 << n);
     let dense = rng.dense(2);
     let diag = rng.diagonal(4);

@@ -483,7 +483,10 @@ fn readout_probabilities_and_draws_match_aos_bitwise() {
 fn exact_sweep_invariant_across_threads_and_batches_and_matches_aos_enumeration() {
     let _guard = serialized();
     let mut rng = 0x4717_u64;
-    for (n, len) in [(2usize, 6usize), (4, 8), (5, 8), (8, 6)] {
+    // The 10-qubit case's largest batches pass `qdp_par::FORK_MIN_WORK`
+    // (33 rows × 2^10 amplitudes × ≥ 8 ops), so its 2- and 8-thread legs
+    // run the row-tiled fan-out.
+    for (n, len) in [(2usize, 6usize), (4, 8), (5, 8), (8, 6), (10, 8)] {
         let (prog, mirror) = random_program(n, len, &mut rng);
         let engine = ShotEngine::new(prog);
         let obs = Observable::pauli_z(n, (lcg(&mut rng) as usize) % n);
@@ -739,7 +742,11 @@ fn simd_gate_cases(n: usize) -> Vec<(&'static str, Matrix, Vec<usize>)> {
 #[test]
 fn simd_tiers_match_scalar_planes_and_aos_oracle_bitwise() {
     let _guard = serialized();
-    let n = 14; // 16384 amplitudes: at the parallel dispatch threshold
+    // One qubit above the fork threshold, so the 2- and 8-thread legs run
+    // the parallel splits.
+    const N: usize = qdp_par::FORK_MIN_WORK.ilog2() as usize + 1;
+    const { assert!(1 << N > qdp_par::FORK_MIN_WORK) };
+    let n = N;
     let mut rng = 0x6121_u64;
     let amps = random_state(n, &mut rng);
 
