@@ -13,7 +13,9 @@
 //!
 //! across batch sizes 1, 2, 16, and 33 (the off-by-one-past-a-power-of-two
 //! size exercises the batch's power-of-two block decomposition *and* the
-//! regrouped sub-batches' decompositions).
+//! regrouped sub-batches' decompositions), and across batches with
+//! duplicate rows — all equal, and interleaved like `[a, b, a, a, c, b]` —
+//! where bitwise-equal trajectories share one amplitude row in the sweep.
 
 use qdp_ad::estimator::sample_trajectory_traced;
 use qdp_ad::LoweredSet;
@@ -111,6 +113,20 @@ fn random_state(rng: &mut StdRng, n: usize) -> StateVector {
     StateVector::from_amplitudes(n, amps)
 }
 
+/// The input batches every program runs on: distinct random rows at each
+/// of [`BATCH_SIZES`], 16 copies of one state (a shot block), and the
+/// interleaved-duplicate layout `[a, b, a, a, c, b]`.
+fn input_batches(rng: &mut StdRng, n: usize) -> Vec<Vec<StateVector>> {
+    let mut batches: Vec<Vec<StateVector>> = BATCH_SIZES
+        .iter()
+        .map(|&rows| (0..rows).map(|_| random_state(rng, n)).collect())
+        .collect();
+    batches.push(vec![random_state(rng, n); 16]);
+    let (a, b, c) = (random_state(rng, n), random_state(rng, n), random_state(rng, n));
+    batches.push(vec![a.clone(), b.clone(), a.clone(), a, c, b]);
+    batches
+}
+
 /// Runs one program through both paths on shared per-row streams and
 /// asserts bitwise agreement.
 fn check_program(program: &Stmt, params: &Params, rng: &mut StdRng, seed: u64) {
@@ -119,11 +135,8 @@ fn check_program(program: &Stmt, params: &Params, rng: &mut StdRng, seed: u64) {
     let values = set.slot_values(params);
     let engine = ShotEngine::new(set.programs()[0].resolve(&values).to_trajectory());
 
-    for &batch_size in &BATCH_SIZES {
-        let inputs: Vec<StateVector> = (0..batch_size)
-            .map(|_| random_state(rng, reg.len()))
-            .collect();
-
+    for inputs in input_batches(rng, reg.len()) {
+        let batch_size = inputs.len();
         let mut samplers: Vec<ShotSampler> = (0..batch_size)
             .map(|r| ShotSampler::derived(seed, r as u64))
             .collect();
@@ -227,10 +240,18 @@ fn batched_trajectories_of_derivative_multisets_match_serial() {
     {
         let engine = ShotEngine::new(lowered.resolve(&values).to_trajectory());
         let ext_reg = diff.ext_register();
-        for &batch_size in &[2usize, 9] {
-            let inputs: Vec<StateVector> = (0..batch_size)
-                .map(|_| StateVector::zero_state(1).tensor(&random_state(&mut rng, ext_reg.len() - 1)))
-                .collect();
+        let ext_input = |rng: &mut StdRng| {
+            StateVector::zero_state(1).tensor(&random_state(rng, ext_reg.len() - 1))
+        };
+        // Distinct rows, then a shot block: the estimator runs every
+        // program on copies of one extended input.
+        let batches = [
+            (0..2).map(|_| ext_input(&mut rng)).collect(),
+            (0..9).map(|_| ext_input(&mut rng)).collect(),
+            vec![ext_input(&mut rng); 9],
+        ];
+        for inputs in batches {
+            let batch_size = inputs.len();
             let seed = 0x1000 + i as u64;
             let mut samplers: Vec<ShotSampler> = (0..batch_size)
                 .map(|r| ShotSampler::derived(seed, r as u64))

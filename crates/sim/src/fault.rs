@@ -42,7 +42,12 @@ pub enum FaultSite {
     Kernel {
         /// Which kernel call (0-based since arming) to poison.
         call: usize,
-        /// Which row of the batch the call ran on to poison.
+        /// Which state row of the batch the call ran on to poison. A
+        /// sampled sweep keeps one state row per class of bitwise-equal
+        /// trajectories (every shot of a `BatchedStates::repeat` block
+        /// starts in one), so the fault reaches every member of that
+        /// class; row `r` of the input is state row `r` only when no
+        /// earlier input rows were merged.
         row: usize,
         /// The corruption to apply.
         kind: FaultKind,

@@ -9,7 +9,13 @@
 //!   from its own [`ShotSampler`] stream and regroup rows into
 //!   outcome-homogeneous sub-batches (*branch-grouped batching*), so a
 //!   Chernoff budget of `O(m²/δ²)` trajectories executes as batched
-//!   kernel calls instead of one state at a time.
+//!   kernel calls instead of one state at a time. Trajectories known to
+//!   carry bitwise the same state **share one amplitude row** (a
+//!   *class*): consecutive equal input rows — every shot of a
+//!   [`BatchedStates::repeat`] batch — start in one class, and a
+//!   measurement splits a class only by what its members drew. A shot
+//!   block of one input therefore simulates each distinct trajectory once
+//!   instead of once per shot.
 //! * **Exact** (*branch-weighted*): [`ShotEngine::expectation_sweep`]
 //!   measures all rows at once, computes per-outcome branch probabilities,
 //!   and forks the block into **every** surviving outcome at once — the
@@ -43,6 +49,17 @@
 //! states as running each row alone with the same stream, no matter how
 //! rows are grouped or how many threads run the kernels.
 //! `crates/core/tests/shot_engine_differential.rs` is the oracle.
+//!
+//! Row sharing keeps that contract by construction, not by rounding luck.
+//! Members of a class start from bitwise-equal rows, and every gate is a
+//! per-row function of the row's bits. At a measurement each member still
+//! draws from **its own** stream against its class's probabilities, which
+//! are the ones its own row would have produced. Members are then split by
+//! (class, outcome, slack flag), and each sub-class is collapsed and
+//! rescaled once. The rescale (`rescale_collapsed`) reads only the
+//! class's `(p, total)` and the slack flag, so every member of a sub-class
+//! gets the bits its own row would have carried. A batch of distinct rows
+//! is the case of one member per class.
 //!
 //! Exact sweeps are deterministic, full stop: per-row results are a pure
 //! function of the program and that row's input, **bit-for-bit invariant
@@ -219,18 +236,31 @@ pub struct TrajectoryRow {
     pub outcomes: Vec<usize>,
 }
 
-/// A row in flight: its original batch index and outcome history.
-#[derive(Clone, Debug, Default)]
+/// A trajectory in flight: its original batch index and its class, the
+/// state row of its group it shares with the trajectories known to carry
+/// bitwise the same state.
+#[derive(Clone, Copy, Debug)]
 struct RowCtx {
     orig: usize,
-    outcomes: Vec<usize>,
+    class: usize,
 }
 
-/// An outcome-homogeneous group of rows evolving together under the
-/// **sampled** executor.
+/// An outcome-homogeneous group of trajectories evolving together under
+/// the **sampled** executor.
+///
+/// Trajectories known to carry bitwise the same state share one amplitude
+/// row — a *class*: `states` holds one row per class and `members` maps
+/// every trajectory to its class. Classes are numbered in the order of their
+/// first member, and members stay in ascending original order, so a
+/// class's first member is its lowest original row. The group is
+/// outcome-homogeneous, so one outcome history serves every member.
+/// Sharing never changes a bit: see the module's determinism contract.
 struct Group {
+    /// One state row per class.
     states: BatchedStates,
-    rows: Vec<RowCtx>,
+    /// Every measurement outcome the members drew, in program order.
+    outcomes: Vec<usize>,
+    members: Vec<RowCtx>,
     /// Fused-mode state: per qubit, the pending product of
     /// not-yet-applied single-qubit gates (`pending[q] = g_k · … · g_1` in
     /// program order), held as a stack 2×2 so fusing a gate never touches
@@ -320,9 +350,10 @@ pub const BRANCH_PRUNE: f64 = 1e-24;
 /// batch index and the accumulated branch weight — the squared norm of its
 /// unnormalised state, i.e. the probability of the measurement history
 /// that produced it (times the input row's own squared norm). This is the
-/// weight-carrying row descriptor the sampled executor's [`RowCtx`]
-/// generalizes to: where a sampled row records drawn outcomes, a weighted
-/// row records how much probability mass its branch carries.
+/// weight-carrying counterpart of the sampled executor's [`RowCtx`]: where
+/// a sampled group records the outcomes its rows drew, a weighted row
+/// records how much probability mass its branch carries. Exact rows never
+/// share a state row: each carries its own weight.
 #[derive(Clone, Debug)]
 struct WeightedRow {
     orig: usize,
@@ -358,11 +389,17 @@ struct RegroupScratch {
     probs: Vec<f64>,
     /// Per-row squared norms of the current fork or read-out group.
     totals: Vec<f64>,
-    /// Per-row draw records of the current fork (sampled mode).
+    /// Per-member draw records of the current fork (sampled mode).
     draws: Vec<Draw>,
     /// Parent-block indices of the rows surviving into the outcome under
-    /// construction.
+    /// construction (sampled mode: the parent class of each sub-class).
     selected: Vec<usize>,
+    /// The draw each sub-class of the outcome under construction rescales
+    /// with (sampled mode).
+    class_draws: Vec<Draw>,
+    /// Sub-class index of each (parent class, slack flag) pair in the
+    /// outcome under construction, or `usize::MAX` (sampled mode).
+    class_slot: Vec<usize>,
     /// Outcome indices ordered by weight (mass-budget pruning).
     order: Vec<usize>,
     /// `rows × outcomes` keep flags of the current fork (exact mode).
@@ -373,8 +410,10 @@ struct RegroupScratch {
     pendings: Vec<Vec<Option<[C64; 4]>>>,
     /// Pooled weighted row lists (exact mode).
     weighted_rows: Vec<Vec<WeightedRow>>,
-    /// Pooled sampled row lists.
+    /// Pooled sampled member lists.
     sampled_rows: Vec<Vec<RowCtx>>,
+    /// Pooled sampled outcome histories.
+    histories: Vec<Vec<usize>>,
     /// Pooled fork child lists (exact mode).
     weighted_forks: Vec<Vec<(usize, WeightedGroup)>>,
     /// Pooled fork child lists (sampled mode).
@@ -437,15 +476,20 @@ impl RegroupScratch {
         pool_give(&mut self.pendings, pending);
     }
 
-    /// Reclaims a spent **sampled** group's buffers into the pools (its
-    /// row contexts must already have moved on — to sub-groups or the
-    /// aborted list).
+    /// An empty outcome history.
+    fn take_history(&mut self) -> Vec<usize> {
+        let mut history = self.histories.pop().unwrap_or_default();
+        history.clear();
+        history
+    }
+
+    /// Reclaims a spent **sampled** group's buffers into the pools.
     fn reclaim_sampled(&mut self, group: Group) {
-        let Group { states, mut rows, pending } = group;
-        debug_assert!(rows.is_empty(), "row contexts outlive their group");
+        let Group { states, outcomes, mut members, pending } = group;
         self.give_block(states.into_raw());
-        rows.clear();
-        pool_give(&mut self.sampled_rows, rows);
+        members.clear();
+        pool_give(&mut self.sampled_rows, members);
+        pool_give(&mut self.histories, outcomes);
         pool_give(&mut self.pendings, pending);
     }
 }
@@ -458,8 +502,11 @@ thread_local! {
         std::cell::RefCell::new(RegroupScratch::default());
 }
 
-/// One row's Born-rule record at a sampled fork — everything the in-place
-/// rescale of its collapsed row needs, mirroring [`collapse_with_draw`].
+/// One member's Born-rule record at a sampled fork — everything the
+/// in-place rescale of its collapsed row needs, mirroring
+/// [`collapse_with_draw`]. `p` and `total` are functions of the class's
+/// row and the outcome; only `outcome` and `slack` depend on the member's
+/// own draw.
 #[derive(Clone, Copy, Debug)]
 struct Draw {
     /// The drawn outcome.
@@ -702,20 +749,21 @@ impl ShotEngine {
         let snapshot = self.degrade_snapshot(&states, samplers);
         let (finished, aborted, defects) = self.try_sweep(states, samplers, false)?;
         let mut out: Vec<Option<TrajectoryRow>> = (0..total_rows).map(|_| None).collect();
-        for group in finished {
-            let Group { states, rows, .. } = group;
-            for (r, ctx) in rows.into_iter().enumerate() {
+        for group in &finished {
+            for ctx in &group.members {
                 out[ctx.orig] = Some(TrajectoryRow {
-                    state: Some(states.row_state(r)),
-                    outcomes: ctx.outcomes,
+                    state: Some(group.states.row_state(ctx.class)),
+                    outcomes: group.outcomes.clone(),
                 });
             }
         }
-        for ctx in aborted {
-            out[ctx.orig] = Some(TrajectoryRow {
-                state: None,
-                outcomes: ctx.outcomes,
-            });
+        for (outcomes, members) in &aborted {
+            for ctx in members {
+                out[ctx.orig] = Some(TrajectoryRow {
+                    state: None,
+                    outcomes: outcomes.clone(),
+                });
+            }
         }
         if let Some((inputs, streams)) = snapshot {
             let mut streams = streams;
@@ -808,12 +856,13 @@ impl ShotEngine {
     /// row order.
     ///
     /// The read-out of each final group is **block-level**: one
-    /// `rows × pairs` probability table per group
+    /// `classes × pairs` probability table per group
     /// ([`ProjectiveObservable::pair_probabilities_batch`] — a single
     /// bucketed `|amp|²` sweep over the group's contiguous block for
     /// diagonal observables, one batched expectation pass per projector
     /// otherwise) plus one norm pass, so leaf read-out is one sweep per
-    /// group instead of one per row. The probabilities are bit-identical
+    /// group instead of one per row, and each row draws once against its
+    /// class's table row. The probabilities are bit-identical
     /// to the per-row passes the serial sampler selects from, so draws can
     /// never drift apart. On top of that, straight-line gate segments
     /// **fuse** commuting single-qubit gates per qubit into one 2×2
@@ -865,18 +914,20 @@ impl ShotEngine {
         let pairs = readout.pairs().len();
         let mut table = Vec::new();
         let mut totals = Vec::new();
-        for group in finished {
+        for group in &finished {
+            // One table row per class, one draw per member.
             readout.pair_probabilities_batch(&group.states, &mut table);
             group.states.row_norms_sqr_into(&mut totals);
-            for (r, ctx) in group.rows.iter().enumerate() {
+            for ctx in &group.members {
                 // The shared selection loop of `sample_with_draw`, with
                 // the probabilities read off the group's table.
-                let total = totals[r];
+                let c = ctx.class;
+                let total = totals[c];
                 if total <= 1e-300 {
                     continue;
                 }
                 let u = samplers[ctx.orig].next_uniform();
-                out[ctx.orig] = readout.select_with(u, total, |k| table[r * pairs + k]);
+                out[ctx.orig] = readout.select_with(u, total, |k| table[c * pairs + k]);
             }
         }
         drop(aborted); // aborted rows stay 0.0 and draw nothing
@@ -1263,21 +1314,12 @@ impl ShotEngine {
             }
             None => Vec::new(),
         };
-        let group = Group {
-            rows: (0..states.len())
-                .map(|orig| RowCtx {
-                    orig,
-                    outcomes: Vec::new(),
-                })
-                .collect(),
-            pending: vec![None; states.num_qubits()],
-            states,
-        };
-        if group.rows.is_empty() {
+        if states.is_empty() {
             return Ok((Vec::new(), Vec::new(), Vec::new()));
         }
         SCRATCH.with(|cell| {
             let scratch = &mut cell.borrow_mut();
+            let group = sampled_root(states, scratch);
             let mut sweep = SampledSweep {
                 samplers,
                 fuse,
@@ -1295,9 +1337,65 @@ impl ShotEngine {
     }
 }
 
-/// Outcome of a sampled sweep: finished leaf groups, aborted row
-/// contexts, and the original indices of health-defected rows.
-type SweepOutput = (Vec<Group>, Vec<RowCtx>, Vec<usize>);
+/// Outcome of a sampled sweep: finished leaf groups, aborted trajectories,
+/// and the original indices of health-defected rows.
+type SweepOutput = (Vec<Group>, Vec<Aborted>, Vec<usize>);
+
+/// The trajectories of one group that reached an `abort`: the outcome
+/// history they share and their members (whose classes no longer mean
+/// anything: the states are gone).
+type Aborted = (Vec<usize>, Vec<RowCtx>);
+
+/// The root group of a sampled sweep: each run of consecutive bitwise-equal
+/// input rows becomes one class sharing one state row. That is the shape
+/// of a [`BatchedStates::repeat`] shot block, so a block of `k` shots of
+/// one input starts as a single row; interleaved duplicates stay apart,
+/// which costs work but never bits. A batch without duplicates keeps its
+/// block as is.
+fn sampled_root(states: BatchedStates, scratch: &mut RegroupScratch) -> Group {
+    let rows = states.len();
+    let n = states.num_qubits();
+    let mut members = scratch.sampled_rows.pop().unwrap_or_default();
+    let mut classes = 0;
+    for orig in 0..rows {
+        if orig == 0 || !same_bits(states.row_planes(orig - 1), states.row_planes(orig)) {
+            classes += 1;
+        }
+        members.push(RowCtx { orig, class: classes - 1 });
+    }
+    let states = if classes == rows {
+        states
+    } else {
+        let dim = states.dim();
+        let (mut re, mut im) = scratch.take_block();
+        {
+            let (src_re, src_im) = states.planes();
+            let mut last = usize::MAX;
+            for ctx in &members {
+                if ctx.class != last {
+                    last = ctx.class;
+                    re.extend_from_slice(&src_re[ctx.orig * dim..(ctx.orig + 1) * dim]);
+                    im.extend_from_slice(&src_im[ctx.orig * dim..(ctx.orig + 1) * dim]);
+                }
+            }
+        }
+        scratch.give_block(states.into_raw());
+        BatchedStates::from_raw(classes, n, re, im)
+    };
+    Group {
+        states,
+        outcomes: scratch.take_history(),
+        members,
+        pending: scratch.take_pending(n),
+    }
+}
+
+/// Whether two rows' split planes are bitwise equal (`-0.0 ≠ 0.0`, and a
+/// NaN equals only its own bit pattern).
+fn same_bits((a_re, a_im): (&[f64], &[f64]), (b_re, b_im): (&[f64], &[f64])) -> bool {
+    let eq = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+    eq(a_re, b_re) && eq(a_im, b_im)
+}
 
 /// Sorts and deduplicates the degraded-row index list (a row can fail
 /// checks at more than one boundary before its placeholder stabilises).
@@ -1316,7 +1414,7 @@ struct SampledSweep<'s> {
     /// Reusable 2×2 the pending products flush through.
     flush_gate: Matrix,
     finished: Vec<Group>,
-    aborted: Vec<RowCtx>,
+    aborted: Vec<Aborted>,
     /// Health monitoring config (`None` = no checks, today's bits).
     health: Option<HealthConfig>,
     /// Expected squared norm per **original** row index (root norms —
@@ -1363,9 +1461,12 @@ impl SampledSweep<'_> {
                     }
                 }
                 TrajOp::Abort => {
-                    // Dropped rows never need their pending products.
-                    self.aborted.append(&mut group.rows);
-                    self.scratch.reclaim_sampled(group);
+                    // Dropped rows never need their states or pending
+                    // products.
+                    let Group { states, outcomes, members, pending } = group;
+                    self.scratch.give_block(states.into_raw());
+                    pool_give(&mut self.scratch.pendings, pending);
+                    self.aborted.push((outcomes, members));
                     return Ok(());
                 }
                 TrajOp::Init { meas, flip, target } => {
@@ -1410,24 +1511,26 @@ impl SampledSweep<'_> {
         }
     }
 
-    /// Measures every row of `group` at once and regroups the rows into
-    /// outcome-homogeneous sub-batches, appended to `forks` in ascending
-    /// outcome order (rows keep their relative order inside each one, so
-    /// the regrouping is a pure deterministic function of the drawn
-    /// outcomes).
+    /// Measures every member of `group` at once and regroups the members
+    /// into outcome-homogeneous sub-batches, appended to `forks` in
+    /// ascending outcome order (members keep their relative order inside
+    /// each one, so the regrouping is a pure deterministic function of the
+    /// drawn outcomes).
     ///
-    /// **Block-level**: the pre-measurement norms and the full
-    /// `rows × outcomes` probability table come from one sweep each over
-    /// the group's contiguous amplitude block
-    /// ([`Measurement::branch_probabilities_block`]); each row then draws
-    /// from its own stream through [`select_branch`]; and each outcome's
+    /// **Block-level, once per class**: the pre-measurement norms, the
+    /// health checks and the full `classes × outcomes` probability table
+    /// come from one sweep each over the group's contiguous amplitude
+    /// block ([`Measurement::branch_probabilities_block`]). Each member
+    /// then draws from its own stream against its class's row through
+    /// [`select_branch`]. Members that drew the same outcome from the same
+    /// class, with the same slack flag, form one sub-class; each outcome's
     /// sub-batch is materialised by one strided
-    /// [`Measurement::collapse_block_into`] pass with the serial rescaling
-    /// replayed in place on the destination rows ([`rescale_collapsed`]).
-    /// Drawn outcomes and collapsed amplitudes are **bit for bit** the
-    /// per-row [`collapse_with_draw`] results — the differential suites
-    /// pin this — and the scratch arena makes the whole fork
-    /// allocation-free once its pools are warm.
+    /// [`Measurement::collapse_block_into`] pass over the parent classes,
+    /// with the serial rescaling replayed in place once per sub-class
+    /// ([`rescale_collapsed`]). Drawn outcomes and collapsed amplitudes are
+    /// **bit for bit** the per-row [`collapse_with_draw`] results — the
+    /// differential suites pin this — and the scratch arena makes the
+    /// whole fork allocation-free once its pools are warm.
     ///
     /// # Panics
     ///
@@ -1442,17 +1545,28 @@ impl SampledSweep<'_> {
             group.pending.iter().all(Option::is_none),
             "pending products must be flushed before measuring"
         );
-        let Group { mut states, mut rows, pending } = group;
+        let Group { mut states, outcomes: history, mut members, pending } = group;
         let n = states.num_qubits();
         let dim = states.dim();
+        let classes = states.len();
         states.row_norms_sqr_into(&mut self.scratch.totals);
         // Health checks piggyback on the norms pass the measurement just
         // performed — before the zero-norm assert (NaN fails `> 1e-300`
         // too) and before the probability table is built, so repairs and
-        // placeholder rows feed consistent probabilities downstream.
+        // placeholder rows feed consistent probabilities downstream. Each
+        // class is checked once, at its first member: members start from
+        // bitwise-equal rows, so they share the expected norm, and classes
+        // come in first-member order, so `FailFast` names the lowest
+        // failing original row, as an unshared sweep would.
         if let Some(cfg) = self.health {
-            for (r, ctx) in rows.iter().enumerate() {
-                let total = self.scratch.totals[r];
+            let mut next_class = 0;
+            for ctx in &members {
+                if ctx.class != next_class {
+                    continue;
+                }
+                next_class += 1;
+                let c = ctx.class;
+                let total = self.scratch.totals[c];
                 let expected = self.expected[ctx.orig];
                 let non_finite = !total.is_finite() || !expected.is_finite();
                 let drifted = !non_finite
@@ -1481,28 +1595,30 @@ impl SampledSweep<'_> {
                             return Err(QdpError::NonFinite { row: ctx.orig, context: "row norms" });
                         }
                         let s = C64::real((expected / total).sqrt());
-                        let (row_re, row_im) = states.row_planes_mut(r);
+                        let (row_re, row_im) = states.row_planes_mut(c);
                         scale_planes(row_re, row_im, s);
-                        self.scratch.totals[r] = expected;
+                        self.scratch.totals[c] = expected;
                     }
                     HealthPolicy::DegradeToOracle => {
-                        // Replace the row with a well-formed placeholder so
-                        // the batched sweep stays defined; its output is
-                        // discarded and recomputed on the reference path.
-                        // Per-row sampler independence and the row-order
-                        // invariance contract keep healthy rows' bits
-                        // untouched by the substitution.
-                        self.defects.push(ctx.orig);
+                        // Replace the class row with a well-formed
+                        // placeholder so the batched sweep stays defined;
+                        // every member's output is discarded and recomputed
+                        // on the reference path. Per-row sampler
+                        // independence and the row-order invariance
+                        // contract keep healthy rows' bits untouched by the
+                        // substitution.
+                        self.defects
+                            .extend(members.iter().filter(|m| m.class == c).map(|m| m.orig));
                         let norm = if expected.is_finite() && expected > 1e-300 {
                             expected
                         } else {
                             1.0
                         };
-                        let (row_re, row_im) = states.row_planes_mut(r);
+                        let (row_re, row_im) = states.row_planes_mut(c);
                         row_re.fill(0.0);
                         row_im.fill(0.0);
                         row_re[0] = norm.sqrt();
-                        self.scratch.totals[r] = norm;
+                        self.scratch.totals[c] = norm;
                     }
                 }
             }
@@ -1511,28 +1627,40 @@ impl SampledSweep<'_> {
             let (re, im) = states.planes();
             meas.branch_probabilities_block(n, re, im, &mut self.scratch.probs);
         }
+        assert!(
+            self.scratch.totals.iter().all(|&total| total > 1e-300),
+            "cannot measure a zero-norm state"
+        );
         let outcomes = meas.num_outcomes();
         self.scratch.draws.clear();
-        for (r, ctx) in rows.iter_mut().enumerate() {
-            let total = self.scratch.totals[r];
-            assert!(total > 1e-300, "cannot measure a zero-norm state");
+        for ctx in &members {
+            let c = ctx.class;
             let u = self.samplers[ctx.orig].next_uniform();
-            let d = select_branch(u, total, &self.scratch.probs[r * outcomes..(r + 1) * outcomes]);
-            ctx.outcomes.push(d.outcome);
-            self.scratch.draws.push(d);
+            let probs = &self.scratch.probs[c * outcomes..(c + 1) * outcomes];
+            self.scratch.draws.push(select_branch(u, self.scratch.totals[c], probs));
         }
         let mut selected = std::mem::take(&mut self.scratch.selected);
         for m in 0..outcomes {
             selected.clear();
-            let mut sub_rows = self.scratch.sampled_rows.pop().unwrap_or_default();
-            for (r, d) in self.scratch.draws.iter().enumerate() {
-                if d.outcome == m {
-                    selected.push(r);
-                    sub_rows.push(std::mem::take(&mut rows[r]));
+            self.scratch.class_draws.clear();
+            self.scratch.class_slot.clear();
+            self.scratch.class_slot.resize(2 * classes, usize::MAX);
+            let mut sub_members = self.scratch.sampled_rows.pop().unwrap_or_default();
+            for (ctx, d) in members.iter().zip(&self.scratch.draws) {
+                if d.outcome != m {
+                    continue;
                 }
+                // Sub-classes are numbered by first member, like classes.
+                let slot = &mut self.scratch.class_slot[2 * ctx.class + usize::from(d.slack)];
+                if *slot == usize::MAX {
+                    *slot = selected.len();
+                    selected.push(ctx.class);
+                    self.scratch.class_draws.push(*d);
+                }
+                sub_members.push(RowCtx { orig: ctx.orig, class: *slot });
             }
             if selected.is_empty() {
-                pool_give(&mut self.scratch.sampled_rows, sub_rows);
+                pool_give(&mut self.scratch.sampled_rows, sub_members);
                 continue;
             }
             let (mut dst_re, mut dst_im) = self.scratch.take_block();
@@ -1540,26 +1668,30 @@ impl SampledSweep<'_> {
                 let (re, im) = states.planes();
                 meas.collapse_block_into(n, re, im, &selected, m, &mut dst_re, &mut dst_im);
             }
-            for (j, &r) in selected.iter().enumerate() {
+            for (j, &d) in self.scratch.class_draws.iter().enumerate() {
                 rescale_collapsed(
                     &mut dst_re[j * dim..(j + 1) * dim],
                     &mut dst_im[j * dim..(j + 1) * dim],
-                    self.scratch.draws[r],
+                    d,
                 );
             }
+            let mut sub_history = self.scratch.take_history();
+            sub_history.extend_from_slice(&history);
+            sub_history.push(m);
             let pending = self.scratch.take_pending(n);
             forks.push((
                 m,
                 Group {
                     states: BatchedStates::from_raw(selected.len(), n, dst_re, dst_im),
-                    rows: sub_rows,
+                    outcomes: sub_history,
+                    members: sub_members,
                     pending,
                 },
             ));
         }
         self.scratch.selected = selected;
-        rows.clear();
-        self.scratch.reclaim_sampled(Group { states, rows, pending });
+        members.clear();
+        self.scratch.reclaim_sampled(Group { states, outcomes: history, members, pending });
         Ok(())
     }
 }
@@ -1924,6 +2056,31 @@ mod tests {
             }
         }
         assert!(aborted > 0, "no trajectory took the aborting arm");
+    }
+
+    #[test]
+    fn repeated_shots_share_state_rows() {
+        // 256 copies of one input through `H; case M[q0]`: the sweep must
+        // finish holding one state row per outcome, not one per shot.
+        let mut p = TrajProgram::new();
+        p.push_gate(Matrix::hadamard(), vec![0]);
+        p.push_case(
+            Measurement::computational(vec![0]),
+            vec![TrajProgram::new(), TrajProgram::new()],
+        );
+        let engine = ShotEngine::new(p);
+        let mut samplers: Vec<ShotSampler> = (0..256).map(|s| ShotSampler::derived(4, s)).collect();
+        let psi = StateVector::zero_state(2);
+        for fuse in [false, true] {
+            let (finished, aborted, _) = engine
+                .try_sweep(BatchedStates::repeat(&psi, 256), &mut samplers, fuse)
+                .unwrap();
+            assert!(aborted.is_empty());
+            let rows: usize = finished.iter().map(|g| g.states.len()).sum();
+            let members: usize = finished.iter().map(|g| g.members.len()).sum();
+            assert!(rows <= 2, "fuse {fuse}: {rows} state rows for 256 shots");
+            assert_eq!(members, 256);
+        }
     }
 
     #[test]

@@ -278,6 +278,81 @@ fn degrade_to_oracle_recovers_poisoned_rows_and_preserves_healthy_bits() {
 }
 
 #[test]
+fn faults_on_a_shared_row_reach_every_member() {
+    // A shot block of one input runs as one shared state row, so a kernel
+    // fault on row 0 poisons every member at once: each policy must act
+    // on all of them.
+    let _l = lock();
+    qdp_par::set_max_threads(1);
+    const SHOTS: usize = 6;
+    let psi = &inputs(2)[1];
+    let shots = || BatchedStates::repeat(psi, SHOTS);
+    let obs = Observable::pauli_z(2, 1);
+    let readout = ProjectiveObservable::new(&obs);
+
+    // FailFast names the lowest original row of the poisoned class: row 0
+    // of the shot block, and row 1 of `[a, b, b, b, c]` (whose class row 1
+    // holds the three copies of `b`).
+    let guard = inject(FaultSite::Kernel { call: 0, row: 0, kind: FaultKind::Nan });
+    let err = with_policy(HealthPolicy::FailFast)
+        .try_run(shots(), &mut samplers(SHOTS, 7))
+        .expect_err("poisoned shared row must be detected");
+    assert!(matches!(err, QdpError::NonFinite { row: 0, .. }), "unexpected error {err:?}");
+    drop(guard);
+    let rows = inputs(3);
+    let mixed = [&rows[0], &rows[1], &rows[1], &rows[1], &rows[2]].map(StateVector::clone);
+    let guard = inject(FaultSite::Kernel { call: 0, row: 1, kind: FaultKind::Nan });
+    let err = with_policy(HealthPolicy::FailFast)
+        .try_run(BatchedStates::from_states(&mixed), &mut samplers(5, 7))
+        .expect_err("poisoned shared row must be detected");
+    assert!(matches!(err, QdpError::NonFinite { row: 1, .. }), "unexpected error {err:?}");
+    drop(guard);
+
+    let clean = engine().run(shots(), &mut samplers(SHOTS, 7));
+    let assert_close = |got: &[qdp_sim::TrajectoryRow], what: &str| {
+        for (r, (got, want)) in got.iter().zip(&clean).enumerate() {
+            assert_eq!(got.outcomes, want.outcomes, "{what}: row {r} outcomes diverged");
+            let got = got.state.as_ref().unwrap().amplitudes();
+            let want = want.state.as_ref().unwrap().amplitudes();
+            for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                let d = (*a - *b).norm_sqr().sqrt();
+                assert!(d < 1e-12, "{what}: row {r} amp {i}: {a:?} vs {b:?}");
+            }
+        }
+    };
+
+    // Renormalize repairs the shared row, and with it every member.
+    let guard = inject(FaultSite::Kernel { call: 0, row: 0, kind: FaultKind::Scale(1.001) });
+    let repaired = with_policy(HealthPolicy::Renormalize)
+        .try_run(shots(), &mut samplers(SHOTS, 7))
+        .expect("renormalize must repair finite drift");
+    assert_eq!(fired_count(), 1);
+    drop(guard);
+    assert_close(&repaired, "renormalized");
+
+    // DegradeToOracle replays every member from its input and stream.
+    let guard = inject(FaultSite::Kernel { call: 0, row: 0, kind: FaultKind::Nan });
+    let replayed = with_policy(HealthPolicy::DegradeToOracle)
+        .try_run(shots(), &mut samplers(SHOTS, 7))
+        .expect("degraded run must complete");
+    assert_eq!(fired_count(), 1);
+    drop(guard);
+    assert_close(&replayed, "replayed");
+
+    let clean = engine().sample_sweep(shots(), &mut samplers(SHOTS, 7), &readout);
+    let guard = inject(FaultSite::Kernel { call: 0, row: 0, kind: FaultKind::Inf });
+    let replayed = with_policy(HealthPolicy::DegradeToOracle)
+        .try_sample_sweep(shots(), &mut samplers(SHOTS, 7), &readout)
+        .expect("degraded sweep must complete");
+    assert_eq!(fired_count(), 1);
+    drop(guard);
+    for (r, (a, b)) in replayed.iter().zip(&clean).enumerate() {
+        assert!((a - b).abs() < 1e-12, "replayed sample {r}: {a} vs {b}");
+    }
+    qdp_par::set_max_threads(0);
+}
+
+#[test]
 fn panicked_tiles_are_retried_bit_identically_or_surface_typed_errors() {
     let _l = lock();
     let obs = Observable::pauli_z(2, 1);

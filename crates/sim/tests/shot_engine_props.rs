@@ -1,12 +1,15 @@
 //! Property tests of branch-grouped batching: regrouping rows into
-//! outcome-homogeneous sub-batches is an *optimisation*, never a semantic
-//! change. Every row of a batched [`ShotEngine`] sweep must carry the same
-//! outcome history and the same final amplitudes (to 1e-12; they are in
-//! fact produced by identical kernel arithmetic) as the per-row fallback —
-//! the same engine run on a batch of one with the same stream.
+//! outcome-homogeneous sub-batches, and sharing one amplitude row among
+//! bitwise-equal trajectories, are *optimisations*, never semantic
+//! changes. Every row of a batched [`ShotEngine`] sweep must carry the
+//! same outcome history and bitwise the same final amplitudes (and
+//! read-out samples) as the per-row fallback — the same engine run on a
+//! batch of one with the same stream.
 //!
 //! Programs are generated randomly over gates, resets, nested `case`s and
-//! aborts, so the regrouping recursion is exercised at every depth.
+//! aborts, so the regrouping recursion is exercised at every depth. Input
+//! batches come in three layouts: distinct rows, all rows equal (a shot
+//! block), and interleaved duplicates (`[a, b, a, a, c, b]`, repeated).
 
 use qdp_linalg::{C64, Matrix};
 use qdp_sim::{
@@ -60,6 +63,16 @@ fn random_program(rng: &mut StdRng, n: usize, len: usize, depth: usize) -> TrajP
     p
 }
 
+/// `rows` input rows on `n` qubits in each tested layout: distinct, all
+/// equal, and interleaved duplicates following `[a, b, a, a, c, b]`.
+fn layouts(rng: &mut StdRng, n: usize, rows: usize) -> [Vec<StateVector>; 3] {
+    let distinct = (0..rows).map(|_| random_state(rng, n)).collect();
+    let equal = vec![random_state(rng, n); rows];
+    let abc = [random_state(rng, n), random_state(rng, n), random_state(rng, n)];
+    let interleaved = (0..rows).map(|r| abc[[0, 1, 0, 0, 2, 1][r % 6]].clone()).collect();
+    [distinct, equal, interleaved]
+}
+
 /// A random normalised pure state on `n` qubits.
 fn random_state(rng: &mut StdRng, n: usize) -> StateVector {
     let dim = 1usize << n;
@@ -81,37 +94,37 @@ fn regrouped_rows_match_per_row_fallback() {
         let program = random_program(&mut rng, n, 5 + trial % 6, 2);
         let engine = ShotEngine::new(program);
         let batch_size = [1usize, 2, 7, 16, 33][trial % 5];
-        let inputs: Vec<StateVector> = (0..batch_size).map(|_| random_state(&mut rng, n)).collect();
         let seed = 0xF00 + trial as u64;
+        for (layout, inputs) in layouts(&mut rng, n, batch_size).iter().enumerate() {
+            let mut samplers: Vec<ShotSampler> = (0..batch_size)
+                .map(|r| ShotSampler::derived(seed, r as u64))
+                .collect();
+            let grouped = engine.run(BatchedStates::from_states(inputs), &mut samplers);
 
-        let mut samplers: Vec<ShotSampler> = (0..batch_size)
-            .map(|r| ShotSampler::derived(seed, r as u64))
-            .collect();
-        let grouped = engine.run(BatchedStates::from_states(&inputs), &mut samplers);
+            for (r, input) in inputs.iter().enumerate() {
+                // Per-row fallback: the same row alone, same stream — no
+                // regrouping or sharing can ever happen in a batch of one.
+                let mut solo_sampler = vec![ShotSampler::derived(seed, r as u64)];
+                let solo = engine
+                    .run(BatchedStates::from_states(std::slice::from_ref(input)), &mut solo_sampler)
+                    .remove(0);
 
-        for (r, input) in inputs.iter().enumerate() {
-            // Per-row fallback: the same row alone, same stream — no
-            // regrouping can ever happen in a batch of one.
-            let mut solo_sampler = vec![ShotSampler::derived(seed, r as u64)];
-            let solo = engine
-                .run(BatchedStates::from_states(std::slice::from_ref(input)), &mut solo_sampler)
-                .remove(0);
-
-            assert_eq!(
-                solo.outcomes, grouped[r].outcomes,
-                "trial {trial}: outcome history of row {r} changed under regrouping"
-            );
-            match (&solo.state, &grouped[r].state) {
-                (None, None) => {}
-                (Some(s), Some(g)) => {
-                    for (k, (a, b)) in s.amplitudes().iter().zip(g.amplitudes()).enumerate() {
-                        assert!(
-                            (a.re - b.re).abs() <= 1e-12 && (a.im - b.im).abs() <= 1e-12,
-                            "trial {trial} row {r} amp {k}: solo {a:?} vs grouped {b:?}"
-                        );
+                assert_eq!(
+                    solo.outcomes, grouped[r].outcomes,
+                    "trial {trial} layout {layout}: outcome history of row {r} changed"
+                );
+                match (&solo.state, &grouped[r].state) {
+                    (None, None) => {}
+                    (Some(s), Some(g)) => {
+                        for (k, (a, b)) in s.amplitudes().iter().zip(g.amplitudes()).enumerate() {
+                            assert!(
+                                a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+                                "trial {trial} layout {layout} row {r} amp {k}: solo {a:?} vs grouped {b:?}"
+                            );
+                        }
                     }
+                    _ => panic!("trial {trial} layout {layout} row {r}: abort status changed"),
                 }
-                _ => panic!("trial {trial} row {r}: abort status changed under regrouping"),
             }
         }
     }
@@ -129,26 +142,27 @@ fn regrouped_readout_samples_match_per_row_fallback() {
         let obs = Observable::pauli_z(n, rng.gen_range(0..n));
         let readout = ProjectiveObservable::new(&obs);
         let batch_size = 19;
-        let inputs: Vec<StateVector> = (0..batch_size).map(|_| random_state(&mut rng, n)).collect();
         let seed = 0xABC + trial as u64;
+        for (layout, inputs) in layouts(&mut rng, n, batch_size).iter().enumerate() {
+            let mut samplers: Vec<ShotSampler> = (0..batch_size)
+                .map(|r| ShotSampler::derived(seed, r as u64))
+                .collect();
+            let grouped =
+                engine.sample_sweep(BatchedStates::from_states(inputs), &mut samplers, &readout);
 
-        let mut samplers: Vec<ShotSampler> = (0..batch_size)
-            .map(|r| ShotSampler::derived(seed, r as u64))
-            .collect();
-        let grouped = engine.sample_sweep(BatchedStates::from_states(&inputs), &mut samplers, &readout);
-
-        for (r, input) in inputs.iter().enumerate() {
-            let mut solo_sampler = vec![ShotSampler::derived(seed, r as u64)];
-            let solo = engine.sample_sweep(
-                BatchedStates::from_states(std::slice::from_ref(input)),
-                &mut solo_sampler,
-                &readout,
-            )[0];
-            assert_eq!(
-                solo.to_bits(),
-                grouped[r].to_bits(),
-                "trial {trial} row {r}: read-out sample changed under regrouping"
-            );
+            for (r, input) in inputs.iter().enumerate() {
+                let mut solo_sampler = vec![ShotSampler::derived(seed, r as u64)];
+                let solo = engine.sample_sweep(
+                    BatchedStates::from_states(std::slice::from_ref(input)),
+                    &mut solo_sampler,
+                    &readout,
+                )[0];
+                assert_eq!(
+                    solo.to_bits(),
+                    grouped[r].to_bits(),
+                    "trial {trial} layout {layout} row {r}: read-out sample changed"
+                );
+            }
         }
     }
 }
