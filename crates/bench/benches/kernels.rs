@@ -1,21 +1,24 @@
-//! Kernel-level ablation: the fast-path gate kernels against the full-range
-//! reference scan, on the array shapes the paper's evaluation actually
-//! stresses (a 10-qubit density matrix = 2²⁰ amplitudes, and the small pure
-//! states of the training fast path).
+//! Kernel-level ablation: the production plane kernels against the
+//! full-range reference scan, on the array shapes the paper's evaluation
+//! actually stresses (a 10-qubit density matrix = 2²⁰ amplitudes, and the
+//! small pure states of the training fast path).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qdp_linalg::{C64, Matrix};
-use qdp_sim::kernels::{apply_matrix, apply_matrix_reference};
+use qdp_sim::kernels::{apply_matrix_planes, apply_matrix_reference};
 use qdp_sim::DensityMatrix;
 use std::hint::black_box;
 use std::time::Duration;
 
-fn density_amps(n: usize) -> Vec<C64> {
+/// `H^⊗n |0⟩⟨0| H^⊗n` on `n` qubits: its split planes (the production
+/// layout) and an interleaved copy (the reference scan's layout).
+fn density(n: usize) -> ((Vec<f64>, Vec<f64>), Vec<C64>) {
     let mut rho = DensityMatrix::pure_zero(n);
     for q in 0..n {
         rho.apply_unitary(&Matrix::hadamard(), &[q]);
     }
-    rho.as_slice().to_vec()
+    let (re, im) = rho.planes();
+    ((re.to_vec(), im.to_vec()), rho.to_matrix().as_slice().to_vec())
 }
 
 fn bench_gate_apply(c: &mut Criterion) {
@@ -26,15 +29,15 @@ fn bench_gate_apply(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
 
     let n = 10usize; // density matrix ⇒ flat array over 2n = 20 qubits
-    let amps = density_amps(n);
+    let (planes, amps) = density(n);
     let h = Matrix::hadamard();
     let rz = Matrix::rotation_from_involution(&Matrix::pauli_z(), 0.37);
     let crx = qdp_lang::ast::controlled_rotation_matrix(&Matrix::pauli_x(), 0.7);
 
-    let mut buf = amps.clone();
+    let (mut re, mut im) = planes.clone();
     group.bench_function("fast/H on row qubit 4", |b| {
         b.iter(|| {
-            apply_matrix(black_box(&mut buf), 2 * n, &h, &[4]);
+            apply_matrix_planes(black_box(&mut re), black_box(&mut im), 2 * n, &h, &[4]);
         })
     });
     let mut buf = amps.clone();
@@ -44,10 +47,10 @@ fn bench_gate_apply(c: &mut Criterion) {
         })
     });
 
-    let mut buf = amps.clone();
+    let (mut re, mut im) = planes.clone();
     group.bench_function("fast/RZ (diagonal) on row qubit 4", |b| {
         b.iter(|| {
-            apply_matrix(black_box(&mut buf), 2 * n, &rz, &[4]);
+            apply_matrix_planes(black_box(&mut re), black_box(&mut im), 2 * n, &rz, &[4]);
         })
     });
     let mut buf = amps.clone();
@@ -57,10 +60,10 @@ fn bench_gate_apply(c: &mut Criterion) {
         })
     });
 
-    let mut buf = amps.clone();
+    let (mut re, mut im) = planes;
     group.bench_function("fast/CRX (block-diag) on row qubits 0,7", |b| {
         b.iter(|| {
-            apply_matrix(black_box(&mut buf), 2 * n, &crx, &[0, 7]);
+            apply_matrix_planes(black_box(&mut re), black_box(&mut im), 2 * n, &crx, &[0, 7]);
         })
     });
     let mut buf = amps.clone();
@@ -135,9 +138,10 @@ fn bench_small_state(c: &mut Criterion) {
     let h = Matrix::hadamard();
     let mut amps = vec![C64::ZERO; 64];
     amps[0] = C64::ONE;
-    let mut buf = amps.clone();
+    let (mut re, mut im) = (vec![0.0; 64], vec![0.0; 64]);
+    re[0] = 1.0;
     group.bench_function("fast/H on qubit 3", |b| {
-        b.iter(|| apply_matrix(black_box(&mut buf), 6, &h, &[3]))
+        b.iter(|| apply_matrix_planes(black_box(&mut re), black_box(&mut im), 6, &h, &[3]))
     });
     let mut buf = amps.clone();
     group.bench_function("reference/H on qubit 3", |b| {

@@ -67,7 +67,7 @@ use qdp_ad::{
 };
 use qdp_lang::ast::Params;
 use qdp_linalg::{C64, Matrix, Pauli};
-use qdp_sim::kernels::{apply_matrix, apply_matrix_reference, set_reference_kernels};
+use qdp_sim::kernels::{apply_matrix_planes, apply_matrix_reference, set_reference_kernels};
 use qdp_sim::simd::{self, SimdTier};
 use qdp_sim::{BatchedStates, DensityMatrix, Measurement, ShotSampler, StateVector};
 use qdp_vqc::circuits::p1;
@@ -280,12 +280,13 @@ fn main() {
     for q in 0..n {
         rho.apply_unitary(&Matrix::hadamard(), &[q]);
     }
-    let amps: Vec<C64> = rho.as_slice().to_vec();
+    let (re, im) = rho.planes();
     let h = Matrix::hadamard();
 
-    let mut buf = amps.clone();
-    let gate_fast_ns = time_ns(|| apply_matrix(&mut buf, 2 * n, &h, &[4]));
-    let mut buf = amps.clone();
+    let (mut buf_re, mut buf_im) = (re.to_vec(), im.to_vec());
+    let gate_fast_ns =
+        time_ns(|| apply_matrix_planes(&mut buf_re, &mut buf_im, 2 * n, &h, &[4]));
+    let mut buf = rho.to_matrix().as_slice().to_vec();
     let gate_ref_ns = time_ns(|| apply_matrix_reference(&mut buf, 2 * n, &h, &[4]));
 
     // --- 2. End-to-end: full P1 gradient (the gradient.rs workload). ------

@@ -36,8 +36,9 @@ pub fn superoperator_matrix(stmt: &Stmt, reg: &Register, params: &Params) -> Mat
                 params,
                 &DensityMatrix::from_matrix(n, &unit),
             );
-            for (row, &value) in image.as_slice().iter().enumerate() {
-                out.set(row, col, value);
+            let (re, im) = image.planes();
+            for (row, (&r, &i)) in re.iter().zip(im).enumerate() {
+                out.set(row, col, C64::new(r, i));
             }
         }
     }
@@ -122,7 +123,7 @@ mod tests {
         let mut rho = DensityMatrix::pure_zero(1);
         rho.apply_unitary(&Matrix::hadamard(), &[0]);
         let direct = denote(&p, &reg, &params, &rho);
-        let vec_out = s.mul_vec(&CVector::new(rho.as_slice().to_vec()));
+        let vec_out = s.mul_vec(&CVector::new(rho.to_matrix().as_slice().to_vec()));
         let lifted = DensityMatrix::from_matrix(
             1,
             &Matrix::from_data(2, 2, vec_out.into_inner()),

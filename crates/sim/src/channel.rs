@@ -7,7 +7,6 @@
 //! tick (Lemma D.2).
 
 use crate::density::DensityMatrix;
-use crate::kernels::{left_mul, right_mul_transposed};
 use qdp_linalg::{C64, Matrix};
 
 /// A completely positive, trace-non-increasing map given by Kraus operators
@@ -16,8 +15,7 @@ use qdp_linalg::{C64, Matrix};
 /// Construction precomputes, per Kraus operator `K`, the adjoint `K†`, the
 /// conjugate `K̄ = (K†)ᵀ`, and the transpose `Kᵀ` — the exact factors
 /// [`apply`](Self::apply) and [`dual_apply`](Self::dual_apply) feed to the
-/// right-multiplication kernel, so no per-application transpose is ever
-/// allocated.
+/// plane kernels, so no per-application transpose is ever allocated.
 ///
 /// # Examples
 ///
@@ -236,28 +234,13 @@ impl KrausChannel {
     /// reaches [`qdp_par::FORK_MIN_WORK`] amplitudes; the branch
     /// sum is always taken in operator order, so the result is deterministic
     /// under any thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a target is out of range for `rho` (checked before any
+    /// branch runs).
     pub fn apply(&self, rho: &DensityMatrix) -> DensityMatrix {
-        let n = rho.num_qubits();
-        let data = rho.as_slice();
-        let branch = |i: &usize| -> Vec<C64> {
-            let mut term = data.to_vec();
-            left_mul(&mut term, n, &self.kraus[*i], &self.targets);
-            right_mul_transposed(&mut term, n, &self.conjugates[*i], &self.targets);
-            term
-        };
-        let indices: Vec<usize> = (0..self.kraus.len()).collect();
-        let terms: Vec<Vec<C64>> = if qdp_par::fork_pays(data.len() * self.kraus.len()) {
-            qdp_par::par_map(&indices, branch)
-        } else {
-            indices.iter().map(branch).collect()
-        };
-        let mut acc = vec![C64::ZERO; data.len()];
-        for term in &terms {
-            for (a, t) in acc.iter_mut().zip(term) {
-                *a += *t;
-            }
-        }
-        DensityMatrix::from_flat(n, acc)
+        rho.kraus_sum(&self.kraus, &self.conjugates, &self.targets)
     }
 
     /// Applies the Schrödinger–Heisenberg dual to a full-space observable
@@ -265,20 +248,14 @@ impl KrausChannel {
     ///
     /// # Panics
     ///
-    /// Panics when `o` is not `2ⁿ × 2ⁿ` for the given register size.
+    /// Panics when `o` is not `2ⁿ × 2ⁿ` for the given register size, or a
+    /// target is out of range for it.
     pub fn dual_apply(&self, o: &Matrix, n_qubits: usize) -> Matrix {
         let dim = 1usize << n_qubits;
         assert!(o.rows() == dim && o.cols() == dim, "observable must be 2^n x 2^n");
-        let mut acc = vec![C64::ZERO; dim * dim];
-        for (dagger, transpose) in self.daggers.iter().zip(&self.transposes) {
-            let mut term = o.as_slice().to_vec();
-            left_mul(&mut term, n_qubits, dagger, &self.targets);
-            right_mul_transposed(&mut term, n_qubits, transpose, &self.targets);
-            for (a, t) in acc.iter_mut().zip(&term) {
-                *a += *t;
-            }
-        }
-        Matrix::from_data(dim, dim, acc)
+        DensityMatrix::from_matrix(n_qubits, o)
+            .kraus_sum(&self.daggers, &self.transposes, &self.targets)
+            .to_matrix()
     }
 }
 
@@ -404,5 +381,29 @@ mod tests {
         let out = ch.apply(&rho);
         assert!(out.trace() <= rho.trace() + 1e-12);
         assert!((out.trace() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "target qubit 2 out of range for a 2-qubit density operator")]
+    fn apply_rejects_out_of_range_target() {
+        let _ = KrausChannel::depolarizing(2, 0.1).apply(&DensityMatrix::pure_zero(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "target qubit 1 out of range for a 1-qubit density operator")]
+    fn dual_apply_rejects_out_of_range_target() {
+        let _ = KrausChannel::bit_flip(1, 0.1).dual_apply(&Matrix::pauli_z(), 1);
+    }
+
+    #[test]
+    fn dual_matches_dense_sum() {
+        let ch = KrausChannel::amplitude_damping(1, 0.3);
+        let o = Matrix::pauli_x().kron(&Matrix::pauli_y()).scale(C64::new(0.5, 0.0));
+        let mut expected = Matrix::zeros(4, 4);
+        for k in ch.kraus_operators() {
+            let lifted = crate::kernels::embed(2, k, &[1]);
+            expected = &expected + &lifted.dagger().mul(&o).mul(&lifted);
+        }
+        assert!(ch.dual_apply(&o, 2).approx_eq(&expected, 1e-12));
     }
 }

@@ -5,16 +5,20 @@
 //! shrink below one (e.g. `abort` outputs the zero operator) because
 //! probabilities of measurement branches are folded into the operator itself.
 
-use crate::kernels::{left_mul, qubit_bit, right_mul_transposed};
+use crate::kernels::{apply_matrix_planes, local_offsets, planes_to_aos, qubit_bit};
 use crate::state::StateVector;
 use qdp_linalg::{C64, Matrix};
 
 /// A partial density operator `ρ ∈ D(H)` on an `n`-qubit register,
 /// i.e. a positive semidefinite operator with `tr(ρ) ≤ 1`.
 ///
-/// Stored flat (row-major) so that the gate kernels of [`crate::kernels`]
-/// apply directly: a `2ⁿ × 2ⁿ` operator is a state vector over `2n` qubits
-/// whose first `n` qubits index rows.
+/// # Storage
+///
+/// Stored like [`StateVector`]: two split `re`/`im` planes holding the
+/// row-major `2ⁿ × 2ⁿ` entries, so the gate kernels of [`crate::kernels`]
+/// apply directly — the operator is a state over `2n` qubits whose first
+/// `n` qubits index rows. `ρ ← MρM†` is [`apply_matrix_planes`] with `M` on
+/// the row qubits followed by `M̄` on the column qubits (`targets + n`).
 ///
 /// # Examples
 ///
@@ -30,8 +34,10 @@ use qdp_linalg::{C64, Matrix};
 #[derive(Clone, Debug, PartialEq)]
 pub struct DensityMatrix {
     n_qubits: usize,
-    /// Row-major `2ⁿ × 2ⁿ` entries.
-    data: Vec<C64>,
+    /// Real parts of the row-major `2ⁿ × 2ⁿ` entries.
+    re: Vec<f64>,
+    /// Imaginary parts, same layout.
+    im: Vec<f64>,
 }
 
 impl DensityMatrix {
@@ -39,14 +45,15 @@ impl DensityMatrix {
     pub fn zero_operator(n_qubits: usize) -> Self {
         DensityMatrix {
             n_qubits,
-            data: vec![C64::ZERO; 1 << (2 * n_qubits)],
+            re: vec![0.0; 1 << (2 * n_qubits)],
+            im: vec![0.0; 1 << (2 * n_qubits)],
         }
     }
 
     /// The pure state `|0…0⟩⟨0…0|`.
     pub fn pure_zero(n_qubits: usize) -> Self {
         let mut rho = DensityMatrix::zero_operator(n_qubits);
-        rho.data[0] = C64::ONE;
+        rho.re[0] = 1.0;
         rho
     }
 
@@ -54,9 +61,9 @@ impl DensityMatrix {
     pub fn maximally_mixed(n_qubits: usize) -> Self {
         let dim = 1usize << n_qubits;
         let mut rho = DensityMatrix::zero_operator(n_qubits);
-        let p = C64::real(1.0 / dim as f64);
+        let p = 1.0 / dim as f64;
         for i in 0..dim {
-            rho.data[i * dim + i] = p;
+            rho.re[i * dim + i] = p;
         }
         rho
     }
@@ -64,32 +71,38 @@ impl DensityMatrix {
     /// Density operator `|ψ⟩⟨ψ|` of a pure (possibly sub-normalised) state.
     ///
     /// Rows whose amplitude is zero are skipped before the inner loop (the
-    /// whole row stays zero), and each surviving row is filled with one flat
-    /// slice write — no per-element index arithmetic or zero re-checks.
+    /// whole row stays zero), and each surviving row is filled with one
+    /// sweep over the state's planes.
     pub fn from_pure(psi: &StateVector) -> Self {
-        let n = psi.num_qubits();
-        let dim = 1usize << n;
-        let amps = psi.amplitudes();
-        let mut data = vec![C64::ZERO; dim * dim];
-        for (row, &ai) in data.chunks_exact_mut(dim).zip(&amps) {
-            if ai == C64::ZERO {
+        let (pre, pim) = psi.planes();
+        let mut rho = DensityMatrix::zero_operator(psi.num_qubits());
+        let dim = pre.len();
+        let rows = rho.re.chunks_exact_mut(dim).zip(rho.im.chunks_exact_mut(dim));
+        for ((row_re, row_im), (&ar, &ai)) in rows.zip(pre.iter().zip(pim)) {
+            if ar == 0.0 && ai == 0.0 {
                 continue;
             }
-            for (slot, aj) in row.iter_mut().zip(&amps) {
-                *slot = ai * aj.conj();
+            let a = C64::new(ar, ai);
+            for j in 0..dim {
+                let z = a * C64::new(pre[j], pim[j]).conj();
+                row_re[j] = z.re;
+                row_im[j] = z.im;
             }
         }
-        DensityMatrix { n_qubits: n, data }
+        rho
     }
 
-    /// Builds a density operator from an already-flattened row-major buffer.
+    /// Builds a density operator from raw split planes of the row-major
+    /// `2ⁿ × 2ⁿ` entries.
     ///
     /// # Panics
     ///
-    /// Panics when the buffer length is not `4ⁿ`.
-    pub fn from_flat(n_qubits: usize, data: Vec<C64>) -> Self {
-        assert_eq!(data.len(), 1usize << (2 * n_qubits), "buffer must hold 2^n x 2^n entries");
-        DensityMatrix { n_qubits, data }
+    /// Panics when the planes disagree in length or don't hold `4ⁿ`
+    /// entries.
+    pub fn from_planes(n_qubits: usize, re: Vec<f64>, im: Vec<f64>) -> Self {
+        assert_eq!(re.len(), im.len(), "re/im planes must have equal lengths");
+        assert_eq!(re.len(), 1usize << (2 * n_qubits), "planes must hold 2^n x 2^n entries");
+        DensityMatrix { n_qubits, re, im }
     }
 
     /// Builds a density operator from an explicit matrix.
@@ -102,7 +115,8 @@ impl DensityMatrix {
         assert!(m.rows() == dim && m.cols() == dim, "matrix must be 2^n x 2^n");
         DensityMatrix {
             n_qubits,
-            data: m.as_slice().to_vec(),
+            re: m.as_slice().iter().map(|z| z.re).collect(),
+            im: m.as_slice().iter().map(|z| z.im).collect(),
         }
     }
 
@@ -118,23 +132,24 @@ impl DensityMatrix {
 
     /// Entry `ρ_{ij}`.
     pub fn get(&self, i: usize, j: usize) -> C64 {
-        self.data[i * self.dim() + j]
+        let k = i * self.dim() + j;
+        C64::new(self.re[k], self.im[k])
     }
 
-    /// Borrows the flattened entries.
-    pub fn as_slice(&self) -> &[C64] {
-        &self.data
+    /// Borrows the split `(re, im)` planes of the row-major entries.
+    pub fn planes(&self) -> (&[f64], &[f64]) {
+        (&self.re, &self.im)
     }
 
     /// Copies into a [`Matrix`].
     pub fn to_matrix(&self) -> Matrix {
-        Matrix::from_data(self.dim(), self.dim(), self.data.clone())
+        Matrix::from_data(self.dim(), self.dim(), planes_to_aos(&self.re, &self.im))
     }
 
     /// Trace — the total probability carried by this partial state.
     pub fn trace(&self) -> f64 {
         let dim = self.dim();
-        (0..dim).map(|i| self.data[i * dim + i].re).sum()
+        (0..dim).map(|i| self.re[i * dim + i]).sum()
     }
 
     /// Purity `tr(ρ²) / tr(ρ)²` (1 for pure states); `0` for the zero
@@ -148,44 +163,114 @@ impl DensityMatrix {
         let mut tr2 = 0.0;
         for i in 0..dim {
             for j in 0..dim {
-                tr2 += (self.data[i * dim + j] * self.data[j * dim + i]).re;
+                tr2 += (self.get(i, j) * self.get(j, i)).re;
             }
         }
         tr2 / (t * t)
     }
 
+    /// Validates `targets` against this operator's qubit count before any
+    /// entry moves, and returns their column-qubit twins `targets + n` on
+    /// the doubled register.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a target is out of range or repeats.
+    fn column_targets(&self, targets: &[usize]) -> Vec<usize> {
+        let n = self.n_qubits;
+        for (i, &t) in targets.iter().enumerate() {
+            assert!(t < n, "target qubit {t} out of range for a {n}-qubit density operator");
+            assert!(!targets[i + 1..].contains(&t), "duplicate target qubit {t}");
+        }
+        targets.iter().map(|&t| t + n).collect()
+    }
+
     /// Applies a unitary `U` on `targets`: `ρ ← UρU†` (Fig. 1a, Unitary).
     ///
-    /// The right factor `(U†)ᵀ = Ū` is formed by one conjugation instead of
-    /// an adjoint *and* a transpose inside the kernel.
+    /// # Panics
+    ///
+    /// Panics, leaving `ρ` untouched, when `u` is not `2ᵏ × 2ᵏ` or a target
+    /// is out of range or repeats.
     pub fn apply_unitary(&mut self, u: &Matrix, targets: &[usize]) {
-        left_mul(&mut self.data, self.n_qubits, u, targets);
-        right_mul_transposed(&mut self.data, self.n_qubits, &u.conj(), targets);
+        self.apply_conjugation(u, targets);
     }
 
     /// Applies one (not necessarily unitary) operator conjugation
     /// `ρ ← MρM†` — e.g. a single measurement operator `Em(ρ) = MmρMm†`.
+    ///
+    /// The right factor `(M†)ᵀ = M̄` is formed by one conjugation instead of
+    /// an adjoint *and* a transpose inside the kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics, leaving `ρ` untouched, when `m` is not `2ᵏ × 2ᵏ` or a target
+    /// is out of range or repeats.
     pub fn apply_conjugation(&mut self, m: &Matrix, targets: &[usize]) {
-        left_mul(&mut self.data, self.n_qubits, m, targets);
-        right_mul_transposed(&mut self.data, self.n_qubits, &m.conj(), targets);
+        let columns = self.column_targets(targets);
+        let n2 = 2 * self.n_qubits;
+        apply_matrix_planes(&mut self.re, &mut self.im, n2, m, targets);
+        apply_matrix_planes(&mut self.re, &mut self.im, n2, &m.conj(), &columns);
     }
 
     /// Applies a Kraus channel `ρ ← Σk KkρKk†` on `targets`.
     ///
     /// For repeated application of the same channel prefer
-    /// [`crate::KrausChannel::apply`], which caches the conjugated operators
-    /// and parallelises across branches.
+    /// [`crate::KrausChannel::apply`], which caches the conjugated operators.
+    ///
+    /// # Panics
+    ///
+    /// Panics, leaving `ρ` untouched, on a mis-sized operator or a target
+    /// that is out of range or repeats.
     pub fn apply_kraus(&mut self, kraus: &[Matrix], targets: &[usize]) {
-        let mut acc = vec![C64::ZERO; self.data.len()];
-        for k in kraus {
-            let mut term = self.data.clone();
-            left_mul(&mut term, self.n_qubits, k, targets);
-            right_mul_transposed(&mut term, self.n_qubits, &k.conj(), targets);
-            for (a, t) in acc.iter_mut().zip(&term) {
-                *a += *t;
-            }
+        let conjugates: Vec<Matrix> = kraus.iter().map(Matrix::conj).collect();
+        *self = self.kraus_sum(kraus, &conjugates, targets);
+    }
+
+    /// `Σk Lk·ρ·Rkᵀ` with `Lk` on the row qubits `targets` and `Rk` on
+    /// their column twins — the one routine behind every Kraus sum
+    /// (`Rk = L̄k` for a channel, `(Lk, Rk) = (Kk†, Kkᵀ)` for its dual).
+    ///
+    /// The branches run in parallel once their combined size reaches
+    /// [`qdp_par::FORK_MIN_WORK`] amplitudes; the sum is always taken in
+    /// operator order, so the result is deterministic under any thread
+    /// count.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lefts` and `rights` differ in length, on a mis-sized
+    /// operator, or on a target that is out of range or repeats.
+    pub(crate) fn kraus_sum(&self, lefts: &[Matrix], rights: &[Matrix], targets: &[usize]) -> Self {
+        assert_eq!(lefts.len(), rights.len(), "one right factor per left factor");
+        let columns = self.column_targets(targets);
+        let n2 = 2 * self.n_qubits;
+        let branch = |k: &usize| -> (Vec<f64>, Vec<f64>) {
+            let (mut re, mut im) = (self.re.clone(), self.im.clone());
+            apply_matrix_planes(&mut re, &mut im, n2, &lefts[*k], targets);
+            apply_matrix_planes(&mut re, &mut im, n2, &rights[*k], &columns);
+            (re, im)
+        };
+        let indices: Vec<usize> = (0..lefts.len()).collect();
+        let terms: Vec<(Vec<f64>, Vec<f64>)> =
+            if qdp_par::fork_pays(self.re.len() * lefts.len()) {
+                qdp_par::par_map(&indices, branch)
+            } else {
+                indices.iter().map(branch).collect()
+            };
+        let mut out = DensityMatrix::zero_operator(self.n_qubits);
+        for (re, im) in &terms {
+            out.add_planes(re, im);
         }
-        self.data = acc;
+        out
+    }
+
+    /// Entry-wise `ρ += (re, im)`.
+    fn add_planes(&mut self, re: &[f64], im: &[f64]) {
+        for (a, b) in self.re.iter_mut().zip(re) {
+            *a += *b;
+        }
+        for (a, b) in self.im.iter_mut().zip(im) {
+            *a += *b;
+        }
     }
 
     /// The initialisation superoperator `E_{q→0}` of the paper
@@ -204,15 +289,13 @@ impl DensityMatrix {
     /// Panics when qubit counts differ.
     pub fn add_assign(&mut self, other: &DensityMatrix) {
         assert_eq!(self.n_qubits, other.n_qubits, "qubit-count mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += *b;
-        }
+        self.add_planes(&other.re, &other.im);
     }
 
     /// Scales by a real factor (e.g. classical probability weight).
     pub fn scale(&mut self, s: f64) {
-        for a in &mut self.data {
-            *a = a.scale(s);
+        for x in self.re.iter_mut().chain(self.im.iter_mut()) {
+            *x *= s;
         }
     }
 
@@ -226,13 +309,12 @@ impl DensityMatrix {
     /// the initial state `(|0⟩A⟨0|) ⊗ ρ` of Definition 5.2.
     pub fn prepend_zero_ancilla(&self) -> DensityMatrix {
         let old_dim = self.dim();
-        let new_n = self.n_qubits + 1;
-        let new_dim = 1usize << new_n;
-        let mut out = DensityMatrix::zero_operator(new_n);
+        let new_dim = old_dim << 1;
+        let mut out = DensityMatrix::zero_operator(self.n_qubits + 1);
         for i in 0..old_dim {
-            for j in 0..old_dim {
-                out.data[i * new_dim + j] = self.data[i * old_dim + j];
-            }
+            let (src, dst) = (i * old_dim..(i + 1) * old_dim, i * new_dim..i * new_dim + old_dim);
+            out.re[dst.clone()].copy_from_slice(&self.re[src.clone()]);
+            out.im[dst].copy_from_slice(&self.im[src]);
         }
         out
     }
@@ -252,35 +334,23 @@ impl DensityMatrix {
         let kept: Vec<usize> = (0..n).filter(|q| !traced.contains(q)).collect();
         let m = kept.len();
         let out_dim = 1usize << m;
-        let dim = self.dim();
         let mut out = DensityMatrix::zero_operator(m);
 
         let kept_masks: Vec<usize> = kept.iter().map(|&q| 1usize << qubit_bit(n, q)).collect();
         let traced_masks: Vec<usize> =
             traced.iter().map(|&q| 1usize << qubit_bit(n, q)).collect();
 
-        // Expand a reduced index into a full index with traced bits zero.
-        let expand = |idx: usize, masks: &[usize], count: usize| -> usize {
-            let mut full = 0usize;
-            for (j, mask) in masks.iter().enumerate() {
-                if idx & (1 << (count - 1 - j)) != 0 {
-                    full |= mask;
-                }
-            }
-            full
-        };
-
-        let t = traced.len();
-        for a in 0..out_dim {
-            let base_row = expand(a, &kept_masks, m);
-            for b in 0..out_dim {
-                let base_col = expand(b, &kept_masks, m);
+        // Reduced and environment indices expanded to full indices.
+        let kept_offsets = local_offsets(&kept_masks);
+        let env_offsets = local_offsets(&traced_masks);
+        for (a, &base_row) in kept_offsets.iter().enumerate() {
+            for (b, &base_col) in kept_offsets.iter().enumerate() {
                 let mut acc = C64::ZERO;
-                for e in 0..(1usize << t) {
-                    let env = expand(e, &traced_masks, t);
-                    acc += self.data[(base_row | env) * dim + (base_col | env)];
+                for &env in &env_offsets {
+                    acc += self.get(base_row | env, base_col | env);
                 }
-                out.data[a * out_dim + b] = acc;
+                out.re[a * out_dim + b] = acc.re;
+                out.im[a * out_dim + b] = acc.im;
             }
         }
         out
@@ -288,12 +358,9 @@ impl DensityMatrix {
 
     /// Approximate equality within entry-wise tolerance `tol`.
     pub fn approx_eq(&self, other: &DensityMatrix, tol: f64) -> bool {
+        let entry = |rho: &DensityMatrix, k: usize| C64::new(rho.re[k], rho.im[k]);
         self.n_qubits == other.n_qubits
-            && self
-                .data
-                .iter()
-                .zip(&other.data)
-                .all(|(a, b)| a.approx_eq(*b, tol))
+            && (0..self.re.len()).all(|k| entry(self, k).approx_eq(entry(other, k), tol))
     }
 
     /// Validates the partial-density-operator invariants: Hermitian, positive
@@ -419,5 +486,66 @@ mod tests {
         assert!((a.trace() - 1.0).abs() < 1e-15);
         assert!(a.is_valid(1e-9));
         assert!(a.purity() < 1.0);
+    }
+
+    #[test]
+    fn planes_round_trip_and_match_entries() {
+        let mut psi = StateVector::zero_state(2);
+        psi.apply_gate(&Matrix::rotation_y(0.8), &[0]);
+        psi.apply_gate(&Matrix::rotation_x(0.3), &[1]);
+        let rho = DensityMatrix::from_pure(&psi);
+        let (re, im) = rho.planes();
+        for k in 0..16 {
+            assert_eq!(rho.get(k / 4, k % 4), C64::new(re[k], im[k]));
+        }
+        let back = DensityMatrix::from_planes(2, re.to_vec(), im.to_vec());
+        assert_eq!(back, rho);
+        assert_eq!(DensityMatrix::from_matrix(2, &rho.to_matrix()), rho);
+    }
+
+    #[test]
+    #[should_panic(expected = "2^n x 2^n")]
+    fn from_planes_rejects_wrong_length() {
+        let _ = DensityMatrix::from_planes(1, vec![0.0; 2], vec![0.0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "target qubit 1 out of range for a 1-qubit density operator")]
+    fn column_qubit_target_panics() {
+        DensityMatrix::pure_zero(1).apply_unitary(&Matrix::rotation_y(0.3), &[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate target qubit 0")]
+    fn duplicate_conjugation_targets_panic() {
+        DensityMatrix::pure_zero(2).apply_conjugation(&Matrix::cnot(), &[0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "target qubit 2 out of range for a 2-qubit density operator")]
+    fn out_of_range_kraus_target_panics() {
+        DensityMatrix::pure_zero(2).apply_kraus(&[Matrix::identity(2)], &[2]);
+    }
+
+    #[test]
+    fn rejected_targets_leave_rho_untouched() {
+        let mut rho = DensityMatrix::pure_zero(1);
+        let before = rho.clone();
+        let ry = Matrix::rotation_y(0.3);
+        let out_of_range = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rho.apply_unitary(&ry, &[1]);
+        }));
+        assert!(out_of_range.is_err());
+        assert_eq!(rho, before);
+        let wrong_size = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rho.apply_conjugation(&Matrix::cnot(), &[0]);
+        }));
+        assert!(wrong_size.is_err());
+        assert_eq!(rho, before);
+        let kraus = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rho.apply_kraus(&[ry.clone(), Matrix::cnot()], &[0]);
+        }));
+        assert!(kraus.is_err());
+        assert_eq!(rho, before);
     }
 }

@@ -1,24 +1,38 @@
 //! Targeted gate-application kernels — the hot loops of the simulator.
 //!
-//! A `k`-qubit operator is applied to an amplitude array without ever
-//! materialising the `2ⁿ × 2ⁿ` lifted operator. Density matrices reuse the
-//! same kernels by viewing a `2ⁿ × 2ⁿ` row-major array as a state vector over
-//! `2n` qubits (row qubits occupy the **high** half of the flattened index,
-//! column qubits the low half).
+//! A `k`-qubit operator is applied to an `n`-qubit register stored as two
+//! split `re`/`im` planes without ever materialising the `2ⁿ × 2ⁿ` lifted
+//! operator. Density matrices reuse the same kernels by viewing a
+//! `2ⁿ × 2ⁿ` row-major plane pair as a state over `2n` qubits (row qubits
+//! occupy the **high** half of the flattened index, column qubits the low
+//! half): `ρ ← MρM†` is [`apply_matrix_planes`] with `M` on `targets`
+//! followed by `M̄` on `targets + n`.
+//!
+//! # One production path, one oracle
+//!
+//! [`apply_matrix_planes`] is the only production gate entry. Its oracle is
+//! the full-range scan [`apply_matrix_reference`] (on interleaved `C64`)
+//! together with the dense lift [`embed`]. The fast paths agree with the
+//! reference scan **bit for bit up to the sign of zero**: the scan folds
+//! every product into an accumulator that starts at `+0.0`, so an entry
+//! the fast path computes as `-0.0` (a diagonal or projector entry `0.0`
+//! times a negative component, an identity block that is never touched)
+//! comes out of the scan as `+0.0`. On operators without zero entries the
+//! two agree exactly. See `crates/sim/tests/kernel_properties.rs` and the
+//! unit tests below.
 //!
 //! # Kernel strategy
 //!
-//! The public entry point [`apply_matrix`] dispatches on operator shape:
+//! [`apply_matrix_planes`] dispatches on operator shape:
 //!
 //! * **Base enumeration.** Only the `2^(n−k)` base indices (target bits
 //!   clear) are visited, produced directly by *bit-deposit* over the
 //!   non-target mask — never the full `2ⁿ` range with a mask test per index
-//!   (that reference behaviour survives as [`apply_matrix_reference`] for
-//!   validation and benchmarking).
+//!   (that behaviour survives in the reference scan).
 //! * **Specialised `k = 1` / `k = 2` kernels.** Allocation-free: the operator
 //!   is copied to stack scratch, the 2×2 / 4×4 multiply is fully unrolled,
-//!   and amplitudes are accessed through raw slices instead of per-element
-//!   [`Matrix::get`].
+//!   and amplitudes are accessed through raw plane slices instead of
+//!   per-element [`Matrix::get`].
 //! * **Diagonal fast path.** Phase-type operators (`RZ`, `CZ`, projectors
 //!   onto basis states, …) touch each amplitude exactly once with a single
 //!   multiply.
@@ -26,11 +40,15 @@
 //!   `|0⟩⟨0| ⊗ A + |1⟩⟨1| ⊗ B` — every controlled rotation the
 //!   differentiation gadget emits, plus `CNOT` — skip the zero blocks,
 //!   halving the multiply count.
+//! * **Explicit SIMD tiers.** Dense runs dispatch to the AVX2/AVX-512
+//!   kernels of [`crate::simd`], which are bitwise equal to the scalar
+//!   plane kernels here.
 //! * **Parallel split.** From [`qdp_par::FORK_MIN_WORK`] (`2¹⁸`)
 //!   amplitudes the work is split across threads via `qdp_par`: in place
 //!   over contiguous aligned chunks when the target bits lie below the
 //!   chunk boundary, or by zipping the two contiguous orbit halves in
-//!   lockstep when the target is the top bit. The threshold comes from a
+//!   lockstep when the target is the top bit (a left factor on row qubit 0
+//!   of a density matrix). The threshold comes from a
 //!   2-vCPU KVM guest (Intel Xeon, AVX-512): a pool handoff costs ~5 µs of
 //!   CPU and the worker starts ~30 µs later, while these kernels run at
 //!   0.3–0.8 ns per amplitude (0.7–0.8 for dense and diagonal gates at
@@ -40,16 +58,14 @@
 //!   Every split performs the identical floating-point operations per
 //!   output element as the serial kernel, so results are bit-for-bit
 //!   deterministic regardless of thread count.
-//!
-//! Every fast path is validated against [`embed`] on randomised inputs to
-//! `1e-12` (see `crates/sim/tests/kernel_properties.rs`).
 
 use crate::simd::{self, Chain1q, SimdTier};
 use qdp_linalg::{C64, Matrix};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// When set, [`apply_matrix`] routes through [`apply_matrix_reference`] —
-/// used by benchmarks to measure end-to-end speedups of the fast paths.
+/// When set, [`apply_matrix_planes`] routes through
+/// [`apply_matrix_reference`] — used by benchmarks to measure end-to-end
+/// speedups of the fast paths.
 static REFERENCE_MODE: AtomicBool = AtomicBool::new(false);
 
 /// Forces every kernel through the slow reference implementation (for
@@ -101,6 +117,16 @@ pub(crate) fn deposit_zeros(mut i: usize, sorted_bits: &[usize]) -> usize {
     i
 }
 
+/// The full-index offset of each local basis state under the target
+/// `masks` (`masks[0]` the most significant local bit) — the inverse of
+/// [`local_index`].
+pub(crate) fn local_offsets(masks: &[usize]) -> Vec<usize> {
+    let k = masks.len();
+    (0..1usize << k)
+        .map(|a| (0..k).filter(|j| a & (1 << (k - 1 - j)) != 0).map(|j| masks[j]).sum())
+        .collect()
+}
+
 fn validate(amps: &[C64], n: usize, m: &Matrix, targets: &[usize]) {
     let k = targets.len();
     assert!(m.rows() == 1 << k && m.cols() == 1 << k, "operator dimension must be 2^{k}");
@@ -113,368 +139,19 @@ fn validate(amps: &[C64], n: usize, m: &Matrix, targets: &[usize]) {
     }
 }
 
-/// Applies an arbitrary `2ᵏ × 2ᵏ` matrix `m` to the amplitudes `amps` of an
-/// `n`-qubit register on the given distinct `targets`.
-///
-/// The matrix need not be unitary — measurement operators and Kraus operators
-/// are applied with the same kernel. Target order is significant: `targets[0]`
-/// is the most significant qubit of the local index into `m`.
-///
-/// # Panics
-///
-/// Panics when dimensions are inconsistent or targets repeat.
-pub fn apply_matrix(amps: &mut [C64], n: usize, m: &Matrix, targets: &[usize]) {
-    validate(amps, n, m, targets);
-    if reference_kernels_enabled() {
-        apply_matrix_reference_unchecked(amps, n, m, targets);
-        return;
-    }
-    match *targets {
-        [t] => apply_1q(amps, n, m, t),
-        [t0, t1] => apply_2q(amps, n, m, t0, t1),
-        _ => apply_kq(amps, n, m, targets),
-    }
-}
-
-/// Left-multiplies a square amplitude array (row-major, dimension `2ⁿ`) by
-/// the operator `m` on `targets`: `A ← (m lifted) · A`.
-pub fn left_mul(a: &mut [C64], n: usize, m: &Matrix, targets: &[usize]) {
-    // Row index bits occupy the high half of the flattened 2n-qubit index,
-    // so row qubit q maps to qubit q of the doubled register.
-    apply_matrix(a, 2 * n, m, targets);
-}
-
-/// Right-multiplies a square amplitude array by the operator `m` on
-/// `targets`: `A ← A · (m lifted)`.
-///
-/// Allocates a transposed copy of `m` on every call; hot paths that apply
-/// the same operator repeatedly should cache the transpose and use
-/// [`right_mul_transposed`] instead.
-pub fn right_mul(a: &mut [C64], n: usize, m: &Matrix, targets: &[usize]) {
-    right_mul_transposed(a, n, &m.transpose(), targets);
-}
-
-/// Like [`right_mul`], but takes the operator **already transposed** so no
-/// per-call allocation happens: `A ← A · (m_tᵀ lifted)`.
-pub fn right_mul_transposed(a: &mut [C64], n: usize, m_t: &Matrix, targets: &[usize]) {
-    // (A·M)_{ij} = Σ_b A_{ib} M_{bj} = Σ_b (Mᵀ)_{jb} A_{ib}: apply Mᵀ on the
-    // column qubits, which sit in the low half of the doubled register.
-    let shifted: Vec<usize> = targets.iter().map(|&t| t + n).collect();
-    apply_matrix(a, 2 * n, m_t, &shifted);
-}
-
-// ---------------------------------------------------------------------------
-// k = 1
-// ---------------------------------------------------------------------------
-
-fn apply_1q(amps: &mut [C64], n: usize, m: &Matrix, t: usize) {
-    let md = m.as_slice();
-    let (m00, m01, m10, m11) = (md[0], md[1], md[2], md[3]);
-    let mask = 1usize << qubit_bit(n, t);
-
-    if m01 == C64::ZERO && m10 == C64::ZERO {
-        apply_diag(amps, &[mask], &[m00, m11]);
-        return;
-    }
-
-    // Real operators (H, RY, X, …) need four real multiplies per output
-    // component instead of the full complex product. The arithmetic below
-    // performs the identical floating-point operations the generic path
-    // would after its zero-imaginary terms are folded, so both paths agree
-    // bitwise.
-    if m00.im == 0.0 && m01.im == 0.0 && m10.im == 0.0 && m11.im == 0.0 {
-        let (r00, r01, r10, r11) = (m00.re, m01.re, m10.re, m11.re);
-        apply_1q_with(amps, mask, |a0, a1| {
-            (
-                C64::new(r00 * a0.re + r01 * a1.re, r00 * a0.im + r01 * a1.im),
-                C64::new(r10 * a0.re + r11 * a1.re, r10 * a0.im + r11 * a1.im),
-            )
-        });
-    } else {
-        apply_1q_with(amps, mask, |a0, a1| {
-            (
-                C64::ZERO.mul_add(m00, a0).mul_add(m01, a1),
-                C64::ZERO.mul_add(m10, a0).mul_add(m11, a1),
-            )
-        });
-    }
-}
-
-/// Shared driver of the dense single-qubit kernels: `pair` maps the orbit
-/// `(amps[base], amps[base|mask])` to its new values.
-fn apply_1q_with(amps: &mut [C64], mask: usize, pair: impl Fn(C64, C64) -> (C64, C64) + Sync) {
-    let align = mask << 1;
-    let serial = |chunk: &mut [C64]| {
-        for block in chunk.chunks_exact_mut(align) {
-            let (lo_half, hi_half) = block.split_at_mut(mask);
-            for (lo, hi) in lo_half.iter_mut().zip(hi_half.iter_mut()) {
-                let (a, b) = pair(*lo, *hi);
-                *lo = a;
-                *hi = b;
-            }
-        }
-    };
-    // Small arrays (the pure-state gradient path) never touch the parallel
-    // machinery: straight into the serial loop.
-    if !qdp_par::fork_pays(amps.len()) {
-        serial(amps);
-        return;
-    }
-    if amps.len() / align < 2 {
-        // `mask` is the top bit (`left_mul` on row qubit 0 of a density
-        // matrix is the only way here): the two orbit halves are contiguous,
-        // so split and zip them in lockstep — no snapshot, each orbit
-        // computed once, bit-identical to the serial loop.
-        let (lo_half, hi_half) = amps.split_at_mut(mask);
-        qdp_par::par_zip_chunks_mut(lo_half, hi_half, |lo_chunk, hi_chunk| {
-            for (lo, hi) in lo_chunk.iter_mut().zip(hi_chunk.iter_mut()) {
-                let (a, b) = pair(*lo, *hi);
-                *lo = a;
-                *hi = b;
-            }
-        });
-        return;
-    }
-    // In place over contiguous chunks: an index orbit {base, base|mask}
-    // stays inside any aligned chunk of 2·mask elements.
-    qdp_par::par_chunks_mut(amps, align, |_, chunk| serial(chunk));
-}
-
-// ---------------------------------------------------------------------------
-// k = 2
-// ---------------------------------------------------------------------------
-
-fn apply_2q(amps: &mut [C64], n: usize, m: &Matrix, t0: usize, t1: usize) {
-    let md = m.as_slice();
-    let mut mm = [C64::ZERO; 16];
-    mm.copy_from_slice(md);
-    let mask0 = 1usize << qubit_bit(n, t0); // most significant local bit
-    let mask1 = 1usize << qubit_bit(n, t1);
-
-    let diagonal = (0..4).all(|a| (0..4).all(|b| a == b || mm[4 * a + b] == C64::ZERO));
-    if diagonal {
-        apply_diag(amps, &[mask0, mask1], &[mm[0], mm[5], mm[10], mm[15]]);
-        return;
-    }
-
-    // Block-diagonal in the first target: |0⟩⟨0| ⊗ A + |1⟩⟨1| ⊗ B. This is
-    // every controlled gate the differentiation gadget emits (the control is
-    // the most significant target by convention), plus CNOT.
-    let block_diagonal = mm[2] == C64::ZERO
-        && mm[3] == C64::ZERO
-        && mm[6] == C64::ZERO
-        && mm[7] == C64::ZERO
-        && mm[8] == C64::ZERO
-        && mm[9] == C64::ZERO
-        && mm[12] == C64::ZERO
-        && mm[13] == C64::ZERO;
-    if block_diagonal {
-        // A acts on the t1 bit where the t0 bit is clear, B where it is set.
-        apply_blockdiag_ctrl(
-            amps,
-            mask0,
-            mask1,
-            [mm[0], mm[1], mm[4], mm[5]],
-            [mm[10], mm[11], mm[14], mm[15]],
-        );
-        return;
-    }
-
-    let (b_lo, b_hi) = if mask0 < mask1 {
-        (mask0.trailing_zeros() as usize, mask1.trailing_zeros() as usize)
-    } else {
-        (mask1.trailing_zeros() as usize, mask0.trailing_zeros() as usize)
-    };
-    let low = (1usize << b_lo) - 1;
-    let mid = (1usize << b_hi) - 1;
-    let off = [0usize, mask1, mask0, mask0 | mask1];
-
-    let quarter = amps.len() >> 2;
-    let body = |amps: &mut [C64], start: usize, end: usize, shift: usize| {
-        for i in start..end {
-            let x = ((i & !low) << 1) | (i & low);
-            let base = (((x & !mid) << 1) | (x & mid)) - shift;
-            let s = [
-                amps[base | off[0]],
-                amps[base | off[1]],
-                amps[base | off[2]],
-                amps[base | off[3]],
-            ];
-            for (a, &o) in off.iter().enumerate() {
-                let row = 4 * a;
-                amps[base | o] = C64::ZERO
-                    .mul_add(mm[row], s[0])
-                    .mul_add(mm[row + 1], s[1])
-                    .mul_add(mm[row + 2], s[2])
-                    .mul_add(mm[row + 3], s[3]);
-            }
-        }
-    };
-
-    let align = 1usize << (b_hi + 1);
-    if qdp_par::fork_pays(amps.len()) && amps.len() / align >= 2 {
-        // Aligned chunks contain whole orbits: bases within a chunk start at
-        // base index offset/4 adjusted for deposited bits. Easier and just as
-        // fast: recompute the global base range per chunk.
-        qdp_par::par_chunks_mut(amps, align, |offset, chunk| {
-            // Chunks are aligned to whole orbits, and the bit-deposit map is
-            // monotone, so the chunk starting at `offset` covers exactly the
-            // base indices [offset/4, offset/4 + chunk.len()/4).
-            let first = offset >> 2;
-            body(chunk, first, first + (chunk.len() >> 2), offset);
-        });
-        return;
-    }
-    body(amps, 0, quarter, 0);
-}
-
-/// Applies the 2×2 blocks `a` (control clear) and `b` (control set) of a
-/// block-diagonal two-qubit operator. `cmask` is the control bit, `tmask`
-/// the target bit.
-fn apply_blockdiag_ctrl(amps: &mut [C64], cmask: usize, tmask: usize, a: [C64; 4], b: [C64; 4]) {
-    let identity_a = a[0] == C64::ONE && a[1] == C64::ZERO && a[2] == C64::ZERO && a[3] == C64::ONE;
-    let align = (cmask.max(tmask)) << 1;
-    let body = |offset: usize, chunk: &mut [C64]| {
-        let quarter = chunk.len() >> 2;
-        let (b_lo, b_hi) = (
-            cmask.min(tmask).trailing_zeros() as usize,
-            cmask.max(tmask).trailing_zeros() as usize,
-        );
-        let low = (1usize << b_lo) - 1;
-        let mid = (1usize << b_hi) - 1;
-        let first = offset >> 2;
-        for i in first..first + quarter {
-            let x = ((i & !low) << 1) | (i & low);
-            let base = (((x & !mid) << 1) | (x & mid)) - offset;
-            if !identity_a {
-                let s0 = chunk[base];
-                let s1 = chunk[base | tmask];
-                chunk[base] = C64::ZERO.mul_add(a[0], s0).mul_add(a[1], s1);
-                chunk[base | tmask] = C64::ZERO.mul_add(a[2], s0).mul_add(a[3], s1);
-            }
-            let s2 = chunk[base | cmask];
-            let s3 = chunk[base | cmask | tmask];
-            chunk[base | cmask] = C64::ZERO.mul_add(b[0], s2).mul_add(b[1], s3);
-            chunk[base | cmask | tmask] = C64::ZERO.mul_add(b[2], s2).mul_add(b[3], s3);
-        }
-    };
-    if !qdp_par::fork_pays(amps.len()) {
-        body(0, amps);
-    } else {
-        qdp_par::par_chunks_mut(amps, align, body);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Diagonal operators (any k)
-// ---------------------------------------------------------------------------
-
-/// Multiplies each amplitude by the diagonal entry selected by its target
-/// bits. `masks[j]` is the bit of local index bit `k-1-j` (i.e. `masks[0]`
-/// is the most significant local bit).
-///
-/// Amplitudes are processed in runs of `min(masks)` consecutive elements —
-/// the local index is constant within a run, so it is computed once per run
-/// and **identity runs are skipped entirely**. That is what makes `CZ` touch
-/// a quarter of the array and a basis projector half of it.
-fn apply_diag(amps: &mut [C64], masks: &[usize], diag: &[C64]) {
-    if diag.iter().all(|&d| d == C64::ONE) {
-        return; // identity: nothing to do
-    }
-    let k = masks.len();
-    // Infallible: diagonal kernels are only built for k ≥ 1 targets.
-    #[allow(clippy::expect_used)]
-    let run = *masks.iter().min().expect("diagonal kernel needs targets");
-    let body = |offset: usize, chunk: &mut [C64]| {
-        for (r, block) in chunk.chunks_exact_mut(run).enumerate() {
-            let start = offset + r * run;
-            let mut local = 0usize;
-            for (j, &mask) in masks.iter().enumerate() {
-                if start & mask != 0 {
-                    local |= 1 << (k - 1 - j);
-                }
-            }
-            let d = diag[local];
-            if d == C64::ONE {
-                continue;
-            }
-            if d.im == 0.0 {
-                let s = d.re;
-                for a in block.iter_mut() {
-                    *a = C64::new(a.re * s, a.im * s);
-                }
-            } else {
-                for a in block.iter_mut() {
-                    *a *= d;
-                }
-            }
-        }
-    };
-    if !qdp_par::fork_pays(amps.len()) {
-        body(0, amps);
-    } else {
-        qdp_par::par_chunks_mut(amps, run, body);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// General k ≥ 3
-// ---------------------------------------------------------------------------
-
-fn apply_kq(amps: &mut [C64], n: usize, m: &Matrix, targets: &[usize]) {
-    let k = targets.len();
-    let dim_local = 1usize << k;
-    let masks: Vec<usize> = targets.iter().map(|&t| 1usize << qubit_bit(n, t)).collect();
-
-    // Offsets of each local basis state within the full index.
-    let mut offsets = vec![0usize; dim_local];
-    for (a, off) in offsets.iter_mut().enumerate() {
-        for (j, mask) in masks.iter().enumerate() {
-            if a & (1 << (k - 1 - j)) != 0 {
-                *off |= mask;
-            }
-        }
-    }
-
-    // Sorted target bit positions for the bit-deposit base enumeration.
-    let mut bits: Vec<usize> = masks.iter().map(|m| m.trailing_zeros() as usize).collect();
-    bits.sort_unstable();
-
-    let md = m.as_slice();
-    let mut scratch = vec![C64::ZERO; dim_local];
-    let n_bases = 1usize << (n - k);
-    for i in 0..n_bases {
-        let base = deposit_zeros(i, &bits);
-        for (slot, &off) in scratch.iter_mut().zip(offsets.iter()) {
-            *slot = amps[base | off];
-        }
-        for (a, &off) in offsets.iter().enumerate() {
-            let row = a * dim_local;
-            let mut acc = C64::ZERO;
-            for (b, &sb) in scratch.iter().enumerate() {
-                acc = acc.mul_add(md[row + b], sb);
-            }
-            amps[base | off] = acc;
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Split-plane (SoA) kernels
 // ---------------------------------------------------------------------------
 //
-// PR 7 moved `StateVector`/`BatchedStates` to a split-plane layout: the real
-// and imaginary components live in two separate contiguous `f64` planes
-// instead of an interleaved `Vec<C64>`. The kernels below are *structural
-// transcriptions* of the AoS kernels above — every orbit is loaded into
-// `C64` temporaries, transformed by the **same** `C64` expressions, and
-// stored back — so bitwise agreement with the AoS path is by construction,
-// not by accident. What changes is the memory shape: after inlining, LLVM
-// sees plain scalar loops over four contiguous `f64` streams (lo-re, lo-im,
-// hi-re, hi-im) with provably disjoint `&mut` slices, which is exactly the
-// shape its loop vectorizer turns into 4-wide AVX2 code (see
-// `.cargo/config.toml`). The AoS kernels stay as the cross-layout oracle;
-// `layout_differential.rs` pins the two layouts against each other.
+// States, batches and density matrices all store their amplitudes as two
+// contiguous `f64` planes (real, imaginary). Every orbit is loaded into
+// `C64` temporaries or raw plane scalars, transformed by the `C64::mul_add`
+// chain of the reference scan (leading `0.0 +` flush terms included), and
+// stored back. After inlining, LLVM sees plain scalar loops over four
+// contiguous `f64` streams (lo-re, lo-im, hi-re, hi-im) with provably
+// disjoint `&mut` slices, which is exactly the shape its loop vectorizer
+// turns into 4-wide AVX2 code (see `.cargo/config.toml`); the explicit
+// tiers of `crate::simd` take the same streams.
 
 /// Loads amplitude `i` from split planes.
 #[inline(always)]
@@ -524,12 +201,16 @@ fn validate_planes(re: &[f64], im: &[f64], n: usize, m: &Matrix, targets: &[usiz
     }
 }
 
-/// Split-plane twin of [`apply_matrix`]: applies a `2ᵏ × 2ᵏ` operator on
-/// `targets` to amplitudes stored as separate `re`/`im` planes.
+/// Applies an arbitrary `2ᵏ × 2ᵏ` matrix `m` on the given distinct
+/// `targets` to the amplitudes of an `n`-qubit register stored as separate
+/// `re`/`im` planes — the simulator's one production gate entry.
 ///
-/// Performs the identical floating-point operations per amplitude as
-/// [`apply_matrix`] on the interleaved layout — results agree bit for bit,
-/// under any thread count (the parallel splits mirror the AoS ones).
+/// The matrix need not be unitary — measurement operators and Kraus
+/// operators are applied with the same kernel. Target order is
+/// significant: `targets[0]` is the most significant qubit of the local
+/// index into `m`. Results are bit-for-bit identical under any thread
+/// count and SIMD tier, and equal to [`apply_matrix_reference`] up to the
+/// sign of zero (see the module docs).
 ///
 /// # Panics
 ///
@@ -538,9 +219,9 @@ fn validate_planes(re: &[f64], im: &[f64], n: usize, m: &Matrix, targets: &[usiz
 pub fn apply_matrix_planes(re: &mut [f64], im: &mut [f64], n: usize, m: &Matrix, targets: &[usize]) {
     validate_planes(re, im, n, m, targets);
     if reference_kernels_enabled() {
-        // The oracle stays AoS on purpose: gather, run the reference scan,
-        // scatter — a cross-layout round trip every reference-mode caller
-        // exercises for free.
+        // The oracle stays interleaved on purpose: gather, run the
+        // reference scan, scatter — a cross-layout round trip every
+        // reference-mode caller exercises for free.
         let mut amps = planes_to_aos(re, im);
         apply_matrix_reference_unchecked(&mut amps, n, m, targets);
         aos_to_planes(&amps, re, im);
@@ -576,12 +257,11 @@ fn apply_1q_planes(re: &mut [f64], im: &mut [f64], n: usize, m: &Matrix, t: usiz
         return;
     }
 
-    // Same real/generic split as `apply_1q`, with the per-orbit arithmetic
-    // transcribed onto raw plane scalars. The expressions below perform the
-    // identical floating-point operations (same order, same associativity,
-    // leading `0.0 +` terms of the `C64::mul_add` chain included) as the
-    // `C64` closures in `apply_1q` — results agree bit for bit. Passing
-    // scalars instead of `C64` aggregates is what lets LLVM keep the four
+    // Real operators (H, RY, X, …) need two real multiplies per output
+    // component instead of the full complex product; everything else runs
+    // the generic `C64::mul_add` chain transcribed onto raw plane scalars
+    // ([`complex_pair`]: same order, same associativity, leading `0.0 +`
+    // terms included). Passing scalars instead of `C64` aggregates is what lets LLVM keep the four
     // streams in vector registers: the struct round trip defeated the SLP
     // vectorizer and cost ~2× on cache-resident strided orbits.
     // The closures capture the coefficients **by value** (`move`): captured
@@ -633,8 +313,9 @@ pub(crate) fn complex_pair(
     (lor, loi, hir, hii)
 }
 
-/// Plane twin of [`apply_1q_with`]. The inner loop runs over four disjoint
-/// `&mut [f64]` streams obtained by `split_at_mut`, which is the
+/// Shared driver of the dense single-qubit kernels: `pair` maps the orbit
+/// `(base, base|mask)` to its new values. The inner loop runs over four
+/// disjoint `&mut [f64]` streams obtained by `split_at_mut`, which is the
 /// noalias-friendly shape the autovectorizer needs. The orbit callback
 /// takes and returns **raw scalars** (`a0.re, a0.im, a1.re, a1.im`), never
 /// `C64` values: aggregate formation in the hot loop blocks SLP
@@ -832,15 +513,17 @@ fn apply_2q_planes(re: &mut [f64], im: &mut [f64], n: usize, m: &Matrix, t0: usi
     }
 }
 
-/// Plane twin of [`apply_blockdiag_ctrl`], restructured into contiguous
-/// orbit **runs** (like [`apply_1q_with_planes`]) instead of per-orbit
-/// index arithmetic: the target bit splits each `2·tmask` block into
+/// Applies the 2×2 blocks `a` (control clear) and `b` (control set) of a
+/// block-diagonal two-qubit operator (`cmask` is the control bit, `tmask`
+/// the target bit) in contiguous orbit **runs** (like
+/// [`apply_1q_with_planes`]) instead of per-orbit index arithmetic: the
+/// target bit splits each `2·tmask` block into
 /// lo/hi halves, and the control bit selects whole blocks (`cmask >
 /// tmask`) or aligned `cmask`-length runs inside the halves (`cmask <
 /// tmask`) — every inner loop is a branch-free vectorizable sweep. The
 /// per-orbit arithmetic is [`complex_pair`], the exact transcription of
-/// the `C64::mul_add` chain the AoS kernel applies; orbits are
-/// independent, so the changed visit order cannot change any bits.
+/// the `C64::mul_add` chain; orbits are independent, so the visit order
+/// cannot change any bits.
 fn apply_blockdiag_ctrl_planes(
     re: &mut [f64],
     im: &mut [f64],
@@ -1011,9 +694,14 @@ fn apply_blockdiag_ctrl_planes(
     }
 }
 
-/// Plane twin of [`apply_diag`]: identity runs are skipped, real diagonal
-/// entries scale each plane with one multiply per component — a loop the
-/// vectorizer turns into two contiguous streaming multiplies.
+/// Multiplies each amplitude by the diagonal entry selected by its target
+/// bits (`masks[0]` is the most significant local bit). Amplitudes are
+/// processed in runs of `min(masks)` consecutive elements — the local index
+/// is constant within a run, so **identity runs are skipped entirely**
+/// (that is what makes `CZ` touch a quarter of the planes and a basis
+/// projector half of them), and real entries scale each plane with one
+/// multiply per component — a loop the vectorizer turns into two
+/// contiguous streaming multiplies.
 fn apply_diag_planes(re: &mut [f64], im: &mut [f64], masks: &[usize], diag: &[C64]) {
     if diag.iter().all(|&d| d == C64::ONE) {
         return; // identity: nothing to do
@@ -1207,14 +895,7 @@ fn apply_matrix_reference_unchecked(amps: &mut [C64], n: usize, m: &Matrix, targ
     let masks: Vec<usize> = targets.iter().map(|&t| 1usize << qubit_bit(n, t)).collect();
     let all_mask: usize = masks.iter().sum();
 
-    let mut offsets = vec![0usize; dim_local];
-    for (a, off) in offsets.iter_mut().enumerate() {
-        for (j, mask) in masks.iter().enumerate() {
-            if a & (1 << (k - 1 - j)) != 0 {
-                *off |= mask;
-            }
-        }
-    }
+    let offsets = local_offsets(&masks);
 
     let mut scratch = vec![C64::ZERO; dim_local];
     let full = 1usize << n;
@@ -1247,21 +928,11 @@ pub fn embed(n: usize, m: &Matrix, targets: &[usize]) -> Matrix {
     let masks: Vec<usize> = targets.iter().map(|&t| 1usize << qubit_bit(n, t)).collect();
     let all_mask: usize = masks.iter().sum();
 
-    let local_index = |full_index: usize| -> usize {
-        let mut a = 0usize;
-        for (j, mask) in masks.iter().enumerate() {
-            if full_index & mask != 0 {
-                a |= 1 << (k - 1 - j);
-            }
-        }
-        a
-    };
-
     let mut out = Matrix::zeros(full, full);
     for i in 0..full {
         for j in 0..full {
             if (i & !all_mask) == (j & !all_mask) {
-                out.set(i, j, m.get(local_index(i), local_index(j)));
+                out.set(i, j, m.get(local_index(i, &masks), local_index(j, &masks)));
             }
         }
     }
@@ -1284,60 +955,64 @@ mod tests {
         (0..1usize << n).map(|_| C64::new(next(), next())).collect()
     }
 
+    fn split(amps: &[C64]) -> (Vec<f64>, Vec<f64>) {
+        (amps.iter().map(|a| a.re).collect(), amps.iter().map(|a| a.im).collect())
+    }
+
+    /// `m` on `targets` through the production plane kernel, gathered back
+    /// into interleaved amplitudes.
+    fn apply(amps: &[C64], n: usize, m: &Matrix, targets: &[usize]) -> Vec<C64> {
+        let (mut re, mut im) = split(amps);
+        apply_matrix_planes(&mut re, &mut im, n, m, targets);
+        planes_to_aos(&re, &im)
+    }
+
+    fn reference(amps: &[C64], n: usize, m: &Matrix, targets: &[usize]) -> Vec<C64> {
+        let mut out = amps.to_vec();
+        apply_matrix_reference(&mut out, n, m, targets);
+        out
+    }
+
+    fn toffoli() -> Matrix {
+        let mut t = Matrix::identity(8);
+        t.set(6, 6, C64::ZERO);
+        t.set(7, 7, C64::ZERO);
+        t.set(6, 7, C64::ONE);
+        t.set(7, 6, C64::ONE);
+        t
+    }
+
     #[test]
     fn single_qubit_kernel_matches_embed() {
         let h = Matrix::hadamard();
         for n in 1..=4usize {
             for t in 0..n {
-                let mut amps = rand_amps(n, (n * 10 + t) as u64);
+                let amps = rand_amps(n, (n * 10 + t) as u64);
                 let expected = embed(n, &h, &[t]).mul_vec(&CVector::new(amps.clone()));
-                apply_matrix(&mut amps, n, &h, &[t]);
-                assert!(CVector::new(amps).approx_eq(&expected, 1e-12), "n={n} t={t}");
+                let got = apply(&amps, n, &h, &[t]);
+                assert!(CVector::new(got).approx_eq(&expected, 1e-12), "n={n} t={t}");
             }
         }
     }
 
     #[test]
     fn two_qubit_kernel_matches_embed() {
-        let cnot = Matrix::cnot();
-        for n in 2..=4usize {
-            for t0 in 0..n {
-                for t1 in 0..n {
-                    if t0 == t1 {
-                        continue;
-                    }
-                    let mut amps = rand_amps(n, (n * 100 + t0 * 10 + t1) as u64);
-                    let expected =
-                        embed(n, &cnot, &[t0, t1]).mul_vec(&CVector::new(amps.clone()));
-                    apply_matrix(&mut amps, n, &cnot, &[t0, t1]);
-                    assert!(
-                        CVector::new(amps).approx_eq(&expected, 1e-12),
-                        "n={n} targets=({t0},{t1})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dense_two_qubit_kernel_matches_embed() {
-        // A dense (non-controlled, non-diagonal) 4×4: RXX-style rotation.
+        // CNOT (block-diagonal) and a dense RXX-style rotation.
         let sigma2 = Matrix::pauli_x().kron(&Matrix::pauli_x());
         let rxx = Matrix::rotation_from_involution(&sigma2, 0.83);
-        for n in 2..=5usize {
-            for t0 in 0..n {
-                for t1 in 0..n {
-                    if t0 == t1 {
-                        continue;
+        for m in [Matrix::cnot(), rxx] {
+            for n in 2..=5usize {
+                for t0 in 0..n {
+                    for t1 in (0..n).filter(|&t1| t1 != t0) {
+                        let amps = rand_amps(n, (n * 100 + t0 * 10 + t1) as u64 ^ 0xFACE);
+                        let expected =
+                            embed(n, &m, &[t0, t1]).mul_vec(&CVector::new(amps.clone()));
+                        let got = apply(&amps, n, &m, &[t0, t1]);
+                        assert!(
+                            CVector::new(got).approx_eq(&expected, 1e-12),
+                            "n={n} targets=({t0},{t1})"
+                        );
                     }
-                    let mut amps = rand_amps(n, (n * 100 + t0 * 10 + t1) as u64 ^ 0xFACE);
-                    let expected =
-                        embed(n, &rxx, &[t0, t1]).mul_vec(&CVector::new(amps.clone()));
-                    apply_matrix(&mut amps, n, &rxx, &[t0, t1]);
-                    assert!(
-                        CVector::new(amps).approx_eq(&expected, 1e-12),
-                        "n={n} targets=({t0},{t1})"
-                    );
                 }
             }
         }
@@ -1349,32 +1024,28 @@ mod tests {
         let cz = Matrix::diagonal(&[C64::ONE, C64::ONE, C64::ONE, -C64::ONE]);
         for n in 2..=4usize {
             for t in 0..n {
-                let mut amps = rand_amps(n, (77 + n * 10 + t) as u64);
+                let amps = rand_amps(n, (77 + n * 10 + t) as u64);
                 let expected = embed(n, &rz, &[t]).mul_vec(&CVector::new(amps.clone()));
-                apply_matrix(&mut amps, n, &rz, &[t]);
-                assert!(CVector::new(amps).approx_eq(&expected, 1e-12), "rz n={n} t={t}");
+                let got = apply(&amps, n, &rz, &[t]);
+                assert!(CVector::new(got).approx_eq(&expected, 1e-12), "rz n={n} t={t}");
             }
-            let mut amps = rand_amps(n, 99 + n as u64);
+            let amps = rand_amps(n, 99 + n as u64);
             let expected = embed(n, &cz, &[0, n - 1]).mul_vec(&CVector::new(amps.clone()));
-            apply_matrix(&mut amps, n, &cz, &[0, n - 1]);
-            assert!(CVector::new(amps).approx_eq(&expected, 1e-12), "cz n={n}");
+            let got = apply(&amps, n, &cz, &[0, n - 1]);
+            assert!(CVector::new(got).approx_eq(&expected, 1e-12), "cz n={n}");
         }
     }
 
     #[test]
     fn three_qubit_kernel_matches_embed() {
         // An 8×8 operator (Toffoli-like permutation) on scattered targets.
-        let mut toffoli = Matrix::identity(8);
-        toffoli.set(6, 6, C64::ZERO);
-        toffoli.set(7, 7, C64::ZERO);
-        toffoli.set(6, 7, C64::ONE);
-        toffoli.set(7, 6, C64::ONE);
+        let toffoli = toffoli();
         for (n, targets) in [(3usize, vec![0usize, 1, 2]), (4, vec![3, 0, 2]), (5, vec![4, 1, 3])] {
-            let mut amps = rand_amps(n, 7 * n as u64);
+            let amps = rand_amps(n, 7 * n as u64);
             let expected = embed(n, &toffoli, &targets).mul_vec(&CVector::new(amps.clone()));
-            apply_matrix(&mut amps, n, &toffoli, &targets);
+            let got = apply(&amps, n, &toffoli, &targets);
             assert!(
-                CVector::new(amps).approx_eq(&expected, 1e-12),
+                CVector::new(got).approx_eq(&expected, 1e-12),
                 "n={n} targets={targets:?}"
             );
         }
@@ -1383,126 +1054,58 @@ mod tests {
     #[test]
     fn target_order_is_significant() {
         // CNOT with control q1 / target q0 differs from control q0 / target q1.
-        let cnot = Matrix::cnot();
         let mut a = vec![C64::ZERO; 4];
         a[1] = C64::ONE; // |01⟩: q0=0, q1=1
-        apply_matrix(&mut a, 2, &cnot, &[1, 0]); // control q1 → flips q0
+        let a = apply(&a, 2, &Matrix::cnot(), &[1, 0]); // control q1 → flips q0
         assert!(a[3].approx_eq(C64::ONE, 1e-15)); // |11⟩
     }
 
+    /// The density convention: on a `2ⁿ × 2ⁿ` row-major plane pair viewed
+    /// as `2n` qubits, `m` on `targets` is `ρ ← m·ρ` and `mᵀ` on
+    /// `targets + n` is `ρ ← ρ·m`.
     #[test]
-    fn left_right_mul_match_matrix_products() {
-        let n = 2usize;
-        let dim = 1 << n;
-        let rho_data = rand_amps(2 * n, 99);
-        let rho = Matrix::from_data(dim, dim, rho_data.clone());
-        let u = Matrix::hadamard();
-        for t in 0..n {
-            let lifted = embed(n, &u, &[t]);
-
-            let mut left = rho_data.clone();
-            left_mul(&mut left, n, &u, &[t]);
-            let expected = lifted.mul(&rho);
-            assert!(Matrix::from_data(dim, dim, left).approx_eq(&expected, 1e-12));
-
-            let mut right = rho_data.clone();
-            right_mul(&mut right, n, &u, &[t]);
-            let expected = rho.mul(&lifted);
-            assert!(Matrix::from_data(dim, dim, right).approx_eq(&expected, 1e-12));
+    fn shifted_targets_multiply_density_rows_and_columns() {
+        let u = Matrix::rotation_from_involution(&Matrix::pauli_y(), 1.1).mul(&Matrix::hadamard());
+        for n in 1..=3usize {
+            let dim = 1 << n;
+            let flat = rand_amps(2 * n, 99 + n as u64);
+            let rho = Matrix::from_data(dim, dim, flat.clone());
+            for t in 0..n {
+                let lifted = embed(n, &u, &[t]);
+                let left = apply(&flat, 2 * n, &u, &[t]);
+                let expected = lifted.mul(&rho);
+                assert!(Matrix::from_data(dim, dim, left).approx_eq(&expected, 1e-12));
+                let right = apply(&flat, 2 * n, &u.transpose(), &[t + n]);
+                let expected = rho.mul(&lifted);
+                assert!(Matrix::from_data(dim, dim, right).approx_eq(&expected, 1e-12));
+            }
         }
     }
 
-    #[test]
-    fn right_mul_transposed_matches_right_mul() {
-        let n = 3usize;
-        let rho_data = rand_amps(2 * n, 1234);
-        let u = Matrix::rotation_from_involution(&Matrix::pauli_y(), 1.1);
-        for t in 0..n {
-            let mut a = rho_data.clone();
-            right_mul(&mut a, n, &u, &[t]);
-            let mut b = rho_data.clone();
-            right_mul_transposed(&mut b, n, &u.transpose(), &[t]);
-            assert_eq!(a, b, "t={t}");
+    /// Every kernel shape (dense and real 1q, diagonal, controlled, dense
+    /// 2q, projector, k = 3) against the reference scan on `n` qubits.
+    ///
+    /// Both sides are compared after `x + 0.0`, which maps `-0.0` to
+    /// `+0.0` and leaves every other value alone: the scan accumulates each
+    /// output from `+0.0`, so where an operator has zero entries (the
+    /// projector, the untouched identity block of a controlled gate) the
+    /// fast path's `-0.0` comes out of the scan as `+0.0`. Everything else
+    /// is pinned bit for bit.
+    fn assert_fast_matches_reference(n: usize, gates: &[(Matrix, Vec<usize>)], seed: u64) {
+        let canon = |x: f64| (x + 0.0).to_bits();
+        let amps = rand_amps(n, seed);
+        for (g, targets) in gates {
+            let fast = apply(&amps, n, g, targets);
+            let slow = reference(&amps, n, g, targets);
+            for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
+                assert_eq!(canon(a.re), canon(b.re), "{targets:?} re[{i}]");
+                assert_eq!(canon(a.im), canon(b.im), "{targets:?} im[{i}]");
+            }
         }
     }
 
     #[test]
     fn fast_kernels_match_reference_bitwise() {
-        let gates: Vec<(Matrix, Vec<usize>)> = vec![
-            (Matrix::hadamard(), vec![2]),
-            (Matrix::rotation_from_involution(&Matrix::pauli_z(), 0.3), vec![0]),
-            (Matrix::cnot(), vec![1, 3]),
-            (
-                Matrix::rotation_from_involution(
-                    &Matrix::pauli_y().kron(&Matrix::pauli_y()),
-                    0.7,
-                ),
-                vec![3, 0],
-            ),
-        ];
-        for (g, targets) in &gates {
-            let amps = rand_amps(5, 42);
-            let mut fast = amps.clone();
-            apply_matrix(&mut fast, 5, g, targets);
-            let mut slow = amps.clone();
-            apply_matrix_reference(&mut slow, 5, g, targets);
-            // Bit equality, not approximate: the fast paths are documented
-            // to perform the identical floating-point operations as the
-            // reference scan.
-            assert_eq!(fast, slow, "{targets:?}");
-        }
-    }
-
-    #[test]
-    fn reference_mode_switch_routes_and_restores() {
-        assert!(!reference_kernels_enabled());
-        set_reference_kernels(true);
-        assert!(reference_kernels_enabled());
-        let mut amps = rand_amps(3, 5);
-        let expected = {
-            let mut e = amps.clone();
-            apply_matrix_reference(&mut e, 3, &Matrix::hadamard(), &[1]);
-            e
-        };
-        apply_matrix(&mut amps, 3, &Matrix::hadamard(), &[1]);
-        set_reference_kernels(false);
-        assert_eq!(amps, expected);
-        assert!(!reference_kernels_enabled());
-    }
-
-    #[test]
-    fn non_unitary_operators_apply_fine() {
-        // Projector |0⟩⟨0| on qubit 1 of 2.
-        let p0 = Matrix::basis_projector(2, 0);
-        let mut amps = vec![C64::ONE.scale(0.5); 4];
-        apply_matrix(&mut amps, 2, &p0, &[1]);
-        // Amplitudes with q1=1 are killed.
-        assert_eq!(amps[1], C64::ZERO);
-        assert_eq!(amps[3], C64::ZERO);
-        assert!(amps[0].approx_eq(C64::real(0.5), 1e-15));
-    }
-
-    fn split(amps: &[C64]) -> (Vec<f64>, Vec<f64>) {
-        (amps.iter().map(|a| a.re).collect(), amps.iter().map(|a| a.im).collect())
-    }
-
-    fn assert_planes_eq(re: &[f64], im: &[f64], amps: &[C64], ctx: &str) {
-        assert_eq!(re.len(), amps.len(), "{ctx}");
-        for (i, a) in amps.iter().enumerate() {
-            assert_eq!(re[i].to_bits(), a.re.to_bits(), "{ctx} re[{i}]");
-            assert_eq!(im[i].to_bits(), a.im.to_bits(), "{ctx} im[{i}]");
-        }
-    }
-
-    /// Every plane kernel shape (dense 1q, real 1q, diagonal, controlled,
-    /// dense 2q, k = 3) against the AoS fast path, bit for bit.
-    #[test]
-    fn plane_kernels_match_aos_bitwise() {
-        let mut toffoli = Matrix::identity(8);
-        toffoli.set(6, 6, C64::ZERO);
-        toffoli.set(7, 7, C64::ZERO);
-        toffoli.set(6, 7, C64::ONE);
-        toffoli.set(7, 6, C64::ONE);
         let gates: Vec<(Matrix, Vec<usize>)> = vec![
             (Matrix::hadamard(), vec![2]),
             (Matrix::rotation_from_involution(&Matrix::pauli_y(), 0.9), vec![4]),
@@ -1519,16 +1122,9 @@ mod tests {
                 vec![3, 0],
             ),
             (Matrix::basis_projector(2, 0), vec![2]),
-            (toffoli, vec![4, 1, 3]),
+            (toffoli(), vec![4, 1, 3]),
         ];
-        for (g, targets) in &gates {
-            let amps = rand_amps(5, 42);
-            let mut aos = amps.clone();
-            apply_matrix(&mut aos, 5, g, targets);
-            let (mut re, mut im) = split(&amps);
-            apply_matrix_planes(&mut re, &mut im, 5, g, targets);
-            assert_planes_eq(&re, &im, &aos, &format!("{targets:?}"));
-        }
+        assert_fast_matches_reference(5, &gates, 42);
     }
 
     /// Same pin above the parallel threshold, exercising all three split
@@ -1536,7 +1132,7 @@ mod tests {
     /// and the 2q chunked path.
     #[test]
     #[cfg_attr(miri, ignore = "2^19 amplitudes: too large for the interpreter")]
-    fn plane_kernels_match_aos_bitwise_above_parallel_threshold() {
+    fn fast_kernels_match_reference_bitwise_above_parallel_threshold() {
         const N: usize = qdp_par::FORK_MIN_WORK.ilog2() as usize + 1;
         const { assert!(1 << N > qdp_par::FORK_MIN_WORK) };
         let n = N;
@@ -1553,29 +1149,31 @@ mod tests {
                 vec![1, n - 2],
             ),
         ];
-        for (g, targets) in &gates {
-            let amps = rand_amps(n, 7);
-            let mut aos = amps.clone();
-            apply_matrix(&mut aos, n, g, targets);
-            let (mut re, mut im) = split(&amps);
-            apply_matrix_planes(&mut re, &mut im, n, g, targets);
-            assert_planes_eq(&re, &im, &aos, &format!("{targets:?}"));
-        }
+        assert_fast_matches_reference(n, &gates, 7);
     }
 
     #[test]
-    fn plane_reference_mode_round_trips_through_aos_oracle() {
+    fn reference_mode_switch_routes_and_restores() {
+        assert!(!reference_kernels_enabled());
         let amps = rand_amps(4, 9);
-        let expected = {
-            let mut e = amps.clone();
-            apply_matrix_reference(&mut e, 4, &Matrix::hadamard(), &[1]);
-            e
-        };
-        let (mut re, mut im) = split(&amps);
+        let expected = reference(&amps, 4, &Matrix::hadamard(), &[1]);
         set_reference_kernels(true);
-        apply_matrix_planes(&mut re, &mut im, 4, &Matrix::hadamard(), &[1]);
+        assert!(reference_kernels_enabled());
+        let got = apply(&amps, 4, &Matrix::hadamard(), &[1]);
         set_reference_kernels(false);
-        assert_planes_eq(&re, &im, &expected, "reference mode");
+        assert_eq!(got, expected);
+        assert!(!reference_kernels_enabled());
+    }
+
+    #[test]
+    fn non_unitary_operators_apply_fine() {
+        // Projector |0⟩⟨0| on qubit 1 of 2.
+        let p0 = Matrix::basis_projector(2, 0);
+        let amps = apply(&[C64::ONE.scale(0.5); 4], 2, &p0, &[1]);
+        // Amplitudes with q1=1 are killed.
+        assert_eq!(amps[1], C64::ZERO);
+        assert_eq!(amps[3], C64::ZERO);
+        assert!(amps[0].approx_eq(C64::real(0.5), 1e-15));
     }
 
     #[test]
@@ -1608,15 +1206,16 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "duplicate target")]
-    fn duplicate_targets_panic() {
+    fn duplicate_targets_panic_on_reference() {
         let mut amps = vec![C64::ZERO; 4];
-        apply_matrix(&mut amps, 2, &Matrix::cnot(), &[0, 0]);
+        apply_matrix_reference(&mut amps, 2, &Matrix::cnot(), &[0, 0]);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_target_panics() {
-        let mut amps = vec![C64::ZERO; 2];
-        apply_matrix(&mut amps, 1, &Matrix::hadamard(), &[1]);
+        let mut re = vec![0.0; 2];
+        let mut im = vec![0.0; 2];
+        apply_matrix_planes(&mut re, &mut im, 1, &Matrix::hadamard(), &[1]);
     }
 }

@@ -6,7 +6,7 @@
 //! so probabilities ride along inside the partial density operators.
 
 use crate::density::DensityMatrix;
-use crate::kernels::{apply_matrix, apply_matrix_planes, local_index, qubit_bit};
+use crate::kernels::{apply_matrix_planes, apply_matrix_reference, local_index, qubit_bit};
 use crate::lanes;
 use crate::state::StateVector;
 use qdp_linalg::{C64, Matrix};
@@ -317,14 +317,14 @@ impl Measurement {
         probs.clear();
         probs.resize(self.num_outcomes(), 0.0);
         if !self.fast_computational() {
-            // One scratch buffer for all operators: each `Mm|ψ⟩` is the
-            // identical arithmetic `with_gate` performs, without building a
-            // `StateVector` per operator.
+            // One scratch buffer for all operators: each `Mm|ψ⟩` goes
+            // through the reference scan, which differs from `with_gate` at
+            // most in the sign of a zero — invisible to `|amp|²`.
             let mut scratch: Vec<C64> = Vec::with_capacity(amps.len());
             for (m, op) in self.operators.iter().enumerate() {
                 scratch.clear();
                 scratch.extend_from_slice(amps);
-                apply_matrix(&mut scratch, n_qubits, op, &self.targets);
+                apply_matrix_reference(&mut scratch, n_qubits, op, &self.targets);
                 probs[m] = lanes::sum_norm_sqr_aos(&scratch);
             }
             return;
@@ -474,10 +474,13 @@ impl Measurement {
         StateVector::from_planes(n, out_re, out_im)
     }
 
-    /// [`collapse_pure`](Self::collapse_pure) writing the collapsed
-    /// amplitudes straight onto the end of `out` — how the branch-weighted
-    /// batched executor fills an outcome sub-batch block without a
-    /// per-row `StateVector` round trip.
+    /// [`collapse_pure`](Self::collapse_pure) on an interleaved `C64` slice,
+    /// appending the collapsed amplitudes onto the end of `out` — the
+    /// retained **AoS oracle form** of
+    /// [`collapse_planes_into`](Self::collapse_planes_into). Computational
+    /// measurements take the same masked copy as the plane form (signed
+    /// zeros included); general operators go through the reference scan,
+    /// which agrees with the plane kernels up to the sign of zero.
     ///
     /// # Panics
     ///
@@ -493,11 +496,16 @@ impl Measurement {
         assert_eq!(amps.len(), 1usize << n_qubits, "amplitude slice length mismatch");
         if !self.fast_computational() {
             // Copy once onto the destination and apply the operator in
-            // place — the same arithmetic as `with_gate`, without the
-            // intermediate `StateVector` round trip.
+            // place through the reference scan: `with_gate`'s values, up to
+            // the sign of zero where the operator has zero entries.
             let start = out.len();
             out.extend_from_slice(amps);
-            apply_matrix(&mut out[start..], n_qubits, &self.operators[outcome], &self.targets);
+            apply_matrix_reference(
+                &mut out[start..],
+                n_qubits,
+                &self.operators[outcome],
+                &self.targets,
+            );
             return;
         }
         let (masks, k) = self.outcome_masks(n_qubits);
@@ -518,7 +526,8 @@ impl Measurement {
     /// `re`/`im` planes, appending the collapsed row to the destination
     /// planes — the form the split-plane engine calls. The masked copy is
     /// the identical arithmetic as the AoS oracle form (signed zeros
-    /// included), so the two layouts agree bit for bit.
+    /// included), so for computational measurements the two layouts agree
+    /// bit for bit; general operators agree up to the sign of zero.
     ///
     /// # Panics
     ///

@@ -9,7 +9,7 @@
 //! that condition.
 
 use crate::density::DensityMatrix;
-use crate::kernels::{apply_matrix, qubit_bit};
+use crate::kernels::{apply_matrix_reference, local_offsets, qubit_bit};
 use crate::state::StateVector;
 use qdp_linalg::{C64, HermitianEigen, Matrix, PauliString};
 
@@ -223,33 +223,24 @@ impl Observable {
         let mut bits: Vec<usize> = masks.iter().map(|m| m.trailing_zeros() as usize).collect();
         bits.sort_unstable();
 
-        let expand = |local: usize| -> usize {
-            let mut full = 0usize;
-            for (j, mask) in masks.iter().enumerate() {
-                if local & (1 << (k - 1 - j)) != 0 {
-                    full |= mask;
-                }
-            }
-            full
-        };
+        let offsets = local_offsets(&masks);
 
         // tr(O_lift · ρ) = Σ_{a,b} O[a][b] Σ_env ρ[(b,env),(a,env)], with the
         // 2^(n−k) environment indices enumerated directly by bit-deposit.
         let mut acc = C64::ZERO;
-        let data = rho.as_slice();
+        let (re, im) = rho.planes();
         let n_env = 1usize << (n - k);
-        for a in 0..(1usize << k) {
-            let fa = expand(a);
-            for b in 0..(1usize << k) {
+        for (a, &fa) in offsets.iter().enumerate() {
+            for (b, &fb) in offsets.iter().enumerate() {
                 let o_ab = self.matrix.get(a, b);
                 if o_ab == C64::ZERO {
                     continue;
                 }
-                let fb = expand(b);
                 let mut env_sum = C64::ZERO;
                 for e in 0..n_env {
                     let env = crate::kernels::deposit_zeros(e, &bits);
-                    env_sum += data[(fb | env) * dim + (fa | env)];
+                    let idx = (fb | env) * dim + (fa | env);
+                    env_sum += C64::new(re[idx], im[idx]);
                 }
                 acc = acc.mul_add(o_ab, env_sum);
             }
@@ -308,9 +299,13 @@ impl Observable {
         acc.re
     }
 
-    /// [`expectation_pure`](Self::expectation_pure) on a raw amplitude
-    /// slice — what batched evaluators call on the rows of a
-    /// [`crate::BatchedStates`] block without copying them out first.
+    /// [`expectation_pure`](Self::expectation_pure) on a raw interleaved
+    /// amplitude slice — the retained **AoS oracle form** the split-plane
+    /// read-outs are pinned against. Observables on more than two targets
+    /// apply `O` through the reference scan
+    /// ([`apply_matrix_reference`]); the scan differs from the plane
+    /// kernels at most in the sign of a zero entry, which the `+0.0`-seeded
+    /// `mul_add` fold below absorbs, so both forms return the same bits.
     ///
     /// # Panics
     ///
@@ -326,7 +321,7 @@ impl Observable {
             return self.expectation_small_k(amps, &off, &bits);
         }
         let mut transformed = amps.to_vec();
-        apply_matrix(&mut transformed, self.n_qubits, &self.matrix, &self.targets);
+        apply_matrix_reference(&mut transformed, self.n_qubits, &self.matrix, &self.targets);
         let acc = amps
             .iter()
             .zip(&transformed)

@@ -28,8 +28,9 @@
 //! `kernels.rs`), leading `0.0 +` flush terms included. No FMA contraction
 //! is performed (the `fma` target feature is enabled for the detection
 //! contract, but no `vfmadd` intrinsic is emitted) — results agree **bit
-//! for bit** with the scalar plane kernels and the AoS reference for every
-//! input.
+//! for bit** with the scalar plane kernels for every input, and hence with
+//! the reference scan (`kernels::apply_matrix_reference`) up to the sign of
+//! zero (see the `kernels` module docs).
 //!
 //! The one deliberate exception is the **cross-structured chain**
 //! (`Chain1q::Cross`): gates whose diagonal is real and whose off-diagonal

@@ -1,13 +1,15 @@
-//! Property tests for the fast-path gate kernels: on randomised operators,
-//! amplitudes, and scattered targets, every dispatch path of `apply_matrix`
-//! must agree with the slow `embed` lift (small n) and with the full-range
-//! reference kernel (up to n = 10) to 1e-12 — including the parallel splits,
-//! which are forced on by raising the `qdp-par` thread override.
+//! Property tests for the production gate kernels against the single
+//! kernel oracle: on randomised operators, amplitudes, and scattered
+//! targets, every dispatch path of `apply_matrix_planes` must agree with the
+//! slow `embed` lift (small n) and with the full-range reference scan
+//! `apply_matrix_reference` (up to n = 10) to 1e-12 — including the
+//! parallel splits, which are forced on by raising the `qdp-par` thread
+//! override — and density conjugation on the doubled register must match
+//! the dense matrix products.
 
 use qdp_linalg::{C64, CVector, Matrix};
-use qdp_sim::kernels::{
-    apply_matrix, apply_matrix_reference, embed, left_mul, right_mul, right_mul_transposed,
-};
+use qdp_sim::kernels::{apply_matrix_planes, apply_matrix_reference, embed, planes_to_aos};
+use qdp_sim::DensityMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -81,6 +83,15 @@ impl TestRng {
     }
 }
 
+/// `m` on `targets` through the production plane kernel, in place on
+/// interleaved amplitudes (split, apply, gather).
+fn apply_fast(amps: &mut [C64], n: usize, m: &Matrix, targets: &[usize]) {
+    let mut re: Vec<f64> = amps.iter().map(|a| a.re).collect();
+    let mut im: Vec<f64> = amps.iter().map(|a| a.im).collect();
+    apply_matrix_planes(&mut re, &mut im, n, m, targets);
+    amps.copy_from_slice(&planes_to_aos(&re, &im));
+}
+
 fn assert_close(fast: &[C64], slow: &[C64], what: &str) {
     for (i, (a, b)) in fast.iter().zip(slow).enumerate() {
         assert!(
@@ -102,7 +113,7 @@ fn random_operators_match_embed_small_n() {
 
                 let expected = embed(n, &m, &targets).mul_vec(&CVector::new(amps.clone()));
                 let mut fast = amps.clone();
-                apply_matrix(&mut fast, n, &m, &targets);
+                apply_fast(&mut fast, n, &m, &targets);
                 assert_close(
                     &fast,
                     expected.as_slice(),
@@ -126,7 +137,7 @@ fn random_operators_match_reference_up_to_n10() {
                 let mut slow = amps.clone();
                 apply_matrix_reference(&mut slow, n, &m, &targets);
                 let mut fast = amps.clone();
-                apply_matrix(&mut fast, n, &m, &targets);
+                apply_fast(&mut fast, n, &m, &targets);
                 assert_close(
                     &fast,
                     &slow,
@@ -148,7 +159,7 @@ fn specialised_shapes_match_reference() {
         let t = rng.targets(n, 1);
         let m = rng.real_dense(2);
         let mut fast = amps.clone();
-        apply_matrix(&mut fast, n, &m, &t);
+        apply_fast(&mut fast, n, &m, &t);
         let mut slow = amps.clone();
         apply_matrix_reference(&mut slow, n, &m, &t);
         assert_close(&fast, &slow, &format!("real-2x2 rep={rep} t={t:?}"));
@@ -158,7 +169,7 @@ fn specialised_shapes_match_reference() {
             let t = rng.targets(n, k);
             let m = rng.diagonal(1 << k);
             let mut fast = amps.clone();
-            apply_matrix(&mut fast, n, &m, &t);
+            apply_fast(&mut fast, n, &m, &t);
             let mut slow = amps.clone();
             apply_matrix_reference(&mut slow, n, &m, &t);
             assert_close(&fast, &slow, &format!("diag-{k}q rep={rep} t={t:?}"));
@@ -169,7 +180,7 @@ fn specialised_shapes_match_reference() {
             let t = rng.targets(n, 2);
             let m = rng.block_diag(identity_top);
             let mut fast = amps.clone();
-            apply_matrix(&mut fast, n, &m, &t);
+            apply_fast(&mut fast, n, &m, &t);
             let mut slow = amps.clone();
             apply_matrix_reference(&mut slow, n, &m, &t);
             assert_close(
@@ -205,11 +216,11 @@ fn parallel_split_paths_are_bitwise_deterministic() {
     for (m, targets) in &cases {
         qdp_par::set_max_threads(1);
         let mut serial = amps.clone();
-        apply_matrix(&mut serial, n, m, targets);
+        apply_fast(&mut serial, n, m, targets);
 
         qdp_par::set_max_threads(8);
         let mut parallel = amps.clone();
-        apply_matrix(&mut parallel, n, m, targets);
+        apply_fast(&mut parallel, n, m, targets);
         qdp_par::set_max_threads(0); // restore auto-detection
 
         assert_eq!(
@@ -220,36 +231,40 @@ fn parallel_split_paths_are_bitwise_deterministic() {
 }
 
 #[test]
-fn density_left_right_mul_match_matrix_products() {
+fn density_conjugation_matches_matrix_products() {
+    // A density operator on `n` qubits is a plane pair over `2n` qubits:
+    // `m` on the row targets is `ρ ← m·ρ`, `mᵀ` on `targets + n` is
+    // `ρ ← ρ·m`, and `apply_conjugation` composes the two into `mρm†`.
     let mut rng = TestRng::new(5);
     for n in 1..=4usize {
         let dim = 1usize << n;
         for k in 1..=2usize.min(n) {
             let targets = rng.targets(n, k);
+            let columns: Vec<usize> = targets.iter().map(|&t| t + n).collect();
             let m = rng.dense(1 << k);
-            let flat = rng.amps(dim * dim);
-            let rho = Matrix::from_data(dim, dim, flat.clone());
+            let rho = Matrix::from_data(dim, dim, rng.amps(dim * dim));
             let lifted = embed(n, &m, &targets);
 
-            let mut left = flat.clone();
-            left_mul(&mut left, n, &m, &targets);
+            let mut left = rho.as_slice().to_vec();
+            apply_fast(&mut left, 2 * n, &m, &targets);
             assert!(
                 Matrix::from_data(dim, dim, left).approx_eq(&lifted.mul(&rho), 1e-12),
-                "left_mul n={n} targets={targets:?}"
+                "left n={n} targets={targets:?}"
             );
 
-            let mut right = flat.clone();
-            right_mul(&mut right, n, &m, &targets);
+            let mut right = rho.as_slice().to_vec();
+            apply_fast(&mut right, 2 * n, &m.transpose(), &columns);
             assert!(
                 Matrix::from_data(dim, dim, right).approx_eq(&rho.mul(&lifted), 1e-12),
-                "right_mul n={n} targets={targets:?}"
+                "right n={n} targets={targets:?}"
             );
 
-            let mut right_t = flat.clone();
-            right_mul_transposed(&mut right_t, n, &m.transpose(), &targets);
+            let mut conj = DensityMatrix::from_matrix(n, &rho);
+            conj.apply_conjugation(&m, &targets);
+            let expected = lifted.mul(&rho).mul(&lifted.dagger());
             assert!(
-                Matrix::from_data(dim, dim, right_t).approx_eq(&rho.mul(&lifted), 1e-12),
-                "right_mul_transposed n={n} targets={targets:?}"
+                conj.to_matrix().approx_eq(&expected, 1e-12),
+                "conjugation n={n} targets={targets:?}"
             );
         }
     }
