@@ -57,15 +57,24 @@
 //!    `Overloaded`, whatever the interleaving), plus a live phase of
 //!    4 × 64 sequential requests at `min_batch = 1` recording a p50/p99
 //!    request-latency proxy under concurrent serving.
+//! 9. `differentiate` — cold `GradientEngine::new` (every parameter's
+//!    compiled derivative multiset, built in one pass by
+//!    `transform::derivative_programs`) on the 14-qubit hardware-efficient
+//!    ansatz and on `P2`, against the paper's two-step route that the one
+//!    pass replaces — Fig. 4 `transform` to the additive program, then
+//!    Fig. 3 `compile` minus aborting programs — timed in the same run.
+//!    Both routes must yield identical multisets.
 //!
 //! Run with `scripts/bench_sim.sh` or
 //! `cargo run --release -p qdp-bench --bin bench_sim [output-path]`.
 
 use qdp_ad::estimator::{estimate_derivative, estimate_derivative_batched};
+use qdp_ad::transform::{fresh_ancilla, transform};
 use qdp_ad::{
     GradientEngine, GradientService, OverloadPolicy, RequestOptions, ServiceConfig,
 };
-use qdp_lang::ast::Params;
+use qdp_lang::ast::{Params, Stmt};
+use qdp_lang::compile;
 use qdp_linalg::{C64, Matrix, Pauli};
 use qdp_sim::kernels::{apply_matrix_planes, apply_matrix_reference, set_reference_kernels};
 use qdp_sim::simd::{self, SimdTier};
@@ -136,6 +145,44 @@ fn paired_ns(mut f: impl FnMut(bool)) -> (f64, f64) {
     first.sort_by(f64::total_cmp);
     second.sort_by(f64::total_cmp);
     (first[first.len() / 2], second[second.len() / 2])
+}
+
+/// The Fig. 4 + Fig. 3 oracle of `GradientEngine::new`: per parameter, the
+/// additive program `transform` builds, compiled, minus aborting programs.
+fn oracle_multisets(program: &Stmt) -> Vec<Vec<Stmt>> {
+    program
+        .parameters()
+        .iter()
+        .map(|param| {
+            let ancilla = fresh_ancilla(program, param);
+            let additive = transform(program, param, &ancilla).expect("fresh ancilla");
+            let mut compiled = compile::compile(&additive);
+            compiled.retain(|p| !p.essentially_aborts());
+            compiled
+        })
+        .collect()
+}
+
+/// Cold `GradientEngine::new` on `program` against [`oracle_multisets`]:
+/// checks the two agree, then returns `(engine_ns, oracle_ns)`.
+fn differentiate_ns(program: &Stmt) -> (f64, f64) {
+    let engine = GradientEngine::new(program).expect("differentiable");
+    let one_pass: Vec<Vec<Stmt>> = engine
+        .parameters()
+        .filter_map(|p| engine.differentiated(p))
+        .map(|d| d.compiled().to_vec())
+        .collect();
+    assert!(
+        one_pass == oracle_multisets(program),
+        "the one-pass derivative multisets must equal compile(transform(P))"
+    );
+    let engine_ns = time_ns(|| {
+        std::hint::black_box(GradientEngine::new(program).expect("differentiable"));
+    });
+    let oracle_ns = time_ns(|| {
+        std::hint::black_box(oracle_multisets(program));
+    });
+    (engine_ns, oracle_ns)
 }
 
 /// A random normalized `n`-qubit state (the micro-workload inputs — same
@@ -671,6 +718,14 @@ fn main() {
     let live_p50_ns = live_lat[live_total / 2];
     let live_p99_ns = live_lat[(live_total * 99) / 100];
 
+    // --- 9. differentiate: one pass vs the Fig. 4 + Fig. 3 oracle. --------
+    let hea14 = qdp_vqc::hamiltonian::hardware_efficient_ansatz(14, 2);
+    let hea14_params = hea14.parameters().len();
+    let (hea14_new_ns, hea14_oracle_ns) = differentiate_ns(&hea14);
+    let (p2_new_ns, p2_oracle_ns) = differentiate_ns(&p2_program);
+    let hea14_diff_speedup = hea14_oracle_ns / hea14_new_ns;
+    let p2_diff_speedup = p2_oracle_ns / p2_new_ns;
+
     let gate_speedup = gate_ref_ns / gate_fast_ns;
     let grad_speedup = grad_ref_ns / grad_fast_ns;
     let batch_speedup = batch_serial_ns / batch_fast_ns;
@@ -696,7 +751,7 @@ fn main() {
     let meas_micro_speedup_vs_pr7 = pr7_meas_micro_total_ns / meas_micro_total_ns;
 
     let json = format!(
-        "{{\n  \"bench\": \"sim\",\n  \"threads\": {},\n  \"gate_apply\": {{\n    \"workload\": \"16x10q batched seam, L2-resident, one gate per dispatch class (H dense-real, RX dense-complex, RZ diagonal, CNOT block-diagonal)\",\n    \"gate_h_ns\": {gate_h_ns:.1},\n    \"gate_rx_ns\": {gate_rx_ns:.1},\n    \"gate_rz_ns\": {gate_rz_ns:.1},\n    \"gate_cnot_ns\": {gate_cnot_ns:.1},\n    \"simd_tier\": \"{simd_tier:?}\",\n    \"gate_h_mask1_ns\": {gate_h_m1_ns:.1},\n    \"gate_rx_mask1_ns\": {gate_rx_m1_ns:.1},\n    \"gate_rz_mask1_ns\": {gate_rz_m1_ns:.1},\n    \"gate_cnot_mask1_ns\": {gate_cnot_m1_ns:.1},\n    \"gate_rxx_ns\": {gate_rxx_ns:.1},\n    \"scalar_gate_rx_ns\": {scalar_rx_ns:.1},\n    \"scalar_gate_rx_mask1_ns\": {scalar_rx_m1_ns:.1},\n    \"scalar_gate_cnot_mask1_ns\": {scalar_cnot_m1_ns:.1},\n    \"scalar_gate_rxx_ns\": {scalar_rxx_ns:.1},\n    \"simd_rx_speedup\": {simd_rx_speedup:.2},\n    \"simd_mask1_speedup\": {simd_mask1_speedup:.2},\n    \"simd_cnot_mask1_speedup\": {simd_cnot_mask1_speedup:.2},\n    \"simd_rxx_speedup\": {simd_rxx_speedup:.2},\n    \"total_ns\": {gate_total_ns:.1},\n    \"pr6_gate_h_ns\": {PR6_GATE_H_NS:.1},\n    \"pr6_gate_rx_ns\": {PR6_GATE_RX_NS:.1},\n    \"pr6_gate_rz_ns\": {PR6_GATE_RZ_NS:.1},\n    \"pr6_gate_cnot_ns\": {PR6_GATE_CNOT_NS:.1},\n    \"pr6_total_ns\": {pr6_gate_total_ns:.1},\n    \"speedup_vs_pr6\": {gate_apply_speedup:.2},\n    \"pr7_gate_h_ns\": {PR7_GATE_H_NS:.1},\n    \"pr7_gate_rx_ns\": {PR7_GATE_RX_NS:.1},\n    \"pr7_gate_rz_ns\": {PR7_GATE_RZ_NS:.1},\n    \"pr7_gate_cnot_ns\": {PR7_GATE_CNOT_NS:.1},\n    \"pr7_total_ns\": {pr7_gate_total_ns:.1},\n    \"speedup_vs_pr7\": {gate_apply_speedup_vs_pr7:.2},\n    \"seam_default_threads_ns\": {seam_default_ns:.1},\n    \"seam_1_thread_ns\": {seam_1t_ns:.1},\n    \"seam_thread_speed_ratio\": {seam_thread_ratio:.2}\n  }},\n  \"gate_apply_10q_density\": {{\n    \"gate\": \"H on row qubit 4\",\n    \"fast_ns\": {gate_fast_ns:.1},\n    \"reference_ns\": {gate_ref_ns:.1},\n    \"speedup\": {gate_speedup:.2}\n  }},\n  \"gradient_p1_24_params\": {{\n    \"workload\": \"GradientEngine::gradient_pure on P1\",\n    \"fast_ns\": {grad_fast_ns:.1},\n    \"reference_ns\": {grad_ref_ns:.1},\n    \"speedup\": {grad_speedup:.2}\n  }},\n  \"gradient_batch_16x\": {{\n    \"workload\": \"Trainer::loss_gradient on P1, {batch_size}-sample batch\",\n    \"batched_ns\": {batch_fast_ns:.1},\n    \"serial_loop_ns\": {batch_serial_ns:.1},\n    \"speedup\": {batch_speedup:.2}\n  }},\n  \"estimator_shots\": {{\n    \"workload\": \"shot-noise P1 gradient, {est_shots} shots x 24 params\",\n    \"batched_ns\": {shots_batched_ns:.1},\n    \"pr6_batched_ns\": {PR6_ESTIMATOR_SHOTS_BATCHED_NS:.1},\n    \"serial_loop_ns\": {shots_serial_ns:.1},\n    \"speedup\": {shots_speedup:.2}\n  }},\n  \"gradient_branching_batch\": {{\n    \"workload\": \"branch-weighted P2 gradient, {batch_size}-sample batch x {branch_params} params\",\n    \"batched_ns\": {branch_batched_ns:.1},\n    \"pr6_batched_ns\": {PR6_BRANCHING_BATCHED_NS:.1},\n    \"per_row_ns\": {branch_serial_ns:.1},\n    \"speedup\": {branch_speedup:.2}\n  }},\n  \"measurement_sweep\": {{\n    \"workload\": \"P2 branching gradient multisets ({branch_params} params, {batch_size}-row exact sweeps) + {meas_shots}-shot estimate, block vs per-row measurement\",\n    \"exact_block_ns\": {meas_block_ns:.1},\n    \"exact_per_row_ns\": {meas_per_row_ns:.1},\n    \"sampled_block_ns\": {meas_sampled_block_ns:.1},\n    \"sampled_serial_ns\": {meas_sampled_serial_ns:.1},\n    \"sampled_speedup\": {meas_sampled_speedup:.2},\n    \"speedup\": {meas_speedup:.2},\n    \"block_probs_ns\": {block_probs_ns:.1},\n    \"block_collapse_ns\": {block_collapse_ns:.1},\n    \"micro_total_ns\": {meas_micro_total_ns:.1},\n    \"pr6_block_probs_ns\": {PR6_BLOCK_PROBS_NS:.1},\n    \"pr6_block_collapse_ns\": {PR6_BLOCK_COLLAPSE_NS:.1},\n    \"pr6_micro_total_ns\": {pr6_meas_micro_total_ns:.1},\n    \"micro_speedup_vs_pr6\": {meas_micro_speedup:.2},\n    \"pr7_block_probs_ns\": {PR7_BLOCK_PROBS_NS:.1},\n    \"pr7_block_collapse_ns\": {PR7_BLOCK_COLLAPSE_NS:.1},\n    \"pr7_micro_total_ns\": {pr7_meas_micro_total_ns:.1},\n    \"micro_speedup_vs_pr7\": {meas_micro_speedup_vs_pr7:.2}\n  }},\n  \"compile_cache\": {{\n    \"workload\": \"36-param P2 gradient, 1 input; fresh 36-multiset lowering vs interned warm path vs single-skeleton shift rule\",\n    \"lower_36_multisets_ns\": {lower_36_ns:.1},\n    \"gradient_cold_ns\": {grad_cold_ns:.1},\n    \"gradient_warm_ns\": {grad_warm_ns:.1},\n    \"warm_speedup_vs_cold\": {warm_speedup:.2},\n    \"gradient_shift_ns\": {grad_shift_ns:.1},\n    \"shift_lowered_programs\": {shift_lowered_programs},\n    \"shift_speedup_vs_warm\": {shift_speedup:.2}\n  }},\n  \"service_overload\": {{\n    \"workload\": \"{overload_clients} clients vs a max_pending={overload_bound} tenant (typed shedding), then {live_threads}x{live_per_thread} live requests at min_batch=1 (latency proxy)\",\n    \"queue_fill_clients\": {overload_clients},\n    \"max_pending\": {overload_bound},\n    \"shed\": {overload_shed},\n    \"served\": {overload_served},\n    \"shed_rate\": {overload_shed_rate:.3},\n    \"live_requests\": {live_total},\n    \"live_p50_ns\": {live_p50_ns:.1},\n    \"live_p99_ns\": {live_p99_ns:.1}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"sim\",\n  \"threads\": {},\n  \"gate_apply\": {{\n    \"workload\": \"16x10q batched seam, L2-resident, one gate per dispatch class (H dense-real, RX dense-complex, RZ diagonal, CNOT block-diagonal)\",\n    \"gate_h_ns\": {gate_h_ns:.1},\n    \"gate_rx_ns\": {gate_rx_ns:.1},\n    \"gate_rz_ns\": {gate_rz_ns:.1},\n    \"gate_cnot_ns\": {gate_cnot_ns:.1},\n    \"simd_tier\": \"{simd_tier:?}\",\n    \"gate_h_mask1_ns\": {gate_h_m1_ns:.1},\n    \"gate_rx_mask1_ns\": {gate_rx_m1_ns:.1},\n    \"gate_rz_mask1_ns\": {gate_rz_m1_ns:.1},\n    \"gate_cnot_mask1_ns\": {gate_cnot_m1_ns:.1},\n    \"gate_rxx_ns\": {gate_rxx_ns:.1},\n    \"scalar_gate_rx_ns\": {scalar_rx_ns:.1},\n    \"scalar_gate_rx_mask1_ns\": {scalar_rx_m1_ns:.1},\n    \"scalar_gate_cnot_mask1_ns\": {scalar_cnot_m1_ns:.1},\n    \"scalar_gate_rxx_ns\": {scalar_rxx_ns:.1},\n    \"simd_rx_speedup\": {simd_rx_speedup:.2},\n    \"simd_mask1_speedup\": {simd_mask1_speedup:.2},\n    \"simd_cnot_mask1_speedup\": {simd_cnot_mask1_speedup:.2},\n    \"simd_rxx_speedup\": {simd_rxx_speedup:.2},\n    \"total_ns\": {gate_total_ns:.1},\n    \"pr6_gate_h_ns\": {PR6_GATE_H_NS:.1},\n    \"pr6_gate_rx_ns\": {PR6_GATE_RX_NS:.1},\n    \"pr6_gate_rz_ns\": {PR6_GATE_RZ_NS:.1},\n    \"pr6_gate_cnot_ns\": {PR6_GATE_CNOT_NS:.1},\n    \"pr6_total_ns\": {pr6_gate_total_ns:.1},\n    \"speedup_vs_pr6\": {gate_apply_speedup:.2},\n    \"pr7_gate_h_ns\": {PR7_GATE_H_NS:.1},\n    \"pr7_gate_rx_ns\": {PR7_GATE_RX_NS:.1},\n    \"pr7_gate_rz_ns\": {PR7_GATE_RZ_NS:.1},\n    \"pr7_gate_cnot_ns\": {PR7_GATE_CNOT_NS:.1},\n    \"pr7_total_ns\": {pr7_gate_total_ns:.1},\n    \"speedup_vs_pr7\": {gate_apply_speedup_vs_pr7:.2},\n    \"seam_default_threads_ns\": {seam_default_ns:.1},\n    \"seam_1_thread_ns\": {seam_1t_ns:.1},\n    \"seam_thread_speed_ratio\": {seam_thread_ratio:.2}\n  }},\n  \"gate_apply_10q_density\": {{\n    \"gate\": \"H on row qubit 4\",\n    \"fast_ns\": {gate_fast_ns:.1},\n    \"reference_ns\": {gate_ref_ns:.1},\n    \"speedup\": {gate_speedup:.2}\n  }},\n  \"gradient_p1_24_params\": {{\n    \"workload\": \"GradientEngine::gradient_pure on P1\",\n    \"fast_ns\": {grad_fast_ns:.1},\n    \"reference_ns\": {grad_ref_ns:.1},\n    \"speedup\": {grad_speedup:.2}\n  }},\n  \"gradient_batch_16x\": {{\n    \"workload\": \"Trainer::loss_gradient on P1, {batch_size}-sample batch\",\n    \"batched_ns\": {batch_fast_ns:.1},\n    \"serial_loop_ns\": {batch_serial_ns:.1},\n    \"speedup\": {batch_speedup:.2}\n  }},\n  \"estimator_shots\": {{\n    \"workload\": \"shot-noise P1 gradient, {est_shots} shots x 24 params\",\n    \"batched_ns\": {shots_batched_ns:.1},\n    \"pr6_batched_ns\": {PR6_ESTIMATOR_SHOTS_BATCHED_NS:.1},\n    \"serial_loop_ns\": {shots_serial_ns:.1},\n    \"speedup\": {shots_speedup:.2}\n  }},\n  \"gradient_branching_batch\": {{\n    \"workload\": \"branch-weighted P2 gradient, {batch_size}-sample batch x {branch_params} params\",\n    \"batched_ns\": {branch_batched_ns:.1},\n    \"pr6_batched_ns\": {PR6_BRANCHING_BATCHED_NS:.1},\n    \"per_row_ns\": {branch_serial_ns:.1},\n    \"speedup\": {branch_speedup:.2}\n  }},\n  \"measurement_sweep\": {{\n    \"workload\": \"P2 branching gradient multisets ({branch_params} params, {batch_size}-row exact sweeps) + {meas_shots}-shot estimate, block vs per-row measurement\",\n    \"exact_block_ns\": {meas_block_ns:.1},\n    \"exact_per_row_ns\": {meas_per_row_ns:.1},\n    \"sampled_block_ns\": {meas_sampled_block_ns:.1},\n    \"sampled_serial_ns\": {meas_sampled_serial_ns:.1},\n    \"sampled_speedup\": {meas_sampled_speedup:.2},\n    \"speedup\": {meas_speedup:.2},\n    \"block_probs_ns\": {block_probs_ns:.1},\n    \"block_collapse_ns\": {block_collapse_ns:.1},\n    \"micro_total_ns\": {meas_micro_total_ns:.1},\n    \"pr6_block_probs_ns\": {PR6_BLOCK_PROBS_NS:.1},\n    \"pr6_block_collapse_ns\": {PR6_BLOCK_COLLAPSE_NS:.1},\n    \"pr6_micro_total_ns\": {pr6_meas_micro_total_ns:.1},\n    \"micro_speedup_vs_pr6\": {meas_micro_speedup:.2},\n    \"pr7_block_probs_ns\": {PR7_BLOCK_PROBS_NS:.1},\n    \"pr7_block_collapse_ns\": {PR7_BLOCK_COLLAPSE_NS:.1},\n    \"pr7_micro_total_ns\": {pr7_meas_micro_total_ns:.1},\n    \"micro_speedup_vs_pr7\": {meas_micro_speedup_vs_pr7:.2}\n  }},\n  \"compile_cache\": {{\n    \"workload\": \"36-param P2 gradient, 1 input; fresh 36-multiset lowering vs interned warm path vs single-skeleton shift rule\",\n    \"lower_36_multisets_ns\": {lower_36_ns:.1},\n    \"gradient_cold_ns\": {grad_cold_ns:.1},\n    \"gradient_warm_ns\": {grad_warm_ns:.1},\n    \"warm_speedup_vs_cold\": {warm_speedup:.2},\n    \"gradient_shift_ns\": {grad_shift_ns:.1},\n    \"shift_lowered_programs\": {shift_lowered_programs},\n    \"shift_speedup_vs_warm\": {shift_speedup:.2}\n  }},\n  \"service_overload\": {{\n    \"workload\": \"{overload_clients} clients vs a max_pending={overload_bound} tenant (typed shedding), then {live_threads}x{live_per_thread} live requests at min_batch=1 (latency proxy)\",\n    \"queue_fill_clients\": {overload_clients},\n    \"max_pending\": {overload_bound},\n    \"shed\": {overload_shed},\n    \"served\": {overload_served},\n    \"shed_rate\": {overload_shed_rate:.3},\n    \"live_requests\": {live_total},\n    \"live_p50_ns\": {live_p50_ns:.1},\n    \"live_p99_ns\": {live_p99_ns:.1}\n  }},\n  \"differentiate\": {{\n    \"workload\": \"cold GradientEngine::new (one-pass derivative_programs per parameter) vs the Fig. 4 transform + Fig. 3 compile oracle\",\n    \"hea14_params\": {hea14_params},\n    \"hea14_engine_new_ns\": {hea14_new_ns:.1},\n    \"hea14_oracle_ns\": {hea14_oracle_ns:.1},\n    \"hea14_speedup\": {hea14_diff_speedup:.2},\n    \"p2_engine_new_ns\": {p2_new_ns:.1},\n    \"p2_oracle_ns\": {p2_oracle_ns:.1},\n    \"p2_speedup\": {p2_diff_speedup:.2}\n  }}\n}}\n",
         qdp_par::max_threads(),
     );
     std::fs::write(&out_path, &json).expect("write benchmark record");
@@ -706,6 +761,11 @@ fn main() {
     // Guard against catastrophic regressions only: shared CI runners are
     // noisy and the medians come from five samples, so leave headroom
     // before failing the job.
+    assert!(
+        hea14_diff_speedup >= 10.0,
+        "one-pass differentiation must clearly beat compiling the quadratic \
+         Fig. 4 sum on the 14-qubit ansatz (got {hea14_diff_speedup:.2}x)"
+    );
     assert!(
         gate_speedup >= 0.8 && grad_speedup >= 0.8,
         "fast paths regressed well below the reference implementation \

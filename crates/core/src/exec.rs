@@ -2,21 +2,25 @@
 //!
 //! For a program `P(θ)` and one parameter `θj`:
 //!
-//! 1. apply the code transformation to get the additive `∂/∂θj(P(θ))`
-//!    ([`crate::transform`]),
-//! 2. compile it into the multiset `{|P′i(θ)|}` of normal, non-aborting
-//!    programs ([`qdp_lang::compile`]) — both steps happen at *compile time*,
-//! 3. at run time, evaluate `Σi tr((ZA⊗O)·[[P′i]](|0⟩A⟨0| ⊗ ρ))` (Eq. 7.1).
+//! 1. at *compile time*, build the multiset `{|P′i(θ)|}` of normal,
+//!    non-aborting derivative programs in one pass
+//!    ([`crate::transform::derivative_programs`]). The paper reaches it in
+//!    two steps — the code transformation to the additive `∂/∂θj(P(θ))`
+//!    ([`crate::transform::transform`], Fig. 4), then compilation
+//!    ([`qdp_lang::compile`], Fig. 3) — and those two steps are the one-pass
+//!    builder's oracle; the additive program, `Θ(n²)` statements for an
+//!    `n`-statement sequence, is never built,
+//! 2. at run time, evaluate `Σi tr((ZA⊗O)·[[P′i]](|0⟩A⟨0| ⊗ ρ))` (Eq. 7.1).
 //!
-//! [`Differentiated`] packages steps 1–2; [`GradientEngine`] caches one
+//! [`Differentiated`] packages step 1; [`GradientEngine`] caches one
 //! `Differentiated` per parameter and evaluates whole gradients.
 
 use crate::cache::{CompiledSkeleton, ProgramCache};
 use crate::lowered::LoweredSet;
 use crate::semantics::observable_semantics;
-use crate::transform::{fresh_ancilla, transform, TransformError};
+use crate::transform::{derivative_programs, fresh_ancilla, TransformError};
 use qdp_lang::ast::{Params, Stmt, Var};
-use qdp_lang::{compile, denot, Register};
+use qdp_lang::{denot, Register};
 use qdp_sim::{BatchedStates, DensityMatrix, Observable, StateVector};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -72,14 +76,13 @@ fn contain<R>(f: impl FnOnce() -> R) -> Result<R, qdp_sim::QdpError> {
 pub struct Differentiated {
     param: String,
     ancilla: Var,
-    additive: Stmt,
     compiled: Vec<Stmt>,
     base_register: Register,
     ext_register: Register,
 }
 
-/// Differentiates `program` with respect to `param`: transformation plus
-/// compilation (the paper's compile-time phase).
+/// Differentiates `program` with respect to `param`: the compiled
+/// derivative multiset (the paper's compile-time phase).
 ///
 /// # Errors
 ///
@@ -116,16 +119,11 @@ pub fn differentiate_in(
     while base_register.contains(&ancilla) {
         ancilla = Var::new(format!("{}'", ancilla.name()));
     }
-    let additive = transform(program, param, &ancilla)?;
-    let compiled: Vec<Stmt> = compile::compile(&additive)
-        .into_iter()
-        .filter(|p| !p.essentially_aborts())
-        .collect();
+    let compiled = derivative_programs(program, param, &ancilla)?;
     let ext_register = base_register.with_ancilla_front(ancilla.clone());
     Ok(Differentiated {
         param: param.to_string(),
         ancilla,
-        additive,
         compiled,
         base_register: base_register.clone(),
         ext_register,
@@ -198,11 +196,6 @@ impl Differentiated {
     /// The ancilla variable `A` introduced by the transformation.
     pub fn ancilla(&self) -> &Var {
         &self.ancilla
-    }
-
-    /// The additive program `∂/∂θj(P(θ))` before compilation.
-    pub fn additive(&self) -> &Stmt {
-        &self.additive
     }
 
     /// The compiled multiset of non-aborting normal programs — its length is
@@ -364,7 +357,7 @@ impl GradientEngine {
         let register = Register::from_program(program);
         let mut diffs = BTreeMap::new();
         for param in program.parameters() {
-            diffs.insert(param.clone(), differentiate(program, &param)?);
+            diffs.insert(param.clone(), differentiate_in(program, &param, &register)?);
         }
         Ok(GradientEngine {
             program: program.clone(),

@@ -4,12 +4,13 @@
 //! Programming Languages* (PLDI 2020), reproduced in Rust:
 //!
 //! * [`transform`] — the code-transformation rules `∂/∂θj(·)` of Fig. 4 with
-//!   the single-circuit `R′σ` gadgets (Definition 6.1),
+//!   the single-circuit `R′σ` gadgets (Definition 6.1), and the one-pass
+//!   builder of their compiled, non-aborting derivative programs,
 //! * [`semantics`] — observable semantics, semantics with ancilla, and
 //!   differential semantics (Definitions 5.1–5.3),
 //! * [`logic`] — the differentiation logic `S′(θ)|S(θ)` of Fig. 5 as
 //!   derivation trees with a proof checker (Theorem 6.2),
-//! * [`exec`] — the transform → compile → evaluate pipeline and a cached
+//! * [`exec`] — the differentiate → evaluate pipeline and a cached
 //!   [`GradientEngine`],
 //! * [`resource`] — occurrence counts and `|#∂/∂θj(P)|` (Definitions 7.1 and
 //!   4.3, Proposition 7.2),

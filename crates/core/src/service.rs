@@ -474,7 +474,7 @@ impl GradientService {
         {
             return Ok(ProgramHandle { tenant: Arc::clone(t) });
         }
-        // Engine construction (per-parameter transform + compile) runs
+        // Engine construction (per-parameter derivative programs) runs
         // outside the registry lock; a racing duplicate is resolved on
         // re-entry below.
         let engine = Arc::new(GradientEngine::new(program)?);

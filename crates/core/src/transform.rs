@@ -18,8 +18,16 @@
 //! The gadget `R′σ(θ) ≡ A *= H; A,q *= C_Rσ(θ); A *= H` (Definition 6.1)
 //! replaces the two-circuit phase-shift rule with a *single* circuit using
 //! one control ancilla — the paper's key construction.
+//!
+//! The engine never builds the additive program. [`derivative_programs`]
+//! goes from `S(θ)` straight to `compile(∂/∂θj(S(θ)))` minus its aborting
+//! programs (Fig. 3) in one pass, so transformation and compilation are one
+//! step whose cost tracks the `≤ OC_j` programs it returns. [`transform`]
+//! followed by [`qdp_lang::compile::compile`] is that pass's oracle; it also
+//! backs the logic of Fig. 5 ([`crate::logic`]) and `qdpc transform`.
 
 use qdp_lang::ast::{Angle, Gate, Stmt, Var};
+use qdp_lang::compile;
 use std::fmt;
 
 /// Error raised by the code transformation.
@@ -179,6 +187,172 @@ fn transform_inner(stmt: &Stmt, param: &str, ancilla: &Var) -> Result<Stmt, Tran
             Box::new(transform_inner(s1, param, ancilla)?),
             Box::new(transform_inner(s2, param, ancilla)?),
         )),
+    }
+}
+
+/// The non-aborting derivative programs of `stmt` with respect to `param`,
+/// built in one pass: exactly `compile(transform(stmt, param, ancilla))`
+/// minus its essentially-aborting programs, the same programs in the same
+/// order, without ever building the additive program.
+///
+/// Fig. 4's Sequence rule copies the rest of the program into every summand,
+/// so the additive program of an `n`-statement sequence has `Θ(n²)`
+/// statements, nearly all of which compile to `{|abort|}`. This pass follows
+/// Fig. 3 rule by rule but only builds the summands that survive, so its
+/// cost tracks its output: at most `OC_j(stmt)` programs (Proposition 7.2).
+/// [`transform`] followed by [`qdp_lang::compile::compile`] is its oracle.
+///
+/// # Errors
+///
+/// Returns [`TransformError`] when the ancilla collides with a program
+/// variable.
+///
+/// # Examples
+///
+/// ```
+/// use qdp_ad::transform::{derivative_programs, fresh_ancilla, transform};
+/// use qdp_lang::{compile, parse_program};
+///
+/// let p = parse_program("q1 *= RX(t); q1 *= H; q1 *= RY(t)")?;
+/// let a = fresh_ancilla(&p, "t");
+/// let programs = derivative_programs(&p, "t", &a)?;
+/// let oracle: Vec<_> = compile::compile(&transform(&p, "t", &a)?)
+///     .into_iter()
+///     .filter(|q| !q.essentially_aborts())
+///     .collect();
+/// assert_eq!(programs, oracle);
+/// assert_eq!(programs.len(), 2); // one per occurrence of t
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub fn derivative_programs(
+    stmt: &Stmt,
+    param: &str,
+    ancilla: &Var,
+) -> Result<Vec<Stmt>, TransformError> {
+    if stmt.qvar().contains(ancilla) {
+        return Err(TransformError::AncillaCollision {
+            ancilla: ancilla.clone(),
+        });
+    }
+    derivative_programs_inner(stmt, param, ancilla)
+}
+
+/// `compile(transform_inner(stmt))` minus aborts, by structural recursion.
+fn derivative_programs_inner(
+    stmt: &Stmt,
+    param: &str,
+    ancilla: &Var,
+) -> Result<Vec<Stmt>, TransformError> {
+    Ok(match stmt {
+        // (Trivial), (Trivial-U): `abort` compiles to `{|abort|}`.
+        Stmt::Abort { .. } | Stmt::Skip { .. } | Stmt::Init { .. } => Vec::new(),
+        Stmt::Unitary { gate, .. } if !gate.uses_param(param) => Vec::new(),
+        // Rotation rules: the gadget is normal and never aborts.
+        Stmt::Unitary { .. } => vec![transform_inner(stmt, param, ancilla)?],
+
+        // (Sequence), then Fig. 3's Sum and Seq rules: the products
+        // `live(S1) × D(S2)` and `D(S1) × live(S2)`, where `D` is this
+        // function. `live` is only computed when the other factor is
+        // non-empty; otherwise the summand compiles to abort.
+        Stmt::Seq(s1, s2) => {
+            let d1 = derivative_programs_inner(s1, param, ancilla)?;
+            let d2 = derivative_programs_inner(s2, param, ancilla)?;
+            let mut out = if d2.is_empty() {
+                Vec::new()
+            } else {
+                seq_product(live(s1), d2)
+            };
+            if !d1.is_empty() {
+                out.extend(seq_product(d1, live(s2)));
+            }
+            out
+        }
+
+        // (Case) with every arm transforming to a normal program: the
+        // transformed case is normal itself, and Fig. 3 keeps it whole (its
+        // arms padded with their own `abort_ext`) instead of breaking it.
+        Stmt::Case { arms, .. } if arms.iter().all(transforms_to_normal) => {
+            let whole = transform_inner(stmt, param, ancilla)?;
+            if whole.essentially_aborts() {
+                Vec::new()
+            } else {
+                vec![whole]
+            }
+        }
+
+        // (Case) otherwise: fill-and-break (Fig. 3b) over the arms'
+        // derivative programs, padded with `abort[v ∪ {A}]`.
+        Stmt::Case { qs, arms } => {
+            let mut columns = arms
+                .iter()
+                .map(|arm| derivative_programs_inner(arm, param, ancilla).map(Vec::into_iter))
+                .collect::<Result<Vec<_>, _>>()?;
+            let width = columns
+                .iter()
+                .map(ExactSizeIterator::len)
+                .max()
+                .unwrap_or(0);
+            let pad = abort_ext(stmt, ancilla);
+            (0..width)
+                .map(|_| Stmt::Case {
+                    qs: qs.clone(),
+                    arms: columns
+                        .iter_mut()
+                        .map(|column| column.next().unwrap_or_else(|| pad.clone()))
+                        .collect(),
+                })
+                .collect()
+        }
+
+        // (While): the unfolding, as in `transform`.
+        Stmt::While { .. } => derivative_programs_inner(&stmt.unfold_while_once(), param, ancilla)?,
+
+        // (S-C), then Fig. 3's Sum rule.
+        Stmt::Sum(s1, s2) => {
+            let mut out = derivative_programs_inner(s1, param, ancilla)?;
+            out.extend(derivative_programs_inner(s2, param, ancilla)?);
+            out
+        }
+    })
+}
+
+/// `compile(stmt)` minus its essentially-aborting programs: the untouched
+/// factor of a Sequence-rule summand.
+fn live(stmt: &Stmt) -> Vec<Stmt> {
+    let mut programs = compile::compile(stmt);
+    programs.retain(|p| !p.essentially_aborts());
+    programs
+}
+
+/// `[a; b | a ∈ left, b ∈ right]` in Fig. 3's (left-major) order. The last
+/// row moves `right`'s programs instead of cloning them.
+fn seq_product(mut left: Vec<Stmt>, right: Vec<Stmt>) -> Vec<Stmt> {
+    let mut out = Vec::with_capacity(left.len() * right.len());
+    let Some(last) = left.pop() else {
+        return out;
+    };
+    for a in left {
+        out.extend(
+            right
+                .iter()
+                .map(|b| Stmt::Seq(Box::new(a.clone()), Box::new(b.clone()))),
+        );
+    }
+    out.extend(
+        right
+            .into_iter()
+            .map(|b| Stmt::Seq(Box::new(last.clone()), Box::new(b))),
+    );
+    out
+}
+
+/// Whether `transform_inner(stmt)` is a normal program: exactly when `stmt`
+/// contains no `;`, `while` or `+`.
+fn transforms_to_normal(stmt: &Stmt) -> bool {
+    match stmt {
+        Stmt::Seq(..) | Stmt::While { .. } | Stmt::Sum(..) => false,
+        Stmt::Case { arms, .. } => arms.iter().all(transforms_to_normal),
+        Stmt::Abort { .. } | Stmt::Skip { .. } | Stmt::Init { .. } | Stmt::Unitary { .. } => true,
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use qdpl::ad::{differentiate, semantics};
+use qdpl::ad::{differentiate, semantics, transform};
 use qdpl::lang::ast::Params;
 use qdpl::lang::{parse_program, pretty, Register};
 use qdpl::sim::{DensityMatrix, Observable};
@@ -13,12 +13,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = parse_program(src)?;
     println!("program P(t):\n{}\n", pretty::to_source(&program));
 
-    // 2. Differentiate it with respect to `t` (Fig. 4 code transformation,
-    //    then Fig. 3 compilation).
+    // 2. Differentiate it with respect to `t`. The engine builds the
+    //    compiled multiset in one pass; the paper's route to it is the
+    //    Fig. 4 code transformation, then Fig. 3 compilation.
     let diff = differentiate(&program, "t")?;
     println!(
         "additive derivative ∂/∂t(P):\n{}\n",
-        pretty::to_source(diff.additive())
+        pretty::to_source(&transform(&program, diff.param(), diff.ancilla())?)
     );
     println!("compiles to {} normal programs:", diff.compiled().len());
     for (i, p) in diff.compiled().iter().enumerate() {

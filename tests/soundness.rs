@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use qdpl::ad::{differentiate, occurrence_count, semantics};
+use qdpl::ad::{differentiate, occurrence_count, semantics, transform};
 use qdpl::lang::ast::{Params, Stmt, Var};
 use qdpl::lang::{compile, op_sem, parse_program, pretty, wf, Register};
 use qdpl::linalg::Pauli;
@@ -151,7 +151,7 @@ fn proposition_4_2_compile_preserves_traces() {
     for case in 0..CASES {
         let p = wf_program(2000 + case as u64);
         let diff = differentiate(&p, "a").expect("differentiable fragment");
-        let additive = diff.additive();
+        let additive = &transform(&p, diff.param(), diff.ancilla()).expect("fresh ancilla");
         let reg = diff.ext_register().clone();
         let params = Params::from_pairs([("a", 0.9), ("b", -0.2)]);
         let rho = fixed_input().prepend_zero_ancilla();
@@ -213,7 +213,8 @@ fn compiled_derivatives_are_normal() {
     for case in 0..CASES {
         let p = wf_program(5000 + case as u64);
         let diff = differentiate(&p, "a").expect("differentiable");
-        let compiled = compile::compile(diff.additive());
+        let additive = transform(&p, diff.param(), diff.ancilla()).expect("fresh ancilla");
+        let compiled = compile::compile(&additive);
         assert!(compile::invariant_holds(&compiled), "case {case}");
         assert!(compiled.iter().all(Stmt::is_normal), "case {case}");
     }
