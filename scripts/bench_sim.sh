@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Regenerates BENCH_sim.json — the simulator's perf-trajectory record
-# (gate-apply and gradient wall-times, fast kernels vs the retained
-# reference implementation). Run from the repo root.
+# Regenerates BENCH_sim.json — the simulator's same-run perf gate: each
+# section times a production path against its retained baseline in the
+# same process, at one thread and at all threads, and the run fails when
+# a guarded ratio drops below its floor. Usage: bench_sim.sh [output-path]
 set -euo pipefail
 cd "$(dirname "$0")/.."
-cargo run --release -p qdp-bench --bin bench_sim -- "${1:-BENCH_sim.json}"
+cargo run --release --offline -p qdp-bench --bin bench_sim -- "${1:-BENCH_sim.json}"
