@@ -37,6 +37,7 @@ use qdp_sim::{
 };
 use qdp_vqc::baseline::PhaseShift;
 use qdp_vqc::circuits::{p1, p2};
+use qdp_vqc::hamiltonian::hardware_efficient_ansatz;
 use qdp_vqc::loss::{Loss, SquaredLoss};
 use qdp_vqc::task;
 use qdp_vqc::train::Trainer;
@@ -361,7 +362,7 @@ fn seam_states() -> Vec<StateVector> {
 type Section = fn(&Fixture, &mut Guards) -> Fields;
 
 /// Every section, in record order.
-const SECTIONS: [(&str, Section); 14] = [
+const SECTIONS: [(&str, Section); 15] = [
     ("gate_apply", gate_apply),
     ("simd", simd_tiers),
     ("gate_apply_10q_density", gate_apply_10q_density),
@@ -371,6 +372,7 @@ const SECTIONS: [(&str, Section); 14] = [
     ("gradient_batch_16x", gradient_batch),
     ("estimator_shots", estimator_shots),
     ("gradient_branching_batch", gradient_branching_batch),
+    ("shared_sweep", shared_sweep),
     ("measurement_sweep", measurement_sweep),
     ("block_measurement", block_measurement),
     ("compile_cache", compile_cache),
@@ -715,6 +717,82 @@ fn gradient_branching_batch(fx: &Fixture, g: &mut Guards) -> Fields {
         "per_row_ns" => ns(per_row_ns),
         "speedup" => ratio(speedup),
     ]
+}
+
+/// The exact batched gradient as one shared sweep: `gradient_pure_batch`
+/// runs every parameter's derivative programs as one prefix trie, against
+/// the per-parameter sweeps it replaced (each parameter's
+/// `derivative_pure_batch`, the parameters fanned out across `qdp_par`).
+/// On `P2` over the 16-sample dataset and on `hardware_efficient_ansatz(6,
+/// 2)` over 16 random 6-qubit states; the two agree bit for bit.
+fn shared_sweep(fx: &Fixture, g: &mut Guards) -> Fields {
+    let hea = Circuit::new(hardware_efficient_ansatz(6, 2));
+    let hea_inputs: Vec<StateVector> = (1..=16).map(|s| random_state(6, s)).collect();
+    let hea_obs = Observable::pauli_z(6, 0);
+    let mut out = Fields::new();
+    for (label, circuit, obs, inputs, floor) in [
+        // 10 runs, 1 / 2 threads: 1.97–2.20 / 1.59–2.27.
+        ("p2", &fx.p2, &fx.obs, fx.inputs(), 1.2),
+        // 10 runs, 1 / 2 threads: 1.46–1.59 / 1.23–1.43. Straight-line
+        // programs share less (744 trie ops against 1260), and at two
+        // threads the trie's row tiles gain little on this host.
+        ("hea_6_2", &hea, &hea_obs, hea_inputs, 0.9),
+    ] {
+        let batch = BatchedStates::from_states(&inputs);
+        let names: Vec<&str> = circuit.engine.parameters().collect();
+        let shared = || {
+            circuit
+                .engine
+                .gradient_pure_batch(&circuit.params, obs, &batch)
+        };
+        let per_param = || {
+            qdp_par::par_map(&names, |name| {
+                let diff = circuit
+                    .engine
+                    .differentiated(name)
+                    .expect("known parameter");
+                diff.derivative_pure_batch(&circuit.params, obs, &batch)
+            })
+        };
+        let shared_rows = shared();
+        for (j, column) in per_param().iter().enumerate() {
+            for (row, v) in shared_rows.iter().zip(column) {
+                assert_eq!(
+                    row[names[j]].to_bits(),
+                    v.to_bits(),
+                    "{label}: shared sweep moved bits"
+                );
+            }
+        }
+        let (shared_ns, per_param_ns) = paired_ns(|is_shared| {
+            if is_shared {
+                black_box(shared());
+            } else {
+                black_box(per_param());
+            }
+        });
+        let speedup = per_param_ns / shared_ns;
+        g.at_least(
+            &format!("{label} shared sweep vs per-parameter sweeps"),
+            speedup,
+            floor,
+        );
+        out.push((
+            label.to_string(),
+            Value::Obj(fields![
+                "workload" => format!(
+                    "exact gradient, {}-row batch x {} params: one trie sweep ({} ops) vs per-parameter sweeps",
+                    inputs.len(),
+                    names.len(),
+                    circuit.engine.shared_sweep().op_count()
+                ),
+                "shared_ns" => ns(shared_ns),
+                "per_param_ns" => ns(per_param_ns),
+                "speedup" => ratio(speedup),
+            ]),
+        ));
+    }
+    out
 }
 
 /// Every `P2` derivative multiset (each program branches at the

@@ -16,7 +16,7 @@
 //! `Differentiated` per parameter and evaluates whole gradients.
 
 use crate::cache::{CompiledSkeleton, ProgramCache};
-use crate::lowered::LoweredSet;
+use crate::lowered::{LoweredSet, SharedSweep};
 use crate::semantics::observable_semantics;
 use crate::transform::{derivative_programs, fresh_ancilla, TransformError};
 use qdp_lang::ast::{Params, Stmt, Var};
@@ -345,6 +345,10 @@ pub struct GradientEngine {
     /// is cheap derived indexing, not a compilation: the lowerings it
     /// indexes into live in the process-wide [`ProgramCache`].
     slot_remaps: std::sync::OnceLock<BTreeMap<String, Vec<usize>>>,
+    /// Every parameter's derivative programs merged into one prefix trie,
+    /// the sweep behind [`gradient_pure_batch`](Self::gradient_pure_batch).
+    /// Built on the first exact batched gradient, never at set-up.
+    shared_sweep: std::sync::OnceLock<SharedSweep>,
 }
 
 impl GradientEngine {
@@ -364,6 +368,7 @@ impl GradientEngine {
             register,
             diffs,
             slot_remaps: std::sync::OnceLock::new(),
+            shared_sweep: std::sync::OnceLock::new(),
         })
     }
 
@@ -378,28 +383,50 @@ impl GradientEngine {
     /// lowerings they index into) on first use.
     fn slot_remaps(&self) -> &BTreeMap<String, Vec<usize>> {
         self.slot_remaps.get_or_init(|| {
-            let canonical: Vec<&String> = self.diffs.keys().collect();
             self.diffs
                 .iter()
-                .map(|(name, diff)| {
-                    let remap = diff
-                        .skeleton()
-                        .lowered()
-                        .param_names()
-                        .iter()
-                        .map(|p| {
-                            // Infallible: every gadget parameter is a
-                            // parameter of the program it was derived from.
-                            #[allow(clippy::expect_used)]
-                            canonical
-                                .iter()
-                                .position(|c| *c == p)
-                                .expect("gadget parameters are program parameters")
-                        })
-                        .collect();
-                    (name.clone(), remap)
-                })
+                .map(|(name, diff)| (name.clone(), self.slot_remap(diff.skeleton().lowered())))
                 .collect()
+        })
+    }
+
+    /// The remap from a multiset's interned slots into the engine's
+    /// canonical parameter order (`diffs` key order).
+    fn slot_remap(&self, lowered: &LoweredSet) -> Vec<usize> {
+        lowered
+            .param_names()
+            .iter()
+            .map(|p| {
+                // Infallible: every gadget parameter is a parameter of the
+                // program it was derived from.
+                #[allow(clippy::expect_used)]
+                self.diffs
+                    .keys()
+                    .position(|c| c == p)
+                    .expect("gadget parameters are program parameters")
+            })
+            .collect()
+    }
+
+    /// Every parameter's derivative multiset as one prefix trie over the
+    /// lowered op streams (see [`SharedSweep`]), built on first use from
+    /// the interned lowerings.
+    pub fn shared_sweep(&self) -> &SharedSweep {
+        self.shared_sweep.get_or_init(|| {
+            let sets: Vec<(Arc<CompiledSkeleton>, Vec<usize>)> = self
+                .diffs
+                .values()
+                .map(|diff| {
+                    let skeleton = diff.skeleton();
+                    let remap = self.slot_remap(skeleton.lowered());
+                    (skeleton, remap)
+                })
+                .collect();
+            SharedSweep::build(
+                self.register.len() + 1,
+                sets.iter()
+                    .map(|(skeleton, remap)| (skeleton.lowered(), remap.as_slice())),
+            )
         })
     }
 
@@ -745,25 +772,27 @@ impl GradientEngine {
     }
 
     /// The full gradient for **every** row of a batch, keyed by parameter
-    /// name, in one pass over all `parameters × programs × rows` tiles.
+    /// name, in **one** sweep over every parameter's derivative programs.
     ///
-    /// Shared setup (ancilla-extended observable and batch, canonical
-    /// valuation, slot remaps) happens once; per-parameter batch
-    /// evaluations then run in parallel, each splitting its own
-    /// `batch × programs` grid across `qdp_par` workers. Every entry
-    /// agrees with [`gradient_pure`](Self::gradient_pure) on that row to
-    /// numerical precision (≪ 1e-12; straight-line fusion reorders
-    /// rounding), and the batch result is bit-for-bit deterministic under
-    /// any thread count — `crates/core/tests/batch_equivalence.rs` is the
-    /// randomized oracle for both properties.
+    /// The programs run as one prefix trie ([`shared_sweep`](Self::shared_sweep),
+    /// built on the first call): the branch-weighted exact sweep executes
+    /// each shared prefix, measurement forks included, once for all the
+    /// programs that share it, and copies the batch only where programs
+    /// part. Each node's matrix is built once per call from the canonical
+    /// valuation. Programs share a node only where they run the same op on
+    /// the same data, so every entry carries the bits of the per-parameter
+    /// sweep, [`Differentiated::derivative_pure_batch`] (the named oracle,
+    /// pinned bitwise by `crates/core/tests/shared_sweep_oracle.rs`). It
+    /// agrees with [`gradient_pure`](Self::gradient_pure) on each row to
+    /// numerical precision (≪ 1e-12; fusion reorders rounding), and the
+    /// result is bit-for-bit the same under any thread count and batch
+    /// composition (`crates/core/tests/batch_equivalence.rs`).
     pub fn gradient_pure_batch(
         &self,
         params: &Params,
         obs: &Observable,
         states: &BatchedStates,
     ) -> Vec<BTreeMap<String, f64>> {
-        let ext_obs = obs.with_ancilla_z();
-        let ext_states = states.prepend_zero_ancilla();
         let canonical: Vec<f64> = self
             .diffs
             .keys()
@@ -773,25 +802,17 @@ impl GradientEngine {
                     .unwrap_or_else(|| panic!("parameter '{name}' has no value"))
             })
             .collect();
-        let slot_remaps = self.slot_remaps();
-        let entries: Vec<(&String, Arc<CompiledSkeleton>)> = self
-            .diffs
-            .iter()
-            .map(|(name, diff)| (name, diff.skeleton()))
-            .collect();
-        let per_param: Vec<Vec<f64>> = qdp_par::par_map(&entries, |(name, skeleton)| {
-            let remap = &slot_remaps[*name];
-            let values: Vec<f64> = remap.iter().map(|&i| canonical[i]).collect();
-            skeleton
-                .lowered()
-                .expectation_batch(&values, &ext_states, &ext_obs)
-        });
+        let per_param = self.shared_sweep().expectation_batch(
+            &canonical,
+            states.prepend_zero_ancilla(),
+            &obs.with_ancilla_z(),
+        );
         (0..states.len())
             .map(|r| {
-                entries
-                    .iter()
+                self.diffs
+                    .keys()
                     .zip(&per_param)
-                    .map(|((name, _), derivs)| ((*name).clone(), derivs[r]))
+                    .map(|(name, derivs)| (name.clone(), derivs[r]))
                     .collect()
             })
             .collect()
@@ -1128,6 +1149,35 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn set_up_leaves_the_shared_sweep_unbuilt_until_the_first_batched_gradient() {
+        let p = parse_program(
+            "q1 *= RX(a); case M[q1] = 0 -> q2 *= RY(b), 1 -> q2 *= RZ(a) end; q2 *= RY(b)",
+        )
+        .unwrap();
+        let engine = GradientEngine::new(&p).unwrap();
+        engine.forward_skeleton();
+        for name in engine.parameters() {
+            engine.differentiated(name).unwrap().skeleton();
+        }
+        assert!(
+            engine.shared_sweep.get().is_none(),
+            "set-up must not build the trie"
+        );
+
+        let params = Params::from_pairs([("a", 0.5), ("b", 1.4)]);
+        let obs = Observable::pauli_z(2, 1);
+        let batch = BatchedStates::from_states(&[StateVector::zero_state(2)]);
+        let first = engine.gradient_pure_batch(&params, &obs, &batch);
+        let built: *const SharedSweep = engine.shared_sweep.get().expect("built by the first call");
+        let second = engine.gradient_pure_batch(&params, &obs, &batch);
+        assert!(
+            std::ptr::eq(built, engine.shared_sweep.get().unwrap()),
+            "later calls reuse the trie the first call built"
+        );
+        assert_eq!(first, second);
     }
 
     #[test]

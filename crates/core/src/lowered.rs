@@ -23,19 +23,30 @@
 //! work: every gate matrix `Rσ(θ)` depends only on the valuation, not the
 //! state. [`LoweredSet::expectation_batch`] therefore resolves each program
 //! once per batch into a [`ResolvedProgram`] — slots substituted, every
-//! gate matrix built exactly once — and then fans the `batch × programs`
-//! tile grid out through `qdp_par::par_map`. Straight-line programs fuse
-//! commuting rotations and stream the whole batch per operator; branching
-//! programs convert to the [`qdp_sim::TrajProgram`] IR (the same lowered
-//! form the shot engine samples) and run the **branch-weighted exact
-//! sweep** [`qdp_sim::ShotEngine::expectation_sweep`] — all rows measured
-//! at once, the block forked into outcome-homogeneous sub-batches carrying
-//! branch weights, leaf read-outs summed per row. Tiles are reduced per
-//! row in multiset order, so results are bit-for-bit independent of the
-//! thread count; against the per-row oracle
-//! ([`ResolvedProgram::expectation_pure`]) they agree to numerical
-//! precision (≪ 1e-12 — fusion and leaf-summation order move rounding,
-//! nothing else).
+//! gate matrix built exactly once — and then fans the programs out through
+//! `qdp_par`. Straight-line programs fuse commuting rotations and stream
+//! the whole batch per operator; branching programs convert to the
+//! [`qdp_sim::TrajProgram`] IR (the same lowered form the shot engine
+//! samples) and run the **branch-weighted exact sweep**
+//! [`qdp_sim::ShotEngine::expectation_sweep`] — all rows measured at once,
+//! the block forked into outcome-homogeneous sub-batches carrying branch
+//! weights, leaf read-outs summed per row. Results are reduced per row in
+//! multiset order, so they are bit-for-bit independent of the thread
+//! count; against the per-row oracle ([`ResolvedProgram::expectation_pure`])
+//! they agree to numerical precision (≪ 1e-12 — fusion and
+//! leaf-summation order move rounding, nothing else).
+//!
+//! That is how forward values and single multisets run (and the
+//! per-parameter oracle `Differentiated::derivative_pure_batch`). An exact
+//! **gradient** has one multiset per parameter, and most of their programs
+//! are the forward program with one rotation swapped for its gadget. So
+//! [`SharedSweep`] merges every parameter's programs into one prefix trie
+//! over the lowered op streams, keyed on each op and the bits of its
+//! matrix (a table entry per canonical slot and offset for parameterised
+//! gates), and runs it as **one** branch-weighted sweep
+//! ([`qdp_sim::SweepTrie`]): each shared prefix, measurement forks
+//! included, runs once, and the batch is copied only where programs part.
+//! Every entry carries the bits of the per-multiset sweep by construction.
 
 use qdp_lang::ast::{Gate, Params, Stmt};
 use qdp_lang::Register;
@@ -353,6 +364,188 @@ impl LoweredProgram {
                 })
                 .collect(),
         }
+    }
+}
+
+/// One entry of a [`SharedSweep`]'s per-call matrix table: `gate` at the
+/// canonical slot's value plus `offset`, built exactly as
+/// [`LoweredProgram::resolve`] builds it.
+#[derive(Clone, Debug)]
+struct TableEntry {
+    gate: Gate,
+    slot: Option<usize>,
+    offset: f64,
+}
+
+/// Every parameter's lowered derivative multiset merged into **one**
+/// prefix trie ([`qdp_sim::SweepTrie`]) over canonical parameter slots:
+/// what `GradientEngine::gradient_pure_batch` sweeps once per call instead
+/// of one sweep per parameter.
+///
+/// Most derivative programs are the forward program with one rotation
+/// swapped for its gadget, so they share every op before it, measurements
+/// included. A gate keys on its matrix: a constant gate on the bits built
+/// at lowering time, a parameterised gate on its table entry, one per
+/// distinct (gate, canonical slot, offset bits). So two programs share a
+/// node only where they would run the same op on the same data, and every
+/// entry carries the bits of the per-parameter sweep
+/// ([`LoweredSet::expectation_batch`], the oracle
+/// `Differentiated::derivative_pure_batch` runs).
+#[derive(Clone, Debug)]
+pub struct SharedSweep {
+    trie: qdp_sim::SweepTrie,
+    table: Vec<TableEntry>,
+    /// Per parameter, its programs' trie columns, in multiset order.
+    spans: Vec<std::ops::Range<usize>>,
+    /// Size of the register every multiset was lowered against.
+    n_qubits: usize,
+}
+
+impl SharedSweep {
+    /// Merges the multisets `sets[j] = (lowered, remap)` of parameters
+    /// `j = 0, 1, …`, where `remap` maps the multiset's slots to canonical
+    /// slots, all lowered against one `n_qubits`-qubit register.
+    pub(crate) fn build<'s>(
+        n_qubits: usize,
+        sets: impl IntoIterator<Item = (&'s LoweredSet, &'s [usize])>,
+    ) -> Self {
+        let mut table = TableBuilder::default();
+        let mut spans = Vec::new();
+        let mut next = 0;
+        let programs = sets.into_iter().flat_map(|(set, remap)| {
+            spans.push(next..next + set.programs.len());
+            next += set.programs.len();
+            set.programs.iter().map(move |p| (p, remap))
+        });
+        let trie =
+            qdp_sim::SweepTrie::build(programs.map(|(p, remap)| table.trie_ops(&p.ops, remap)));
+        SharedSweep {
+            trie,
+            table: table.entries,
+            spans,
+            n_qubits,
+        }
+    }
+
+    /// Ops in the trie: what one shared sweep executes at most, against
+    /// the summed [`LoweredProgram::op_weight`] of the separate sweeps.
+    pub fn op_count(&self) -> usize {
+        self.trie.op_count()
+    }
+
+    /// `out[j][r]`: parameter `j`'s multiset expectation on row `r`, at the
+    /// canonical slot values `canonical` — the bits
+    /// [`LoweredSet::expectation_batch`] returns for that multiset, per
+    /// row summed over its programs in multiset order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the batch register does not match the register the
+    /// multisets were lowered against, or a worker tile panicked through
+    /// its retries.
+    pub(crate) fn expectation_batch(
+        &self,
+        canonical: &[f64],
+        states: BatchedStates,
+        obs: &Observable,
+    ) -> Vec<Vec<f64>> {
+        let rows = states.len();
+        if rows > 0 && self.trie.programs() > 0 {
+            assert_eq!(
+                states.num_qubits(),
+                self.n_qubits,
+                "batch register size must match the register the set was lowered against"
+            );
+        }
+        let matrices: Vec<Matrix> = self
+            .table
+            .iter()
+            .map(|e| {
+                e.gate
+                    .matrix_at(e.slot.map_or(0.0, |s| canonical[s]) + e.offset)
+            })
+            .collect();
+        let columns = self.trie.expectation_sweep(&matrices, states, obs);
+        self.spans
+            .iter()
+            .map(|span| {
+                let programs = &columns[span.clone()];
+                if programs.is_empty() {
+                    // An empty multiset denotes the zero map.
+                    return vec![0.0; rows];
+                }
+                (0..rows)
+                    .map(|r| programs.iter().map(|column| column[r]).sum())
+                    .collect()
+            })
+            .collect()
+    }
+}
+
+/// The per-call matrix table of a [`SharedSweep`] under construction,
+/// with its entries indexed by canonical slot.
+#[derive(Default)]
+struct TableBuilder {
+    entries: Vec<TableEntry>,
+    /// `by_slot[s]`: the entries at canonical slot `s`.
+    by_slot: Vec<Vec<usize>>,
+}
+
+impl TableBuilder {
+    /// A lowered op list as [`qdp_sim::TrieOp`]s borrowing from it:
+    /// constant matrices as they are, parameterised ones as their table
+    /// entry (added on first use).
+    fn trie_ops<'p>(&mut self, ops: &'p [Op], remap: &[usize]) -> Vec<qdp_sim::TrieOp<'p>> {
+        use qdp_sim::{TrieMatrix, TrieOp};
+        ops.iter()
+            .map(|op| match op {
+                Op::Abort => TrieOp::Abort,
+                Op::Gate {
+                    gate,
+                    slot,
+                    offset,
+                    targets,
+                    fixed,
+                } => TrieOp::Gate {
+                    matrix: match (slot, fixed) {
+                        (None, Some(matrix)) => TrieMatrix::Fixed(matrix),
+                        _ => TrieMatrix::Table(self.entry(gate, slot.map(|s| remap[s]), *offset)),
+                    },
+                    targets,
+                },
+                Op::Init { target, .. } => TrieOp::Init { target: *target },
+                Op::Case { meas, arms } => TrieOp::Case {
+                    meas,
+                    arms: arms
+                        .iter()
+                        .map(|arm| self.trie_ops(&arm.ops, remap))
+                        .collect(),
+                },
+            })
+            .collect()
+    }
+
+    /// The entry building `gate` at `slot` plus `offset`.
+    fn entry(&mut self, gate: &Gate, slot: Option<usize>, offset: f64) -> usize {
+        let key = slot.map_or(0, |s| s + 1);
+        if self.by_slot.len() <= key {
+            self.by_slot.resize(key + 1, Vec::new());
+        }
+        let entries = &self.entries;
+        let same = |&i: &usize| {
+            let e = &entries[i];
+            e.slot == slot && e.offset.to_bits() == offset.to_bits() && e.gate == *gate
+        };
+        if let Some(&i) = self.by_slot[key].iter().find(|i| same(i)) {
+            return i;
+        }
+        self.entries.push(TableEntry {
+            gate: gate.clone(),
+            slot,
+            offset,
+        });
+        self.by_slot[key].push(self.entries.len() - 1);
+        self.entries.len() - 1
     }
 }
 

@@ -70,5 +70,7 @@ pub use sampling::{
     chernoff_shots, collapse_with_draw, derive_seed, try_chernoff_shots, ProjectiveObservable,
     ShotSampler,
 };
-pub use shots::{ShotEngine, TrajProgram, TrajectoryRow, BRANCH_PRUNE, SHOT_TILE};
+pub use shots::{
+    ShotEngine, SweepTrie, TrajProgram, TrajectoryRow, TrieMatrix, TrieOp, BRANCH_PRUNE, SHOT_TILE,
+};
 pub use state::StateVector;

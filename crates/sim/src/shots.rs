@@ -26,6 +26,11 @@
 //!   original row. This is exact branch enumeration at batched-kernel
 //!   speed — the executor behind `qdp_ad`'s exact batched evaluation of
 //!   `case`/`init`/while-unrolled programs.
+//! * **Exact, prefix-shared**: [`SweepTrie::expectation_sweep`] runs many
+//!   programs merged into one prefix trie as a single exact sweep — each
+//!   shared prefix, forks included, once — and reads every program out
+//!   into its own column, with the bits of that program's own sweep. It
+//!   runs every derivative program of an exact gradient at once.
 //!
 //! Both modes share the straight-line machinery: gate segments stream as
 //! single batched kernel calls (with per-qubit 2×2 fusion of commuting
@@ -340,6 +345,27 @@ fn flush_all(states: &mut BatchedStates, pending: &mut [Option<[C64; 4]>], gate:
     }
 }
 
+/// Applies one gate to an exact group in fused form: a single-qubit gate
+/// joins its qubit's pending product; a multi-qubit gate flushes the
+/// pending products of its own targets, then runs as one batched kernel
+/// call.
+fn apply_fused(
+    group: &mut WeightedGroup,
+    matrix: &Matrix,
+    targets: &[usize],
+    flush_gate: &mut Matrix,
+) {
+    if let [t] = targets[..] {
+        group.pending[t] = Some(match group.pending[t].take() {
+            None => mat2(matrix),
+            Some(prev) => mul2(&mat2(matrix), &prev),
+        });
+    } else {
+        flush_targets(&mut group.states, &mut group.pending, targets, flush_gate);
+        group.states.apply_gate(matrix, targets);
+    }
+}
+
 /// Branches whose accumulated weight (unnormalised squared norm) is at or
 /// below this threshold are pruned by the exact branch-weighted sweep —
 /// the same constant `qdp_lang::denot::run_pure_branches` and the per-row
@@ -474,6 +500,25 @@ impl RegroupScratch {
         rows.clear();
         pool_give(&mut self.weighted_rows, rows);
         pool_give(&mut self.pendings, pending);
+    }
+
+    /// A copy of an **exact** group in pooled buffers: what a prefix-trie
+    /// sweep hands each extra path where programs part.
+    fn copy_weighted(&mut self, group: &WeightedGroup) -> WeightedGroup {
+        let (mut re, mut im) = self.take_block();
+        let (src_re, src_im) = group.states.planes();
+        re.extend_from_slice(src_re);
+        im.extend_from_slice(src_im);
+        let mut rows = self.weighted_rows.pop().unwrap_or_default();
+        rows.extend_from_slice(&group.rows);
+        let mut pending = self.pendings.pop().unwrap_or_default();
+        pending.clear();
+        pending.extend_from_slice(&group.pending);
+        WeightedGroup {
+            states: BatchedStates::from_raw(group.states.len(), group.states.num_qubits(), re, im),
+            rows,
+            pending,
+        }
     }
 
     /// An empty outcome history.
@@ -1097,40 +1142,14 @@ impl ShotEngine {
         states: BatchedStates,
         obs: &Observable,
     ) -> Result<Vec<f64>, QdpError> {
-        let total_rows = states.len();
-        if total_rows == 0 {
-            return Ok(Vec::new());
+        let mut out = Vec::with_capacity(states.len());
+        if states.is_empty() {
+            return Ok(out);
         }
-        let dim = states.dim();
-        if total_rows <= EXACT_TILE
-            || !qdp_par::fork_pays(total_rows * dim * self.program.op_count())
+        let ops = self.program.op_count();
+        for (_, rows) in exact_tiles(states, ops, |block| self.expectation_sweep_tile(block, obs))?
         {
-            return self.expectation_sweep_tile(states, obs);
-        }
-        let n = states.num_qubits();
-        let tiles: Vec<(usize, usize)> = (0..total_rows)
-            .step_by(EXACT_TILE)
-            .map(|start| (start, EXACT_TILE.min(total_rows - start)))
-            .collect();
-        let per_tile = qdp_par::try_par_map_retry(
-            &tiles,
-            |&(start, rows)| {
-                crate::fault::tile_checkpoint(start / EXACT_TILE);
-                let (re, im) = states.planes();
-                let block = BatchedStates::from_raw(
-                    rows,
-                    n,
-                    re[start * dim..(start + rows) * dim].to_vec(),
-                    im[start * dim..(start + rows) * dim].to_vec(),
-                );
-                self.expectation_sweep_tile(block, obs)
-            },
-            TILE_RETRIES,
-        )
-        .map_err(QdpError::from)?;
-        let mut out = Vec::with_capacity(total_rows);
-        for tile in per_tile {
-            out.extend(tile?);
+            out.extend(rows);
         }
         Ok(out)
     }
@@ -1696,6 +1715,50 @@ impl SampledSweep<'_> {
     }
 }
 
+/// Runs `tile` over the rows of an exact sweep: as one block on the
+/// calling thread, or, once rows × amplitudes × `ops` reaches
+/// [`qdp_par::FORK_MIN_WORK`], as fixed [`EXACT_TILE`]-row tiles fanned
+/// out across `qdp_par` (panic-isolated, each retried bit-identically up
+/// to [`TILE_RETRIES`] times). Returns each block's row count and result,
+/// in row order. Exact sweeps are invariant under batch decomposition, so
+/// the split never moves a bit.
+fn exact_tiles<T: Send>(
+    states: BatchedStates,
+    ops: usize,
+    tile: impl Fn(BatchedStates) -> Result<T, QdpError> + Sync,
+) -> Result<Vec<(usize, T)>, QdpError> {
+    let (total_rows, dim) = (states.len(), states.dim());
+    if total_rows <= EXACT_TILE || !qdp_par::fork_pays(total_rows * dim * ops) {
+        return Ok(vec![(total_rows, tile(states)?)]);
+    }
+    let n = states.num_qubits();
+    let tiles: Vec<(usize, usize)> = (0..total_rows)
+        .step_by(EXACT_TILE)
+        .map(|start| (start, EXACT_TILE.min(total_rows - start)))
+        .collect();
+    let per_tile = qdp_par::try_par_map_retry(
+        &tiles,
+        |&(start, rows)| {
+            crate::fault::tile_checkpoint(start / EXACT_TILE);
+            let (re, im) = states.planes();
+            let block = BatchedStates::from_raw(
+                rows,
+                n,
+                re[start * dim..(start + rows) * dim].to_vec(),
+                im[start * dim..(start + rows) * dim].to_vec(),
+            );
+            tile(block)
+        },
+        TILE_RETRIES,
+    )
+    .map_err(QdpError::from)?;
+    tiles
+        .iter()
+        .zip(per_tile)
+        .map(|(&(_, rows), result)| result.map(|t| (rows, t)))
+        .collect()
+}
+
 /// The root group of an exact sweep: every input row with its own squared
 /// norm as the initial weight (1 for normalised inputs), read off one
 /// block pass, with the row list and pending table drawn from the arena.
@@ -1751,22 +1814,7 @@ impl ExactSweep<'_> {
         for (i, op) in ops.iter().enumerate() {
             match op {
                 TrajOp::Gate { matrix, targets } => {
-                    if let [t] = targets[..] {
-                        group.pending[t] = Some(match group.pending[t].take() {
-                            None => mat2(matrix),
-                            Some(prev) => mul2(&mat2(matrix), &prev),
-                        });
-                    } else {
-                        // A multi-qubit gate orders against the pending
-                        // rotations of its own targets only.
-                        flush_targets(
-                            &mut group.states,
-                            &mut group.pending,
-                            targets,
-                            &mut self.flush_gate,
-                        );
-                        group.states.apply_gate(matrix, targets);
-                    }
+                    apply_fused(&mut group, matrix, targets, &mut self.flush_gate);
                 }
                 TrajOp::Abort => {
                     // Aborted branches contribute nothing.
@@ -1774,10 +1822,8 @@ impl ExactSweep<'_> {
                     return Ok(());
                 }
                 TrajOp::Init { meas, flip, target } => {
-                    flush_all(&mut group.states, &mut group.pending, &mut self.flush_gate);
                     let rest = &ops[i + 1..];
-                    let mut forks = self.scratch.weighted_forks.pop().unwrap_or_default();
-                    self.branch_groups(group, meas, &mut forks)?;
+                    let mut forks = self.fork(group, meas)?;
                     for (outcome, mut sub) in forks.drain(..) {
                         if outcome == 1 {
                             sub.states.apply_gate(flip, &[*target]);
@@ -1788,10 +1834,8 @@ impl ExactSweep<'_> {
                     return Ok(());
                 }
                 TrajOp::Case { meas, arms } => {
-                    flush_all(&mut group.states, &mut group.pending, &mut self.flush_gate);
                     let rest = &ops[i + 1..];
-                    let mut forks = self.scratch.weighted_forks.pop().unwrap_or_default();
-                    self.branch_groups(group, meas, &mut forks)?;
+                    let mut forks = self.fork(group, meas)?;
                     for (outcome, sub) in forks.drain(..) {
                         let mut arm_cont = cont.clone();
                         arm_cont.push(rest);
@@ -1814,6 +1858,20 @@ impl ExactSweep<'_> {
                 Ok(())
             }
         }
+    }
+
+    /// Flushes the group's pending products and forks it at `meas` (see
+    /// [`branch_groups`](Self::branch_groups)). The caller drains the
+    /// returned list and hands it back to the arena with `pool_give`.
+    fn fork(
+        &mut self,
+        mut group: WeightedGroup,
+        meas: &Measurement,
+    ) -> Result<Vec<(usize, WeightedGroup)>, QdpError> {
+        flush_all(&mut group.states, &mut group.pending, &mut self.flush_gate);
+        let mut forks = self.scratch.weighted_forks.pop().unwrap_or_default();
+        self.branch_groups(group, meas, &mut forks)?;
+        Ok(forks)
     }
 
     /// Forks a weighted group at a measurement, appending the surviving
@@ -1977,6 +2035,653 @@ impl ExactSweep<'_> {
         self.scratch.selected = selected;
         rows.clear();
         self.scratch.reclaim_weighted(WeightedGroup { states, rows, pending });
+        Ok(())
+    }
+}
+
+/// Where a [`SweepTrie`] gate takes its matrix from.
+#[derive(Clone, Copy, Debug)]
+pub enum TrieMatrix<'a> {
+    /// A matrix fixed when the trie is built. Two gates share a node when
+    /// their matrices carry the same bits.
+    Fixed(&'a Matrix),
+    /// Entry `i` of the matrix table each sweep call passes in. Two gates
+    /// share a node when they name the same entry.
+    Table(usize),
+}
+
+/// One op of a program inserted into a [`SweepTrie`]: a [`TrajProgram`]
+/// op whose gate matrix may be a per-call table entry. The trie copies
+/// what it keeps, so the ops may borrow from the caller's program.
+#[derive(Clone, Debug)]
+pub enum TrieOp<'a> {
+    /// An operator application.
+    Gate {
+        /// The matrix, or the table entry it is read from.
+        matrix: TrieMatrix<'a>,
+        /// The qubits it acts on.
+        targets: &'a [usize],
+    },
+    /// `q := |0⟩` on `target`: measure it and flip on outcome 1.
+    Init {
+        /// The reset qubit.
+        target: usize,
+    },
+    /// A measurement that continues into the arm of its outcome.
+    Case {
+        /// The measurement.
+        meas: &'a Measurement,
+        /// One arm per outcome.
+        arms: Vec<Vec<TrieOp<'a>>>,
+    },
+    /// Drop the branch.
+    Abort,
+}
+
+/// Many exact programs over one register, merged into a prefix trie and
+/// swept **together**: one branch-weighted exact sweep (see
+/// [`ShotEngine::expectation_sweep`]) for a whole family of programs that
+/// share prefixes, such as every derivative program of a gradient.
+///
+/// A node is a point that every program through it reaches with the same
+/// state. Programs share a node only while they execute the same ops:
+/// gates with the same matrix bits (or the same table entry) on the same
+/// targets, resets of the same qubit, measurements with the same operators
+/// on the same qubits. A measurement node has one child per outcome, over
+/// each program's `arm ++ continuation`; a program whose arm aborts has no
+/// leaf there, and subtrees without leaves are pruned.
+///
+/// [`expectation_sweep`](Self::expectation_sweep) runs the trie
+/// depth-first on one weighted group. It copies the group only where
+/// programs part, and it adds each leaf's read-out to the column of every
+/// program that ends there. So every column carries exactly the bits of
+/// that program's own exact sweep: the same ops, with the same fusion and
+/// flush order, run on the same rows, and each column sums its leaves in
+/// the program's own depth-first order. Columns of branching programs
+/// start at `0.0`, as the program's own sweep does. Columns of
+/// straight-line programs (gates only) have one leaf per row and start at
+/// `-0.0`, the exact identity of `+`, so they hold that read-out itself.
+#[derive(Clone, Debug)]
+pub struct SweepTrie {
+    /// The arena; node 0 is the root.
+    nodes: Vec<TrieNode>,
+    /// Constant gate matrices, one per distinct bit pattern.
+    fixed: Vec<Matrix>,
+    /// Measurements of measurement and reset nodes, one per distinct one.
+    measurements: Vec<Measurement>,
+    /// Gate target lists, addressed by range.
+    targets: Vec<usize>,
+    /// The flip of reset nodes.
+    flip: Matrix,
+    /// Per program, in insertion order: whether it is straight-line.
+    straight: Vec<bool>,
+}
+
+/// "No node" in a child or sibling link: the root is nobody's child.
+const NO_NODE: usize = 0;
+
+#[derive(Clone, Debug)]
+struct TrieNode {
+    /// The op a program runs to reach this node.
+    step: Step,
+    /// First child and next sibling, or [`NO_NODE`].
+    child: usize,
+    sibling: usize,
+    /// Programs that end here.
+    leaves: Vec<usize>,
+    /// Ops in the subtree below: the fan-out work measure.
+    weight: usize,
+}
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Step {
+    Root,
+    /// A gate, with the range of its targets in [`SweepTrie::targets`].
+    Gate {
+        matrix: GateMatrix,
+        targets: (usize, usize),
+    },
+    /// A reset: measure with `measurements[meas]`, flip on outcome 1.
+    Init {
+        meas: usize,
+        target: usize,
+    },
+    /// A measurement; its children are [`Step::Arm`]s.
+    Case {
+        meas: usize,
+    },
+    /// The programs that go on after one outcome of the parent case.
+    Arm {
+        outcome: usize,
+    },
+}
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum GateMatrix {
+    Fixed(usize),
+    Table(usize),
+}
+
+fn same_matrix_bits(a: &Matrix, b: &Matrix) -> bool {
+    a.rows() == b.rows()
+        && a.cols() == b.cols()
+        && a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
+}
+
+impl SweepTrie {
+    /// Merges `programs` into one trie; program `i` reads out into column
+    /// `i` of every sweep.
+    pub fn build<'a>(programs: impl IntoIterator<Item = Vec<TrieOp<'a>>>) -> Self {
+        let mut trie = SweepTrie {
+            nodes: vec![TrieNode {
+                step: Step::Root,
+                child: NO_NODE,
+                sibling: NO_NODE,
+                leaves: Vec::new(),
+                weight: 0,
+            }],
+            fixed: Vec::new(),
+            measurements: Vec::new(),
+            targets: Vec::new(),
+            flip: Matrix::pauli_x(),
+            straight: Vec::new(),
+        };
+        for ops in programs {
+            let id = trie.straight.len();
+            trie.straight
+                .push(ops.iter().all(|op| matches!(op, TrieOp::Gate { .. })));
+            trie.insert(0, &ops, &[], id);
+        }
+        trie.finish();
+        trie
+    }
+
+    /// Number of programs (read-out columns).
+    pub fn programs(&self) -> usize {
+        self.straight.len()
+    }
+
+    /// Ops in the trie, each measurement once plus the ops of every arm:
+    /// what one sweep executes at most.
+    pub fn op_count(&self) -> usize {
+        self.nodes[0].weight
+    }
+
+    fn children(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
+        let first = Some(self.nodes[node].child).filter(|&c| c != NO_NODE);
+        std::iter::successors(first, |&c| {
+            Some(self.nodes[c].sibling).filter(|&s| s != NO_NODE)
+        })
+    }
+
+    /// The child of `node` reached by `step`, added (as the last child) if
+    /// no program took it yet. `same` decides whether a child's step is
+    /// the one sought.
+    fn child(
+        &mut self,
+        node: usize,
+        same: impl Fn(&Self, &Step) -> bool,
+        step: impl FnOnce(&mut Self) -> Step,
+    ) -> usize {
+        let mut last = NO_NODE;
+        for c in self.children(node) {
+            if same(self, &self.nodes[c].step) {
+                return c;
+            }
+            last = c;
+        }
+        let step = step(self);
+        let id = self.nodes.len();
+        self.nodes.push(TrieNode {
+            step,
+            child: NO_NODE,
+            sibling: NO_NODE,
+            leaves: Vec::new(),
+            weight: 0,
+        });
+        match last {
+            NO_NODE => self.nodes[node].child = id,
+            last => self.nodes[last].sibling = id,
+        }
+        id
+    }
+
+    fn intern_measurement(&mut self, meas: &Measurement) -> usize {
+        let same = |m: &Measurement| {
+            m.targets() == meas.targets()
+                && m.num_outcomes() == meas.num_outcomes()
+                && m.operators()
+                    .iter()
+                    .zip(meas.operators())
+                    .all(|(a, b)| same_matrix_bits(a, b))
+        };
+        match self.measurements.iter().position(same) {
+            Some(i) => i,
+            None => {
+                self.measurements.push(meas.clone());
+                self.measurements.len() - 1
+            }
+        }
+    }
+
+    /// Inserts program `id`'s path from `node`: `ops`, then the suspended
+    /// continuations `cont` (innermost last).
+    fn insert<'a, 'p>(
+        &mut self,
+        mut node: usize,
+        mut ops: &'p [TrieOp<'a>],
+        mut cont: &[&'p [TrieOp<'a>]],
+        id: usize,
+    ) {
+        loop {
+            let Some((op, rest)) = ops.split_first() else {
+                match cont.split_last() {
+                    Some((next, outer)) => {
+                        ops = next;
+                        cont = outer;
+                        continue;
+                    }
+                    None => {
+                        self.nodes[node].leaves.push(id);
+                        return;
+                    }
+                }
+            };
+            ops = rest;
+            node = match op {
+                TrieOp::Abort => return,
+                TrieOp::Gate { matrix, targets } => {
+                    let matrix = match matrix {
+                        TrieMatrix::Table(i) => GateMatrix::Table(*i),
+                        TrieMatrix::Fixed(m) => GateMatrix::Fixed(
+                            match self.fixed.iter().position(|f| same_matrix_bits(f, m)) {
+                                Some(i) => i,
+                                None => {
+                                    self.fixed.push((*m).clone());
+                                    self.fixed.len() - 1
+                                }
+                            },
+                        ),
+                    };
+                    self.child(
+                        node,
+                        |trie, step| match *step {
+                            Step::Gate {
+                                matrix: m,
+                                targets: (s, e),
+                            } => m == matrix && trie.targets[s..e] == **targets,
+                            _ => false,
+                        },
+                        |trie| {
+                            let start = trie.targets.len();
+                            trie.targets.extend_from_slice(targets);
+                            Step::Gate {
+                                matrix,
+                                targets: (start, trie.targets.len()),
+                            }
+                        },
+                    )
+                }
+                TrieOp::Init { target } => self.child(
+                    node,
+                    |_, step| matches!(*step, Step::Init { target: t, .. } if t == *target),
+                    |trie| Step::Init {
+                        meas: trie.intern_measurement(&Measurement::computational(vec![*target])),
+                        target: *target,
+                    },
+                ),
+                TrieOp::Case { meas, arms } => {
+                    let meas = self.intern_measurement(meas);
+                    let case = self.child(
+                        node,
+                        |_, step| *step == Step::Case { meas },
+                        |_| Step::Case { meas },
+                    );
+                    let mut arm_cont = cont.to_vec();
+                    arm_cont.push(rest);
+                    for (outcome, arm) in arms.iter().enumerate() {
+                        let arm_node = self.child(
+                            case,
+                            |_, step| *step == Step::Arm { outcome },
+                            |_| Step::Arm { outcome },
+                        );
+                        self.insert(arm_node, arm, &arm_cont, id);
+                    }
+                    return;
+                }
+            };
+        }
+    }
+
+    /// Unlinks every subtree without a leaf (paths only aborting programs
+    /// take) and fills in the weights. Children sit after their parents in
+    /// the arena, so one backward pass sees every child before its parent.
+    fn finish(&mut self) {
+        for node in (0..self.nodes.len()).rev() {
+            let (mut first, mut prev, mut weight) = (NO_NODE, NO_NODE, 0);
+            let mut c = self.nodes[node].child;
+            while c != NO_NODE {
+                let next = self.nodes[c].sibling;
+                let child = &self.nodes[c];
+                if !child.leaves.is_empty() || child.child != NO_NODE {
+                    let own = usize::from(!matches!(child.step, Step::Arm { .. }));
+                    weight += own + child.weight;
+                    match prev {
+                        NO_NODE => first = c,
+                        p => self.nodes[p].sibling = c,
+                    }
+                    prev = c;
+                }
+                c = next;
+            }
+            if prev != NO_NODE {
+                self.nodes[prev].sibling = NO_NODE;
+            }
+            self.nodes[node].child = first;
+            self.nodes[node].weight = weight;
+        }
+    }
+
+    /// The programs with a leaf in the subtree at `node`.
+    fn programs_below(&self, node: usize) -> Vec<usize> {
+        let mut out = self.nodes[node].leaves.clone();
+        let mut stack: Vec<usize> = self.children(node).collect();
+        while let Some(n) = stack.pop() {
+            out.extend_from_slice(&self.nodes[n].leaves);
+            stack.extend(self.children(n));
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// Every program's exact expectation `Σ_branches ⟨ψb|O|ψb⟩` on every
+    /// row of the batch: `out[i][r]` for program `i` on row `r`, with the
+    /// gate matrices of [`TrieMatrix::Table`] entries read from `table`.
+    ///
+    /// Batches whose work (rows × amplitudes × trie ops) reaches
+    /// [`qdp_par::FORK_MIN_WORK`] split into [`EXACT_TILE`]-row tiles
+    /// across `qdp_par`. Within a tile, a node where programs part into
+    /// several ops fans its subtrees out when their work pays for a fork;
+    /// the subtrees hold disjoint programs, so each column is still summed
+    /// by one thread, in its own depth-first order. Per-row bits are the
+    /// same under any thread count and batch decomposition.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a row tile still panicked after its bit-identical
+    /// retries, when `table` lacks an entry the trie names, or when the
+    /// register sizes of the batch, the programs and `obs` disagree.
+    pub fn expectation_sweep(
+        &self,
+        table: &[Matrix],
+        states: BatchedStates,
+        obs: &Observable,
+    ) -> Vec<Vec<f64>> {
+        let total_rows = states.len();
+        let mut out = vec![Vec::with_capacity(total_rows); self.programs()];
+        if total_rows == 0 || out.is_empty() {
+            return out;
+        }
+        let ops = self.op_count();
+        let blocks = exact_tiles(states, ops, |block| self.sweep_tile(table, block, obs))
+            .unwrap_or_else(|e| panic!("{e}"));
+        for (rows, cols) in blocks {
+            for (col, part) in out.iter_mut().zip(cols.chunks(rows)) {
+                col.extend_from_slice(part);
+            }
+        }
+        out
+    }
+
+    /// One tile: the whole trie over one block, into a column-major
+    /// `programs × rows` buffer.
+    fn sweep_tile(
+        &self,
+        table: &[Matrix],
+        states: BatchedStates,
+        obs: &Observable,
+    ) -> Result<Vec<f64>, QdpError> {
+        let rows = states.len();
+        let mut cols: Vec<f64> = self
+            .straight
+            .iter()
+            .flat_map(|&straight| std::iter::repeat_n(if straight { -0.0 } else { 0.0 }, rows))
+            .collect();
+        with_scratch(|scratch| {
+            let group = weighted_root(states, scratch);
+            TrieSweep::new(self, scratch, table, obs, rows).run(0, group, &mut cols)
+        })?;
+        Ok(cols)
+    }
+}
+
+/// Runs `f` on this thread's regroup arena, or on a fresh one when the
+/// arena is already in use further up the stack (the calling thread's
+/// share of a fan-out inside a sweep). Arena contents never influence
+/// results.
+fn with_scratch<R>(f: impl FnOnce(&mut RegroupScratch) -> R) -> R {
+    SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        Err(_) => f(&mut RegroupScratch::default()),
+    })
+}
+
+/// The state of one [`SweepTrie`] sweep over one tile.
+struct TrieSweep<'a> {
+    trie: &'a SweepTrie,
+    /// The exact sweep's fork machinery: arena, flush scratch, zero mass
+    /// budgets, no health checks.
+    exact: ExactSweep<'a>,
+    table: &'a [Matrix],
+    obs: &'a Observable,
+    /// Rows of the tile: the stride of the column buffer.
+    rows: usize,
+    /// Read-out buffer of the current leaf group.
+    values: Vec<f64>,
+}
+
+impl<'a> TrieSweep<'a> {
+    fn new(
+        trie: &'a SweepTrie,
+        scratch: &'a mut RegroupScratch,
+        table: &'a [Matrix],
+        obs: &'a Observable,
+        rows: usize,
+    ) -> Self {
+        TrieSweep {
+            trie,
+            exact: ExactSweep {
+                budgets: vec![0.0; rows],
+                scratch,
+                flush_gate: Matrix::zeros(2, 2),
+                health: None,
+                defects: Vec::new(),
+            },
+            table,
+            obs,
+            rows,
+            values: Vec::new(),
+        }
+    }
+
+    /// Runs the subtree at `node` on `group`. Chains of single gates run
+    /// in place; only nodes where programs part recurse.
+    fn run(
+        &mut self,
+        mut node: usize,
+        mut group: WeightedGroup,
+        cols: &mut [f64],
+    ) -> Result<(), QdpError> {
+        let trie = self.trie;
+        loop {
+            let n = &trie.nodes[node];
+            if !n.leaves.is_empty() {
+                self.read_leaves(&n.leaves, &mut group, cols, n.child == NO_NODE);
+            }
+            let child = n.child;
+            if child == NO_NODE {
+                self.exact.scratch.reclaim_weighted(group);
+                return Ok(());
+            }
+            if trie.nodes[child].sibling != NO_NODE {
+                return self.part(node, group, cols);
+            }
+            match trie.nodes[child].step {
+                Step::Gate { matrix, targets } => {
+                    self.gate(&mut group, matrix, targets);
+                    node = child;
+                }
+                _ => return self.step(child, group, cols),
+            }
+        }
+    }
+
+    fn gate(
+        &mut self,
+        group: &mut WeightedGroup,
+        matrix: GateMatrix,
+        (start, end): (usize, usize),
+    ) {
+        let trie = self.trie;
+        let matrix = match matrix {
+            GateMatrix::Fixed(i) => &trie.fixed[i],
+            GateMatrix::Table(i) => &self.table[i],
+        };
+        apply_fused(
+            group,
+            matrix,
+            &trie.targets[start..end],
+            &mut self.exact.flush_gate,
+        );
+    }
+
+    /// Adds the group's read-out to the column of every program ending
+    /// here. Pending products are flushed first, on a copy when programs
+    /// go on from the unflushed group.
+    fn read_leaves(
+        &mut self,
+        leaves: &[usize],
+        group: &mut WeightedGroup,
+        cols: &mut [f64],
+        last: bool,
+    ) {
+        if last || group.pending.iter().all(Option::is_none) {
+            flush_all(
+                &mut group.states,
+                &mut group.pending,
+                &mut self.exact.flush_gate,
+            );
+            self.obs
+                .expectation_batch_into(&group.states, &mut self.values);
+        } else {
+            let mut copy = self.exact.scratch.copy_weighted(group);
+            flush_all(
+                &mut copy.states,
+                &mut copy.pending,
+                &mut self.exact.flush_gate,
+            );
+            self.obs
+                .expectation_batch_into(&copy.states, &mut self.values);
+            self.exact.scratch.reclaim_weighted(copy);
+        }
+        for &p in leaves {
+            let col = &mut cols[p * self.rows..(p + 1) * self.rows];
+            for (ctx, v) in group.rows.iter().zip(&self.values) {
+                col[ctx.orig] += v;
+            }
+        }
+    }
+
+    /// Runs the op of node `node` on `group`, then the subtree below it.
+    fn step(
+        &mut self,
+        node: usize,
+        mut group: WeightedGroup,
+        cols: &mut [f64],
+    ) -> Result<(), QdpError> {
+        let trie = self.trie;
+        match trie.nodes[node].step {
+            Step::Gate { matrix, targets } => {
+                self.gate(&mut group, matrix, targets);
+                self.run(node, group, cols)
+            }
+            Step::Init { meas, target } => {
+                let mut forks = self.exact.fork(group, &trie.measurements[meas])?;
+                for (outcome, mut sub) in forks.drain(..) {
+                    if outcome == 1 {
+                        sub.states.apply_gate(&trie.flip, &[target]);
+                    }
+                    self.run(node, sub, cols)?;
+                }
+                pool_give(&mut self.exact.scratch.weighted_forks, forks);
+                Ok(())
+            }
+            Step::Case { meas } => {
+                let mut forks = self.exact.fork(group, &trie.measurements[meas])?;
+                for (outcome, sub) in forks.drain(..) {
+                    match trie
+                        .children(node)
+                        .find(|&arm| trie.nodes[arm].step == Step::Arm { outcome })
+                    {
+                        Some(arm) => self.run(arm, sub, cols)?,
+                        None => self.exact.scratch.reclaim_weighted(sub),
+                    }
+                }
+                pool_give(&mut self.exact.scratch.weighted_forks, forks);
+                Ok(())
+            }
+            Step::Root | Step::Arm { .. } => unreachable!("the root and arms have no op"),
+        }
+    }
+
+    /// Runs each child of a node where programs part on its own copy of
+    /// the group: serially, or fanned out across `qdp_par` when the
+    /// subtree's work pays for a fork. A fanned-out child sums into a copy
+    /// of the columns and hands back only its own programs' columns, so
+    /// every column is still summed by one thread, in order.
+    fn part(
+        &mut self,
+        node: usize,
+        group: WeightedGroup,
+        cols: &mut [f64],
+    ) -> Result<(), QdpError> {
+        let trie = self.trie;
+        let work = group.states.len() * group.states.dim() * trie.nodes[node].weight;
+        if !qdp_par::fork_pays(work) {
+            let mut children = trie.children(node).peekable();
+            while let Some(child) = children.next() {
+                if children.peek().is_none() {
+                    return self.step(child, group, cols);
+                }
+                let copy = self.exact.scratch.copy_weighted(&group);
+                self.step(child, copy, cols)?;
+            }
+            unreachable!("a node where programs part has children");
+        }
+        let (table, obs, rows) = (self.table, self.obs, self.rows);
+        let children: Vec<usize> = trie.children(node).collect();
+        let snapshot: &[f64] = cols;
+        let shared = &group;
+        let parts = qdp_par::par_map(&children, |&child| {
+            let mut local = snapshot.to_vec();
+            with_scratch(|scratch| {
+                let copy = scratch.copy_weighted(shared);
+                TrieSweep::new(trie, scratch, table, obs, rows).step(child, copy, &mut local)
+            })
+            .map(|()| local)
+        });
+        self.exact.scratch.reclaim_weighted(group);
+        for (&child, part) in children.iter().zip(parts) {
+            let part = part?;
+            for p in trie.programs_below(child) {
+                let span = p * rows..(p + 1) * rows;
+                cols[span.clone()].copy_from_slice(&part[span]);
+            }
+        }
         Ok(())
     }
 }
