@@ -14,8 +14,8 @@
 //!   threads;
 //! * 400 programs from the shared seeded generator (`support/`), together
 //!   with invariance under batch splits and merges;
-//! * the `M` rows, `#[ignore]`d: 19-qubit registers take about a minute in
-//!   release (`cargo test --release -p qdp-ad --test shared_sweep_oracle
+//! * the `M` rows, `#[ignore]`d: registers of up to 19 qubits take about
+//!   30 s in release (`cargo test --release -p qdp-ad --test shared_sweep_oracle
 //!   -- --ignored`).
 //!
 //! It also pins the trie's op count against the summed op weights of the

@@ -2196,6 +2196,7 @@ impl SweepTrie {
             trie.insert(0, &ops, &[], id);
         }
         trie.finish();
+        trie.nodes.shrink_to_fit();
         trie
     }
 
