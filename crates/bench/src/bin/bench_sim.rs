@@ -735,7 +735,7 @@ fn shared_sweep(fx: &Fixture, g: &mut Guards) -> Fields {
         ("p2", &fx.p2, &fx.obs, fx.inputs(), 1.2),
         // 10 runs, 1 / 2 threads: 1.46–1.59 / 1.23–1.43. Straight-line
         // programs share less (744 trie ops against 1260), and at two
-        // threads the trie's row tiles gain little on this host.
+        // threads the trie's row tiles gain little on 2 vCPUs.
         ("hea_6_2", &hea, &hea_obs, hea_inputs, 0.9),
     ] {
         let batch = BatchedStates::from_states(&inputs);
