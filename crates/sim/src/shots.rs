@@ -2955,6 +2955,82 @@ mod tests {
         }
     }
 
+    /// A [`SweepTrie`] program as its own [`TrajProgram`], with the table
+    /// entries substituted.
+    fn trie_traj(ops: &[TrieOp<'_>], table: &[Matrix]) -> TrajProgram {
+        let mut p = TrajProgram::new();
+        for op in ops {
+            match op {
+                TrieOp::Gate { matrix, targets } => p.push_gate(
+                    match matrix {
+                        TrieMatrix::Fixed(m) => (*m).clone(),
+                        TrieMatrix::Table(i) => table[*i].clone(),
+                    },
+                    targets.to_vec(),
+                ),
+                TrieOp::Init { target } => p.push_init(*target),
+                TrieOp::Case { meas, arms } => p.push_case(
+                    (*meas).clone(),
+                    arms.iter().map(|a| trie_traj(a, table)).collect(),
+                ),
+                TrieOp::Abort => p.push_abort(),
+            }
+        }
+        p
+    }
+
+    fn gate<'a>(matrix: TrieMatrix<'a>, targets: &'a [usize]) -> TrieOp<'a> {
+        TrieOp::Gate { matrix, targets }
+    }
+
+    #[test]
+    fn sweep_trie_columns_carry_each_programs_own_sweep_bits() {
+        let table = [
+            rotation_y(0.3),
+            Matrix::rotation_from_involution(&Matrix::pauli_x(), 0.7),
+            Matrix::hadamard(),
+        ];
+        let (h, cnot) = (Matrix::hadamard(), Matrix::cnot());
+        let m0 = Measurement::computational(vec![0]);
+        let case = |arm1: TrieOp<'static>| TrieOp::Case {
+            meas: &m0,
+            arms: vec![vec![gate(TrieMatrix::Table(2), &[1])], vec![arm1]],
+        };
+        let ry = || gate(TrieMatrix::Table(0), &[0]);
+        let rx = |t: &'static [usize]| gate(TrieMatrix::Table(1), t);
+        let programs = vec![
+            // A prefix of the next three: it reads out while they go on
+            // fusing into the same pending product.
+            vec![ry()],
+            vec![ry(), rx(&[0]), gate(TrieMatrix::Fixed(&cnot), &[0, 1])],
+            // One shared measurement; one arm aborts in the first program only.
+            vec![ry(), case(TrieOp::Abort), rx(&[1])],
+            vec![ry(), case(TrieOp::Init { target: 1 }), rx(&[1])],
+            // Parts at the root; the same matrix as entry 2, by its bits.
+            vec![gate(TrieMatrix::Fixed(&h), &[1])],
+            vec![TrieOp::Abort],
+        ];
+        let own: Vec<TrajProgram> = programs.iter().map(|ops| trie_traj(ops, &table)).collect();
+        let trie = SweepTrie::build(programs);
+        // ry; rx, cnot; case, H, rx (arm 0), init, rx (arm 1); H.
+        assert_eq!(trie.op_count(), 9);
+        let obs = Observable::pauli_z(2, 1);
+        let inputs: Vec<StateVector> = (0..3)
+            .map(|k| {
+                let mut s = StateVector::basis_state(2, k);
+                s.apply_gate(&rotation_y(0.5 + 0.2 * k as f64), &[1]);
+                s
+            })
+            .collect();
+        let columns = trie.expectation_sweep(&table, BatchedStates::from_states(&inputs), &obs);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (i, program) in own.into_iter().enumerate() {
+            let alone = ShotEngine::new(program)
+                .expectation_sweep(BatchedStates::from_states(&inputs), &obs);
+            assert_eq!(bits(&columns[i]), bits(&alone), "program {i}");
+        }
+    }
+
     #[test]
     fn leaf_weights_sum_to_one_for_abort_free_programs() {
         let engine = ShotEngine::new(branching_program());
