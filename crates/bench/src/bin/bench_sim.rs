@@ -723,20 +723,35 @@ fn gradient_branching_batch(fx: &Fixture, g: &mut Guards) -> Fields {
 /// runs every parameter's derivative programs as one prefix trie, against
 /// the per-parameter sweeps it replaced (each parameter's
 /// `derivative_pure_batch`, the parameters fanned out across `qdp_par`).
-/// On `P2` over the 16-sample dataset and on `hardware_efficient_ansatz(6,
-/// 2)` over 16 random 6-qubit states; the two agree bit for bit.
+/// On `P2` over the 16-sample dataset, on `hardware_efficient_ansatz(6,
+/// 2)` over 16 random 6-qubit states, and on one random row of
+/// `hardware_efficient_ansatz(10, 1)`: too few rows to tile, so with more
+/// than one thread the trie's programs split among the free workers. The
+/// one-row case is also timed against the same call held to one thread,
+/// its unsplit sweep. Every comparison agrees bit for bit.
 fn shared_sweep(fx: &Fixture, g: &mut Guards) -> Fields {
     let hea = Circuit::new(hardware_efficient_ansatz(6, 2));
     let hea_inputs: Vec<StateVector> = (1..=16).map(|s| random_state(6, s)).collect();
     let hea_obs = Observable::pauli_z(6, 0);
+    let wide = Circuit::new(hardware_efficient_ansatz(10, 1));
+    let wide_obs = Observable::pauli_z(10, 0);
     let mut out = Fields::new();
     for (label, circuit, obs, inputs, floor) in [
-        // 10 runs, 1 / 2 threads: 1.97–2.20 / 1.59–2.27.
-        ("p2", &fx.p2, &fx.obs, fx.inputs(), 1.2),
-        // 10 runs, 1 / 2 threads: 1.46–1.59 / 1.23–1.43. Straight-line
-        // programs share less (744 trie ops against 1260), and at two
-        // threads the trie's row tiles gain little on 2 vCPUs.
-        ("hea_6_2", &hea, &hea_obs, hea_inputs, 0.9),
+        // 10 runs, 1 / 2 threads: 1.95–2.29 / 1.73–2.28.
+        ("p2", &fx.p2, &fx.obs, fx.inputs(), 1.3),
+        // 10 runs, 1 / 2 threads: 1.47–1.69 / 1.35–1.56. Straight-line
+        // programs share less (744 trie ops against 1260).
+        ("hea_6_2", &hea, &hea_obs, hea_inputs, 1.0),
+        // 10 runs, 1 / 2 threads: 1.37–1.67 / 1.29–1.48. At two threads
+        // both sides use both: the trie splits its programs, the
+        // per-parameter sweeps are fanned out.
+        (
+            "hea_10_1_one_row",
+            &wide,
+            &wide_obs,
+            vec![random_state(10, 1)],
+            0.95,
+        ),
     ] {
         let batch = BatchedStates::from_states(&inputs);
         let names: Vec<&str> = circuit.engine.parameters().collect();
@@ -777,20 +792,53 @@ fn shared_sweep(fx: &Fixture, g: &mut Guards) -> Fields {
             speedup,
             floor,
         );
-        out.push((
-            label.to_string(),
-            Value::Obj(fields![
-                "workload" => format!(
-                    "exact gradient, {}-row batch x {} params: one trie sweep ({} ops) vs per-parameter sweeps",
-                    inputs.len(),
-                    names.len(),
-                    circuit.engine.shared_sweep().op_count()
-                ),
-                "shared_ns" => ns(shared_ns),
-                "per_param_ns" => ns(per_param_ns),
-                "speedup" => ratio(speedup),
-            ]),
-        ));
+        let mut fields = fields![
+            "workload" => format!(
+                "exact gradient, {}-row batch x {} params: one trie sweep ({} ops) vs per-parameter sweeps",
+                inputs.len(),
+                names.len(),
+                circuit.engine.shared_sweep_op_count()
+            ),
+            "shared_ns" => ns(shared_ns),
+            "per_param_ns" => ns(per_param_ns),
+            "speedup" => ratio(speedup),
+        ];
+        if inputs.len() == 1 {
+            let threads = qdp_par::max_threads();
+            let held = || {
+                qdp_par::set_max_threads(1);
+                let rows = shared();
+                qdp_par::set_max_threads(threads);
+                rows
+            };
+            let bits = |rows: &[BTreeMap<String, f64>]| -> Vec<Vec<u64>> {
+                rows.iter()
+                    .map(|row| row.values().map(|v| v.to_bits()).collect())
+                    .collect()
+            };
+            assert_eq!(
+                bits(&held()),
+                bits(&shared_rows),
+                "{label}: the split moved bits"
+            );
+            let (split_ns, held_ns) = paired_ns(|is_split| {
+                black_box(if is_split { shared() } else { held() });
+            });
+            let split_speedup = held_ns / split_ns;
+            // Guarded where the split can run. 10 runs, 2 threads:
+            // 1.24–1.90 (median 1.85); at 1 thread both sides run the same
+            // sweep: 0.95–1.17.
+            if threads > 1 {
+                g.at_least(
+                    &format!("{label} programs split among workers vs one thread"),
+                    split_speedup,
+                    0.9,
+                );
+            }
+            fields.push(("one_thread_ns".to_string(), ns(held_ns)));
+            fields.push(("split_speedup".to_string(), ratio(split_speedup)));
+        }
+        out.push((label.to_string(), Value::Obj(fields)));
     }
     out
 }

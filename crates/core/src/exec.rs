@@ -408,10 +408,17 @@ impl GradientEngine {
             .collect()
     }
 
+    /// Ops in the prefix trie [`gradient_pure_batch`](Self::gradient_pure_batch)
+    /// sweeps: what one exact gradient executes at most, against the
+    /// summed [`LoweredProgram::op_weight`](crate::LoweredProgram::op_weight)
+    /// of the per-parameter sweeps. Builds the trie if no gradient has yet.
+    pub fn shared_sweep_op_count(&self) -> usize {
+        self.shared_sweep().op_count()
+    }
+
     /// Every parameter's derivative multiset as one prefix trie over the
-    /// lowered op streams (see [`SharedSweep`]), built on first use from
-    /// the interned lowerings.
-    pub fn shared_sweep(&self) -> &SharedSweep {
+    /// lowered op streams, built on first use from the interned lowerings.
+    fn shared_sweep(&self) -> &SharedSweep {
         self.shared_sweep.get_or_init(|| {
             let sets: Vec<(Arc<CompiledSkeleton>, Vec<usize>)> = self
                 .diffs
@@ -774,12 +781,14 @@ impl GradientEngine {
     /// The full gradient for **every** row of a batch, keyed by parameter
     /// name, in **one** sweep over every parameter's derivative programs.
     ///
-    /// The programs run as one prefix trie ([`shared_sweep`](Self::shared_sweep),
-    /// built on the first call): the branch-weighted exact sweep executes
-    /// each shared prefix, measurement forks included, once for all the
-    /// programs that share it, and copies the batch only where programs
-    /// part. Each node's matrix is built once per call from the canonical
-    /// valuation. Programs share a node only where they run the same op on
+    /// The programs run as one prefix trie, built on the first call: the
+    /// branch-weighted exact sweep executes each shared prefix, measurement
+    /// forks included, once for all the programs that share it, and copies
+    /// the batch only where programs part. Each node's matrix is built once
+    /// per call from the canonical valuation. Large batches split into row
+    /// tiles across `qdp_par`; a batch too small to split that still has
+    /// the work for a fork splits its programs among the free workers
+    /// instead (see [`qdp_sim::SweepTrie::expectation_sweep`]). Programs share a node only where they run the same op on
     /// the same data, so every entry carries the bits of the per-parameter
     /// sweep, [`Differentiated::derivative_pure_batch`] (the named oracle,
     /// pinned bitwise by `crates/core/tests/shared_sweep_oracle.rs`). It

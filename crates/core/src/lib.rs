@@ -58,7 +58,7 @@ pub mod transform;
 pub use cache::{CacheCounters, CacheStats, CompiledSkeleton, ProgramCache};
 pub use exec::{differentiate, Differentiated, GradientEngine};
 pub use lowered::{
-    lower_invocations, LoweredProgram, LoweredSet, ResolvedProgram, SharedSweep, TrajSkeleton,
+    lower_invocations, LoweredProgram, LoweredSet, ResolvedProgram, TrajSkeleton,
 };
 pub use service::{
     GradientService, OverloadPolicy, ProgramHandle, RequestOptions, ServiceConfig,

@@ -40,7 +40,7 @@
 //! per-parameter oracle `Differentiated::derivative_pure_batch`). An exact
 //! **gradient** has one multiset per parameter, and most of their programs
 //! are the forward program with one rotation swapped for its gadget. So
-//! [`SharedSweep`] merges every parameter's programs into one prefix trie
+//! `SharedSweep` merges every parameter's programs into one prefix trie
 //! over the lowered op streams, keyed on each op and the bits of its
 //! matrix (a table entry per canonical slot and offset for parameterised
 //! gates), and runs it as **one** branch-weighted sweep
@@ -392,7 +392,7 @@ struct TableEntry {
 /// ([`LoweredSet::expectation_batch`], the oracle
 /// `Differentiated::derivative_pure_batch` runs).
 #[derive(Clone, Debug)]
-pub struct SharedSweep {
+pub(crate) struct SharedSweep {
     trie: qdp_sim::SweepTrie,
     table: Vec<TableEntry>,
     /// Per parameter, its programs' trie columns, in multiset order.
@@ -429,7 +429,7 @@ impl SharedSweep {
 
     /// Ops in the trie: what one shared sweep executes at most, against
     /// the summed [`LoweredProgram::op_weight`] of the separate sweeps.
-    pub fn op_count(&self) -> usize {
+    pub(crate) fn op_count(&self) -> usize {
         self.trie.op_count()
     }
 

@@ -10,8 +10,8 @@
 //! * the paper circuits `P1` and `P2`, the `S` rows of Table 3 and
 //!   `hardware_efficient_ansatz(6, 2)`, under forced 1, 2 and 8 `qdp_par`
 //!   threads, on batches large enough to split into row tiles;
-//! * a batch of wide rows that fans the trie's subtrees out across
-//!   threads;
+//! * a batch of wide rows too few to tile, whose programs split among
+//!   the free workers;
 //! * 400 programs from the shared seeded generator (`support/`), together
 //!   with invariance under batch splits and merges;
 //! * the `M` rows, `#[ignore]`d: registers of up to 19 qubits take about
@@ -184,17 +184,18 @@ fn medium_paper_rows_match_the_oracle() {
     }
 }
 
-/// Four 11-qubit rows: too few to tile, but every subtree where programs
-/// part carries enough work to fan out across threads.
+/// Four 11-qubit rows: too few to tile, but enough work for the programs
+/// to split among the free workers, each part sweeping every `parts`-th
+/// program.
 #[test]
-fn fanned_out_subtrees_match_the_oracle() {
+fn programs_split_among_workers_match_the_oracle() {
     let program = hardware_efficient_ansatz(10, 1);
     let engine = GradientEngine::new(&program).expect("differentiable");
     let rows = 4;
     let dim = 1usize << (engine.register().len() + 1);
     assert!(
-        rows * dim * engine.shared_sweep().op_count() >= qdp_par::FORK_MIN_WORK,
-        "the batch must be large enough to fan out"
+        rows * dim * engine.shared_sweep_op_count() >= qdp_par::FORK_MIN_WORK,
+        "the batch must be large enough to split"
     );
     check_threads(
         "HEA(10,1)",
@@ -284,6 +285,6 @@ fn trie_op_counts() {
             })
             .sum();
         assert_eq!(separate, separate_ops, "{label}: separate sweeps");
-        assert_eq!(engine.shared_sweep().op_count(), trie_ops, "{label}: trie");
+        assert_eq!(engine.shared_sweep_op_count(), trie_ops, "{label}: trie");
     }
 }

@@ -10,6 +10,7 @@
 //! * [`par_map`] — order-preserving parallel map over a slice,
 //! * [`par_chunks_mut`] — parallel iteration over disjoint contiguous chunks
 //!   of a mutable slice (each callback also receives the chunk's offset),
+//! * [`par_split`] — one job split into as many parts as workers are free,
 //! * [`max_threads`] / [`set_max_threads`] — the global worker budget,
 //! * [`FORK_MIN_WORK`] / [`fork_pays`] — the least work worth a fork.
 //!
@@ -450,6 +451,39 @@ where
         }
     }
     collect_tiles(results)
+}
+
+/// Splits one job into as many parts as there are free workers, at most
+/// `max_parts`: claims the workers, runs `f(part, parts)` for every `part`
+/// in `0..parts` (part 0 on the calling thread) and returns the results in
+/// part order. With no worker free — inside a worker, under a one-thread
+/// budget, or while other forks hold the pool — it makes the one call
+/// `f(0, 1)`, so a caller that would duplicate work to split it pays
+/// nothing for the attempt.
+///
+/// # Panics
+///
+/// A panicking part re-raises the lowest part's message after every part
+/// has finished.
+pub fn par_split<R, F>(max_parts: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize, usize) -> R + Sync,
+{
+    let claimed = claim(max_parts.saturating_sub(1));
+    if claimed == 0 {
+        return vec![f(0, 1)];
+    }
+    let parts = claimed + 1;
+    let results = fork_join(claimed, (0..parts).collect(), &|part| f(part, parts));
+    let mut out = Vec::with_capacity(parts);
+    for result in results {
+        match result {
+            Ok(r) => out.push(r),
+            Err(payload) => panic!("{}", panic_message(payload)),
+        }
+    }
+    out
 }
 
 /// The chunk length of an `n`-element split among `1 + claimed` threads,

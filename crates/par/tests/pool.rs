@@ -158,3 +158,40 @@ fn set_max_threads_grows_the_pool_and_zero_restores_the_default() {
         .collect();
     assert!(ran_on.len() <= default);
 }
+
+#[test]
+fn par_split_makes_one_part_per_claimed_worker_and_one_call_when_none_is_free() {
+    let _l = serialized();
+    qdp_par::set_max_threads(4);
+    let split = qdp_par::par_split(3, |part, parts| (part, parts));
+    assert_eq!(split, vec![(0, 3), (1, 3), (2, 3)]);
+    assert_eq!(
+        qdp_par::par_split(8, |part, parts| (part, parts)).len(),
+        4,
+        "at most max_threads() parts"
+    );
+    // Inside a worker nothing can be claimed: the nested split is one call.
+    let nested = qdp_par::par_split(2, |part, _| {
+        (part == 1).then(|| qdp_par::par_split(4, |part, parts| (part, parts)))
+    });
+    assert_eq!(nested[1], Some(vec![(0, 1)]));
+    qdp_par::set_max_threads(1);
+    assert_eq!(
+        qdp_par::par_split(4, |part, parts| (part, parts)),
+        vec![(0, 1)]
+    );
+    qdp_par::set_max_threads(2);
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let caught = catch_unwind(AssertUnwindSafe(|| {
+        qdp_par::par_split(2, |part, _| assert!(part != 1, "part {part} exploded"))
+    }));
+    std::panic::set_hook(hook);
+    let message = caught.unwrap_err();
+    assert_eq!(
+        message.downcast_ref::<String>().map(String::as_str),
+        Some("part 1 exploded")
+    );
+    assert_eq!(threads_used(2).len(), 2, "the worker survives the panic");
+    qdp_par::set_max_threads(0);
+}

@@ -30,7 +30,9 @@
 //!   programs merged into one prefix trie as a single exact sweep — each
 //!   shared prefix, forks included, once — and reads every program out
 //!   into its own column, with the bits of that program's own sweep. It
-//!   runs every derivative program of an exact gradient at once.
+//!   runs every derivative program of an exact gradient at once. Batches
+//!   too small for row tiles split their programs among the free workers
+//!   instead.
 //!
 //! Both modes share the straight-line machinery: gate segments stream as
 //! single batched kernel calls (with per-qubit 2×2 fusion of commuting
@@ -2129,7 +2131,7 @@ struct TrieNode {
     sibling: usize,
     /// Programs that end here.
     leaves: Vec<usize>,
-    /// Ops in the subtree below: the fan-out work measure.
+    /// Ops in the subtree below; the root's is [`SweepTrie::op_count`].
     weight: usize,
 }
 
@@ -2386,29 +2388,29 @@ impl SweepTrie {
         }
     }
 
-    /// The programs with a leaf in the subtree at `node`.
-    fn programs_below(&self, node: usize) -> Vec<usize> {
-        let mut out = self.nodes[node].leaves.clone();
-        let mut stack: Vec<usize> = self.children(node).collect();
-        while let Some(n) = stack.pop() {
-            out.extend_from_slice(&self.nodes[n].leaves);
-            stack.extend(self.children(n));
+    /// Which nodes lead to a leaf of part `part` of `parts`, where program
+    /// `p` belongs to part `p % parts`. Children sit after their parents in
+    /// the arena, so one backward pass sees every child first.
+    fn live_nodes(&self, part: usize, parts: usize) -> Vec<bool> {
+        let mut live = vec![false; self.nodes.len()];
+        for node in (0..self.nodes.len()).rev() {
+            live[node] = self.nodes[node].leaves.iter().any(|&p| p % parts == part)
+                || self.children(node).any(|c| live[c]);
         }
-        out.sort_unstable();
-        out.dedup();
-        out
+        live
     }
 
     /// Every program's exact expectation `Σ_branches ⟨ψb|O|ψb⟩` on every
     /// row of the batch: `out[i][r]` for program `i` on row `r`, with the
     /// gate matrices of [`TrieMatrix::Table`] entries read from `table`.
     ///
-    /// Batches whose work (rows × amplitudes × trie ops) reaches
-    /// [`qdp_par::FORK_MIN_WORK`] split into [`EXACT_TILE`]-row tiles
-    /// across `qdp_par`. Within a tile, a node where programs part into
-    /// several ops fans its subtrees out when their work pays for a fork;
-    /// the subtrees hold disjoint programs, so each column is still summed
-    /// by one thread, in its own depth-first order. Per-row bits are the
+    /// Work (rows × amplitudes × trie ops) that reaches
+    /// [`qdp_par::FORK_MIN_WORK`] is split across `qdp_par`: batches of
+    /// more than [`EXACT_TILE`] rows into `EXACT_TILE`-row tiles, smaller
+    /// ones into one part per free worker, each sweeping the trie for
+    /// every `parts`-th program. A part repeats the prefixes its programs
+    /// share with other parts', but every column is still summed by one
+    /// thread in its program's own depth-first order. Per-row bits are the
     /// same under any thread count and batch decomposition.
     ///
     /// # Panics
@@ -2428,9 +2430,16 @@ impl SweepTrie {
             return out;
         }
         let ops = self.op_count();
-        let blocks = exact_tiles(states, ops, |block| self.sweep_tile(table, block, obs))
-            .unwrap_or_else(|e| panic!("{e}"));
-        for (rows, cols) in blocks {
+        let work = total_rows * states.dim() * ops;
+        let blocks = if total_rows <= EXACT_TILE && qdp_par::fork_pays(work) {
+            self.sweep_split(table, &states, obs)
+                .map(|cols| vec![(total_rows, cols)])
+        } else {
+            exact_tiles(states, ops, |block| {
+                self.sweep_tile(table, block, obs, 0, 1)
+            })
+        };
+        for (rows, cols) in blocks.unwrap_or_else(|e| panic!("{e}")) {
             for (col, part) in out.iter_mut().zip(cols.chunks(rows)) {
                 col.extend_from_slice(part);
             }
@@ -2438,13 +2447,36 @@ impl SweepTrie {
         out
     }
 
-    /// One tile: the whole trie over one block, into a column-major
-    /// `programs × rows` buffer.
+    /// The whole batch as one block, its programs split among the free
+    /// workers: part `k` of `n` sweeps the programs `p` with `p % n == k`.
+    fn sweep_split(
+        &self,
+        table: &[Matrix],
+        states: &BatchedStates,
+        obs: &Observable,
+    ) -> Result<Vec<f64>, QdpError> {
+        let parts = qdp_par::par_split(self.programs(), |part, parts| {
+            self.sweep_tile(table, states.clone(), obs, part, parts)
+        });
+        let parts = parts.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let rows = states.len();
+        Ok((0..self.programs())
+            .flat_map(|p| &parts[p % parts.len()][p * rows..(p + 1) * rows])
+            .copied()
+            .collect())
+    }
+
+    /// One tile: the trie for part `part` of `parts` (see
+    /// [`live_nodes`](Self::live_nodes)) over one block, into a
+    /// column-major `programs × rows` buffer. Columns of other parts keep
+    /// their start values.
     fn sweep_tile(
         &self,
         table: &[Matrix],
         states: BatchedStates,
         obs: &Observable,
+        part: usize,
+        parts: usize,
     ) -> Result<Vec<f64>, QdpError> {
         let rows = states.len();
         let mut cols: Vec<f64> = self
@@ -2452,23 +2484,34 @@ impl SweepTrie {
             .iter()
             .flat_map(|&straight| std::iter::repeat_n(if straight { -0.0 } else { 0.0 }, rows))
             .collect();
-        with_scratch(|scratch| {
+        let live = if parts > 1 {
+            self.live_nodes(part, parts)
+        } else {
+            Vec::new()
+        };
+        SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
             let group = weighted_root(states, scratch);
-            TrieSweep::new(self, scratch, table, obs, rows).run(0, group, &mut cols)
+            let mut sweep = TrieSweep {
+                trie: self,
+                exact: ExactSweep {
+                    budgets: vec![0.0; rows],
+                    scratch,
+                    flush_gate: Matrix::zeros(2, 2),
+                    health: None,
+                    defects: Vec::new(),
+                },
+                table,
+                obs,
+                rows,
+                live: &live,
+                split: (part, parts),
+                values: Vec::new(),
+            };
+            sweep.run(0, group, &mut cols)
         })?;
         Ok(cols)
     }
-}
-
-/// Runs `f` on this thread's regroup arena, or on a fresh one when the
-/// arena is already in use further up the stack (the calling thread's
-/// share of a fan-out inside a sweep). Arena contents never influence
-/// results.
-fn with_scratch<R>(f: impl FnOnce(&mut RegroupScratch) -> R) -> R {
-    SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => f(&mut scratch),
-        Err(_) => f(&mut RegroupScratch::default()),
-    })
 }
 
 /// The state of one [`SweepTrie`] sweep over one tile.
@@ -2481,32 +2524,28 @@ struct TrieSweep<'a> {
     obs: &'a Observable,
     /// Rows of the tile: the stride of the column buffer.
     rows: usize,
+    /// The nodes this sweep runs ([`SweepTrie::live_nodes`]); empty when
+    /// it runs them all.
+    live: &'a [bool],
+    /// This sweep's part and the number of parts: it reads out program
+    /// `p` only when `p % parts == part`.
+    split: (usize, usize),
     /// Read-out buffer of the current leaf group.
     values: Vec<f64>,
 }
 
 impl<'a> TrieSweep<'a> {
-    fn new(
-        trie: &'a SweepTrie,
-        scratch: &'a mut RegroupScratch,
-        table: &'a [Matrix],
-        obs: &'a Observable,
-        rows: usize,
-    ) -> Self {
-        TrieSweep {
-            trie,
-            exact: ExactSweep {
-                budgets: vec![0.0; rows],
-                scratch,
-                flush_gate: Matrix::zeros(2, 2),
-                health: None,
-                defects: Vec::new(),
-            },
-            table,
-            obs,
-            rows,
-            values: Vec::new(),
-        }
+    fn owns(&self, program: usize) -> bool {
+        let (part, parts) = self.split;
+        program % parts == part
+    }
+
+    /// The children of `node` this sweep runs.
+    fn live_children(&self, node: usize) -> impl Iterator<Item = usize> + 'a {
+        let live = self.live;
+        self.trie
+            .children(node)
+            .filter(move |&c| live.is_empty() || live[c])
     }
 
     /// Runs the subtree at `node` on `group`. Chains of single gates run
@@ -2519,16 +2558,17 @@ impl<'a> TrieSweep<'a> {
     ) -> Result<(), QdpError> {
         let trie = self.trie;
         loop {
-            let n = &trie.nodes[node];
-            if !n.leaves.is_empty() {
-                self.read_leaves(&n.leaves, &mut group, cols, n.child == NO_NODE);
+            let mut children = self.live_children(node);
+            let (child, more) = (children.next(), children.next().is_some());
+            let leaves = &trie.nodes[node].leaves;
+            if leaves.iter().any(|&p| self.owns(p)) {
+                self.read_leaves(leaves, &mut group, cols, child.is_none());
             }
-            let child = n.child;
-            if child == NO_NODE {
+            let Some(child) = child else {
                 self.exact.scratch.reclaim_weighted(group);
                 return Ok(());
-            }
-            if trie.nodes[child].sibling != NO_NODE {
+            };
+            if more {
                 return self.part(node, group, cols);
             }
             match trie.nodes[child].step {
@@ -2560,9 +2600,9 @@ impl<'a> TrieSweep<'a> {
         );
     }
 
-    /// Adds the group's read-out to the column of every program ending
-    /// here. Pending products are flushed first, on a copy when programs
-    /// go on from the unflushed group.
+    /// Adds the group's read-out to the column of every program of this
+    /// sweep ending here. Pending products are flushed first, on a copy
+    /// when programs go on from the unflushed group.
     fn read_leaves(
         &mut self,
         leaves: &[usize],
@@ -2589,7 +2629,7 @@ impl<'a> TrieSweep<'a> {
                 .expectation_batch_into(&copy.states, &mut self.values);
             self.exact.scratch.reclaim_weighted(copy);
         }
-        for &p in leaves {
+        for &p in leaves.iter().filter(|&&p| self.owns(p)) {
             let col = &mut cols[p * self.rows..(p + 1) * self.rows];
             for (ctx, v) in group.rows.iter().zip(&self.values) {
                 col[ctx.orig] += v;
@@ -2624,8 +2664,8 @@ impl<'a> TrieSweep<'a> {
             Step::Case { meas } => {
                 let mut forks = self.exact.fork(group, &trie.measurements[meas])?;
                 for (outcome, sub) in forks.drain(..) {
-                    match trie
-                        .children(node)
+                    match self
+                        .live_children(node)
                         .find(|&arm| trie.nodes[arm].step == Step::Arm { outcome })
                     {
                         Some(arm) => self.run(arm, sub, cols)?,
@@ -2640,50 +2680,22 @@ impl<'a> TrieSweep<'a> {
     }
 
     /// Runs each child of a node where programs part on its own copy of
-    /// the group: serially, or fanned out across `qdp_par` when the
-    /// subtree's work pays for a fork. A fanned-out child sums into a copy
-    /// of the columns and hands back only its own programs' columns, so
-    /// every column is still summed by one thread, in order.
+    /// the group, the last on the group itself.
     fn part(
         &mut self,
         node: usize,
         group: WeightedGroup,
         cols: &mut [f64],
     ) -> Result<(), QdpError> {
-        let trie = self.trie;
-        let work = group.states.len() * group.states.dim() * trie.nodes[node].weight;
-        if !qdp_par::fork_pays(work) {
-            let mut children = trie.children(node).peekable();
-            while let Some(child) = children.next() {
-                if children.peek().is_none() {
-                    return self.step(child, group, cols);
-                }
-                let copy = self.exact.scratch.copy_weighted(&group);
-                self.step(child, copy, cols)?;
+        let mut children = self.live_children(node).peekable();
+        while let Some(child) = children.next() {
+            if children.peek().is_none() {
+                return self.step(child, group, cols);
             }
-            unreachable!("a node where programs part has children");
+            let copy = self.exact.scratch.copy_weighted(&group);
+            self.step(child, copy, cols)?;
         }
-        let (table, obs, rows) = (self.table, self.obs, self.rows);
-        let children: Vec<usize> = trie.children(node).collect();
-        let snapshot: &[f64] = cols;
-        let shared = &group;
-        let parts = qdp_par::par_map(&children, |&child| {
-            let mut local = snapshot.to_vec();
-            with_scratch(|scratch| {
-                let copy = scratch.copy_weighted(shared);
-                TrieSweep::new(trie, scratch, table, obs, rows).step(child, copy, &mut local)
-            })
-            .map(|()| local)
-        });
-        self.exact.scratch.reclaim_weighted(group);
-        for (&child, part) in children.iter().zip(parts) {
-            let part = part?;
-            for p in trie.programs_below(child) {
-                let span = p * rows..(p + 1) * rows;
-                cols[span.clone()].copy_from_slice(&part[span]);
-            }
-        }
-        Ok(())
+        unreachable!("a node where programs part has children");
     }
 }
 
@@ -3028,6 +3040,20 @@ mod tests {
             let alone = ShotEngine::new(program)
                 .expectation_sweep(BatchedStates::from_states(&inputs), &obs);
             assert_eq!(bits(&columns[i]), bits(&alone), "program {i}");
+        }
+        // Split into parts, each sweeping every `parts`-th program: the
+        // part that owns a program reads out the same bits.
+        let rows = inputs.len();
+        for parts in 2..=columns.len() {
+            for part in 0..parts {
+                let batch = BatchedStates::from_states(&inputs);
+                let cols = trie.sweep_tile(&table, batch, &obs, part, parts).unwrap();
+                for i in (part..columns.len()).step_by(parts) {
+                    let split = &cols[i * rows..(i + 1) * rows];
+                    let what = format!("program {i} of {parts} parts");
+                    assert_eq!(bits(split), bits(&columns[i]), "{what}");
+                }
+            }
         }
     }
 
