@@ -1,6 +1,6 @@
-//! Golden bits of the exact batched gradient: hard-coded `f64::to_bits`
-//! folds of `GradientEngine::gradient_pure_batch`, so a change to the exact
-//! gradient path that moves a single bit fails here even when every
+//! Golden bits of exact batched evaluation: hard-coded `f64::to_bits`
+//! folds of every exact batched entry point, so a change to the exact
+//! path that moves a single bit fails here even when every
 //! self-consistency suite (batched vs per-parameter, split vs merged
 //! batches, 1 vs 8 threads) still agrees with itself.
 //!
@@ -8,6 +8,10 @@
 //!   loops, so `case` forks and aborting arms) and
 //!   `hardware_efficient_ansatz(6, 2)`, each on a seeded 16-row batch of
 //!   random states at a seeded valuation;
+//! * `value_pure_batch` on the same four programs and batches;
+//! * `gradient_pure_shift_batch` on the shift-eligible
+//!   `hardware_efficient_ansatz(4, 2)`;
+//! * `Differentiated::derivative_pure_batch` on `P2`, every parameter;
 //! * four exact `Trainer` epochs on `P2` (every loss, and a fold of every
 //!   final parameter's bits).
 //!
@@ -103,6 +107,27 @@ fn gradient_bits(program: &Stmt, obs: &Observable, seed: u64) -> u64 {
     })
 }
 
+/// The fold of every forward value's bits over a seeded 16-row batch.
+fn value_bits(program: &Stmt, obs: &Observable, seed: u64) -> u64 {
+    let engine = GradientEngine::new(program).expect("differentiable");
+    let params = random_params(program, seed);
+    let batch = random_batch(engine.register().len(), 16, seed ^ 0xBA7C);
+    let values = engine.value_pure_batch(&params, obs, &batch);
+    assert_eq!(values.len(), 16);
+    values.iter().fold(FNV_OFFSET, |h, v| fnv(h, v.to_bits()))
+}
+
+/// `QNN_{S,w}` with its read-out on the last qubit.
+fn s_row_with_while() -> (Stmt, Observable) {
+    let row = paper_instances()
+        .into_iter()
+        .find(|c| c.name == "QNN_{S,w}")
+        .expect("the S,w row exists");
+    let program = row.build();
+    let n = qdp_lang::Register::from_program(&program).len();
+    (program, Observable::pauli_z(n, n - 1))
+}
+
 #[test]
 fn p1_gradient_bits() {
     assert_golden("gradient_pure_batch on P1", 0x822f_6b73_ac3c_1c26, || {
@@ -119,16 +144,11 @@ fn p2_gradient_bits() {
 
 #[test]
 fn s_row_with_while_gradient_bits() {
-    let row = paper_instances()
-        .into_iter()
-        .find(|c| c.name == "QNN_{S,w}")
-        .expect("the S,w row exists");
-    let program = row.build();
-    let n = qdp_lang::Register::from_program(&program).len();
+    let (program, obs) = s_row_with_while();
     assert_golden(
         "gradient_pure_batch on QNN_{S,w}",
         0x08c3_254f_f2f5_546b,
-        || gradient_bits(&program, &Observable::pauli_z(n, n - 1), 0x9A3),
+        || gradient_bits(&program, &obs, 0x9A3),
     );
 }
 
@@ -140,6 +160,62 @@ fn hea_gradient_bits() {
         0xbfe5_f05b_d985_384f,
         || gradient_bits(&program, &Observable::pauli_z(6, 0), 0x9A4),
     );
+}
+
+#[test]
+fn forward_value_bits() {
+    let (s_row, s_obs) = s_row_with_while();
+    for (label, program, obs, seed, expected) in [
+        ("P1", circuits::p1(), task::readout_observable(), 0x9B1, 0xd1f5_34a2_4b87_273eu64),
+        ("P2", circuits::p2(), task::readout_observable(), 0x9B2, 0x50a2_a2ed_4d0a_7dc6),
+        ("QNN_{S,w}", s_row, s_obs, 0x9B3, 0xc102_40bb_c3e4_a303),
+        (
+            "HEA(6,2)",
+            hardware_efficient_ansatz(6, 2),
+            Observable::pauli_z(6, 0),
+            0x9B4,
+            0xe976_4fa2_0b10_eb46,
+        ),
+    ] {
+        assert_golden(&format!("value_pure_batch on {label}"), expected, || {
+            value_bits(&program, &obs, seed)
+        });
+    }
+}
+
+#[test]
+fn shift_rule_gradient_bits() {
+    let program = hardware_efficient_ansatz(4, 2);
+    let engine = GradientEngine::new(&program).expect("differentiable");
+    assert!(engine.shift_rule_eligible());
+    let params = random_params(&program, 0x9C1);
+    let batch = random_batch(4, 16, 0x9C1 ^ 0xBA7C);
+    let obs = Observable::pauli_z(4, 1);
+    assert_golden("gradient_pure_shift_batch on HEA(4,2)", 0x0f72_ec98_e927_7446, || {
+        let rows = engine.gradient_pure_shift_batch(&params, &obs, &batch);
+        assert_eq!(rows.len(), 16);
+        rows.iter().fold(FNV_OFFSET, |h, row| {
+            row.values().fold(h, |h, v| fnv(h, v.to_bits()))
+        })
+    });
+}
+
+#[test]
+fn p2_derivative_multiset_bits() {
+    let program = circuits::p2();
+    let engine = GradientEngine::new(&program).expect("differentiable");
+    let params = random_params(&program, 0x9D1);
+    let batch = random_batch(engine.register().len(), 16, 0x9D1 ^ 0xBA7C);
+    let obs = task::readout_observable();
+    // Parameters in name order, each multiset's rows in row order.
+    assert_golden("derivative_pure_batch on P2", 0x2283_4100_22be_6559, || {
+        engine.parameters().fold(FNV_OFFSET, |h, name| {
+            let diff = engine.differentiated(name).expect("engine parameter");
+            diff.derivative_pure_batch(&params, &obs, &batch)
+                .iter()
+                .fold(h, |h, v| fnv(h, v.to_bits()))
+        })
+    });
 }
 
 #[test]
