@@ -180,34 +180,29 @@ pub fn estimate_derivative_batched(
 pub struct PreparedDerivativeEstimator {
     engines: Vec<ShotEngine>,
     readout: ProjectiveObservable,
-    /// The extended observable `ZA ⊗ O` itself, for the exact baseline.
-    ext_obs: Observable,
 }
 
 /// The valuation-independent half of a [`PreparedDerivativeEstimator`]:
 /// the interned compiled skeleton (trajectory templates with constant
-/// matrices final), the decomposed `ZA ⊗ O` read-out, and the extended
-/// observable. Everything here depends only on (program, observable) —
-/// **not** on the parameter values — so a caller evaluating many
-/// valuations (a parameter-shift sweep, a training loop) builds this once
-/// and calls [`prepare`](Self::prepare) per valuation, which re-patches
-/// only the shifted parameter slots.
+/// matrices final) and the decomposed `ZA ⊗ O` read-out. Everything here
+/// depends only on (program, observable) — **not** on the parameter
+/// values — so a caller evaluating many valuations (a parameter-shift
+/// sweep, a training loop) builds this once and calls
+/// [`prepare`](Self::prepare) per valuation, which re-patches only the
+/// shifted parameter slots.
 #[derive(Clone, Debug)]
 pub struct DerivativeEstimatorSkeleton {
     skeleton: std::sync::Arc<crate::cache::CompiledSkeleton>,
     readout: ProjectiveObservable,
-    ext_obs: Observable,
 }
 
 impl DerivativeEstimatorSkeleton {
     /// Interns the compiled multiset of `diff` (shared across the process
     /// via [`crate::ProgramCache`]) and decomposes the extended read-out.
     pub fn new(diff: &Differentiated, obs: &Observable) -> Self {
-        let ext_obs = obs.with_ancilla_z();
         DerivativeEstimatorSkeleton {
             skeleton: diff.skeleton(),
-            readout: ProjectiveObservable::new(&ext_obs),
-            ext_obs,
+            readout: ProjectiveObservable::new(&obs.with_ancilla_z()),
         }
     }
 
@@ -226,7 +221,6 @@ impl DerivativeEstimatorSkeleton {
                 .map(|i| ShotEngine::new(self.skeleton.trajectory_at(i, &values)))
                 .collect(),
             readout: self.readout.clone(),
-            ext_obs: self.ext_obs.clone(),
         }
     }
 }
@@ -250,41 +244,6 @@ impl PreparedDerivativeEstimator {
         self.engines.len()
     }
 
-    /// The **exact** value of the estimated sum (Eq. 7.1) on one input —
-    /// the baseline every shot estimate converges to — computed on the
-    /// *same* trajectory IR the sampled sweeps run: each resolved
-    /// program's engine executes the branch-weighted exact sweep
-    /// ([`ShotEngine::expectation_sweep`]) and the per-program values sum
-    /// in multiset order. Agrees with
-    /// [`Differentiated::derivative_pure`]'s per-row enumeration to
-    /// numerical precision, and is bit-for-bit deterministic under any
-    /// thread count.
-    pub fn exact(&self, psi: &StateVector) -> f64 {
-        self.try_exact(psi).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`exact`](Self::exact): worker-panic exhaustion
-    /// surfaces as a typed [`qdp_sim::QdpError::WorkerPanic`] instead of a
-    /// panic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`qdp_sim::QdpError::WorkerPanic`] when a program's tile
-    /// panicked and the bounded bit-identical retries did not heal it.
-    pub fn try_exact(&self, psi: &StateVector) -> Result<f64, qdp_sim::QdpError> {
-        let ext_psi = StateVector::zero_state(1).tensor(psi);
-        // Engines are pure per call, so a panicked tile retries
-        // bit-identically before the failure is surfaced.
-        Ok(qdp_par::try_par_map_retry(
-            &self.engines,
-            |engine| engine.expectation_sweep(BatchedStates::repeat(&ext_psi, 1), &self.ext_obs)[0],
-            TILE_RETRIES,
-        )
-        .map_err(qdp_sim::QdpError::from)?
-        .into_iter()
-        .sum())
-    }
-
     /// One batched derivative estimate — identical bits to
     /// [`estimate_derivative_batched`] with the same arguments.
     ///
@@ -296,8 +255,8 @@ impl PreparedDerivativeEstimator {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible twin of [`estimate`](Self::estimate) — same contract as
-    /// [`try_exact`](Self::try_exact).
+    /// Fallible twin of [`estimate`](Self::estimate): worker-panic
+    /// exhaustion surfaces as a typed error instead of a panic.
     ///
     /// # Errors
     ///
@@ -543,32 +502,6 @@ mod tests {
             1,
         );
         assert_eq!(est, 0.0);
-    }
-
-    #[test]
-    fn prepared_exact_baseline_matches_per_row_derivative() {
-        // The estimator's exact baseline runs on the unified trajectory IR
-        // (branch-weighted sweep); the per-row enumeration pins it.
-        for src in [
-            "q1 *= RX(t); q1 *= RY(t)",
-            "q1 *= RX(t); case M[q1] = 0 -> q1 *= RY(t), 1 -> q1 *= RZ(t) end",
-            "q1 *= RY(t); while[2] M[q1] = 1 do q1 *= RY(t) done",
-        ] {
-            let p = parse_program(src).unwrap();
-            let diff = differentiate(&p, "t").unwrap();
-            let params = Params::from_pairs([("t", 0.8)]);
-            let obs = Observable::pauli_z(1, 0);
-            let prepared = PreparedDerivativeEstimator::new(&diff, &params, &obs);
-            for k in 0..2usize {
-                let psi = StateVector::basis_state(1, k);
-                let exact = prepared.exact(&psi);
-                let oracle = diff.derivative_pure(&params, &obs, &psi);
-                assert!(
-                    (exact - oracle).abs() < 1e-12,
-                    "{src} on |{k}⟩: IR {exact} vs oracle {oracle}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -30,27 +30,6 @@ use std::sync::Arc;
 /// a retry is bit-identical to a first-try success.
 const TILE_RETRIES: usize = 2;
 
-/// Extracts the human-readable message from a panic payload (the two
-/// payload shapes `panic!` produces, with a fallback for exotic ones).
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
-}
-
-/// Runs a batched evaluation whose only failure mode is a panic (e.g.
-/// worker-panic exhaustion deep inside `expectation_batch` re-panics with
-/// the typed message) and converts the unwind into a typed error — the
-/// fallible `try_*` twins of entry points that cannot thread a `Result`
-/// through their fan-out are built on this.
-fn contain<R>(f: impl FnOnce() -> R) -> Result<R, qdp_sim::QdpError> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
-        qdp_sim::QdpError::ServicePanic { message: panic_message(payload.as_ref()) }
-    })
-}
-
 /// The compile-time artifact of differentiating one program with respect to
 /// one parameter.
 ///
@@ -295,14 +274,13 @@ impl Differentiated {
     }
 
     /// Batched pure-input evaluation of [`derivative_pure`](Self::derivative_pure):
-    /// one derivative value per batch row, computed in a single pass over
-    /// the lowered multiset. The ancilla extension of the batch and the
-    /// observable are built once; parameter slots are resolved once; the
-    /// `batch × programs` tiles are split across `qdp_par` workers. Each
-    /// entry agrees with `derivative_pure` on that row to numerical
-    /// precision (≪ 1e-12 — the straight-line fast path fuses commuting
-    /// rotations, which reorders rounding), and the batch result itself is
-    /// bit-for-bit deterministic under any thread count.
+    /// one derivative value per batch row, the multiset swept as one
+    /// prefix trie over the whole batch ([`LoweredSet::expectation_batch`]).
+    /// The ancilla extension of the batch and the observable are built
+    /// once. Each entry agrees with `derivative_pure` on that row to
+    /// numerical precision (≪ 1e-12; fusion reorders rounding), and the
+    /// batch result itself is bit-for-bit deterministic under any thread
+    /// count.
     pub fn derivative_pure_batch(
         &self,
         params: &Params,
@@ -744,7 +722,8 @@ impl GradientEngine {
     /// Forward values `tr(O·[[P(θ*)]]|ψr⟩⟨ψr|)` for every row of a batch.
     ///
     /// Runs on the **lowered** forward program (resolved indices, interned
-    /// slots, gate matrices built once per batch) instead of the AST
+    /// slots, gate matrices built once per batch, swept as a one-program
+    /// trie by [`LoweredSet::expectation_batch`]) instead of the AST
     /// interpreter [`value_pure`](Self::value_pure) uses — this is where
     /// most of the batched training speedup comes from. Agrees with
     /// `value_pure` to numerical precision on every row.
@@ -759,25 +738,6 @@ impl GradientEngine {
         fwd.lowered().expectation_batch(&values, states, obs)
     }
 
-    /// Fallible twin of [`value_pure_batch`](Self::value_pure_batch): the
-    /// sweep's failure panics (worker-panic exhaustion deep inside
-    /// `expectation_batch`) are contained into a typed
-    /// [`qdp_sim::QdpError::ServicePanic`] carrying the panic message.
-    /// A successful call returns the identical bits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`qdp_sim::QdpError::ServicePanic`] when the sweep
-    /// panicked.
-    pub fn try_value_pure_batch(
-        &self,
-        params: &Params,
-        obs: &Observable,
-        states: &BatchedStates,
-    ) -> Result<Vec<f64>, qdp_sim::QdpError> {
-        contain(|| self.value_pure_batch(params, obs, states))
-    }
-
     /// The full gradient for **every** row of a batch, keyed by parameter
     /// name, in **one** sweep over every parameter's derivative programs.
     ///
@@ -788,10 +748,12 @@ impl GradientEngine {
     /// per call from the canonical valuation. Large batches split into row
     /// tiles across `qdp_par`; a batch too small to split that still has
     /// the work for a fork splits its programs among the free workers
-    /// instead (see [`qdp_sim::SweepTrie::expectation_sweep`]). Programs share a node only where they run the same op on
-    /// the same data, so every entry carries the bits of the per-parameter
-    /// sweep, [`Differentiated::derivative_pure_batch`] (the named oracle,
-    /// pinned bitwise by `crates/core/tests/shared_sweep_oracle.rs`). It
+    /// instead (see [`qdp_sim::SweepTrie::expectation_sweep`]). Programs
+    /// share a node only where they run the same op on the same data, so
+    /// every entry carries the bits of each program's own
+    /// [`qdp_sim::ShotEngine::expectation_sweep`] summed in multiset order
+    /// (the named oracle, pinned bitwise by
+    /// `crates/core/tests/shared_sweep_oracle.rs`). It
     /// agrees with [`gradient_pure`](Self::gradient_pure) on each row to
     /// numerical precision (≪ 1e-12; fusion reorders rounding), and the
     /// result is bit-for-bit the same under any thread count and batch
@@ -825,23 +787,6 @@ impl GradientEngine {
                     .collect()
             })
             .collect()
-    }
-
-    /// Fallible twin of [`gradient_pure_batch`](Self::gradient_pure_batch)
-    /// — same containment contract as
-    /// [`try_value_pure_batch`](Self::try_value_pure_batch).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`qdp_sim::QdpError::ServicePanic`] when the sweep
-    /// panicked.
-    pub fn try_gradient_pure_batch(
-        &self,
-        params: &Params,
-        obs: &Observable,
-        states: &BatchedStates,
-    ) -> Result<Vec<BTreeMap<String, f64>>, qdp_sim::QdpError> {
-        contain(|| self.gradient_pure_batch(params, obs, states))
     }
 
     /// Whether the phase-shift rule applies: every parameter occurs exactly

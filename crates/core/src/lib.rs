@@ -3,7 +3,7 @@
 //! The core contribution of *On the Principles of Differentiable Quantum
 //! Programming Languages* (PLDI 2020), reproduced in Rust:
 //!
-//! * [`transform`] — the code-transformation rules `∂/∂θj(·)` of Fig. 4 with
+//! * [`transform`](mod@transform) — the code-transformation rules `∂/∂θj(·)` of Fig. 4 with
 //!   the single-circuit `R′σ` gadgets (Definition 6.1), and the one-pass
 //!   builder of their compiled, non-aborting derivative programs,
 //! * [`semantics`] — observable semantics, semantics with ancilla, and

@@ -2,7 +2,7 @@
 //!
 //! The judgement `S′(θ) | S(θ)` states that `S′` computes the differential
 //! semantics of `S` (Definition 5.3). This module represents proofs of the
-//! judgement as explicit [`Derivation`] trees, provides [`derive`] to build
+//! judgement as explicit [`Derivation`] trees, provides [`derive`](fn@derive) to build
 //! the canonical proof for the Fig. 4 code transformation, and [`check`] to
 //! validate an arbitrary derivation rule by rule.
 //!

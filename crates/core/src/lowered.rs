@@ -19,39 +19,38 @@
 //! # Batched evaluation
 //!
 //! Evaluating the same multiset against **many** input states (a training
-//! dataset, parallel shot batches) repeats yet more parameter-independent
-//! work: every gate matrix `Rσ(θ)` depends only on the valuation, not the
-//! state. [`LoweredSet::expectation_batch`] therefore resolves each program
-//! once per batch into a [`ResolvedProgram`] — slots substituted, every
-//! gate matrix built exactly once — and then fans the programs out through
-//! `qdp_par`. Straight-line programs fuse commuting rotations and stream
-//! the whole batch per operator; branching programs convert to the
-//! [`qdp_sim::TrajProgram`] IR (the same lowered form the shot engine
-//! samples) and run the **branch-weighted exact sweep**
-//! [`qdp_sim::ShotEngine::expectation_sweep`] — all rows measured at once,
-//! the block forked into outcome-homogeneous sub-batches carrying branch
-//! weights, leaf read-outs summed per row. Results are reduced per row in
-//! multiset order, so they are bit-for-bit independent of the thread
-//! count; against the per-row oracle ([`ResolvedProgram::expectation_pure`])
-//! they agree to numerical precision (≪ 1e-12 — fusion and
-//! leaf-summation order move rounding, nothing else).
+//! dataset, a coalesced service batch) repeats yet more
+//! parameter-independent work: every gate matrix `Rσ(θ)` depends only on
+//! the valuation, not the state. So every exact batched evaluation runs
+//! on **one** executor, a prefix trie ([`qdp_sim::SweepTrie`]) swept as a
+//! branch-weighted exact sweep: all rows measured at once, the block
+//! forked into outcome-homogeneous sub-batches carrying branch weights,
+//! leaf read-outs summed per row. Each gate matrix is built once per
+//! call, each shared prefix (measurement forks included) runs once, and
+//! the batch is copied only where programs part.
 //!
-//! That is how forward values and single multisets run (and the
-//! per-parameter oracle `Differentiated::derivative_pure_batch`). An exact
-//! **gradient** has one multiset per parameter, and most of their programs
-//! are the forward program with one rotation swapped for its gadget. So
-//! `SharedSweep` merges every parameter's programs into one prefix trie
-//! over the lowered op streams, keyed on each op and the bits of its
-//! matrix (a table entry per canonical slot and offset for parameterised
-//! gates), and runs it as **one** branch-weighted sweep
-//! ([`qdp_sim::SweepTrie`]): each shared prefix, measurement forks
-//! included, runs once, and the batch is copied only where programs part.
-//! Every entry carries the bits of the per-multiset sweep by construction.
+//! `SharedSweep` builds that trie from lowered op streams, keyed on each
+//! op and the bits of its matrix (a table entry per canonical slot and
+//! offset for parameterised gates). [`LoweredSet::expectation_batch`]
+//! sweeps its own programs as a one-set trie, built lazily once per set:
+//! that serves forward values, the shift rule's `2P` valuations and
+//! `Differentiated::derivative_pure_batch`. `GradientEngine` merges every
+//! parameter's multiset into one trie, because most derivative programs
+//! are the forward program with one rotation swapped for its gadget.
+//!
+//! Two oracles pin it. Each program's own
+//! [`qdp_sim::ShotEngine::expectation_sweep`] on its
+//! [`ResolvedProgram::to_trajectory`], summed in multiset order, carries
+//! the same bits (the trie runs the same ops with the same fusion and
+//! flush order on the same rows). [`ResolvedProgram::expectation_pure`],
+//! the per-row branch enumerator, agrees to ≪ 1e-12 (fusion and
+//! leaf-summation order move rounding, nothing else). Results are
+//! bit-for-bit the same under any thread count and batch composition.
 
 use qdp_lang::ast::{Gate, Params, Stmt};
 use qdp_lang::Register;
 use qdp_linalg::Matrix;
-use qdp_sim::{BatchedStates, Measurement, Observable, ShotEngine, StateVector};
+use qdp_sim::{BatchedStates, Measurement, Observable, StateVector};
 
 /// Branches below this squared norm are pruned (matches `denot` and the
 /// branch-weighted batched executor).
@@ -104,7 +103,7 @@ enum Op {
     },
 }
 
-/// A lowered normal program: a flat sequence of [`Op`]s.
+/// A lowered normal program: a flat sequence of ops.
 #[derive(Clone, Debug, Default)]
 pub struct LoweredProgram {
     ops: Vec<Op>,
@@ -121,6 +120,10 @@ pub struct LoweredSet {
     /// Size of the register the set was lowered against — input states
     /// must match it.
     n_qubits: usize,
+    /// The programs as one prefix trie over their own slots, the sweep
+    /// behind [`expectation_batch`](Self::expectation_batch). Built on the
+    /// first batched evaluation, never at lowering.
+    trie: std::sync::OnceLock<SharedSweep>,
 }
 
 impl LoweredSet {
@@ -168,7 +171,7 @@ impl LoweredSet {
             .collect()
     }
 
-    /// The lowered programs, for per-program parallel evaluation.
+    /// The lowered programs, in multiset order.
     pub fn programs(&self) -> &[LoweredProgram] {
         &self.programs
     }
@@ -177,18 +180,15 @@ impl LoweredSet {
     /// pass: returns `out[r] = Σᵢ ⟨ψ·|O|ψ·⟩` over the branches of program
     /// `i` run on input row `r`.
     ///
-    /// Parameter slots are resolved **once** — each gate matrix is built a
-    /// single time and shared by all rows and branches — and the work is
-    /// split across `qdp_par` workers one program at a time: straight-line
-    /// programs stream every fused operator over the whole batch block in
-    /// one kernel call each, and branching programs run the
-    /// branch-weighted exact sweep over the whole block (see
-    /// [`ResolvedProgram::expectation_batch`]). Per-row sums run in
-    /// multiset order over the order-preserving `par_map` output, so the
-    /// result is bit-for-bit deterministic under any thread count; it
-    /// agrees with the per-sample serial loop to numerical precision
-    /// (≪ 1e-12 — fusion and branch-weighted leaf summation reorder
-    /// rounding, nothing else).
+    /// The programs run as one prefix trie (a one-set `SharedSweep`),
+    /// built on the first call: each gate matrix is built once per call,
+    /// each shared prefix runs once over the whole batch, and the
+    /// per-program columns sum per row in multiset order. The result is
+    /// bit-for-bit the same under any thread count and batch composition,
+    /// and equal to summing each program's own
+    /// [`ShotEngine::expectation_sweep`](qdp_sim::ShotEngine::expectation_sweep)
+    /// (the bitwise oracle); against the per-row oracle
+    /// ([`ResolvedProgram::expectation_pure`]) it agrees to ≪ 1e-12.
     ///
     /// # Panics
     ///
@@ -200,26 +200,12 @@ impl LoweredSet {
         states: &BatchedStates,
         obs: &Observable,
     ) -> Vec<f64> {
-        let rows = states.len();
-        if rows == 0 || self.programs.is_empty() {
-            // An empty multiset denotes the zero map: every row reads 0.
-            return vec![0.0; rows];
-        }
-        assert_eq!(
-            states.num_qubits(),
-            self.n_qubits,
-            "batch register size must match the register the set was lowered against"
-        );
-        let resolved: Vec<ResolvedProgram<'_>> =
-            self.programs.iter().map(|p| p.resolve(values)).collect();
-        // Pure per program, so a panicked worker tile retries
-        // bit-identically (twice) before the failure is surfaced.
-        let per_program: Vec<Vec<f64>> =
-            qdp_par::try_par_map_retry(&resolved, |p| p.expectation_batch(states, obs), 2)
-                .unwrap_or_else(|e| panic!("{}", qdp_sim::QdpError::from(e)));
-        (0..rows)
-            .map(|r| per_program.iter().map(|per_row| per_row[r]).sum())
-            .collect()
+        let trie = self.trie.get_or_init(|| {
+            let identity: Vec<usize> = (0..self.param_names.len()).collect();
+            SharedSweep::build(self.n_qubits, [(self, identity.as_slice())])
+        });
+        let mut columns = trie.expectation_batch(values, states.clone(), obs);
+        columns.swap_remove(0)
     }
 }
 
@@ -377,34 +363,32 @@ struct TableEntry {
     offset: f64,
 }
 
-/// Every parameter's lowered derivative multiset merged into **one**
-/// prefix trie ([`qdp_sim::SweepTrie`]) over canonical parameter slots:
-/// what `GradientEngine::gradient_pure_batch` sweeps once per call instead
-/// of one sweep per parameter.
+/// Lowered multisets merged into **one** prefix trie
+/// ([`qdp_sim::SweepTrie`]) over canonical parameter slots, swept once per
+/// call: one set under the identity remap for
+/// [`LoweredSet::expectation_batch`], every parameter's derivative
+/// multiset for `GradientEngine::gradient_pure_batch`.
 ///
-/// Most derivative programs are the forward program with one rotation
-/// swapped for its gadget, so they share every op before it, measurements
-/// included. A gate keys on its matrix: a constant gate on the bits built
-/// at lowering time, a parameterised gate on its table entry, one per
+/// A gate keys on its matrix: a constant gate on the bits built at
+/// lowering time, a parameterised gate on its table entry, one per
 /// distinct (gate, canonical slot, offset bits). So two programs share a
 /// node only where they would run the same op on the same data, and every
-/// entry carries the bits of the per-parameter sweep
-/// ([`LoweredSet::expectation_batch`], the oracle
-/// `Differentiated::derivative_pure_batch` runs).
+/// program's column carries the bits of its own exact sweep
+/// ([`qdp_sim::ShotEngine::expectation_sweep`], the oracle).
 #[derive(Clone, Debug)]
 pub(crate) struct SharedSweep {
     trie: qdp_sim::SweepTrie,
     table: Vec<TableEntry>,
-    /// Per parameter, its programs' trie columns, in multiset order.
+    /// Per multiset, its programs' trie columns, in multiset order.
     spans: Vec<std::ops::Range<usize>>,
     /// Size of the register every multiset was lowered against.
     n_qubits: usize,
 }
 
 impl SharedSweep {
-    /// Merges the multisets `sets[j] = (lowered, remap)` of parameters
-    /// `j = 0, 1, …`, where `remap` maps the multiset's slots to canonical
-    /// slots, all lowered against one `n_qubits`-qubit register.
+    /// Merges the multisets `sets[j] = (lowered, remap)`, `j = 0, 1, …`,
+    /// where `remap` maps the multiset's slots to canonical slots, all
+    /// lowered against one `n_qubits`-qubit register.
     pub(crate) fn build<'s>(
         n_qubits: usize,
         sets: impl IntoIterator<Item = (&'s LoweredSet, &'s [usize])>,
@@ -433,10 +417,9 @@ impl SharedSweep {
         self.trie.op_count()
     }
 
-    /// `out[j][r]`: parameter `j`'s multiset expectation on row `r`, at the
-    /// canonical slot values `canonical` — the bits
-    /// [`LoweredSet::expectation_batch`] returns for that multiset, per
-    /// row summed over its programs in multiset order.
+    /// `out[j][r]`: multiset `j`'s expectation on row `r`, at the
+    /// canonical slot values `canonical`: its programs' columns summed per
+    /// row in multiset order.
     ///
     /// # Panics
     ///
@@ -703,10 +686,11 @@ enum ResolvedOp<'p> {
 }
 
 /// A [`LoweredProgram`] with a valuation substituted in (see
-/// [`LoweredProgram::resolve`]) — the replay artifact of batched
-/// evaluation. The executor mirrors [`LoweredProgram::run_from`] op for op:
-/// gate matrices carry the identical bits `Gate::matrix_at` produces, so
-/// replayed results equal the unresolved executor's bit-for-bit.
+/// [`LoweredProgram::resolve`]): the per-row oracle
+/// ([`expectation_pure`](Self::expectation_pure)) and the source of the
+/// trajectory IR ([`to_trajectory`](Self::to_trajectory)). Gate matrices
+/// carry the identical bits `Gate::matrix_at` produces, so replayed
+/// results equal the unresolved executor's bit-for-bit.
 #[derive(Clone, Debug)]
 pub struct ResolvedProgram<'p> {
     ops: Vec<ResolvedOp<'p>>,
@@ -718,8 +702,8 @@ impl ResolvedProgram<'_> {
     /// `denot::run_pure_branches`.
     ///
     /// This is the **retained per-row branch-enumeration oracle**: the
-    /// production batched path runs the branch-weighted sweep on the
-    /// trajectory IR instead, and the randomized differential suite
+    /// production batched path sweeps a prefix trie instead, and the
+    /// randomized differential suite
     /// (`crates/core/tests/branch_weighted_differential.rs`) pins the two
     /// against each other at 1e-12.
     fn run_from(&self, start: usize, mut psi: StateVector, out: &mut Vec<StateVector>) {
@@ -762,20 +746,19 @@ impl ResolvedProgram<'_> {
 
     /// `Σ_branches ⟨ψb|O|ψb⟩` — the expectation of the program's output on
     /// one input state, by per-row branch enumeration (the retained
-    /// oracle; see [`run_from`](Self::run_from)).
+    /// oracle; see `run_from`).
     pub fn expectation_pure(&self, psi: &StateVector, obs: &Observable) -> f64 {
         let mut branches = Vec::new();
         self.run_from(0, psi.clone(), &mut branches);
         branches.iter().map(|b| obs.expectation_pure(b)).sum()
     }
 
-    /// Converts into an owned [`qdp_sim::TrajProgram`] — the **single
-    /// lowered branching IR** both execution modes run: sampled trajectory
-    /// sweeps ([`ShotEngine::run`]/[`ShotEngine::sample_sweep`]) and the
-    /// branch-weighted exact sweep
-    /// ([`ShotEngine::expectation_sweep`], the production path of
-    /// [`expectation_batch`](Self::expectation_batch) for branching
-    /// programs). Every gate matrix and measurement is carried over as-is.
+    /// Converts into an owned [`qdp_sim::TrajProgram`], the branching IR
+    /// the shot engine runs. Every gate matrix and measurement is carried
+    /// over as-is. [`qdp_sim::ShotEngine::expectation_sweep`] on it,
+    /// summed over a multiset's programs in order, is the bitwise oracle
+    /// of [`LoweredSet::expectation_batch`]; the sampled sweeps run the
+    /// same IR, built through [`TrajSkeleton`].
     ///
     /// The only representational change is `q := |0⟩`: the per-row oracle
     /// enumerates both Kraus branches, while the trajectory form measures
@@ -803,88 +786,6 @@ impl ResolvedProgram<'_> {
             }
         }
         out
-    }
-
-    /// The expectation of the program's output on **every** row of a batch,
-    /// in row order.
-    ///
-    /// Straight-line programs (gates only — every compiled derivative of a
-    /// control-free circuit, and the hot path of training) have exactly one
-    /// branch per row, so the whole batch is evolved together, with two
-    /// amortisations on top of the shared gate matrices:
-    ///
-    /// * **fusion** — single-qubit gates on *distinct* qubits commute, so
-    ///   each qubit accumulates the 2×2 product of its pending rotations
-    ///   and is flushed only when a multi-qubit gate touches it (or at the
-    ///   end). A 25-gate derivative program collapses to a handful of
-    ///   kernel sweeps;
-    /// * **streaming** — each surviving operator goes through **one**
-    ///   [`BatchedStates::apply_gate`] call that evolves all rows at once.
-    ///
-    /// Programs with `Init`/`Case`/`Abort` branch points — the
-    /// measurement-controlled programs the code transformation produces —
-    /// convert to the trajectory IR ([`to_trajectory`](Self::to_trajectory))
-    /// and run the **branch-weighted exact sweep**
-    /// ([`ShotEngine::expectation_sweep`]): all rows measured at once, the
-    /// block forked into outcome-homogeneous weighted sub-batches that
-    /// keep streaming batched (fused) kernel calls, leaf read-outs summed
-    /// per row. Both paths share one IR with sampled execution; neither
-    /// decays to per-row evaluation.
-    ///
-    /// Fusion and leaf-summation order reorder rounding, so batched
-    /// results agree with the per-row oracle
-    /// ([`expectation_pure`](Self::expectation_pure)) to numerical
-    /// precision (≪ 1e-12) rather than bit-for-bit; the batched path
-    /// itself is fully deterministic — identical bits for any thread
-    /// count and any batch decomposition.
-    pub fn expectation_batch(&self, states: &BatchedStates, obs: &Observable) -> Vec<f64> {
-        let straight_line = self
-            .ops
-            .iter()
-            .all(|op| matches!(op, ResolvedOp::Gate { .. } | ResolvedOp::FixedGate { .. }));
-        if !straight_line {
-            return ShotEngine::new(self.to_trajectory()).expectation_sweep(states.clone(), obs);
-        }
-        let n = states.num_qubits();
-        let mut work = states.clone();
-        // Per-qubit pending product of not-yet-applied single-qubit gates;
-        // `pending[q] = g_k · … · g_1` in program order.
-        let mut pending: Vec<Option<Matrix>> = vec![None; n];
-        for op in &self.ops {
-            let (matrix, targets): (&Matrix, &[usize]) = match op {
-                ResolvedOp::Gate { matrix, targets } => (matrix, targets),
-                ResolvedOp::FixedGate { matrix, targets } => (matrix, targets),
-                _ => unreachable!("straight-line programs contain only gates"),
-            };
-            if let [t] = targets[..] {
-                pending[t] = Some(match pending[t].take() {
-                    None => matrix.clone(),
-                    Some(prev) => matrix.mul(&prev),
-                });
-            } else {
-                // A multi-qubit gate orders against the pending rotations
-                // of its own targets: flush those (ascending qubit order,
-                // deterministically), then apply the gate itself. Keeping
-                // the flushes as separate 1q passes preserves the gate's
-                // own kernel fast path (the gadget's controlled rotations
-                // are block-diagonal; absorbing the flushed products into
-                // the 4×4 would densify it and cost more than it saves).
-                let mut ts: Vec<usize> = targets.to_vec();
-                ts.sort_unstable();
-                for t in ts {
-                    if let Some(m) = pending[t].take() {
-                        work.apply_gate(&m, &[t]);
-                    }
-                }
-                work.apply_gate(matrix, targets);
-            }
-        }
-        for (t, slot) in pending.iter_mut().enumerate() {
-            if let Some(m) = slot.take() {
-                work.apply_gate(&m, &[t]);
-            }
-        }
-        work.expectations(obs)
     }
 }
 

@@ -67,8 +67,9 @@
 //!   space, and never enqueues. [`OverloadPolicy::Block`] instead waits
 //!   for space (bounded by the request deadline, when one is set).
 //! * **Leader-failure containment**: the coalesced sweep runs under
-//!   `catch_unwind` (plus the typed `try_*` engine twins), so a worker
-//!   panic surviving `try_par_map_retry` or an injected
+//!   `catch_unwind` (the shot and shift-rule sweeps also return
+//!   worker-panic exhaustion as a typed error), so a worker panic
+//!   surviving `try_par_map_retry` or an injected
 //!   [`qdp_sim::fault::FaultSite::Service`] panic becomes a typed error,
 //!   never a propagated panic. Group members with retry budget left
 //!   ([`RequestOptions::max_retries`]) are re-queued at the head, still
@@ -932,17 +933,16 @@ impl GradientService {
                     armed: true,
                 };
                 // Containment: the injected service checkpoint and any
-                // panic that escapes the sweep (the typed `try_*` engine
-                // twins already convert worker-panic exhaustion) become a
-                // typed error to publish — never an unwind past the
-                // leader, never a stranded follower.
+                // panic that escapes the sweep (worker-panic exhaustion in
+                // an exact batch) become a typed error to publish — never
+                // an unwind past the leader, never a stranded follower.
                 let outcome: Result<Vec<Output>, QdpError> =
                     catch_unwind(AssertUnwindSafe(|| {
                         qdp_sim::fault::service_checkpoint();
                         run_group(&tenant.engine, &group)
                     }))
                     .map_err(|payload| QdpError::ServicePanic {
-                        message: crate::exec::panic_message(payload.as_ref()),
+                        message: panic_message(payload.as_ref()),
                     })
                     .and_then(|r| r);
 
@@ -1010,6 +1010,16 @@ impl GradientService {
     }
 }
 
+/// Extracts the human-readable message from a panic payload (the two
+/// payload shapes `panic!` produces, with a fallback for exotic ones).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
 /// Saturating milliseconds of a `Duration`, for the typed deadline error.
 fn duration_ms(d: Duration) -> u64 {
     u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
@@ -1017,14 +1027,16 @@ fn duration_ms(d: Duration) -> u64 {
 
 /// Runs one coalesced group as a single batched sweep and returns one
 /// output per member, in group (submission) order. Worker-panic
-/// exhaustion surfaces as a typed error via the engine's `try_*` twins.
+/// exhaustion surfaces as a typed error from the shot and shift-rule
+/// `try_*` forms, and as a panic from the exact batches, which the
+/// leader's `catch_unwind` turns into [`QdpError::ServicePanic`].
 fn run_group(engine: &GradientEngine, group: &[Pending]) -> Result<Vec<Output>, QdpError> {
     let rows: Vec<&StateVector> = group.iter().map(|p| &p.input).collect();
     Ok(match &group[0].request {
         Request::Value { params, obs } => {
             let batch = BatchedStates::gather(&rows);
             engine
-                .try_value_pure_batch(params, obs, &batch)?
+                .value_pure_batch(params, obs, &batch)
                 .into_iter()
                 .map(Output::Value)
                 .collect()
@@ -1032,7 +1044,7 @@ fn run_group(engine: &GradientEngine, group: &[Pending]) -> Result<Vec<Output>, 
         Request::Gradient { params, obs } => {
             let batch = BatchedStates::gather(&rows);
             engine
-                .try_gradient_pure_batch(params, obs, &batch)?
+                .gradient_pure_batch(params, obs, &batch)
                 .into_iter()
                 .map(Output::Gradient)
                 .collect()

@@ -3,8 +3,8 @@
 //!
 //! Randomized *branching* circuits (up to 8 qubits, with measurement
 //! `case`s, `q := |0⟩` resets, and bounded `while` loops — every program is
-//! guaranteed at least one branch point, so the batched path always runs
-//! the branch-weighted sweep, never the straight-line fast path) are
+//! guaranteed at least one branch point, so every batched sweep forks)
+//! are
 //! evaluated on random input batches of sizes 1, 2, 16, and 33. For each
 //! circuit the suite asserts:
 //!
@@ -49,8 +49,8 @@ fn var(i: usize) -> Var {
 /// A random **branching** program over `n` qubits: parameterized rotations
 /// and couplings interleaved with measurement `case`s, `q := |0⟩` resets,
 /// and (with `with_while`) bounded `while` loops. The leading `case`
-/// guarantees at least one branch point, so these programs can never take
-/// the straight-line fast path.
+/// guarantees at least one branch point, so every sweep of these programs
+/// forks.
 fn random_branching_program(
     rng: &mut StdRng,
     n: usize,

@@ -166,8 +166,20 @@ fn hea_gradient_bits() {
 fn forward_value_bits() {
     let (s_row, s_obs) = s_row_with_while();
     for (label, program, obs, seed, expected) in [
-        ("P1", circuits::p1(), task::readout_observable(), 0x9B1, 0xd1f5_34a2_4b87_273eu64),
-        ("P2", circuits::p2(), task::readout_observable(), 0x9B2, 0x50a2_a2ed_4d0a_7dc6),
+        (
+            "P1",
+            circuits::p1(),
+            task::readout_observable(),
+            0x9B1,
+            0xd1f5_34a2_4b87_273eu64,
+        ),
+        (
+            "P2",
+            circuits::p2(),
+            task::readout_observable(),
+            0x9B2,
+            0x50a2_a2ed_4d0a_7dc6,
+        ),
         ("QNN_{S,w}", s_row, s_obs, 0x9B3, 0xc102_40bb_c3e4_a303),
         (
             "HEA(6,2)",
@@ -191,13 +203,17 @@ fn shift_rule_gradient_bits() {
     let params = random_params(&program, 0x9C1);
     let batch = random_batch(4, 16, 0x9C1 ^ 0xBA7C);
     let obs = Observable::pauli_z(4, 1);
-    assert_golden("gradient_pure_shift_batch on HEA(4,2)", 0x0f72_ec98_e927_7446, || {
-        let rows = engine.gradient_pure_shift_batch(&params, &obs, &batch);
-        assert_eq!(rows.len(), 16);
-        rows.iter().fold(FNV_OFFSET, |h, row| {
-            row.values().fold(h, |h, v| fnv(h, v.to_bits()))
-        })
-    });
+    assert_golden(
+        "gradient_pure_shift_batch on HEA(4,2)",
+        0x0f72_ec98_e927_7446,
+        || {
+            let rows = engine.gradient_pure_shift_batch(&params, &obs, &batch);
+            assert_eq!(rows.len(), 16);
+            rows.iter().fold(FNV_OFFSET, |h, row| {
+                row.values().fold(h, |h, v| fnv(h, v.to_bits()))
+            })
+        },
+    );
 }
 
 #[test]

@@ -1,31 +1,38 @@
-//! Bitwise oracle of the shared-prefix exact gradient.
+//! Bitwise oracle of the prefix-trie exact executor.
 //!
 //! `GradientEngine::gradient_pure_batch` runs every parameter's derivative
-//! programs as one prefix trie (`SharedSweep`). Programs share a node only
-//! where they run the same op on the same data, so every entry must carry
-//! **exactly** the bits of the per-parameter sweep,
-//! `Differentiated::derivative_pure_batch` — the named oracle, which runs
-//! each multiset on its own. Checked on:
+//! programs as one prefix trie (`SharedSweep`), and
+//! `GradientEngine::value_pure_batch` sweeps the forward program the same
+//! way. Programs share a node only where they run the same op on the same
+//! data, so every entry must carry **exactly** the bits of the named
+//! oracle: each program on its own, resolved to the trajectory IR and run
+//! through `ShotEngine::expectation_sweep`, the programs of a multiset
+//! summed per row in multiset order. (A straight-line program whose
+//! read-out is exactly `-0.0` would differ in sign only: the trie keeps
+//! that read-out, the engine adds it to `0.0`. Random inputs never hit
+//! it.) Checked on:
 //!
 //! * the paper circuits `P1` and `P2`, the `S` rows of Table 3 and
 //!   `hardware_efficient_ansatz(6, 2)`, under forced 1, 2 and 8 `qdp_par`
 //!   threads, on batches large enough to split into row tiles;
 //! * a batch of wide rows too few to tile, whose programs split among
 //!   the free workers;
-//! * 400 programs from the shared seeded generator (`support/`), together
-//!   with invariance under batch splits and merges;
+//! * 400 programs from the shared seeded generator (`support/`), each
+//!   forward program (those without `+`, which have no lowering) as well
+//!   as its gradient, together with invariance under batch splits and
+//!   merges;
 //! * the `M` rows, `#[ignore]`d: registers of up to 19 qubits take about
-//!   30 s in release (`cargo test --release -p qdp-ad --test shared_sweep_oracle
-//!   -- --ignored`).
+//!   a minute in release (`cargo test --release -p qdp-ad --test
+//!   shared_sweep_oracle -- --ignored`).
 //!
 //! It also pins the trie's op count against the summed op weights of the
 //! separate sweeps.
 
-use qdp_ad::GradientEngine;
+use qdp_ad::{GradientEngine, LoweredSet};
 use qdp_lang::ast::{Params, Stmt};
 use qdp_lang::Register;
 use qdp_linalg::C64;
-use qdp_sim::{BatchedStates, Observable, StateVector};
+use qdp_sim::{BatchedStates, Observable, ShotEngine, StateVector};
 use qdp_vqc::families::paper_instances;
 use qdp_vqc::hamiltonian::hardware_efficient_ansatz;
 use qdp_vqc::{circuits, task};
@@ -83,21 +90,49 @@ fn trie_bits(
         .collect()
 }
 
+/// One multiset on the oracle: each program's own exact sweep over its
+/// trajectory IR, summed per row in multiset order (an empty multiset
+/// reads 0).
+fn multiset_oracle(
+    lowered: &LoweredSet,
+    params: &Params,
+    obs: &Observable,
+    batch: &BatchedStates,
+) -> Vec<f64> {
+    let values = lowered.slot_values(params);
+    let columns: Vec<Vec<f64>> = lowered
+        .programs()
+        .iter()
+        .map(|p| {
+            ShotEngine::new(p.resolve(&values).to_trajectory())
+                .expectation_sweep(batch.clone(), obs)
+        })
+        .collect();
+    if columns.is_empty() {
+        return vec![0.0; batch.len()];
+    }
+    (0..batch.len())
+        .map(|r| columns.iter().map(|column| column[r]).sum())
+        .collect()
+}
+
 /// The oracle as bits, in the same layout: each parameter's multiset on
-/// its own, through `derivative_pure_batch`.
+/// its own, over the ancilla-extended batch and observable.
 fn oracle_bits(
     engine: &GradientEngine,
     params: &Params,
     obs: &Observable,
     batch: &BatchedStates,
 ) -> Vec<Vec<u64>> {
+    let (ext_batch, ext_obs) = (batch.prepend_zero_ancilla(), obs.with_ancilla_z());
     let columns: Vec<Vec<f64>> = engine
         .parameters()
         .map(|name| {
-            engine
+            let skeleton = engine
                 .differentiated(name)
                 .expect("engine parameter")
-                .derivative_pure_batch(params, obs, batch)
+                .skeleton();
+            multiset_oracle(skeleton.lowered(), params, &ext_obs, &ext_batch)
         })
         .collect();
     (0..batch.len())
@@ -209,7 +244,7 @@ fn programs_split_among_workers_match_the_oracle() {
 #[test]
 fn generated_programs_match_the_oracle_under_splits_and_merges() {
     let mut rng = StdRng::seed_from_u64(0x5EED_5A4E);
-    let mut nonempty = 0;
+    let (mut nonempty, mut forward_checked) = (0, 0);
     for case in 0..400 {
         let program = support::stmt(&mut rng, 4);
         let engine = GradientEngine::new(&program).expect("fresh ancilla");
@@ -223,6 +258,17 @@ fn generated_programs_match_the_oracle_under_splits_and_merges() {
             whole == oracle_bits(&engine, &params, &obs, &batch),
             "program {case}: trie differs from the oracle: {program:?}"
         );
+        if program.is_normal() {
+            let bits =
+                |values: Vec<f64>| -> Vec<u64> { values.iter().map(|v| v.to_bits()).collect() };
+            let forward = engine.forward_skeleton();
+            assert!(
+                bits(engine.value_pure_batch(&params, &obs, &batch))
+                    == bits(multiset_oracle(forward.lowered(), &params, &obs, &batch)),
+                "program {case}: forward trie differs from the oracle: {program:?}"
+            );
+            forward_checked += 1;
+        }
         // Every row carries the same bits in any batch: alone, and in the
         // two halves of a split.
         let mut split = trie_bits(
@@ -256,6 +302,10 @@ fn generated_programs_match_the_oracle_under_splits_and_merges() {
     assert!(
         nonempty > 200,
         "{nonempty} of 400 programs have derivative programs"
+    );
+    assert!(
+        forward_checked > 200,
+        "{forward_checked} of 400 forward programs checked"
     );
 }
 

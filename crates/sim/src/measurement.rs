@@ -277,7 +277,7 @@ impl Measurement {
     /// For computational measurements on ≤ 2 targets this is a **single
     /// bucketed `|amp|²` pass** over the state: each amplitude contributes
     /// to exactly one outcome bucket, in index order under the lane-split
-    /// reduction contract of [`crate::lanes`] — the identical values on the
+    /// reduction contract of the `lanes` module — the identical values on the
     /// identical lane partials as `‖Mm|ψ⟩‖²` of the materialised branch
     /// (non-members contribute exact `+0.0` there), so the results equal
     /// [`branches_pure`](Self::branches_pure)'s probabilities **bit for
@@ -342,8 +342,8 @@ impl Measurement {
     /// [`branch_probabilities_into`](Self::branch_probabilities_into) on
     /// one row's split `re`/`im` planes — the form the split-plane engine
     /// calls. Fast-path buckets accumulate run by run through
-    /// [`lanes::add_run`], which reproduces the AoS oracle's bits exactly
-    /// (both follow the global-index lane contract of [`crate::lanes`]).
+    /// `lanes::add_run`, which reproduces the AoS oracle's bits exactly
+    /// (both follow the global-index lane contract of the `lanes` module).
     ///
     /// # Panics
     ///

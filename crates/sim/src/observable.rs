@@ -535,7 +535,7 @@ impl Observable {
         acc.re
     }
 
-    /// Per-row expectations `⟨ψr|O|ψr⟩` over a whole [`BatchedStates`]
+    /// Per-row expectations `⟨ψr|O|ψr⟩` over a whole [`BatchedStates`](crate::BatchedStates)
     /// block in row order — the batched read-out of
     /// [`expectation_amps`](Self::expectation_amps), with the target masks
     /// and local offsets computed **once** and shared by every row. Each

@@ -24,13 +24,20 @@
 //!   (probabilities, riding inside the unnormalised amplitudes) instead of
 //!   sampled draws, and leaf read-outs sum weighted expectations per
 //!   original row. This is exact branch enumeration at batched-kernel
-//!   speed — the executor behind `qdp_ad`'s exact batched evaluation of
-//!   `case`/`init`/while-unrolled programs.
+//!   speed, one program at a time. It is the named bitwise oracle of the
+//!   prefix-shared sweep below, and it carries the health surface:
+//!   per-fork trace checks with oracle fallback
+//!   ([`ShotEngine::with_health`]), the droppable-mass budget
+//!   ([`ShotEngine::with_mass_budget`]), the [`leaf_weights`] view and
+//!   the fault-injection checkpoints of its row tiles.
+//!
+//!   [`leaf_weights`]: ShotEngine::leaf_weights
 //! * **Exact, prefix-shared**: [`SweepTrie::expectation_sweep`] runs many
 //!   programs merged into one prefix trie as a single exact sweep — each
 //!   shared prefix, forks included, once — and reads every program out
 //!   into its own column, with the bits of that program's own sweep. It
-//!   runs every derivative program of an exact gradient at once. Batches
+//!   is the production exact batched executor: `qdp_ad` sweeps a trie
+//!   for every forward value, single multiset and exact gradient. Batches
 //!   too small for row tiles split their programs among the free workers
 //!   instead.
 //!
@@ -41,7 +48,7 @@
 //! contiguous amplitude block
 //! ([`Measurement::branch_probabilities_block`]), one strided collapse
 //! pass per surviving outcome ([`Measurement::collapse_block_into`]), and
-//! a pooled [`RegroupScratch`] arena recycling every buffer a fork needs —
+//! a pooled `RegroupScratch` arena recycling every buffer a fork needs —
 //! so a measurement performs no per-row kernel calls and, once the pools
 //! are warm, no allocations at all.
 //!
@@ -913,11 +920,10 @@ impl ShotEngine {
     /// to the per-row passes the serial sampler selects from, so draws can
     /// never drift apart. On top of that, straight-line gate segments
     /// **fuse** commuting single-qubit gates per qubit into one 2×2
-    /// product before streaming (exactly like the exact batched
-    /// evaluator's straight-line fast path), flushed at measurements,
-    /// multi-qubit gates, and the read-out. Fusion reorders rounding, so
-    /// samples agree with [`run`](Self::run)-plus-serial-sampling
-    /// statistically (states differ by ≪ 1e-12) rather than bit for bit;
+    /// product before streaming (exactly like the exact sweeps), flushed
+    /// at measurements, multi-qubit gates, and the read-out. Fusion
+    /// reorders rounding, so samples agree with
+    /// [`run`](Self::run)-plus-serial-sampling statistically (states differ by ≪ 1e-12) rather than bit for bit;
     /// the sweep itself stays fully deterministic — identical bits for any
     /// thread count, any batch decomposition, and any row grouping.
     ///
@@ -1107,9 +1113,8 @@ impl ShotEngine {
     /// enumeration computes, evaluated block-wise.
     ///
     /// Straight-line segments fuse commuting single-qubit gates per qubit
-    /// into one 2×2 product (like the exact batched evaluator's
-    /// straight-line fast path), flushed at measurements, multi-qubit
-    /// gates, and leaves. Per-row results are **bit-for-bit invariant
+    /// into one 2×2 product, flushed at measurements, multi-qubit gates,
+    /// and leaves. Per-row results are **bit-for-bit invariant
     /// under thread count, batch decomposition, and row order**, and agree
     /// with the per-row enumerator to ≪ 1e-12 (fusion and leaf-summation
     /// order move rounding only). Aborted branches contribute 0; branches
@@ -2407,8 +2412,8 @@ impl SweepTrie {
     /// Work (rows × amplitudes × trie ops) that reaches
     /// [`qdp_par::FORK_MIN_WORK`] is split across `qdp_par`: batches of
     /// more than [`EXACT_TILE`] rows into `EXACT_TILE`-row tiles, smaller
-    /// ones into one part per free worker, each sweeping the trie for
-    /// every `parts`-th program. A part repeats the prefixes its programs
+    /// ones of more than one program into one part per free worker, each
+    /// sweeping the trie for every `parts`-th program. A part repeats the prefixes its programs
     /// share with other parts', but every column is still summed by one
     /// thread in its program's own depth-first order. Per-row bits are the
     /// same under any thread count and batch decomposition.
@@ -2431,7 +2436,8 @@ impl SweepTrie {
         }
         let ops = self.op_count();
         let work = total_rows * states.dim() * ops;
-        let blocks = if total_rows <= EXACT_TILE && qdp_par::fork_pays(work) {
+        let split = total_rows <= EXACT_TILE && self.programs() > 1;
+        let blocks = if split && qdp_par::fork_pays(work) {
             self.sweep_split(table, &states, obs)
                 .map(|cols| vec![(total_rows, cols)])
         } else {

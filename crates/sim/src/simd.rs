@@ -24,7 +24,7 @@
 //! Every kernel here transcribes the scalar plane kernels' floating-point
 //! operation sequence **intrinsic for intrinsic**: `_mm*_mul_pd` +
 //! `_mm*_add_pd`/`_mm*_sub_pd` in the exact order and association of the
-//! two-rounding [`qdp_linalg::C64::mul_add`] chain ([`complex_pair`] in
+//! two-rounding [`qdp_linalg::C64::mul_add`] chain (`complex_pair` in
 //! `kernels.rs`), leading `0.0 +` flush terms included. No FMA contraction
 //! is performed (the `fma` target feature is enabled for the detection
 //! contract, but no `vfmadd` intrinsic is emitted) — results agree **bit

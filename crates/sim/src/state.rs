@@ -132,7 +132,7 @@ impl StateVector {
 
     /// Squared norm — the total probability carried by this (branch) state.
     ///
-    /// Summed with the fixed lane-split reduction of [`crate::lanes`]
+    /// Summed with the fixed lane-split reduction of the `lanes` module
     /// (lane = index mod 4, combine `(p0+p1)+(p2+p3)`): bit-identical
     /// across thread counts and vector widths, and the same order every
     /// other `|amp|²` reduction in the crate uses.
