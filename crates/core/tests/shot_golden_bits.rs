@@ -9,6 +9,11 @@
 //!   collapsed amplitude: read-out samples are discrete eigenvalues, so
 //!   only this check sees a flipped low bit directly);
 //! * `PreparedDerivativeEstimator::estimate` on one `P2` parameter;
+//! * `GradientEngine::gradient_pure_shots_batch` over the 16 `P2` task
+//!   rows, and over three rows of a program whose multisets hold more
+//!   than one program, at a shot count above `SHOT_TILE` that is not a
+//!   multiple of it;
+//! * `GradientEngine::value_pure_shots_batch` over six `P2` task rows;
 //! * four shot-noise `Trainer` epochs on `P2` (every loss, and a fold of
 //!   every final parameter's bits).
 //!
@@ -18,7 +23,7 @@
 //! (see `crates/sim/tests/layout_differential.rs`).
 
 use qdp_ad::estimator::PreparedDerivativeEstimator;
-use qdp_ad::differentiate;
+use qdp_ad::{differentiate, GradientEngine};
 use qdp_lang::ast::Params;
 use qdp_linalg::Matrix;
 use qdp_sim::{
@@ -173,5 +178,77 @@ fn shot_noise_trainer_epoch_bits() {
         // Every final parameter's bits, in name order.
         let params = t.params().values().fold(FNV_OFFSET, |h, v| fnv(h, v.to_bits()));
         (losses, params)
+    });
+}
+
+/// The fold of every gradient entry's bits, row by row, parameters in
+/// name order.
+fn gradient_rows_bits(rows: &[std::collections::BTreeMap<String, f64>]) -> u64 {
+    rows.iter().fold(FNV_OFFSET, |h, row| {
+        row.values().fold(h, |h, v| fnv(h, v.to_bits()))
+    })
+}
+
+fn task_inputs(rows: usize) -> Vec<StateVector> {
+    task::dataset()
+        .into_iter()
+        .take(rows)
+        .map(|s| s.input_state())
+        .collect()
+}
+
+fn row_seeds(seed: u64, rows: usize) -> Vec<u64> {
+    (0..rows as u64).map(|r| qdp_sim::derive_seed(seed, r)).collect()
+}
+
+#[test]
+fn p2_gradient_shots_batch_bits() {
+    let engine = GradientEngine::new(&circuits::p2()).expect("P2 is differentiable");
+    let (params, obs) = (p2_params(3), task::readout_observable());
+    let inputs = task_inputs(16);
+    assert_eq!(inputs.len(), 16);
+    let seeds = row_seeds(0x5407, 16);
+    assert_golden("gradient_pure_shots_batch on P2", 0x05ad_059d_6108_3025, || {
+        gradient_rows_bits(&engine.gradient_pure_shots_batch(&params, &obs, &inputs, 64, &seeds))
+    });
+}
+
+#[test]
+fn multi_program_gradient_shots_batch_bits() {
+    let program = qdp_lang::parse_program(
+        "q1 *= RX(t); q2 *= RY(s); \
+         case M[q1] = 0 -> q2 *= RY(t), 1 -> q2 *= RZ(t) end; \
+         while[2] M[q2] = 1 do q2 *= RX(s) done",
+    )
+    .expect("the program parses");
+    let engine = GradientEngine::new(&program).expect("differentiable");
+    assert!(engine.differentiated("t").expect("t is a parameter").compiled().len() > 1);
+    let params = Params::from_pairs([("t", 0.9), ("s", -1.3)]);
+    let obs = Observable::pauli_z(2, 1);
+    let inputs: Vec<StateVector> = (0..3)
+        .map(|r| {
+            let mut psi = StateVector::basis_state(2, r);
+            psi.apply_gate(&ry(0.3 + r as f64), &[0]);
+            psi
+        })
+        .collect();
+    let shots = 2 * SHOT_TILE + 37;
+    let seeds = row_seeds(0x3A11, 3);
+    assert_golden("gradient_pure_shots_batch on a multi-program multiset", 0xdd7c_e7e3_e3b6_f356, || {
+        gradient_rows_bits(&engine.gradient_pure_shots_batch(&params, &obs, &inputs, shots, &seeds))
+    });
+}
+
+#[test]
+fn p2_value_shots_batch_bits() {
+    let engine = GradientEngine::new(&circuits::p2()).expect("P2 is differentiable");
+    let (params, obs) = (p2_params(4), task::readout_observable());
+    let inputs = task_inputs(6);
+    let seeds = row_seeds(0x7A1E, 6);
+    assert_golden("value_pure_shots_batch on P2", 0x46fb_0714_9e31_bfd8, || {
+        engine
+            .value_pure_shots_batch(&params, &obs, &inputs, SHOT_TILE + 44, &seeds)
+            .iter()
+            .fold(FNV_OFFSET, |h, v| fnv(h, v.to_bits()))
     });
 }
