@@ -22,7 +22,9 @@
 //! the output path defaults to `BENCH_sim.json`. The record is written
 //! before the guards are checked, so a failing run still leaves it.
 
-use qdp_ad::estimator::{estimate_derivative, estimate_derivative_batched};
+use qdp_ad::estimator::{
+    estimate_derivative, estimate_derivative_batched, PreparedDerivativeEstimator,
+};
 use qdp_ad::transform::{fresh_ancilla, transform};
 use qdp_ad::{
     GradientEngine, GradientService, LoweredSet, OverloadPolicy, RequestOptions, ServiceConfig,
@@ -673,13 +675,76 @@ fn estimator_shots(fx: &Fixture, g: &mut Guards) -> Fields {
         black_box(if is_batched { batched() } else { serial_loop() });
     });
     let speedup = serial_ns / batched_ns;
-    // 30 runs, 1 / 2 threads: 53.8–71.5 / 50.7–96.3.
+    // 30 runs, 1 / 2 threads: 53.8–71.5 / 50.7–96.3; 10 runs since shots
+    // enter the sweep as classes: 125–161 / 124–162.
     g.at_least("shots: batched vs serial per-shot loop", speedup, 35.0);
+
+    // The shot-noise P2 epoch shape: one `gradient_pure_shots_batch` over
+    // the 16 task rows (a sampled sweep per parameter and program over
+    // every row's shots) against the same estimates taken one `estimate`
+    // call per row and parameter. Both prepare their estimators per call.
+    let (p2, epoch_shots) = (&fx.p2, 64);
+    let inputs = fx.inputs();
+    let seeds: Vec<u64> = (0..inputs.len() as u64)
+        .map(|r| qdp_sim::derive_seed(seed, r))
+        .collect();
+    let epoch_batch = || {
+        p2.engine
+            .gradient_pure_shots_batch(&p2.params, obs, &inputs, epoch_shots, &seeds)
+    };
+    let epoch_per_call = || -> Vec<BTreeMap<String, f64>> {
+        let estimators: Vec<(&str, PreparedDerivativeEstimator)> = p2
+            .engine
+            .parameters()
+            .map(|name| {
+                let diff = p2.engine.differentiated(name).expect("known parameter");
+                (name, PreparedDerivativeEstimator::new(diff, &p2.params, obs))
+            })
+            .collect();
+        inputs
+            .iter()
+            .zip(&seeds)
+            .map(|(psi, &row_seed)| {
+                estimators
+                    .iter()
+                    .enumerate()
+                    .map(|(j, (name, est))| {
+                        let stream = qdp_sim::derive_seed(row_seed, j as u64);
+                        (name.to_string(), est.estimate(psi, epoch_shots, stream))
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    let bits = |rows: Vec<BTreeMap<String, f64>>| -> Vec<Vec<u64>> {
+        rows.iter()
+            .map(|row| row.values().map(|v| v.to_bits()).collect())
+            .collect()
+    };
+    assert_eq!(
+        bits(epoch_batch()),
+        bits(epoch_per_call()),
+        "P2 epoch shot gradient: batch and per-call bits differ"
+    );
+    let (epoch_batch_ns, epoch_per_call_ns) = paired_ns(|is_batch| {
+        black_box(if is_batch { epoch_batch() } else { epoch_per_call() });
+    });
+    let epoch_speedup = epoch_per_call_ns / epoch_batch_ns;
+    // 10 runs, 1 / 2 threads: 1.42–1.53 / 1.44–1.53.
+    g.at_least("shots: P2 epoch batch vs per-call estimates", epoch_speedup, 1.05);
     fields![
         "workload" => format!("shot-noise P1 gradient, {shots} shots x {} params", p1.values.len()),
         "batched_ns" => ns(batched_ns),
         "serial_loop_ns" => ns(serial_ns),
         "speedup" => ratio(speedup),
+        "p2_epoch_workload" => format!(
+            "shot-noise P2 gradient, {} rows x {} params x {epoch_shots} shots",
+            inputs.len(),
+            p2.values.len()
+        ),
+        "p2_epoch_batch_ns" => ns(epoch_batch_ns),
+        "p2_epoch_per_call_ns" => ns(epoch_per_call_ns),
+        "p2_epoch_speedup" => ratio(epoch_speedup),
     ]
 }
 

@@ -142,10 +142,10 @@ pub fn estimate_derivative(
 ///   out of the shot loop entirely,
 /// * the per-shot program indices are drawn **up front** from the master
 ///   stream `ShotSampler::seeded(seed)`,
-/// * shots are split into fixed [`SHOT_TILE`]-sized tiles fanned out
-///   across `qdp_par`; within a tile, same-program shots form one
-///   [`BatchedStates`] block per program (one row per shot) that a
-///   [`ShotEngine`] sweeps with branch-grouped batching,
+/// * shots are split into fixed [`SHOT_TILE`]-sized tiles; within a tile,
+///   the shots of each program run as one [`ShotEngine`] sweep with
+///   branch-grouped batching over the input row and its shot count (see
+///   [`PreparedDerivativeEstimator::try_estimate`]),
 /// * shot `s` draws its trajectory and read-out from the derived stream
 ///   `ShotSampler::derived(seed, s)` wherever it runs, and tile sums are
 ///   reduced in tile order.
@@ -173,9 +173,9 @@ pub fn estimate_derivative_batched(
 /// [`estimate_derivative_batched`] split into its per-valuation setup and
 /// its per-evaluation sweep: programs resolved into [`ShotEngine`]s and
 /// the `ZA ⊗ O` read-out eigendecomposed **once**, reusable across
-/// arbitrarily many inputs and seeds. Batch evaluators (the shot-noise
-/// `Trainer` sweeping a dataset) build one per parameter per epoch and
-/// share it across the row fan-out.
+/// arbitrarily many inputs and seeds. `GradientEngine::gradient_pure_shots_batch`
+/// builds one per parameter per call and runs each program over every
+/// row's shots at once.
 #[derive(Clone, Debug)]
 pub struct PreparedDerivativeEstimator {
     engines: Vec<ShotEngine>,
@@ -256,7 +256,10 @@ impl PreparedDerivativeEstimator {
     }
 
     /// Fallible twin of [`estimate`](Self::estimate): worker-panic
-    /// exhaustion surfaces as a typed error instead of a panic.
+    /// exhaustion surfaces as a typed error instead of a panic. It runs
+    /// the per-program sweeps of
+    /// [`GradientEngine::gradient_pure_shots_batch`](crate::GradientEngine::gradient_pure_shots_batch)
+    /// on a batch of one row.
     ///
     /// # Errors
     ///
@@ -272,51 +275,145 @@ impl PreparedDerivativeEstimator {
         shots: usize,
         seed: u64,
     ) -> Result<f64, qdp_sim::QdpError> {
-        assert!(shots > 0, "need at least one shot");
-        let m = self.engines.len();
-        if m == 0 {
-            return Ok(0.0);
-        }
-        let ext_psi = StateVector::zero_state(1).tensor(psi);
-
-        // Per-shot program indices, drawn up front from the master stream.
-        let mut master = ShotSampler::seeded(seed);
-        let indices: Vec<u32> = (0..shots).map(|_| master.uniform_index(m) as u32).collect();
-
-        let tiles: Vec<(usize, &[u32])> = indices
-            .chunks(SHOT_TILE)
-            .enumerate()
-            .map(|(t, chunk)| (t * SHOT_TILE, chunk))
-            .collect();
-        let tile_sums = qdp_par::try_par_map_retry(&tiles, |&(start, chunk)| {
-            let mut acc = 0.0;
-            for (prog, engine) in self.engines.iter().enumerate() {
-                // The tile's shots of this program become one batch row
-                // each.
-                let shot_ids: Vec<usize> = chunk
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &ix)| ix as usize == prog)
-                    .map(|(r, _)| start + r)
-                    .collect();
-                if shot_ids.is_empty() {
-                    continue;
-                }
-                let batch = BatchedStates::repeat(&ext_psi, shot_ids.len());
-                let mut samplers: Vec<ShotSampler> = shot_ids
-                    .iter()
-                    .map(|&s| ShotSampler::derived(seed, s as u64))
-                    .collect();
-                acc += engine
-                    .sample_sweep(batch, &mut samplers, &self.readout)
-                    .into_iter()
-                    .sum::<f64>();
-            }
-            acc
-        }, TILE_RETRIES)
-        .map_err(qdp_sim::QdpError::from)?;
-        Ok(m as f64 * tile_sums.into_iter().sum::<f64>() / shots as f64)
+        let ext_psi = [StateVector::zero_state(1).tensor(psi)];
+        estimate_batch(&[self], &ext_psi, shots, &[vec![seed]]).map(|d| d[0][0])
     }
+
+    /// Ops of every program, each `case` arm's included: the sweep work
+    /// per input row and amplitude.
+    fn op_count(&self) -> usize {
+        self.engines.iter().map(|e| e.program().op_count()).sum()
+    }
+
+    /// Per input row, the sum of its samples in the shot tile `start..start
+    /// + len`: program by program, each program's shots in shot order — the
+    /// order the per-shot estimator's tile sums take. Each program runs
+    /// **one** sampled sweep over every row's shots of it; row `r`'s shots
+    /// drew their programs into `draws[r]` and sample on the streams
+    /// derived from `streams[r]`.
+    fn tile_sums(
+        &self,
+        ext_inputs: &[StateVector],
+        draws: &[Vec<u32>],
+        streams: &[u64],
+        (start, len): (usize, usize),
+    ) -> Vec<f64> {
+        let mut acc = vec![0.0; ext_inputs.len()];
+        let (mut rows, mut counts, mut samplers) = (Vec::new(), Vec::new(), Vec::new());
+        for (prog, engine) in self.engines.iter().enumerate() {
+            rows.clear();
+            counts.clear();
+            samplers.clear();
+            for (r, row_draws) in draws.iter().enumerate() {
+                let before = samplers.len();
+                samplers.extend(
+                    (start..start + len)
+                        .filter(|&s| row_draws[s] as usize == prog)
+                        .map(|s| ShotSampler::derived(streams[r], s as u64)),
+                );
+                if samplers.len() > before {
+                    rows.push(r);
+                    counts.push(samplers.len() - before);
+                }
+            }
+            if rows.is_empty() {
+                continue;
+            }
+            let inputs: Vec<&StateVector> = rows.iter().map(|&r| &ext_inputs[r]).collect();
+            let values = engine.sample_sweep(
+                BatchedStates::gather(&inputs),
+                &counts,
+                &mut samplers,
+                &self.readout,
+            );
+            let mut rest = values.as_slice();
+            for (&r, &k) in rows.iter().zip(&counts) {
+                let (row, tail) = rest.split_at(k);
+                acc[r] += row.iter().sum::<f64>();
+                rest = tail;
+            }
+        }
+        acc
+    }
+}
+
+/// Shot estimates of several prepared multisets on several inputs:
+/// `out[j][r]` is `estimators[j]` on `ext_inputs[r]` (the input with the
+/// ancilla already prepended) from `shots` trajectories on the seed
+/// `streams[j][r]`, bit for bit what [`PreparedDerivativeEstimator::estimate`]
+/// returns on that input and seed.
+///
+/// Each row draws its shots' programs up front from the master stream
+/// `ShotSampler::seeded(streams[j][r])`. Shots are cut into fixed
+/// [`SHOT_TILE`]-shot tiles, and each (multiset, tile) pair runs one
+/// sampled sweep per program over every row's shots of that program (see
+/// `tile_sums`), with shot `s` on the derived stream
+/// `ShotSampler::derived(streams[j][r], s)`. A row's estimate sums its tile
+/// sums in tile order. Rows share sweeps but no bits: every sample is a
+/// function of its row, program and stream only. The pairs run on the
+/// calling thread unless their work (rows × amplitudes × program ops)
+/// pays for a fork, and then fan out across `qdp_par`.
+pub(crate) fn estimate_batch(
+    estimators: &[&PreparedDerivativeEstimator],
+    ext_inputs: &[StateVector],
+    shots: usize,
+    streams: &[Vec<u64>],
+) -> Result<Vec<Vec<f64>>, qdp_sim::QdpError> {
+    assert!(shots > 0, "need at least one shot");
+    let rows = ext_inputs.len();
+    // Per multiset and row, the program of every shot, drawn up front
+    // from the row's master stream.
+    let draws: Vec<Vec<Vec<u32>>> = estimators
+        .iter()
+        .zip(streams)
+        .map(|(est, row_streams)| {
+            let m = est.num_programs();
+            row_streams
+                .iter()
+                .map(|&seed| {
+                    let mut master = ShotSampler::seeded(seed);
+                    match m {
+                        0 => Vec::new(),
+                        _ => (0..shots).map(|_| master.uniform_index(m) as u32).collect(),
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let tiles: Vec<(usize, usize)> = (0..shots)
+        .step_by(SHOT_TILE)
+        .map(|start| (start, SHOT_TILE.min(shots - start)))
+        .collect();
+    let items: Vec<(usize, (usize, usize))> = (0..estimators.len())
+        .filter(|&j| estimators[j].num_programs() > 0)
+        .flat_map(|j| tiles.iter().map(move |&tile| (j, tile)))
+        .collect();
+    let dim = ext_inputs.first().map_or(0, StateVector::dim);
+    let work = items
+        .iter()
+        .map(|&(j, _)| rows * dim * estimators[j].op_count())
+        .sum();
+    let sums = qdp_par::try_par_map_retry_work(
+        work,
+        &items,
+        |&(j, tile)| estimators[j].tile_sums(ext_inputs, &draws[j], &streams[j], tile),
+        TILE_RETRIES,
+    )
+    .map_err(qdp_sim::QdpError::from)?;
+    let mut sums = sums.chunks(tiles.len());
+    Ok(estimators
+        .iter()
+        .map(|est| {
+            let m = est.num_programs();
+            if m == 0 {
+                return vec![0.0; rows];
+            }
+            let per_tile = sums.next().unwrap_or_default();
+            (0..rows)
+                .map(|r| m as f64 * per_tile.iter().map(|t| t[r]).sum::<f64>() / shots as f64)
+                .collect()
+        })
+        .collect())
 }
 
 /// Bounded retry budget for panicked worker tiles: tiles are pure per

@@ -545,10 +545,11 @@ impl GradientEngine {
 
     /// [`value_pure_shots`](Self::value_pure_shots) for many inputs at
     /// once: the forward program is resolved and the read-out decomposed
-    /// **once**, then the inputs fan out across `qdp_par` workers (row `r`
-    /// on stream `row_seeds[r]`, order-preserving — deterministic under
-    /// any thread count). Entry `r` is bit-identical to the single-input
-    /// call with the same seed.
+    /// **once**, then each shot tile runs as one sampled sweep over every
+    /// row's shots (row `r` on stream `row_seeds[r]`; see
+    /// [`qdp_sim::ShotEngine::try_estimate_expectation_batch`]). Entry `r`
+    /// is bit-identical to the single-input call with the same seed, under
+    /// any thread count.
     ///
     /// # Panics
     ///
@@ -575,7 +576,7 @@ impl GradientEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`qdp_sim::QdpError::WorkerPanic`] when a row's tile
+    /// Returns [`qdp_sim::QdpError::WorkerPanic`] when a shot tile
     /// panicked and the bounded bit-identical retries did not heal it.
     ///
     /// # Panics
@@ -602,15 +603,7 @@ impl GradientEngine {
         // cold and warm cache states.
         let engine = qdp_sim::ShotEngine::new(fwd.trajectory_at(0, &values));
         let readout = qdp_sim::ProjectiveObservable::new(obs);
-        let rows: Vec<(usize, u64)> = row_seeds.iter().copied().enumerate().collect();
-        // Each row is pure (fresh derived streams per call), so a panicked
-        // worker tile retries bit-identically before failing.
-        qdp_par::try_par_map_retry(
-            &rows,
-            |&(r, seed)| engine.estimate_expectation_prepared(&inputs[r], &readout, shots, seed),
-            TILE_RETRIES,
-        )
-        .map_err(qdp_sim::QdpError::from)
+        engine.try_estimate_expectation_batch(inputs, &readout, shots, row_seeds)
     }
 
     /// Shot-based estimate of the full gradient on a pure input: each
@@ -645,9 +638,15 @@ impl GradientEngine {
     /// at once: every parameter's
     /// [`crate::estimator::PreparedDerivativeEstimator`] (resolved
     /// programs, decomposed read-out) is built **once** and shared by all
-    /// rows, which fan out across `qdp_par` workers — row `r` estimates
-    /// parameter `j` on the derived stream `(row_seeds[r], j)`, exactly as
-    /// the single-input call does, so entry `r` is bit-identical to it.
+    /// rows. Row `r` estimates parameter `j` on the derived stream
+    /// `(row_seeds[r], j)`, exactly as the single-input call does, and each
+    /// parameter's programs run as **one** sampled sweep per program (and
+    /// shot tile) over every row's shots of that program. Each row is
+    /// reduced from its own samples in the single-input order, so entry
+    /// `r` is bit-identical to the single-input call. (Parameter, tile)
+    /// pairs fan out across `qdp_par` only when their work (rows ×
+    /// amplitudes × program ops) pays for a fork; a single small row runs
+    /// on the calling thread.
     ///
     /// # Panics
     ///
@@ -672,7 +671,7 @@ impl GradientEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`qdp_sim::QdpError::WorkerPanic`] when a row's tile
+    /// Returns [`qdp_sim::QdpError::WorkerPanic`] when a shot tile
     /// panicked and the bounded bit-identical retries did not heal it.
     ///
     /// # Panics
@@ -691,32 +690,34 @@ impl GradientEngine {
             row_seeds.len(),
             "one seed stream per input row"
         );
-        let prepared: Vec<(&String, crate::estimator::PreparedDerivativeEstimator)> = self
+        let prepared: Vec<crate::estimator::PreparedDerivativeEstimator> = self
             .diffs
-            .iter()
-            .map(|(name, diff)| {
-                (
-                    name,
-                    crate::estimator::PreparedDerivativeEstimator::new(diff, params, obs),
-                )
-            })
+            .values()
+            .map(|diff| crate::estimator::PreparedDerivativeEstimator::new(diff, params, obs))
             .collect();
-        let rows: Vec<(usize, u64)> = row_seeds.iter().copied().enumerate().collect();
-        qdp_par::try_par_map_retry(
-            &rows,
-            |&(r, seed)| {
-                prepared
-                    .iter()
-                    .enumerate()
-                    .map(|(j, (name, estimator))| {
-                        let stream = qdp_sim::derive_seed(seed, j as u64);
-                        ((*name).clone(), estimator.estimate(&inputs[r], shots_per_param, stream))
-                    })
+        let estimators: Vec<&_> = prepared.iter().collect();
+        let ext_inputs: Vec<StateVector> = inputs
+            .iter()
+            .map(|psi| StateVector::zero_state(1).tensor(psi))
+            .collect();
+        let streams: Vec<Vec<u64>> = (0..estimators.len() as u64)
+            .map(|j| row_seeds.iter().map(|&seed| qdp_sim::derive_seed(seed, j)).collect())
+            .collect();
+        let per_param = crate::estimator::estimate_batch(
+            &estimators,
+            &ext_inputs,
+            shots_per_param,
+            &streams,
+        )?;
+        Ok((0..inputs.len())
+            .map(|r| {
+                self.diffs
+                    .keys()
+                    .zip(&per_param)
+                    .map(|(name, column)| (name.clone(), column[r]))
                     .collect()
-            },
-            TILE_RETRIES,
-        )
-        .map_err(qdp_sim::QdpError::from)
+            })
+            .collect())
     }
 
     /// Forward values `tr(O·[[P(θ*)]]|ψr⟩⟨ψr|)` for every row of a batch.

@@ -346,12 +346,13 @@ fn sampled_trajectories_are_bitwise_invariant_under_batch_composition() {
             let mut samplers: Vec<ShotSampler> = (0..rows)
                 .map(|r| ShotSampler::derived(seed, r as u64))
                 .collect();
-            let grouped = engine.run(BatchedStates::from_states(&states), &mut samplers);
+            let grouped = engine.run(BatchedStates::from_states(&states), &vec![1; rows], &mut samplers);
             for (r, psi) in states.iter().enumerate() {
                 let mut solo_sampler = vec![ShotSampler::derived(seed, r as u64)];
                 let solo = engine
                     .run(
                         BatchedStates::from_states(std::slice::from_ref(psi)),
+                        &[1],
                         &mut solo_sampler,
                     )
                     .remove(0);

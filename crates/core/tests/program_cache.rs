@@ -177,8 +177,9 @@ fn trajectory_skeleton_patching_matches_fresh_resolution_bitwise() {
             let mut samplers_b: Vec<ShotSampler> = (0..inputs.len())
                 .map(|r| ShotSampler::derived(seed, r as u64))
                 .collect();
-            let out_a = patched.run(BatchedStates::from_states(&inputs), &mut samplers_a);
-            let out_b = resolved.run(BatchedStates::from_states(&inputs), &mut samplers_b);
+            let shots = vec![1; inputs.len()];
+            let out_a = patched.run(BatchedStates::from_states(&inputs), &shots, &mut samplers_a);
+            let out_b = resolved.run(BatchedStates::from_states(&inputs), &shots, &mut samplers_b);
             for (r, (a, b)) in out_a.iter().zip(&out_b).enumerate() {
                 assert_eq!(a.outcomes, b.outcomes, "trial {trial} round {round} row {r}");
                 match (&a.state, &b.state) {

@@ -7,10 +7,8 @@
 //! data, so every entry must carry **exactly** the bits of the named
 //! oracle: each program on its own, resolved to the trajectory IR and run
 //! through `ShotEngine::expectation_sweep`, the programs of a multiset
-//! summed per row in multiset order. (A straight-line program whose
-//! read-out is exactly `-0.0` would differ in sign only: the trie keeps
-//! that read-out, the engine adds it to `0.0`. Random inputs never hit
-//! it.) Checked on:
+//! summed per row in multiset order. Both start every column at `0.0`.
+//! Checked on:
 //!
 //! * the paper circuits `P1` and `P2`, the `S` rows of Table 3 and
 //!   `hardware_efficient_ansatz(6, 2)`, under forced 1, 2 and 8 `qdp_par`

@@ -140,7 +140,8 @@ fn check_program(program: &Stmt, params: &Params, rng: &mut StdRng, seed: u64) {
         let mut samplers: Vec<ShotSampler> = (0..batch_size)
             .map(|r| ShotSampler::derived(seed, r as u64))
             .collect();
-        let batched = engine.run(BatchedStates::from_states(&inputs), &mut samplers);
+        let shots = vec![1; batch_size];
+        let batched = engine.run(BatchedStates::from_states(&inputs), &shots, &mut samplers);
 
         for (r, input) in inputs.iter().enumerate() {
             let mut serial_sampler = ShotSampler::derived(seed, r as u64);
@@ -243,21 +244,27 @@ fn batched_trajectories_of_derivative_multisets_match_serial() {
         let ext_input = |rng: &mut StdRng| {
             StateVector::zero_state(1).tensor(&random_state(rng, ext_reg.len() - 1))
         };
-        // Distinct rows, then a shot block: the estimator runs every
-        // program on copies of one extended input.
-        let batches = [
-            (0..2).map(|_| ext_input(&mut rng)).collect(),
-            (0..9).map(|_| ext_input(&mut rng)).collect(),
-            vec![ext_input(&mut rng); 9],
+        // Distinct rows of one shot each, then a shot block: the
+        // estimator runs every program on many shots of one extended
+        // input.
+        let batches: [(Vec<StateVector>, Vec<usize>); 3] = [
+            ((0..2).map(|_| ext_input(&mut rng)).collect(), vec![1; 2]),
+            ((0..9).map(|_| ext_input(&mut rng)).collect(), vec![1; 9]),
+            (vec![ext_input(&mut rng)], vec![9]),
         ];
-        for inputs in batches {
+        for (rows, shots) in batches {
+            let inputs: Vec<&StateVector> = rows
+                .iter()
+                .zip(&shots)
+                .flat_map(|(input, &k)| std::iter::repeat_n(input, k))
+                .collect();
             let batch_size = inputs.len();
             let seed = 0x1000 + i as u64;
             let mut samplers: Vec<ShotSampler> = (0..batch_size)
                 .map(|r| ShotSampler::derived(seed, r as u64))
                 .collect();
-            let batched = engine.run(BatchedStates::from_states(&inputs), &mut samplers);
-            for (r, input) in inputs.iter().enumerate() {
+            let batched = engine.run(BatchedStates::from_states(&rows), &shots, &mut samplers);
+            for (r, &input) in inputs.iter().enumerate() {
                 let mut sampler = ShotSampler::derived(seed, r as u64);
                 let mut outcomes = Vec::new();
                 let serial = sample_trajectory_traced(

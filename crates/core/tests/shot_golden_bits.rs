@@ -5,7 +5,7 @@
 //!
 //! * `ShotEngine::estimate_expectation_prepared` on a hand-built program
 //!   with a reset, nested `case`s and an aborting arm, and `ShotEngine::run`
-//!   of that program on a repeated input (every outcome and every
+//!   of that program on one input with 64 shots (every outcome and every
 //!   collapsed amplitude: read-out samples are discrete eigenvalues, so
 //!   only this check sees a flipped low bit directly);
 //! * `PreparedDerivativeEstimator::estimate` on one `P2` parameter;
@@ -108,7 +108,7 @@ fn repeated_run_state_bits() {
     assert_golden("run on a repeated input", 0xdb00_26c2_656e_24e7, || {
         let mut samplers: Vec<ShotSampler> =
             (0..64).map(|s| ShotSampler::derived(0x5EA, s)).collect();
-        let rows = engine.run(BatchedStates::repeat(&psi, 64), &mut samplers);
+        let rows = engine.run(BatchedStates::from_states(std::slice::from_ref(&psi)), &[64], &mut samplers);
         rows.iter().fold(FNV_OFFSET, |h, row| {
             let h = row.outcomes.iter().fold(h, |h, &o| fnv(h, o as u64));
             match &row.state {

@@ -341,14 +341,15 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Order-preserving map with every item call isolated under
 /// `catch_unwind`. A part can therefore only fail outside the guarded
 /// calls (e.g. allocator failure); such a failure is re-raised verbatim.
-fn map_isolated<T, R, F>(items: &[T], f: &F) -> Vec<Result<R, String>>
+/// With `fork` false every item runs on the calling thread.
+fn map_isolated<T, R, F>(items: &[T], f: &F, fork: bool) -> Vec<Result<R, String>>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
     let call = |x: &T| catch_unwind(AssertUnwindSafe(|| f(x))).map_err(panic_message);
-    let claimed = claim(items.len().saturating_sub(1));
+    let claimed = if fork { claim(items.len().saturating_sub(1)) } else { 0 };
     if claimed == 0 {
         return items.iter().map(call).collect();
     }
@@ -403,7 +404,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    match collect_tiles(map_isolated(items, &f)) {
+    match collect_tiles(map_isolated(items, &f, true)) {
         Ok(out) => out,
         Err(e) => panic!("{}", e.message),
     }
@@ -420,7 +421,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    collect_tiles(map_isolated(items, &f))
+    collect_tiles(map_isolated(items, &f, true))
 }
 
 /// [`try_par_map`] with bounded retries: items that panicked are re-run
@@ -439,7 +440,34 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let mut results = map_isolated(items, &f);
+    map_retry(items, &f, max_retries, true)
+}
+
+/// [`try_par_map_retry`] over items that together cost `work` amplitude
+/// updates: the items fan out only when that work pays for a fork
+/// ([`fork_pays`]), and otherwise all run on the calling thread, with the
+/// same isolation, retries and errors.
+pub fn try_par_map_retry_work<T, R, F>(
+    work: usize,
+    items: &[T],
+    f: F,
+    max_retries: usize,
+) -> Result<Vec<R>, TileError>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    map_retry(items, &f, max_retries, fork_pays(work))
+}
+
+fn map_retry<T, R, F>(items: &[T], f: &F, max_retries: usize, fork: bool) -> Result<Vec<R>, TileError>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let mut results = map_isolated(items, f, fork);
     for _ in 0..max_retries {
         if results.iter().all(Result::is_ok) {
             break;

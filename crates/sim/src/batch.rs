@@ -134,26 +134,6 @@ impl BatchedStates {
         }
     }
 
-    /// A batch of `rows` copies of one state — the starting block of a shot
-    /// sweep (every trajectory departs from the same prepared input). Built
-    /// in one pass over the contiguous planes.
-    pub fn repeat(psi: &StateVector, rows: usize) -> Self {
-        let dim = psi.dim();
-        let mut re = Vec::with_capacity(rows * dim);
-        let mut im = Vec::with_capacity(rows * dim);
-        let (sre, sim) = psi.planes();
-        for _ in 0..rows {
-            re.extend_from_slice(sre);
-            im.extend_from_slice(sim);
-        }
-        BatchedStates {
-            n_qubits: psi.num_qubits(),
-            rows,
-            re,
-            im,
-        }
-    }
-
     /// Builds a batch from raw contiguous planes.
     ///
     /// # Panics

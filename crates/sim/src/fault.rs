@@ -43,11 +43,11 @@ pub enum FaultSite {
         /// Which kernel call (0-based since arming) to poison.
         call: usize,
         /// Which state row of the batch the call ran on to poison. A
-        /// sampled sweep keeps one state row per class of bitwise-equal
-        /// trajectories (every shot of a `BatchedStates::repeat` block
-        /// starts in one), so the fault reaches every member of that
-        /// class; row `r` of the input is state row `r` only when no
-        /// earlier input rows were merged.
+        /// sampled sweep keeps one state row per class of trajectories
+        /// known to carry bitwise the same state, so the fault reaches
+        /// every member of that class. Each input row starts as the class
+        /// of all its shots: before the first measurement, state row `r`
+        /// is input row `r`.
         row: usize,
         /// The corruption to apply.
         kind: FaultKind,

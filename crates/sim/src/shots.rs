@@ -5,17 +5,17 @@
 //! as, in both execution modes:
 //!
 //! * **Sampled** (Section 7's shot-noise model): [`ShotEngine::run`] /
-//!   [`ShotEngine::sample_sweep`] draw one measurement outcome per row
-//!   from its own [`ShotSampler`] stream and regroup rows into
+//!   [`ShotEngine::sample_sweep`] take one state row per distinct input
+//!   and each row's shot count. Every shot draws one measurement outcome
+//!   from its own [`ShotSampler`] stream, and shots are regrouped into
 //!   outcome-homogeneous sub-batches (*branch-grouped batching*), so a
 //!   Chernoff budget of `O(m²/δ²)` trajectories executes as batched
 //!   kernel calls instead of one state at a time. Trajectories known to
 //!   carry bitwise the same state **share one amplitude row** (a
-//!   *class*): consecutive equal input rows — every shot of a
-//!   [`BatchedStates::repeat`] batch — start in one class, and a
+//!   *class*): each input row starts as the class of all its shots, and a
 //!   measurement splits a class only by what its members drew. A shot
-//!   block of one input therefore simulates each distinct trajectory once
-//!   instead of once per shot.
+//!   block therefore simulates each distinct trajectory once instead of
+//!   once per shot, and the input is never copied per shot.
 //! * **Exact** (*branch-weighted*): [`ShotEngine::expectation_sweep`]
 //!   measures all rows at once, computes per-outcome branch probabilities,
 //!   and forks the block into **every** surviving outcome at once — the
@@ -54,27 +54,27 @@
 //!
 //! # Determinism contract
 //!
-//! Sampled sweeps: every row owns an independent [`ShotSampler`] stream.
+//! Sampled sweeps: every shot owns an independent [`ShotSampler`] stream.
 //! Measurement collapse goes through the same [`collapse_with_draw`] the
 //! serial sampler uses, gate streaming goes through
 //! [`BatchedStates::apply_gate`] (bit-for-bit equal to per-row
-//! application), and regrouping preserves row order within each outcome —
+//! application), and regrouping preserves shot order within each outcome —
 //! so a batched sweep produces **bitwise** the same outcomes and collapsed
-//! states as running each row alone with the same stream, no matter how
-//! rows are grouped or how many threads run the kernels.
+//! states as running each shot alone on its input with the same stream,
+//! no matter how inputs are grouped or how many threads run the kernels.
 //! `crates/core/tests/shot_engine_differential.rs` is the oracle.
 //!
 //! Row sharing keeps that contract by construction, not by rounding luck.
-//! Members of a class start from bitwise-equal rows, and every gate is a
-//! per-row function of the row's bits. At a measurement each member still
-//! draws from **its own** stream against its class's probabilities, which
-//! are the ones its own row would have produced. Members are then split by
+//! Members of a class start from one row, and every gate is a per-row
+//! function of the row's bits. At a measurement each member still draws
+//! from **its own** stream against its class's probabilities, which are
+//! the ones its own row would have produced. Members are then split by
 //! (class, outcome, slack flag), and each sub-class is collapsed and
 //! rescaled once. The rescale (`rescale_collapsed`) reads only the
 //! class's `(p, total)` and the slack flag, so every member of a sub-class
-//! gets the bits its own row would have carried. A batch of distinct rows
-//! is the case of one member per class.
-//!
+//! gets the bits its own row would have carried. Distinct inputs of one
+//! shot each are the case of one member per class.
+
 //! Exact sweeps are deterministic, full stop: per-row results are a pure
 //! function of the program and that row's input, **bit-for-bit invariant
 //! under thread count, batch decomposition, and row order** (every
@@ -222,7 +222,7 @@ impl TrajProgram {
 
     /// Number of operations including every `Case` arm's — the ops the
     /// exact sweep, which follows every arm, executes at most.
-    fn op_count(&self) -> usize {
+    pub fn op_count(&self) -> usize {
         self.ops
             .iter()
             .map(|op| match op {
@@ -240,7 +240,7 @@ impl TrajProgram {
     }
 }
 
-/// The result of one sampled trajectory (one batch row).
+/// The result of one sampled trajectory (one shot).
 #[derive(Clone, Debug)]
 pub struct TrajectoryRow {
     /// The final collapsed state, or `None` when the trajectory aborted.
@@ -250,9 +250,9 @@ pub struct TrajectoryRow {
     pub outcomes: Vec<usize>,
 }
 
-/// A trajectory in flight: its original batch index and its class, the
-/// state row of its group it shares with the trajectories known to carry
-/// bitwise the same state.
+/// A trajectory in flight: its shot index (shots are numbered row-major
+/// over the sweep's input rows) and its class, the state row of its group
+/// it shares with the trajectories known to carry bitwise the same state.
 #[derive(Clone, Copy, Debug)]
 struct RowCtx {
     orig: usize,
@@ -265,8 +265,8 @@ struct RowCtx {
 /// Trajectories known to carry bitwise the same state share one amplitude
 /// row — a *class*: `states` holds one row per class and `members` maps
 /// every trajectory to its class. Classes are numbered in the order of their
-/// first member, and members stay in ascending original order, so a
-/// class's first member is its lowest original row. The group is
+/// first member, and members stay in ascending shot order, so a class's
+/// first member is its lowest shot. The group is
 /// outcome-homogeneous, so one outcome history serves every member.
 /// Sharing never changes a bit: see the module's determinism contract.
 struct Group {
@@ -657,7 +657,8 @@ fn scale_planes(re: &mut [f64], im: &mut [f64], s: C64) {
 /// let engine = ShotEngine::new(p);
 /// let mut samplers: Vec<ShotSampler> =
 ///     (0..8).map(|s| ShotSampler::derived(1, s)).collect();
-/// let rows = engine.run(BatchedStates::zero(8, 1), &mut samplers);
+/// // Eight shots of one input row, |0⟩.
+/// let rows = engine.run(BatchedStates::zero(1, 1), &[8], &mut samplers);
 /// for row in &rows {
 ///     assert_eq!(row.outcomes.len(), 1);
 /// }
@@ -762,21 +763,29 @@ impl ShotEngine {
         &self.program
     }
 
-    /// Runs one sampled trajectory per row of `states`, row `r` drawing
-    /// from `samplers[r]`. Returns per-row results in input row order.
+    /// Runs `shots[r]` sampled trajectories from row `r` of `states`, shot
+    /// `i` drawing from `samplers[i]`, where shots are numbered row-major:
+    /// row 0's shots first, then row 1's, and so on. Returns one result per
+    /// shot, in that order.
     ///
     /// This is the **bitwise-reference executor**: gates are applied one
-    /// by one in program order, so results equal running each row as its
+    /// by one in program order, so results equal running each shot as its
     /// own batch of one and (via the shared collapse primitive) the serial
     /// per-shot loop, bit for bit — see the module docs for the contract.
     ///
     /// # Panics
     ///
-    /// Panics when `samplers.len() != states.len()`, or (with health
+    /// Panics when `shots` does not hold one count per row, a count is
+    /// zero, `samplers` does not hold one stream per shot, or (with health
     /// monitoring enabled) with a [`QdpError`] message when a check fails
     /// unrecoverably — use [`try_run`](Self::try_run) for the typed form.
-    pub fn run(&self, states: BatchedStates, samplers: &mut [ShotSampler]) -> Vec<TrajectoryRow> {
-        match self.try_run(states, samplers) {
+    pub fn run(
+        &self,
+        states: BatchedStates,
+        shots: &[usize],
+        samplers: &mut [ShotSampler],
+    ) -> Vec<TrajectoryRow> {
+        match self.try_run(states, shots, samplers) {
             Ok(rows) => rows,
             Err(e) => panic!("{e}"),
         }
@@ -784,25 +793,26 @@ impl ShotEngine {
 
     /// [`run`](Self::run) with typed errors: health-check failures under
     /// [`HealthPolicy::FailFast`] (or unrepairable NaN/Inf under
-    /// [`HealthPolicy::Renormalize`]) return a [`QdpError`] instead of
-    /// panicking. Under [`HealthPolicy::DegradeToOracle`] the affected
-    /// rows are re-run serially from their original inputs and streams on
-    /// the per-row reference path ([`collapse_with_draw`]) — bit-identical
-    /// to this unfused executor's own contract — while healthy rows keep
-    /// their batched bits.
+    /// [`HealthPolicy::Renormalize`]) return a [`QdpError`] naming the
+    /// lowest affected shot instead of panicking. Under
+    /// [`HealthPolicy::DegradeToOracle`] the affected shots are re-run
+    /// serially from their inputs and streams on the per-row reference path
+    /// ([`collapse_with_draw`]) — bit-identical to this unfused executor's
+    /// own contract — while healthy shots keep their batched bits.
     ///
     /// # Panics
     ///
-    /// Panics when `samplers.len() != states.len()`.
+    /// Panics when `shots` does not hold one count per row, a count is
+    /// zero, or `samplers` does not hold one stream per shot.
     pub fn try_run(
         &self,
         states: BatchedStates,
+        shots: &[usize],
         samplers: &mut [ShotSampler],
     ) -> Result<Vec<TrajectoryRow>, QdpError> {
-        let total_rows = states.len();
-        let snapshot = self.degrade_snapshot(&states, samplers);
-        let (finished, aborted, defects) = self.try_sweep(states, samplers, false)?;
-        let mut out: Vec<Option<TrajectoryRow>> = (0..total_rows).map(|_| None).collect();
+        let snapshot = self.degrade_snapshot(&states, shots, samplers);
+        let (finished, aborted, defects) = self.try_sweep(states, shots, samplers, false)?;
+        let mut out: Vec<Option<TrajectoryRow>> = (0..samplers.len()).map(|_| None).collect();
         for group in &finished {
             for ctx in &group.members {
                 out[ctx.orig] = Some(TrajectoryRow {
@@ -819,8 +829,8 @@ impl ShotEngine {
                 });
             }
         }
-        if let Some((inputs, streams)) = snapshot {
-            let mut streams = streams;
+        reclaim_leaves(finished, aborted);
+        if let Some((inputs, mut streams)) = snapshot {
             for orig in dedup_defects(defects) {
                 out[orig] = Some(self.replay_row(&inputs[orig], &mut streams[orig]));
             }
@@ -830,31 +840,32 @@ impl ShotEngine {
             .enumerate()
             .map(|(r, row)| match row {
                 Some(row) => row,
-                // Unreachable by construction: every row finishes, aborts,
+                // Unreachable by construction: every shot finishes, aborts,
                 // or is replaced by its oracle replay.
-                None => panic!("row {r} neither finished nor aborted"),
+                None => panic!("shot {r} neither finished nor aborted"),
             })
             .collect())
     }
 
-    /// The per-row input/stream snapshots `DegradeToOracle` recovery
-    /// replays from — taken only when that policy is active, so the other
-    /// configurations pay nothing.
+    /// The per-shot input/stream snapshots `DegradeToOracle` recovery
+    /// replays from, each shot's input read from its row — taken only when
+    /// that policy is active, so the other configurations pay nothing.
     fn degrade_snapshot(
         &self,
         states: &BatchedStates,
+        shots: &[usize],
         samplers: &[ShotSampler],
     ) -> Option<(Vec<StateVector>, Vec<ShotSampler>)> {
         match self.health {
             Some(HealthConfig { policy: HealthPolicy::DegradeToOracle, .. }) => Some((
-                (0..states.len()).map(|r| states.row_state(r)).collect(),
+                per_shot(shots, |r| states.row_state(r)),
                 samplers.to_vec(),
             )),
             _ => None,
         }
     }
 
-    /// Serial reference replay of one row: gates in program order on a
+    /// Serial reference replay of one shot: gates in program order on a
     /// single [`StateVector`], every measurement through the shared
     /// [`collapse_with_draw`] primitive — the retained per-row path the
     /// batched sampled executor is pinned against bit for bit.
@@ -904,10 +915,11 @@ impl ShotEngine {
         }
     }
 
-    /// Runs one trajectory per row and samples `readout` once on each
-    /// surviving final state (0.0 for aborted rows, which draw nothing —
-    /// matching the serial estimator). Returns per-row samples in input
-    /// row order.
+    /// Runs `shots[r]` trajectories from row `r` of `states`, numbered
+    /// row-major as in [`run`](Self::run), and samples `readout` once on
+    /// each surviving final state (0.0 for aborted shots, which draw
+    /// nothing — matching the serial estimator). Returns one sample per
+    /// shot, in shot order.
     ///
     /// The read-out of each final group is **block-level**: one
     /// `classes × pairs` probability table per group
@@ -915,7 +927,7 @@ impl ShotEngine {
     /// bucketed `|amp|²` sweep over the group's contiguous block for
     /// diagonal observables, one batched expectation pass per projector
     /// otherwise) plus one norm pass, so leaf read-out is one sweep per
-    /// group instead of one per row, and each row draws once against its
+    /// group instead of one per shot, and each shot draws once against its
     /// class's table row. The probabilities are bit-identical
     /// to the per-row passes the serial sampler selects from, so draws can
     /// never drift apart. On top of that, straight-line gate segments
@@ -929,16 +941,17 @@ impl ShotEngine {
     ///
     /// # Panics
     ///
-    /// Panics when `samplers.len() != states.len()`, or (with health
-    /// monitoring enabled) with a [`QdpError`] message — use
+    /// Panics on the malformed arguments [`run`](Self::run) rejects, or
+    /// (with health monitoring enabled) with a [`QdpError`] message — use
     /// [`try_sample_sweep`](Self::try_sample_sweep) for the typed form.
     pub fn sample_sweep(
         &self,
         states: BatchedStates,
+        shots: &[usize],
         samplers: &mut [ShotSampler],
         readout: &ProjectiveObservable,
     ) -> Vec<f64> {
-        match self.try_sample_sweep(states, samplers, readout) {
+        match self.try_sample_sweep(states, shots, samplers, readout) {
             Ok(out) => out,
             Err(e) => panic!("{e}"),
         }
@@ -946,24 +959,24 @@ impl ShotEngine {
 
     /// [`sample_sweep`](Self::sample_sweep) with typed errors — the
     /// health-policy semantics of [`try_run`](Self::try_run), with
-    /// [`HealthPolicy::DegradeToOracle`] rows re-run serially from their
-    /// original inputs and streams ([`collapse_with_draw`] plus the shared
-    /// per-row read-out selection), unaffected rows keeping their batched
+    /// [`HealthPolicy::DegradeToOracle`] shots re-run serially from their
+    /// inputs and streams ([`collapse_with_draw`] plus the shared
+    /// per-row read-out selection), unaffected shots keeping their batched
     /// bits.
     ///
     /// # Panics
     ///
-    /// Panics when `samplers.len() != states.len()`.
+    /// Panics on the malformed arguments [`run`](Self::run) rejects.
     pub fn try_sample_sweep(
         &self,
         states: BatchedStates,
+        shots: &[usize],
         samplers: &mut [ShotSampler],
         readout: &ProjectiveObservable,
     ) -> Result<Vec<f64>, QdpError> {
-        let total_rows = states.len();
-        let snapshot = self.degrade_snapshot(&states, samplers);
-        let (finished, aborted, defects) = self.try_sweep(states, samplers, true)?;
-        let mut out = vec![0.0; total_rows];
+        let snapshot = self.degrade_snapshot(&states, shots, samplers);
+        let (finished, aborted, defects) = self.try_sweep(states, shots, samplers, true)?;
+        let mut out = vec![0.0; samplers.len()];
         let pairs = readout.pairs().len();
         let mut table = Vec::new();
         let mut totals = Vec::new();
@@ -983,13 +996,13 @@ impl ShotEngine {
                 out[ctx.orig] = readout.select_with(u, total, |k| table[c * pairs + k]);
             }
         }
-        drop(aborted); // aborted rows stay 0.0 and draw nothing
-        if let Some((inputs, streams)) = snapshot {
-            let mut streams = streams;
+        // Aborted shots stay 0.0 and draw nothing.
+        reclaim_leaves(finished, aborted);
+        if let Some((inputs, mut streams)) = snapshot {
             for orig in dedup_defects(defects) {
                 let row = self.replay_row(&inputs[orig], &mut streams[orig]);
                 out[orig] = match row.state {
-                    None => 0.0, // aborted rows draw nothing
+                    None => 0.0, // aborted shots draw nothing
                     Some(psi) => {
                         let total = psi.norm_sqr();
                         if total <= 1e-300 {
@@ -1008,13 +1021,13 @@ impl ShotEngine {
 
     /// Tiled parallel shot estimate of `⟨obs⟩` on the program's output from
     /// `shots` trajectories starting at `psi`: the mean of one read-out
-    /// sample per shot (0 for aborted trajectories).
+    /// sample per shot (0 for aborted trajectories) — the one-input form
+    /// of [`try_estimate_expectation_batch`](Self::try_estimate_expectation_batch).
     ///
-    /// Shots are split into fixed [`SHOT_TILE`]-row tiles fanned out across
-    /// `qdp_par`; shot `s` draws from the derived stream
-    /// `ShotSampler::derived(seed, s)` wherever it runs, and tile sums are
-    /// reduced in tile order — the result is **bit-for-bit identical under
-    /// any thread count**.
+    /// Shot `s` draws from the derived stream `ShotSampler::derived(seed,
+    /// s)` wherever it runs, and [`SHOT_TILE`]-shot tile sums are reduced
+    /// in tile order — the result is **bit-for-bit identical under any
+    /// thread count**.
     ///
     /// # Panics
     ///
@@ -1031,8 +1044,8 @@ impl ShotEngine {
 
     /// [`estimate_expectation`](Self::estimate_expectation) with the
     /// read-out decomposition already built — what repeated-evaluation
-    /// callers (a training epoch sweeping many inputs) use so the
-    /// eigendecomposition happens once, not once per input.
+    /// callers use so the eigendecomposition happens once, not once per
+    /// input.
     ///
     /// # Panics
     ///
@@ -1055,11 +1068,8 @@ impl ShotEngine {
     }
 
     /// [`estimate_expectation_prepared`](Self::estimate_expectation_prepared)
-    /// with fault tolerance: each shot tile runs panic-isolated, a
-    /// panicked tile is retried up to 2 extra times (bit-identically —
-    /// tiles are pure functions of `(psi, seed, tile range)`), and
-    /// exhausted retries or health-check failures surface as a typed
-    /// [`QdpError`] instead of aborting the process.
+    /// with fault tolerance: a batch of one of
+    /// [`try_estimate_expectation_batch`](Self::try_estimate_expectation_batch).
     ///
     /// # Panics
     ///
@@ -1071,30 +1081,78 @@ impl ShotEngine {
         shots: usize,
         seed: u64,
     ) -> Result<f64, QdpError> {
+        let inputs = std::slice::from_ref(psi);
+        self.try_estimate_expectation_batch(inputs, readout, shots, &[seed])
+            .map(|estimates| estimates[0])
+    }
+
+    /// Shot estimates of `⟨readout⟩` on the program's output for every
+    /// input: entry `r` is the mean of `shots` read-out samples from
+    /// `inputs[r]` (0 for aborted trajectories), shot `s` of row `r` on the
+    /// derived stream `ShotSampler::derived(seeds[r], s)`.
+    ///
+    /// Shots are cut into fixed [`SHOT_TILE`]-shot tiles, and each tile is
+    /// **one** sampled sweep over every input's shots of that tile. Each
+    /// row sums its samples per tile, in shot order, then the tile sums in
+    /// tile order, so entry `r` is bit-for-bit the one-input call with
+    /// `seeds[r]`, under any thread count and beside any other inputs.
+    /// Tiles run on the calling thread unless their work (inputs ×
+    /// amplitudes × program ops, summed over tiles) pays for a fork
+    /// ([`qdp_par::fork_pays`]); then they fan out across `qdp_par`. Each
+    /// tile runs panic-isolated, a panicked tile is retried up to 2 extra
+    /// times (bit-identically: tiles are pure functions of their inputs,
+    /// seeds and shot range), and exhausted retries or health-check
+    /// failures surface as a typed [`QdpError`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shots` is zero or `inputs` and `seeds` differ in length.
+    pub fn try_estimate_expectation_batch(
+        &self,
+        inputs: &[StateVector],
+        readout: &ProjectiveObservable,
+        shots: usize,
+        seeds: &[u64],
+    ) -> Result<Vec<f64>, QdpError> {
         assert!(shots > 0, "need at least one shot");
-        let tiles: Vec<(usize, usize)> = (0..shots)
-            .step_by(SHOT_TILE)
-            .map(|start| (start, SHOT_TILE.min(shots - start)))
-            .collect();
-        let sums = qdp_par::try_par_map_retry(
+        assert_eq!(inputs.len(), seeds.len(), "one seed per input");
+        if inputs.is_empty() {
+            return Ok(Vec::new());
+        }
+        let tiles = shot_tiles(shots);
+        let work = tiles.len() * inputs.len() * inputs[0].dim() * self.program.op_count();
+        let sums = qdp_par::try_par_map_retry_work(
+            work,
             &tiles,
-            |&(start, rows)| {
+            |&(start, len)| {
                 crate::fault::tile_checkpoint(start / SHOT_TILE);
-                let batch = BatchedStates::repeat(psi, rows);
-                let mut samplers: Vec<ShotSampler> = (0..rows)
-                    .map(|r| ShotSampler::derived(seed, (start + r) as u64))
+                let mut samplers: Vec<ShotSampler> = seeds
+                    .iter()
+                    .flat_map(|&seed| (start..start + len).map(move |s| ShotSampler::derived(seed, s as u64)))
                     .collect();
-                self.try_sample_sweep(batch, &mut samplers, readout)
-                    .map(|values| values.into_iter().sum::<f64>())
+                let counts = vec![len; inputs.len()];
+                let values = self.try_sample_sweep(
+                    BatchedStates::from_states(inputs),
+                    &counts,
+                    &mut samplers,
+                    readout,
+                )?;
+                Ok::<Vec<f64>, QdpError>(values.chunks(len).map(|row| row.iter().sum::<f64>()).collect())
             },
             TILE_RETRIES,
         )
-        .map_err(QdpError::from)?;
-        let mut acc = 0.0;
-        for sum in sums {
-            acc += sum?;
-        }
-        Ok(acc / shots as f64)
+        .map_err(QdpError::from)?
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+        Ok((0..inputs.len())
+            .map(|r| {
+                let mut acc = 0.0;
+                for tile in &sums {
+                    acc += tile[r];
+                }
+                acc / shots as f64
+            })
+            .collect())
     }
 
     /// **Branch-weighted exact execution**: the exact expectation
@@ -1310,33 +1368,36 @@ impl ShotEngine {
             .collect()
     }
 
-    /// Executes the program over the whole batch, branch-grouping on every
+    /// Executes the program over every shot, branch-grouping on every
     /// measurement; returns the surviving outcome-homogeneous groups, the
-    /// aborted rows, and the original indices of rows degraded to the
-    /// oracle (non-empty only under [`HealthPolicy::DegradeToOracle`]).
+    /// aborted shots, and the indices of shots degraded to the oracle
+    /// (non-empty only under [`HealthPolicy::DegradeToOracle`]).
     /// With `fuse`, straight-line segments accumulate per-qubit 1q
     /// products instead of applying each gate immediately.
     ///
-    /// When the engine is health-monitored, each row's expected squared
-    /// norm is read off one extra root pass and checked (piggybacked on
-    /// the norms sweep every measurement already performs) at each
-    /// boundary; unmonitored engines skip all of it and keep today's bits.
+    /// When the engine is health-monitored, each shot's expected squared
+    /// norm is its row's, read off one extra root pass and checked
+    /// (piggybacked on the norms sweep every measurement already performs)
+    /// at each boundary; unmonitored engines skip all of it.
     fn try_sweep(
         &self,
         states: BatchedStates,
+        shots: &[usize],
         samplers: &mut [ShotSampler],
         fuse: bool,
     ) -> Result<SweepOutput, QdpError> {
+        assert_eq!(states.len(), shots.len(), "one shot count per input row");
+        assert!(shots.iter().all(|&k| k > 0), "every input row needs a shot");
         assert_eq!(
-            states.len(),
+            shots.iter().sum::<usize>(),
             samplers.len(),
-            "one sampler stream per batch row"
+            "one sampler stream per batch row shot"
         );
         let expected = match self.health {
             Some(_) => {
                 let mut norms = Vec::new();
                 states.row_norms_sqr_into(&mut norms);
-                norms
+                per_shot(shots, |r| norms[r])
             }
             None => Vec::new(),
         };
@@ -1345,7 +1406,7 @@ impl ShotEngine {
         }
         SCRATCH.with(|cell| {
             let scratch = &mut cell.borrow_mut();
-            let group = sampled_root(states, scratch);
+            let group = sampled_root(states, shots, scratch);
             let mut sweep = SampledSweep {
                 samplers,
                 fuse,
@@ -1364,7 +1425,7 @@ impl ShotEngine {
 }
 
 /// Outcome of a sampled sweep: finished leaf groups, aborted trajectories,
-/// and the original indices of health-defected rows.
+/// and the indices of health-defected shots.
 type SweepOutput = (Vec<Group>, Vec<Aborted>, Vec<usize>);
 
 /// The trajectories of one group that reached an `abort`: the outcome
@@ -1372,42 +1433,34 @@ type SweepOutput = (Vec<Group>, Vec<Aborted>, Vec<usize>);
 /// anything: the states are gone).
 type Aborted = (Vec<usize>, Vec<RowCtx>);
 
-/// The root group of a sampled sweep: each run of consecutive bitwise-equal
-/// input rows becomes one class sharing one state row. That is the shape
-/// of a [`BatchedStates::repeat`] shot block, so a block of `k` shots of
-/// one input starts as a single row; interleaved duplicates stay apart,
-/// which costs work but never bits. A batch without duplicates keeps its
-/// block as is.
-fn sampled_root(states: BatchedStates, scratch: &mut RegroupScratch) -> Group {
-    let rows = states.len();
-    let n = states.num_qubits();
+/// The [`SHOT_TILE`]-shot tiles of `shots` shots: `(first shot, shots)`.
+fn shot_tiles(shots: usize) -> Vec<(usize, usize)> {
+    (0..shots)
+        .step_by(SHOT_TILE)
+        .map(|start| (start, SHOT_TILE.min(shots - start)))
+        .collect()
+}
+
+/// One value per shot, in shot order: row `r`'s value `at(r)` repeated
+/// `shots[r]` times.
+fn per_shot<T: Clone>(shots: &[usize], at: impl Fn(usize) -> T) -> Vec<T> {
+    shots
+        .iter()
+        .enumerate()
+        .flat_map(|(r, &k)| std::iter::repeat_n(at(r), k))
+        .collect()
+}
+
+/// The root group of a sampled sweep: input row `r` is the class of its
+/// `shots[r]` shots, whose members are numbered row-major. The rows are
+/// the block as given: no shot copies its input.
+fn sampled_root(states: BatchedStates, shots: &[usize], scratch: &mut RegroupScratch) -> Group {
     let mut members = scratch.sampled_rows.pop().unwrap_or_default();
-    let mut classes = 0;
-    for orig in 0..rows {
-        if orig == 0 || !same_bits(states.row_planes(orig - 1), states.row_planes(orig)) {
-            classes += 1;
-        }
-        members.push(RowCtx { orig, class: classes - 1 });
+    for (class, &k) in shots.iter().enumerate() {
+        let first = members.len();
+        members.extend((first..first + k).map(|orig| RowCtx { orig, class }));
     }
-    let states = if classes == rows {
-        states
-    } else {
-        let dim = states.dim();
-        let (mut re, mut im) = scratch.take_block();
-        {
-            let (src_re, src_im) = states.planes();
-            let mut last = usize::MAX;
-            for ctx in &members {
-                if ctx.class != last {
-                    last = ctx.class;
-                    re.extend_from_slice(&src_re[ctx.orig * dim..(ctx.orig + 1) * dim]);
-                    im.extend_from_slice(&src_im[ctx.orig * dim..(ctx.orig + 1) * dim]);
-                }
-            }
-        }
-        scratch.give_block(states.into_raw());
-        BatchedStates::from_raw(classes, n, re, im)
-    };
+    let n = states.num_qubits();
     Group {
         states,
         outcomes: scratch.take_history(),
@@ -1416,11 +1469,20 @@ fn sampled_root(states: BatchedStates, scratch: &mut RegroupScratch) -> Group {
     }
 }
 
-/// Whether two rows' split planes are bitwise equal (`-0.0 ≠ 0.0`, and a
-/// NaN equals only its own bit pattern).
-fn same_bits((a_re, a_im): (&[f64], &[f64]), (b_re, b_im): (&[f64], &[f64])) -> bool {
-    let eq = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
-    eq(a_re, b_re) && eq(a_im, b_im)
+/// Returns a read-out sweep's leaf groups and aborted member lists to the
+/// thread's [`RegroupScratch`], so the next sweep's leaves reuse them.
+fn reclaim_leaves(finished: Vec<Group>, aborted: Vec<Aborted>) {
+    SCRATCH.with(|cell| {
+        let scratch = &mut cell.borrow_mut();
+        for group in finished {
+            scratch.reclaim_sampled(group);
+        }
+        for (outcomes, mut members) in aborted {
+            members.clear();
+            pool_give(&mut scratch.sampled_rows, members);
+            pool_give(&mut scratch.histories, outcomes);
+        }
+    });
 }
 
 /// Sorts and deduplicates the degraded-row index list (a row can fail
@@ -1443,12 +1505,12 @@ struct SampledSweep<'s> {
     aborted: Vec<Aborted>,
     /// Health monitoring config (`None` = no checks, today's bits).
     health: Option<HealthConfig>,
-    /// Expected squared norm per **original** row index (root norms —
-    /// collapse renormalises to the parent norm and gates are unitary, so
-    /// a healthy row carries its root norm at every boundary). Empty when
+    /// Expected squared norm per shot: its input row's norm (collapse
+    /// renormalises to the parent norm and gates are unitary, so a healthy
+    /// trajectory carries its root norm at every boundary). Empty when
     /// unmonitored.
     expected: Vec<f64>,
-    /// Original indices of rows degraded to the oracle.
+    /// Indices of shots degraded to the oracle.
     defects: Vec<usize>,
 }
 
@@ -1581,9 +1643,9 @@ impl SampledSweep<'_> {
         // too) and before the probability table is built, so repairs and
         // placeholder rows feed consistent probabilities downstream. Each
         // class is checked once, at its first member: members start from
-        // bitwise-equal rows, so they share the expected norm, and classes
-        // come in first-member order, so `FailFast` names the lowest
-        // failing original row, as an unshared sweep would.
+        // one input row, so they share the expected norm, and classes come
+        // in first-member order, so `FailFast` names the lowest failing
+        // shot, as an unshared sweep would.
         if let Some(cfg) = self.health {
             let mut next_class = 0;
             for ctx in &members {
@@ -2104,10 +2166,8 @@ pub enum TrieOp<'a> {
 /// program that ends there. So every column carries exactly the bits of
 /// that program's own exact sweep: the same ops, with the same fusion and
 /// flush order, run on the same rows, and each column sums its leaves in
-/// the program's own depth-first order. Columns of branching programs
-/// start at `0.0`, as the program's own sweep does. Columns of
-/// straight-line programs (gates only) have one leaf per row and start at
-/// `-0.0`, the exact identity of `+`, so they hold that read-out itself.
+/// the program's own depth-first order, starting at `0.0` as the
+/// program's own sweep does.
 #[derive(Clone, Debug)]
 pub struct SweepTrie {
     /// The arena; node 0 is the root.
@@ -2120,8 +2180,8 @@ pub struct SweepTrie {
     targets: Vec<usize>,
     /// The flip of reset nodes.
     flip: Matrix,
-    /// Per program, in insertion order: whether it is straight-line.
-    straight: Vec<bool>,
+    /// Number of programs.
+    programs: usize,
 }
 
 /// "No node" in a child or sibling link: the root is nobody's child.
@@ -2194,13 +2254,11 @@ impl SweepTrie {
             measurements: Vec::new(),
             targets: Vec::new(),
             flip: Matrix::pauli_x(),
-            straight: Vec::new(),
+            programs: 0,
         };
         for ops in programs {
-            let id = trie.straight.len();
-            trie.straight
-                .push(ops.iter().all(|op| matches!(op, TrieOp::Gate { .. })));
-            trie.insert(0, &ops, &[], id);
+            trie.insert(0, &ops, &[], trie.programs);
+            trie.programs += 1;
         }
         trie.finish();
         trie.nodes.shrink_to_fit();
@@ -2209,7 +2267,7 @@ impl SweepTrie {
 
     /// Number of programs (read-out columns).
     pub fn programs(&self) -> usize {
-        self.straight.len()
+        self.programs
     }
 
     /// Ops in the trie, each measurement once plus the ops of every arm:
@@ -2485,11 +2543,7 @@ impl SweepTrie {
         parts: usize,
     ) -> Result<Vec<f64>, QdpError> {
         let rows = states.len();
-        let mut cols: Vec<f64> = self
-            .straight
-            .iter()
-            .flat_map(|&straight| std::iter::repeat_n(if straight { -0.0 } else { 0.0 }, rows))
-            .collect();
+        let mut cols = vec![0.0; self.programs * rows];
         let live = if parts > 1 {
             self.live_nodes(part, parts)
         } else {
@@ -2723,7 +2777,7 @@ mod tests {
         let engine = ShotEngine::new(p);
         let inputs: Vec<StateVector> = (0..5).map(|k| StateVector::basis_state(2, k % 4)).collect();
         let mut samplers: Vec<ShotSampler> = (0..5).map(|s| ShotSampler::derived(3, s)).collect();
-        let rows = engine.run(BatchedStates::from_states(&inputs), &mut samplers);
+        let rows = engine.run(BatchedStates::from_states(&inputs), &[1; 5], &mut samplers);
         for (input, row) in inputs.iter().zip(&rows) {
             let mut expected = input.clone();
             expected.apply_gate(&Matrix::hadamard(), &[0]);
@@ -2744,7 +2798,7 @@ mod tests {
         p.push_init(0);
         let engine = ShotEngine::new(p);
         let mut samplers: Vec<ShotSampler> = (0..32).map(|s| ShotSampler::derived(7, s)).collect();
-        let rows = engine.run(BatchedStates::zero(32, 1), &mut samplers);
+        let rows = engine.run(BatchedStates::zero(1, 1), &[32], &mut samplers);
         let mut seen = [false, false];
         for row in &rows {
             assert_eq!(row.outcomes.len(), 1);
@@ -2768,7 +2822,7 @@ mod tests {
         );
         let engine = ShotEngine::new(p);
         let mut samplers: Vec<ShotSampler> = (0..64).map(|s| ShotSampler::derived(11, s)).collect();
-        let rows = engine.run(BatchedStates::zero(64, 1), &mut samplers);
+        let rows = engine.run(BatchedStates::zero(1, 1), &[64], &mut samplers);
         let mut aborted = 0usize;
         for row in &rows {
             match row.outcomes[0] {
@@ -2784,7 +2838,7 @@ mod tests {
 
     #[test]
     fn repeated_shots_share_state_rows() {
-        // 256 copies of one input through `H; case M[q0]`: the sweep must
+        // 256 shots of one input through `H; case M[q0]`: the sweep must
         // finish holding one state row per outcome, not one per shot.
         let mut p = TrajProgram::new();
         p.push_gate(Matrix::hadamard(), vec![0]);
@@ -2797,7 +2851,7 @@ mod tests {
         let psi = StateVector::zero_state(2);
         for fuse in [false, true] {
             let (finished, aborted, _) = engine
-                .try_sweep(BatchedStates::repeat(&psi, 256), &mut samplers, fuse)
+                .try_sweep(BatchedStates::from_states(std::slice::from_ref(&psi)), &[256], &mut samplers, fuse)
                 .unwrap();
             assert!(aborted.is_empty());
             let rows: usize = finished.iter().map(|g| g.states.len()).sum();
@@ -2827,15 +2881,15 @@ mod tests {
         let readout = ProjectiveObservable::new(&obs);
         let shots = 40;
 
-        let batch = BatchedStates::zero(shots, 2);
+        let batch = BatchedStates::zero(1, 2);
         let mut samplers: Vec<ShotSampler> =
             (0..shots).map(|s| ShotSampler::derived(5, s as u64)).collect();
-        let samples = engine.sample_sweep(batch, &mut samplers, &readout);
+        let samples = engine.sample_sweep(batch, &[shots], &mut samplers, &readout);
 
-        let batch = BatchedStates::zero(shots, 2);
+        let batch = BatchedStates::zero(1, 2);
         let mut samplers: Vec<ShotSampler> =
             (0..shots).map(|s| ShotSampler::derived(5, s as u64)).collect();
-        let rows = engine.run(batch, &mut samplers);
+        let rows = engine.run(batch, &[shots], &mut samplers);
         for (row, (sampler, sample)) in rows.iter().zip(samplers.iter_mut().zip(&samples)) {
             let expected = match &row.state {
                 None => 0.0,
@@ -2861,7 +2915,7 @@ mod tests {
     #[test]
     fn empty_batch_is_harmless() {
         let engine = ShotEngine::new(TrajProgram::new());
-        let rows = engine.run(BatchedStates::from_states(&[]), &mut []);
+        let rows = engine.run(BatchedStates::from_states(&[]), &[], &mut []);
         assert!(rows.is_empty());
         assert!(engine
             .expectation_sweep(BatchedStates::from_states(&[]), &Observable::pauli_z(1, 0))
@@ -3064,6 +3118,36 @@ mod tests {
     }
 
     #[test]
+    fn sweep_trie_columns_start_at_the_oracles_zero() {
+        // Straight-line programs whose read-out is exactly zero: `Z` on an
+        // equal superposition of qubit 1. Each column holds the oracle's
+        // bits, `+0.0`, and a part that owns none of the columns leaves
+        // them at the oracle's start value, `+0.0`, as well.
+        let (h, x) = (Matrix::hadamard(), Matrix::pauli_x());
+        let programs = vec![
+            vec![gate(TrieMatrix::Fixed(&h), &[1])],
+            vec![gate(TrieMatrix::Fixed(&x), &[0]), gate(TrieMatrix::Fixed(&h), &[1])],
+        ];
+        let own: Vec<TrajProgram> = programs.iter().map(|ops| trie_traj(ops, &[])).collect();
+        let trie = SweepTrie::build(programs);
+        let obs = Observable::pauli_z(2, 1);
+        let inputs: Vec<StateVector> = (0..2).map(|k| StateVector::basis_state(2, k)).collect();
+        let columns = trie.expectation_sweep(&[], BatchedStates::from_states(&inputs), &obs);
+        for (i, program) in own.into_iter().enumerate() {
+            let alone = ShotEngine::new(program)
+                .expectation_sweep(BatchedStates::from_states(&inputs), &obs);
+            for (c, a) in columns[i].iter().zip(&alone) {
+                assert_eq!(c.to_bits(), 0.0f64.to_bits(), "program {i}");
+                assert_eq!(c.to_bits(), a.to_bits(), "program {i}");
+            }
+        }
+        let unowned = trie
+            .sweep_tile(&[], BatchedStates::from_states(&inputs), &obs, 2, 3)
+            .unwrap();
+        assert!(unowned.iter().all(|v| v.to_bits() == 0.0f64.to_bits()), "{unowned:?}");
+    }
+
+    #[test]
     fn leaf_weights_sum_to_one_for_abort_free_programs() {
         let engine = ShotEngine::new(branching_program());
         let inputs: Vec<StateVector> = (0..4).map(|k| StateVector::basis_state(2, k)).collect();
@@ -3195,6 +3279,6 @@ mod tests {
     fn mismatched_sampler_count_panics() {
         let engine = ShotEngine::new(TrajProgram::new());
         let mut samplers = vec![ShotSampler::seeded(1)];
-        let _ = engine.run(BatchedStates::zero(2, 1), &mut samplers);
+        let _ = engine.run(BatchedStates::zero(2, 1), &[1, 1], &mut samplers);
     }
 }

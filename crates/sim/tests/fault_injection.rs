@@ -107,7 +107,7 @@ fn healthy_runs_are_bitwise_identical_under_monitoring_and_threads() {
     qdp_par::set_max_threads(1);
     let base_exact = engine().expectation_sweep(batch(ROWS), &obs);
     let mut s = samplers(ROWS, 99);
-    let base_sampled = engine().sample_sweep(batch(ROWS), &mut s, &readout);
+    let base_sampled = engine().sample_sweep(batch(ROWS), &[1; ROWS], &mut s, &readout);
     let base_estimate =
         engine().estimate_expectation_prepared(&inputs(1)[0], &readout, 3 * SHOT_TILE, 5);
 
@@ -123,7 +123,7 @@ fn healthy_runs_are_bitwise_identical_under_monitoring_and_threads() {
             );
             let mut s = samplers(ROWS, 99);
             assert_bits_eq(
-                &e.sample_sweep(batch(ROWS), &mut s, &readout),
+                &e.sample_sweep(batch(ROWS), &[1; ROWS], &mut s, &readout),
                 &base_sampled,
                 &format!("sampled sweep ({what})"),
             );
@@ -146,7 +146,7 @@ fn injected_non_finite_amplitudes_fail_fast_with_typed_errors() {
             let guard = inject(FaultSite::Kernel { call: 0, row: 2, kind });
             let mut s = samplers(6, 7);
             let err = with_policy(policy)
-                .try_run(batch(6), &mut s)
+                .try_run(batch(6), &[1; 6], &mut s)
                 .expect_err("poisoned row must be detected");
             assert!(
                 matches!(err, QdpError::NonFinite { row: 2, .. }),
@@ -181,7 +181,7 @@ fn injected_norm_drift_is_detected_and_renormalized() {
     let guard = inject(FaultSite::Kernel { call: 0, row: 2, kind: drift });
     let mut s = samplers(6, 7);
     let err = with_policy(HealthPolicy::FailFast)
-        .try_run(batch(6), &mut s)
+        .try_run(batch(6), &[1; 6], &mut s)
         .expect_err("drifted row must be detected");
     match err {
         QdpError::NormDrift { row, expected, actual, .. } => {
@@ -223,11 +223,11 @@ fn degrade_to_oracle_recovers_poisoned_rows_and_preserves_healthy_bits() {
     // Sampled trajectories: the defected row is replayed serially from
     // its original input and stream.
     let mut s = samplers(6, 7);
-    let clean_rows = engine().run(batch(6), &mut s);
+    let clean_rows = engine().run(batch(6), &[1; 6], &mut s);
     let guard = inject(FaultSite::Kernel { call: 0, row: 2, kind: FaultKind::Nan });
     let mut s = samplers(6, 7);
     let recovered = with_policy(HealthPolicy::DegradeToOracle)
-        .try_run(batch(6), &mut s)
+        .try_run(batch(6), &[1; 6], &mut s)
         .expect("degraded run must complete");
     assert_eq!(fired_count(), 1);
     drop(guard);
@@ -246,11 +246,11 @@ fn degrade_to_oracle_recovers_poisoned_rows_and_preserves_healthy_bits() {
 
     // Sampled read-out sweep.
     let mut s = samplers(6, 7);
-    let clean = engine().sample_sweep(batch(6), &mut s, &readout);
+    let clean = engine().sample_sweep(batch(6), &[1; 6], &mut s, &readout);
     let guard = inject(FaultSite::Kernel { call: 0, row: 2, kind: FaultKind::Inf });
     let mut s = samplers(6, 7);
     let recovered = with_policy(HealthPolicy::DegradeToOracle)
-        .try_sample_sweep(batch(6), &mut s, &readout)
+        .try_sample_sweep(batch(6), &[1; 6], &mut s, &readout)
         .expect("degraded sweep must complete");
     drop(guard);
     for (r, (a, b)) in recovered.iter().zip(&clean).enumerate() {
@@ -286,29 +286,28 @@ fn faults_on_a_shared_row_reach_every_member() {
     qdp_par::set_max_threads(1);
     const SHOTS: usize = 6;
     let psi = &inputs(2)[1];
-    let shots = || BatchedStates::repeat(psi, SHOTS);
+    let shots = || BatchedStates::from_states(std::slice::from_ref(psi));
     let obs = Observable::pauli_z(2, 1);
     let readout = ProjectiveObservable::new(&obs);
 
-    // FailFast names the lowest original row of the poisoned class: row 0
-    // of the shot block, and row 1 of `[a, b, b, b, c]` (whose class row 1
-    // holds the three copies of `b`).
+    // FailFast names the lowest shot of the poisoned class: shot 0 of the
+    // shot block, and shot 1 of inputs `[a, b, c]` with shots `[1, 3, 1]`
+    // (whose class row 1 holds the three shots of `b`).
     let guard = inject(FaultSite::Kernel { call: 0, row: 0, kind: FaultKind::Nan });
     let err = with_policy(HealthPolicy::FailFast)
-        .try_run(shots(), &mut samplers(SHOTS, 7))
+        .try_run(shots(), &[SHOTS], &mut samplers(SHOTS, 7))
         .expect_err("poisoned shared row must be detected");
     assert!(matches!(err, QdpError::NonFinite { row: 0, .. }), "unexpected error {err:?}");
     drop(guard);
     let rows = inputs(3);
-    let mixed = [&rows[0], &rows[1], &rows[1], &rows[1], &rows[2]].map(StateVector::clone);
     let guard = inject(FaultSite::Kernel { call: 0, row: 1, kind: FaultKind::Nan });
     let err = with_policy(HealthPolicy::FailFast)
-        .try_run(BatchedStates::from_states(&mixed), &mut samplers(5, 7))
+        .try_run(BatchedStates::from_states(&rows), &[1, 3, 1], &mut samplers(5, 7))
         .expect_err("poisoned shared row must be detected");
     assert!(matches!(err, QdpError::NonFinite { row: 1, .. }), "unexpected error {err:?}");
     drop(guard);
 
-    let clean = engine().run(shots(), &mut samplers(SHOTS, 7));
+    let clean = engine().run(shots(), &[SHOTS], &mut samplers(SHOTS, 7));
     let assert_close = |got: &[qdp_sim::TrajectoryRow], what: &str| {
         for (r, (got, want)) in got.iter().zip(&clean).enumerate() {
             assert_eq!(got.outcomes, want.outcomes, "{what}: row {r} outcomes diverged");
@@ -324,7 +323,7 @@ fn faults_on_a_shared_row_reach_every_member() {
     // Renormalize repairs the shared row, and with it every member.
     let guard = inject(FaultSite::Kernel { call: 0, row: 0, kind: FaultKind::Scale(1.001) });
     let repaired = with_policy(HealthPolicy::Renormalize)
-        .try_run(shots(), &mut samplers(SHOTS, 7))
+        .try_run(shots(), &[SHOTS], &mut samplers(SHOTS, 7))
         .expect("renormalize must repair finite drift");
     assert_eq!(fired_count(), 1);
     drop(guard);
@@ -333,16 +332,16 @@ fn faults_on_a_shared_row_reach_every_member() {
     // DegradeToOracle replays every member from its input and stream.
     let guard = inject(FaultSite::Kernel { call: 0, row: 0, kind: FaultKind::Nan });
     let replayed = with_policy(HealthPolicy::DegradeToOracle)
-        .try_run(shots(), &mut samplers(SHOTS, 7))
+        .try_run(shots(), &[SHOTS], &mut samplers(SHOTS, 7))
         .expect("degraded run must complete");
     assert_eq!(fired_count(), 1);
     drop(guard);
     assert_close(&replayed, "replayed");
 
-    let clean = engine().sample_sweep(shots(), &mut samplers(SHOTS, 7), &readout);
+    let clean = engine().sample_sweep(shots(), &[SHOTS], &mut samplers(SHOTS, 7), &readout);
     let guard = inject(FaultSite::Kernel { call: 0, row: 0, kind: FaultKind::Inf });
     let replayed = with_policy(HealthPolicy::DegradeToOracle)
-        .try_sample_sweep(shots(), &mut samplers(SHOTS, 7), &readout)
+        .try_sample_sweep(shots(), &[SHOTS], &mut samplers(SHOTS, 7), &readout)
         .expect("degraded sweep must complete");
     assert_eq!(fired_count(), 1);
     drop(guard);

@@ -598,7 +598,7 @@ fn sampled_run_matches_serial_aos_replay_bitwise() {
                 let mut samplers: Vec<ShotSampler> =
                     (0..batch).map(|r| ShotSampler::derived(seed, r as u64)).collect();
                 let out =
-                    engine.run(BatchedStates::from_states(&states), &mut samplers);
+                    engine.run(BatchedStates::from_states(&states), &vec![1; batch], &mut samplers);
                 qdp_par::set_max_threads(0);
                 assert_eq!(out.len(), batch);
 

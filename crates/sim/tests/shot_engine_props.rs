@@ -7,9 +7,10 @@
 //! batch of one with the same stream.
 //!
 //! Programs are generated randomly over gates, resets, nested `case`s and
-//! aborts, so the regrouping recursion is exercised at every depth. Input
-//! batches come in three layouts: distinct rows, all rows equal (a shot
-//! block), and interleaved duplicates (`[a, b, a, a, c, b]`, repeated).
+//! aborts, so the regrouping recursion is exercised at every depth. Shots
+//! come in three layouts: distinct inputs of one shot each, one input for
+//! every shot (a shot block), and runs of shots that follow the inputs
+//! `[a, b, a, a, c, b]`, repeated.
 
 use qdp_linalg::{C64, Matrix};
 use qdp_sim::{
@@ -63,14 +64,34 @@ fn random_program(rng: &mut StdRng, n: usize, len: usize, depth: usize) -> TrajP
     p
 }
 
-/// `rows` input rows on `n` qubits in each tested layout: distinct, all
-/// equal, and interleaved duplicates following `[a, b, a, a, c, b]`.
-fn layouts(rng: &mut StdRng, n: usize, rows: usize) -> [Vec<StateVector>; 3] {
-    let distinct = (0..rows).map(|_| random_state(rng, n)).collect();
-    let equal = vec![random_state(rng, n); rows];
+/// `shots` shots on `n` qubits in each tested layout, as input rows and
+/// each row's shot count: distinct inputs, one input, and the runs of
+/// shots whose inputs follow `[a, b, a, a, c, b]`.
+fn layouts(rng: &mut StdRng, n: usize, shots: usize) -> [(Vec<StateVector>, Vec<usize>); 3] {
+    let distinct = ((0..shots).map(|_| random_state(rng, n)).collect(), vec![1; shots]);
+    let equal = (vec![random_state(rng, n)], vec![shots]);
     let abc = [random_state(rng, n), random_state(rng, n), random_state(rng, n)];
-    let interleaved = (0..rows).map(|r| abc[[0, 1, 0, 0, 2, 1][r % 6]].clone()).collect();
-    [distinct, equal, interleaved]
+    let (mut rows, mut counts) = (Vec::new(), Vec::<usize>::new());
+    let mut last = usize::MAX;
+    for r in 0..shots {
+        let k = [0, 1, 0, 0, 2, 1][r % 6];
+        if k == last {
+            *counts.last_mut().unwrap() += 1;
+        } else {
+            rows.push(abc[k].clone());
+            counts.push(1);
+            last = k;
+        }
+    }
+    [distinct, equal, (rows, counts)]
+}
+
+/// Every shot's input, in shot order.
+fn shot_inputs<'a>(rows: &'a [StateVector], counts: &[usize]) -> Vec<&'a StateVector> {
+    rows.iter()
+        .zip(counts)
+        .flat_map(|(input, &k)| std::iter::repeat_n(input, k))
+        .collect()
 }
 
 /// A random normalised pure state on `n` qubits.
@@ -95,18 +116,18 @@ fn regrouped_rows_match_per_row_fallback() {
         let engine = ShotEngine::new(program);
         let batch_size = [1usize, 2, 7, 16, 33][trial % 5];
         let seed = 0xF00 + trial as u64;
-        for (layout, inputs) in layouts(&mut rng, n, batch_size).iter().enumerate() {
+        for (layout, (rows, counts)) in layouts(&mut rng, n, batch_size).iter().enumerate() {
             let mut samplers: Vec<ShotSampler> = (0..batch_size)
                 .map(|r| ShotSampler::derived(seed, r as u64))
                 .collect();
-            let grouped = engine.run(BatchedStates::from_states(inputs), &mut samplers);
+            let grouped = engine.run(BatchedStates::from_states(rows), counts, &mut samplers);
 
-            for (r, input) in inputs.iter().enumerate() {
+            for (r, &input) in shot_inputs(rows, counts).iter().enumerate() {
                 // Per-row fallback: the same row alone, same stream — no
                 // regrouping or sharing can ever happen in a batch of one.
                 let mut solo_sampler = vec![ShotSampler::derived(seed, r as u64)];
                 let solo = engine
-                    .run(BatchedStates::from_states(std::slice::from_ref(input)), &mut solo_sampler)
+                    .run(BatchedStates::from_states(std::slice::from_ref(input)), &[1], &mut solo_sampler)
                     .remove(0);
 
                 assert_eq!(
@@ -143,17 +164,22 @@ fn regrouped_readout_samples_match_per_row_fallback() {
         let readout = ProjectiveObservable::new(&obs);
         let batch_size = 19;
         let seed = 0xABC + trial as u64;
-        for (layout, inputs) in layouts(&mut rng, n, batch_size).iter().enumerate() {
+        for (layout, (rows, counts)) in layouts(&mut rng, n, batch_size).iter().enumerate() {
             let mut samplers: Vec<ShotSampler> = (0..batch_size)
                 .map(|r| ShotSampler::derived(seed, r as u64))
                 .collect();
-            let grouped =
-                engine.sample_sweep(BatchedStates::from_states(inputs), &mut samplers, &readout);
+            let grouped = engine.sample_sweep(
+                BatchedStates::from_states(rows),
+                counts,
+                &mut samplers,
+                &readout,
+            );
 
-            for (r, input) in inputs.iter().enumerate() {
+            for (r, &input) in shot_inputs(rows, counts).iter().enumerate() {
                 let mut solo_sampler = vec![ShotSampler::derived(seed, r as u64)];
                 let solo = engine.sample_sweep(
                     BatchedStates::from_states(std::slice::from_ref(input)),
+                    &[1],
                     &mut solo_sampler,
                     &readout,
                 )[0];
@@ -181,14 +207,15 @@ fn regrouping_is_insensitive_to_row_order() {
     let mut samplers: Vec<ShotSampler> = (0..batch_size)
         .map(|r| ShotSampler::derived(1, r as u64))
         .collect();
-    let forward = engine.run(BatchedStates::from_states(&inputs), &mut samplers);
+    let forward = engine.run(BatchedStates::from_states(&inputs), &[1; 11], &mut samplers);
 
     let rev_inputs: Vec<StateVector> = inputs.iter().rev().cloned().collect();
     let mut rev_samplers: Vec<ShotSampler> = (0..batch_size)
         .rev()
         .map(|r| ShotSampler::derived(1, r as u64))
         .collect();
-    let reversed = engine.run(BatchedStates::from_states(&rev_inputs), &mut rev_samplers);
+    let reversed =
+        engine.run(BatchedStates::from_states(&rev_inputs), &[1; 11], &mut rev_samplers);
 
     for r in 0..batch_size {
         let a = &forward[r];

@@ -363,8 +363,8 @@ impl Trainer {
                 .value_pure_batch(&params, &self.observable, &self.batch),
             Some(cfg) => {
                 // One batch call: the forward program and read-out are
-                // prepared once, and the rows (independent derived
-                // streams) fan out across `qdp_par` workers.
+                // prepared once, and every row's shots (independent
+                // derived streams) run in one sampled sweep per tile.
                 let stream = self.epoch_stream(cfg);
                 let inputs: Vec<StateVector> =
                     (0..self.batch.len()).map(|r| self.batch.row_state(r)).collect();
@@ -442,10 +442,11 @@ impl Trainer {
             }
             Some(cfg) => {
                 // One batch call over the rows with gradient signal: the
-                // per-parameter estimators are prepared once and shared
-                // across the `qdp_par` row fan-out (independent derived
-                // streams); accumulation stays in row order, so the
-                // result is deterministic under any thread count.
+                // per-parameter estimators are prepared once, and each
+                // program runs one sampled sweep over every row's shots
+                // (independent derived streams); accumulation stays in
+                // row order, so the result is deterministic under any
+                // thread count.
                 let stream = self.epoch_stream(cfg);
                 let live: Vec<(usize, f64)> = outers
                     .iter()
