@@ -27,7 +27,8 @@ use qdp_ad::estimator::{
 };
 use qdp_ad::transform::{fresh_ancilla, transform};
 use qdp_ad::{
-    GradientEngine, GradientService, LoweredSet, OverloadPolicy, RequestOptions, ServiceConfig,
+    CompiledSkeleton, GradientEngine, GradientService, LoweredSet, OverloadPolicy, RequestOptions,
+    ServiceConfig,
 };
 use qdp_lang::ast::{Params, Stmt};
 use qdp_lang::{compile, denot, parse_program, Register};
@@ -303,6 +304,66 @@ impl Circuit {
     }
 }
 
+/// The per-row "before" gradient executor: what single-input gradients
+/// ran before they became rows of the trie sweep, kept as the baseline of
+/// the per-row sections. Per call it interns every parameter's lowered
+/// derivative multiset, then runs it on one input program by program,
+/// parameters fanned out across `qdp_par`. Each multiset's slot remap into
+/// the canonical parameter order is resolved once.
+struct PerRowGradient<'e> {
+    engine: &'e GradientEngine,
+    remaps: Vec<(String, Vec<usize>)>,
+}
+
+impl<'e> PerRowGradient<'e> {
+    fn new(engine: &'e GradientEngine) -> Self {
+        let names: Vec<&str> = engine.parameters().collect();
+        let remaps = names
+            .iter()
+            .map(|&name| {
+                let skeleton = engine.differentiated(name).expect("known parameter").skeleton();
+                let remap = skeleton
+                    .lowered()
+                    .param_names()
+                    .iter()
+                    .map(|p| names.iter().position(|c| c == p).expect("a program parameter"))
+                    .collect();
+                (name.to_string(), remap)
+            })
+            .collect();
+        PerRowGradient { engine, remaps }
+    }
+
+    /// The gradient on `psi`: each multiset's programs by per-row branch
+    /// enumeration (`LoweredProgram::expectation_pure` on `|0⟩⊗ψ`), summed
+    /// in multiset order.
+    fn gradient(&self, params: &Params, obs: &Observable, psi: &StateVector) -> BTreeMap<String, f64> {
+        let ext_obs = obs.with_ancilla_z();
+        let ext_psi = StateVector::zero_state(1).tensor(psi);
+        let canonical: Vec<f64> = self
+            .engine
+            .parameters()
+            .map(|name| params.get(name).expect("parameter has a value"))
+            .collect();
+        let entries: Vec<(&String, &Vec<usize>, Arc<CompiledSkeleton>)> = self
+            .remaps
+            .iter()
+            .map(|(name, remap)| {
+                let diff = self.engine.differentiated(name).expect("known parameter");
+                (name, remap, diff.skeleton())
+            })
+            .collect();
+        qdp_par::par_map(&entries, |(name, remap, skeleton)| {
+            let values: Vec<f64> = remap.iter().map(|&i| canonical[i]).collect();
+            let programs = skeleton.lowered().programs();
+            let terms = qdp_par::par_map(programs, |p| p.expectation_pure(&values, &ext_psi, &ext_obs));
+            ((*name).clone(), terms.into_iter().sum())
+        })
+        .into_iter()
+        .collect()
+    }
+}
+
 /// What the sections share: `P1` and `P2`, the read-out observable, one
 /// input state, and the 16-sample classification dataset.
 struct Fixture {
@@ -536,7 +597,8 @@ fn gradient_p1(fx: &Fixture, g: &mut Guards) -> Fields {
     });
     set_reference_kernels(false);
     let speedup = reference_ns / fast_ns;
-    // 30 runs, 1 / 2 threads: 1.72–1.94 / 1.35–1.74.
+    // 30 runs, 1 / 2 threads: 1.72–1.94 / 1.35–1.74; 3 runs since
+    // `gradient_pure` is a row of the trie sweep: 1.75–2.06 / 1.95–2.06.
     g.at_least("P1 gradient vs reference kernels", speedup, 1.0);
     fields![
         "workload" => "GradientEngine::gradient_pure on P1",
@@ -609,18 +671,20 @@ fn semantics_engines(_: &Fixture, _: &mut Guards) -> Fields {
 
 /// The full-batch training gradient of `P1` over the 16-sample dataset:
 /// `Trainer::loss_gradient` on the batched engine against the serial
-/// per-sample loop (one forward value and one gradient per row, chain rule
-/// accumulated in row order).
+/// per-sample loop (one interpreted forward value and one
+/// [`PerRowGradient`] per row, chain rule accumulated in row order).
 fn gradient_batch(fx: &Fixture, g: &mut Guards) -> Fields {
     let (p1, obs, loss) = (&fx.p1, &fx.obs, SquaredLoss);
+    let per_row = PerRowGradient::new(&p1.engine);
     let serial_loop = || -> BTreeMap<String, f64> {
         let mut grads: BTreeMap<String, f64> = p1.values.keys().map(|k| (k.clone(), 0.0)).collect();
         for (psi, label) in &fx.data {
-            let outer = loss.grad(p1.engine.value_pure(&p1.params, obs, psi), *label);
+            let value = denot::expectation_pure(&p1.program, p1.engine.register(), &p1.params, psi, obs);
+            let outer = loss.grad(value, *label);
             if outer == 0.0 {
                 continue;
             }
-            for (name, g) in p1.engine.gradient_pure(&p1.params, obs, psi) {
+            for (name, g) in per_row.gradient(&p1.params, obs, psi) {
                 *grads.get_mut(&name).expect("known parameter") += outer * g;
             }
         }
@@ -751,15 +815,16 @@ fn estimator_shots(fx: &Fixture, g: &mut Guards) -> Fields {
 /// The 36-parameter gradient of the measurement-controlled `P2` over the
 /// 16-sample dataset: the branch-weighted batched executor (which forks
 /// the whole block at each measurement) against per-row branch
-/// enumeration (`gradient_pure` per sample).
+/// enumeration (a [`PerRowGradient`] per sample).
 fn gradient_branching_batch(fx: &Fixture, g: &mut Guards) -> Fields {
     let (p2, obs) = (&fx.p2, &fx.obs);
     let inputs = fx.inputs();
     let batch = BatchedStates::from_states(&inputs);
+    let executor = PerRowGradient::new(&p2.engine);
     let per_row = || -> Vec<BTreeMap<String, f64>> {
         inputs
             .iter()
-            .map(|psi| p2.engine.gradient_pure(&p2.params, obs, psi))
+            .map(|psi| executor.gradient(&p2.params, obs, psi))
             .collect()
     };
     let batched = || p2.engine.gradient_pure_batch(&p2.params, obs, &batch);
@@ -1089,7 +1154,8 @@ fn compile_cache(fx: &Fixture, g: &mut Guards) -> Fields {
         });
     });
     let speedup = cold_ns / warm_ns;
-    // 30 runs, 1 / 2 threads: 1.84–2.15 / 1.85–2.60.
+    // 30 runs, 1 / 2 threads: 1.84–2.15 / 1.85–2.60; 3 runs since the
+    // warm path is a row of the trie sweep: 4.34–4.56 / 4.09–4.62.
     g.at_least("warm P2 gradient vs cold lowering", speedup, 1.3);
     fields![
         "workload" => "36-param P2 gradient, 1 input: lower all 36 multisets then evaluate vs interned warm path vs single-skeleton shift rule",

@@ -145,7 +145,7 @@ pub fn estimate_derivative(
 /// * shots are split into fixed [`SHOT_TILE`]-sized tiles; within a tile,
 ///   the shots of each program run as one [`ShotEngine`] sweep with
 ///   branch-grouped batching over the input row and its shot count (see
-///   [`PreparedDerivativeEstimator::try_estimate`]),
+///   [`PreparedDerivativeEstimator::estimate`]),
 /// * shot `s` draws its trajectory and read-out from the derived stream
 ///   `ShotSampler::derived(seed, s)` wherever it runs, and tile sums are
 ///   reduced in tile order.
@@ -245,38 +245,19 @@ impl PreparedDerivativeEstimator {
     }
 
     /// One batched derivative estimate — identical bits to
-    /// [`estimate_derivative_batched`] with the same arguments.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shots` is zero.
-    pub fn estimate(&self, psi: &StateVector, shots: usize, seed: u64) -> f64 {
-        self.try_estimate(psi, shots, seed)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`estimate`](Self::estimate): worker-panic
-    /// exhaustion surfaces as a typed error instead of a panic. It runs
+    /// [`estimate_derivative_batched`] with the same arguments. It runs
     /// the per-program sweeps of
     /// [`GradientEngine::gradient_pure_shots_batch`](crate::GradientEngine::gradient_pure_shots_batch)
     /// on a batch of one row.
     ///
-    /// # Errors
-    ///
-    /// Returns [`qdp_sim::QdpError::WorkerPanic`] when a shot tile
-    /// panicked and the bounded bit-identical retries did not heal it.
-    ///
     /// # Panics
     ///
-    /// Panics when `shots` is zero.
-    pub fn try_estimate(
-        &self,
-        psi: &StateVector,
-        shots: usize,
-        seed: u64,
-    ) -> Result<f64, qdp_sim::QdpError> {
+    /// Panics when `shots` is zero, and with the
+    /// [`qdp_sim::QdpError::WorkerPanic`] message when a shot tile
+    /// panicked through its bounded bit-identical retries.
+    pub fn estimate(&self, psi: &StateVector, shots: usize, seed: u64) -> f64 {
         let ext_psi = [StateVector::zero_state(1).tensor(psi)];
-        estimate_batch(&[self], &ext_psi, shots, &[vec![seed]]).map(|d| d[0][0])
+        estimate_batch(&[self], &ext_psi, shots, &[vec![seed]])[0][0]
     }
 
     /// Ops of every program, each `case` arm's included: the sweep work
@@ -352,13 +333,20 @@ impl PreparedDerivativeEstimator {
 /// sums in tile order. Rows share sweeps but no bits: every sample is a
 /// function of its row, program and stream only. The pairs run on the
 /// calling thread unless their work (rows × amplitudes × program ops)
-/// pays for a fork, and then fan out across `qdp_par`.
+/// pays for a fork, and then fan out across `qdp_par`. Pair `i` passes
+/// the fault-injection tile checkpoint `i`.
+///
+/// # Panics
+///
+/// Panics when `shots` is zero, and with the
+/// [`qdp_sim::QdpError::WorkerPanic`] message when a pair panicked
+/// through its bounded bit-identical retries.
 pub(crate) fn estimate_batch(
     estimators: &[&PreparedDerivativeEstimator],
     ext_inputs: &[StateVector],
     shots: usize,
     streams: &[Vec<u64>],
-) -> Result<Vec<Vec<f64>>, qdp_sim::QdpError> {
+) -> Vec<Vec<f64>> {
     assert!(shots > 0, "need at least one shot");
     let rows = ext_inputs.len();
     // Per multiset and row, the program of every shot, drawn up front
@@ -384,24 +372,29 @@ pub(crate) fn estimate_batch(
         .step_by(SHOT_TILE)
         .map(|start| (start, SHOT_TILE.min(shots - start)))
         .collect();
-    let items: Vec<(usize, (usize, usize))> = (0..estimators.len())
+    let items: Vec<(usize, usize, (usize, usize))> = (0..estimators.len())
         .filter(|&j| estimators[j].num_programs() > 0)
         .flat_map(|j| tiles.iter().map(move |&tile| (j, tile)))
+        .enumerate()
+        .map(|(i, (j, tile))| (i, j, tile))
         .collect();
     let dim = ext_inputs.first().map_or(0, StateVector::dim);
     let work = items
         .iter()
-        .map(|&(j, _)| rows * dim * estimators[j].op_count())
+        .map(|&(_, j, _)| rows * dim * estimators[j].op_count())
         .sum();
     let sums = qdp_par::try_par_map_retry_work(
         work,
         &items,
-        |&(j, tile)| estimators[j].tile_sums(ext_inputs, &draws[j], &streams[j], tile),
+        |&(i, j, tile)| {
+            qdp_sim::fault::tile_checkpoint(i);
+            estimators[j].tile_sums(ext_inputs, &draws[j], &streams[j], tile)
+        },
         TILE_RETRIES,
     )
-    .map_err(qdp_sim::QdpError::from)?;
+    .unwrap_or_else(|e| panic!("{}", qdp_sim::QdpError::from(e)));
     let mut sums = sums.chunks(tiles.len());
-    Ok(estimators
+    estimators
         .iter()
         .map(|est| {
             let m = est.num_programs();
@@ -413,7 +406,7 @@ pub(crate) fn estimate_batch(
                 .map(|r| m as f64 * per_tile.iter().map(|t| t[r]).sum::<f64>() / shots as f64)
                 .collect()
         })
-        .collect())
+        .collect()
 }
 
 /// Bounded retry budget for panicked worker tiles: tiles are pure per

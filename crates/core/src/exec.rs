@@ -20,7 +20,7 @@ use crate::lowered::{LoweredSet, SharedSweep};
 use crate::semantics::observable_semantics;
 use crate::transform::{derivative_programs, fresh_ancilla, TransformError};
 use qdp_lang::ast::{Params, Stmt, Var};
-use qdp_lang::{denot, Register};
+use qdp_lang::Register;
 use qdp_sim::{BatchedStates, DensityMatrix, Observable, StateVector};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -239,48 +239,22 @@ impl Differentiated {
         .sum()
     }
 
-    /// Pure-input fast path of [`derivative`](Self::derivative): evaluates
-    /// the *lowered* multiset (resolved indices, interned parameter slots)
-    /// in parallel. Agrees with the dense path to numerical precision and
-    /// with the AST interpreter bit-for-bit.
+    /// [`derivative`](Self::derivative) on a pure input: row 0 of
+    /// [`derivative_pure_batch`](Self::derivative_pure_batch) on a batch
+    /// of one, so it carries that row's bits exactly.
     pub fn derivative_pure(&self, params: &Params, obs: &Observable, psi: &StateVector) -> f64 {
-        let ext_obs = obs.with_ancilla_z();
-        let ext_psi = StateVector::zero_state(1).tensor(psi);
-        let skeleton = self.skeleton();
-        let values = skeleton.lowered().slot_values(params);
-        self.derivative_pure_prepared(skeleton.lowered(), &values, &ext_obs, &ext_psi)
+        self.derivative_pure_batch(params, obs, &BatchedStates::gather(&[psi]))
+            .remove(0)
     }
 
-    /// [`derivative_pure`](Self::derivative_pure) with the ancilla extension,
-    /// slot values, and interned lowering already resolved — what
-    /// [`GradientEngine`] calls so the shared setup (including the one cache
-    /// lookup per parameter) happens once per gradient, not once per
-    /// parameter per evaluation step.
-    pub(crate) fn derivative_pure_prepared(
-        &self,
-        lowered: &LoweredSet,
-        values: &[f64],
-        ext_obs: &Observable,
-        ext_psi: &StateVector,
-    ) -> f64 {
-        qdp_par::try_par_map_retry(
-            lowered.programs(),
-            |p| p.expectation_pure(values, ext_psi, ext_obs),
-            TILE_RETRIES,
-        )
-        .unwrap_or_else(|e| panic!("{}", qdp_sim::QdpError::from(e)))
-        .into_iter()
-        .sum()
-    }
-
-    /// Batched pure-input evaluation of [`derivative_pure`](Self::derivative_pure):
-    /// one derivative value per batch row, the multiset swept as one
-    /// prefix trie over the whole batch ([`LoweredSet::expectation_batch`]).
-    /// The ancilla extension of the batch and the observable are built
-    /// once. Each entry agrees with `derivative_pure` on that row to
-    /// numerical precision (≪ 1e-12; fusion reorders rounding), and the
-    /// batch result itself is bit-for-bit deterministic under any thread
-    /// count.
+    /// [`derivative`](Self::derivative) for every row of a pure batch: the
+    /// multiset swept as one prefix trie over the whole batch
+    /// ([`LoweredSet::expectation_batch`]), the ancilla extension of the
+    /// batch and the observable built once. Each entry agrees with the
+    /// per-row oracle (each lowered program's
+    /// [`LoweredProgram::expectation_pure`](crate::LoweredProgram::expectation_pure)
+    /// on `|0⟩⊗ψ`, summed) to ≪ 1e-12 (fusion reorders rounding), and is
+    /// bit-for-bit the same under any thread count and batch composition.
     pub fn derivative_pure_batch(
         &self,
         params: &Params,
@@ -316,13 +290,6 @@ pub struct GradientEngine {
     program: Stmt,
     register: Register,
     diffs: BTreeMap<String, Differentiated>,
-    /// Per parameter, the remap from its `Differentiated`'s interned slots
-    /// into the engine's canonical parameter order (`diffs` key order) —
-    /// resolves every string lookup once. Built lazily on the first pure
-    /// gradient so density-path-only engines never pay for lowering. This
-    /// is cheap derived indexing, not a compilation: the lowerings it
-    /// indexes into live in the process-wide [`ProgramCache`].
-    slot_remaps: std::sync::OnceLock<BTreeMap<String, Vec<usize>>>,
     /// Every parameter's derivative programs merged into one prefix trie,
     /// the sweep behind [`gradient_pure_batch`](Self::gradient_pure_batch).
     /// Built on the first exact batched gradient, never at set-up.
@@ -345,7 +312,6 @@ impl GradientEngine {
             program: program.clone(),
             register,
             diffs,
-            slot_remaps: std::sync::OnceLock::new(),
             shared_sweep: std::sync::OnceLock::new(),
         })
     }
@@ -355,17 +321,6 @@ impl GradientEngine {
     /// Compiled once per process via the shared [`ProgramCache`].
     pub fn forward_skeleton(&self) -> Arc<CompiledSkeleton> {
         ProgramCache::global().intern(std::slice::from_ref(&self.program), &self.register)
-    }
-
-    /// The per-parameter slot remaps, built (against the interned
-    /// lowerings they index into) on first use.
-    fn slot_remaps(&self) -> &BTreeMap<String, Vec<usize>> {
-        self.slot_remaps.get_or_init(|| {
-            self.diffs
-                .iter()
-                .map(|(name, diff)| (name.clone(), self.slot_remap(diff.skeleton().lowered())))
-                .collect()
-        })
     }
 
     /// The remap from a multiset's interned slots into the engine's
@@ -440,9 +395,11 @@ impl GradientEngine {
         observable_semantics(&self.program, &self.register, params, obs, rho)
     }
 
-    /// Forward value on a pure input.
+    /// Forward value on a pure input: row 0 of
+    /// [`value_pure_batch`](Self::value_pure_batch) on a batch of one.
     pub fn value_pure(&self, params: &Params, obs: &Observable, psi: &StateVector) -> f64 {
-        denot::expectation_pure(&self.program, &self.register, params, psi, obs)
+        self.value_pure_batch(params, obs, &BatchedStates::gather(&[psi]))
+            .remove(0)
     }
 
     /// The full gradient, keyed by parameter name.
@@ -472,45 +429,17 @@ impl GradientEngine {
         .collect()
     }
 
-    /// The full gradient on a pure input (fast path): the ancilla-extended
-    /// observable/state and the parameter valuation are resolved **once**
-    /// and shared across all per-parameter evaluations (which then run in
-    /// parallel with zero string lookups).
+    /// The full gradient on a pure input: row 0 of
+    /// [`gradient_pure_batch`](Self::gradient_pure_batch) on a batch of
+    /// one.
     pub fn gradient_pure(
         &self,
         params: &Params,
         obs: &Observable,
         psi: &StateVector,
     ) -> BTreeMap<String, f64> {
-        let ext_obs = obs.with_ancilla_z();
-        let ext_psi = StateVector::zero_state(1).tensor(psi);
-        let canonical: Vec<f64> = self
-            .diffs
-            .keys()
-            .map(|name| {
-                params
-                    .get(name)
-                    .unwrap_or_else(|| panic!("parameter '{name}' has no value"))
-            })
-            .collect();
-        let slot_remaps = self.slot_remaps();
-        // Intern serially before the fan-out: the cache lookups (hash +
-        // bucket scan under one lock) stay off the worker threads.
-        let entries: Vec<(&String, &Differentiated, Arc<CompiledSkeleton>)> = self
-            .diffs
-            .iter()
-            .map(|(name, diff)| (name, diff, diff.skeleton()))
-            .collect();
-        qdp_par::par_map(&entries, |(name, diff, skeleton)| {
-            let remap = &slot_remaps[*name];
-            let values: Vec<f64> = remap.iter().map(|&i| canonical[i]).collect();
-            (
-                (*name).clone(),
-                diff.derivative_pure_prepared(skeleton.lowered(), &values, &ext_obs, &ext_psi),
-            )
-        })
-        .into_iter()
-        .collect()
+        self.gradient_pure_batch(params, obs, &BatchedStates::gather(&[psi]))
+            .remove(0)
     }
 
     /// Total number of circuit programs per full gradient evaluation —
@@ -554,7 +483,10 @@ impl GradientEngine {
     /// # Panics
     ///
     /// Panics when `inputs` and `row_seeds` disagree in length, `shots` is
-    /// zero, or a used parameter has no value.
+    /// zero, or a used parameter has no value, and with the
+    /// [`qdp_sim::QdpError::WorkerPanic`] message when a shot tile
+    /// panicked through its bounded bit-identical retries (the gradient
+    /// service turns that panic into [`qdp_sim::QdpError::ServicePanic`]).
     pub fn value_pure_shots_batch(
         &self,
         params: &Params,
@@ -563,34 +495,6 @@ impl GradientEngine {
         shots: usize,
         row_seeds: &[u64],
     ) -> Vec<f64> {
-        self.try_value_pure_shots_batch(params, obs, inputs, shots, row_seeds)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of
-    /// [`value_pure_shots_batch`](Self::value_pure_shots_batch):
-    /// worker-panic exhaustion surfaces as a typed
-    /// [`qdp_sim::QdpError::WorkerPanic`] instead of a panic, so callers
-    /// holding coalesced requests (the gradient service) can fail them
-    /// individually.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`qdp_sim::QdpError::WorkerPanic`] when a shot tile
-    /// panicked and the bounded bit-identical retries did not heal it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed requests (length mismatch, missing parameter) —
-    /// programmer errors the service validates on the caller's thread.
-    pub fn try_value_pure_shots_batch(
-        &self,
-        params: &Params,
-        obs: &Observable,
-        inputs: &[StateVector],
-        shots: usize,
-        row_seeds: &[u64],
-    ) -> Result<Vec<f64>, qdp_sim::QdpError> {
         assert_eq!(
             inputs.len(),
             row_seeds.len(),
@@ -603,7 +507,9 @@ impl GradientEngine {
         // cold and warm cache states.
         let engine = qdp_sim::ShotEngine::new(fwd.trajectory_at(0, &values));
         let readout = qdp_sim::ProjectiveObservable::new(obs);
-        engine.try_estimate_expectation_batch(inputs, &readout, shots, row_seeds)
+        engine
+            .try_estimate_expectation_batch(inputs, &readout, shots, row_seeds)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Shot-based estimate of the full gradient on a pure input: each
@@ -651,7 +557,9 @@ impl GradientEngine {
     /// # Panics
     ///
     /// Panics when `inputs` and `row_seeds` disagree in length,
-    /// `shots_per_param` is zero, or a used parameter has no value.
+    /// `shots_per_param` is zero, or a used parameter has no value, and
+    /// with the [`qdp_sim::QdpError::WorkerPanic`] message when a shot
+    /// tile panicked through its bounded bit-identical retries.
     pub fn gradient_pure_shots_batch(
         &self,
         params: &Params,
@@ -660,31 +568,6 @@ impl GradientEngine {
         shots_per_param: usize,
         row_seeds: &[u64],
     ) -> Vec<BTreeMap<String, f64>> {
-        self.try_gradient_pure_shots_batch(params, obs, inputs, shots_per_param, row_seeds)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of
-    /// [`gradient_pure_shots_batch`](Self::gradient_pure_shots_batch) —
-    /// same contract as
-    /// [`try_value_pure_shots_batch`](Self::try_value_pure_shots_batch).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`qdp_sim::QdpError::WorkerPanic`] when a shot tile
-    /// panicked and the bounded bit-identical retries did not heal it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed requests (length mismatch, missing parameter).
-    pub fn try_gradient_pure_shots_batch(
-        &self,
-        params: &Params,
-        obs: &Observable,
-        inputs: &[StateVector],
-        shots_per_param: usize,
-        row_seeds: &[u64],
-    ) -> Result<Vec<BTreeMap<String, f64>>, qdp_sim::QdpError> {
         assert_eq!(
             inputs.len(),
             row_seeds.len(),
@@ -703,13 +586,9 @@ impl GradientEngine {
         let streams: Vec<Vec<u64>> = (0..estimators.len() as u64)
             .map(|j| row_seeds.iter().map(|&seed| qdp_sim::derive_seed(seed, j)).collect())
             .collect();
-        let per_param = crate::estimator::estimate_batch(
-            &estimators,
-            &ext_inputs,
-            shots_per_param,
-            &streams,
-        )?;
-        Ok((0..inputs.len())
+        let per_param =
+            crate::estimator::estimate_batch(&estimators, &ext_inputs, shots_per_param, &streams);
+        (0..inputs.len())
             .map(|r| {
                 self.diffs
                     .keys()
@@ -717,17 +596,17 @@ impl GradientEngine {
                     .map(|(name, column)| (name.clone(), column[r]))
                     .collect()
             })
-            .collect())
+            .collect()
     }
 
     /// Forward values `tr(O·[[P(θ*)]]|ψr⟩⟨ψr|)` for every row of a batch.
     ///
     /// Runs on the **lowered** forward program (resolved indices, interned
     /// slots, gate matrices built once per batch, swept as a one-program
-    /// trie by [`LoweredSet::expectation_batch`]) instead of the AST
-    /// interpreter [`value_pure`](Self::value_pure) uses — this is where
-    /// most of the batched training speedup comes from. Agrees with
-    /// `value_pure` to numerical precision on every row.
+    /// trie by [`LoweredSet::expectation_batch`]). Agrees with the per-row
+    /// oracles ([`LoweredProgram::expectation_pure`](crate::LoweredProgram::expectation_pure)
+    /// and the interpreter's `denot::expectation_pure`) to ≪ 1e-12 on
+    /// every row.
     pub fn value_pure_batch(
         &self,
         params: &Params,
@@ -754,11 +633,12 @@ impl GradientEngine {
     /// every entry carries the bits of each program's own
     /// [`qdp_sim::ShotEngine::expectation_sweep`] summed in multiset order
     /// (the named oracle, pinned bitwise by
-    /// `crates/core/tests/shared_sweep_oracle.rs`). It
-    /// agrees with [`gradient_pure`](Self::gradient_pure) on each row to
-    /// numerical precision (≪ 1e-12; fusion reorders rounding), and the
-    /// result is bit-for-bit the same under any thread count and batch
-    /// composition (`crates/core/tests/batch_equivalence.rs`).
+    /// `crates/core/tests/shared_sweep_oracle.rs`). It agrees with the
+    /// per-row oracle, each program's
+    /// [`LoweredProgram::expectation_pure`](crate::LoweredProgram::expectation_pure)
+    /// summed, to ≪ 1e-12 (fusion reorders rounding), and the result is
+    /// bit-for-bit the same under any thread count and batch composition
+    /// (`crates/core/tests/batch_equivalence.rs`).
     pub fn gradient_pure_batch(
         &self,
         params: &Params,
@@ -840,37 +720,15 @@ impl GradientEngine {
     /// # Panics
     ///
     /// Panics when the program is not shift-eligible, a used parameter has
-    /// no value, or the batch register does not match the program's.
+    /// no value, or the batch register does not match the program's, and
+    /// with the [`qdp_sim::QdpError::WorkerPanic`] message when a
+    /// valuation panicked through its bounded bit-identical retries.
     pub fn gradient_pure_shift_batch(
         &self,
         params: &Params,
         obs: &Observable,
         states: &BatchedStates,
     ) -> Vec<BTreeMap<String, f64>> {
-        self.try_gradient_pure_shift_batch(params, obs, states)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of
-    /// [`gradient_pure_shift_batch`](Self::gradient_pure_shift_batch):
-    /// worker-panic exhaustion in the shifted-valuation fan-out surfaces
-    /// as a typed [`qdp_sim::QdpError::WorkerPanic`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`qdp_sim::QdpError::WorkerPanic`] when a valuation's tile
-    /// panicked and the bounded bit-identical retries did not heal it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the program is not shift-eligible or a used parameter
-    /// has no value — programmer errors validated before enqueueing.
-    pub fn try_gradient_pure_shift_batch(
-        &self,
-        params: &Params,
-        obs: &Observable,
-        states: &BatchedStates,
-    ) -> Result<Vec<BTreeMap<String, f64>>, qdp_sim::QdpError> {
         assert!(
             self.shift_rule_eligible(),
             "shift-rule gradient requires every parameter to occur exactly once \
@@ -880,11 +738,13 @@ impl GradientEngine {
         let lowered = fwd.lowered();
         let base = lowered.slot_values(params);
         let names: Vec<&String> = self.diffs.keys().collect();
-        // Two shifted valuations per parameter, in canonical order. Slots
-        // are looked up once; the jobs share the base valuation.
-        let jobs: Vec<(usize, f64)> = names
+        // Two shifted valuations per parameter, in canonical order: job
+        // `2j` shifts parameter `j` up, job `2j + 1` down. Slots are
+        // looked up once; the jobs share the base valuation.
+        let jobs: Vec<(usize, usize, f64)> = names
             .iter()
-            .flat_map(|name| {
+            .enumerate()
+            .flat_map(|(j, name)| {
                 // Infallible: the forward lowering interns every parameter
                 // the program uses.
                 #[allow(clippy::expect_used)]
@@ -894,7 +754,7 @@ impl GradientEngine {
                     .position(|p| p == *name)
                     .expect("engine parameters are forward-program parameters");
                 let half = std::f64::consts::FRAC_PI_2;
-                [(slot, half), (slot, -half)]
+                [(2 * j, slot, half), (2 * j + 1, slot, -half)]
             })
             .collect();
         // Pure per valuation, so a panicked worker tile retries
@@ -902,15 +762,16 @@ impl GradientEngine {
         // evaluations run inline on the pool worker that took the job.
         let evals: Vec<Vec<f64>> = qdp_par::try_par_map_retry(
             &jobs,
-            |&(slot, shift)| {
+            |&(job, slot, shift)| {
+                qdp_sim::fault::tile_checkpoint(job);
                 let mut values = base.clone();
                 values[slot] += shift;
                 lowered.expectation_batch(&values, states, obs)
             },
             TILE_RETRIES,
         )
-        .map_err(qdp_sim::QdpError::from)?;
-        Ok((0..states.len())
+        .unwrap_or_else(|e| panic!("{}", qdp_sim::QdpError::from(e)));
+        (0..states.len())
             .map(|r| {
                 names
                     .iter()
@@ -920,7 +781,7 @@ impl GradientEngine {
                     })
                     .collect()
             })
-            .collect())
+            .collect()
     }
 }
 
@@ -1071,42 +932,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_engine_apis_match_per_row_paths() {
-        let p = parse_program(
-            "q1 *= RX(a); case M[q1] = 0 -> q2 *= RY(b), 1 -> q2 *= RZ(a) end",
-        )
-        .unwrap();
-        let engine = GradientEngine::new(&p).unwrap();
-        let params = Params::from_pairs([("a", 0.5), ("b", 1.4)]);
-        let obs = Observable::projector_one(2, 1);
-        let rows: Vec<StateVector> = (0..4).map(|k| StateVector::basis_state(2, k)).collect();
-        let batch = BatchedStates::from_states(&rows);
-
-        let values = engine.value_pure_batch(&params, &obs, &batch);
-        let grads = engine.gradient_pure_batch(&params, &obs, &batch);
-        assert_eq!(values.len(), 4);
-        assert_eq!(grads.len(), 4);
-        for (r, psi) in rows.iter().enumerate() {
-            assert!(
-                (values[r] - engine.value_pure(&params, &obs, psi)).abs() < 1e-12,
-                "row {r} forward"
-            );
-            let serial = engine.gradient_pure(&params, &obs, psi);
-            assert_eq!(grads[r].len(), serial.len());
-            for (name, v) in &serial {
-                // 1e-12 tolerance, not bit equality: the batched
-                // straight-line path fuses commuting rotations, which
-                // reorders rounding.
-                assert!(
-                    (grads[r][name] - v).abs() < 1e-12,
-                    "row {r} ∂/∂{name}: batched {} vs serial {v}",
-                    grads[r][name]
-                );
-            }
-        }
-    }
-
-    #[test]
     fn set_up_leaves_the_shared_sweep_unbuilt_until_the_first_batched_gradient() {
         let p = parse_program(
             "q1 *= RX(a); case M[q1] = 0 -> q2 *= RY(b), 1 -> q2 *= RZ(a) end; q2 *= RY(b)",
@@ -1133,28 +958,6 @@ mod tests {
             "later calls reuse the trie the first call built"
         );
         assert_eq!(first, second);
-    }
-
-    #[test]
-    fn batched_derivative_matches_per_row_derivative() {
-        // Three adjacent rotations on one qubit force genuine 2×2 fusion
-        // products in the batched path, so agreement is numerical (1e-12),
-        // not bitwise.
-        let p = parse_program("q1 *= RX(t); q1 *= RY(u); q1 *= RZ(t)").unwrap();
-        let diff = differentiate(&p, "t").unwrap();
-        let params = Params::from_pairs([("t", 0.35), ("u", 1.21)]);
-        let obs = Observable::pauli_z(1, 0);
-        let rows = vec![StateVector::zero_state(1), StateVector::basis_state(1, 1)];
-        let batch = BatchedStates::from_states(&rows);
-        let batched = diff.derivative_pure_batch(&params, &obs, &batch);
-        for (r, psi) in rows.iter().enumerate() {
-            let serial = diff.derivative_pure(&params, &obs, psi);
-            assert!(
-                (batched[r] - serial).abs() < 1e-12,
-                "row {r}: batched {} vs serial {serial}",
-                batched[r]
-            );
-        }
     }
 
     #[test]

@@ -13,15 +13,16 @@
 //!   quantifier order, which is what makes composition work.
 
 use qdp_lang::ast::{Params, Stmt};
-use qdp_lang::{compile, denot, Register};
-use qdp_sim::{DensityMatrix, Observable, StateVector};
+use qdp_lang::{denot, Register};
+use qdp_sim::{DensityMatrix, Observable};
 
 /// Observable semantics `[[(O, ρ) → P(θ*)]] = tr(O · [[P(θ*)]]ρ)`
 /// (Definition 5.1) of a normal program.
 ///
 /// # Panics
 ///
-/// Panics when `stmt` is additive; use [`observable_semantics_additive`].
+/// Panics when `stmt` is additive; an additive program's value is the sum
+/// over its compiled multiset ([`qdp_lang::compile::compile`], Eq. 5.4).
 pub fn observable_semantics(
     stmt: &Stmt,
     reg: &Register,
@@ -30,21 +31,6 @@ pub fn observable_semantics(
     rho: &DensityMatrix,
 ) -> f64 {
     obs.expectation(&denot::denote(stmt, reg, params, rho))
-}
-
-/// Observable semantics of an additive program: the sum over its compiled
-/// multiset (Eq. 5.4).
-pub fn observable_semantics_additive(
-    stmt: &Stmt,
-    reg: &Register,
-    params: &Params,
-    obs: &Observable,
-    rho: &DensityMatrix,
-) -> f64 {
-    compile::compile(stmt)
-        .iter()
-        .map(|p| observable_semantics(p, reg, params, obs, rho))
-        .sum()
 }
 
 /// Observable semantics **with ancilla** (Definition 5.2):
@@ -70,35 +56,6 @@ pub fn observable_semantics_with_ancilla(
     let ext_obs = obs.with_ancilla_z();
     let ext_rho = rho.prepend_zero_ancilla();
     observable_semantics(stmt, ext_reg, params, &ext_obs, &ext_rho)
-}
-
-/// Ancilla-extended observable semantics summed over a compiled multiset —
-/// the quantity (7.1) the execution procedure estimates.
-pub fn observable_semantics_with_ancilla_additive(
-    stmt: &Stmt,
-    ext_reg: &Register,
-    params: &Params,
-    obs: &Observable,
-    rho: &DensityMatrix,
-) -> f64 {
-    compile::compile(stmt)
-        .iter()
-        .map(|p| observable_semantics_with_ancilla(p, ext_reg, params, obs, rho))
-        .sum()
-}
-
-/// Pure-state fast path of [`observable_semantics_with_ancilla`]: the input
-/// is `|0⟩A ⊗ |ψ⟩` and branch expectations are summed.
-pub fn observable_semantics_with_ancilla_pure(
-    stmt: &Stmt,
-    ext_reg: &Register,
-    params: &Params,
-    obs: &Observable,
-    psi: &StateVector,
-) -> f64 {
-    let ext_obs = obs.with_ancilla_z();
-    let ext_psi = StateVector::zero_state(1).tensor(psi);
-    denot::expectation_pure(stmt, ext_reg, params, &ext_psi, &ext_obs)
 }
 
 /// Central finite difference `(f(x+h) − f(x−h)) / 2h` — the numerical oracle
@@ -153,16 +110,6 @@ mod tests {
     }
 
     #[test]
-    fn additive_semantics_sums_components() {
-        let p = parse_program("skip[q1] + skip[q1]").unwrap();
-        let reg = Register::from_program(&p);
-        let obs = Observable::pauli_z(1, 0);
-        let rho = DensityMatrix::pure_zero(1);
-        let val = observable_semantics_additive(&p, &reg, &Params::new(), &obs, &rho);
-        assert!((val - 2.0).abs() < 1e-12, "two identity traces sum to 2");
-    }
-
-    #[test]
     fn ancilla_semantics_ignores_trivial_ancilla() {
         // A program that never touches the ancilla: ZA reads +1, so the
         // extended semantics equals the plain semantics.
@@ -175,21 +122,6 @@ mod tests {
         let plain = observable_semantics(&p, &base_reg, &params, &obs, &rho);
         let ext = observable_semantics_with_ancilla(&p, &ext_reg, &params, &obs, &rho);
         assert!((plain - ext).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pure_and_dense_ancilla_semantics_agree() {
-        let p = parse_program("q1 *= RX(t); case M[q1] = 0 -> skip[q2], 1 -> q2 *= RY(t) end")
-            .unwrap();
-        let base_reg = Register::from_program(&p);
-        let ext_reg = base_reg.with_ancilla_front("A".into());
-        let obs = Observable::pauli_z(2, 1);
-        let params = Params::from_pairs([("t", 0.7)]);
-        let psi = StateVector::zero_state(2);
-        let rho = DensityMatrix::from_pure(&psi);
-        let dense = observable_semantics_with_ancilla(&p, &ext_reg, &params, &obs, &rho);
-        let pure = observable_semantics_with_ancilla_pure(&p, &ext_reg, &params, &obs, &psi);
-        assert!((dense - pure).abs() < 1e-10);
     }
 
     #[test]

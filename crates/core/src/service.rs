@@ -67,11 +67,12 @@
 //!   space, and never enqueues. [`OverloadPolicy::Block`] instead waits
 //!   for space (bounded by the request deadline, when one is set).
 //! * **Leader-failure containment**: the coalesced sweep runs under
-//!   `catch_unwind` (the shot and shift-rule sweeps also return
-//!   worker-panic exhaustion as a typed error), so a worker panic
-//!   surviving `try_par_map_retry` or an injected
-//!   [`qdp_sim::fault::FaultSite::Service`] panic becomes a typed error,
-//!   never a propagated panic. Group members with retry budget left
+//!   `catch_unwind`, and every request kind reaches the engine through its
+//!   one infallible batched entry point. So a worker panic surviving
+//!   `try_par_map_retry` (its message names the tile) or an injected
+//!   [`qdp_sim::fault::FaultSite::Service`] panic becomes a typed
+//!   [`qdp_sim::QdpError::ServicePanic`], never a propagated panic.
+//!   Group members with retry budget left
 //!   ([`RequestOptions::max_retries`]) are re-queued at the head, still
 //!   admitted, so a follow-up leader re-serves them; members past their
 //!   budget receive the typed error. Either way every follower gets a
@@ -583,9 +584,8 @@ impl GradientService {
     ///
     /// [`QdpError::Overloaded`] when shed at submission,
     /// [`QdpError::DeadlineExceeded`] when the queue wait outlived
-    /// `opts.deadline`, [`QdpError::ServicePanic`] /
-    /// [`QdpError::WorkerPanic`] when the serving sweep failed past the
-    /// retry budget.
+    /// `opts.deadline`, [`QdpError::ServicePanic`] when the serving sweep
+    /// failed past the retry budget.
     ///
     /// # Panics
     ///
@@ -933,9 +933,9 @@ impl GradientService {
                     armed: true,
                 };
                 // Containment: the injected service checkpoint and any
-                // panic that escapes the sweep (worker-panic exhaustion in
-                // an exact batch) become a typed error to publish — never
-                // an unwind past the leader, never a stranded follower.
+                // panic that escapes the sweep (worker-panic exhaustion)
+                // become a typed error to publish — never an unwind past
+                // the leader, never a stranded follower.
                 let outcome: Result<Vec<Output>, QdpError> =
                     catch_unwind(AssertUnwindSafe(|| {
                         qdp_sim::fault::service_checkpoint();
@@ -943,8 +943,7 @@ impl GradientService {
                     }))
                     .map_err(|payload| QdpError::ServicePanic {
                         message: panic_message(payload.as_ref()),
-                    })
-                    .and_then(|r| r);
+                    });
 
                 st = tenant.lock_state();
                 match outcome {
@@ -1027,12 +1026,11 @@ fn duration_ms(d: Duration) -> u64 {
 
 /// Runs one coalesced group as a single batched sweep and returns one
 /// output per member, in group (submission) order. Worker-panic
-/// exhaustion surfaces as a typed error from the shot and shift-rule
-/// `try_*` forms, and as a panic from the exact batches, which the
-/// leader's `catch_unwind` turns into [`QdpError::ServicePanic`].
-fn run_group(engine: &GradientEngine, group: &[Pending]) -> Result<Vec<Output>, QdpError> {
+/// exhaustion panics out of the engine's batched entry point, and the
+/// leader's `catch_unwind` turns it into [`QdpError::ServicePanic`].
+fn run_group(engine: &GradientEngine, group: &[Pending]) -> Vec<Output> {
     let rows: Vec<&StateVector> = group.iter().map(|p| &p.input).collect();
-    Ok(match &group[0].request {
+    match &group[0].request {
         Request::Value { params, obs } => {
             let batch = BatchedStates::gather(&rows);
             engine
@@ -1052,7 +1050,7 @@ fn run_group(engine: &GradientEngine, group: &[Pending]) -> Result<Vec<Output>, 
         Request::ShiftGradient { params, obs } => {
             let batch = BatchedStates::gather(&rows);
             engine
-                .try_gradient_pure_shift_batch(params, obs, &batch)?
+                .gradient_pure_shift_batch(params, obs, &batch)
                 .into_iter()
                 .map(Output::Gradient)
                 .collect()
@@ -1063,7 +1061,7 @@ fn run_group(engine: &GradientEngine, group: &[Pending]) -> Result<Vec<Output>, 
             let inputs: Vec<StateVector> = group.iter().map(|p| p.input.clone()).collect();
             let row_seeds: Vec<u64> = group.iter().map(|p| request_seed(&p.request)).collect();
             engine
-                .try_value_pure_shots_batch(params, obs, &inputs, *shots, &row_seeds)?
+                .value_pure_shots_batch(params, obs, &inputs, *shots, &row_seeds)
                 .into_iter()
                 .map(Output::Value)
                 .collect()
@@ -1077,12 +1075,12 @@ fn run_group(engine: &GradientEngine, group: &[Pending]) -> Result<Vec<Output>, 
             let inputs: Vec<StateVector> = group.iter().map(|p| p.input.clone()).collect();
             let row_seeds: Vec<u64> = group.iter().map(|p| request_seed(&p.request)).collect();
             engine
-                .try_gradient_pure_shots_batch(params, obs, &inputs, *shots_per_param, &row_seeds)?
+                .gradient_pure_shots_batch(params, obs, &inputs, *shots_per_param, &row_seeds)
                 .into_iter()
                 .map(Output::Gradient)
                 .collect()
         }
-    })
+    }
 }
 
 /// The per-client seed of a shot request (exact requests carry none).

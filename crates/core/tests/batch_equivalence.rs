@@ -1,5 +1,6 @@
 //! Differential tests of the batched evaluation engine against the serial
-//! per-sample path — the oracle every future backend inherits.
+//! per-sample oracle (`support/oracle.rs`: per-row branch enumeration and
+//! the AST interpreter) — the oracle every future backend inherits.
 //!
 //! Randomized circuits (up to 8 qubits, up to 24 parameters, with and
 //! without measurement control flow) are evaluated on random input batches
@@ -9,19 +10,26 @@
 //!
 //! * batched forward values, per-parameter derivatives, full gradients,
 //!   and the chain-ruled training loss/gradient all match the serial
-//!   per-sample loop to `1e-12`, and
+//!   per-sample loop to `1e-12`,
 //! * the batched results are **bitwise** identical under forced 1-, 2-,
-//!   and 8-thread `qdp_par` configurations.
+//!   and 8-thread `qdp_par` configurations, and
+//! * every single-input engine call carries, bit for bit, row 0 of its
+//!   batched form on a batch of one.
 
 use qdp_ad::{differentiate, GradientEngine};
 use qdp_lang::ast::{Angle, Gate, Params, Stmt, Var};
 use qdp_lang::Register;
 use qdp_linalg::{C64, Pauli};
 use qdp_sim::{BatchedStates, Observable, StateVector};
+use qdp_vqc::families::paper_instances;
+use qdp_vqc::{circuits, task};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
+
+#[path = "support/oracle.rs"]
+mod oracle;
 
 /// Serializes **every** test in this binary: `set_max_threads` is
 /// process-global (a concurrently running sibling test could reset it
@@ -187,7 +195,7 @@ fn batched_forward_values_match_serial_path() {
             let batched = case.engine.value_pure_batch(&case.params, &case.obs, &batch);
             assert_eq!(batched.len(), rows);
             for (r, psi) in states.iter().enumerate() {
-                let serial = case.engine.value_pure(&case.params, &case.obs, psi);
+                let serial = oracle::value(&case.engine, &case.params, &case.obs, psi);
                 assert!(
                     (batched[r] - serial).abs() < TOL,
                     "case {ci} rows {rows} row {r}: batched {} vs serial {serial}",
@@ -212,7 +220,7 @@ fn batched_derivatives_match_serial_path() {
             let batch = BatchedStates::from_states(&states);
             let batched = diff.derivative_pure_batch(&case.params, &case.obs, &batch);
             for (r, psi) in states.iter().enumerate() {
-                let serial = diff.derivative_pure(&case.params, &case.obs, psi);
+                let serial = oracle::derivative(&diff, &case.params, &case.obs, psi);
                 assert!(
                     (batched[r] - serial).abs() < TOL,
                     "case {ci} ∂/∂{param} rows {rows} row {r}: batched {} vs serial {serial}",
@@ -236,7 +244,7 @@ fn batched_gradients_match_serial_path_entrywise() {
                 .gradient_pure_batch(&case.params, &case.obs, &batch);
             assert_eq!(batched.len(), rows);
             for (r, psi) in states.iter().enumerate() {
-                let serial = case.engine.gradient_pure(&case.params, &case.obs, psi);
+                let serial = oracle::gradient(&case.engine, &case.params, &case.obs, psi);
                 assert_eq!(batched[r].len(), serial.len());
                 for (name, s) in &serial {
                     let b = batched[r][name];
@@ -271,10 +279,10 @@ fn batched_loss_and_loss_gradient_match_serial_loop() {
             .map(|name| (name.to_string(), 0.0))
             .collect();
         for (psi, label) in states.iter().zip(&labels) {
-            let pred = case.engine.value_pure(&case.params, &case.obs, psi);
+            let pred = oracle::value(&case.engine, &case.params, &case.obs, psi);
             serial_loss += (pred - label) * (pred - label);
             let outer = 2.0 * (pred - label);
-            for (name, g) in case.engine.gradient_pure(&case.params, &case.obs, psi) {
+            for (name, g) in oracle::gradient(&case.engine, &case.params, &case.obs, psi) {
                 *serial_grads.get_mut(&name).unwrap() += outer * g;
             }
         }
@@ -350,4 +358,139 @@ fn batched_results_are_bitwise_deterministic_across_thread_counts() {
             assert_eq!(runs[1], runs[2], "case {ci} rows {rows}: 2 vs 8 threads");
         }
     }
+}
+
+#[test]
+fn batched_engine_apis_match_per_row_paths() {
+    let _guard = serialized();
+    let p = qdp_lang::parse_program(
+        "q1 *= RX(a); case M[q1] = 0 -> q2 *= RY(b), 1 -> q2 *= RZ(a) end",
+    )
+    .unwrap();
+    let engine = GradientEngine::new(&p).unwrap();
+    let params = Params::from_pairs([("a", 0.5), ("b", 1.4)]);
+    let obs = Observable::projector_one(2, 1);
+    let rows: Vec<StateVector> = (0..4).map(|k| StateVector::basis_state(2, k)).collect();
+    let batch = BatchedStates::from_states(&rows);
+
+    let values = engine.value_pure_batch(&params, &obs, &batch);
+    let grads = engine.gradient_pure_batch(&params, &obs, &batch);
+    assert_eq!(values.len(), 4);
+    assert_eq!(grads.len(), 4);
+    for (r, psi) in rows.iter().enumerate() {
+        let value = oracle::value(&engine, &params, &obs, psi);
+        assert!((values[r] - value).abs() < TOL, "row {r} forward");
+        let serial = oracle::gradient(&engine, &params, &obs, psi);
+        assert_eq!(grads[r].len(), serial.len());
+        for (name, v) in &serial {
+            // 1e-12 tolerance, not bit equality: the batched straight-line
+            // path fuses commuting rotations, which reorders rounding.
+            assert!(
+                (grads[r][name] - v).abs() < TOL,
+                "row {r} ∂/∂{name}: batched {} vs per-row {v}",
+                grads[r][name]
+            );
+        }
+    }
+}
+
+#[test]
+fn batched_derivative_matches_per_row_derivative() {
+    // Three adjacent rotations on one qubit force genuine 2×2 fusion
+    // products in the batched path, so agreement is numerical (1e-12),
+    // not bitwise.
+    let _guard = serialized();
+    let p = qdp_lang::parse_program("q1 *= RX(t); q1 *= RY(u); q1 *= RZ(t)").unwrap();
+    let diff = differentiate(&p, "t").unwrap();
+    let params = Params::from_pairs([("t", 0.35), ("u", 1.21)]);
+    let obs = Observable::pauli_z(1, 0);
+    let rows = vec![StateVector::zero_state(1), StateVector::basis_state(1, 1)];
+    let batch = BatchedStates::from_states(&rows);
+    let batched = diff.derivative_pure_batch(&params, &obs, &batch);
+    for (r, psi) in rows.iter().enumerate() {
+        let serial = oracle::derivative(&diff, &params, &obs, psi);
+        assert!(
+            (batched[r] - serial).abs() < TOL,
+            "row {r}: batched {} vs per-row {serial}",
+            batched[r]
+        );
+    }
+}
+
+/// A gradient's bits, parameters in name order.
+fn gradient_bits(gradient: &BTreeMap<String, f64>) -> Vec<(String, u64)> {
+    gradient.iter().map(|(k, v)| (k.clone(), v.to_bits())).collect()
+}
+
+/// Every single-input engine call is row 0 of its batched form on a batch
+/// of one, bit for bit — on `P1`, `P2` and `QNN_{S,w}` (bounded `while`
+/// loops), under forced 1, 2 and 8 threads.
+#[test]
+fn single_input_calls_are_row_zero_of_a_batch_of_one() {
+    let _guard = serialized();
+    let s_row = paper_instances()
+        .into_iter()
+        .find(|c| c.name == "QNN_{S,w}")
+        .expect("the S,w row exists")
+        .build();
+    let s_qubits = Register::from_program(&s_row).len();
+    let programs = [
+        ("P1", circuits::p1(), task::readout_observable()),
+        ("P2", circuits::p2(), task::readout_observable()),
+        ("QNN_{S,w}", s_row, Observable::pauli_z(s_qubits, s_qubits - 1)),
+    ];
+    let mut rng = StdRng::seed_from_u64(0x1A0);
+    let mut shift_rows = 0;
+    for (label, program, obs) in programs {
+        let engine = GradientEngine::new(&program).expect("differentiable");
+        let names: Vec<String> = engine.parameters().map(str::to_string).collect();
+        let params = random_valuation(&mut rng, &names);
+        let psi = random_state(&mut rng, engine.register().len());
+        let one = BatchedStates::gather(&[&psi]);
+        let inputs = std::slice::from_ref(&psi);
+        for threads in [1usize, 2, 8] {
+            qdp_par::set_max_threads(threads);
+            let at = format!("{label} at {threads} threads");
+            assert_eq!(
+                engine.value_pure(&params, &obs, &psi).to_bits(),
+                engine.value_pure_batch(&params, &obs, &one)[0].to_bits(),
+                "value_pure on {at}"
+            );
+            assert_eq!(
+                gradient_bits(&engine.gradient_pure(&params, &obs, &psi)),
+                gradient_bits(&engine.gradient_pure_batch(&params, &obs, &one)[0]),
+                "gradient_pure on {at}"
+            );
+            for name in &names {
+                let diff = engine.differentiated(name).expect("engine parameter");
+                assert_eq!(
+                    diff.derivative_pure(&params, &obs, &psi).to_bits(),
+                    diff.derivative_pure_batch(&params, &obs, &one)[0].to_bits(),
+                    "derivative_pure ∂/∂{name} on {at}"
+                );
+            }
+            if engine.shift_rule_eligible() {
+                shift_rows += 1;
+                assert_eq!(
+                    gradient_bits(&engine.gradient_pure_shift(&params, &obs, &psi)),
+                    gradient_bits(&engine.gradient_pure_shift_batch(&params, &obs, &one)[0]),
+                    "gradient_pure_shift on {at}"
+                );
+            }
+            assert_eq!(
+                engine.value_pure_shots(&params, &obs, &psi, 256, 0x5EED).to_bits(),
+                engine.value_pure_shots_batch(&params, &obs, inputs, 256, &[0x5EED])[0].to_bits(),
+                "value_pure_shots on {at}"
+            );
+            assert_eq!(
+                gradient_bits(&engine.gradient_pure_shots(&params, &obs, &psi, 64, 0x5EED)),
+                gradient_bits(
+                    &engine.gradient_pure_shots_batch(&params, &obs, inputs, 64, &[0x5EED])[0]
+                ),
+                "gradient_pure_shots on {at}"
+            );
+        }
+        qdp_par::set_max_threads(0);
+    }
+    assert!(shift_rows > 0, "no case exercised the shift rule");
 }

@@ -34,6 +34,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
 
+#[path = "support/oracle.rs"]
+mod oracle;
+
 /// Serializes every test in this binary: `set_max_threads` is
 /// process-global, so a concurrently running sibling test could reset it
 /// mid-run (see `batch_equivalence.rs`).
@@ -302,13 +305,13 @@ fn exact_branching_expectations_match_per_row_oracle() {
             let values = case.engine.value_pure_batch(&case.params, &case.obs, &batch);
             let derivs = diff.derivative_pure_batch(&case.params, &case.obs, &batch);
             for (r, psi) in states.iter().enumerate() {
-                let value_oracle = case.engine.value_pure(&case.params, &case.obs, psi);
+                let value_oracle = oracle::value(&case.engine, &case.params, &case.obs, psi);
                 assert!(
                     (values[r] - value_oracle).abs() < TOL,
                     "case {ci} rows {rows} row {r}: value {} vs oracle {value_oracle}",
                     values[r]
                 );
-                let deriv_oracle = diff.derivative_pure(&case.params, &case.obs, psi);
+                let deriv_oracle = oracle::derivative(&diff, &case.params, &case.obs, psi);
                 assert!(
                     (derivs[r] - deriv_oracle).abs() < TOL,
                     "case {ci} ∂/∂{param} rows {rows} row {r}: {} vs oracle {deriv_oracle}",

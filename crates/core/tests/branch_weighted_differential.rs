@@ -28,6 +28,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
 
+#[path = "support/oracle.rs"]
+mod oracle;
+
 /// Serializes every test in this binary: `set_max_threads` is
 /// process-global, so a concurrently running sibling test could reset it
 /// mid-run (see `batch_equivalence.rs`).
@@ -190,7 +193,7 @@ fn branch_weighted_forward_values_match_interpreter() {
             let batch = BatchedStates::from_states(&states);
             let batched = case.engine.value_pure_batch(&case.params, &case.obs, &batch);
             for (r, psi) in states.iter().enumerate() {
-                let serial = case.engine.value_pure(&case.params, &case.obs, psi);
+                let serial = oracle::value(&case.engine, &case.params, &case.obs, psi);
                 assert!(
                     (batched[r] - serial).abs() < TOL,
                     "case {ci} rows {rows} row {r}: batched {} vs interpreter {serial}",
@@ -205,7 +208,7 @@ fn branch_weighted_forward_values_match_interpreter() {
 fn branch_weighted_derivative_multisets_match_per_row_oracle() {
     // The paper's core workload: derivative multisets of branching
     // programs (case/init/while-unrolled), batched sweep vs the per-row
-    // branch enumerator `derivative_pure` routes through.
+    // branch enumerator.
     let _guard = serialized();
     let mut rng = StdRng::seed_from_u64(0xE2);
     for (ci, case) in cases().iter().enumerate() {
@@ -216,10 +219,10 @@ fn branch_weighted_derivative_multisets_match_per_row_oracle() {
             let batch = BatchedStates::from_states(&states);
             let batched = diff.derivative_pure_batch(&case.params, &case.obs, &batch);
             for (r, psi) in states.iter().enumerate() {
-                let oracle = diff.derivative_pure(&case.params, &case.obs, psi);
+                let per_row = oracle::derivative(&diff, &case.params, &case.obs, psi);
                 assert!(
-                    (batched[r] - oracle).abs() < TOL,
-                    "case {ci} ∂/∂{param} rows {rows} row {r}: batched {} vs oracle {oracle}",
+                    (batched[r] - per_row).abs() < TOL,
+                    "case {ci} ∂/∂{param} rows {rows} row {r}: batched {} vs oracle {per_row}",
                     batched[r]
                 );
             }
@@ -240,7 +243,7 @@ fn branch_weighted_gradients_match_per_row_oracle_entrywise() {
             .gradient_pure_batch(&case.params, &case.obs, &batch);
         assert_eq!(batched.len(), rows);
         for (r, psi) in states.iter().enumerate() {
-            let serial = case.engine.gradient_pure(&case.params, &case.obs, psi);
+            let serial = oracle::gradient(&case.engine, &case.params, &case.obs, psi);
             assert_eq!(batched[r].len(), serial.len());
             for (name, s) in &serial {
                 let b = batched[r][name];

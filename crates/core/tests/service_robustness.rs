@@ -16,7 +16,11 @@
 //!   [`qdp_sim::fault::FaultSite::Service`] panic is contained by the
 //!   leader's `catch_unwind`: within the retry budget a follow-up leader
 //!   re-serves the group bit-identically, past the budget every follower
-//!   gets [`QdpError::ServicePanic`].
+//!   gets [`QdpError::ServicePanic`];
+//! * **worker tile panic past its retries** — an injected
+//!   [`qdp_sim::fault::FaultSite::Tile`] panic in a coalesced shot-gradient
+//!   or shift-rule sweep reaches every client of the group as
+//!   [`QdpError::ServicePanic`] naming the tile.
 //!
 //! The cache tests pin the residency bound (never exceeded under
 //! pressure) and the warm-hit/recompile determinism contract: eviction
@@ -25,10 +29,13 @@
 //! `set_max_threads` needs a quiesced process, so the thread-matrix tests
 //! serialize on one mutex (the same idiom as `service_coalescing.rs`);
 //! fault-injecting tests additionally serialize on the global injection
-//! lock their `FaultGuard` holds.
+//! lock their `FaultGuard` holds. Every test that runs a service sweep
+//! takes the mutex, because an armed plan is process-global: a sweep of
+//! an unserialized test would fire (and count) another test's fault.
 
 use qdp_ad::{
-    GradientEngine, GradientService, OverloadPolicy, ProgramCache, RequestOptions, ServiceConfig,
+    GradientEngine, GradientService, OverloadPolicy, ProgramCache, ProgramHandle, RequestOptions,
+    ServiceConfig,
 };
 use qdp_lang::ast::Params;
 use qdp_lang::{parse_program, Register};
@@ -36,6 +43,7 @@ use qdp_sim::fault::{fired_count, inject, FaultSite};
 use qdp_sim::{BatchedStates, Observable, QdpError, StateVector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -349,6 +357,127 @@ fn injected_leader_panics_past_the_retry_budget_fail_typed_without_hanging() {
     }
 }
 
+/// The two request kinds whose sweeps fan out over tile checkpoints.
+#[derive(Clone, Copy, Debug)]
+enum TiledKind {
+    GradientShots,
+    ShiftGradient,
+}
+
+const TILED_SHOTS: usize = 64;
+
+/// Submits one `kind` request for `psi` (shot requests on stream `seed`).
+fn submit_tiled(
+    service: &GradientService,
+    handle: &ProgramHandle,
+    kind: TiledKind,
+    psi: &StateVector,
+    seed: u64,
+    opts: &RequestOptions,
+) -> Result<BTreeMap<String, f64>, QdpError> {
+    let (params, obs) = (fixed_params(), Observable::pauli_z(2, 1));
+    match kind {
+        TiledKind::GradientShots => {
+            service.gradient_shots_with(handle, &params, &obs, psi, TILED_SHOTS, seed, opts)
+        }
+        TiledKind::ShiftGradient => service.gradient_shift_with(handle, &params, &obs, psi, opts),
+    }
+}
+
+#[test]
+fn exhausted_tile_retries_fail_every_coalesced_client_typed_without_hanging() {
+    let _guard = serialized();
+    const N: usize = 3;
+    // The engine's bounded retries per tile: one panic more than they
+    // absorb exhausts the tile.
+    const TILE_RETRIES: usize = 2;
+    let program = parse_program(SRC).unwrap();
+    let (params, obs) = (fixed_params(), Observable::pauli_z(2, 1));
+    let mut rng = StdRng::seed_from_u64(0x711E);
+    let inputs: Vec<StateVector> = (0..N).map(|_| random_state(&mut rng, 2)).collect();
+    let healthy_input = random_state(&mut rng, 2);
+    let healthy_seed = 0x5EED;
+
+    let solo_engine = GradientEngine::new(&program).unwrap();
+    for kind in [TiledKind::GradientShots, TiledKind::ShiftGradient] {
+        let solo = match kind {
+            TiledKind::GradientShots => solo_engine.gradient_pure_shots(
+                &params,
+                &obs,
+                &healthy_input,
+                TILED_SHOTS,
+                healthy_seed,
+            ),
+            TiledKind::ShiftGradient => {
+                solo_engine.gradient_pure_shift(&params, &obs, &healthy_input)
+            }
+        };
+        for &threads in &THREAD_COUNTS {
+            qdp_par::set_max_threads(threads);
+            let service = Arc::new(GradientService::with_admission(N));
+            let handle = service.register(&program).unwrap();
+
+            // Tile 0 of the one coalesced sweep panics on its first try and
+            // on every retry; no re-serve, so the group fails once, typed.
+            let fault = inject(FaultSite::Tile { index: 0, panics: TILE_RETRIES + 1 });
+            let workers: Vec<_> = (0..N)
+                .map(|i| {
+                    let (service, handle) = (Arc::clone(&service), handle.clone());
+                    let psi = inputs[i].clone();
+                    std::thread::spawn(move || {
+                        let opts = RequestOptions::new().with_max_retries(0);
+                        submit_tiled(&service, &handle, kind, &psi, i as u64, &opts)
+                    })
+                })
+                .collect();
+            let results: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+            assert_eq!(
+                fired_count(),
+                TILE_RETRIES + 1,
+                "{kind:?} threads={threads}: one try and every retry of tile 0"
+            );
+            drop(fault);
+
+            for (i, r) in results.iter().enumerate() {
+                match r {
+                    Err(QdpError::ServicePanic { message }) => assert!(
+                        message.contains("worker tile 0 panicked")
+                            && message.contains("injected fault"),
+                        "{kind:?} threads={threads} client {i}: {message}"
+                    ),
+                    other => panic!(
+                        "{kind:?} threads={threads} client {i}: expected ServicePanic, got {other:?}"
+                    ),
+                }
+            }
+            assert_eq!(service.leader_failures(&handle), 1, "{kind:?} threads={threads}");
+            assert_eq!(service.served(&handle), 0, "{kind:?} threads={threads}");
+
+            // A later healthy request of the same kind carries solo bits.
+            let worker = {
+                let (service, handle) = (Arc::clone(&service), handle.clone());
+                let psi = healthy_input.clone();
+                std::thread::spawn(move || {
+                    submit_tiled(&service, &handle, kind, &psi, healthy_seed, &RequestOptions::new())
+                })
+            };
+            while service.served(&handle) < 1 {
+                service.flush(&handle);
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let got = worker.join().unwrap().unwrap();
+            qdp_par::set_max_threads(0);
+            for (name, v) in &solo {
+                assert_eq!(
+                    got[name].to_bits(),
+                    v.to_bits(),
+                    "{kind:?} threads={threads} ∂/∂{name}: post-failure request drifted"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn cache_eviction_under_pressure_keeps_every_computed_bit_identical() {
     let srcs = [
@@ -416,6 +545,7 @@ fn cache_eviction_under_pressure_keeps_every_computed_bit_identical() {
 
 #[test]
 fn stress_tight_deadlines_and_a_small_queue_never_hang_or_panic() {
+    let _guard = serialized();
     const WORKERS: usize = 8;
     const REQUESTS: usize = 12;
     let program = parse_program(SRC).unwrap();

@@ -3,9 +3,10 @@
 //! single bit fails here even when every self-consistency suite (batched
 //! vs serial, grouped vs solo, 1 vs 8 threads) still agrees with itself.
 //!
-//! * `ShotEngine::estimate_expectation_prepared` on a hand-built program
-//!   with a reset, nested `case`s and an aborting arm, and `ShotEngine::run`
-//!   of that program on one input with 64 shots (every outcome and every
+//! * `ShotEngine::try_estimate_expectation_batch` on one input of a
+//!   hand-built program with a reset, nested `case`s and an aborting arm,
+//!   and `ShotEngine::run` of that program on one input with 64 shots
+//!   (every outcome and every
 //!   collapsed amplitude: read-out samples are discrete eigenvalues, so
 //!   only this check sees a flipped low bit directly);
 //! * `PreparedDerivativeEstimator::estimate` on one `P2` parameter;
@@ -86,16 +87,17 @@ fn branching_program() -> TrajProgram {
 }
 
 #[test]
-fn estimate_expectation_prepared_bits() {
+fn one_row_estimate_expectation_bits() {
     let engine = ShotEngine::new(branching_program());
     let readout = ProjectiveObservable::new(&Observable::pauli_z(3, 2));
     let mut psi = StateVector::zero_state(3);
     psi.apply_gate(&Matrix::hadamard(), &[2]);
     // Three full tiles and a ragged one, so the tile fan-out is exercised.
     let shots = 3 * SHOT_TILE + 17;
-    assert_golden("estimate_expectation_prepared", 0xbfe2_dfb6_f348_1243, || {
+    assert_golden("one-row estimate_expectation_batch", 0xbfe2_dfb6_f348_1243, || {
         engine
-            .estimate_expectation_prepared(&psi, &readout, shots, 0x601D)
+            .try_estimate_expectation_batch(std::slice::from_ref(&psi), &readout, shots, &[0x601D])
+            .unwrap()[0]
             .to_bits()
     });
 }

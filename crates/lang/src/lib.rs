@@ -37,7 +37,6 @@ pub mod denot;
 pub mod intern;
 pub mod lexer;
 pub mod metrics;
-pub mod noise;
 pub mod op_sem;
 pub mod opt;
 pub mod parser;

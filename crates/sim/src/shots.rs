@@ -93,7 +93,7 @@ use crate::sampling::{collapse_with_draw, ProjectiveObservable, ShotSampler};
 use crate::state::StateVector;
 use qdp_linalg::{C64, Matrix};
 
-/// Rows per parallel shot tile of [`ShotEngine::estimate_expectation`].
+/// Shots per parallel tile of [`ShotEngine::try_estimate_expectation_batch`].
 ///
 /// Fixed (not derived from the thread count) so the tile partition — and
 /// with it every drawn value and every rounding order — is identical under
@@ -701,7 +701,7 @@ impl ShotEngine {
     /// existing block passes — no extra sweeps over the amplitudes.
     ///
     /// Only the fallible entry points (`try_run`, `try_sample_sweep`,
-    /// `try_expectation_sweep`, `try_estimate_expectation_prepared`) can
+    /// `try_expectation_sweep`, `try_estimate_expectation_batch`) can
     /// report a [`QdpError`]; the infallible ones panic with the same
     /// message. Unmonitored engines (the default) skip every check and
     /// stay bit-identical to the pre-monitoring engine.
@@ -1019,73 +1019,6 @@ impl ShotEngine {
         Ok(out)
     }
 
-    /// Tiled parallel shot estimate of `⟨obs⟩` on the program's output from
-    /// `shots` trajectories starting at `psi`: the mean of one read-out
-    /// sample per shot (0 for aborted trajectories) — the one-input form
-    /// of [`try_estimate_expectation_batch`](Self::try_estimate_expectation_batch).
-    ///
-    /// Shot `s` draws from the derived stream `ShotSampler::derived(seed,
-    /// s)` wherever it runs, and [`SHOT_TILE`]-shot tile sums are reduced
-    /// in tile order — the result is **bit-for-bit identical under any
-    /// thread count**.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shots` is zero.
-    pub fn estimate_expectation(
-        &self,
-        psi: &StateVector,
-        obs: &Observable,
-        shots: usize,
-        seed: u64,
-    ) -> f64 {
-        self.estimate_expectation_prepared(psi, &ProjectiveObservable::new(obs), shots, seed)
-    }
-
-    /// [`estimate_expectation`](Self::estimate_expectation) with the
-    /// read-out decomposition already built — what repeated-evaluation
-    /// callers use so the eigendecomposition happens once, not once per
-    /// input.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shots` is zero, or with a [`QdpError`] message when a
-    /// tile fails beyond the retry budget or a health check fails
-    /// unrecoverably — use
-    /// [`try_estimate_expectation_prepared`](Self::try_estimate_expectation_prepared)
-    /// for the typed form.
-    pub fn estimate_expectation_prepared(
-        &self,
-        psi: &StateVector,
-        readout: &ProjectiveObservable,
-        shots: usize,
-        seed: u64,
-    ) -> f64 {
-        match self.try_estimate_expectation_prepared(psi, readout, shots, seed) {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`estimate_expectation_prepared`](Self::estimate_expectation_prepared)
-    /// with fault tolerance: a batch of one of
-    /// [`try_estimate_expectation_batch`](Self::try_estimate_expectation_batch).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shots` is zero.
-    pub fn try_estimate_expectation_prepared(
-        &self,
-        psi: &StateVector,
-        readout: &ProjectiveObservable,
-        shots: usize,
-        seed: u64,
-    ) -> Result<f64, QdpError> {
-        let inputs = std::slice::from_ref(psi);
-        self.try_estimate_expectation_batch(inputs, readout, shots, &[seed])
-            .map(|estimates| estimates[0])
-    }
-
     /// Shot estimates of `⟨readout⟩` on the program's output for every
     /// input: entry `r` is the mean of `shots` read-out samples from
     /// `inputs[r]` (0 for aborted trajectories), shot `s` of row `r` on the
@@ -1094,7 +1027,7 @@ impl ShotEngine {
     /// Shots are cut into fixed [`SHOT_TILE`]-shot tiles, and each tile is
     /// **one** sampled sweep over every input's shots of that tile. Each
     /// row sums its samples per tile, in shot order, then the tile sums in
-    /// tile order, so entry `r` is bit-for-bit the one-input call with
+    /// tile order, so entry `r` carries the bits of a batch of one with
     /// `seeds[r]`, under any thread count and beside any other inputs.
     /// Tiles run on the calling thread unless their work (inputs ×
     /// amplitudes × program ops, summed over tiles) pays for a fork
@@ -2476,6 +2409,11 @@ impl SweepTrie {
     /// thread in its program's own depth-first order. Per-row bits are the
     /// same under any thread count and batch decomposition.
     ///
+    /// The sweep runs **unmonitored**: its forks carry no health checks
+    /// (`health: None`, so no NaN/Inf or norm-drift detection, unlike
+    /// [`ShotEngine::with_health`]) and a zero mass budget (only branches
+    /// at weight ≤ [`BRANCH_PRUNE`] are dropped).
+    ///
     /// # Panics
     ///
     /// Panics when a row tile still panicked after its bit-identical
@@ -2906,9 +2844,15 @@ mod tests {
         let engine = ShotEngine::new(p);
         let obs = Observable::pauli_z(1, 0);
         let psi = StateVector::zero_state(1);
-        let est = engine.estimate_expectation(&psi, &obs, 40_000, 2024);
+        let readout = ProjectiveObservable::new(&obs);
+        let inputs = std::slice::from_ref(&psi);
+        let est = engine
+            .try_estimate_expectation_batch(inputs, &readout, 40_000, &[2024])
+            .unwrap()[0];
         assert!((est - 0.8f64.cos()).abs() < 0.02, "estimate {est}");
-        let again = engine.estimate_expectation(&psi, &obs, 40_000, 2024);
+        let again = engine
+            .try_estimate_expectation_batch(inputs, &readout, 40_000, &[2024])
+            .unwrap()[0];
         assert_eq!(est.to_bits(), again.to_bits());
     }
 

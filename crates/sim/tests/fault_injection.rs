@@ -83,6 +83,19 @@ fn samplers(rows: usize, seed: u64) -> Vec<ShotSampler> {
     (0..rows).map(|r| ShotSampler::derived(seed, r as u64)).collect()
 }
 
+/// A shot estimate of `readout` from `psi` alone: a batch of one row on
+/// stream `seed`.
+fn estimate(
+    e: &ShotEngine,
+    psi: &StateVector,
+    readout: &ProjectiveObservable,
+    shots: usize,
+    seed: u64,
+) -> Result<f64, QdpError> {
+    e.try_estimate_expectation_batch(std::slice::from_ref(psi), readout, shots, &[seed])
+        .map(|estimates| estimates[0])
+}
+
 fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: length mismatch");
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
@@ -108,8 +121,7 @@ fn healthy_runs_are_bitwise_identical_under_monitoring_and_threads() {
     let base_exact = engine().expectation_sweep(batch(ROWS), &obs);
     let mut s = samplers(ROWS, 99);
     let base_sampled = engine().sample_sweep(batch(ROWS), &[1; ROWS], &mut s, &readout);
-    let base_estimate =
-        engine().estimate_expectation_prepared(&inputs(1)[0], &readout, 3 * SHOT_TILE, 5);
+    let base_estimate = estimate(&engine(), &inputs(1)[0], &readout, 3 * SHOT_TILE, 5).unwrap();
 
     for threads in [1usize, 2, 8] {
         qdp_par::set_max_threads(threads);
@@ -127,7 +139,7 @@ fn healthy_runs_are_bitwise_identical_under_monitoring_and_threads() {
                 &base_sampled,
                 &format!("sampled sweep ({what})"),
             );
-            let est = e.estimate_expectation_prepared(&inputs(1)[0], &readout, 3 * SHOT_TILE, 5);
+            let est = estimate(&e, &inputs(1)[0], &readout, 3 * SHOT_TILE, 5).unwrap();
             assert_eq!(est.to_bits(), base_estimate.to_bits(), "estimate ({what})");
         }
     }
@@ -361,14 +373,13 @@ fn panicked_tiles_are_retried_bit_identically_or_surface_typed_errors() {
 
     for threads in [1usize, 2, 8] {
         qdp_par::set_max_threads(threads);
-        let clean = engine().estimate_expectation_prepared(psi, &readout, shots, 5);
+        let clean = estimate(&engine(), psi, &readout, shots, 5).unwrap();
 
         with_quiet_panics(|| {
             // Two panics fit the retry budget: the run heals and the
             // result is bit-identical (tiles are pure).
             let guard = inject(FaultSite::Tile { index: 1, panics: 2 });
-            let healed = engine()
-                .try_estimate_expectation_prepared(psi, &readout, shots, 5)
+            let healed = estimate(&engine(), psi, &readout, shots, 5)
                 .expect("retries must heal a transient tile fault");
             assert_eq!(healed.to_bits(), clean.to_bits(), "threads {threads}");
             assert_eq!(fired_count(), 2, "threads {threads}: fault fired on retry");
@@ -377,8 +388,7 @@ fn panicked_tiles_are_retried_bit_identically_or_surface_typed_errors() {
             // Three panics exhaust initial + 2 retries: typed error, no
             // process abort.
             let guard = inject(FaultSite::Tile { index: 1, panics: 3 });
-            let err = engine()
-                .try_estimate_expectation_prepared(psi, &readout, shots, 5)
+            let err = estimate(&engine(), psi, &readout, shots, 5)
                 .expect_err("exhausted retries must surface");
             match err {
                 QdpError::WorkerPanic { tile, message } => {

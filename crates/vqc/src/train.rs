@@ -611,9 +611,10 @@ mod tests {
     #[test]
     fn batched_loss_and_gradient_match_per_sample_loop() {
         // The pre-batch implementation: one interpreter forward and one
-        // per-sample gradient per dataset row. The batched trainer must
-        // reproduce it to 1e-12 on both circuits (P2 exercises the
-        // branching executor).
+        // per-sample gradient per dataset row, each derivative summed over
+        // its lowered multiset by per-row branch enumeration. The batched
+        // trainer must reproduce it to 1e-12 on both circuits (P2
+        // exercises the branching executor).
         for program in [p1(), p2()] {
             let dataset = data();
             let mut trainer =
@@ -627,15 +628,31 @@ mod tests {
             let mut serial_loss = 0.0;
             let mut serial_grads: BTreeMap<String, f64> =
                 trainer.params().keys().map(|k| (k.clone(), 0.0)).collect();
+            let ext_obs = obs.with_ancilla_z();
             for (psi, label) in &dataset {
-                let pred = engine.value_pure(&params, &obs, psi);
+                let pred = qdp_lang::denot::expectation_pure(
+                    engine.program(),
+                    engine.register(),
+                    &params,
+                    psi,
+                    &obs,
+                );
                 serial_loss += loss.loss(pred, *label);
                 let outer = loss.grad(pred, *label);
                 if outer == 0.0 {
                     continue;
                 }
-                for (name, g) in engine.gradient_pure(&params, &obs, psi) {
-                    *serial_grads.get_mut(&name).unwrap() += outer * g;
+                let ext_psi = StateVector::zero_state(1).tensor(psi);
+                for (name, g) in serial_grads.iter_mut() {
+                    let skeleton = engine.differentiated(name).unwrap().skeleton();
+                    let values = skeleton.lowered().slot_values(&params);
+                    let derivative: f64 = skeleton
+                        .lowered()
+                        .programs()
+                        .iter()
+                        .map(|p| p.expectation_pure(&values, &ext_psi, &ext_obs))
+                        .sum();
+                    *g += outer * derivative;
                 }
             }
 
