@@ -33,7 +33,9 @@ use qdp_ad::{
 use qdp_lang::ast::{Params, Stmt};
 use qdp_lang::{compile, denot, parse_program, Register};
 use qdp_linalg::{Matrix, Pauli, C64};
-use qdp_sim::kernels::{apply_matrix_planes, apply_matrix_reference, set_reference_kernels};
+use qdp_sim::kernels::{
+    apply_matrix_planes, apply_matrix_reference, qubit_bit, set_reference_kernels,
+};
 use qdp_sim::simd::{self, SimdTier};
 use qdp_sim::{
     BatchedStates, DensityMatrix, Measurement, Observable, ShotEngine, ShotSampler, StateVector,
@@ -867,6 +869,7 @@ fn per_program_sweeps(
         .map(|p| {
             ShotEngine::new(p.resolve(&values).to_trajectory())
                 .expectation_sweep(ext_batch.clone(), &ext_obs)
+                .expect("unmonitored exact sweep")
         })
         .collect();
     if columns.is_empty() {
@@ -1038,7 +1041,10 @@ fn measurement_sweep(fx: &Fixture, g: &mut Guards) -> Fields {
     let block = || -> f64 {
         engines
             .iter()
-            .flat_map(|e| e.expectation_sweep(ext_batch.clone(), &ext_obs))
+            .flat_map(|e| {
+                e.expectation_sweep(ext_batch.clone(), &ext_obs)
+                    .expect("unmonitored exact sweep")
+            })
             .sum()
     };
     let per_row = || -> f64 {
@@ -1089,19 +1095,106 @@ fn measurement_sweep(fx: &Fixture, g: &mut Guards) -> Fields {
     ]
 }
 
+/// `qdp_sim::kernels::local_index`: the outcome of full index `i` under
+/// the target `masks`, `masks[0]` most significant.
+fn local_index(full_index: usize, masks: &[usize]) -> usize {
+    let k = masks.len();
+    let mut local = 0usize;
+    for (j, &mask) in masks.iter().enumerate() {
+        if full_index & mask != 0 {
+            local |= 1 << (k - 1 - j);
+        }
+    }
+    local
+}
+
+/// The full-index masks of a ≤ 2-target computational measurement.
+fn outcome_masks(n_qubits: usize, targets: &[usize]) -> ([usize; 2], usize) {
+    let k = targets.len();
+    assert!(k <= 2, "the per-row AoS baseline covers ≤ 2 targets");
+    let mut masks = [0usize; 2];
+    for (j, &t) in targets.iter().enumerate() {
+        masks[j] = 1usize << qubit_bit(n_qubits, t);
+    }
+    (masks, k)
+}
+
+/// Per-row AoS baseline of [`block_measurement`]: the computational branch
+/// probabilities of one interleaved row — one bucket per outcome, lane
+/// `i % 4` partials, combined `(p0 + p1) + (p2 + p3)` — the per-row walk
+/// the guard's floor was measured against. Kept out of line, as a library
+/// call is, so the target count stays a run-time value.
+#[inline(never)]
+fn aos_row_probabilities(
+    n_qubits: usize,
+    targets: &[usize],
+    amps: &[C64],
+    probs: &mut Vec<f64>,
+) {
+    assert_eq!(amps.len(), 1usize << n_qubits, "amplitude slice length mismatch");
+    let (masks, k) = outcome_masks(n_qubits, targets);
+    probs.clear();
+    probs.resize(1 << k, 0.0);
+    let mut acc = [[0.0f64; 4]; 4];
+    for (i, a) in amps.iter().enumerate() {
+        acc[local_index(i, &masks[..k])][i % 4] += a.norm_sqr();
+    }
+    for (m, p) in probs.iter_mut().enumerate() {
+        *p = (acc[m][0] + acc[m][1]) + (acc[m][2] + acc[m][3]);
+    }
+}
+
+/// Per-row AoS baseline of [`block_measurement`]: one interleaved row's
+/// computational collapse onto `outcome`, appended to `out` — members
+/// copied, non-members multiplied component-wise by `0.0`. Kept out of
+/// line like [`aos_row_probabilities`].
+#[inline(never)]
+fn aos_row_collapse(
+    n_qubits: usize,
+    targets: &[usize],
+    amps: &[C64],
+    outcome: usize,
+    out: &mut Vec<C64>,
+) {
+    assert_eq!(amps.len(), 1usize << n_qubits, "amplitude slice length mismatch");
+    let (masks, k) = outcome_masks(n_qubits, targets);
+    out.reserve(amps.len());
+    for (i, a) in amps.iter().enumerate() {
+        out.push(if local_index(i, &masks[..k]) == outcome {
+            *a
+        } else {
+            C64::new(a.re * 0.0, a.im * 0.0)
+        });
+    }
+}
+
 /// The block measurement kernels on the seam batch — the outcome
 /// probabilities of qubit 4 in every row (`branch_probabilities_block`)
 /// and the collapse of every row onto outcome 0 (`collapse_block_into`) —
-/// against the per-row AoS oracle forms `branch_probabilities_into` and
-/// `collapse_amps_into` on the same 16 rows.
+/// against the per-row AoS baselines [`aos_row_probabilities`] and
+/// [`aos_row_collapse`] on the same 16 rows.
 fn block_measurement(_: &Fixture, g: &mut Guards) -> Fields {
     let states = seam_states();
     let batch = BatchedStates::from_states(&states);
     let rows: Vec<Vec<C64>> = states.iter().map(StateVector::amplitudes).collect();
     let selected: Vec<usize> = (0..rows.len()).collect();
     let meas = Measurement::computational(vec![4]);
+    let targets = meas.targets();
     let (mut table, mut out_re, mut out_im) = (Vec::new(), Vec::new(), Vec::new());
     let (mut probs, mut out) = (Vec::new(), Vec::new());
+    // The baseline computes the block kernels' bits, row by row.
+    let (re, im) = batch.planes();
+    meas.branch_probabilities_block(SEAM_QUBITS, re, im, &mut table);
+    meas.collapse_block_into(SEAM_QUBITS, re, im, &selected, 0, &mut out_re, &mut out_im);
+    for (r, row) in rows.iter().enumerate() {
+        aos_row_probabilities(SEAM_QUBITS, targets, row, &mut probs);
+        let want: Vec<u64> = table[2 * r..2 * r + 2].iter().map(|p| p.to_bits()).collect();
+        assert_eq!(probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>(), want, "row {r}");
+        aos_row_collapse(SEAM_QUBITS, targets, row, 0, &mut out);
+    }
+    let block_amps = qdp_sim::kernels::planes_to_aos(&out_re, &out_im);
+    let amp_bits = |a: &C64| (a.re.to_bits(), a.im.to_bits());
+    assert!(out.iter().map(amp_bits).eq(block_amps.iter().map(amp_bits)), "collapse baseline");
     let (block_ns, per_row_ns) = paired_ns(|is_block| {
         if is_block {
             let (re, im) = batch.planes();
@@ -1113,8 +1206,8 @@ fn block_measurement(_: &Fixture, g: &mut Guards) -> Fields {
         } else {
             out.clear();
             for row in &rows {
-                meas.branch_probabilities_into(SEAM_QUBITS, row, &mut probs);
-                meas.collapse_amps_into(SEAM_QUBITS, row, 0, &mut out);
+                aos_row_probabilities(SEAM_QUBITS, targets, row, &mut probs);
+                aos_row_collapse(SEAM_QUBITS, targets, row, 0, &mut out);
             }
             black_box((&probs, &out));
         }

@@ -301,12 +301,11 @@ impl PreparedDerivativeEstimator {
                 continue;
             }
             let inputs: Vec<&StateVector> = rows.iter().map(|&r| &ext_inputs[r]).collect();
-            let values = engine.sample_sweep(
-                BatchedStates::gather(&inputs),
-                &counts,
-                &mut samplers,
-                &self.readout,
-            );
+            // Unmonitored engines: any error panics with its message, as the
+            // former infallible `sample_sweep` did.
+            let values = engine
+                .sample_sweep(BatchedStates::gather(&inputs), &counts, &mut samplers, &self.readout)
+                .unwrap_or_else(|e| panic!("{e}"));
             let mut rest = values.as_slice();
             for (&r, &k) in rows.iter().zip(&counts) {
                 let (row, tail) = rest.split_at(k);

@@ -476,7 +476,7 @@ impl GradientEngine {
     /// once: the forward program is resolved and the read-out decomposed
     /// **once**, then each shot tile runs as one sampled sweep over every
     /// row's shots (row `r` on stream `row_seeds[r]`; see
-    /// [`qdp_sim::ShotEngine::try_estimate_expectation_batch`]). Entry `r`
+    /// [`qdp_sim::ShotEngine::estimate_expectation_batch`]). Entry `r`
     /// is bit-identical to the single-input call with the same seed, under
     /// any thread count.
     ///
@@ -508,7 +508,7 @@ impl GradientEngine {
         let engine = qdp_sim::ShotEngine::new(fwd.trajectory_at(0, &values));
         let readout = qdp_sim::ProjectiveObservable::new(obs);
         engine
-            .try_estimate_expectation_batch(inputs, &readout, shots, row_seeds)
+            .estimate_expectation_batch(inputs, &readout, shots, row_seeds)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 

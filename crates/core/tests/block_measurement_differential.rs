@@ -1,18 +1,18 @@
 //! Differential tests of the **block-level measurement engine** against
 //! the per-row oracles.
 //!
-//! PR 5 replaced the per-row measurement loops of the batched executors
-//! (`branch_probabilities_into` / `collapse_amps_into` per row, fresh
-//! outcome buckets per fork) with block kernels — one bucketed
-//! probability sweep per group, one strided collapse pass per outcome, a
-//! pooled scratch arena — in both execution modes. This suite pins the
-//! contract at every level:
+//! The batched executors measure whole blocks — one bucketed probability
+//! sweep per group, one strided collapse pass per outcome, a pooled
+//! scratch arena — in both execution modes, and a single row is a block of
+//! one. This suite pins the contract at every level:
 //!
 //! * the block kernels themselves
 //!   (`Measurement::branch_probabilities_block` /
-//!   `Measurement::collapse_block_into`) match the per-row
-//!   `branch_probabilities_pure` / `collapse_pure` oracle **bitwise**,
-//!   signed zeros included, on random states and row selections;
+//!   `Measurement::collapse_block_into`) match the all-branches oracle
+//!   `Measurement::branches_pure` (every branch built by `with_gate`)
+//!   **bitwise**, signed zeros included, on random states and row
+//!   selections, and agree with the single-row calls
+//!   `branch_probabilities_pure` / `collapse_pure` beside it;
 //! * exact expectations of randomized **branching** programs (n ≤ 8,
 //!   `case`s, resets, bounded `while` unrolls, derivative multisets) over
 //!   batches of 1/2/16/33 match the per-row enumeration oracle to
@@ -230,17 +230,17 @@ fn block_probability_kernel_matches_per_row_oracle_bitwise() {
             let outcomes = meas.num_outcomes();
             assert_eq!(table.len(), rows * outcomes);
             for (r, psi) in states.iter().enumerate() {
-                let oracle = meas.branch_probabilities_pure(psi);
+                let oracle = meas.branches_pure(psi);
+                let single = meas.branch_probabilities_pure(psi);
+                assert_eq!(oracle.len(), outcomes);
                 for (m, (a, b)) in table[r * outcomes..(r + 1) * outcomes]
                     .iter()
                     .zip(&oracle)
                     .enumerate()
                 {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "n {n} targets {targets:?} rows {rows} row {r} outcome {m}"
-                    );
+                    let what = format!("n {n} targets {targets:?} rows {rows} row {r} outcome {m}");
+                    assert_eq!(a.to_bits(), b.probability.to_bits(), "{what}");
+                    assert_eq!(a.to_bits(), single[m].to_bits(), "{what} (single row)");
                 }
             }
         }
@@ -273,16 +273,17 @@ fn block_collapse_kernel_matches_per_row_oracle_bitwise() {
                 assert_eq!(block_re.len(), selected.len() * dim);
                 assert_eq!(block_im.len(), selected.len() * dim);
                 for (j, &r) in selected.iter().enumerate() {
-                    let oracle = meas.collapse_pure(&states[r], outcome);
-                    let (ore, oim) = oracle.planes();
-                    assert_eq!(
-                        plane_bits(
-                            &block_re[j * dim..(j + 1) * dim],
-                            &block_im[j * dim..(j + 1) * dim]
-                        ),
-                        plane_bits(ore, oim),
-                        "n {n} selection {selected:?} outcome {outcome} row {r}"
+                    let block = plane_bits(
+                        &block_re[j * dim..(j + 1) * dim],
+                        &block_im[j * dim..(j + 1) * dim],
                     );
+                    let what = format!("n {n} selection {selected:?} outcome {outcome} row {r}");
+                    let oracle = &meas.branches_pure(&states[r])[outcome].state;
+                    let (ore, oim) = oracle.planes();
+                    assert_eq!(block, plane_bits(ore, oim), "{what}");
+                    let single = meas.collapse_pure(&states[r], outcome);
+                    let (sre, sim) = single.planes();
+                    assert_eq!(block, plane_bits(sre, sim), "{what} (single row)");
                 }
             }
         }
@@ -349,7 +350,9 @@ fn sampled_trajectories_are_bitwise_invariant_under_batch_composition() {
             let mut samplers: Vec<ShotSampler> = (0..rows)
                 .map(|r| ShotSampler::derived(seed, r as u64))
                 .collect();
-            let grouped = engine.run(BatchedStates::from_states(&states), &vec![1; rows], &mut samplers);
+            let grouped = engine
+                .run(BatchedStates::from_states(&states), &vec![1; rows], &mut samplers)
+                .unwrap();
             for (r, psi) in states.iter().enumerate() {
                 let mut solo_sampler = vec![ShotSampler::derived(seed, r as u64)];
                 let solo = engine
@@ -358,6 +361,7 @@ fn sampled_trajectories_are_bitwise_invariant_under_batch_composition() {
                         &[1],
                         &mut solo_sampler,
                     )
+                    .unwrap()
                     .remove(0);
                 assert_eq!(
                     solo.outcomes, grouped[r].outcomes,
@@ -422,18 +426,23 @@ fn mass_budget_error_is_bounded_on_randomized_programs() {
         let traj = lowered.programs()[0].resolve(&values).to_trajectory();
         let states = random_batch(&mut rng, case.register.len(), 9);
         let batch = BatchedStates::from_states(&states);
-        let unpruned =
-            ShotEngine::new(traj.clone()).expectation_sweep(batch.clone(), &case.obs);
+        let unpruned = ShotEngine::new(traj.clone())
+            .expectation_sweep(batch.clone(), &case.obs)
+            .unwrap();
         let zero = ShotEngine::new(traj.clone())
             .with_mass_budget(0.0)
-            .expectation_sweep(batch.clone(), &case.obs);
+            .unwrap()
+            .expectation_sweep(batch.clone(), &case.obs)
+            .unwrap();
         for (r, (a, b)) in unpruned.iter().zip(&zero).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "case {ci} row {r}: ε = 0 moved bits");
         }
         for epsilon in [0.02, 0.2] {
             let pruned = ShotEngine::new(traj.clone())
                 .with_mass_budget(epsilon)
-                .expectation_sweep(batch.clone(), &case.obs);
+                .unwrap()
+                .expectation_sweep(batch.clone(), &case.obs)
+                .unwrap();
             for (r, (p, e)) in pruned.iter().zip(&unpruned).enumerate() {
                 assert!(
                     (p - e).abs() <= epsilon + 1e-12,

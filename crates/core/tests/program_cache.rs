@@ -178,8 +178,8 @@ fn trajectory_skeleton_patching_matches_fresh_resolution_bitwise() {
                 .map(|r| ShotSampler::derived(seed, r as u64))
                 .collect();
             let shots = vec![1; inputs.len()];
-            let out_a = patched.run(BatchedStates::from_states(&inputs), &shots, &mut samplers_a);
-            let out_b = resolved.run(BatchedStates::from_states(&inputs), &shots, &mut samplers_b);
+            let out_a = patched.run(BatchedStates::from_states(&inputs), &shots, &mut samplers_a).unwrap();
+            let out_b = resolved.run(BatchedStates::from_states(&inputs), &shots, &mut samplers_b).unwrap();
             for (r, (a, b)) in out_a.iter().zip(&out_b).enumerate() {
                 assert_eq!(a.outcomes, b.outcomes, "trial {trial} round {round} row {r}");
                 match (&a.state, &b.state) {

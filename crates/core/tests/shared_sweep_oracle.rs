@@ -104,6 +104,7 @@ fn multiset_oracle(
         .map(|p| {
             ShotEngine::new(p.resolve(&values).to_trajectory())
                 .expectation_sweep(batch.clone(), obs)
+                .unwrap()
         })
         .collect();
     if columns.is_empty() {

@@ -141,7 +141,7 @@ fn check_program(program: &Stmt, params: &Params, rng: &mut StdRng, seed: u64) {
             .map(|r| ShotSampler::derived(seed, r as u64))
             .collect();
         let shots = vec![1; batch_size];
-        let batched = engine.run(BatchedStates::from_states(&inputs), &shots, &mut samplers);
+        let batched = engine.run(BatchedStates::from_states(&inputs), &shots, &mut samplers).unwrap();
 
         for (r, input) in inputs.iter().enumerate() {
             let mut serial_sampler = ShotSampler::derived(seed, r as u64);
@@ -263,7 +263,7 @@ fn batched_trajectories_of_derivative_multisets_match_serial() {
             let mut samplers: Vec<ShotSampler> = (0..batch_size)
                 .map(|r| ShotSampler::derived(seed, r as u64))
                 .collect();
-            let batched = engine.run(BatchedStates::from_states(&rows), &shots, &mut samplers);
+            let batched = engine.run(BatchedStates::from_states(&rows), &shots, &mut samplers).unwrap();
             for (r, &input) in inputs.iter().enumerate() {
                 let mut sampler = ShotSampler::derived(seed, r as u64);
                 let mut outcomes = Vec::new();

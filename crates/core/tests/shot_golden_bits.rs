@@ -3,7 +3,7 @@
 //! single bit fails here even when every self-consistency suite (batched
 //! vs serial, grouped vs solo, 1 vs 8 threads) still agrees with itself.
 //!
-//! * `ShotEngine::try_estimate_expectation_batch` on one input of a
+//! * `ShotEngine::estimate_expectation_batch` on one input of a
 //!   hand-built program with a reset, nested `case`s and an aborting arm,
 //!   and `ShotEngine::run` of that program on one input with 64 shots
 //!   (every outcome and every
@@ -96,7 +96,7 @@ fn one_row_estimate_expectation_bits() {
     let shots = 3 * SHOT_TILE + 17;
     assert_golden("one-row estimate_expectation_batch", 0xbfe2_dfb6_f348_1243, || {
         engine
-            .try_estimate_expectation_batch(std::slice::from_ref(&psi), &readout, shots, &[0x601D])
+            .estimate_expectation_batch(std::slice::from_ref(&psi), &readout, shots, &[0x601D])
             .unwrap()[0]
             .to_bits()
     });
@@ -110,7 +110,9 @@ fn repeated_run_state_bits() {
     assert_golden("run on a repeated input", 0xdb00_26c2_656e_24e7, || {
         let mut samplers: Vec<ShotSampler> =
             (0..64).map(|s| ShotSampler::derived(0x5EA, s)).collect();
-        let rows = engine.run(BatchedStates::from_states(std::slice::from_ref(&psi)), &[64], &mut samplers);
+        let rows = engine
+            .run(BatchedStates::from_states(std::slice::from_ref(&psi)), &[64], &mut samplers)
+            .unwrap();
         rows.iter().fold(FNV_OFFSET, |h, row| {
             let h = row.outcomes.iter().fold(h, |h, &o| fnv(h, o as u64));
             match &row.state {

@@ -150,12 +150,6 @@ impl Matrix {
         self.data[i * self.cols + j] = value;
     }
 
-    /// Adds `value` to the entry at `(i, j)`.
-    #[inline]
-    pub fn add_to(&mut self, i: usize, j: usize, value: C64) {
-        self.data[i * self.cols + j] += value;
-    }
-
     /// Entry at `(i, j)` without bounds checking.
     ///
     /// # Safety

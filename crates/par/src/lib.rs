@@ -552,22 +552,6 @@ where
     rethrow_first(fork_join(claimed, parts, &|(offset, c)| f(offset, c)));
 }
 
-/// Parallel iteration over two equal-length mutable slices split at the same
-/// points: `f(a_chunk, b_chunk)` sees corresponding chunks. Used by kernels
-/// whose index orbits pair element `i` of one half with element `i` of the
-/// other (e.g. a gate on the top bit).
-///
-/// # Panics
-///
-/// Panics when the slices have different lengths.
-pub fn par_zip_chunks_mut<T, F>(a: &mut [T], b: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(&mut [T], &mut [T]) + Sync,
-{
-    par_chunks2_mut(a, b, 1, |_, ca, cb| f(ca, cb));
-}
-
 /// Parallel iteration over two equal-length mutable slices split at the
 /// same aligned points: `f(offset, a_chunk, b_chunk)` sees corresponding
 /// chunks of both slices, with `offset` the index of the chunks' first
@@ -746,23 +730,6 @@ mod tests {
         let mut c = vec![0u8; 3];
         let mut d = vec![0u8; 4];
         par_zip4_chunks_mut(&mut a, &mut b, &mut c, &mut d, |_, _, _, _| {});
-    }
-
-    #[test]
-    fn par_zip_chunks_mut_pairs_corresponding_elements() {
-        let mut a: Vec<usize> = (0..5000).collect();
-        let mut b: Vec<usize> = (0..5000).map(|x| x * 10).collect();
-        par_zip_chunks_mut(&mut a, &mut b, |ca, cb| {
-            for (x, y) in ca.iter_mut().zip(cb.iter_mut()) {
-                let (nx, ny) = (*y, *x);
-                *x = nx;
-                *y = ny;
-            }
-        });
-        for i in 0..5000 {
-            assert_eq!(a[i], i * 10);
-            assert_eq!(b[i], i);
-        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub const L2_TILE_AMPS: usize = 1 << 14;
 /// for (r, input) in inputs.iter().enumerate() {
 ///     // Each row evolves exactly as the single-state path would.
 ///     let expected = input.with_gate(&Matrix::hadamard(), &[0]);
-///     assert_eq!(batch.row(r), expected.amplitudes());
+///     assert_eq!(batch.row_state(r).amplitudes(), expected.amplitudes());
 /// }
 /// ```
 #[derive(Clone, Debug, PartialEq)]
@@ -184,16 +184,6 @@ impl BatchedStates {
     /// Mutably borrows the full contiguous `(re, im)` planes.
     pub fn planes_mut(&mut self) -> (&mut [f64], &mut [f64]) {
         (&mut self.re, &mut self.im)
-    }
-
-    /// Gathers row `r` into an owned interleaved copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `r` is out of range.
-    pub fn row(&self, r: usize) -> Vec<C64> {
-        let (re, im) = self.row_planes(r);
-        planes_to_aos(re, im)
     }
 
     /// Borrows row `r`'s `(re, im)` planes.
@@ -387,7 +377,7 @@ mod tests {
             s.apply_gate(&cnot, &[1, 2]);
         }
         for (r, s) in states.iter().enumerate() {
-            assert_eq!(batch.row(r), s.amplitudes(), "row {r}");
+            assert_eq!(batch.row_state(r).amplitudes(), s.amplitudes(), "row {r}");
         }
     }
 
@@ -409,7 +399,7 @@ mod tests {
             s.apply_gate(&rz, &[9]);
         }
         for (r, s) in states.iter().enumerate() {
-            assert_eq!(batch.row(r), s.amplitudes(), "row {r}");
+            assert_eq!(batch.row_state(r).amplitudes(), s.amplitudes(), "row {r}");
         }
     }
 
@@ -421,9 +411,9 @@ mod tests {
         let ext = batch.prepend_zero_ancilla();
         assert_eq!(ext.num_qubits(), 3);
         let expected0 = StateVector::zero_state(1).tensor(&plus);
-        assert_eq!(ext.row(0), expected0.amplitudes());
+        assert_eq!(ext.row_state(0).amplitudes(), expected0.amplitudes());
         let expected1 = StateVector::zero_state(1).tensor(&StateVector::basis_state(2, 3));
-        assert_eq!(ext.row(1), expected1.amplitudes());
+        assert_eq!(ext.row_state(1).amplitudes(), expected1.amplitudes());
     }
 
     #[test]

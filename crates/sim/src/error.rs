@@ -97,7 +97,7 @@ pub enum QdpError {
         /// The relative tolerance that was exceeded.
         tolerance: f64,
     },
-    /// `ShotEngine::try_with_mass_budget` was given an ε outside `[0, 1)`
+    /// `ShotEngine::with_mass_budget` was given an ε outside `[0, 1)`
     /// or a non-finite ε.
     InvalidMassBudget {
         /// The rejected value.

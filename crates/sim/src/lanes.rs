@@ -154,18 +154,6 @@ pub(crate) fn add_run(acc: &mut [f64; LANES], re: &[f64], im: &[f64], start: usi
     }
 }
 
-/// Lane-split `Σᵢ |amps[i]|²` over an interleaved `C64` slice — the same
-/// contract as [`sum_norm_sqr`] ([`qdp_linalg::C64::norm_sqr`] **is**
-/// `re² + im²`), kept for the retained AoS oracle paths so their sums
-/// carry the identical bits as the split-plane engine.
-pub(crate) fn sum_norm_sqr_aos(amps: &[qdp_linalg::C64]) -> f64 {
-    let mut acc = [0.0f64; LANES];
-    for (i, a) in amps.iter().enumerate() {
-        acc[i % LANES] += a.norm_sqr();
-    }
-    combine(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,20 +266,6 @@ mod tests {
         padded_re[16..24].copy_from_slice(&re[16..24]);
         padded_im[16..24].copy_from_slice(&im[16..24]);
         assert_eq!(bucket.to_bits(), sum_norm_sqr(&padded_re, &padded_im).to_bits());
-    }
-
-    #[test]
-    fn aos_sum_matches_plane_sum_bitwise() {
-        let (re, im) = planes(33, 5);
-        let amps: Vec<qdp_linalg::C64> = re
-            .iter()
-            .zip(&im)
-            .map(|(&r, &i)| qdp_linalg::C64::new(r, i))
-            .collect();
-        assert_eq!(
-            sum_norm_sqr_aos(&amps).to_bits(),
-            sum_norm_sqr(&re, &im).to_bits()
-        );
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! so probabilities ride along inside the partial density operators.
 
 use crate::density::DensityMatrix;
-use crate::kernels::{apply_matrix_planes, apply_matrix_reference, local_index, qubit_bit};
+use crate::kernels::{apply_matrix_planes, qubit_bit};
 use crate::lanes;
 use crate::state::StateVector;
-use qdp_linalg::{C64, Matrix};
+use qdp_linalg::Matrix;
 
 /// One row's bucketed lane-split `|amp|²` sweep over split planes: each
 /// constant-outcome **run** of indices feeds its bucket's partials through
@@ -272,7 +272,8 @@ impl Measurement {
     }
 
     /// The branch probabilities `pm = ‖Mm|ψ⟩‖²` of every outcome, without
-    /// keeping the branch states.
+    /// keeping the branch states: [`branch_probabilities_block`] on a
+    /// block of one row.
     ///
     /// For computational measurements on ≤ 2 targets this is a **single
     /// bucketed `|amp|²` pass** over the state: each amplitude contributes
@@ -282,101 +283,13 @@ impl Measurement {
     /// (non-members contribute exact `+0.0` there), so the results equal
     /// [`branches_pure`](Self::branches_pure)'s probabilities **bit for
     /// bit**. Other measurements fall back to applying each operator.
+    ///
+    /// [`branch_probabilities_block`]: Self::branch_probabilities_block
     pub fn branch_probabilities_pure(&self, psi: &StateVector) -> Vec<f64> {
         let mut probs = Vec::new();
         let (re, im) = psi.planes();
-        self.branch_probabilities_planes_into(psi.num_qubits(), re, im, &mut probs);
+        self.branch_probabilities_block(psi.num_qubits(), re, im, &mut probs);
         probs
-    }
-
-    /// [`branch_probabilities_pure`](Self::branch_probabilities_pure) on a
-    /// raw amplitude slice — what batched executors call on the rows of a
-    /// `BatchedStates` block without copying them out first.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `amps.len() != 2^n_qubits`.
-    pub fn branch_probabilities_amps(&self, n_qubits: usize, amps: &[C64]) -> Vec<f64> {
-        let mut probs = Vec::new();
-        self.branch_probabilities_into(n_qubits, amps, &mut probs);
-        probs
-    }
-
-    /// [`branch_probabilities_amps`](Self::branch_probabilities_amps)
-    /// writing into a reusable buffer (cleared and refilled) — the retained
-    /// **AoS oracle form**: it walks an interleaved `C64` slice amplitude
-    /// by amplitude, yet accumulates on the same global-index lane partials
-    /// as the split-plane engine, so its results pin the plane forms
-    /// bit for bit across the layout seam.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `amps.len() != 2^n_qubits`.
-    pub fn branch_probabilities_into(&self, n_qubits: usize, amps: &[C64], probs: &mut Vec<f64>) {
-        assert_eq!(amps.len(), 1usize << n_qubits, "amplitude slice length mismatch");
-        probs.clear();
-        probs.resize(self.num_outcomes(), 0.0);
-        if !self.fast_computational() {
-            // One scratch buffer for all operators: each `Mm|ψ⟩` goes
-            // through the reference scan, which differs from `with_gate` at
-            // most in the sign of a zero — invisible to `|amp|²`.
-            let mut scratch: Vec<C64> = Vec::with_capacity(amps.len());
-            for (m, op) in self.operators.iter().enumerate() {
-                scratch.clear();
-                scratch.extend_from_slice(amps);
-                apply_matrix_reference(&mut scratch, n_qubits, op, &self.targets);
-                probs[m] = lanes::sum_norm_sqr_aos(&scratch);
-            }
-            return;
-        }
-        let (masks, k) = self.outcome_masks(n_qubits);
-        let mut acc = [[0.0f64; lanes::LANES]; 4];
-        for (i, a) in amps.iter().enumerate() {
-            acc[local_index(i, &masks[..k])][i % lanes::LANES] += a.norm_sqr();
-        }
-        for (m, p) in probs.iter_mut().enumerate() {
-            *p = lanes::combine(acc[m]);
-        }
-    }
-
-    /// [`branch_probabilities_into`](Self::branch_probabilities_into) on
-    /// one row's split `re`/`im` planes — the form the split-plane engine
-    /// calls. Fast-path buckets accumulate run by run through
-    /// `lanes::add_run`, which reproduces the AoS oracle's bits exactly
-    /// (both follow the global-index lane contract of the `lanes` module).
-    ///
-    /// # Panics
-    ///
-    /// Panics when either plane's length is not `2^n_qubits`.
-    pub fn branch_probabilities_planes_into(
-        &self,
-        n_qubits: usize,
-        re: &[f64],
-        im: &[f64],
-        probs: &mut Vec<f64>,
-    ) {
-        let dim = 1usize << n_qubits;
-        assert!(
-            re.len() == dim && im.len() == dim,
-            "amplitude plane length mismatch"
-        );
-        probs.clear();
-        probs.resize(self.num_outcomes(), 0.0);
-        if !self.fast_computational() {
-            let mut scratch_re: Vec<f64> = Vec::with_capacity(dim);
-            let mut scratch_im: Vec<f64> = Vec::with_capacity(dim);
-            for (m, op) in self.operators.iter().enumerate() {
-                scratch_re.clear();
-                scratch_re.extend_from_slice(re);
-                scratch_im.clear();
-                scratch_im.extend_from_slice(im);
-                apply_matrix_planes(&mut scratch_re, &mut scratch_im, n_qubits, op, &self.targets);
-                probs[m] = lanes::sum_norm_sqr(&scratch_re, &scratch_im);
-            }
-            return;
-        }
-        let (masks, k) = self.outcome_masks(n_qubits);
-        fast_bucket_probs(re, im, &masks[..k], probs);
     }
 
     /// The branch probabilities of **every row** of a contiguous
@@ -385,17 +298,15 @@ impl Measurement {
     /// and refilled with `rows × num_outcomes` entries, row `r`'s
     /// probabilities at `table[r·outcomes .. (r+1)·outcomes]`.
     ///
-    /// Each row's buckets accumulate the identical values on the identical
-    /// global-index lane partials as [`branch_probabilities_into`] on that
-    /// row alone, so the table matches per-row calls (plane **or** AoS
-    /// oracle form) **bit for bit** — the block form merely amortises the
-    /// outcome-mask setup and the dispatch over the group. The run-based
-    /// sweep walks both planes contiguously, which is what lets the
-    /// autovectorizer keep the four lane partials in one vector register.
-    /// Non-computational measurements apply each operator per row through
-    /// one shared pair of scratch planes.
-    ///
-    /// [`branch_probabilities_into`]: Measurement::branch_probabilities_into
+    /// Each row's buckets accumulate on the global-index lane partials of
+    /// that row alone, so every row's entries equal
+    /// [`branches_pure`](Self::branches_pure)'s probabilities on that row
+    /// **bit for bit**; the block merely amortises the outcome-mask setup
+    /// and the dispatch over the group. The run-based sweep walks both
+    /// planes contiguously, which is what lets the autovectorizer keep the
+    /// four lane partials in one vector register. Non-computational
+    /// measurements apply each operator per row through one shared pair of
+    /// scratch planes.
     ///
     /// # Panics
     ///
@@ -453,118 +364,27 @@ impl Measurement {
     /// selected-branch half of the fast collapse: callers that already know
     /// the outcome (from [`branch_probabilities_pure`](Self::branch_probabilities_pure)
     /// and a draw, or from exact branch enumeration) materialise only this
-    /// branch instead of all of them.
+    /// branch instead of all of them. It is
+    /// [`collapse_block_into`](Self::collapse_block_into) on a block of one
+    /// row.
     ///
     /// For computational measurements on ≤ 2 targets the projector is
     /// applied as a masked copy replicating the diagonal kernel's
     /// arithmetic exactly (members untouched, non-members multiplied
     /// component-wise by `0.0`, preserving IEEE signed zeros) — the result
     /// equals `psi.with_gate(&operators[outcome], targets)` **bit for
-    /// bit**; other measurements go through that very call.
+    /// bit**; other measurements go through that very kernel.
     ///
     /// # Panics
     ///
     /// Panics when `outcome` is out of range.
     pub fn collapse_pure(&self, psi: &StateVector, outcome: usize) -> StateVector {
         let n = psi.num_qubits();
-        let mut out_re = Vec::with_capacity(psi.dim());
-        let mut out_im = Vec::with_capacity(psi.dim());
+        let mut out_re = Vec::new();
+        let mut out_im = Vec::new();
         let (re, im) = psi.planes();
-        self.collapse_planes_into(n, re, im, outcome, &mut out_re, &mut out_im);
+        self.collapse_block_into(n, re, im, &[0], outcome, &mut out_re, &mut out_im);
         StateVector::from_planes(n, out_re, out_im)
-    }
-
-    /// [`collapse_pure`](Self::collapse_pure) on an interleaved `C64` slice,
-    /// appending the collapsed amplitudes onto the end of `out` — the
-    /// retained **AoS oracle form** of
-    /// [`collapse_planes_into`](Self::collapse_planes_into). Computational
-    /// measurements take the same masked copy as the plane form (signed
-    /// zeros included); general operators go through the reference scan,
-    /// which agrees with the plane kernels up to the sign of zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `outcome` is out of range or `amps.len() != 2^n_qubits`.
-    pub fn collapse_amps_into(
-        &self,
-        n_qubits: usize,
-        amps: &[C64],
-        outcome: usize,
-        out: &mut Vec<C64>,
-    ) {
-        assert!(outcome < self.num_outcomes(), "outcome {outcome} out of range");
-        assert_eq!(amps.len(), 1usize << n_qubits, "amplitude slice length mismatch");
-        if !self.fast_computational() {
-            // Copy once onto the destination and apply the operator in
-            // place through the reference scan: `with_gate`'s values, up to
-            // the sign of zero where the operator has zero entries.
-            let start = out.len();
-            out.extend_from_slice(amps);
-            apply_matrix_reference(
-                &mut out[start..],
-                n_qubits,
-                &self.operators[outcome],
-                &self.targets,
-            );
-            return;
-        }
-        let (masks, k) = self.outcome_masks(n_qubits);
-        out.reserve(amps.len());
-        for (i, a) in amps.iter().enumerate() {
-            out.push(if local_index(i, &masks[..k]) == outcome {
-                *a
-            } else {
-                // The diagonal kernel multiplies non-members by the real
-                // scalar 0.0 component-wise; pushing `C64::ZERO` would
-                // lose the signed zeros it produces.
-                C64::new(a.re * 0.0, a.im * 0.0)
-            });
-        }
-    }
-
-    /// [`collapse_amps_into`](Self::collapse_amps_into) on one row's split
-    /// `re`/`im` planes, appending the collapsed row to the destination
-    /// planes — the form the split-plane engine calls. The masked copy is
-    /// the identical arithmetic as the AoS oracle form (signed zeros
-    /// included), so for computational measurements the two layouts agree
-    /// bit for bit; general operators agree up to the sign of zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `outcome` is out of range or either plane's length is
-    /// not `2^n_qubits`.
-    pub fn collapse_planes_into(
-        &self,
-        n_qubits: usize,
-        re: &[f64],
-        im: &[f64],
-        outcome: usize,
-        out_re: &mut Vec<f64>,
-        out_im: &mut Vec<f64>,
-    ) {
-        assert!(outcome < self.num_outcomes(), "outcome {outcome} out of range");
-        let dim = 1usize << n_qubits;
-        assert!(
-            re.len() == dim && im.len() == dim,
-            "amplitude plane length mismatch"
-        );
-        if !self.fast_computational() {
-            let start = out_re.len();
-            out_re.extend_from_slice(re);
-            out_im.extend_from_slice(im);
-            apply_matrix_planes(
-                &mut out_re[start..],
-                &mut out_im[start..],
-                n_qubits,
-                &self.operators[outcome],
-                &self.targets,
-            );
-            return;
-        }
-        let (masks, k) = self.outcome_masks(n_qubits);
-        out_re.reserve(dim);
-        out_im.reserve(dim);
-        collapse_row_planes(re, im, &masks[..k], outcome, out_re, out_im);
     }
 
     /// Materialises outcome `outcome`'s unnormalised branch of the
@@ -572,14 +392,15 @@ impl Measurement {
     /// amplitude planes: one strided pass over the surviving source rows
     /// (in `rows` order), appending each collapsed row to the destination
     /// planes — how the block-level regrouping fills one outcome's entire
-    /// sub-batch with a single call instead of one
-    /// [`collapse_planes_into`](Self::collapse_planes_into) per row.
+    /// sub-batch with a single call instead of one call per row.
     ///
-    /// Every row's collapse performs the identical masked copy as the
-    /// per-row paths in both layouts (non-members multiplied
+    /// Every selected row gets the masked copy of
+    /// [`collapse_pure`](Self::collapse_pure) (non-members multiplied
     /// component-wise by `0.0`, preserving the projector kernel's IEEE
-    /// signed zeros), so the destination block equals per-row calls **bit
-    /// for bit**.
+    /// signed zeros) or, for general operators, the operator applied to a
+    /// copy of the row, so each destination row equals
+    /// [`branches_pure`](Self::branches_pure)'s state on that row **bit for
+    /// bit**.
     ///
     /// # Panics
     ///
@@ -791,49 +612,90 @@ mod tests {
         (re, im)
     }
 
-    #[test]
-    fn block_probabilities_match_per_row_calls_bitwise() {
-        // The per-row oracle here is the retained **AoS** form, so this
-        // pin crosses the layout seam: split-plane block sweep vs
-        // interleaved per-row accumulation.
+    /// The `branches_pure` oracle on row `r` of a block.
+    fn row_branches(
+        m: &Measurement,
+        n: usize,
+        re: &[f64],
+        im: &[f64],
+        r: usize,
+    ) -> Vec<MeasurementBranch> {
+        let dim = 1usize << n;
+        let row = |plane: &[f64]| plane[r * dim..(r + 1) * dim].to_vec();
+        m.branches_pure(&StateVector::from_planes(n, row(re), row(im)))
+    }
+
+    fn plane_bits(re: &[f64], im: &[f64]) -> Vec<(u64, u64)> {
+        re.iter().zip(im).map(|(a, b)| (a.to_bits(), b.to_bits())).collect()
+    }
+
+    /// Pins `branch_probabilities_block` on every row of the block, and
+    /// `collapse_block_into` on every outcome of every selection, to the
+    /// `branches_pure` oracle bitwise, signed zeros included.
+    fn assert_block_forms_match_branches_pure(
+        label: &str,
+        m: &Measurement,
+        n: usize,
+        (re, im): (&[f64], &[f64]),
+        selections: &[Vec<usize>],
+    ) {
+        let dim = 1usize << n;
+        let rows = re.len() / dim;
+        let outcomes = m.num_outcomes();
+        let mut table = vec![-1.0]; // must be cleared, not appended
+        m.branch_probabilities_block(n, re, im, &mut table);
+        assert_eq!(table.len(), rows * outcomes, "{label}");
+        for r in 0..rows {
+            let branches = row_branches(m, n, re, im, r);
+            for (o, b) in branches.iter().enumerate() {
+                assert_eq!(
+                    table[r * outcomes + o].to_bits(),
+                    b.probability.to_bits(),
+                    "{label} rows {rows} row {r} outcome {o}"
+                );
+            }
+        }
+        for (si, selected) in selections.iter().enumerate() {
+            for outcome in 0..outcomes {
+                let (mut out_re, mut out_im) = (Vec::new(), Vec::new());
+                m.collapse_block_into(n, re, im, selected, outcome, &mut out_re, &mut out_im);
+                assert_eq!(out_re.len(), selected.len() * dim, "{label}");
+                for (j, &r) in selected.iter().enumerate() {
+                    let oracle = row_branches(m, n, re, im, r).swap_remove(outcome).state;
+                    let (ore, oim) = oracle.planes();
+                    let rows = j * dim..(j + 1) * dim;
+                    assert_eq!(
+                        plane_bits(&out_re[rows.clone()], &out_im[rows]),
+                        plane_bits(ore, oim),
+                        "{label} selection {si} outcome {outcome} row {r}"
+                    );
+                }
+            }
+        }
+    }
+
+    fn x_basis(target: usize) -> Measurement {
         let h = Matrix::hadamard();
-        let x_basis = Measurement::two_outcome(
+        Measurement::two_outcome(
             h.mul(&Matrix::basis_projector(2, 0)).mul(&h),
             h.mul(&Matrix::basis_projector(2, 1)).mul(&h),
-            vec![1],
-        );
+            vec![target],
+        )
+    }
+
+    #[test]
+    fn block_probabilities_match_per_row_calls_bitwise() {
         let measurements = [
             Measurement::computational(vec![0]),
             Measurement::computational(vec![3]),
             Measurement::computational(vec![2, 0]),
-            x_basis,
+            x_basis(1),
         ];
         for (mi, m) in measurements.iter().enumerate() {
             for rows in [1usize, 2, 5, 16] {
                 let (re, im) = awkward_block(4, rows, 100 * (mi as u64 + 1));
-                let mut table = vec![-1.0]; // must be cleared, not appended
-                m.branch_probabilities_block(4, &re, &im, &mut table);
-                assert_eq!(table.len(), rows * m.num_outcomes());
-                let dim = 1usize << 4;
-                let mut probs = Vec::new();
-                for r in 0..rows {
-                    let row = crate::kernels::planes_to_aos(
-                        &re[r * dim..(r + 1) * dim],
-                        &im[r * dim..(r + 1) * dim],
-                    );
-                    m.branch_probabilities_into(4, &row, &mut probs);
-                    for (o, (a, b)) in table[r * m.num_outcomes()..(r + 1) * m.num_outcomes()]
-                        .iter()
-                        .zip(&probs)
-                        .enumerate()
-                    {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "measurement {mi} rows {rows} row {r} outcome {o}"
-                        );
-                    }
-                }
+                let label = format!("measurement {mi}");
+                assert_block_forms_match_branches_pure(&label, m, 4, (&re, &im), &[]);
             }
         }
     }
@@ -842,64 +704,41 @@ mod tests {
     fn block_collapse_matches_per_row_calls_bitwise() {
         // Strided row selections included: the block pass must only touch
         // the selected rows, in selection order, with identical bits —
-        // signed zeros of the masked copy included. The per-row oracle is
-        // the retained AoS form, crossing the layout seam.
-        let h = Matrix::hadamard();
-        let x_basis = Measurement::two_outcome(
-            h.mul(&Matrix::basis_projector(2, 0)).mul(&h),
-            h.mul(&Matrix::basis_projector(2, 1)).mul(&h),
-            vec![0],
-        );
+        // signed zeros of the masked copy included.
         let measurements = [
             Measurement::computational(vec![1]),
             Measurement::computational(vec![3, 1]),
-            x_basis,
+            x_basis(0),
         ];
-        let dim = 1usize << 4;
+        let selections = [vec![0usize, 1, 2, 3, 4, 5, 6], vec![2], vec![6, 0, 3]];
         for (mi, m) in measurements.iter().enumerate() {
             let (re, im) = awkward_block(4, 7, 500 * (mi as u64 + 1));
-            for (si, selected) in [vec![0usize, 1, 2, 3, 4, 5, 6], vec![2], vec![6, 0, 3]]
-                .iter()
-                .enumerate()
-            {
-                for outcome in 0..m.num_outcomes() {
-                    let mut blocked_re = Vec::new();
-                    let mut blocked_im = Vec::new();
-                    m.collapse_block_into(
-                        4,
-                        &re,
-                        &im,
-                        selected,
-                        outcome,
-                        &mut blocked_re,
-                        &mut blocked_im,
-                    );
-                    assert_eq!(blocked_re.len(), selected.len() * dim);
-                    let mut per_row = Vec::new();
-                    for &r in selected {
-                        let row = crate::kernels::planes_to_aos(
-                            &re[r * dim..(r + 1) * dim],
-                            &im[r * dim..(r + 1) * dim],
-                        );
-                        m.collapse_amps_into(4, &row, outcome, &mut per_row);
-                    }
-                    let blocked_bits: Vec<(u64, u64)> = blocked_re
-                        .iter()
-                        .zip(&blocked_im)
-                        .map(|(a, b)| (a.to_bits(), b.to_bits()))
-                        .collect();
-                    let per_row_bits: Vec<(u64, u64)> = per_row
-                        .iter()
-                        .map(|a| (a.re.to_bits(), a.im.to_bits()))
-                        .collect();
-                    assert_eq!(
-                        blocked_bits,
-                        per_row_bits,
-                        "measurement {mi} selection {si} outcome {outcome}"
-                    );
-                }
-            }
+            let label = format!("measurement {mi}");
+            assert_block_forms_match_branches_pure(&label, m, 4, (&re, &im), &selections);
         }
+    }
+
+    #[test]
+    fn operator_application_shapes_match_branches_pure_bitwise() {
+        // The shapes the masked-copy fast path does not cover: the
+        // 8-outcome computational measurement a `case M[q1,q2,q3]` lowers
+        // to, and a 2-qubit Bell-basis measurement with general operators.
+        let bell = Matrix::cnot().mul(&Matrix::hadamard().kron(&Matrix::identity(2)));
+        let bell_basis = Measurement::new(
+            (0..4)
+                .map(|k| bell.mul(&Matrix::basis_projector(4, k)).mul(&bell.dagger()))
+                .collect(),
+            vec![2, 0],
+        );
+        let three_targets = Measurement::computational(vec![3, 0, 2]);
+        let shapes = [("3-target computational", &three_targets), ("Bell basis", &bell_basis)];
+        for (label, m) in shapes {
+            assert!(!m.fast_computational(), "{label} must take the operator path");
+            let (re, im) = awkward_block(4, 7, 900);
+            let selections = [(0..7).collect(), vec![5], vec![6, 1, 4, 2]];
+            assert_block_forms_match_branches_pure(label, m, 4, (&re, &im), &selections);
+        }
+        assert_eq!(three_targets.num_outcomes(), 8);
     }
 
     #[test]

@@ -723,6 +723,14 @@ mod tests {
             let plane = o.expectation_planes(re, im);
             let aos = o.expectation_amps(&psi.amplitudes());
             assert_eq!(plane.to_bits(), aos.to_bits(), "observable {oi}");
+            // The batched read-out, row by row.
+            let rows: Vec<StateVector> =
+                (0..3).map(|r| crate::test_support::awkward_state(4, 40 + r)).collect();
+            let batched = o.expectation_batch(&crate::batch::BatchedStates::from_states(&rows));
+            for (r, (b, row)) in batched.iter().zip(&rows).enumerate() {
+                let aos = o.expectation_amps(&row.amplitudes());
+                assert_eq!(b.to_bits(), aos.to_bits(), "observable {oi} row {r}");
+            }
         }
     }
 

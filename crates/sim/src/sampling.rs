@@ -179,11 +179,12 @@ struct DiagonalReadout {
 /// probabilities of a state come from **one bucketed `|amp|²` pass**
 /// instead of one expectation pass per projector. Detection happens once at
 /// construction; every sampling path (serial [`ShotSampler`] and the
-/// batched `ShotEngine` read-out) routes through the same
-/// [`row_probabilities`](Self::row_probabilities), so serial and batched
-/// draws can never drift apart. [`ProjectiveObservable::general`] builds
-/// the same decomposition with the fast path disabled — the reference the
-/// equivalence tests compare against.
+/// batched `ShotEngine` read-out) routes through the same block sweep,
+/// [`row_probabilities_block`](Self::row_probabilities_block) (a single
+/// row is a block of one), so serial and batched draws can never drift
+/// apart. [`ProjectiveObservable::general`] builds the same decomposition
+/// with the fast path disabled — the reference the equivalence tests
+/// compare against.
 ///
 /// [`ShotSampler::sample_observable`] builds one per call; batched sweeps
 /// build one per estimator invocation and share it across all shots.
@@ -292,64 +293,6 @@ impl ProjectiveObservable {
         self.diagonal.is_some()
     }
 
-    /// All pair probabilities (unnormalised — relative to the slice's
-    /// squared norm) of one amplitude slice from a **single bucketed
-    /// `|amp|²` pass**, or `None` when the observable is not diagonal.
-    ///
-    /// Every sampling path uses this same function when it returns `Some`,
-    /// so serial and batched read-outs select from identical probabilities.
-    pub fn row_probabilities(&self, amps: &[C64]) -> Option<Vec<f64>> {
-        let mut probs = Vec::new();
-        self.row_probabilities_into(amps, &mut probs).then_some(probs)
-    }
-
-    /// [`row_probabilities`](Self::row_probabilities) writing into a
-    /// reusable buffer (cleared and refilled) — the retained **AoS oracle
-    /// form**. Returns `false` (buffer untouched) when the observable is
-    /// not diagonal.
-    ///
-    /// The bucket walk stays **serial** in index order (unlike the
-    /// measurement sweeps, no lane split): the `pair_of_local` indirection
-    /// maps basis states to buckets arbitrarily, so there are no
-    /// constant-outcome runs to exploit, and the pinned order predates the
-    /// lane contract. The plane form walks in the identical order, so the
-    /// layouts agree bit for bit.
-    pub fn row_probabilities_into(&self, amps: &[C64], probs: &mut Vec<f64>) -> bool {
-        let Some(d) = self.diagonal.as_ref() else {
-            return false;
-        };
-        probs.clear();
-        probs.resize(self.pairs.len(), 0.0);
-        for (i, a) in amps.iter().enumerate() {
-            let local = crate::kernels::local_index(i, &d.masks);
-            probs[d.pair_of_local[local]] += a.norm_sqr();
-        }
-        true
-    }
-
-    /// [`row_probabilities_into`](Self::row_probabilities_into) on one
-    /// row's split `re`/`im` planes — the form the split-plane engine
-    /// calls. The identical serial walk and `re² + im²` terms as the AoS
-    /// oracle, so the layouts agree bit for bit.
-    pub fn row_probabilities_planes_into(
-        &self,
-        re: &[f64],
-        im: &[f64],
-        probs: &mut Vec<f64>,
-    ) -> bool {
-        let Some(d) = self.diagonal.as_ref() else {
-            return false;
-        };
-        debug_assert_eq!(re.len(), im.len(), "re/im planes must have equal lengths");
-        probs.clear();
-        probs.resize(self.pairs.len(), 0.0);
-        for i in 0..re.len() {
-            let local = crate::kernels::local_index(i, &d.masks);
-            probs[d.pair_of_local[local]] += re[i] * re[i] + im[i] * im[i];
-        }
-        true
-    }
-
     /// All pair probabilities of **every row** of a contiguous
     /// `rows × 2ⁿ` pair of split amplitude planes from **one bucketed
     /// `|amp|²` sweep**, or `false` (table untouched) when the observable
@@ -357,9 +300,12 @@ impl ProjectiveObservable {
     /// `rows × pairs` entries, row `r`'s probabilities at
     /// `table[r·pairs .. (r+1)·pairs]`.
     ///
-    /// Each row's buckets accumulate the identical values in the identical
-    /// order as the per-row forms on that row alone, so batched and
-    /// per-row read-outs select from bit-identical probabilities.
+    /// Each row's buckets accumulate serially in index order (unlike the
+    /// measurement sweeps, no lane split: the `pair_of_local` indirection
+    /// maps basis states to buckets arbitrarily, so there are no
+    /// constant-outcome runs to exploit). A row's entries depend on that
+    /// row alone, so batched and single-row read-outs select from
+    /// bit-identical probabilities.
     ///
     /// # Panics
     ///
@@ -399,8 +345,10 @@ impl ProjectiveObservable {
     /// the block form every group read-out goes through: **one** bucketed
     /// sweep over the whole block for diagonal observables, one batched
     /// expectation pass per projector otherwise (never one pass per row).
-    /// Values are identical to the per-row paths bit for bit, so serial
-    /// and batched draws can never drift apart.
+    /// Each row's entries equal
+    /// [`sample_with_draw_planes`](Self::sample_with_draw_planes)'s
+    /// probabilities on that row alone bit for bit, so serial and batched
+    /// draws can never drift apart.
     ///
     /// # Panics
     ///
@@ -426,30 +374,19 @@ impl ProjectiveObservable {
         }
     }
 
-    /// One projective sample for a pre-drawn uniform `u ∈ [0, 1)` against a
-    /// raw amplitude slice whose squared norm is `total` (pass
-    /// `psi.norm_sqr()`; callers must handle `total ≈ 0` themselves —
-    /// see [`ShotSampler::sample_observable`]).
+    /// One projective sample for a pre-drawn uniform `u ∈ [0, 1)` against
+    /// one row's split `re`/`im` planes whose squared norm is `total` (pass
+    /// `psi.norm_sqr()`; callers must handle `total ≈ 0` themselves — see
+    /// [`ShotSampler::sample_observable`]).
     ///
-    /// Diagonal observables draw from one bucketed `|amp|²` pass; the rest
-    /// evaluate one projector expectation per selection step (lazily, so
-    /// early exits skip the remaining projectors). This AoS form is the
-    /// retained oracle; the engine calls
-    /// [`sample_with_draw_planes`](Self::sample_with_draw_planes).
-    pub fn sample_with_draw(&self, u: f64, total: f64, amps: &[C64]) -> f64 {
-        match self.row_probabilities(amps) {
-            Some(probs) => self.select_with(u, total, |k| probs[k]),
-            None => self.select_with(u, total, |k| self.pairs[k].1.expectation_amps(amps)),
-        }
-    }
-
-    /// [`sample_with_draw`](Self::sample_with_draw) on one row's split
-    /// `re`/`im` planes: identical probabilities (serial bucket walk or
-    /// per-projector expectation, both bitwise-pinned across the layout
-    /// seam) through the identical selection loop.
+    /// Diagonal observables draw from
+    /// [`row_probabilities_block`](Self::row_probabilities_block) on a
+    /// block of one row; the rest evaluate one projector expectation per
+    /// selection step (lazily, so early exits skip the remaining
+    /// projectors).
     pub fn sample_with_draw_planes(&self, u: f64, total: f64, re: &[f64], im: &[f64]) -> f64 {
         let mut probs = Vec::new();
-        if self.row_probabilities_planes_into(re, im, &mut probs) {
+        if self.row_probabilities_block(re, im, 1, &mut probs) {
             self.select_with(u, total, |k| probs[k])
         } else {
             self.select_with(u, total, |k| self.pairs[k].1.expectation_planes(re, im))
@@ -462,9 +399,9 @@ impl ProjectiveObservable {
     /// `u · total`, and returns the first eigenvalue driving the rest
     /// non-positive — the last eigenvalue under floating-point slack.
     ///
-    /// [`sample_with_draw`](Self::sample_with_draw) and the batched
-    /// read-out of `ShotEngine::sample_sweep` both go through this one
-    /// loop, so their selection arithmetic can never drift apart.
+    /// [`sample_with_draw_planes`](Self::sample_with_draw_planes) and the
+    /// batched read-out of `ShotEngine::sample_sweep` both go through this
+    /// one loop, so their selection arithmetic can never drift apart.
     pub(crate) fn select_with(
         &self,
         u: f64,
@@ -525,7 +462,7 @@ impl ShotSampler {
 
     /// Draws one uniform variate in `[0, 1)` — the raw fuel of
     /// [`collapse_with_draw`] and
-    /// [`ProjectiveObservable::sample_with_draw`].
+    /// [`ProjectiveObservable::sample_with_draw_planes`].
     pub fn next_uniform(&mut self) -> f64 {
         self.rng.gen()
     }
@@ -842,14 +779,8 @@ mod tests {
                 let total = psi.norm_sqr();
                 let amps = psi.amplitudes();
                 let (re, im) = psi.planes();
-                let probs = fast.row_probabilities(&amps).unwrap();
-                // The plane form must reproduce the AoS oracle's buckets
-                // bit for bit.
-                let mut plane_probs = Vec::new();
-                assert!(fast.row_probabilities_planes_into(re, im, &mut plane_probs));
-                for (k, (p, q)) in probs.iter().zip(&plane_probs).enumerate() {
-                    assert_eq!(p.to_bits(), q.to_bits(), "observable {oi} pair {k}");
-                }
+                let mut probs = Vec::new();
+                assert!(fast.row_probabilities_block(re, im, 1, &mut probs));
                 for (k, (_, projector)) in general.pairs().iter().enumerate() {
                     let reference = projector.expectation_amps(&amps);
                     assert!(
@@ -860,13 +791,64 @@ mod tests {
                 }
                 for step in 0..32 {
                     let u = (step as f64 + 0.5) / 32.0;
-                    let a = fast.sample_with_draw(u, total, &amps);
-                    let b = general.sample_with_draw(u, total, &amps);
+                    let a = fast.sample_with_draw_planes(u, total, re, im);
+                    let b = general.sample_with_draw_planes(u, total, re, im);
                     assert_eq!(a.to_bits(), b.to_bits(), "observable {oi} u {u}");
-                    let c = fast.sample_with_draw_planes(u, total, re, im);
-                    let d = general.sample_with_draw_planes(u, total, re, im);
-                    assert_eq!(a.to_bits(), c.to_bits(), "observable {oi} u {u} (planes)");
-                    assert_eq!(b.to_bits(), d.to_bits(), "observable {oi} u {u} (planes)");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pair_probability_table_selects_like_single_row_draws_bitwise() {
+        // Every sampled leaf group reads out through the block table; each
+        // row's draws from it must equal single-row draws on that row.
+        let n = 4;
+        let rows: Vec<StateVector> = (0..5u64)
+            .map(|r| {
+                let mut psi = awkward_state(n, 300 + r);
+                // Rows 0, 1, 3, 4 normalised; row 2 keeps a norm² of 0.3.
+                let target = if r == 2 { 0.3 } else { 1.0 };
+                psi.scale(C64::real((target / psi.norm_sqr()).sqrt()));
+                psi
+            })
+            .collect();
+        let batch = crate::batch::BatchedStates::from_states(&rows);
+        let r = Matrix::rotation_y(0.83);
+        let observables = [
+            Observable::pauli_z(n, 1),
+            Observable::projector_one(n, 2),
+            Observable::projector_one(n - 1, 0).with_ancilla_z(),
+            Observable::new(n, vec![3], r.mul(&Matrix::pauli_z()).mul(&r.dagger())),
+        ];
+        for (oi, obs) in observables.iter().enumerate() {
+            let general = ProjectiveObservable::general(obs);
+            let mut general_table = Vec::new();
+            general.pair_probabilities_batch(&batch, &mut general_table);
+            for readout in [ProjectiveObservable::new(obs), general.clone()] {
+                let pairs = readout.pairs().len();
+                let mut table = vec![-1.0]; // must be cleared, not appended
+                readout.pair_probabilities_batch(&batch, &mut table);
+                assert_eq!(table.len(), rows.len() * pairs, "observable {oi}");
+                if readout.is_diagonal() {
+                    for (k, (a, b)) in table.iter().zip(&general_table).enumerate() {
+                        assert!((a - b).abs() < 1e-12, "observable {oi} entry {k}: {a} vs {b}");
+                    }
+                }
+                for (ri, psi) in rows.iter().enumerate() {
+                    let total = psi.norm_sqr();
+                    let (re, im) = psi.planes();
+                    for step in 0..=24 {
+                        let u = step as f64 / 24.0;
+                        let from_table = readout.select_with(u, total, |k| table[ri * pairs + k]);
+                        let single = readout.sample_with_draw_planes(u, total, re, im);
+                        assert_eq!(
+                            from_table.to_bits(),
+                            single.to_bits(),
+                            "observable {oi} diagonal {} row {ri} u {u}",
+                            readout.is_diagonal()
+                        );
+                    }
                 }
             }
         }

@@ -93,7 +93,7 @@ use crate::sampling::{collapse_with_draw, ProjectiveObservable, ShotSampler};
 use crate::state::StateVector;
 use qdp_linalg::{C64, Matrix};
 
-/// Shots per parallel tile of [`ShotEngine::try_estimate_expectation_batch`].
+/// Shots per parallel tile of [`ShotEngine::estimate_expectation_batch`].
 ///
 /// Fixed (not derived from the thread count) so the tile partition — and
 /// with it every drawn value and every rounding order — is identical under
@@ -658,10 +658,11 @@ fn scale_planes(re: &mut [f64], im: &mut [f64], s: C64) {
 /// let mut samplers: Vec<ShotSampler> =
 ///     (0..8).map(|s| ShotSampler::derived(1, s)).collect();
 /// // Eight shots of one input row, |0⟩.
-/// let rows = engine.run(BatchedStates::zero(1, 1), &[8], &mut samplers);
+/// let rows = engine.run(BatchedStates::zero(1, 1), &[8], &mut samplers)?;
 /// for row in &rows {
 ///     assert_eq!(row.outcomes.len(), 1);
 /// }
+/// # Ok::<(), qdp_sim::QdpError>(())
 /// ```
 #[derive(Clone, Debug)]
 pub struct ShotEngine {
@@ -700,11 +701,13 @@ impl ShotEngine {
     /// `cfg.policy` (see [`HealthPolicy`]). The checks piggyback on
     /// existing block passes — no extra sweeps over the amplitudes.
     ///
-    /// Only the fallible entry points (`try_run`, `try_sample_sweep`,
-    /// `try_expectation_sweep`, `try_estimate_expectation_batch`) can
-    /// report a [`QdpError`]; the infallible ones panic with the same
-    /// message. Unmonitored engines (the default) skip every check and
-    /// stay bit-identical to the pre-monitoring engine.
+    /// Every entry point ([`run`](Self::run),
+    /// [`sample_sweep`](Self::sample_sweep),
+    /// [`expectation_sweep`](Self::expectation_sweep),
+    /// [`estimate_expectation_batch`](Self::estimate_expectation_batch))
+    /// reports a failed check as a [`QdpError`]. Unmonitored engines (the
+    /// default) skip every check and stay bit-identical to the
+    /// pre-monitoring engine.
     pub fn with_health(mut self, cfg: HealthConfig) -> Self {
         self.health = Some(cfg);
         self
@@ -734,23 +737,11 @@ impl ShotEngine {
     /// bit for bit. Sampled sweeps never prune (every shot follows one
     /// drawn branch).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `epsilon` is not in `[0, 1)` (including NaN). Use
-    /// [`try_with_mass_budget`](Self::try_with_mass_budget) for a typed
-    /// error instead.
-    pub fn with_mass_budget(self, epsilon: f64) -> Self {
-        match self.try_with_mass_budget(epsilon) {
-            Ok(engine) => engine,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`with_mass_budget`](Self::with_mass_budget) with typed validation:
-    /// rejects ε outside `[0, 1)` — NaN included, since `(0.0..1.0)`
-    /// contains no NaN — as [`QdpError::InvalidMassBudget`] instead of
-    /// panicking.
-    pub fn try_with_mass_budget(mut self, epsilon: f64) -> Result<Self, QdpError> {
+    /// Rejects ε outside `[0, 1)` — NaN included, since `(0.0..1.0)`
+    /// contains no NaN — as [`QdpError::InvalidMassBudget`].
+    pub fn with_mass_budget(mut self, epsilon: f64) -> Result<Self, QdpError> {
         if !(0.0..1.0).contains(&epsilon) {
             return Err(QdpError::InvalidMassBudget { epsilon });
         }
@@ -773,45 +764,29 @@ impl ShotEngine {
     /// own batch of one and (via the shared collapse primitive) the serial
     /// per-shot loop, bit for bit — see the module docs for the contract.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `shots` does not hold one count per row, a count is
-    /// zero, `samplers` does not hold one stream per shot, or (with health
-    /// monitoring enabled) with a [`QdpError`] message when a check fails
-    /// unrecoverably — use [`try_run`](Self::try_run) for the typed form.
-    pub fn run(
-        &self,
-        states: BatchedStates,
-        shots: &[usize],
-        samplers: &mut [ShotSampler],
-    ) -> Vec<TrajectoryRow> {
-        match self.try_run(states, shots, samplers) {
-            Ok(rows) => rows,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`run`](Self::run) with typed errors: health-check failures under
+    /// With health monitoring enabled, check failures under
     /// [`HealthPolicy::FailFast`] (or unrepairable NaN/Inf under
     /// [`HealthPolicy::Renormalize`]) return a [`QdpError`] naming the
-    /// lowest affected shot instead of panicking. Under
-    /// [`HealthPolicy::DegradeToOracle`] the affected shots are re-run
-    /// serially from their inputs and streams on the per-row reference path
-    /// ([`collapse_with_draw`]) — bit-identical to this unfused executor's
-    /// own contract — while healthy shots keep their batched bits.
+    /// lowest affected shot. Under [`HealthPolicy::DegradeToOracle`] the
+    /// affected shots are re-run serially from their inputs and streams on
+    /// the per-row reference path ([`collapse_with_draw`]) — bit-identical
+    /// to this unfused executor's own contract — while healthy shots keep
+    /// their batched bits.
     ///
     /// # Panics
     ///
     /// Panics when `shots` does not hold one count per row, a count is
     /// zero, or `samplers` does not hold one stream per shot.
-    pub fn try_run(
+    pub fn run(
         &self,
         states: BatchedStates,
         shots: &[usize],
         samplers: &mut [ShotSampler],
     ) -> Result<Vec<TrajectoryRow>, QdpError> {
         let snapshot = self.degrade_snapshot(&states, shots, samplers);
-        let (finished, aborted, defects) = self.try_sweep(states, shots, samplers, false)?;
+        let (finished, aborted, defects) = self.sampled_sweep(states, shots, samplers, false)?;
         let mut out: Vec<Option<TrajectoryRow>> = (0..samplers.len()).map(|_| None).collect();
         for group in &finished {
             for ctx in &group.members {
@@ -939,35 +914,17 @@ impl ShotEngine {
     /// the sweep itself stays fully deterministic — identical bits for any
     /// thread count, any batch decomposition, and any row grouping.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on the malformed arguments [`run`](Self::run) rejects, or
-    /// (with health monitoring enabled) with a [`QdpError`] message — use
-    /// [`try_sample_sweep`](Self::try_sample_sweep) for the typed form.
-    pub fn sample_sweep(
-        &self,
-        states: BatchedStates,
-        shots: &[usize],
-        samplers: &mut [ShotSampler],
-        readout: &ProjectiveObservable,
-    ) -> Vec<f64> {
-        match self.try_sample_sweep(states, shots, samplers, readout) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`sample_sweep`](Self::sample_sweep) with typed errors — the
-    /// health-policy semantics of [`try_run`](Self::try_run), with
+    /// The health-policy semantics of [`run`](Self::run), with
     /// [`HealthPolicy::DegradeToOracle`] shots re-run serially from their
-    /// inputs and streams ([`collapse_with_draw`] plus the shared
-    /// per-row read-out selection), unaffected shots keeping their batched
-    /// bits.
+    /// inputs and streams ([`collapse_with_draw`] plus the shared per-row
+    /// read-out selection), unaffected shots keeping their batched bits.
     ///
     /// # Panics
     ///
     /// Panics on the malformed arguments [`run`](Self::run) rejects.
-    pub fn try_sample_sweep(
+    pub fn sample_sweep(
         &self,
         states: BatchedStates,
         shots: &[usize],
@@ -975,7 +932,7 @@ impl ShotEngine {
         readout: &ProjectiveObservable,
     ) -> Result<Vec<f64>, QdpError> {
         let snapshot = self.degrade_snapshot(&states, shots, samplers);
-        let (finished, aborted, defects) = self.try_sweep(states, shots, samplers, true)?;
+        let (finished, aborted, defects) = self.sampled_sweep(states, shots, samplers, true)?;
         let mut out = vec![0.0; samplers.len()];
         let pairs = readout.pairs().len();
         let mut table = Vec::new();
@@ -985,7 +942,7 @@ impl ShotEngine {
             readout.pair_probabilities_batch(&group.states, &mut table);
             group.states.row_norms_sqr_into(&mut totals);
             for ctx in &group.members {
-                // The shared selection loop of `sample_with_draw`, with
+                // The shared selection loop of `sample_with_draw_planes`, with
                 // the probabilities read off the group's table.
                 let c = ctx.class;
                 let total = totals[c];
@@ -1040,7 +997,7 @@ impl ShotEngine {
     /// # Panics
     ///
     /// Panics when `shots` is zero or `inputs` and `seeds` differ in length.
-    pub fn try_estimate_expectation_batch(
+    pub fn estimate_expectation_batch(
         &self,
         inputs: &[StateVector],
         readout: &ProjectiveObservable,
@@ -1064,7 +1021,7 @@ impl ShotEngine {
                     .flat_map(|&seed| (start..start + len).map(move |s| ShotSampler::derived(seed, s as u64)))
                     .collect();
                 let counts = vec![len; inputs.len()];
-                let values = self.try_sample_sweep(
+                let values = self.sample_sweep(
                     BatchedStates::from_states(inputs),
                     &counts,
                     &mut samplers,
@@ -1119,23 +1076,18 @@ impl ShotEngine {
     /// one block on the calling thread. Tiling is harmless to the
     /// contract precisely *because* of the decomposition invariance above:
     /// every row's bits are the same in any tile.
-    pub fn expectation_sweep(&self, states: BatchedStates, obs: &Observable) -> Vec<f64> {
-        match self.try_expectation_sweep(states, obs) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`expectation_sweep`](Self::expectation_sweep) with fault
-    /// tolerance: row tiles run panic-isolated with up to 2 bit-identical
-    /// retries each, health checks at every fork compare each row's
+    ///
+    /// # Errors
+    ///
+    /// Row tiles run panic-isolated with up to 2 bit-identical retries
+    /// each, health checks at every fork compare each row's
     /// branch-probability mass against its carried weight (trace
     /// preservation), and failures surface as typed [`QdpError`]s. Under
     /// [`HealthPolicy::DegradeToOracle`] affected rows are re-run from
     /// their tile inputs on the retained per-row branch enumerator
     /// ([`Measurement::branches_pure`], agreeing with the sweep to
     /// ≪ 1e-12); healthy rows keep their batched bits.
-    pub fn try_expectation_sweep(
+    pub fn expectation_sweep(
         &self,
         states: BatchedStates,
         obs: &Observable,
@@ -1312,7 +1264,7 @@ impl ShotEngine {
     /// norm is its row's, read off one extra root pass and checked
     /// (piggybacked on the norms sweep every measurement already performs)
     /// at each boundary; unmonitored engines skip all of it.
-    fn try_sweep(
+    fn sampled_sweep(
         &self,
         states: BatchedStates,
         shots: &[usize],
@@ -2715,7 +2667,7 @@ mod tests {
         let engine = ShotEngine::new(p);
         let inputs: Vec<StateVector> = (0..5).map(|k| StateVector::basis_state(2, k % 4)).collect();
         let mut samplers: Vec<ShotSampler> = (0..5).map(|s| ShotSampler::derived(3, s)).collect();
-        let rows = engine.run(BatchedStates::from_states(&inputs), &[1; 5], &mut samplers);
+        let rows = engine.run(BatchedStates::from_states(&inputs), &[1; 5], &mut samplers).unwrap();
         for (input, row) in inputs.iter().zip(&rows) {
             let mut expected = input.clone();
             expected.apply_gate(&Matrix::hadamard(), &[0]);
@@ -2736,7 +2688,7 @@ mod tests {
         p.push_init(0);
         let engine = ShotEngine::new(p);
         let mut samplers: Vec<ShotSampler> = (0..32).map(|s| ShotSampler::derived(7, s)).collect();
-        let rows = engine.run(BatchedStates::zero(1, 1), &[32], &mut samplers);
+        let rows = engine.run(BatchedStates::zero(1, 1), &[32], &mut samplers).unwrap();
         let mut seen = [false, false];
         for row in &rows {
             assert_eq!(row.outcomes.len(), 1);
@@ -2760,7 +2712,7 @@ mod tests {
         );
         let engine = ShotEngine::new(p);
         let mut samplers: Vec<ShotSampler> = (0..64).map(|s| ShotSampler::derived(11, s)).collect();
-        let rows = engine.run(BatchedStates::zero(1, 1), &[64], &mut samplers);
+        let rows = engine.run(BatchedStates::zero(1, 1), &[64], &mut samplers).unwrap();
         let mut aborted = 0usize;
         for row in &rows {
             match row.outcomes[0] {
@@ -2789,7 +2741,7 @@ mod tests {
         let psi = StateVector::zero_state(2);
         for fuse in [false, true] {
             let (finished, aborted, _) = engine
-                .try_sweep(BatchedStates::from_states(std::slice::from_ref(&psi)), &[256], &mut samplers, fuse)
+                .sampled_sweep(BatchedStates::from_states(std::slice::from_ref(&psi)), &[256], &mut samplers, fuse)
                 .unwrap();
             assert!(aborted.is_empty());
             let rows: usize = finished.iter().map(|g| g.states.len()).sum();
@@ -2822,12 +2774,12 @@ mod tests {
         let batch = BatchedStates::zero(1, 2);
         let mut samplers: Vec<ShotSampler> =
             (0..shots).map(|s| ShotSampler::derived(5, s as u64)).collect();
-        let samples = engine.sample_sweep(batch, &[shots], &mut samplers, &readout);
+        let samples = engine.sample_sweep(batch, &[shots], &mut samplers, &readout).unwrap();
 
         let batch = BatchedStates::zero(1, 2);
         let mut samplers: Vec<ShotSampler> =
             (0..shots).map(|s| ShotSampler::derived(5, s as u64)).collect();
-        let rows = engine.run(batch, &[shots], &mut samplers);
+        let rows = engine.run(batch, &[shots], &mut samplers).unwrap();
         for (row, (sampler, sample)) in rows.iter().zip(samplers.iter_mut().zip(&samples)) {
             let expected = match &row.state {
                 None => 0.0,
@@ -2847,11 +2799,11 @@ mod tests {
         let readout = ProjectiveObservable::new(&obs);
         let inputs = std::slice::from_ref(&psi);
         let est = engine
-            .try_estimate_expectation_batch(inputs, &readout, 40_000, &[2024])
+            .estimate_expectation_batch(inputs, &readout, 40_000, &[2024])
             .unwrap()[0];
         assert!((est - 0.8f64.cos()).abs() < 0.02, "estimate {est}");
         let again = engine
-            .try_estimate_expectation_batch(inputs, &readout, 40_000, &[2024])
+            .estimate_expectation_batch(inputs, &readout, 40_000, &[2024])
             .unwrap()[0];
         assert_eq!(est.to_bits(), again.to_bits());
     }
@@ -2859,10 +2811,11 @@ mod tests {
     #[test]
     fn empty_batch_is_harmless() {
         let engine = ShotEngine::new(TrajProgram::new());
-        let rows = engine.run(BatchedStates::from_states(&[]), &[], &mut []);
+        let rows = engine.run(BatchedStates::from_states(&[]), &[], &mut []).unwrap();
         assert!(rows.is_empty());
         assert!(engine
             .expectation_sweep(BatchedStates::from_states(&[]), &Observable::pauli_z(1, 0))
+            .unwrap()
             .is_empty());
     }
 
@@ -2928,7 +2881,7 @@ mod tests {
                 s
             })
             .collect();
-        let swept = engine.expectation_sweep(BatchedStates::from_states(&inputs), &obs);
+        let swept = engine.expectation_sweep(BatchedStates::from_states(&inputs), &obs).unwrap();
         for (r, psi) in inputs.iter().enumerate() {
             let mut leaves = Vec::new();
             enumerate_branches(&engine.program().ops, psi.clone(), &mut leaves);
@@ -2954,14 +2907,15 @@ mod tests {
                 s
             })
             .collect();
-        let together = engine.expectation_sweep(BatchedStates::from_states(&inputs), &obs);
+        let together = engine.expectation_sweep(BatchedStates::from_states(&inputs), &obs).unwrap();
         for (r, psi) in inputs.iter().enumerate() {
-            let alone =
-                engine.expectation_sweep(BatchedStates::from_states(std::slice::from_ref(psi)), &obs)[0];
+            let alone = engine
+                .expectation_sweep(BatchedStates::from_states(std::slice::from_ref(psi)), &obs)
+                .unwrap()[0];
             assert_eq!(together[r].to_bits(), alone.to_bits(), "row {r}");
         }
         let reversed: Vec<StateVector> = inputs.iter().rev().cloned().collect();
-        let backwards = engine.expectation_sweep(BatchedStates::from_states(&reversed), &obs);
+        let backwards = engine.expectation_sweep(BatchedStates::from_states(&reversed), &obs).unwrap();
         for (r, v) in together.iter().enumerate() {
             assert_eq!(
                 v.to_bits(),
@@ -3042,7 +2996,8 @@ mod tests {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (i, program) in own.into_iter().enumerate() {
             let alone = ShotEngine::new(program)
-                .expectation_sweep(BatchedStates::from_states(&inputs), &obs);
+                .expectation_sweep(BatchedStates::from_states(&inputs), &obs)
+                .unwrap();
             assert_eq!(bits(&columns[i]), bits(&alone), "program {i}");
         }
         // Split into parts, each sweeping every `parts`-th program: the
@@ -3079,7 +3034,8 @@ mod tests {
         let columns = trie.expectation_sweep(&[], BatchedStates::from_states(&inputs), &obs);
         for (i, program) in own.into_iter().enumerate() {
             let alone = ShotEngine::new(program)
-                .expectation_sweep(BatchedStates::from_states(&inputs), &obs);
+                .expectation_sweep(BatchedStates::from_states(&inputs), &obs)
+                .unwrap();
             for (c, a) in columns[i].iter().zip(&alone) {
                 assert_eq!(c.to_bits(), 0.0f64.to_bits(), "program {i}");
                 assert_eq!(c.to_bits(), a.to_bits(), "program {i}");
@@ -3120,7 +3076,7 @@ mod tests {
         );
         let engine = ShotEngine::new(p);
         let obs = Observable::projector_zero(1, 0);
-        let swept = engine.expectation_sweep(BatchedStates::zero(3, 1), &obs);
+        let swept = engine.expectation_sweep(BatchedStates::zero(3, 1), &obs).unwrap();
         for (r, v) in swept.iter().enumerate() {
             assert!((v - 0.5).abs() < 1e-12, "row {r}: {v}");
         }
@@ -3134,7 +3090,7 @@ mod tests {
     #[test]
     fn zero_mass_budget_preserves_unpruned_bits() {
         let plain = ShotEngine::new(branching_program());
-        let pruned = ShotEngine::new(branching_program()).with_mass_budget(0.0);
+        let pruned = ShotEngine::new(branching_program()).with_mass_budget(0.0).unwrap();
         let obs = Observable::pauli_z(2, 1);
         let inputs: Vec<StateVector> = (0..5)
             .map(|k| {
@@ -3144,8 +3100,8 @@ mod tests {
             })
             .collect();
         let batch = BatchedStates::from_states(&inputs);
-        let a = plain.expectation_sweep(batch.clone(), &obs);
-        let b = pruned.expectation_sweep(batch, &obs);
+        let a = plain.expectation_sweep(batch.clone(), &obs).unwrap();
+        let b = pruned.expectation_sweep(batch, &obs).unwrap();
         for (r, (x, y)) in a.iter().zip(&b).enumerate() {
             assert_eq!(x.to_bits(), y.to_bits(), "row {r}");
         }
@@ -3164,10 +3120,10 @@ mod tests {
                 s
             })
             .collect();
-        let exact = oracle.expectation_sweep(BatchedStates::from_states(&inputs), &obs);
+        let exact = oracle.expectation_sweep(BatchedStates::from_states(&inputs), &obs).unwrap();
         for epsilon in [0.01, 0.1, 0.3] {
-            let engine = ShotEngine::new(branching_program()).with_mass_budget(epsilon);
-            let pruned = engine.expectation_sweep(BatchedStates::from_states(&inputs), &obs);
+            let engine = ShotEngine::new(branching_program()).with_mass_budget(epsilon).unwrap();
+            let pruned = engine.expectation_sweep(BatchedStates::from_states(&inputs), &obs).unwrap();
             for (r, (p, e)) in pruned.iter().zip(&exact).enumerate() {
                 assert!(
                     (p - e).abs() <= epsilon + 1e-12,
@@ -3187,7 +3143,8 @@ mod tests {
             // survives a non-zero budget.
             for (r, psi) in inputs.iter().enumerate() {
                 let alone = engine
-                    .expectation_sweep(BatchedStates::from_states(std::slice::from_ref(psi)), &obs)[0];
+                    .expectation_sweep(BatchedStates::from_states(std::slice::from_ref(psi)), &obs)
+                    .unwrap()[0];
                 assert_eq!(pruned[r].to_bits(), alone.to_bits(), "ε = {epsilon} row {r}");
             }
         }
@@ -3207,15 +3164,16 @@ mod tests {
         assert_eq!(unpruned[0].len(), 2);
         let pruned = ShotEngine::new(p)
             .with_mass_budget(0.05)
+            .unwrap()
             .leaf_weights(BatchedStates::zero(1, 1));
         assert_eq!(pruned[0].len(), 1, "low-weight branch survives: {:?}", pruned[0]);
         assert!(pruned[0][0] >= 0.95);
     }
 
     #[test]
-    #[should_panic(expected = "mass budget must be in [0, 1)")]
     fn mass_budget_rejects_out_of_range_epsilon() {
-        let _ = ShotEngine::new(TrajProgram::new()).with_mass_budget(1.0);
+        let err = ShotEngine::new(TrajProgram::new()).with_mass_budget(1.0).unwrap_err();
+        assert!(err.to_string().contains("mass budget must be in [0, 1)"), "{err}");
     }
 
     #[test]

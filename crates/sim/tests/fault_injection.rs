@@ -92,7 +92,7 @@ fn estimate(
     shots: usize,
     seed: u64,
 ) -> Result<f64, QdpError> {
-    e.try_estimate_expectation_batch(std::slice::from_ref(psi), readout, shots, &[seed])
+    e.estimate_expectation_batch(std::slice::from_ref(psi), readout, shots, &[seed])
         .map(|estimates| estimates[0])
 }
 
@@ -118,9 +118,9 @@ fn healthy_runs_are_bitwise_identical_under_monitoring_and_threads() {
 
     // Unmonitored single-thread baselines.
     qdp_par::set_max_threads(1);
-    let base_exact = engine().expectation_sweep(batch(ROWS), &obs);
+    let base_exact = engine().expectation_sweep(batch(ROWS), &obs).unwrap();
     let mut s = samplers(ROWS, 99);
-    let base_sampled = engine().sample_sweep(batch(ROWS), &[1; ROWS], &mut s, &readout);
+    let base_sampled = engine().sample_sweep(batch(ROWS), &[1; ROWS], &mut s, &readout).unwrap();
     let base_estimate = estimate(&engine(), &inputs(1)[0], &readout, 3 * SHOT_TILE, 5).unwrap();
 
     for threads in [1usize, 2, 8] {
@@ -129,13 +129,13 @@ fn healthy_runs_are_bitwise_identical_under_monitoring_and_threads() {
         for (k, e) in engines.enumerate() {
             let what = format!("threads {threads}, engine {k}");
             assert_bits_eq(
-                &e.expectation_sweep(batch(ROWS), &obs),
+                &e.expectation_sweep(batch(ROWS), &obs).unwrap(),
                 &base_exact,
                 &format!("exact sweep ({what})"),
             );
             let mut s = samplers(ROWS, 99);
             assert_bits_eq(
-                &e.sample_sweep(batch(ROWS), &[1; ROWS], &mut s, &readout),
+                &e.sample_sweep(batch(ROWS), &[1; ROWS], &mut s, &readout).unwrap(),
                 &base_sampled,
                 &format!("sampled sweep ({what})"),
             );
@@ -158,7 +158,7 @@ fn injected_non_finite_amplitudes_fail_fast_with_typed_errors() {
             let guard = inject(FaultSite::Kernel { call: 0, row: 2, kind });
             let mut s = samplers(6, 7);
             let err = with_policy(policy)
-                .try_run(batch(6), &[1; 6], &mut s)
+                .run(batch(6), &[1; 6], &mut s)
                 .expect_err("poisoned row must be detected");
             assert!(
                 matches!(err, QdpError::NonFinite { row: 2, .. }),
@@ -170,7 +170,7 @@ fn injected_non_finite_amplitudes_fail_fast_with_typed_errors() {
             // Same detection on the exact branch-weighted sweep.
             let guard = inject(FaultSite::Kernel { call: 0, row: 2, kind });
             let err = with_policy(policy)
-                .try_expectation_sweep(batch(6), &Observable::pauli_z(2, 1))
+                .expectation_sweep(batch(6), &Observable::pauli_z(2, 1))
                 .expect_err("poisoned row must be detected");
             assert!(
                 matches!(err, QdpError::NonFinite { row: 2, .. }),
@@ -193,7 +193,7 @@ fn injected_norm_drift_is_detected_and_renormalized() {
     let guard = inject(FaultSite::Kernel { call: 0, row: 2, kind: drift });
     let mut s = samplers(6, 7);
     let err = with_policy(HealthPolicy::FailFast)
-        .try_run(batch(6), &[1; 6], &mut s)
+        .run(batch(6), &[1; 6], &mut s)
         .expect_err("drifted row must be detected");
     match err {
         QdpError::NormDrift { row, expected, actual, .. } => {
@@ -209,10 +209,10 @@ fn injected_norm_drift_is_detected_and_renormalized() {
 
     // Renormalize: the run completes and every row matches the clean-run
     // oracle to 1e-12 (the repaired row picks up one rescale of rounding).
-    let clean = engine().expectation_sweep(batch(6), &obs);
+    let clean = engine().expectation_sweep(batch(6), &obs).unwrap();
     let guard = inject(FaultSite::Kernel { call: 0, row: 2, kind: drift });
     let repaired = with_policy(HealthPolicy::Renormalize)
-        .try_expectation_sweep(batch(6), &obs)
+        .expectation_sweep(batch(6), &obs)
         .expect("renormalize must repair finite drift");
     assert_eq!(fired_count(), 1);
     drop(guard);
@@ -235,11 +235,11 @@ fn degrade_to_oracle_recovers_poisoned_rows_and_preserves_healthy_bits() {
     // Sampled trajectories: the defected row is replayed serially from
     // its original input and stream.
     let mut s = samplers(6, 7);
-    let clean_rows = engine().run(batch(6), &[1; 6], &mut s);
+    let clean_rows = engine().run(batch(6), &[1; 6], &mut s).unwrap();
     let guard = inject(FaultSite::Kernel { call: 0, row: 2, kind: FaultKind::Nan });
     let mut s = samplers(6, 7);
     let recovered = with_policy(HealthPolicy::DegradeToOracle)
-        .try_run(batch(6), &[1; 6], &mut s)
+        .run(batch(6), &[1; 6], &mut s)
         .expect("degraded run must complete");
     assert_eq!(fired_count(), 1);
     drop(guard);
@@ -258,11 +258,11 @@ fn degrade_to_oracle_recovers_poisoned_rows_and_preserves_healthy_bits() {
 
     // Sampled read-out sweep.
     let mut s = samplers(6, 7);
-    let clean = engine().sample_sweep(batch(6), &[1; 6], &mut s, &readout);
+    let clean = engine().sample_sweep(batch(6), &[1; 6], &mut s, &readout).unwrap();
     let guard = inject(FaultSite::Kernel { call: 0, row: 2, kind: FaultKind::Inf });
     let mut s = samplers(6, 7);
     let recovered = with_policy(HealthPolicy::DegradeToOracle)
-        .try_sample_sweep(batch(6), &[1; 6], &mut s, &readout)
+        .sample_sweep(batch(6), &[1; 6], &mut s, &readout)
         .expect("degraded sweep must complete");
     drop(guard);
     for (r, (a, b)) in recovered.iter().zip(&clean).enumerate() {
@@ -274,10 +274,10 @@ fn degrade_to_oracle_recovers_poisoned_rows_and_preserves_healthy_bits() {
 
     // Exact branch-weighted sweep: the defected row re-runs on the
     // per-row branch enumerator.
-    let clean = engine().expectation_sweep(batch(6), &obs);
+    let clean = engine().expectation_sweep(batch(6), &obs).unwrap();
     let guard = inject(FaultSite::Kernel { call: 0, row: 2, kind: FaultKind::Nan });
     let recovered = with_policy(HealthPolicy::DegradeToOracle)
-        .try_expectation_sweep(batch(6), &obs)
+        .expectation_sweep(batch(6), &obs)
         .expect("degraded exact sweep must complete");
     drop(guard);
     for (r, (a, b)) in recovered.iter().zip(&clean).enumerate() {
@@ -307,19 +307,19 @@ fn faults_on_a_shared_row_reach_every_member() {
     // (whose class row 1 holds the three shots of `b`).
     let guard = inject(FaultSite::Kernel { call: 0, row: 0, kind: FaultKind::Nan });
     let err = with_policy(HealthPolicy::FailFast)
-        .try_run(shots(), &[SHOTS], &mut samplers(SHOTS, 7))
+        .run(shots(), &[SHOTS], &mut samplers(SHOTS, 7))
         .expect_err("poisoned shared row must be detected");
     assert!(matches!(err, QdpError::NonFinite { row: 0, .. }), "unexpected error {err:?}");
     drop(guard);
     let rows = inputs(3);
     let guard = inject(FaultSite::Kernel { call: 0, row: 1, kind: FaultKind::Nan });
     let err = with_policy(HealthPolicy::FailFast)
-        .try_run(BatchedStates::from_states(&rows), &[1, 3, 1], &mut samplers(5, 7))
+        .run(BatchedStates::from_states(&rows), &[1, 3, 1], &mut samplers(5, 7))
         .expect_err("poisoned shared row must be detected");
     assert!(matches!(err, QdpError::NonFinite { row: 1, .. }), "unexpected error {err:?}");
     drop(guard);
 
-    let clean = engine().run(shots(), &[SHOTS], &mut samplers(SHOTS, 7));
+    let clean = engine().run(shots(), &[SHOTS], &mut samplers(SHOTS, 7)).unwrap();
     let assert_close = |got: &[qdp_sim::TrajectoryRow], what: &str| {
         for (r, (got, want)) in got.iter().zip(&clean).enumerate() {
             assert_eq!(got.outcomes, want.outcomes, "{what}: row {r} outcomes diverged");
@@ -335,7 +335,7 @@ fn faults_on_a_shared_row_reach_every_member() {
     // Renormalize repairs the shared row, and with it every member.
     let guard = inject(FaultSite::Kernel { call: 0, row: 0, kind: FaultKind::Scale(1.001) });
     let repaired = with_policy(HealthPolicy::Renormalize)
-        .try_run(shots(), &[SHOTS], &mut samplers(SHOTS, 7))
+        .run(shots(), &[SHOTS], &mut samplers(SHOTS, 7))
         .expect("renormalize must repair finite drift");
     assert_eq!(fired_count(), 1);
     drop(guard);
@@ -344,16 +344,16 @@ fn faults_on_a_shared_row_reach_every_member() {
     // DegradeToOracle replays every member from its input and stream.
     let guard = inject(FaultSite::Kernel { call: 0, row: 0, kind: FaultKind::Nan });
     let replayed = with_policy(HealthPolicy::DegradeToOracle)
-        .try_run(shots(), &[SHOTS], &mut samplers(SHOTS, 7))
+        .run(shots(), &[SHOTS], &mut samplers(SHOTS, 7))
         .expect("degraded run must complete");
     assert_eq!(fired_count(), 1);
     drop(guard);
     assert_close(&replayed, "replayed");
 
-    let clean = engine().sample_sweep(shots(), &[SHOTS], &mut samplers(SHOTS, 7), &readout);
+    let clean = engine().sample_sweep(shots(), &[SHOTS], &mut samplers(SHOTS, 7), &readout).unwrap();
     let guard = inject(FaultSite::Kernel { call: 0, row: 0, kind: FaultKind::Inf });
     let replayed = with_policy(HealthPolicy::DegradeToOracle)
-        .try_sample_sweep(shots(), &[SHOTS], &mut samplers(SHOTS, 7), &readout)
+        .sample_sweep(shots(), &[SHOTS], &mut samplers(SHOTS, 7), &readout)
         .expect("degraded sweep must complete");
     assert_eq!(fired_count(), 1);
     drop(guard);
@@ -406,11 +406,11 @@ fn panicked_tiles_are_retried_bit_identically_or_surface_typed_errors() {
     // sweep's work (rows × 4 amplitudes × 5 ops) pays for a fork.
     const TILED_ROWS: usize = qdp_par::FORK_MIN_WORK / (4 * 5) + 1;
     qdp_par::set_max_threads(8);
-    let clean = engine().expectation_sweep(batch(TILED_ROWS), &obs);
+    let clean = engine().expectation_sweep(batch(TILED_ROWS), &obs).unwrap();
     with_quiet_panics(|| {
         let guard = inject(FaultSite::Tile { index: 2, panics: 1 });
         let healed = engine()
-            .try_expectation_sweep(batch(TILED_ROWS), &obs)
+            .expectation_sweep(batch(TILED_ROWS), &obs)
             .expect("retry must heal the exact tile");
         assert_bits_eq(&healed, &clean, "exact sweep after tile retry");
         assert_eq!(fired_count(), 1);
@@ -423,15 +423,15 @@ fn panicked_tiles_are_retried_bit_identically_or_surface_typed_errors() {
 fn engine_configuration_is_validated_with_typed_errors() {
     let _l = lock();
     for bad in [-0.1, 1.0, 1.5, f64::NAN, f64::INFINITY] {
-        match engine().try_with_mass_budget(bad) {
+        match engine().with_mass_budget(bad) {
             Err(QdpError::InvalidMassBudget { epsilon }) => {
                 assert_eq!(epsilon.to_bits(), bad.to_bits());
             }
             other => panic!("ε = {bad}: expected InvalidMassBudget, got {other:?}"),
         }
     }
-    assert!(engine().try_with_mass_budget(0.0).is_ok());
-    assert!(engine().try_with_mass_budget(0.999).is_ok());
+    assert!(engine().with_mass_budget(0.0).is_ok());
+    assert!(engine().with_mass_budget(0.999).is_ok());
 
     for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
         match qdp_sim::try_chernoff_shots(3, bad) {

@@ -3,27 +3,31 @@
 //!
 //! Every test builds the **same arithmetic twice**: once through the
 //! split-plane production paths (`StateVector` / `BatchedStates` planes,
-//! `*_planes_*` measurement and read-out forms, the batched `ShotEngine`
-//! executors) and once through the retained AoS oracle forms
-//! (`kernels::apply_matrix_reference` — the single kernel oracle — on
-//! `Vec<C64>`, `branch_probabilities_into`, `collapse_amps_into`,
-//! `expectation_amps`, `sample_with_draw`), then compares **f64 bit
-//! patterns**, not approximate values. The one relaxation: the reference
-//! scan accumulates every amplitude from `+0.0`, so a collapse under a
-//! general measurement operator with a zero row comes out `+0.0` where
-//! the plane kernels keep `-0.0`; that single assertion compares after
-//! mapping `-0.0` to `+0.0` (see `canon_zero`). Every pin between
-//! production paths — SIMD vs scalar, batched vs per-row, masked collapse
-//! vs planes, thread counts — stays sign-exact. Randomized
-//! branching programs (n ≤ 8, `case` forks, `q := |0⟩` resets — the shapes
-//! derivative lowering emits as outcome multisets) run over batches of
-//! 1 / 2 / 16 / 33 rows under forced 1 / 2 / 8 worker threads.
+//! the block measurement and read-out forms — a single row is a block of
+//! one — and the batched `ShotEngine` executors) and once on interleaved
+//! `Vec<C64>` amplitudes, then compares **f64 bit patterns**, not
+//! approximate values. The AoS side uses the library's remaining AoS
+//! oracles (`kernels::apply_matrix_reference` — the single kernel oracle —
+//! and `Observable::expectation_amps`) and transcribes the rest in this
+//! file: the computational bucket walk, the masked-copy collapse, the
+//! general measurement path (copy, then `apply_matrix_reference`), and
+//! the diagonal read-out walk with its selection loop. The one
+//! relaxation: the reference scan accumulates every amplitude from
+//! `+0.0`, so a collapse under a general measurement operator with a zero
+//! row comes out `+0.0` where the plane kernels keep `-0.0`; that single
+//! assertion compares after mapping `-0.0` to `+0.0` (see `canon_zero`).
+//! Every pin between production paths — SIMD vs scalar, batched vs
+//! per-row, masked collapse vs planes, thread counts — stays sign-exact.
+//! Randomized branching programs (n ≤ 8, `case` forks, `q := |0⟩` resets —
+//! the shapes derivative lowering emits as outcome multisets) run over
+//! batches of 1 / 2 / 16 / 33 rows under forced 1 / 2 / 8 worker threads.
 //!
 //! The AoS replays here deliberately re-transcribe the lane-split
-//! reduction contract (`crates/sim/src/lanes.rs`) and the serial collapse
-//! primitive (`collapse_with_draw`) from scratch instead of calling them,
-//! so a regression in either the plane paths *or* the shared primitives
-//! shows up as a bit mismatch against an independent implementation.
+//! reduction contract (`crates/sim/src/lanes.rs`), the measurement and
+//! read-out primitives and the serial collapse primitive
+//! (`collapse_with_draw`) from scratch instead of calling them, so a
+//! regression in either the plane paths *or* the shared primitives shows
+//! up as a bit mismatch against an independent implementation.
 
 use qdp_linalg::{C64, Matrix};
 use qdp_sim::kernels::apply_matrix_reference;
@@ -136,9 +140,125 @@ fn scale_aos(amps: &mut [C64], s: C64) {
     }
 }
 
+/// The local index of full index `i` under the target `masks`, `masks[0]`
+/// the most significant bit (`kernels::local_index`).
+fn local_index(i: usize, masks: &[usize]) -> usize {
+    let k = masks.len();
+    let mut local = 0usize;
+    for (j, &mask) in masks.iter().enumerate() {
+        if i & mask != 0 {
+            local |= 1 << (k - 1 - j);
+        }
+    }
+    local
+}
+
+/// The full-index bit of each target on an `n`-qubit register (qubit 0 is
+/// the most significant bit).
+fn target_masks(n: usize, targets: &[usize]) -> Vec<usize> {
+    targets.iter().map(|&t| 1usize << (n - 1 - t)).collect()
+}
+
+/// Whether `meas` takes the masked-copy path: computational-basis
+/// projectors on at most two targets. Everything else applies operators.
+fn masked_path(meas: &Measurement) -> bool {
+    !is_general(meas) && meas.targets().len() <= 2
+}
+
+/// The branch probabilities of one interleaved row: the computational
+/// bucket walk (lane `i % 4` partials per outcome, combined as in
+/// [`norm_sqr_aos`]) on the masked path, otherwise each operator applied
+/// to a copy through the reference scan, then [`norm_sqr_aos`].
+fn branch_probabilities_aos(n: usize, amps: &[C64], meas: &Measurement) -> Vec<f64> {
+    if !masked_path(meas) {
+        return meas
+            .operators()
+            .iter()
+            .map(|op| {
+                let mut scratch = amps.to_vec();
+                apply_matrix_reference(&mut scratch, n, op, meas.targets());
+                norm_sqr_aos(&scratch)
+            })
+            .collect();
+    }
+    let masks = target_masks(n, meas.targets());
+    let mut acc = vec![[0.0f64; 4]; meas.num_outcomes()];
+    for (i, a) in amps.iter().enumerate() {
+        acc[local_index(i, &masks)][i % 4] += a.re * a.re + a.im * a.im;
+    }
+    acc.iter().map(|p| (p[0] + p[1]) + (p[2] + p[3])).collect()
+}
+
+/// One interleaved row's unnormalised branch `Mm|ψ⟩`: on the masked path
+/// members are copied and non-members multiplied component-wise by `0.0`
+/// (keeping the projector kernel's signed zeros), otherwise the operator
+/// is applied to a copy through the reference scan.
+fn collapse_aos(n: usize, amps: &[C64], meas: &Measurement, outcome: usize) -> Vec<C64> {
+    if !masked_path(meas) {
+        let mut out = amps.to_vec();
+        apply_matrix_reference(&mut out, n, &meas.operators()[outcome], meas.targets());
+        return out;
+    }
+    let masks = target_masks(n, meas.targets());
+    amps.iter()
+        .enumerate()
+        .map(|(i, a)| {
+            if local_index(i, &masks) == outcome {
+                *a
+            } else {
+                C64::new(a.re * 0.0, a.im * 0.0)
+            }
+        })
+        .collect()
+}
+
+/// A diagonal read-out's pair probabilities on one interleaved row — the
+/// serial bucket walk in index order, each basis state added to the pair
+/// whose projector holds it — or `None` when the read-out is not on its
+/// diagonal path.
+fn readout_probabilities_aos(readout: &ProjectiveObservable, amps: &[C64]) -> Option<Vec<f64>> {
+    if !readout.is_diagonal() {
+        return None;
+    }
+    let first = &readout.pairs()[0].1;
+    let masks = target_masks(first.num_qubits(), first.targets());
+    let pair_of_local: Vec<usize> = (0..1usize << masks.len())
+        .map(|b| {
+            readout
+                .pairs()
+                .iter()
+                .position(|(_, projector)| projector.matrix().get(b, b).re > 0.5)
+                .expect("a diagonal read-out's projectors partition the basis")
+        })
+        .collect();
+    let mut probs = vec![0.0; readout.pairs().len()];
+    for (i, a) in amps.iter().enumerate() {
+        probs[pair_of_local[local_index(i, &masks)]] += a.re * a.re + a.im * a.im;
+    }
+    Some(probs)
+}
+
+/// One projective sample on an interleaved row: the cumulative Born-rule
+/// walk over the pairs, reading [`readout_probabilities_aos`] on the
+/// diagonal path and each projector's `expectation_amps` otherwise.
+fn sample_with_draw_aos(readout: &ProjectiveObservable, u: f64, total: f64, amps: &[C64]) -> f64 {
+    let probs = readout_probabilities_aos(readout, amps);
+    let mut r = u * total;
+    for (k, (eigenvalue, projector)) in readout.pairs().iter().enumerate() {
+        r -= match &probs {
+            Some(p) => p[k],
+            None => projector.expectation_amps(amps),
+        };
+        if r <= 0.0 {
+            return *eigenvalue;
+        }
+    }
+    readout.pairs().last().map(|(l, _)| *l).unwrap_or(0.0)
+}
+
 /// `collapse_with_draw` re-transcribed on interleaved amplitudes through
-/// the AoS oracle forms: identical selection walk, identical rescale and
-/// renormalization arithmetic, identical slack fallback.
+/// the AoS transcriptions above: identical selection walk, identical
+/// rescale and renormalization arithmetic, identical slack fallback.
 fn collapse_with_draw_aos(
     u: f64,
     n: usize,
@@ -147,13 +267,12 @@ fn collapse_with_draw_aos(
 ) -> (usize, Vec<C64>) {
     let total = norm_sqr_aos(amps);
     assert!(total > 1e-300, "cannot measure a zero-norm state");
-    let probs = meas.branch_probabilities_amps(n, amps);
-    let mut out = Vec::new();
+    let probs = branch_probabilities_aos(n, amps, meas);
     let mut r: f64 = u * total;
     for (outcome, &p) in probs.iter().enumerate() {
         r -= p;
         if r <= 0.0 {
-            meas.collapse_amps_into(n, amps, outcome, &mut out);
+            let mut out = collapse_aos(n, amps, meas, outcome);
             if p > 0.0 {
                 scale_aos(&mut out, C64::real((total / p).sqrt().min(1e150)));
                 let norm = norm_sqr_aos(&out).sqrt();
@@ -168,7 +287,7 @@ fn collapse_with_draw_aos(
         .rev()
         .find(|&m| probs[m] > 0.0)
         .expect("no branch has support");
-    meas.collapse_amps_into(n, amps, outcome, &mut out);
+    let mut out = collapse_aos(n, amps, meas, outcome);
     let norm = norm_sqr_aos(&out).sqrt();
     if norm > 0.0 {
         scale_aos(&mut out, C64::real(total.sqrt() / norm));
@@ -334,8 +453,7 @@ fn enumerate_exact_aos(n: usize, amps: &[C64], mirror: &[MirrorOp], obs: &Observ
                 let meas = Measurement::computational(vec![*q]);
                 let mut sum = 0.0;
                 for outcome in 0..meas.num_outcomes() {
-                    let mut branch = Vec::new();
-                    meas.collapse_amps_into(n, &amps, outcome, &mut branch);
+                    let mut branch = collapse_aos(n, &amps, &meas, outcome);
                     if norm_sqr_aos(&branch) <= BRANCH_PRUNE {
                         continue;
                     }
@@ -349,8 +467,7 @@ fn enumerate_exact_aos(n: usize, amps: &[C64], mirror: &[MirrorOp], obs: &Observ
             Some(MirrorOp::Case { meas, arms }) => {
                 let mut sum = 0.0;
                 for (outcome, arm) in arms.iter().enumerate() {
-                    let mut branch = Vec::new();
-                    meas.collapse_amps_into(n, &amps, outcome, &mut branch);
+                    let mut branch = collapse_aos(n, &amps, meas, outcome);
                     if norm_sqr_aos(&branch) <= BRANCH_PRUNE {
                         continue;
                     }
@@ -367,7 +484,8 @@ fn enumerate_exact_aos(n: usize, amps: &[C64], mirror: &[MirrorOp], obs: &Observ
 }
 
 // ---------------------------------------------------------------------------
-// 1. Per-row measurement paths: plane forms vs AoS oracle forms, bitwise.
+// 1. Per-row measurement paths: single-row forms (blocks of one) vs the
+//    AoS transcriptions, bitwise.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -377,7 +495,6 @@ fn per_row_measurement_paths_match_aos_oracle_bitwise() {
         for case in 0..4 {
             let amps = random_state(n, &mut rng);
             let psi = StateVector::from_amplitudes(n, amps.clone());
-            let (re, im) = psi.planes();
 
             let mut measurements = vec![Measurement::computational(vec![
                 (lcg(&mut rng) as usize) % n,
@@ -390,24 +507,20 @@ fn per_row_measurement_paths_match_aos_oracle_bitwise() {
             measurements.push(random_meas(n, &mut rng));
 
             for meas in &measurements {
-                // Probabilities: pure / planes-into vs the AoS oracle forms.
+                // Probabilities: the single-row form (the block form on a
+                // block of one) vs the AoS transcription. Row independence
+                // of multi-row blocks is pinned in
+                // `block_measurement_differential.rs`.
+                let p_aos = branch_probabilities_aos(n, &amps, meas);
                 let p_pure = meas.branch_probabilities_pure(&psi);
-                let p_amps = meas.branch_probabilities_amps(n, &amps);
-                assert_eq!(bits(&p_pure), bits(&p_amps), "n={n} case={case}");
+                assert_eq!(bits(&p_pure), bits(&p_aos), "n={n} case={case}");
 
-                let mut p_planes = Vec::new();
-                meas.branch_probabilities_planes_into(n, re, im, &mut p_planes);
-                let mut p_aos = Vec::new();
-                meas.branch_probabilities_into(n, &amps, &mut p_aos);
-                assert_eq!(bits(&p_planes), bits(&p_aos), "n={n} case={case}");
-
-                // Collapse: pure / planes-into vs the AoS oracle form. A
-                // general operator reaches the oracle through the reference
-                // scan, whose `+0.0`-seeded accumulation turns the plane
-                // kernels' `-0.0` into `+0.0` where `Mk` has a zero row
-                // (the `P0·R†` shape): those collapses compare up to the
-                // sign of zero. Computational collapses (a masked copy on
-                // both sides) stay sign-exact.
+                // Collapse: the single-row form vs the AoS transcription. A general operator reaches it through the
+                // reference scan, whose `+0.0`-seeded accumulation turns
+                // the plane kernels' `-0.0` into `+0.0` where `Mk` has a
+                // zero row (the `P0·R†` shape): those collapses compare up
+                // to the sign of zero. Computational collapses (a masked
+                // copy on both sides) stay sign-exact.
                 let oracle_view = |bits: Vec<(u64, u64)>| {
                     if is_general(meas) {
                         canon_zero(bits)
@@ -416,23 +529,13 @@ fn per_row_measurement_paths_match_aos_oracle_bitwise() {
                     }
                 };
                 for outcome in 0..meas.num_outcomes() {
+                    let aos = collapse_aos(n, &amps, meas, outcome);
                     let collapsed = meas.collapse_pure(&psi, outcome);
                     let (cre, cim) = collapsed.planes();
-
-                    let mut aos = Vec::new();
-                    meas.collapse_amps_into(n, &amps, outcome, &mut aos);
                     assert_eq!(
                         oracle_view(plane_bits(cre, cim)),
                         oracle_view(amp_bits(&aos)),
                         "collapse n={n} case={case} outcome={outcome}"
-                    );
-
-                    let (mut pre, mut pim) = (Vec::new(), Vec::new());
-                    meas.collapse_planes_into(n, re, im, outcome, &mut pre, &mut pim);
-                    assert_eq!(
-                        oracle_view(plane_bits(&pre, &pim)),
-                        oracle_view(amp_bits(&aos)),
-                        "collapse_planes n={n} case={case} outcome={outcome}"
                     );
                 }
             }
@@ -472,38 +575,50 @@ fn expectation_planes_matches_aos_oracle_bitwise() {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Projective read-out: plane probability/sampling paths vs AoS, bitwise.
+// 3. Projective read-out: block probabilities and single-row draws vs the
+//    AoS transcriptions, bitwise.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn readout_probabilities_and_draws_match_aos_bitwise() {
     let mut rng = 0x3147_u64;
-    for n in [2usize, 4, 8] {
+    for n in [2usize, 3, 4, 8] {
         let q = (lcg(&mut rng) as usize) % n;
-        for obs in [Observable::pauli_z(n, q), Observable::projector_one(n, q)] {
+        // `Z ⊗ |1⟩⟨1|` on the ancilla and one target: two targets, three
+        // pairs, so the walk maps several local indices to one pair.
+        let observables = [
+            Observable::pauli_z(n, q),
+            Observable::projector_one(n, q),
+            Observable::projector_one(n - 1, q % (n - 1)).with_ancilla_z(),
+        ];
+        for (obs, case) in observables.iter().flat_map(|o| (0..4).map(move |c| (o, c))) {
             // `new` takes the diagonal fast path; `general` the reference
             // expectation path — both must agree across layouts.
-            for readout in [ProjectiveObservable::new(&obs), ProjectiveObservable::general(&obs)] {
+            for readout in [ProjectiveObservable::new(obs), ProjectiveObservable::general(obs)] {
                 let amps = random_state(n, &mut rng);
                 let psi = StateVector::from_amplitudes(n, amps.clone());
                 let (re, im) = psi.planes();
 
-                let mut p_aos = Vec::new();
-                readout.row_probabilities_into(&amps, &mut p_aos);
                 let mut p_planes = Vec::new();
-                readout.row_probabilities_planes_into(re, im, &mut p_planes);
-                assert_eq!(bits(&p_planes), bits(&p_aos), "n={n} q={q}");
+                let diagonal = readout.row_probabilities_block(re, im, 1, &mut p_planes);
+                match readout_probabilities_aos(&readout, &amps) {
+                    Some(p_aos) => {
+                        assert!(diagonal, "n={n} q={q} case={case}");
+                        assert_eq!(bits(&p_planes), bits(&p_aos), "n={n} q={q} case={case}");
+                    }
+                    None => assert!(!diagonal, "n={n} q={q} case={case}"),
+                }
 
                 let total = norm_sqr_aos(&amps);
-                assert_eq!(total.to_bits(), psi.norm_sqr().to_bits(), "n={n} q={q}");
+                assert_eq!(total.to_bits(), psi.norm_sqr().to_bits(), "n={n} q={q} case={case}");
                 for step in 0..=20 {
                     let u = step as f64 / 20.0;
-                    let via_aos = readout.sample_with_draw(u, total, &amps);
+                    let via_aos = sample_with_draw_aos(&readout, u, total, &amps);
                     let via_planes = readout.sample_with_draw_planes(u, total, re, im);
                     assert_eq!(
                         via_planes.to_bits(),
                         via_aos.to_bits(),
-                        "n={n} q={q} u={u}"
+                        "n={n} q={q} case={case} u={u}"
                     );
                 }
             }
@@ -541,7 +656,7 @@ fn exact_sweep_invariant_across_threads_and_batches_and_matches_aos_enumeration(
                 .collect();
             for &threads in &THREAD_COUNTS {
                 qdp_par::set_max_threads(threads);
-                let out = engine.expectation_sweep(BatchedStates::from_states(&states), &obs);
+                let out = engine.expectation_sweep(BatchedStates::from_states(&states), &obs).unwrap();
                 qdp_par::set_max_threads(0);
                 assert_eq!(out.len(), batch);
                 // Row r's bits must not depend on thread count or on which
@@ -597,8 +712,9 @@ fn sampled_run_matches_serial_aos_replay_bitwise() {
                 qdp_par::set_max_threads(threads);
                 let mut samplers: Vec<ShotSampler> =
                     (0..batch).map(|r| ShotSampler::derived(seed, r as u64)).collect();
-                let out =
-                    engine.run(BatchedStates::from_states(&states), &vec![1; batch], &mut samplers);
+                let out = engine
+                    .run(BatchedStates::from_states(&states), &vec![1; batch], &mut samplers)
+                    .unwrap();
                 qdp_par::set_max_threads(0);
                 assert_eq!(out.len(), batch);
 
@@ -646,8 +762,7 @@ fn collapse_preserves_signed_zero_bits_across_layouts() {
 
     for outcome in 0..2 {
         let collapsed = meas.collapse_pure(&psi, outcome);
-        let mut aos = Vec::new();
-        meas.collapse_amps_into(n, &amps, outcome, &mut aos);
+        let aos = collapse_aos(n, &amps, &meas, outcome);
 
         let (cre, cim) = collapsed.planes();
         assert_eq!(plane_bits(cre, cim), amp_bits(&aos), "outcome={outcome}");
@@ -945,7 +1060,7 @@ fn simd_lane_reductions_match_scalar_bitwise() {
         let mut all = vec![psi.norm_sqr(), obs.expectation_planes(re, im)];
         for meas in &measurements {
             let mut p = Vec::new();
-            meas.branch_probabilities_planes_into(n, re, im, &mut p);
+            meas.branch_probabilities_block(n, re, im, &mut p);
             probs.append(&mut p);
         }
         all.append(&mut probs);
@@ -959,7 +1074,7 @@ fn simd_lane_reductions_match_scalar_bitwise() {
                 let mut all = vec![psi.norm_sqr(), obs.expectation_planes(re, im)];
                 for meas in &measurements {
                     let mut p = Vec::new();
-                    meas.branch_probabilities_planes_into(n, re, im, &mut p);
+                    meas.branch_probabilities_block(n, re, im, &mut p);
                     probs.append(&mut p);
                 }
                 all.append(&mut probs);

@@ -120,7 +120,7 @@ fn regrouped_rows_match_per_row_fallback() {
             let mut samplers: Vec<ShotSampler> = (0..batch_size)
                 .map(|r| ShotSampler::derived(seed, r as u64))
                 .collect();
-            let grouped = engine.run(BatchedStates::from_states(rows), counts, &mut samplers);
+            let grouped = engine.run(BatchedStates::from_states(rows), counts, &mut samplers).unwrap();
 
             for (r, &input) in shot_inputs(rows, counts).iter().enumerate() {
                 // Per-row fallback: the same row alone, same stream — no
@@ -128,6 +128,7 @@ fn regrouped_rows_match_per_row_fallback() {
                 let mut solo_sampler = vec![ShotSampler::derived(seed, r as u64)];
                 let solo = engine
                     .run(BatchedStates::from_states(std::slice::from_ref(input)), &[1], &mut solo_sampler)
+                    .unwrap()
                     .remove(0);
 
                 assert_eq!(
@@ -168,21 +169,20 @@ fn regrouped_readout_samples_match_per_row_fallback() {
             let mut samplers: Vec<ShotSampler> = (0..batch_size)
                 .map(|r| ShotSampler::derived(seed, r as u64))
                 .collect();
-            let grouped = engine.sample_sweep(
-                BatchedStates::from_states(rows),
-                counts,
-                &mut samplers,
-                &readout,
-            );
+            let grouped = engine
+                .sample_sweep(BatchedStates::from_states(rows), counts, &mut samplers, &readout)
+                .unwrap();
 
             for (r, &input) in shot_inputs(rows, counts).iter().enumerate() {
                 let mut solo_sampler = vec![ShotSampler::derived(seed, r as u64)];
-                let solo = engine.sample_sweep(
-                    BatchedStates::from_states(std::slice::from_ref(input)),
-                    &[1],
-                    &mut solo_sampler,
-                    &readout,
-                )[0];
+                let solo = engine
+                    .sample_sweep(
+                        BatchedStates::from_states(std::slice::from_ref(input)),
+                        &[1],
+                        &mut solo_sampler,
+                        &readout,
+                    )
+                    .unwrap()[0];
                 assert_eq!(
                     solo.to_bits(),
                     grouped[r].to_bits(),
@@ -207,15 +207,16 @@ fn regrouping_is_insensitive_to_row_order() {
     let mut samplers: Vec<ShotSampler> = (0..batch_size)
         .map(|r| ShotSampler::derived(1, r as u64))
         .collect();
-    let forward = engine.run(BatchedStates::from_states(&inputs), &[1; 11], &mut samplers);
+    let forward = engine.run(BatchedStates::from_states(&inputs), &[1; 11], &mut samplers).unwrap();
 
     let rev_inputs: Vec<StateVector> = inputs.iter().rev().cloned().collect();
     let mut rev_samplers: Vec<ShotSampler> = (0..batch_size)
         .rev()
         .map(|r| ShotSampler::derived(1, r as u64))
         .collect();
-    let reversed =
-        engine.run(BatchedStates::from_states(&rev_inputs), &[1; 11], &mut rev_samplers);
+    let reversed = engine
+        .run(BatchedStates::from_states(&rev_inputs), &[1; 11], &mut rev_samplers)
+        .unwrap();
 
     for r in 0..batch_size {
         let a = &forward[r];

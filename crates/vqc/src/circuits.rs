@@ -21,13 +21,6 @@ pub const CASE_STUDY_QUBITS: usize = 4;
 /// Number of parameters per `Q` block.
 pub const PARAMS_PER_BLOCK: usize = 12;
 
-/// The qubit variables `q1..q4`.
-pub fn case_study_vars() -> Vec<Var> {
-    (1..=CASE_STUDY_QUBITS)
-        .map(|i| Var::new(format!("q{i}")))
-        .collect()
-}
-
 /// Parameter names `"{prefix}0" .. "{prefix}11"` for one `Q` block.
 pub fn block_param_names(prefix: &str) -> Vec<String> {
     (0..PARAMS_PER_BLOCK).map(|i| format!("{prefix}{i}")).collect()
