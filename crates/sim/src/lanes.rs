@@ -154,6 +154,34 @@ pub(crate) fn add_run(acc: &mut [f64; LANES], re: &[f64], im: &[f64], start: usi
     }
 }
 
+/// Lane-split `Re⟨a|b⟩ = Σᵢ a_re[i]·b_re[i] + a_im[i]·b_im[i]` over whole
+/// planes: amplitude `i` in lane `i % LANES`, the partials combined by the
+/// fixed tree, so the bits depend on the two rows alone.
+///
+/// # Panics
+///
+/// Debug-asserts equal plane lengths.
+pub(crate) fn dot_re(are: &[f64], aim: &[f64], bre: &[f64], bim: &[f64]) -> f64 {
+    let n = are.len();
+    debug_assert!(aim.len() == n && bre.len() == n && bim.len() == n, "planes must have equal lengths");
+    let mut acc = [0.0f64; LANES];
+    let main = n & !(LANES - 1);
+    for (((ar, ai), br), bi) in are[..main]
+        .chunks_exact(LANES)
+        .zip(aim[..main].chunks_exact(LANES))
+        .zip(bre[..main].chunks_exact(LANES))
+        .zip(bim[..main].chunks_exact(LANES))
+    {
+        for j in 0..LANES {
+            acc[j] += ar[j] * br[j] + ai[j] * bi[j];
+        }
+    }
+    for j in main..n {
+        acc[j % LANES] += are[j] * bre[j] + aim[j] * bim[j];
+    }
+    combine(acc)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -71,6 +71,7 @@ pub use sampling::{
     ShotSampler,
 };
 pub use shots::{
-    ShotEngine, SweepTrie, TrajProgram, TrajectoryRow, TrieMatrix, TrieOp, BRANCH_PRUNE, SHOT_TILE,
+    AdjointProgram, ParamGate, ShotEngine, SweepTrie, TrajProgram, TrajectoryRow, TrieMatrix,
+    TrieOp, BRANCH_PRUNE, SHOT_TILE,
 };
 pub use state::StateVector;

@@ -501,6 +501,13 @@ impl ShotSampler {
     }
 
     /// Monte-Carlo estimate of `⟨O⟩` from `shots` projective samples.
+    ///
+    /// The state is fixed, so its read-out probabilities are computed once
+    /// per call, not once per shot: one bucketed pass for a diagonal
+    /// observable, and otherwise each projector's expectation the first
+    /// time a selection reads it. Every shot then selects against the same
+    /// numbers [`ProjectiveObservable::sample_with_draw_planes`] computes,
+    /// so the estimate carries the bits of that per-shot loop.
     pub fn estimate_observable(
         &mut self,
         psi: &StateVector,
@@ -514,10 +521,19 @@ impl ShotSampler {
         }
         let projective = ProjectiveObservable::new(obs);
         let (re, im) = psi.planes();
+        let mut probs = Vec::new();
+        let diagonal = projective.row_probabilities_block(re, im, 1, &mut probs);
+        let mut memo: Vec<Option<f64>> = vec![None; projective.pairs().len()];
         let mut acc = 0.0;
         for _ in 0..shots {
             let u = self.next_uniform();
-            acc += projective.sample_with_draw_planes(u, total, re, im);
+            acc += if diagonal {
+                projective.select_with(u, total, |k| probs[k])
+            } else {
+                projective.select_with(u, total, |k| {
+                    *memo[k].get_or_insert_with(|| projective.pairs()[k].1.expectation_planes(re, im))
+                })
+            };
         }
         acc / shots as f64
     }
@@ -527,6 +543,32 @@ impl ShotSampler {
 mod tests {
     use super::*;
     use qdp_linalg::Matrix;
+
+    #[test]
+    fn estimate_observable_carries_the_per_shot_loops_bits() {
+        let mut psi = StateVector::zero_state(2);
+        psi.apply_gate(&Matrix::rotation_y(0.9), &[0]);
+        psi.apply_gate(&Matrix::rotation_x(-1.7), &[1]);
+        psi.apply_gate(&Matrix::cnot(), &[0, 1]);
+        let diagonal = Observable::pauli_z(2, 1);
+        let rotated = Observable::new(2, vec![0, 1], Matrix::pauli_x().kron(&Matrix::pauli_y()));
+        assert!(ProjectiveObservable::new(&diagonal).is_diagonal());
+        assert!(!ProjectiveObservable::new(&rotated).is_diagonal());
+        for obs in [&diagonal, &rotated] {
+            let shots = 777;
+            let estimate = ShotSampler::seeded(31).estimate_observable(&psi, obs, shots);
+            let projective = ProjectiveObservable::new(obs);
+            let (re, im) = psi.planes();
+            let total = psi.norm_sqr();
+            let mut sampler = ShotSampler::seeded(31);
+            let mut acc = 0.0;
+            for _ in 0..shots {
+                let u = sampler.next_uniform();
+                acc += projective.sample_with_draw_planes(u, total, re, im);
+            }
+            assert_eq!(estimate.to_bits(), (acc / shots as f64).to_bits());
+        }
+    }
 
     #[test]
     fn measurement_statistics_approach_born_rule() {

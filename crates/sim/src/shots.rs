@@ -40,6 +40,11 @@
 //!   for every forward value, single multiset and exact gradient. Batches
 //!   too small for row tiles split their programs among the free workers
 //!   instead.
+//! * **Exact gradients, reverse mode**: [`AdjointProgram::gradient_sweep`]
+//!   runs a program forward over its branch tree with the same forks, then
+//!   backward with the costate `λ = Oφ`, and reads out every parameter's
+//!   derivative at once (the adjoint method). Each parameter's derivative
+//!   multiset swept as a trie is its oracle.
 //!
 //! Both modes share the straight-line machinery: gate segments stream as
 //! single batched kernel calls (with per-qubit 2×2 fusion of commuting
@@ -2649,6 +2654,480 @@ impl<'a> TrieSweep<'a> {
     }
 }
 
+/// The per-call matrices of one parameterised gate of an
+/// [`AdjointProgram`]: entry `i` of the table
+/// [`AdjointProgram::gradient_sweep`] takes is what
+/// [`TrieMatrix::Table`]`(i)` names.
+#[derive(Clone, Debug)]
+pub struct ParamGate {
+    /// `U(θ)`, the matrix the forward pass applies.
+    pub matrix: Matrix,
+    /// `U(θ + π)`. Every rotation-type gate `exp(−iθG/2)·C` with `G² = I`
+    /// (rotations, couplings and their iterated controlled forms) has
+    /// `∂U/∂θ = ½·U(θ + π)`, the identity behind the paper's gadget.
+    pub shifted: Matrix,
+    /// The gradient column the gate's terms add to.
+    pub column: usize,
+}
+
+/// Where an adjoint gate takes its matrix from.
+#[derive(Clone, Debug)]
+enum AdjointMatrix {
+    /// Fixed when the program is built, with its adjoint.
+    Fixed { matrix: Matrix, adjoint: Matrix },
+    /// Entry `i` of the per-call [`ParamGate`] table.
+    Param(usize),
+}
+
+/// A measurement with the adjoint `M_m†` of each operator, which pulls a
+/// costate back through outcome `m`.
+#[derive(Clone, Debug)]
+struct AdjointMeasurement {
+    meas: Measurement,
+    adjoints: Vec<Matrix>,
+}
+
+impl AdjointMeasurement {
+    fn new(meas: Measurement) -> Self {
+        let adjoints = meas.operators().iter().map(Matrix::dagger).collect();
+        AdjointMeasurement { meas, adjoints }
+    }
+}
+
+#[derive(Clone, Debug)]
+enum AdjointOp {
+    Gate {
+        matrix: AdjointMatrix,
+        targets: Vec<usize>,
+    },
+    /// `q := |0⟩` on `target`: measure it and flip on outcome 1.
+    Init {
+        meas: AdjointMeasurement,
+        target: usize,
+    },
+    Case {
+        meas: AdjointMeasurement,
+        arms: Vec<Vec<AdjointOp>>,
+    },
+    Abort,
+}
+
+fn adjoint_ops(ops: &[TrieOp<'_>]) -> Vec<AdjointOp> {
+    ops.iter()
+        .map(|op| match op {
+            TrieOp::Gate { matrix, targets } => AdjointOp::Gate {
+                matrix: match matrix {
+                    TrieMatrix::Fixed(m) => AdjointMatrix::Fixed {
+                        matrix: (*m).clone(),
+                        adjoint: m.dagger(),
+                    },
+                    TrieMatrix::Table(i) => AdjointMatrix::Param(*i),
+                },
+                targets: targets.to_vec(),
+            },
+            TrieOp::Init { target } => AdjointOp::Init {
+                meas: AdjointMeasurement::new(Measurement::computational(vec![*target])),
+                target: *target,
+            },
+            TrieOp::Case { meas, arms } => AdjointOp::Case {
+                meas: AdjointMeasurement::new((*meas).clone()),
+                arms: arms.iter().map(|arm| adjoint_ops(arm)).collect(),
+            },
+            TrieOp::Abort => AdjointOp::Abort,
+        })
+        .collect()
+}
+
+fn adjoint_op_count(ops: &[AdjointOp]) -> usize {
+    ops.iter()
+        .map(|op| match op {
+            AdjointOp::Case { arms, .. } => 1 + arms.iter().map(|a| adjoint_op_count(a)).sum::<usize>(),
+            _ => 1,
+        })
+        .sum()
+}
+
+/// Kernel passes an adjoint sweep makes per op, about: the forward
+/// application, then `U†` on the state and on the costate and `U(θ + π)`
+/// on a copy for the parameter's term.
+const ADJOINT_PASSES: usize = 4;
+
+/// Exact gradients by the **adjoint method** (reverse mode): every
+/// parameter's derivative of `Σ_programs Σ_branches ⟨ψb|O|ψb⟩` on every
+/// row, from one forward and one backward sweep per branch.
+///
+/// Each branch of a program is a linear map `A_b` on the unnormalised
+/// state (gates, then at every `case` or reset the operator `M_m` of the
+/// outcome taken), and `E = Σ_b ⟨A_bψ|O|A_bψ⟩`. So the sweep runs the
+/// program forward as a depth-first walk over its branch tree, forking
+/// each group at measurements with the exact sweep's branch-weighted fork
+/// and keeping the block it forked. At a leaf it sets the costate
+/// `λ = Oφ`. Walking each straight-line segment backward, it undoes every
+/// gate `U` on `φ` and on `λ` with `U†`, and adds `Re⟨λ|U(θ+π)|φ⟩` (with
+/// `λ` after the gate and `φ` before it: `2·Re⟨λ|∂U|φ⟩`) to the
+/// parameterised gate's column. At a fork it sums `M_m†λ_m` over the
+/// outcomes, in ascending order, into the costate of the kept block.
+/// Repeated parameters simply add up their occurrences. There is no
+/// ancilla: everything runs on the input's `2ⁿ` amplitudes.
+///
+/// By Theorem 6.2 this is the quantity the paper's derivative programs
+/// compute, so it agrees with sweeping each parameter's derivative
+/// multiset ([`SweepTrie::expectation_sweep`] on `|0⟩⊗ψ` with `Z_A⊗O`)
+/// to rounding. Every row's arithmetic depends on that row alone: its
+/// gradients are bit-for-bit the same under any thread count and batch
+/// composition.
+#[derive(Clone, Debug)]
+pub struct AdjointProgram {
+    programs: Vec<Vec<AdjointOp>>,
+    /// Ops over every program, each measurement once plus its arms.
+    ops: usize,
+    /// The flip of resets.
+    flip: Matrix,
+}
+
+impl AdjointProgram {
+    /// The programs of a multiset, whose gradients sum in multiset order.
+    /// [`TrieMatrix::Table`]`(i)` gates are parameterised: they read entry
+    /// `i` of the [`ParamGate`] table each sweep takes.
+    pub fn build<'a>(programs: impl IntoIterator<Item = Vec<TrieOp<'a>>>) -> Self {
+        let programs: Vec<Vec<AdjointOp>> = programs.into_iter().map(|ops| adjoint_ops(&ops)).collect();
+        AdjointProgram {
+            ops: programs.iter().map(|p| adjoint_op_count(p)).sum(),
+            programs,
+            flip: Matrix::pauli_x(),
+        }
+    }
+
+    /// `out[c][r]`: the derivative, on row `r`, of the programs' summed
+    /// exact expectation of `obs` with respect to the parameter of column
+    /// `c`, each gate's matrices read from `table` (see [`ParamGate`]).
+    ///
+    /// Batches whose work (rows × amplitudes × ops × the sweep's passes)
+    /// reaches [`qdp_par::FORK_MIN_WORK`] split into [`EXACT_TILE`]-row
+    /// tiles across `qdp_par`; smaller ones run on the calling thread.
+    ///
+    /// The sweep runs **unmonitored**, as [`SweepTrie::expectation_sweep`]
+    /// does: its forks carry no health checks and a zero mass budget (only
+    /// branches at weight ≤ [`BRANCH_PRUNE`] are dropped).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a row tile still panicked after its bit-identical
+    /// retries, when `table` lacks an entry the programs name or names a
+    /// column at or past `columns`, or when the register sizes of the
+    /// batch, the programs and `obs` disagree.
+    pub fn gradient_sweep(
+        &self,
+        table: &[ParamGate],
+        columns: usize,
+        states: BatchedStates,
+        obs: &Observable,
+    ) -> Vec<Vec<f64>> {
+        let total_rows = states.len();
+        if total_rows == 0 || self.programs.is_empty() {
+            return vec![vec![0.0; total_rows]; columns];
+        }
+        assert_eq!(
+            obs.num_qubits(),
+            states.num_qubits(),
+            "observable register size mismatch"
+        );
+        let adjoints: Vec<Matrix> = table.iter().map(|g| g.matrix.dagger()).collect();
+        let blocks = exact_tiles(states, self.ops * ADJOINT_PASSES, |block| {
+            self.sweep_tile(table, &adjoints, columns, block, obs)
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
+        let mut out = vec![Vec::with_capacity(total_rows); columns];
+        for (rows, grads) in blocks {
+            for (c, col) in out.iter_mut().enumerate() {
+                col.extend((0..rows).map(|r| grads[r * columns + c]));
+            }
+        }
+        out
+    }
+
+    /// One tile: every program over one block, into a row-major
+    /// `rows × columns` buffer.
+    fn sweep_tile(
+        &self,
+        table: &[ParamGate],
+        adjoints: &[Matrix],
+        columns: usize,
+        states: BatchedStates,
+        obs: &Observable,
+    ) -> Result<Vec<f64>, QdpError> {
+        let rows = states.len();
+        SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            let mut sweep = AdjointSweep {
+                exact: ExactSweep {
+                    budgets: vec![0.0; rows],
+                    scratch,
+                    flush_gate: Matrix::zeros(2, 2),
+                    health: None,
+                    defects: Vec::new(),
+                },
+                table,
+                adjoints,
+                flip: &self.flip,
+                obs,
+                grads: vec![0.0; rows * columns],
+                columns,
+            };
+            if let Some((last, rest)) = self.programs.split_last() {
+                for ops in rest {
+                    sweep.run_root(ops, states.clone())?;
+                }
+                sweep.run_root(last, states)?;
+            }
+            Ok(sweep.grads)
+        })
+    }
+}
+
+/// One gate of a straight-line segment, as the backward pass reads it.
+#[derive(Clone, Copy)]
+struct SegmentGate<'a> {
+    matrix: &'a Matrix,
+    adjoint: &'a Matrix,
+    targets: &'a [usize],
+    /// The [`ParamGate`] entry whose term this gate adds, if any.
+    param: Option<usize>,
+}
+
+/// A copy of `states` in pooled buffers.
+fn copy_states(scratch: &mut RegroupScratch, states: &BatchedStates) -> BatchedStates {
+    let (mut re, mut im) = scratch.take_block();
+    let (src_re, src_im) = states.planes();
+    re.extend_from_slice(src_re);
+    im.extend_from_slice(src_im);
+    BatchedStates::from_raw(states.len(), states.num_qubits(), re, im)
+}
+
+/// The state of one [`AdjointProgram`] sweep over one tile.
+struct AdjointSweep<'a> {
+    /// The exact sweep's fork machinery: arena, zero mass budgets, no
+    /// health checks.
+    exact: ExactSweep<'a>,
+    table: &'a [ParamGate],
+    /// `U†` of each table entry.
+    adjoints: &'a [Matrix],
+    flip: &'a Matrix,
+    obs: &'a Observable,
+    /// Row-major `rows × columns`: row `r`'s gradient in column `c` at
+    /// `r * columns + c`.
+    grads: Vec<f64>,
+    columns: usize,
+}
+
+impl<'a> AdjointSweep<'a> {
+    fn run_root(&mut self, ops: &'a [AdjointOp], states: BatchedStates) -> Result<(), QdpError> {
+        let group = weighted_root(states, self.exact.scratch);
+        self.run(ops, Vec::new(), group, false).map(|_| ())
+    }
+
+    fn gate(&self, matrix: &'a AdjointMatrix, targets: &'a [usize]) -> SegmentGate<'a> {
+        match matrix {
+            AdjointMatrix::Fixed { matrix, adjoint } => SegmentGate {
+                matrix,
+                adjoint,
+                targets,
+                param: None,
+            },
+            AdjointMatrix::Param(i) => {
+                let (table, adjoints) = (self.table, self.adjoints);
+                SegmentGate {
+                    matrix: &table[*i].matrix,
+                    adjoint: &adjoints[*i],
+                    targets,
+                    param: Some(*i),
+                }
+            }
+        }
+    }
+
+    /// Runs `ops`, then the suspended continuations `cont` (innermost
+    /// last), forward on `group` up to the next fork or the leaf, then the
+    /// rest of the subtree, then this segment backward. Returns the
+    /// costate at the segment's start over `group`'s rows when `costate`
+    /// asks for it and some leaf below survived.
+    fn run(
+        &mut self,
+        mut ops: &'a [AdjointOp],
+        mut cont: Vec<&'a [AdjointOp]>,
+        mut group: WeightedGroup,
+        costate: bool,
+    ) -> Result<Option<WeightedGroup>, QdpError> {
+        let mut segment: Vec<SegmentGate<'a>> = Vec::new();
+        loop {
+            for (i, op) in ops.iter().enumerate() {
+                match op {
+                    AdjointOp::Gate { matrix, targets } => {
+                        let gate = self.gate(matrix, targets);
+                        group.states.apply_gate(gate.matrix, gate.targets);
+                        segment.push(gate);
+                    }
+                    AdjointOp::Abort => {
+                        // Aborted branches contribute nothing.
+                        self.exact.scratch.reclaim_weighted(group);
+                        return Ok(None);
+                    }
+                    AdjointOp::Init { .. } | AdjointOp::Case { .. } => {
+                        let lambda = self.fork(op, &ops[i + 1..], &cont, &mut group)?;
+                        return Ok(self.backward(&segment, group, lambda, costate));
+                    }
+                }
+            }
+            match cont.pop() {
+                Some(next) => ops = next,
+                None => break,
+            }
+        }
+        let mut lambda = copy_states(self.exact.scratch, &group.states);
+        lambda.apply_gate(self.obs.matrix(), self.obs.targets());
+        Ok(self.backward(&segment, group, Some(lambda), costate))
+    }
+
+    /// Forks `group` at `op` (a reset or a case) and runs every surviving
+    /// outcome's subtree, then pulls their costates back (`M_m†λ_m`, the
+    /// reset's flip undone first) and sums them, in ascending outcome
+    /// order, into one costate over `group`'s rows. `group` is left
+    /// holding the block it had before the fork.
+    fn fork(
+        &mut self,
+        op: &'a AdjointOp,
+        rest: &'a [AdjointOp],
+        cont: &[&'a [AdjointOp]],
+        group: &mut WeightedGroup,
+    ) -> Result<Option<BatchedStates>, QdpError> {
+        let (meas, reset) = match op {
+            AdjointOp::Init { meas, target } => (meas, Some(*target)),
+            AdjointOp::Case { meas, .. } => (meas, None),
+            _ => unreachable!("only resets and cases fork"),
+        };
+        let kept = self.exact.scratch.copy_weighted(group);
+        let parent = std::mem::replace(group, kept);
+        let mut forks = self.exact.fork(parent, &meas.meas)?;
+        let mut lambda: Option<BatchedStates> = None;
+        for (outcome, mut sub) in forks.drain(..) {
+            let flipped = reset.filter(|_| outcome == 1);
+            if let Some(target) = flipped {
+                sub.states.apply_gate(self.flip, &[target]);
+            }
+            let child = match op {
+                AdjointOp::Case { arms, .. } => {
+                    let mut arm_cont = cont.to_vec();
+                    arm_cont.push(rest);
+                    self.run(&arms[outcome], arm_cont, sub, true)?
+                }
+                _ => self.run(rest, cont.to_vec(), sub, true)?,
+            };
+            let Some(mut child) = child else {
+                continue;
+            };
+            if let Some(target) = flipped {
+                child.states.apply_gate(self.flip, &[target]);
+            }
+            child.states.apply_gate(&meas.adjoints[outcome], meas.meas.targets());
+            let lambda = lambda.get_or_insert_with(|| {
+                let (mut re, mut im) = self.exact.scratch.take_block();
+                let len = group.states.len() * group.states.dim();
+                re.resize(len, 0.0);
+                im.resize(len, 0.0);
+                BatchedStates::from_raw(group.states.len(), group.states.num_qubits(), re, im)
+            });
+            // Rows keep their relative order through every fork, so each
+            // child row is found by one forward scan of the parent's.
+            let mut p = 0;
+            for (c, ctx) in child.rows.iter().enumerate() {
+                while group.rows[p].orig != ctx.orig {
+                    p += 1;
+                }
+                let (cre, cim) = child.states.row_planes(c);
+                let (lre, lim) = lambda.row_planes_mut(p);
+                for (l, x) in lre.iter_mut().zip(cre) {
+                    *l += x;
+                }
+                for (l, x) in lim.iter_mut().zip(cim) {
+                    *l += x;
+                }
+            }
+            self.exact.scratch.reclaim_weighted(child);
+        }
+        pool_give(&mut self.exact.scratch.weighted_forks, forks);
+        Ok(lambda)
+    }
+
+    /// Walks `segment` backward from its end, where `phi` holds the state
+    /// and `lambda` the costate of `phi`'s rows (`None`: no leaf below
+    /// survived, so nothing flows back). Each gate is undone on both with
+    /// `U†`, and a parameterised gate adds `Re⟨λ|U(θ+π)|φ⟩`, the costate
+    /// after it against the state before it, to its column. Returns the
+    /// costate at the segment's start, over `phi`'s rows, when `costate`
+    /// asks for it; undoes nothing the rest of the walk does not read.
+    fn backward(
+        &mut self,
+        segment: &[SegmentGate<'a>],
+        mut phi: WeightedGroup,
+        lambda: Option<BatchedStates>,
+        costate: bool,
+    ) -> Option<WeightedGroup> {
+        let Some(mut lambda) = lambda else {
+            self.exact.scratch.reclaim_weighted(phi);
+            return None;
+        };
+        let first_param = segment.iter().position(|g| g.param.is_some());
+        for (k, gate) in segment.iter().enumerate().rev() {
+            let terms_left = first_param.is_some_and(|f| f <= k);
+            if !terms_left && !costate {
+                break;
+            }
+            if terms_left {
+                phi.states.apply_gate(gate.adjoint, gate.targets);
+            }
+            if let Some(i) = gate.param {
+                let table = self.table;
+                self.add_terms(&table[i], gate.targets, &phi, &lambda);
+            }
+            if costate || first_param.is_some_and(|f| f < k) {
+                lambda.apply_gate(gate.adjoint, gate.targets);
+            }
+        }
+        if costate {
+            let WeightedGroup { states, rows, pending } = phi;
+            self.exact.scratch.give_block(states.into_raw());
+            Some(WeightedGroup {
+                states: lambda,
+                rows,
+                pending,
+            })
+        } else {
+            self.exact.scratch.reclaim_weighted(phi);
+            self.exact.scratch.give_block(lambda.into_raw());
+            None
+        }
+    }
+
+    /// Adds `Re⟨λr|U(θ+π)|φr⟩` to row `r`'s column of `gate`, every row.
+    fn add_terms(
+        &mut self,
+        gate: &ParamGate,
+        targets: &[usize],
+        phi: &WeightedGroup,
+        lambda: &BatchedStates,
+    ) {
+        let column = gate.column;
+        let mut shifted = copy_states(self.exact.scratch, &phi.states);
+        shifted.apply_gate(&gate.shifted, targets);
+        for (r, ctx) in phi.rows.iter().enumerate() {
+            let (lre, lim) = lambda.row_planes(r);
+            let (sre, sim) = shifted.row_planes(r);
+            self.grads[ctx.orig * self.columns + column] += crate::lanes::dot_re(lre, lim, sre, sim);
+        }
+        self.exact.scratch.give_block(shifted.into_raw());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -3045,6 +3524,81 @@ mod tests {
             .sweep_tile(&[], BatchedStates::from_states(&inputs), &obs, 2, 3)
             .unwrap();
         assert!(unowned.iter().all(|v| v.to_bits() == 0.0f64.to_bits()), "{unowned:?}");
+    }
+
+    #[test]
+    fn adjoint_gradient_matches_finite_differences_through_forks() {
+        // θ0 on a rotation before a case and in its continuation, θ1 in
+        // one arm; the other arm resets, and a second program aborts in
+        // one arm: every kind of fork the backward pass pulls back through.
+        let m0 = Measurement::computational(vec![0]);
+        let ry = |t: &'static [usize]| gate(TrieMatrix::Table(0), t);
+        let rx = |t: &'static [usize]| gate(TrieMatrix::Table(1), t);
+        let h = Matrix::hadamard();
+        let program = |other: TrieOp<'static>| {
+            vec![
+                ry(&[0]),
+                gate(TrieMatrix::Fixed(&h), &[1]),
+                TrieOp::Case {
+                    meas: &m0,
+                    arms: vec![vec![rx(&[1]), ry(&[1])], vec![other]],
+                },
+                ry(&[1]),
+            ]
+        };
+        let build = || {
+            [
+                program(TrieOp::Init { target: 1 }),
+                program(TrieOp::Abort),
+            ]
+        };
+        let angles = [0.7, -1.3];
+        let gates = |a: [f64; 2]| -> Vec<ParamGate> {
+            (0..2)
+                .map(|c| {
+                    let axis = if c == 0 { Matrix::pauli_y() } else { Matrix::pauli_x() };
+                    ParamGate {
+                        matrix: Matrix::rotation_from_involution(&axis, a[c]),
+                        shifted: Matrix::rotation_from_involution(&axis, a[c] + std::f64::consts::PI),
+                        column: c,
+                    }
+                })
+                .collect()
+        };
+        let obs = Observable::pauli_z(2, 1);
+        let inputs: Vec<StateVector> = (0..3)
+            .map(|k| {
+                let mut s = StateVector::basis_state(2, k);
+                s.apply_gate(&rotation_y(0.4 + 0.3 * k as f64), &[0]);
+                s
+            })
+            .collect();
+        let grads = AdjointProgram::build(build()).gradient_sweep(
+            &gates(angles),
+            2,
+            BatchedStates::from_states(&inputs),
+            &obs,
+        );
+        let trie = SweepTrie::build(build());
+        let value = |a: [f64; 2]| -> Vec<f64> {
+            let table: Vec<Matrix> = gates(a).into_iter().map(|g| g.matrix).collect();
+            let columns = trie.expectation_sweep(&table, BatchedStates::from_states(&inputs), &obs);
+            (0..inputs.len()).map(|r| columns[0][r] + columns[1][r]).collect()
+        };
+        let step = 1e-6;
+        for c in 0..2 {
+            let (mut up, mut down) = (angles, angles);
+            up[c] += step;
+            down[c] -= step;
+            for (r, (u, d)) in value(up).iter().zip(value(down)).enumerate() {
+                let numeric = (u - d) / (2.0 * step);
+                assert!(
+                    (grads[c][r] - numeric).abs() < 1e-8,
+                    "column {c} row {r}: adjoint {} vs finite difference {numeric}",
+                    grads[c][r]
+                );
+            }
+        }
     }
 
     #[test]
