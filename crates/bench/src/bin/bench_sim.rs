@@ -307,7 +307,7 @@ impl Circuit {
 }
 
 /// The per-row "before" gradient executor: what single-input gradients
-/// ran before they became rows of the trie sweep, kept as the baseline of
+/// ran before they became rows of a batched sweep, kept as the baseline of
 /// the per-row sections. Per call it interns every parameter's lowered
 /// derivative multiset, then runs it on one input program by program,
 /// parameters fanned out across `qdp_par`. Each multiset's slot remap into
@@ -437,7 +437,7 @@ const SECTIONS: [(&str, Section); 15] = [
     ("gradient_batch_16x", gradient_batch),
     ("estimator_shots", estimator_shots),
     ("gradient_branching_batch", gradient_branching_batch),
-    ("shared_sweep", shared_sweep),
+    ("adjoint", adjoint),
     ("measurement_sweep", measurement_sweep),
     ("block_measurement", block_measurement),
     ("compile_cache", compile_cache),
@@ -600,7 +600,9 @@ fn gradient_p1(fx: &Fixture, g: &mut Guards) -> Fields {
     set_reference_kernels(false);
     let speedup = reference_ns / fast_ns;
     // 30 runs, 1 / 2 threads: 1.72–1.94 / 1.35–1.74; 3 runs since
-    // `gradient_pure` is a row of the trie sweep: 1.75–2.06 / 1.95–2.06.
+    // `gradient_pure` is a row of the trie sweep: 1.75–2.06 / 1.95–2.06;
+    // 10 runs since it is a row of the adjoint sweep: 1.57–1.83 /
+    // 1.50–1.81.
     g.at_least("P1 gradient vs reference kernels", speedup, 1.0);
     fields![
         "workload" => "GradientEngine::gradient_pure on P1",
@@ -700,7 +702,8 @@ fn gradient_batch(fx: &Fixture, g: &mut Guards) -> Fields {
         black_box(if is_batched { batched() } else { serial_loop() });
     });
     let speedup = serial_ns / batched_ns;
-    // 30 runs, 1 / 2 threads: 5.85–6.46 / 6.54–8.76.
+    // 30 runs, 1 / 2 threads: 5.85–6.46 / 6.54–8.76; 10 runs since the
+    // batched gradient is the adjoint sweep: 23.5–50.2 / 19.5–27.4.
     g.at_least("batched training gradient vs serial loop", speedup, 4.0);
     fields![
         "workload" => format!("Trainer::loss_gradient on P1, {}-sample batch", fx.data.len()),
@@ -815,9 +818,10 @@ fn estimator_shots(fx: &Fixture, g: &mut Guards) -> Fields {
 }
 
 /// The 36-parameter gradient of the measurement-controlled `P2` over the
-/// 16-sample dataset: the branch-weighted batched executor (which forks
-/// the whole block at each measurement) against per-row branch
-/// enumeration (a [`PerRowGradient`] per sample).
+/// 16-sample dataset: the batched adjoint sweep (which forks the whole
+/// block at each measurement, branch-weighted) against per-row branch
+/// enumeration of the derivative programs (a [`PerRowGradient`] per
+/// sample).
 fn gradient_branching_batch(fx: &Fixture, g: &mut Guards) -> Fields {
     let (p2, obs) = (&fx.p2, &fx.obs);
     let inputs = fx.inputs();
@@ -837,7 +841,8 @@ fn gradient_branching_batch(fx: &Fixture, g: &mut Guards) -> Fields {
         black_box(if is_batched { batched() } else { per_row() });
     });
     let speedup = per_row_ns / batched_ns;
-    // 30 runs, 1 / 2 threads: 4.28–4.94 / 4.44–5.76.
+    // 30 runs, 1 / 2 threads: 4.28–4.94 / 4.44–5.76; 10 runs since the
+    // batched gradient is the adjoint sweep: 33.7–38.7 / 25.1–37.4.
     g.at_least("P2 branch-weighted batch vs per-row", speedup, 3.0);
     fields![
         "workload" => format!(
@@ -851,156 +856,106 @@ fn gradient_branching_batch(fx: &Fixture, g: &mut Guards) -> Fields {
     ]
 }
 
-/// One multiset evaluated program by program: each program resolved to
-/// the trajectory IR and run through its own `ShotEngine::expectation_sweep`
-/// over the ancilla-extended batch, summed per row in multiset order —
-/// the bitwise oracle of the trie sweeps.
-fn per_program_sweeps(
-    lowered: &LoweredSet,
-    params: &Params,
-    obs: &Observable,
-    batch: &BatchedStates,
-) -> Vec<f64> {
-    let (ext_batch, ext_obs) = (batch.prepend_zero_ancilla(), obs.with_ancilla_z());
-    let values = lowered.slot_values(params);
-    let columns: Vec<Vec<f64>> = lowered
-        .programs()
-        .iter()
-        .map(|p| {
-            ShotEngine::new(p.resolve(&values).to_trajectory())
-                .expectation_sweep(ext_batch.clone(), &ext_obs)
-                .expect("unmonitored exact sweep")
-        })
-        .collect();
-    if columns.is_empty() {
-        return vec![0.0; batch.len()];
-    }
-    (0..batch.len())
-        .map(|r| columns.iter().map(|column| column[r]).sum())
-        .collect()
-}
-
-/// The exact batched gradient as one shared sweep: `gradient_pure_batch`
-/// runs every parameter's derivative programs as one prefix trie, against
-/// the per-program sweeps it replaced (each parameter's programs through
-/// their own `ShotEngine::expectation_sweep`, the parameters fanned out
-/// across `qdp_par`).
+/// The exact batched gradient by the adjoint method: `gradient_pure_batch`
+/// runs the forward program forward and backward once per branch on the
+/// input's own amplitudes, against the per-parameter tries it replaced
+/// (each parameter's derivative multiset swept as its own trie on the
+/// ancilla-extended batch, the parameters fanned out across `qdp_par`).
 /// On `P2` over the 16-sample dataset, on `hardware_efficient_ansatz(6,
 /// 2)` over 16 random 6-qubit states, and on one random row of
-/// `hardware_efficient_ansatz(10, 1)`: too few rows to tile, so with more
-/// than one thread the trie's programs split among the free workers. The
-/// one-row case is also timed against the same call held to one thread,
-/// its unsplit sweep. Every comparison agrees bit for bit.
-fn shared_sweep(fx: &Fixture, g: &mut Guards) -> Fields {
+/// `hardware_efficient_ansatz(10, 1)`. Every comparison agrees within
+/// 1e-12.
+fn adjoint(fx: &Fixture, g: &mut Guards) -> Fields {
     let hea = Circuit::new(hardware_efficient_ansatz(6, 2));
     let hea_inputs: Vec<StateVector> = (1..=16).map(|s| random_state(6, s)).collect();
     let hea_obs = Observable::pauli_z(6, 0);
     let wide = Circuit::new(hardware_efficient_ansatz(10, 1));
     let wide_obs = Observable::pauli_z(10, 0);
+    let ops = |lowered: &LoweredSet| -> usize { lowered.programs().iter().map(|p| p.op_weight()).sum() };
     let mut out = Fields::new();
     for (label, circuit, obs, inputs, floor) in [
-        // 10 runs, 1 / 2 threads: 1.95–2.29 / 1.73–2.28.
-        ("p2", &fx.p2, &fx.obs, fx.inputs(), 1.3),
-        // 10 runs, 1 / 2 threads: 1.47–1.69 / 1.35–1.56. Straight-line
-        // programs share less (744 trie ops against 1260).
-        ("hea_6_2", &hea, &hea_obs, hea_inputs, 1.0),
-        // 10 runs, 1 / 2 threads: 1.37–1.67 / 1.29–1.48. At two threads
-        // both sides use both: the trie splits its programs, the
-        // per-parameter sweeps are fanned out.
+        // 10 runs, 1 / 2 threads: 6.54–7.31 / 3.69–7.24. At two threads
+        // the tries fan their parameters out; the adjoint runs on one.
+        ("p2", &fx.p2, &fx.obs, fx.inputs(), 2.7),
+        // 10 runs, 1 / 2 threads: 12.1–13.4 / 6.33–13.9.
+        ("hea_6_2", &hea, &hea_obs, hea_inputs, 4.7),
+        // 10 runs, 1 / 2 threads: 14.6–18.4 / 7.74–17.3.
         (
             "hea_10_1_one_row",
             &wide,
             &wide_obs,
             vec![random_state(10, 1)],
-            0.95,
+            5.8,
         ),
     ] {
         let batch = BatchedStates::from_states(&inputs);
+        let (ext_batch, ext_obs) = (batch.prepend_zero_ancilla(), obs.with_ancilla_z());
         let names: Vec<&str> = circuit.engine.parameters().collect();
-        let shared = || {
+        let adjoint = || {
             circuit
                 .engine
                 .gradient_pure_batch(&circuit.params, obs, &batch)
         };
-        let per_param = || {
+        let tries = || {
             qdp_par::par_map(&names, |name| {
                 let skeleton = circuit
                     .engine
                     .differentiated(name)
                     .expect("known parameter")
                     .skeleton();
-                per_program_sweeps(skeleton.lowered(), &circuit.params, obs, &batch)
+                let lowered = skeleton.lowered();
+                lowered.expectation_batch(&lowered.slot_values(&circuit.params), &ext_batch, &ext_obs)
             })
         };
-        let shared_rows = shared();
-        for (j, column) in per_param().iter().enumerate() {
-            for (row, v) in shared_rows.iter().zip(column) {
-                assert_eq!(
-                    row[names[j]].to_bits(),
-                    v.to_bits(),
-                    "{label}: shared sweep moved bits"
+        let rows = adjoint();
+        for (j, column) in tries().iter().enumerate() {
+            for (row, want) in rows.iter().zip(column) {
+                let got = row[names[j]];
+                assert!(
+                    (got - want).abs() < 1e-12,
+                    "{label}: adjoint {got} vs trie {want} for {}",
+                    names[j]
                 );
             }
         }
-        let (shared_ns, per_param_ns) = paired_ns(|is_shared| {
-            if is_shared {
-                black_box(shared());
+        let (adjoint_ns, tries_ns) = paired_ns(|is_adjoint| {
+            if is_adjoint {
+                black_box(adjoint());
             } else {
-                black_box(per_param());
+                black_box(tries());
             }
         });
-        let speedup = per_param_ns / shared_ns;
+        let speedup = tries_ns / adjoint_ns;
         g.at_least(
-            &format!("{label} shared sweep vs per-program sweeps"),
+            &format!("{label} adjoint vs per-parameter tries"),
             speedup,
             floor,
         );
-        let mut fields = fields![
+        let multiset_ops: usize = names
+            .iter()
+            .map(|name| {
+                ops(circuit
+                    .engine
+                    .differentiated(name)
+                    .expect("known parameter")
+                    .skeleton()
+                    .lowered())
+            })
+            .sum();
+        let fields = fields![
             "workload" => format!(
-                "exact gradient, {}-row batch x {} params: one trie sweep ({} ops) vs per-program sweeps",
+                "exact gradient, {}-row batch x {} params: one adjoint sweep ({} forward ops, {} qubits) vs per-parameter tries ({} ops, {} qubits)",
                 inputs.len(),
                 names.len(),
-                circuit.engine.shared_sweep_op_count()
+                ops(circuit.engine.forward_skeleton().lowered()),
+                circuit.engine.register().len(),
+                multiset_ops,
+                circuit.engine.register().len() + 1
             ),
-            "shared_ns" => ns(shared_ns),
-            "per_param_ns" => ns(per_param_ns),
+            "adjoint_ns" => ns(adjoint_ns),
+            "tries_ns" => ns(tries_ns),
             "speedup" => ratio(speedup),
         ];
-        if inputs.len() == 1 {
-            let threads = qdp_par::max_threads();
-            let held = || {
-                qdp_par::set_max_threads(1);
-                let rows = shared();
-                qdp_par::set_max_threads(threads);
-                rows
-            };
-            let bits = |rows: &[BTreeMap<String, f64>]| -> Vec<Vec<u64>> {
-                rows.iter()
-                    .map(|row| row.values().map(|v| v.to_bits()).collect())
-                    .collect()
-            };
-            assert_eq!(
-                bits(&held()),
-                bits(&shared_rows),
-                "{label}: the split moved bits"
-            );
-            let (split_ns, held_ns) = paired_ns(|is_split| {
-                black_box(if is_split { shared() } else { held() });
-            });
-            let split_speedup = held_ns / split_ns;
-            // Guarded where the split can run. 10 runs, 2 threads:
-            // 1.24–1.90 (median 1.85); at 1 thread both sides run the same
-            // sweep: 0.95–1.17.
-            if threads > 1 {
-                g.at_least(
-                    &format!("{label} programs split among workers vs one thread"),
-                    split_speedup,
-                    0.9,
-                );
-            }
-            fields.push(("one_thread_ns".to_string(), ns(held_ns)));
-            fields.push(("split_speedup".to_string(), ratio(split_speedup)));
-        }
         out.push((label.to_string(), Value::Obj(fields)));
     }
     out

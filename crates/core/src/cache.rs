@@ -67,26 +67,21 @@ use qdp_sim::TrajProgram;
 
 use crate::lowered::{LoweredSet, TrajSkeleton};
 
-/// Everything parameter-independent about one compiled multiset, built once
-/// at intern time: the lowered op lists (constant matrices hoisted) and one
-/// patchable trajectory skeleton per program.
+/// Everything parameter-independent about one compiled multiset: the
+/// lowered op lists (constant matrices hoisted), built once at intern
+/// time, and one patchable trajectory skeleton per program, built on the
+/// first sampled use (exact sweeps never read them).
 #[derive(Debug)]
 pub struct CompiledSkeleton {
     lowered: LoweredSet,
-    trajectories: Vec<TrajSkeleton>,
+    trajectories: OnceLock<Vec<TrajSkeleton>>,
 }
 
 impl CompiledSkeleton {
     fn build(compiled: &[Stmt], reg: &Register) -> Self {
-        let lowered = LoweredSet::lower(compiled, reg);
-        let trajectories = lowered
-            .programs()
-            .iter()
-            .map(crate::lowered::LoweredProgram::to_skeleton)
-            .collect();
         CompiledSkeleton {
-            lowered,
-            trajectories,
+            lowered: LoweredSet::lower(compiled, reg),
+            trajectories: OnceLock::new(),
         }
     }
 
@@ -96,9 +91,15 @@ impl CompiledSkeleton {
     }
 
     /// One patchable trajectory skeleton per lowered program, in multiset
-    /// order.
+    /// order, built on the first call.
     pub fn trajectories(&self) -> &[TrajSkeleton] {
-        &self.trajectories
+        self.trajectories.get_or_init(|| {
+            self.lowered
+                .programs()
+                .iter()
+                .map(crate::lowered::LoweredProgram::to_skeleton)
+                .collect()
+        })
     }
 
     /// Substitutes a valuation into program `i`'s skeleton — bit-identical
@@ -110,21 +111,21 @@ impl CompiledSkeleton {
     /// Panics when `i` is out of range or `values` is shorter than the slot
     /// table.
     pub fn trajectory_at(&self, i: usize, values: &[f64]) -> TrajProgram {
-        self.trajectories[i].at(values)
+        self.trajectories()[i].at(values)
     }
 
     /// The cost weight residency charges for this skeleton: total lowered
-    /// ops (counting nested measurement arms) plus trajectory patch slots.
-    /// Always at least 1, so bookkeeping can never free an entry for free.
+    /// ops (counting nested measurement arms) plus trajectory patch slots
+    /// (one per parameterised gate). Always at least 1, so bookkeeping can
+    /// never free an entry for free.
     fn weight(&self) -> usize {
         let ops: usize = self
             .lowered
             .programs()
             .iter()
-            .map(crate::lowered::LoweredProgram::op_weight)
+            .map(|p| p.op_weight() + p.param_gates())
             .sum();
-        let patches: usize = self.trajectories.iter().map(TrajSkeleton::patch_count).sum();
-        (ops + patches).max(1)
+        ops.max(1)
     }
 }
 
@@ -133,7 +134,7 @@ impl CompiledSkeleton {
 #[derive(Debug)]
 struct Entry {
     key: u64,
-    compiled: Vec<Stmt>,
+    compiled: Arc<[Stmt]>,
     register: Register,
     cell: OnceLock<Arc<CompiledSkeleton>>,
     lowers: AtomicUsize,
@@ -281,25 +282,42 @@ impl ProgramCache {
     /// Panics when lowering does (additive programs, variables outside the
     /// register).
     pub fn intern(&self, compiled: &[Stmt], reg: &Register) -> Arc<CompiledSkeleton> {
-        self.intern_keyed(multiset_fingerprint(compiled, reg), compiled, reg)
+        self.intern_keyed(multiset_fingerprint(compiled, reg), compiled, reg, || {
+            Arc::from(compiled)
+        })
+    }
+
+    /// [`intern`](Self::intern) of a multiset the caller keeps shared: a
+    /// new entry holds `compiled` itself instead of a copy.
+    pub(crate) fn intern_shared(&self, compiled: &Arc<[Stmt]>, reg: &Register) -> Arc<CompiledSkeleton> {
+        self.intern_keyed(multiset_fingerprint(compiled, reg), compiled, reg, || {
+            Arc::clone(compiled)
+        })
     }
 
     /// The intern body, with the key supplied by the caller — split out so
     /// collision behaviour is testable (two different programs forced onto
-    /// one key must still get distinct skeletons).
-    fn intern_keyed(&self, key: u64, compiled: &[Stmt], reg: &Register) -> Arc<CompiledSkeleton> {
+    /// one key must still get distinct skeletons). `owned` gives a new
+    /// entry its copy of `compiled`.
+    fn intern_keyed(
+        &self,
+        key: u64,
+        compiled: &[Stmt],
+        reg: &Register,
+        owned: impl FnOnce() -> Arc<[Stmt]>,
+    ) -> Arc<CompiledSkeleton> {
         let entry = {
             let mut inner = self.lock_inner();
             let bucket = inner.buckets.entry(key).or_default();
             match bucket
                 .iter()
-                .find(|e| e.register == *reg && e.compiled == compiled)
+                .find(|e| e.register == *reg && *e.compiled == *compiled)
             {
                 Some(e) => Arc::clone(e),
                 None => {
                     let e = Arc::new(Entry {
                         key,
-                        compiled: compiled.to_vec(),
+                        compiled: owned(),
                         register: reg.clone(),
                         cell: OnceLock::new(),
                         lowers: AtomicUsize::new(0),
@@ -396,7 +414,7 @@ impl ProgramCache {
         let bucket = inner.buckets.get(&multiset_fingerprint(compiled, reg))?;
         let entry = bucket
             .iter()
-            .find(|e| e.register == *reg && e.compiled == compiled)?;
+            .find(|e| e.register == *reg && *e.compiled == *compiled)?;
         Some(CacheStats {
             lowers: entry.lowers.load(Ordering::Relaxed),
             hits: entry.hits.load(Ordering::Relaxed),
@@ -455,15 +473,15 @@ mod tests {
         let cache = ProgramCache::new();
         let (p1, reg1) = program("q1 *= RX(a)");
         let (p2, reg2) = program("q1 *= RY(b); q1 *= H");
-        let s1 = cache.intern_keyed(42, &p1, &reg1);
-        let s2 = cache.intern_keyed(42, &p2, &reg2);
+        let s1 = cache.intern_keyed(42, &p1, &reg1, || Arc::from(&p1[..]));
+        let s2 = cache.intern_keyed(42, &p2, &reg2, || Arc::from(&p2[..]));
         assert!(!Arc::ptr_eq(&s1, &s2), "collision must not alias skeletons");
         assert_eq!(s1.lowered().param_names(), ["a"]);
         assert_eq!(s2.lowered().param_names(), ["b"]);
         assert_eq!(cache.unique_programs(), 2);
         assert_eq!(cache.total_lowers(), 2);
         // Re-interning under the collided key still finds the right entry.
-        assert!(Arc::ptr_eq(&s1, &cache.intern_keyed(42, &p1, &reg1)));
+        assert!(Arc::ptr_eq(&s1, &cache.intern_keyed(42, &p1, &reg1, || Arc::from(&p1[..]))));
     }
 
     #[test]

@@ -14,9 +14,20 @@
 //!
 //! [`Differentiated`] packages step 1; [`GradientEngine`] caches one
 //! `Differentiated` per parameter and evaluates whole gradients.
+//!
+//! Step 2 is what the paper's hardware would run, and the shot-based
+//! entry points run it: each sampled trajectory executes one derivative
+//! program. For exact gradients on pure inputs it is the **named oracle**
+//! (each parameter's multiset swept by
+//! [`LoweredSet::expectation_batch`](crate::LoweredSet::expectation_batch)).
+//! Theorem 6.2 says that it computes `∂/∂θj tr(O·[[P(θ)]]ρ)`, so the
+//! production path computes that quantity directly instead, by the
+//! adjoint method ([`LoweredSet::gradient_batch`](crate::LoweredSet::gradient_batch)):
+//! one forward and one backward sweep per branch of the program itself,
+//! on `2ⁿ` amplitudes, for every parameter at once.
+//! `crates/core/tests/adjoint_oracle.rs` pins the two within 1e-12.
 
 use crate::cache::{CompiledSkeleton, ProgramCache};
-use crate::lowered::{LoweredSet, SharedSweep};
 use crate::semantics::observable_semantics;
 use crate::transform::{derivative_programs, fresh_ancilla, TransformError};
 use qdp_lang::ast::{Params, Stmt, Var};
@@ -54,8 +65,13 @@ const TILE_RETRIES: usize = 2;
 #[derive(Clone, Debug)]
 pub struct Differentiated {
     param: String,
+    /// The differentiated program, whose adjoint sweep serves
+    /// [`derivative_pure_batch`](Self::derivative_pure_batch), shared with
+    /// the other parameters of a [`GradientEngine`].
+    program: Arc<Stmt>,
     ancilla: Var,
-    compiled: Vec<Stmt>,
+    /// Shared with the [`ProgramCache`] entry it interns as.
+    compiled: Arc<[Stmt]>,
     base_register: Register,
     ext_register: Register,
 }
@@ -88,20 +104,30 @@ pub fn differentiate_in(
     param: &str,
     base_register: &Register,
 ) -> Result<Differentiated, TransformError> {
+    differentiate_shared(Arc::new(program.clone()), param, base_register)
+}
+
+/// [`differentiate_in`] on a program the caller shares.
+fn differentiate_shared(
+    program: Arc<Stmt>,
+    param: &str,
+    base_register: &Register,
+) -> Result<Differentiated, TransformError> {
     for v in program.qvar() {
         assert!(
             base_register.contains(&v),
             "program variable '{v}' missing from the supplied register"
         );
     }
-    let mut ancilla = fresh_ancilla(program, param);
+    let mut ancilla = fresh_ancilla(&program, param);
     while base_register.contains(&ancilla) {
         ancilla = Var::new(format!("{}'", ancilla.name()));
     }
-    let compiled = derivative_programs(program, param, &ancilla)?;
+    let compiled = derivative_programs(&program, param, &ancilla)?.into();
     let ext_register = base_register.with_ancilla_front(ancilla.clone());
     Ok(Differentiated {
         param: param.to_string(),
+        program,
         ancilla,
         compiled,
         base_register: base_register.clone(),
@@ -164,6 +190,19 @@ pub fn hessian(
         }
     }
     Ok(out)
+}
+
+/// The multiset the adjoint sweeps for `program`: the program itself when
+/// it is normal (the same interned skeleton as
+/// [`GradientEngine::forward_skeleton`]), its compiled multiset otherwise,
+/// since an additive program has no lowering of its own.
+fn adjoint_skeleton(program: &Stmt, register: &Register) -> Arc<CompiledSkeleton> {
+    let cache = ProgramCache::global();
+    if program.is_normal() {
+        cache.intern(std::slice::from_ref(program), register)
+    } else {
+        cache.intern(&qdp_lang::compile::compile(program), register)
+    }
 }
 
 impl Differentiated {
@@ -247,27 +286,36 @@ impl Differentiated {
             .remove(0)
     }
 
-    /// [`derivative`](Self::derivative) for every row of a pure batch: the
-    /// multiset swept as one prefix trie over the whole batch
-    /// ([`LoweredSet::expectation_batch`]), the ancilla extension of the
-    /// batch and the observable built once. Each entry agrees with the
-    /// per-row oracle (each lowered program's
-    /// [`LoweredProgram::expectation_pure`](crate::LoweredProgram::expectation_pure)
-    /// on `|0⟩⊗ψ`, summed) to ≪ 1e-12 (fusion reorders rounding), and is
-    /// bit-for-bit the same under any thread count and batch composition.
+    /// [`derivative`](Self::derivative) for every row of a pure batch, by
+    /// the adjoint method: this parameter's column of one adjoint sweep of
+    /// the program itself
+    /// ([`LoweredSet::gradient_batch`](crate::LoweredSet::gradient_batch)),
+    /// forward and backward once per branch on the batch's own `2ⁿ`
+    /// amplitudes, with no ancilla and no derivative program run. By
+    /// Theorem 6.2 it agrees with sweeping the compiled multiset on
+    /// `|0⟩⊗ψ` with `Z_A⊗O` (the named oracle,
+    /// [`skeleton`](Self::skeleton)'s
+    /// [`LoweredSet::expectation_batch`](crate::LoweredSet::expectation_batch)),
+    /// within 1e-12 (`crates/core/tests/adjoint_oracle.rs`). It carries bit
+    /// for bit the column [`GradientEngine::gradient_pure_batch`] computes
+    /// for this parameter, and the same bits under any thread count and
+    /// batch composition. The sweep's forks run unmonitored, as the trie's
+    /// do: no health checks and no mass budget.
     pub fn derivative_pure_batch(
         &self,
         params: &Params,
         obs: &Observable,
         states: &BatchedStates,
     ) -> Vec<f64> {
-        let ext_obs = obs.with_ancilla_z();
-        let ext_states = states.prepend_zero_ancilla();
-        let skeleton = self.skeleton();
-        let values = skeleton.lowered().slot_values(params);
-        skeleton
-            .lowered()
-            .expectation_batch(&values, &ext_states, &ext_obs)
+        let skeleton = adjoint_skeleton(&self.program, &self.base_register);
+        let lowered = skeleton.lowered();
+        match lowered.param_names().iter().position(|p| *p == self.param) {
+            Some(slot) => lowered
+                .gradient_batch(&lowered.slot_values(params), states, obs)
+                .swap_remove(slot),
+            // A parameter the program never reaches has the zero derivative.
+            None => vec![0.0; states.len()],
+        }
     }
 
     /// The compiled skeleton (lowered multiset with resolved qubit indices,
@@ -277,9 +325,11 @@ impl Differentiated {
     /// (multiset, register) pair anywhere in the process compiles it, every
     /// later one — including clones and re-differentiations of the same
     /// program — shares that one skeleton. Public so batch evaluators and
-    /// future backends can drive [`LoweredSet::expectation_batch`] directly.
+    /// future backends can drive
+    /// [`LoweredSet::expectation_batch`](crate::LoweredSet::expectation_batch)
+    /// directly.
     pub fn skeleton(&self) -> Arc<CompiledSkeleton> {
-        ProgramCache::global().intern(&self.compiled, &self.ext_register)
+        ProgramCache::global().intern_shared(&self.compiled, &self.ext_register)
     }
 }
 
@@ -287,13 +337,9 @@ impl Differentiated {
 /// parameter transformations cached.
 #[derive(Clone, Debug)]
 pub struct GradientEngine {
-    program: Stmt,
+    program: Arc<Stmt>,
     register: Register,
     diffs: BTreeMap<String, Differentiated>,
-    /// Every parameter's derivative programs merged into one prefix trie,
-    /// the sweep behind [`gradient_pure_batch`](Self::gradient_pure_batch).
-    /// Built on the first exact batched gradient, never at set-up.
-    shared_sweep: std::sync::OnceLock<SharedSweep>,
 }
 
 impl GradientEngine {
@@ -304,15 +350,16 @@ impl GradientEngine {
     /// Returns the first [`TransformError`] encountered.
     pub fn new(program: &Stmt) -> Result<Self, TransformError> {
         let register = Register::from_program(program);
+        let program = Arc::new(program.clone());
         let mut diffs = BTreeMap::new();
         for param in program.parameters() {
-            diffs.insert(param.clone(), differentiate_in(program, &param, &register)?);
+            let diff = differentiate_shared(Arc::clone(&program), &param, &register)?;
+            diffs.insert(param, diff);
         }
         Ok(GradientEngine {
-            program: program.clone(),
+            program,
             register,
             diffs,
-            shared_sweep: std::sync::OnceLock::new(),
         })
     }
 
@@ -320,54 +367,7 @@ impl GradientEngine {
     /// path of batched forward evaluation and the shift-rule gradient.
     /// Compiled once per process via the shared [`ProgramCache`].
     pub fn forward_skeleton(&self) -> Arc<CompiledSkeleton> {
-        ProgramCache::global().intern(std::slice::from_ref(&self.program), &self.register)
-    }
-
-    /// The remap from a multiset's interned slots into the engine's
-    /// canonical parameter order (`diffs` key order).
-    fn slot_remap(&self, lowered: &LoweredSet) -> Vec<usize> {
-        lowered
-            .param_names()
-            .iter()
-            .map(|p| {
-                // Infallible: every gadget parameter is a parameter of the
-                // program it was derived from.
-                #[allow(clippy::expect_used)]
-                self.diffs
-                    .keys()
-                    .position(|c| c == p)
-                    .expect("gadget parameters are program parameters")
-            })
-            .collect()
-    }
-
-    /// Ops in the prefix trie [`gradient_pure_batch`](Self::gradient_pure_batch)
-    /// sweeps: what one exact gradient executes at most, against the
-    /// summed [`LoweredProgram::op_weight`](crate::LoweredProgram::op_weight)
-    /// of the per-parameter sweeps. Builds the trie if no gradient has yet.
-    pub fn shared_sweep_op_count(&self) -> usize {
-        self.shared_sweep().op_count()
-    }
-
-    /// Every parameter's derivative multiset as one prefix trie over the
-    /// lowered op streams, built on first use from the interned lowerings.
-    fn shared_sweep(&self) -> &SharedSweep {
-        self.shared_sweep.get_or_init(|| {
-            let sets: Vec<(Arc<CompiledSkeleton>, Vec<usize>)> = self
-                .diffs
-                .values()
-                .map(|diff| {
-                    let skeleton = diff.skeleton();
-                    let remap = self.slot_remap(skeleton.lowered());
-                    (skeleton, remap)
-                })
-                .collect();
-            SharedSweep::build(
-                self.register.len() + 1,
-                sets.iter()
-                    .map(|(skeleton, remap)| (skeleton.lowered(), remap.as_slice())),
-            )
-        })
+        ProgramCache::global().intern(std::slice::from_ref(&*self.program), &self.register)
     }
 
     /// The program under differentiation.
@@ -603,7 +603,9 @@ impl GradientEngine {
     ///
     /// Runs on the **lowered** forward program (resolved indices, interned
     /// slots, gate matrices built once per batch, swept as a one-program
-    /// trie by [`LoweredSet::expectation_batch`]). Agrees with the per-row
+    /// trie by
+    /// [`LoweredSet::expectation_batch`](crate::LoweredSet::expectation_batch)).
+    /// Agrees with the per-row
     /// oracles ([`LoweredProgram::expectation_pure`](crate::LoweredProgram::expectation_pure)
     /// and the interpreter's `denot::expectation_pure`) to ≪ 1e-12 on
     /// every row.
@@ -619,52 +621,48 @@ impl GradientEngine {
     }
 
     /// The full gradient for **every** row of a batch, keyed by parameter
-    /// name, in **one** sweep over every parameter's derivative programs.
+    /// name, by the adjoint method
+    /// ([`LoweredSet::gradient_batch`](crate::LoweredSet::gradient_batch)).
     ///
-    /// The programs run as one prefix trie, built on the first call: the
-    /// branch-weighted exact sweep executes each shared prefix, measurement
-    /// forks included, once for all the programs that share it, and copies
-    /// the batch only where programs part. Each node's matrix is built once
-    /// per call from the canonical valuation. Large batches split into row
-    /// tiles across `qdp_par`; a batch too small to split that still has
-    /// the work for a fork splits its programs among the free workers
-    /// instead (see [`qdp_sim::SweepTrie::expectation_sweep`]). Programs
-    /// share a node only where they run the same op on the same data, so
-    /// every entry carries the bits of each program's own
-    /// [`qdp_sim::ShotEngine::expectation_sweep`] summed in multiset order
-    /// (the named oracle, pinned bitwise by
-    /// `crates/core/tests/shared_sweep_oracle.rs`). It agrees with the
-    /// per-row oracle, each program's
-    /// [`LoweredProgram::expectation_pure`](crate::LoweredProgram::expectation_pure)
-    /// summed, to ≪ 1e-12 (fusion reorders rounding), and the result is
-    /// bit-for-bit the same under any thread count and batch composition
-    /// (`crates/core/tests/batch_equivalence.rs`).
+    /// One sweep runs the forward program over the batch as a depth-first
+    /// walk of its branch tree, measurement forks included, and sets the
+    /// costate `λ = Oφ` at each leaf. Walking back, it undoes every gate
+    /// on the state and the costate, adds each parameterised gate's term,
+    /// and sums the outcomes' costates at each fork. That costs a few
+    /// forward passes on `2ⁿ` amplitudes, where running each parameter's
+    /// derivative programs costs `Σj |#∂/∂θj|` programs on `2^(n+1)`. By
+    /// Theorem 6.2 both compute the same derivatives: each entry agrees
+    /// with the parameter's multiset swept on its own (the named oracle,
+    /// [`Differentiated::skeleton`]'s
+    /// [`LoweredSet::expectation_batch`](crate::LoweredSet::expectation_batch)
+    /// on `|0⟩⊗ψ` with `Z_A⊗O`) within 1e-12
+    /// (`crates/core/tests/adjoint_oracle.rs`). Column `j` carries the bits
+    /// of parameter `j`'s [`Differentiated::derivative_pure_batch`], and
+    /// every entry is bit-for-bit the same under any thread count and
+    /// batch composition (`crates/core/tests/batch_equivalence.rs`). Large
+    /// batches split into row tiles across `qdp_par`. The sweep's forks
+    /// run unmonitored, as the trie's do: no health checks and no mass
+    /// budget.
     pub fn gradient_pure_batch(
         &self,
         params: &Params,
         obs: &Observable,
         states: &BatchedStates,
     ) -> Vec<BTreeMap<String, f64>> {
-        let canonical: Vec<f64> = self
+        let skeleton = adjoint_skeleton(&self.program, &self.register);
+        let lowered = skeleton.lowered();
+        let columns = lowered.gradient_batch(&lowered.slot_values(params), states, obs);
+        let slots: Vec<Option<usize>> = self
             .diffs
             .keys()
-            .map(|name| {
-                params
-                    .get(name)
-                    .unwrap_or_else(|| panic!("parameter '{name}' has no value"))
-            })
+            .map(|name| lowered.param_names().iter().position(|p| p == name))
             .collect();
-        let per_param = self.shared_sweep().expectation_batch(
-            &canonical,
-            states.prepend_zero_ancilla(),
-            &obs.with_ancilla_z(),
-        );
         (0..states.len())
             .map(|r| {
                 self.diffs
                     .keys()
-                    .zip(&per_param)
-                    .map(|(name, derivs)| (name.clone(), derivs[r]))
+                    .zip(&slots)
+                    .map(|(name, slot)| (name.clone(), slot.map_or(0.0, |s| columns[s][r])))
                     .collect()
             })
             .collect()
@@ -929,35 +927,6 @@ mod tests {
                 assert!((analytic - numeric).abs() < 1e-7);
             }
         }
-    }
-
-    #[test]
-    fn set_up_leaves_the_shared_sweep_unbuilt_until_the_first_batched_gradient() {
-        let p = parse_program(
-            "q1 *= RX(a); case M[q1] = 0 -> q2 *= RY(b), 1 -> q2 *= RZ(a) end; q2 *= RY(b)",
-        )
-        .unwrap();
-        let engine = GradientEngine::new(&p).unwrap();
-        engine.forward_skeleton();
-        for name in engine.parameters() {
-            engine.differentiated(name).unwrap().skeleton();
-        }
-        assert!(
-            engine.shared_sweep.get().is_none(),
-            "set-up must not build the trie"
-        );
-
-        let params = Params::from_pairs([("a", 0.5), ("b", 1.4)]);
-        let obs = Observable::pauli_z(2, 1);
-        let batch = BatchedStates::from_states(&[StateVector::zero_state(2)]);
-        let first = engine.gradient_pure_batch(&params, &obs, &batch);
-        let built: *const SharedSweep = engine.shared_sweep.get().expect("built by the first call");
-        let second = engine.gradient_pure_batch(&params, &obs, &batch);
-        assert!(
-            std::ptr::eq(built, engine.shared_sweep.get().unwrap()),
-            "later calls reuse the trie the first call built"
-        );
-        assert_eq!(first, second);
     }
 
     #[test]

@@ -21,31 +21,38 @@
 //! Evaluating the same multiset against **many** input states (a training
 //! dataset, a coalesced service batch) repeats yet more
 //! parameter-independent work: every gate matrix `Rσ(θ)` depends only on
-//! the valuation, not the state. So every exact batched evaluation runs
-//! on **one** executor, a prefix trie ([`qdp_sim::SweepTrie`]) swept as a
-//! branch-weighted exact sweep: all rows measured at once, the block
-//! forked into outcome-homogeneous sub-batches carrying branch weights,
-//! leaf read-outs summed per row. Each gate matrix is built once per
-//! call, each shared prefix (measurement forks included) runs once, and
-//! the batch is copied only where programs part.
+//! the valuation, not the state. A [`LoweredSet`] therefore has two
+//! batched sweeps, each built lazily once per set and each reading its
+//! parameterised gates from one per-call matrix table (an entry per
+//! distinct gate, slot and offset, built exactly as
+//! [`LoweredProgram::resolve`] builds it):
 //!
-//! `SharedSweep` builds that trie from lowered op streams, keyed on each
-//! op and the bits of its matrix (a table entry per canonical slot and
-//! offset for parameterised gates). [`LoweredSet::expectation_batch`]
-//! sweeps its own programs as a one-set trie, built lazily once per set:
-//! that serves forward values, the shift rule's `2P` valuations and
-//! `Differentiated::derivative_pure_batch`. `GradientEngine` merges every
-//! parameter's multiset into one trie, because most derivative programs
-//! are the forward program with one rotation swapped for its gadget.
+//! * [`LoweredSet::expectation_batch`] runs the programs as one prefix
+//!   trie ([`qdp_sim::SweepTrie`]), swept as a branch-weighted exact
+//!   sweep: all rows measured at once, the block forked into
+//!   outcome-homogeneous sub-batches carrying branch weights, leaf
+//!   read-outs summed per row. Each shared prefix (measurement forks
+//!   included) runs once, and the batch is copied only where programs
+//!   part. It serves forward values, the shift rule's `2P` valuations,
+//!   and, on each parameter's derivative multiset, the named oracle of
+//!   exact gradients.
+//! * [`LoweredSet::gradient_batch`] differentiates the programs by the
+//!   adjoint method ([`qdp_sim::AdjointProgram`]): one forward and one
+//!   backward sweep per branch give every slot's derivative. On the
+//!   forward program this is the production exact gradient
+//!   (`GradientEngine::gradient_pure_batch`,
+//!   `Differentiated::derivative_pure_batch`): by Theorem 6.2 it equals
+//!   sweeping each parameter's derivative multiset, without an ancilla.
 //!
-//! Two oracles pin it. Each program's own
+//! The trie has two oracles. Each program's own
 //! [`qdp_sim::ShotEngine::expectation_sweep`] on its
 //! [`ResolvedProgram::to_trajectory`], summed in multiset order, carries
 //! the same bits (the trie runs the same ops with the same fusion and
 //! flush order on the same rows). [`ResolvedProgram::expectation_pure`],
 //! the per-row branch enumerator, agrees to ≪ 1e-12 (fusion and
-//! leaf-summation order move rounding, nothing else). Results are
-//! bit-for-bit the same under any thread count and batch composition.
+//! leaf-summation order move rounding, nothing else). The adjoint agrees
+//! with the per-parameter tries within 1e-12. Both sweeps give bit-for-bit
+//! the same results under any thread count and batch composition.
 
 use qdp_lang::ast::{Gate, Params, Stmt};
 use qdp_lang::Register;
@@ -120,10 +127,15 @@ pub struct LoweredSet {
     /// Size of the register the set was lowered against — input states
     /// must match it.
     n_qubits: usize,
-    /// The programs as one prefix trie over their own slots, the sweep
-    /// behind [`expectation_batch`](Self::expectation_batch). Built on the
-    /// first batched evaluation, never at lowering.
-    trie: std::sync::OnceLock<SharedSweep>,
+    /// The programs as one prefix trie with its table of parameterised
+    /// gates, the sweep behind [`expectation_batch`](Self::expectation_batch).
+    /// Built on the first batched evaluation, never at lowering.
+    trie: std::sync::OnceLock<(qdp_sim::SweepTrie, Vec<TableEntry>)>,
+    /// The programs as one adjoint program with its table of
+    /// parameterised gates, the sweep behind
+    /// [`gradient_batch`](Self::gradient_batch). Built on the first
+    /// gradient, never at lowering.
+    adjoint: std::sync::OnceLock<(qdp_sim::AdjointProgram, Vec<TableEntry>)>,
 }
 
 impl LoweredSet {
@@ -180,12 +192,12 @@ impl LoweredSet {
     /// pass: returns `out[r] = Σᵢ ⟨ψ·|O|ψ·⟩` over the branches of program
     /// `i` run on input row `r`.
     ///
-    /// The programs run as one prefix trie (a one-set `SharedSweep`),
-    /// built on the first call: each gate matrix is built once per call,
-    /// each shared prefix runs once over the whole batch, and the
-    /// per-program columns sum per row in multiset order. The result is
-    /// bit-for-bit the same under any thread count and batch composition,
-    /// and equal to summing each program's own
+    /// The programs run as one prefix trie ([`qdp_sim::SweepTrie`]), built
+    /// on the first call: each gate matrix is built once per call, each
+    /// shared prefix runs once over the whole batch, and the per-program
+    /// columns sum per row in multiset order. The result is bit-for-bit
+    /// the same under any thread count and batch composition, and equal to
+    /// summing each program's own
     /// [`ShotEngine::expectation_sweep`](qdp_sim::ShotEngine::expectation_sweep)
     /// (the bitwise oracle); against the per-row oracle
     /// ([`ResolvedProgram::expectation_pure`]) it agrees to ≪ 1e-12.
@@ -200,12 +212,75 @@ impl LoweredSet {
         states: &BatchedStates,
         obs: &Observable,
     ) -> Vec<f64> {
-        let trie = self.trie.get_or_init(|| {
-            let identity: Vec<usize> = (0..self.param_names.len()).collect();
-            SharedSweep::build(self.n_qubits, [(self, identity.as_slice())])
-        });
-        let mut columns = trie.expectation_batch(values, states.clone(), obs);
-        columns.swap_remove(0)
+        let (trie, table) = self
+            .trie
+            .get_or_init(|| self.with_table(qdp_sim::SweepTrie::build));
+        self.check_register(states);
+        let matrices: Vec<Matrix> = table.iter().map(|e| e.matrix(values)).collect();
+        let columns = trie.expectation_sweep(&matrices, states.clone(), obs);
+        if columns.is_empty() {
+            // An empty multiset denotes the zero map.
+            return vec![0.0; states.len()];
+        }
+        (0..states.len())
+            .map(|r| columns.iter().map(|column| column[r]).sum())
+            .collect()
+    }
+
+    /// `out[s][r]`: the derivative of
+    /// [`expectation_batch`](Self::expectation_batch)'s entry `r` with
+    /// respect to slot `s`, for every slot, by one adjoint sweep
+    /// ([`qdp_sim::AdjointProgram::gradient_sweep`]): each program forward
+    /// and backward over its branch tree on the batch's own `2ⁿ`
+    /// amplitudes, the programs' gradients summed in multiset order. By
+    /// Theorem 6.2 slot `s`'s entries agree with the parameter's
+    /// derivative multiset swept on `|0⟩⊗ψ` with `Z_A⊗O` to ≪ 1e-12, and
+    /// every entry is bit-for-bit the same under any thread count and
+    /// batch composition. Like the trie, the sweep runs unmonitored.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the batch register does not match the register the set
+    /// was lowered against, or when `values` is shorter than the slot table.
+    pub fn gradient_batch(
+        &self,
+        values: &[f64],
+        states: &BatchedStates,
+        obs: &Observable,
+    ) -> Vec<Vec<f64>> {
+        let (adjoint, table) = self
+            .adjoint
+            .get_or_init(|| self.with_table(qdp_sim::AdjointProgram::build));
+        self.check_register(states);
+        let gates: Vec<qdp_sim::ParamGate> = table
+            .iter()
+            .map(|e| qdp_sim::ParamGate {
+                matrix: e.matrix(values),
+                shifted: e.gate.matrix_at(e.angle(values) + std::f64::consts::PI),
+                column: e.slot,
+            })
+            .collect();
+        adjoint.gradient_sweep(&gates, self.param_names.len(), states.clone(), obs)
+    }
+
+    /// `build` over the programs as [`qdp_sim::TrieOp`]s, whose
+    /// parameterised gates name entries of the returned table.
+    fn with_table<'s, T>(&'s self, build: impl FnOnce(Vec<Vec<qdp_sim::TrieOp<'s>>>) -> T) -> (T, Vec<TableEntry>) {
+        let mut table = TableBuilder::default();
+        let programs = self.programs.iter().map(|p| table.trie_ops(&p.ops)).collect();
+        (build(programs), table.entries)
+    }
+
+    /// Panics unless a non-empty batch matches the register of a
+    /// non-empty set.
+    fn check_register(&self, states: &BatchedStates) {
+        if !states.is_empty() && !self.programs.is_empty() {
+            assert_eq!(
+                states.num_qubits(),
+                self.n_qubits,
+                "batch register size must match the register the set was lowered against"
+            );
+        }
     }
 }
 
@@ -293,6 +368,21 @@ impl LoweredProgram {
         count(&self.ops)
     }
 
+    /// Parameterised gates, counting nested measurement arms: the slots
+    /// [`to_skeleton`](Self::to_skeleton)'s template patches.
+    pub fn param_gates(&self) -> usize {
+        fn count(ops: &[Op]) -> usize {
+            ops.iter()
+                .map(|op| match op {
+                    Op::Case { arms, .. } => arms.iter().map(|a| count(&a.ops)).sum(),
+                    Op::Gate { slot: Some(_), .. } => 1,
+                    _ => 0,
+                })
+                .sum()
+        }
+        count(&self.ops)
+    }
+
     /// `Σ_branches ⟨ψb|O|ψb⟩` — the expectation of the program's output.
     ///
     /// Substitutes the valuation and delegates to the **single** per-row
@@ -353,124 +443,37 @@ impl LoweredProgram {
     }
 }
 
-/// One entry of a [`SharedSweep`]'s per-call matrix table: `gate` at the
-/// canonical slot's value plus `offset`, built exactly as
+/// One entry of the per-call matrix table of a [`LoweredSet`]'s sweeps:
+/// `gate` at slot `slot`'s value plus `offset`, built exactly as
 /// [`LoweredProgram::resolve`] builds it.
 #[derive(Clone, Debug)]
 struct TableEntry {
     gate: Gate,
-    slot: Option<usize>,
+    slot: usize,
     offset: f64,
 }
 
-/// Lowered multisets merged into **one** prefix trie
-/// ([`qdp_sim::SweepTrie`]) over canonical parameter slots, swept once per
-/// call: one set under the identity remap for
-/// [`LoweredSet::expectation_batch`], every parameter's derivative
-/// multiset for `GradientEngine::gradient_pure_batch`.
-///
-/// A gate keys on its matrix: a constant gate on the bits built at
-/// lowering time, a parameterised gate on its table entry, one per
-/// distinct (gate, canonical slot, offset bits). So two programs share a
-/// node only where they would run the same op on the same data, and every
+impl TableEntry {
+    fn angle(&self, values: &[f64]) -> f64 {
+        values[self.slot] + self.offset
+    }
+
+    fn matrix(&self, values: &[f64]) -> Matrix {
+        self.gate.matrix_at(self.angle(values))
+    }
+}
+
+/// The per-call matrix table under construction, with its entries indexed
+/// by slot. A gate keys on its matrix: a constant gate on the bits built
+/// at lowering time, a parameterised gate on its table entry, one per
+/// distinct (gate, slot, offset bits). So two programs share a trie node
+/// only where they would run the same op on the same data, and every
 /// program's column carries the bits of its own exact sweep
 /// ([`qdp_sim::ShotEngine::expectation_sweep`], the oracle).
-#[derive(Clone, Debug)]
-pub(crate) struct SharedSweep {
-    trie: qdp_sim::SweepTrie,
-    table: Vec<TableEntry>,
-    /// Per multiset, its programs' trie columns, in multiset order.
-    spans: Vec<std::ops::Range<usize>>,
-    /// Size of the register every multiset was lowered against.
-    n_qubits: usize,
-}
-
-impl SharedSweep {
-    /// Merges the multisets `sets[j] = (lowered, remap)`, `j = 0, 1, …`,
-    /// where `remap` maps the multiset's slots to canonical slots, all
-    /// lowered against one `n_qubits`-qubit register.
-    pub(crate) fn build<'s>(
-        n_qubits: usize,
-        sets: impl IntoIterator<Item = (&'s LoweredSet, &'s [usize])>,
-    ) -> Self {
-        let mut table = TableBuilder::default();
-        let mut spans = Vec::new();
-        let mut next = 0;
-        let programs = sets.into_iter().flat_map(|(set, remap)| {
-            spans.push(next..next + set.programs.len());
-            next += set.programs.len();
-            set.programs.iter().map(move |p| (p, remap))
-        });
-        let trie =
-            qdp_sim::SweepTrie::build(programs.map(|(p, remap)| table.trie_ops(&p.ops, remap)));
-        SharedSweep {
-            trie,
-            table: table.entries,
-            spans,
-            n_qubits,
-        }
-    }
-
-    /// Ops in the trie: what one shared sweep executes at most, against
-    /// the summed [`LoweredProgram::op_weight`] of the separate sweeps.
-    pub(crate) fn op_count(&self) -> usize {
-        self.trie.op_count()
-    }
-
-    /// `out[j][r]`: multiset `j`'s expectation on row `r`, at the
-    /// canonical slot values `canonical`: its programs' columns summed per
-    /// row in multiset order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the batch register does not match the register the
-    /// multisets were lowered against, or a worker tile panicked through
-    /// its retries.
-    pub(crate) fn expectation_batch(
-        &self,
-        canonical: &[f64],
-        states: BatchedStates,
-        obs: &Observable,
-    ) -> Vec<Vec<f64>> {
-        let rows = states.len();
-        if rows > 0 && self.trie.programs() > 0 {
-            assert_eq!(
-                states.num_qubits(),
-                self.n_qubits,
-                "batch register size must match the register the set was lowered against"
-            );
-        }
-        let matrices: Vec<Matrix> = self
-            .table
-            .iter()
-            .map(|e| {
-                e.gate
-                    .matrix_at(e.slot.map_or(0.0, |s| canonical[s]) + e.offset)
-            })
-            .collect();
-        let columns = self.trie.expectation_sweep(&matrices, states, obs);
-        self.spans
-            .iter()
-            .map(|span| {
-                let programs = &columns[span.clone()];
-                if programs.is_empty() {
-                    // An empty multiset denotes the zero map.
-                    return vec![0.0; rows];
-                }
-                (0..rows)
-                    .map(|r| programs.iter().map(|column| column[r]).sum())
-                    .collect()
-            })
-            .collect()
-    }
-}
-
-/// The per-call matrix table of a [`SharedSweep`] under construction,
-/// with its entries indexed by canonical slot.
 #[derive(Default)]
 struct TableBuilder {
     entries: Vec<TableEntry>,
-    /// `by_slot[s]`: the entries at canonical slot `s`.
+    /// `by_slot[s]`: the entries at slot `s`.
     by_slot: Vec<Vec<usize>>,
 }
 
@@ -478,7 +481,7 @@ impl TableBuilder {
     /// A lowered op list as [`qdp_sim::TrieOp`]s borrowing from it:
     /// constant matrices as they are, parameterised ones as their table
     /// entry (added on first use).
-    fn trie_ops<'p>(&mut self, ops: &'p [Op], remap: &[usize]) -> Vec<qdp_sim::TrieOp<'p>> {
+    fn trie_ops<'p>(&mut self, ops: &'p [Op]) -> Vec<qdp_sim::TrieOp<'p>> {
         use qdp_sim::{TrieMatrix, TrieOp};
         ops.iter()
             .map(|op| match op {
@@ -491,35 +494,32 @@ impl TableBuilder {
                     fixed,
                 } => TrieOp::Gate {
                     matrix: match (slot, fixed) {
+                        (Some(s), _) => TrieMatrix::Table(self.entry(gate, *s, *offset)),
                         (None, Some(matrix)) => TrieMatrix::Fixed(matrix),
-                        _ => TrieMatrix::Table(self.entry(gate, slot.map(|s| remap[s]), *offset)),
+                        (None, None) => unreachable!("constant gates are built at lowering"),
                     },
                     targets,
                 },
                 Op::Init { target, .. } => TrieOp::Init { target: *target },
                 Op::Case { meas, arms } => TrieOp::Case {
                     meas,
-                    arms: arms
-                        .iter()
-                        .map(|arm| self.trie_ops(&arm.ops, remap))
-                        .collect(),
+                    arms: arms.iter().map(|arm| self.trie_ops(&arm.ops)).collect(),
                 },
             })
             .collect()
     }
 
     /// The entry building `gate` at `slot` plus `offset`.
-    fn entry(&mut self, gate: &Gate, slot: Option<usize>, offset: f64) -> usize {
-        let key = slot.map_or(0, |s| s + 1);
-        if self.by_slot.len() <= key {
-            self.by_slot.resize(key + 1, Vec::new());
+    fn entry(&mut self, gate: &Gate, slot: usize, offset: f64) -> usize {
+        if self.by_slot.len() <= slot {
+            self.by_slot.resize(slot + 1, Vec::new());
         }
         let entries = &self.entries;
         let same = |&i: &usize| {
             let e = &entries[i];
-            e.slot == slot && e.offset.to_bits() == offset.to_bits() && e.gate == *gate
+            e.offset.to_bits() == offset.to_bits() && e.gate == *gate
         };
-        if let Some(&i) = self.by_slot[key].iter().find(|i| same(i)) {
+        if let Some(&i) = self.by_slot[slot].iter().find(|i| same(i)) {
             return i;
         }
         self.entries.push(TableEntry {
@@ -527,7 +527,7 @@ impl TableBuilder {
             slot,
             offset,
         });
-        self.by_slot[key].push(self.entries.len() - 1);
+        self.by_slot[slot].push(self.entries.len() - 1);
         self.entries.len() - 1
     }
 }
@@ -580,11 +580,6 @@ impl TrajSkeleton {
             *out.gate_matrix_mut(&p.path) = p.gate.matrix_at(values[p.slot] + p.offset);
         }
         out
-    }
-
-    /// How many parameterized slots the template re-patches per valuation.
-    pub fn patch_count(&self) -> usize {
-        self.patches.len()
     }
 }
 
@@ -930,6 +925,28 @@ mod tests {
         let none = LoweredSet::default();
         let batch = qdp_sim::BatchedStates::zero(3, 1);
         assert_eq!(none.expectation_batch(&[], &batch, &obs), vec![0.0; 3]);
+    }
+
+    #[test]
+    fn adjoint_program_is_built_on_the_first_gradient() {
+        let p = parse_program(
+            "q1 *= RX(a); case M[q1] = 0 -> q2 *= RY(b), 1 -> q2 *= RZ(a) end; q2 *= RY(b)",
+        )
+        .unwrap();
+        let reg = Register::from_program(&p);
+        let set = LoweredSet::lower(std::slice::from_ref(&p), &reg);
+        assert!(set.adjoint.get().is_none(), "lowering must not build the adjoint");
+        let values = set.slot_values(&Params::from_pairs([("a", 0.5), ("b", 1.4)]));
+        let obs = Observable::pauli_z(2, 1);
+        let batch = qdp_sim::BatchedStates::from_states(&[StateVector::zero_state(2)]);
+        let first = set.gradient_batch(&values, &batch, &obs);
+        let built: *const qdp_sim::AdjointProgram = &set.adjoint.get().expect("built by the first call").0;
+        let second = set.gradient_batch(&values, &batch, &obs);
+        assert!(
+            std::ptr::eq(built, &set.adjoint.get().unwrap().0),
+            "later calls reuse the program the first call built"
+        );
+        assert_eq!(first, second);
     }
 
     #[test]

@@ -1,30 +1,29 @@
 //! Bitwise oracle of the prefix-trie exact executor.
 //!
-//! `GradientEngine::gradient_pure_batch` runs every parameter's derivative
-//! programs as one prefix trie (`SharedSweep`), and
-//! `GradientEngine::value_pure_batch` sweeps the forward program the same
-//! way. Programs share a node only where they run the same op on the same
-//! data, so every entry must carry **exactly** the bits of the named
-//! oracle: each program on its own, resolved to the trajectory IR and run
-//! through `ShotEngine::expectation_sweep`, the programs of a multiset
-//! summed per row in multiset order. Both start every column at `0.0`.
-//! Checked on:
+//! `LoweredSet::expectation_batch` sweeps a multiset's programs as one
+//! prefix trie: forward values (`GradientEngine::value_pure_batch`), the
+//! shift rule, and each parameter's derivative multiset, the named oracle
+//! of the adjoint exact gradient (`adjoint_oracle.rs`). Programs share a
+//! node only where they run the same op on the same data, so every entry
+//! must carry **exactly** the bits of the named oracle: each program on
+//! its own, resolved to the trajectory IR and run through
+//! `ShotEngine::expectation_sweep`, the programs of a multiset summed per
+//! row in multiset order. Both start every column at `0.0`. Checked on:
 //!
-//! * the paper circuits `P1` and `P2`, the `S` rows of Table 3 and
-//!   `hardware_efficient_ansatz(6, 2)`, under forced 1, 2 and 8 `qdp_par`
-//!   threads, on batches large enough to split into row tiles;
-//! * a batch of wide rows too few to tile, whose programs split among
-//!   the free workers;
+//! * every parameter's derivative multiset of the paper circuits `P1` and
+//!   `P2`, the `S` rows of Table 3 and `hardware_efficient_ansatz(6, 2)`,
+//!   under forced 1, 2 and 8 `qdp_par` threads, on batches large enough
+//!   to split into row tiles;
 //! * 400 programs from the shared seeded generator (`support/`), each
 //!   forward program (those without `+`, which have no lowering) as well
-//!   as its gradient, together with invariance under batch splits and
-//!   merges;
+//!   as every parameter's multiset, together with invariance under batch
+//!   splits and merges;
 //! * the `M` rows, `#[ignore]`d: registers of up to 19 qubits take about
 //!   a minute in release (`cargo test --release -p qdp-ad --test
 //!   shared_sweep_oracle -- --ignored`).
 //!
-//! It also pins the trie's op count against the summed op weights of the
-//! separate sweeps.
+//! It also pins the summed op weights of the multisets and the forward
+//! program's.
 
 use qdp_ad::{GradientEngine, LoweredSet};
 use qdp_lang::ast::{Params, Stmt};
@@ -73,18 +72,29 @@ fn random_params(rng: &mut StdRng, program: &Stmt) -> Params {
     }))
 }
 
-/// `gradient_pure_batch` as bits: `[row][parameter]`, parameters in name
-/// order.
+/// Every parameter's derivative multiset swept as its own trie
+/// (`LoweredSet::expectation_batch`) over the ancilla-extended batch and
+/// observable, as bits: `[row][parameter]`, parameters in name order.
 fn trie_bits(
     engine: &GradientEngine,
     params: &Params,
     obs: &Observable,
     batch: &BatchedStates,
 ) -> Vec<Vec<u64>> {
-    engine
-        .gradient_pure_batch(params, obs, batch)
-        .iter()
-        .map(|row| row.values().map(|v| v.to_bits()).collect())
+    let (ext_batch, ext_obs) = (batch.prepend_zero_ancilla(), obs.with_ancilla_z());
+    let columns: Vec<Vec<f64>> = engine
+        .parameters()
+        .map(|name| {
+            let skeleton = engine
+                .differentiated(name)
+                .expect("engine parameter")
+                .skeleton();
+            let lowered = skeleton.lowered();
+            lowered.expectation_batch(&lowered.slot_values(params), &ext_batch, &ext_obs)
+        })
+        .collect();
+    (0..batch.len())
+        .map(|r| columns.iter().map(|column| column[r].to_bits()).collect())
         .collect()
 }
 
@@ -156,7 +166,7 @@ fn check_threads(label: &str, program: &Stmt, obs: &Observable, rows: usize, see
         qdp_par::set_max_threads(0);
         assert!(
             got == expected,
-            "{label}: trie differs from the oracle at {threads} threads"
+            "{label}: a trie differs from the oracle at {threads} threads"
         );
     }
 }
@@ -168,11 +178,12 @@ fn z_last(program: &Stmt) -> Observable {
 
 #[test]
 fn paper_circuits_match_the_oracle() {
-    // 40 rows: the P2 trie splits into row tiles once threads are allowed.
-    check_threads("P1", &circuits::p1(), &task::readout_observable(), 40, 0x51);
-    check_threads("P2", &circuits::p2(), &task::readout_observable(), 40, 0x52);
+    // Rows × amplitudes × multiset ops reach `FORK_MIN_WORK`: every
+    // parameter's trie splits into row tiles once threads are allowed.
+    check_threads("P1", &circuits::p1(), &task::readout_observable(), 512, 0x51);
+    check_threads("P2", &circuits::p2(), &task::readout_observable(), 512, 0x52);
     let hea = hardware_efficient_ansatz(6, 2);
-    check_threads("HEA(6,2)", &hea, &Observable::pauli_z(6, 0), 16, 0x53);
+    check_threads("HEA(6,2)", &hea, &Observable::pauli_z(6, 0), 128, 0x53);
 }
 
 #[test]
@@ -216,28 +227,6 @@ fn medium_paper_rows_match_the_oracle() {
             config.name
         );
     }
-}
-
-/// Four 11-qubit rows: too few to tile, but enough work for the programs
-/// to split among the free workers, each part sweeping every `parts`-th
-/// program.
-#[test]
-fn programs_split_among_workers_match_the_oracle() {
-    let program = hardware_efficient_ansatz(10, 1);
-    let engine = GradientEngine::new(&program).expect("differentiable");
-    let rows = 4;
-    let dim = 1usize << (engine.register().len() + 1);
-    assert!(
-        rows * dim * engine.shared_sweep_op_count() >= qdp_par::FORK_MIN_WORK,
-        "the batch must be large enough to split"
-    );
-    check_threads(
-        "HEA(10,1)",
-        &program,
-        &Observable::pauli_z(10, 9),
-        rows,
-        0x54,
-    );
 }
 
 #[test]
@@ -308,32 +297,33 @@ fn generated_programs_match_the_oracle_under_splits_and_merges() {
     );
 }
 
-/// The trie's op count against the summed op weights of the separate
-/// per-parameter sweeps.
+/// The summed op weights of every parameter's derivative multiset, the
+/// work the per-parameter tries run at most, against the forward
+/// program's, the work of one adjoint forward pass.
 #[test]
-fn trie_op_counts() {
-    for (label, program, trie_ops, separate_ops) in [
-        ("P1", circuits::p1(), 371, 624),
-        ("P2", circuits::p2(), 641, 1140),
-        ("HEA(6,2)", hardware_efficient_ansatz(6, 2), 744, 1260),
+fn multiset_and_forward_op_weights() {
+    for (label, program, forward_ops, separate_ops) in [
+        ("P1", circuits::p1(), 24, 624),
+        ("P2", circuits::p2(), 37, 1140),
+        ("HEA(6,2)", hardware_efficient_ansatz(6, 2), 40, 1260),
     ] {
         let engine = GradientEngine::new(&program).expect("differentiable");
+        let weight = |lowered: &LoweredSet| -> usize {
+            lowered.programs().iter().map(|p| p.op_weight()).sum()
+        };
         let separate: usize = engine
             .parameters()
             .map(|name| {
-                let skeleton = engine
-                    .differentiated(name)
-                    .expect("engine parameter")
-                    .skeleton();
-                skeleton
-                    .lowered()
-                    .programs()
-                    .iter()
-                    .map(|p| p.op_weight())
-                    .sum::<usize>()
+                weight(
+                    engine
+                        .differentiated(name)
+                        .expect("engine parameter")
+                        .skeleton()
+                        .lowered(),
+                )
             })
             .sum();
         assert_eq!(separate, separate_ops, "{label}: separate sweeps");
-        assert_eq!(engine.shared_sweep_op_count(), trie_ops, "{label}: trie");
+        assert_eq!(weight(engine.forward_skeleton().lowered()), forward_ops, "{label}: forward");
     }
 }
