@@ -35,16 +35,14 @@
 //! * **Exact, prefix-shared**: [`SweepTrie::expectation_sweep`] runs many
 //!   programs merged into one prefix trie as a single exact sweep — each
 //!   shared prefix, forks included, once — and reads every program out
-//!   into its own column, with the bits of that program's own sweep. It
-//!   is the production exact batched executor: `qdp_ad` sweeps a trie
-//!   for every forward value, single multiset and exact gradient. Batches
-//!   too small for row tiles split their programs among the free workers
-//!   instead.
+//!   into its own column, with the bits of that program's own sweep.
+//!   `qdp_ad` sweeps a trie for every forward value and single multiset.
 //! * **Exact gradients, reverse mode**: [`AdjointProgram::gradient_sweep`]
 //!   runs a program forward over its branch tree with the same forks, then
 //!   backward with the costate `λ = Oφ`, and reads out every parameter's
-//!   derivative at once (the adjoint method). Each parameter's derivative
-//!   multiset swept as a trie is its oracle.
+//!   derivative at once (the adjoint method). It is the production exact
+//!   gradient; each parameter's derivative multiset swept as a trie is
+//!   its oracle.
 //!
 //! Both modes share the straight-line machinery: gate segments stream as
 //! single batched kernel calls (with per-qubit 2×2 fusion of commuting
@@ -2341,30 +2339,16 @@ impl SweepTrie {
         }
     }
 
-    /// Which nodes lead to a leaf of part `part` of `parts`, where program
-    /// `p` belongs to part `p % parts`. Children sit after their parents in
-    /// the arena, so one backward pass sees every child first.
-    fn live_nodes(&self, part: usize, parts: usize) -> Vec<bool> {
-        let mut live = vec![false; self.nodes.len()];
-        for node in (0..self.nodes.len()).rev() {
-            live[node] = self.nodes[node].leaves.iter().any(|&p| p % parts == part)
-                || self.children(node).any(|c| live[c]);
-        }
-        live
-    }
-
     /// Every program's exact expectation `Σ_branches ⟨ψb|O|ψb⟩` on every
     /// row of the batch: `out[i][r]` for program `i` on row `r`, with the
     /// gate matrices of [`TrieMatrix::Table`] entries read from `table`.
     ///
     /// Work (rows × amplitudes × trie ops) that reaches
-    /// [`qdp_par::FORK_MIN_WORK`] is split across `qdp_par`: batches of
-    /// more than [`EXACT_TILE`] rows into `EXACT_TILE`-row tiles, smaller
-    /// ones of more than one program into one part per free worker, each
-    /// sweeping the trie for every `parts`-th program. A part repeats the prefixes its programs
-    /// share with other parts', but every column is still summed by one
-    /// thread in its program's own depth-first order. Per-row bits are the
-    /// same under any thread count and batch decomposition.
+    /// [`qdp_par::FORK_MIN_WORK`] splits into [`EXACT_TILE`]-row tiles
+    /// across `qdp_par`; smaller sweeps run as one block on the calling
+    /// thread. Every column is summed by one thread in its program's own
+    /// depth-first order, so per-row bits are the same under any thread
+    /// count and batch decomposition.
     ///
     /// The sweep runs **unmonitored**: its forks carry no health checks
     /// (`health: None`, so no NaN/Inf or norm-drift detection, unlike
@@ -2387,18 +2371,11 @@ impl SweepTrie {
         if total_rows == 0 || out.is_empty() {
             return out;
         }
-        let ops = self.op_count();
-        let work = total_rows * states.dim() * ops;
-        let split = total_rows <= EXACT_TILE && self.programs() > 1;
-        let blocks = if split && qdp_par::fork_pays(work) {
-            self.sweep_split(table, &states, obs)
-                .map(|cols| vec![(total_rows, cols)])
-        } else {
-            exact_tiles(states, ops, |block| {
-                self.sweep_tile(table, block, obs, 0, 1)
-            })
-        };
-        for (rows, cols) in blocks.unwrap_or_else(|e| panic!("{e}")) {
+        let blocks = exact_tiles(states, self.op_count(), |block| {
+            self.sweep_tile(table, block, obs)
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
+        for (rows, cols) in blocks {
             for (col, part) in out.iter_mut().zip(cols.chunks(rows)) {
                 col.extend_from_slice(part);
             }
@@ -2406,44 +2383,16 @@ impl SweepTrie {
         out
     }
 
-    /// The whole batch as one block, its programs split among the free
-    /// workers: part `k` of `n` sweeps the programs `p` with `p % n == k`.
-    fn sweep_split(
-        &self,
-        table: &[Matrix],
-        states: &BatchedStates,
-        obs: &Observable,
-    ) -> Result<Vec<f64>, QdpError> {
-        let parts = qdp_par::par_split(self.programs(), |part, parts| {
-            self.sweep_tile(table, states.clone(), obs, part, parts)
-        });
-        let parts = parts.into_iter().collect::<Result<Vec<_>, _>>()?;
-        let rows = states.len();
-        Ok((0..self.programs())
-            .flat_map(|p| &parts[p % parts.len()][p * rows..(p + 1) * rows])
-            .copied()
-            .collect())
-    }
-
-    /// One tile: the trie for part `part` of `parts` (see
-    /// [`live_nodes`](Self::live_nodes)) over one block, into a
-    /// column-major `programs × rows` buffer. Columns of other parts keep
-    /// their start values.
+    /// One tile: the trie over one block, into a column-major
+    /// `programs × rows` buffer.
     fn sweep_tile(
         &self,
         table: &[Matrix],
         states: BatchedStates,
         obs: &Observable,
-        part: usize,
-        parts: usize,
     ) -> Result<Vec<f64>, QdpError> {
         let rows = states.len();
         let mut cols = vec![0.0; self.programs * rows];
-        let live = if parts > 1 {
-            self.live_nodes(part, parts)
-        } else {
-            Vec::new()
-        };
         SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             let group = weighted_root(states, scratch);
@@ -2459,8 +2408,6 @@ impl SweepTrie {
                 table,
                 obs,
                 rows,
-                live: &live,
-                split: (part, parts),
                 values: Vec::new(),
             };
             sweep.run(0, group, &mut cols)
@@ -2479,30 +2426,11 @@ struct TrieSweep<'a> {
     obs: &'a Observable,
     /// Rows of the tile: the stride of the column buffer.
     rows: usize,
-    /// The nodes this sweep runs ([`SweepTrie::live_nodes`]); empty when
-    /// it runs them all.
-    live: &'a [bool],
-    /// This sweep's part and the number of parts: it reads out program
-    /// `p` only when `p % parts == part`.
-    split: (usize, usize),
     /// Read-out buffer of the current leaf group.
     values: Vec<f64>,
 }
 
 impl<'a> TrieSweep<'a> {
-    fn owns(&self, program: usize) -> bool {
-        let (part, parts) = self.split;
-        program % parts == part
-    }
-
-    /// The children of `node` this sweep runs.
-    fn live_children(&self, node: usize) -> impl Iterator<Item = usize> + 'a {
-        let live = self.live;
-        self.trie
-            .children(node)
-            .filter(move |&c| live.is_empty() || live[c])
-    }
-
     /// Runs the subtree at `node` on `group`. Chains of single gates run
     /// in place; only nodes where programs part recurse.
     fn run(
@@ -2513,10 +2441,10 @@ impl<'a> TrieSweep<'a> {
     ) -> Result<(), QdpError> {
         let trie = self.trie;
         loop {
-            let mut children = self.live_children(node);
+            let mut children = trie.children(node);
             let (child, more) = (children.next(), children.next().is_some());
             let leaves = &trie.nodes[node].leaves;
-            if leaves.iter().any(|&p| self.owns(p)) {
+            if !leaves.is_empty() {
                 self.read_leaves(leaves, &mut group, cols, child.is_none());
             }
             let Some(child) = child else {
@@ -2555,8 +2483,8 @@ impl<'a> TrieSweep<'a> {
         );
     }
 
-    /// Adds the group's read-out to the column of every program of this
-    /// sweep ending here. Pending products are flushed first, on a copy
+    /// Adds the group's read-out to the column of every program ending
+    /// here. Pending products are flushed first, on a copy
     /// when programs go on from the unflushed group.
     fn read_leaves(
         &mut self,
@@ -2584,7 +2512,7 @@ impl<'a> TrieSweep<'a> {
                 .expectation_batch_into(&copy.states, &mut self.values);
             self.exact.scratch.reclaim_weighted(copy);
         }
-        for &p in leaves.iter().filter(|&&p| self.owns(p)) {
+        for &p in leaves {
             let col = &mut cols[p * self.rows..(p + 1) * self.rows];
             for (ctx, v) in group.rows.iter().zip(&self.values) {
                 col[ctx.orig] += v;
@@ -2619,8 +2547,8 @@ impl<'a> TrieSweep<'a> {
             Step::Case { meas } => {
                 let mut forks = self.exact.fork(group, &trie.measurements[meas])?;
                 for (outcome, sub) in forks.drain(..) {
-                    match self
-                        .live_children(node)
+                    match trie
+                        .children(node)
                         .find(|&arm| trie.nodes[arm].step == Step::Arm { outcome })
                     {
                         Some(arm) => self.run(arm, sub, cols)?,
@@ -2642,7 +2570,7 @@ impl<'a> TrieSweep<'a> {
         group: WeightedGroup,
         cols: &mut [f64],
     ) -> Result<(), QdpError> {
-        let mut children = self.live_children(node).peekable();
+        let mut children = self.trie.children(node).peekable();
         while let Some(child) = children.next() {
             if children.peek().is_none() {
                 return self.step(child, group, cols);
@@ -3479,28 +3407,13 @@ mod tests {
                 .unwrap();
             assert_eq!(bits(&columns[i]), bits(&alone), "program {i}");
         }
-        // Split into parts, each sweeping every `parts`-th program: the
-        // part that owns a program reads out the same bits.
-        let rows = inputs.len();
-        for parts in 2..=columns.len() {
-            for part in 0..parts {
-                let batch = BatchedStates::from_states(&inputs);
-                let cols = trie.sweep_tile(&table, batch, &obs, part, parts).unwrap();
-                for i in (part..columns.len()).step_by(parts) {
-                    let split = &cols[i * rows..(i + 1) * rows];
-                    let what = format!("program {i} of {parts} parts");
-                    assert_eq!(bits(split), bits(&columns[i]), "{what}");
-                }
-            }
-        }
     }
 
     #[test]
     fn sweep_trie_columns_start_at_the_oracles_zero() {
         // Straight-line programs whose read-out is exactly zero: `Z` on an
         // equal superposition of qubit 1. Each column holds the oracle's
-        // bits, `+0.0`, and a part that owns none of the columns leaves
-        // them at the oracle's start value, `+0.0`, as well.
+        // bits, `+0.0`.
         let (h, x) = (Matrix::hadamard(), Matrix::pauli_x());
         let programs = vec![
             vec![gate(TrieMatrix::Fixed(&h), &[1])],
@@ -3520,10 +3433,6 @@ mod tests {
                 assert_eq!(c.to_bits(), a.to_bits(), "program {i}");
             }
         }
-        let unowned = trie
-            .sweep_tile(&[], BatchedStates::from_states(&inputs), &obs, 2, 3)
-            .unwrap();
-        assert!(unowned.iter().all(|v| v.to_bits() == 0.0f64.to_bits()), "{unowned:?}");
     }
 
     #[test]
