@@ -294,6 +294,21 @@ fn intern(names: &mut Vec<String>, name: &str) -> usize {
     }
 }
 
+/// `gate` without its angle's parameter name: once lowered, the slot names
+/// the parameter, and a copy of the name in every op would only take
+/// memory.
+fn unnamed(gate: &Gate) -> Gate {
+    let mut gate = gate.clone();
+    if let Gate::Rot { angle, .. }
+    | Gate::Coupling { angle, .. }
+    | Gate::CRot { angle, .. }
+    | Gate::CCoupling { angle, .. } = &mut gate
+    {
+        angle.param = None;
+    }
+    gate
+}
+
 fn set_lower(stmt: &Stmt, reg: &Register, names: &mut Vec<String>, out: &mut Vec<Op>) {
     match stmt {
         Stmt::Skip { .. } => {}
@@ -318,7 +333,7 @@ fn set_lower(stmt: &Stmt, reg: &Register, names: &mut Vec<String>, out: &mut Vec
                 Some(_) => None,
             };
             out.push(Op::Gate {
-                gate: gate.clone(),
+                gate: unnamed(gate),
                 slot,
                 offset,
                 targets: reg.indices_of(qs),

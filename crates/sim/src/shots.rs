@@ -422,6 +422,11 @@ struct WeightedGroup {
 struct RegroupScratch {
     /// Total capacity (in amplitudes) currently held by `blocks`.
     pooled_amps: usize,
+    /// Blocks `take_block` handed out that have not come back. The pool
+    /// takes back at most these, so a block a caller donates (every
+    /// sweep's root block ends up offered) is freed instead of staying
+    /// pinned in the thread's arena.
+    lent: usize,
     /// `rows × outcomes` branch-probability table of the current fork (or
     /// `rows × pairs` read-out table of the current leaf group).
     probs: Vec<f64>,
@@ -460,8 +465,7 @@ struct RegroupScratch {
 
 /// Upper bound on every [`RegroupScratch`] pool: enough that real branch
 /// trees never miss (a fork holds a handful of buffers per outcome times
-/// the tree depth), while buffers donated by callers — every sweep's root
-/// block ends up offered to the arena — cannot accumulate without bound
+/// the tree depth), while the pools cannot accumulate without bound
 /// across the thread's lifetime.
 const SCRATCH_POOL_CAP: usize = 64;
 
@@ -482,12 +486,17 @@ fn pool_give<T>(pool: &mut Vec<T>, item: T) {
 
 impl RegroupScratch {
     fn take_block(&mut self) -> (Vec<f64>, Vec<f64>) {
+        self.lent += 1;
         let (re, im) = self.blocks.pop().unwrap_or_default();
         self.pooled_amps -= re.capacity().max(im.capacity());
         (re, im)
     }
 
     fn give_block(&mut self, (mut re, mut im): (Vec<f64>, Vec<f64>)) {
+        if self.lent == 0 {
+            return;
+        }
+        self.lent -= 1;
         let amps = re.capacity().max(im.capacity());
         if self.blocks.len() >= SCRATCH_POOL_CAP || self.pooled_amps + amps > SCRATCH_POOL_AMPS {
             return;
@@ -517,20 +526,26 @@ impl RegroupScratch {
     /// A copy of an **exact** group in pooled buffers: what a prefix-trie
     /// sweep hands each extra path where programs part.
     fn copy_weighted(&mut self, group: &WeightedGroup) -> WeightedGroup {
-        let (mut re, mut im) = self.take_block();
-        let (src_re, src_im) = group.states.planes();
-        re.extend_from_slice(src_re);
-        im.extend_from_slice(src_im);
+        let states = self.copy_states(&group.states);
         let mut rows = self.weighted_rows.pop().unwrap_or_default();
         rows.extend_from_slice(&group.rows);
         let mut pending = self.pendings.pop().unwrap_or_default();
         pending.clear();
         pending.extend_from_slice(&group.pending);
         WeightedGroup {
-            states: BatchedStates::from_raw(group.states.len(), group.states.num_qubits(), re, im),
+            states,
             rows,
             pending,
         }
+    }
+
+    /// A copy of `states` in a pooled block.
+    fn copy_states(&mut self, states: &BatchedStates) -> BatchedStates {
+        let (mut re, mut im) = self.take_block();
+        let (src_re, src_im) = states.planes();
+        re.extend_from_slice(src_re);
+        im.extend_from_slice(src_im);
+        BatchedStates::from_raw(states.len(), states.num_qubits(), re, im)
     }
 
     /// An empty outcome history.
@@ -2823,15 +2838,6 @@ struct SegmentGate<'a> {
     param: Option<usize>,
 }
 
-/// A copy of `states` in pooled buffers.
-fn copy_states(scratch: &mut RegroupScratch, states: &BatchedStates) -> BatchedStates {
-    let (mut re, mut im) = scratch.take_block();
-    let (src_re, src_im) = states.planes();
-    re.extend_from_slice(src_re);
-    im.extend_from_slice(src_im);
-    BatchedStates::from_raw(states.len(), states.num_qubits(), re, im)
-}
-
 /// The state of one [`AdjointProgram`] sweep over one tile.
 struct AdjointSweep<'a> {
     /// The exact sweep's fork machinery: arena, zero mass budgets, no
@@ -2911,7 +2917,7 @@ impl<'a> AdjointSweep<'a> {
                 None => break,
             }
         }
-        let mut lambda = copy_states(self.exact.scratch, &group.states);
+        let mut lambda = self.exact.scratch.copy_states(&group.states);
         lambda.apply_gate(self.obs.matrix(), self.obs.targets());
         Ok(self.backward(&segment, group, Some(lambda), costate))
     }
@@ -3045,7 +3051,7 @@ impl<'a> AdjointSweep<'a> {
         lambda: &BatchedStates,
     ) {
         let column = gate.column;
-        let mut shifted = copy_states(self.exact.scratch, &phi.states);
+        let mut shifted = self.exact.scratch.copy_states(&phi.states);
         shifted.apply_gate(&gate.shifted, targets);
         for (r, ctx) in phi.rows.iter().enumerate() {
             let (lre, lim) = lambda.row_planes(r);
