@@ -50,10 +50,11 @@
 //! # Concurrency
 //!
 //! The bucket map is held behind a `Mutex` only long enough to find or
-//! insert an entry; lowering itself runs inside the entry's own
-//! `OnceLock::get_or_init`, so concurrent first-touch of one program lowers
-//! once (every other thread blocks on that entry alone, not on the cache),
-//! and first-touch of *different* programs never serializes against each
+//! insert an entry; the skeleton is built inside the entry's own
+//! `OnceLock::get_or_init`, and lowered inside the skeleton's on its first
+//! use, so concurrent first-touch of one program lowers once (every other
+//! thread blocks on that skeleton alone, not on the cache), and
+//! first-touch of *different* programs never serializes against each
 //! other's compilation. A lock poisoned by a panicking holder is recovered
 //! by rebuilding the map empty (mid-eviction bookkeeping cannot be
 //! trusted): outstanding `Arc`s keep working, later interns recompile.
@@ -67,34 +68,44 @@ use qdp_sim::TrajProgram;
 
 use crate::lowered::{LoweredSet, TrajSkeleton};
 
-/// Everything parameter-independent about one compiled multiset: the
-/// lowered op lists (constant matrices hoisted), built once at intern
-/// time, and one patchable trajectory skeleton per program, built on the
-/// first sampled use (exact sweeps never read them).
+/// Everything parameter-independent about one compiled multiset, each part
+/// built once, on its first use: the lowered op lists (constant matrices
+/// hoisted) and one patchable trajectory skeleton per program. Interning
+/// builds neither, so a multiset nobody evaluates (an exact gradient runs
+/// on the forward program, not on the derivative multisets) is never
+/// lowered.
 #[derive(Debug)]
 pub struct CompiledSkeleton {
-    lowered: LoweredSet,
+    compiled: Arc<[Stmt]>,
+    register: Register,
+    /// The cost weight residency charges, counted on the programs.
+    weight: usize,
+    lowered: OnceLock<LoweredSet>,
     trajectories: OnceLock<Vec<TrajSkeleton>>,
 }
 
 impl CompiledSkeleton {
-    fn build(compiled: &[Stmt], reg: &Register) -> Self {
+    fn build(compiled: Arc<[Stmt]>, reg: &Register) -> Self {
         CompiledSkeleton {
-            lowered: LoweredSet::lower(compiled, reg),
+            weight: compiled.iter().map(crate::lowered::weight).sum::<usize>().max(1),
+            compiled,
+            register: reg.clone(),
+            lowered: OnceLock::new(),
             trajectories: OnceLock::new(),
         }
     }
 
-    /// The shared lowered multiset.
+    /// The shared lowered multiset, lowered on the first call.
     pub fn lowered(&self) -> &LoweredSet {
-        &self.lowered
+        self.lowered
+            .get_or_init(|| LoweredSet::lower(&self.compiled, &self.register))
     }
 
     /// One patchable trajectory skeleton per lowered program, in multiset
     /// order, built on the first call.
     pub fn trajectories(&self) -> &[TrajSkeleton] {
         self.trajectories.get_or_init(|| {
-            self.lowered
+            self.lowered()
                 .programs()
                 .iter()
                 .map(crate::lowered::LoweredProgram::to_skeleton)
@@ -112,20 +123,6 @@ impl CompiledSkeleton {
     /// table.
     pub fn trajectory_at(&self, i: usize, values: &[f64]) -> TrajProgram {
         self.trajectories()[i].at(values)
-    }
-
-    /// The cost weight residency charges for this skeleton: total lowered
-    /// ops (counting nested measurement arms) plus trajectory patch slots
-    /// (one per parameterised gate). Always at least 1, so bookkeeping can
-    /// never free an entry for free.
-    fn weight(&self) -> usize {
-        let ops: usize = self
-            .lowered
-            .programs()
-            .iter()
-            .map(|p| p.op_weight() + p.param_gates())
-            .sum();
-        ops.max(1)
     }
 }
 
@@ -338,12 +335,12 @@ impl ProgramCache {
             .get_or_init(|| {
                 fresh = true;
                 entry.lowers.fetch_add(1, Ordering::Relaxed);
-                Arc::new(CompiledSkeleton::build(&entry.compiled, &entry.register))
+                Arc::new(CompiledSkeleton::build(Arc::clone(&entry.compiled), &entry.register))
             })
             .clone();
         if fresh {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            let w = skeleton.weight();
+            let w = skeleton.weight;
             entry.weight.store(w, Ordering::Relaxed);
             let mut inner = self.lock_inner();
             match inner.capacity {

@@ -68,10 +68,11 @@ thread_local! {
 }
 
 /// How many times [`LoweredSet::lower`] has run **on this thread** — the
-/// probe behind the compile-once contract. `qdp_ad::ProgramCache` interning
-/// lowers on the calling thread (inside its `OnceLock` initializer), so a
-/// test thread's delta across a region counts exactly the compilations that
-/// region triggered, race-free under the parallel test harness.
+/// probe behind the compile-once contract. An interned skeleton lowers on
+/// the thread of its first `CompiledSkeleton::lowered` call (inside its
+/// `OnceLock` initializer), so a test thread's delta across a region
+/// counts exactly the compilations that region triggered, race-free under
+/// the parallel test harness.
 pub fn lower_invocations() -> usize {
     LOWER_CALLS.with(std::cell::Cell::get)
 }
@@ -294,6 +295,29 @@ fn intern(names: &mut Vec<String>, name: &str) -> usize {
     }
 }
 
+/// What [`LoweredSet::lower`] makes of `stmt`, counted without building
+/// it: the lowered ops, nested arms included
+/// ([`LoweredProgram::op_weight`]), plus one per parameterised gate, the
+/// slot a trajectory template patches. The program cache charges it as an
+/// entry's cost weight.
+///
+/// # Panics
+///
+/// Panics on an additive program, as lowering does.
+pub(crate) fn weight(stmt: &Stmt) -> usize {
+    match stmt {
+        Stmt::Skip { .. } => 0,
+        Stmt::Abort { .. } | Stmt::Init { .. } => 1,
+        Stmt::Unitary { gate, .. } => {
+            1 + usize::from(gate.angle().is_some_and(|a| a.param.is_some()))
+        }
+        Stmt::Seq(a, b) => weight(a) + weight(b),
+        Stmt::Case { arms, .. } => 1 + arms.iter().map(weight).sum::<usize>(),
+        Stmt::While { .. } => weight(&stmt.unfold_while_once()),
+        Stmt::Sum(..) => panic!("lowering is defined on normal programs; compile first"),
+    }
+}
+
 /// `gate` without its angle's parameter name: once lowered, the slot names
 /// the parameter, and a copy of the name in every op would only take
 /// memory.
@@ -377,21 +401,6 @@ impl LoweredProgram {
                         1 + arms.iter().map(|a| count(&a.ops)).sum::<usize>()
                     }
                     _ => 1,
-                })
-                .sum()
-        }
-        count(&self.ops)
-    }
-
-    /// Parameterised gates, counting nested measurement arms: the slots
-    /// [`to_skeleton`](Self::to_skeleton)'s template patches.
-    pub fn param_gates(&self) -> usize {
-        fn count(ops: &[Op]) -> usize {
-            ops.iter()
-                .map(|op| match op {
-                    Op::Case { arms, .. } => arms.iter().map(|a| count(&a.ops)).sum(),
-                    Op::Gate { slot: Some(_), .. } => 1,
-                    _ => 0,
                 })
                 .sum()
         }
@@ -962,6 +971,29 @@ mod tests {
             "later calls reuse the program the first call built"
         );
         assert_eq!(first, second);
+    }
+
+    #[test]
+    fn weight_counts_what_lowering_builds() {
+        fn param_gates(ops: &[Op]) -> usize {
+            ops.iter()
+                .map(|op| match op {
+                    Op::Case { arms, .. } => arms.iter().map(|a| param_gates(&a.ops)).sum(),
+                    Op::Gate { slot: Some(_), .. } => 1,
+                    _ => 0,
+                })
+                .sum()
+        }
+        for src in [
+            "q1 *= RX(a); q1 *= H; q1, q2 *= RZZ(b + pi)",
+            "q1 *= RY(a); while[3] M[q1] = 1 do q1 *= RY(b); q2 := |0> done; skip[q2]",
+            "case M[q1, q2] = 0 -> abort[q1], 1 -> q1 *= RX(0.3), 2 -> skip[q1], 3 -> q2 *= RY(a) end",
+        ] {
+            let p = parse_program(src).unwrap();
+            let set = LoweredSet::lower(std::slice::from_ref(&p), &Register::from_program(&p));
+            let program = &set.programs()[0];
+            assert_eq!(weight(&p), program.op_weight() + param_gates(&program.ops), "{src}");
+        }
     }
 
     #[test]
