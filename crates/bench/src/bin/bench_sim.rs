@@ -10,7 +10,12 @@
 //!
 //! Every section runs twice, at one thread and at `qdp_par::max_threads()`,
 //! and both passes are recorded and guarded. The record opens with a
-//! `host` block (cores, thread count, SIMD tier, CPU model).
+//! `host` block (cores, thread count, SIMD tier, CPU model). In the
+//! `at_max_threads` pass each section also records, per guard timed by
+//! [`paired_ns`], the share of the host's CPU time stolen by the
+//! hypervisor while that guard was measured (`steal_share`, read from
+//! `/proc/stat`; `null` where it cannot be read), so a low ratio can be
+//! told apart from a crowded host. It changes no verdict.
 //!
 //! Each floor is about ¾ of the lowest value its ratio took over 30 runs
 //! on a 2-vCPU AVX-512 Xeon; the comment beside it gives the spread at one
@@ -46,6 +51,7 @@ use qdp_vqc::hamiltonian::hardware_efficient_ansatz;
 use qdp_vqc::loss::{Loss, SquaredLoss};
 use qdp_vqc::task;
 use qdp_vqc::train::Trainer;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::Write;
 use std::hint::black_box;
@@ -112,6 +118,11 @@ fn ns(t: f64) -> Value {
 /// A ratio, kept to two decimals.
 fn ratio(r: f64) -> Value {
     Value::Num((r * 100.0).round() / 100.0)
+}
+
+/// A share, kept to three decimals.
+fn share(r: f64) -> Value {
+    Value::Num((r * 1000.0).round() / 1000.0)
 }
 
 /// Renders `fields` as a JSON object, two-space indented, one field per line.
@@ -204,12 +215,49 @@ fn block_ns(f: &mut impl FnMut(bool), side: bool, iters: u64) -> f64 {
     t0.elapsed().as_nanos() as f64 / iters as f64
 }
 
+/// The `steal` and total jiffies of the `cpu` line of `/proc/stat` (all
+/// CPUs), or `None` when the file cannot be read or parsed.
+fn cpu_jiffies() -> Option<(u64, u64)> {
+    let stat = std::fs::read_to_string("/proc/stat").ok()?;
+    let line = stat.lines().find(|l| l.starts_with("cpu "))?;
+    // user nice system idle iowait irq softirq steal
+    let cols: Vec<u64> = line
+        .split_whitespace()
+        .skip(1)
+        .take(8)
+        .map(|c| c.parse().ok())
+        .collect::<Option<_>>()?;
+    (cols.len() == 8).then(|| (cols[7], cols.iter().sum()))
+}
+
+/// The share of CPU time stolen between two [`cpu_jiffies`] readings; NaN
+/// (written as `null`) when either is missing or no time passed.
+fn steal_share(start: Option<(u64, u64)>, end: Option<(u64, u64)>) -> f64 {
+    match (start, end) {
+        (Some((s0, t0)), Some((s1, t1))) if t1 > t0 => {
+            s1.saturating_sub(s0) as f64 / (t1 - t0) as f64
+        }
+        _ => f64::NAN,
+    }
+}
+
+thread_local! {
+    /// The [`cpu_jiffies`] reading taken as the first [`paired_ns`] since
+    /// the last guard began; the next guard takes it.
+    static STEAL_MARK: Cell<Option<Option<(u64, u64)>>> = const { Cell::new(None) };
+}
+
 /// Median wall time in nanoseconds of the two sides of `f` — `f(true)`
 /// and `f(false)` — alternated block by block, so the host's slow and fast
 /// spells (each far longer than a block) land on both sides alike. Each
 /// side repeats within a block for at least ~2 ms. The rounds stop at 41,
 /// or at 11 once 1.5 s have passed. Returns `(true_ns, false_ns)`.
 fn paired_ns(mut f: impl FnMut(bool)) -> (f64, f64) {
+    STEAL_MARK.with(|mark| {
+        if mark.get().is_none() {
+            mark.set(Some(cpu_jiffies()));
+        }
+    });
     let iters = [calibrate(&mut f, true, 2e6), calibrate(&mut f, false, 2e6)];
     let start = Instant::now();
     let (mut first, mut second) = (Vec::new(), Vec::new());
@@ -260,11 +308,23 @@ struct Guards {
     pass: &'static str,
     checked: usize,
     failed: Vec<String>,
+    /// Whether this pass records each paired guard's steal share.
+    record_steal: bool,
+    /// The current section's steal shares, by guard.
+    steal: Fields,
 }
 
 impl Guards {
     /// Requires `speedup` (baseline time over production time) ≥ `floor`.
+    /// A guard timed by [`paired_ns`] also records its steal share when
+    /// the pass asks for it.
     fn at_least(&mut self, what: &str, speedup: f64, floor: f64) {
+        if let Some(start) = STEAL_MARK.with(Cell::take) {
+            if self.record_steal {
+                self.steal
+                    .push((what.to_string(), share(steal_share(start, cpu_jiffies()))));
+            }
+        }
         self.checked += 1;
         if speedup.is_nan() || speedup < floor {
             let pass = self.pass;
@@ -745,13 +805,16 @@ fn estimator_shots(fx: &Fixture, g: &mut Guards) -> Fields {
     });
     let speedup = serial_ns / batched_ns;
     // 30 runs, 1 / 2 threads: 53.8–71.5 / 50.7–96.3; 10 runs since shots
-    // enter the sweep as classes: 125–161 / 124–162.
+    // enter the sweep as classes: 125–161 / 124–162; 11 runs since the
+    // set-up is once per call: 158–174 / 142–167.
     g.at_least("shots: batched vs serial per-shot loop", speedup, 35.0);
 
     // The shot-noise P2 epoch shape: one `gradient_pure_shots_batch` over
     // the 16 task rows (a sampled sweep per parameter and program over
     // every row's shots) against the same estimates taken one `estimate`
-    // call per row and parameter. Both prepare their estimators per call.
+    // call per row and parameter. The batch sets every parameter up from
+    // one valuation lookup and one read-out per call; the per-call side
+    // builds one `PreparedDerivativeEstimator` per parameter per call.
     let (p2, epoch_shots) = (&fx.p2, 64);
     let inputs = fx.inputs();
     let seeds: Vec<u64> = (0..inputs.len() as u64)
@@ -799,8 +862,17 @@ fn estimator_shots(fx: &Fixture, g: &mut Guards) -> Fields {
         black_box(if is_batch { epoch_batch() } else { epoch_per_call() });
     });
     let epoch_speedup = epoch_per_call_ns / epoch_batch_ns;
-    // 10 runs, 1 / 2 threads: 1.42–1.53 / 1.44–1.53.
+    // 10 runs, 1 / 2 threads: 1.42–1.53 / 1.44–1.53; 11 runs since the
+    // set-up is once per call (AMD EPYC, AVX-512): 1.53–1.65 / 2.16–2.64.
     g.at_least("shots: P2 epoch batch vs per-call estimates", epoch_speedup, 1.05);
+    // Recorded only: the warm set-up the per-call side pays per epoch;
+    // 11 runs, 1 / 2 threads: 111–124 / 108–125 µs.
+    let prepare_ns = time_ns(|| {
+        for name in p2.engine.parameters() {
+            let diff = p2.engine.differentiated(name).expect("known parameter");
+            black_box(PreparedDerivativeEstimator::new(diff, &p2.params, obs));
+        }
+    });
     fields![
         "workload" => format!("shot-noise P1 gradient, {shots} shots x {} params", p1.values.len()),
         "batched_ns" => ns(batched_ns),
@@ -814,6 +886,7 @@ fn estimator_shots(fx: &Fixture, g: &mut Guards) -> Fields {
         "p2_epoch_batch_ns" => ns(epoch_batch_ns),
         "p2_epoch_per_call_ns" => ns(epoch_per_call_ns),
         "p2_epoch_speedup" => ratio(epoch_speedup),
+        "p2_prepare_36_estimators_ns" => ns(prepare_ns),
     ]
 }
 
@@ -1382,10 +1455,19 @@ fn differentiate(fx: &Fixture, g: &mut Guards) -> Fields {
 /// Runs every section at `threads` threads, labelling its guards `pass`.
 fn run_pass(fx: &Fixture, pass: &'static str, threads: usize, g: &mut Guards) -> Fields {
     g.pass = pass;
+    g.record_steal = pass == "at_max_threads";
     qdp_par::set_max_threads(threads);
     let mut fields = fields!["threads" => threads];
     for (name, section) in SECTIONS {
-        fields.push((name.to_string(), Value::Obj(section(fx, g))));
+        STEAL_MARK.with(|mark| mark.set(None));
+        let mut section_fields = section(fx, g);
+        if !g.steal.is_empty() {
+            section_fields.push((
+                "steal_share".to_string(),
+                Value::Obj(std::mem::take(&mut g.steal)),
+            ));
+        }
+        fields.push((name.to_string(), Value::Obj(section_fields)));
     }
     qdp_par::set_max_threads(0);
     fields
@@ -1442,6 +1524,17 @@ mod tests {
             render(&fields),
             "{\n  \"workload\": \"say \\\"hi\\\" \\\\ bye\\n\"\n}\n"
         );
+    }
+
+    #[test]
+    fn steal_share_is_the_stolen_fraction_or_null() {
+        assert_eq!(steal_share(Some((10, 1000)), Some((30, 1200))), 0.1);
+        assert!(steal_share(None, Some((30, 1200))).is_nan());
+        assert!(steal_share(Some((10, 1000)), None).is_nan());
+        assert!(steal_share(Some((10, 1000)), Some((10, 1000))).is_nan());
+        let record: Fields = fields!["steal_share" => fields!["g" => share(f64::NAN)]];
+        let json = render(&record);
+        assert!(json.contains("\"g\": null"), "{json}");
     }
 
     #[test]

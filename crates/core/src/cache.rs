@@ -1,14 +1,11 @@
 //! The interned-program cache — lowering as a memoized query, with a
 //! bounded cost-weighted footprint.
 //!
-//! Every gradient entry point used to re-lower its compiled multiset from
-//! the AST behind its own `OnceLock`: `Differentiated`, `GradientEngine`'s
-//! forward program, and `PreparedDerivativeEstimator` each paid the full
-//! parse-tree walk, register resolution, loop unrolling, and constant
-//! matrix construction for programs the process had already compiled.
-//! [`ProgramCache`] deletes that duplication: interning a compiled multiset
-//! returns an [`Arc<CompiledSkeleton>`] that is built **once per resident
-//! entry** and shared by every caller thereafter.
+//! Interning a compiled multiset returns an [`Arc<CompiledSkeleton>`] that
+//! is built **once per resident entry** and shared by every caller
+//! thereafter: `Differentiated`, `GradientEngine`'s forward program, the
+//! shot estimators and the service all look their skeletons up here
+//! instead of lowering the AST behind their own `OnceLock`s.
 //!
 //! # Cache key contract
 //!
@@ -16,9 +13,18 @@
 //! ordered program list **and** the register it lowers against (variable
 //! names, order, width; an ancilla-extended register keys differently from
 //! its base). The hash only routes the lookup: every entry stores the full
-//! compiled multiset and register, and lookup verifies deep structural
-//! equality before sharing, so a 64-bit collision costs a bucket scan but
-//! can never alias two different programs onto one skeleton.
+//! compiled multiset and register, and lookup verifies structural equality
+//! before sharing, so a 64-bit collision costs a bucket scan but can never
+//! alias two different programs onto one skeleton.
+//!
+//! Holders that look the same multiset up again and again (each
+//! `Differentiated` and `GradientEngine`, once or more per call) keep it
+//! as a crate-private shared multiset: the programs behind one `Arc`, with
+//! the fingerprint memoised on the first lookup. A new entry keeps that
+//! very `Arc`, and the bucket match tests pointer identity before deep
+//! equality, so a warm lookup hashes nothing and compares no trees. Deep
+//! equality still decides for distinct allocations, and hits and
+//! evictions count the same on both paths.
 //!
 //! # Bounded residency
 //!
@@ -123,6 +129,42 @@ impl CompiledSkeleton {
     /// table.
     pub fn trajectory_at(&self, i: usize, values: &[f64]) -> TrajProgram {
         self.trajectories()[i].at(values)
+    }
+}
+
+/// A compiled multiset over its register, as a holder that interns it
+/// repeatedly keeps it: the programs behind one `Arc` (a new cache entry
+/// keeps that `Arc`, so warm lookups match by pointer) and the cache key,
+/// hashed on the first lookup.
+#[derive(Clone, Debug)]
+pub(crate) struct SharedMultiset {
+    compiled: Arc<[Stmt]>,
+    register: Register,
+    key: OnceLock<u64>,
+}
+
+impl SharedMultiset {
+    pub(crate) fn new(compiled: Arc<[Stmt]>, register: Register) -> Self {
+        SharedMultiset {
+            compiled,
+            register,
+            key: OnceLock::new(),
+        }
+    }
+
+    pub(crate) fn compiled(&self) -> &[Stmt] {
+        &self.compiled
+    }
+
+    pub(crate) fn register(&self) -> &Register {
+        &self.register
+    }
+
+    /// The cache key, [`multiset_fingerprint`], computed once.
+    fn key(&self) -> u64 {
+        *self
+            .key
+            .get_or_init(|| multiset_fingerprint(&self.compiled, &self.register))
     }
 }
 
@@ -284,18 +326,25 @@ impl ProgramCache {
         })
     }
 
-    /// [`intern`](Self::intern) of a multiset the caller keeps shared: a
-    /// new entry holds `compiled` itself instead of a copy.
-    pub(crate) fn intern_shared(&self, compiled: &Arc<[Stmt]>, reg: &Register) -> Arc<CompiledSkeleton> {
-        self.intern_keyed(multiset_fingerprint(compiled, reg), compiled, reg, || {
-            Arc::clone(compiled)
-        })
+    /// [`intern`](Self::intern) of a multiset the caller keeps shared: the
+    /// key is the one memoised on `multiset`, a new entry holds its `Arc`
+    /// instead of a copy, and a lookup that finds that `Arc` skips the
+    /// deep comparison.
+    pub(crate) fn intern_shared(&self, multiset: &SharedMultiset) -> Arc<CompiledSkeleton> {
+        self.intern_keyed(
+            multiset.key(),
+            &multiset.compiled,
+            &multiset.register,
+            || Arc::clone(&multiset.compiled),
+        )
     }
 
     /// The intern body, with the key supplied by the caller — split out so
     /// collision behaviour is testable (two different programs forced onto
     /// one key must still get distinct skeletons). `owned` gives a new
-    /// entry its copy of `compiled`.
+    /// entry its copy of `compiled`. An entry matches when its register is
+    /// `reg` and its programs are `compiled` itself (the same allocation)
+    /// or, failing that, structurally equal to it.
     fn intern_keyed(
         &self,
         key: u64,
@@ -306,10 +355,10 @@ impl ProgramCache {
         let entry = {
             let mut inner = self.lock_inner();
             let bucket = inner.buckets.entry(key).or_default();
-            match bucket
-                .iter()
-                .find(|e| e.register == *reg && *e.compiled == *compiled)
-            {
+            match bucket.iter().find(|e| {
+                e.register == *reg
+                    && (std::ptr::eq(&*e.compiled, compiled) || *e.compiled == *compiled)
+            }) {
                 Some(e) => Arc::clone(e),
                 None => {
                     let e = Arc::new(Entry {
@@ -479,6 +528,46 @@ mod tests {
         assert_eq!(cache.total_lowers(), 2);
         // Re-interning under the collided key still finds the right entry.
         assert!(Arc::ptr_eq(&s1, &cache.intern_keyed(42, &p1, &reg1, || Arc::from(&p1[..]))));
+
+        // The pointer-identity path: shared multisets forced onto the same
+        // key. Each entry keeps its holder's `Arc`, a lookup by that `Arc`
+        // finds its own entry, a structurally equal copy in another
+        // allocation finds it by deep equality, and the same `Arc` over a
+        // different register is a different entry.
+        let cache = ProgramCache::new();
+        let a1: Arc<[Stmt]> = Arc::from(&p1[..]);
+        let a2: Arc<[Stmt]> = Arc::from(&p2[..]);
+        let shared =
+            |a: &Arc<[Stmt]>, reg: &Register| cache.intern_keyed(42, a, reg, || Arc::clone(a));
+        let t1 = shared(&a1, &reg1);
+        let t2 = shared(&a2, &reg2);
+        assert!(
+            !Arc::ptr_eq(&t1, &t2),
+            "collision must not alias shared skeletons"
+        );
+        assert!(
+            Arc::ptr_eq(&t1, &shared(&a1, &reg1)),
+            "pointer hit finds its own entry"
+        );
+        assert!(
+            Arc::ptr_eq(&t2, &shared(&a2, &reg2)),
+            "pointer hit finds its own entry"
+        );
+        let copy: Arc<[Stmt]> = Arc::from(&p1[..]);
+        assert!(
+            Arc::ptr_eq(&t1, &shared(&copy, &reg1)),
+            "an equal copy hits by deep equality"
+        );
+        let wide = Register::from_vars([qdp_lang::Var::new("q1"), qdp_lang::Var::new("q2")]);
+        let t3 = shared(&a1, &wide);
+        assert!(
+            !Arc::ptr_eq(&t1, &t3),
+            "one allocation over two registers is two entries"
+        );
+        assert_eq!(t2.lowered().param_names(), ["b"]);
+        let c = cache.counters();
+        assert_eq!((c.hits, c.misses, c.evictions), (3, 3, 0));
+        assert_eq!(cache.unique_programs(), 3);
     }
 
     #[test]

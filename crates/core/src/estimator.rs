@@ -7,6 +7,7 @@
 //! additive error `δ`, each consuming a fresh copy of the input state — the
 //! resource `|#∂/∂θ(P)|` controls.
 
+use crate::cache::CompiledSkeleton;
 use crate::exec::Differentiated;
 use qdp_lang::ast::{Params, Stmt};
 use qdp_lang::Register;
@@ -136,12 +137,13 @@ pub fn estimate_derivative(
 /// shot, scaled by `m`) but spends the Chernoff budget in **batched
 /// trajectory sweeps**:
 ///
-/// * each compiled program is resolved **once** per call
-///   (`ResolvedProgram` → [`qdp_sim::TrajProgram`]): every gate matrix is
-///   built a single time and the `ZA ⊗ O` eigendecomposition is hoisted
-///   out of the shot loop entirely,
+/// * each compiled program's interned trajectory template is patched
+///   with the valuation **once** per call ([`crate::TrajSkeleton::at`]):
+///   every gate matrix is built a single time and the `ZA ⊗ O`
+///   eigendecomposition is hoisted out of the shot loop entirely,
 /// * the per-shot program indices are drawn **up front** from the master
-///   stream `ShotSampler::seeded(seed)`,
+///   stream `ShotSampler::seeded(seed)` (none when `m = 1`: every index
+///   would be 0),
 /// * shots are split into fixed [`SHOT_TILE`]-sized tiles; within a tile,
 ///   the shots of each program run as one [`ShotEngine`] sweep with
 ///   branch-grouped batching over the input row and its shot count (see
@@ -171,72 +173,36 @@ pub fn estimate_derivative_batched(
 }
 
 /// [`estimate_derivative_batched`] split into its per-valuation setup and
-/// its per-evaluation sweep: programs resolved into [`ShotEngine`]s and
-/// the `ZA ⊗ O` read-out eigendecomposed **once**, reusable across
-/// arbitrarily many inputs and seeds. `GradientEngine::gradient_pure_shots_batch`
-/// builds one per parameter per call and runs each program over every
-/// row's shots at once.
+/// its per-evaluation sweep: every program's trajectory template patched
+/// with one valuation into a [`ShotEngine`], and the `ZA ⊗ O` read-out
+/// eigendecomposed, **once**, reusable across arbitrarily many inputs and
+/// seeds.
+///
+/// `GradientEngine::gradient_pure_shots_batch` does not build these: it
+/// sets up every parameter's engines from one valuation lookup and one
+/// read-out per call, and runs the same sweeps as
+/// [`estimate`](Self::estimate) on every row at once.
 #[derive(Clone, Debug)]
 pub struct PreparedDerivativeEstimator {
     engines: Vec<ShotEngine>,
     readout: ProjectiveObservable,
 }
 
-/// The valuation-independent half of a [`PreparedDerivativeEstimator`]:
-/// the interned compiled skeleton (trajectory templates with constant
-/// matrices final) and the decomposed `ZA ⊗ O` read-out. Everything here
-/// depends only on (program, observable) — **not** on the parameter
-/// values — so a caller evaluating many valuations (a parameter-shift
-/// sweep, a training loop) builds this once and calls
-/// [`prepare`](Self::prepare) per valuation, which re-patches only the
-/// shifted parameter slots.
-#[derive(Clone, Debug)]
-pub struct DerivativeEstimatorSkeleton {
-    skeleton: std::sync::Arc<crate::cache::CompiledSkeleton>,
-    readout: ProjectiveObservable,
-}
-
-impl DerivativeEstimatorSkeleton {
-    /// Interns the compiled multiset of `diff` (shared across the process
-    /// via [`crate::ProgramCache`]) and decomposes the extended read-out.
-    pub fn new(diff: &Differentiated, obs: &Observable) -> Self {
-        DerivativeEstimatorSkeleton {
-            skeleton: diff.skeleton(),
-            readout: ProjectiveObservable::new(&obs.with_ancilla_z()),
-        }
-    }
-
-    /// Substitutes one valuation: clones the trajectory templates and
-    /// overwrites only the parameterized matrices
-    /// ([`crate::TrajSkeleton::at`]). Bit-identical to resolving the
-    /// multiset from scratch under the same valuation.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a used parameter has no value.
-    pub fn prepare(&self, params: &Params) -> PreparedDerivativeEstimator {
-        let values = self.skeleton.lowered().slot_values(params);
-        PreparedDerivativeEstimator {
-            engines: (0..self.skeleton.trajectories().len())
-                .map(|i| ShotEngine::new(self.skeleton.trajectory_at(i, &values)))
-                .collect(),
-            readout: self.readout.clone(),
-        }
-    }
-}
-
 impl PreparedDerivativeEstimator {
-    /// Resolves the compiled multiset of `diff` under `params` and
-    /// decomposes the extended read-out — the one-valuation convenience
-    /// form of [`DerivativeEstimatorSkeleton::new`] +
-    /// [`prepare`](DerivativeEstimatorSkeleton::prepare); multi-valuation
-    /// callers should hold the skeleton instead.
+    /// Patches the interned compiled multiset of `diff` (shared across the
+    /// process via [`crate::ProgramCache`]) with `params` and decomposes
+    /// the extended read-out. Bit-identical to resolving the multiset from
+    /// scratch under the same valuation.
     ///
     /// # Panics
     ///
     /// Panics when a used parameter has no value.
     pub fn new(diff: &Differentiated, params: &Params, obs: &Observable) -> Self {
-        DerivativeEstimatorSkeleton::new(diff, obs).prepare(params)
+        let skeleton = diff.skeleton();
+        PreparedDerivativeEstimator {
+            engines: shot_engines(&skeleton, &skeleton.lowered().slot_values(params)),
+            readout: ProjectiveObservable::new(&obs.with_ancilla_z()),
+        }
     }
 
     /// The number of compiled programs `m` of the underlying multiset.
@@ -257,83 +223,114 @@ impl PreparedDerivativeEstimator {
     /// panicked through its bounded bit-identical retries.
     pub fn estimate(&self, psi: &StateVector, shots: usize, seed: u64) -> f64 {
         let ext_psi = [StateVector::zero_state(1).tensor(psi)];
-        estimate_batch(&[self], &ext_psi, shots, &[vec![seed]])[0][0]
-    }
-
-    /// Ops of every program, each `case` arm's included: the sweep work
-    /// per input row and amplitude.
-    fn op_count(&self) -> usize {
-        self.engines.iter().map(|e| e.program().op_count()).sum()
-    }
-
-    /// Per input row, the sum of its samples in the shot tile `start..start
-    /// + len`: program by program, each program's shots in shot order — the
-    /// order the per-shot estimator's tile sums take. Each program runs
-    /// **one** sampled sweep over every row's shots of it; row `r`'s shots
-    /// drew their programs into `draws[r]` and sample on the streams
-    /// derived from `streams[r]`.
-    fn tile_sums(
-        &self,
-        ext_inputs: &[StateVector],
-        draws: &[Vec<u32>],
-        streams: &[u64],
-        (start, len): (usize, usize),
-    ) -> Vec<f64> {
-        let mut acc = vec![0.0; ext_inputs.len()];
-        let (mut rows, mut counts, mut samplers) = (Vec::new(), Vec::new(), Vec::new());
-        for (prog, engine) in self.engines.iter().enumerate() {
-            rows.clear();
-            counts.clear();
-            samplers.clear();
-            for (r, row_draws) in draws.iter().enumerate() {
-                let before = samplers.len();
-                samplers.extend(
-                    (start..start + len)
-                        .filter(|&s| row_draws[s] as usize == prog)
-                        .map(|s| ShotSampler::derived(streams[r], s as u64)),
-                );
-                if samplers.len() > before {
-                    rows.push(r);
-                    counts.push(samplers.len() - before);
-                }
-            }
-            if rows.is_empty() {
-                continue;
-            }
-            let inputs: Vec<&StateVector> = rows.iter().map(|&r| &ext_inputs[r]).collect();
-            // Unmonitored engines: any error panics with its message, as the
-            // former infallible `sample_sweep` did.
-            let values = engine
-                .sample_sweep(BatchedStates::gather(&inputs), &counts, &mut samplers, &self.readout)
-                .unwrap_or_else(|e| panic!("{e}"));
-            let mut rest = values.as_slice();
-            for (&r, &k) in rows.iter().zip(&counts) {
-                let (row, tail) = rest.split_at(k);
-                acc[r] += row.iter().sum::<f64>();
-                rest = tail;
-            }
-        }
-        acc
+        estimate_batch(
+            &[&self.engines],
+            &self.readout,
+            &ext_psi,
+            shots,
+            &[vec![seed]],
+        )[0][0]
     }
 }
 
+/// One [`ShotEngine`] per program of `skeleton`, in multiset order, each
+/// its trajectory template with the parameterised matrices patched from
+/// the slot values `values`.
+pub(crate) fn shot_engines(skeleton: &CompiledSkeleton, values: &[f64]) -> Vec<ShotEngine> {
+    skeleton
+        .trajectories()
+        .iter()
+        .map(|t| ShotEngine::new(t.at(values)))
+        .collect()
+}
+
+/// Per input row, the sum of its samples in the shot tile `start..start +
+/// len` of the multiset `engines`: program by program, each program's
+/// shots in shot order — the order the per-shot estimator's tile sums
+/// take. The tile's shots are bucketed by program once, and each program
+/// runs **one** sampled sweep over every row's shots of it; row `r`'s
+/// shots drew their programs into `draws[r]` (empty for a one-program
+/// multiset, whose every shot runs program 0) and sample on the streams
+/// derived from `streams[r]`.
+fn tile_sums(
+    engines: &[ShotEngine],
+    readout: &ProjectiveObservable,
+    ext_inputs: &[StateVector],
+    draws: &[Vec<u32>],
+    streams: &[u64],
+    (start, len): (usize, usize),
+) -> Vec<f64> {
+    // Per program, the (row, shot) pairs that drew it, row by row.
+    let mut drawn: Vec<Vec<(usize, usize)>> = vec![Vec::new(); engines.len()];
+    for (r, row_draws) in draws.iter().enumerate() {
+        if engines.len() == 1 {
+            drawn[0].extend((start..start + len).map(|s| (r, s)));
+        } else {
+            for (s, &prog) in row_draws.iter().enumerate().skip(start).take(len) {
+                drawn[prog as usize].push((r, s));
+            }
+        }
+    }
+    let mut acc = vec![0.0; ext_inputs.len()];
+    for (engine, shots) in engines.iter().zip(&drawn) {
+        if shots.is_empty() {
+            continue;
+        }
+        let (mut rows, mut counts) = (Vec::new(), Vec::new());
+        for &(r, _) in shots {
+            match counts.last_mut() {
+                Some(k) if rows.last() == Some(&r) => *k += 1,
+                _ => {
+                    rows.push(r);
+                    counts.push(1);
+                }
+            }
+        }
+        let mut samplers: Vec<ShotSampler> = shots
+            .iter()
+            .map(|&(r, s)| ShotSampler::derived(streams[r], s as u64))
+            .collect();
+        let inputs: Vec<&StateVector> = rows.iter().map(|&r| &ext_inputs[r]).collect();
+        // Unmonitored engines: any error panics with its message, as the
+        // former infallible `sample_sweep` did.
+        let values = engine
+            .sample_sweep(
+                BatchedStates::gather(&inputs),
+                &counts,
+                &mut samplers,
+                readout,
+            )
+            .unwrap_or_else(|e| panic!("{e}"));
+        let mut rest = values.as_slice();
+        for (&r, &k) in rows.iter().zip(&counts) {
+            let (row, tail) = rest.split_at(k);
+            acc[r] += row.iter().sum::<f64>();
+            rest = tail;
+        }
+    }
+    acc
+}
+
 /// Shot estimates of several prepared multisets on several inputs:
-/// `out[j][r]` is `estimators[j]` on `ext_inputs[r]` (the input with the
-/// ancilla already prepended) from `shots` trajectories on the seed
-/// `streams[j][r]`, bit for bit what [`PreparedDerivativeEstimator::estimate`]
-/// returns on that input and seed.
+/// `out[j][r]` is multiset `multisets[j]` (one [`ShotEngine`] per program)
+/// on `ext_inputs[r]` (the input with the ancilla already prepended) from
+/// `shots` trajectories on the seed `streams[j][r]`, each read out by
+/// `readout` (the decomposed `ZA ⊗ O`, shared by every multiset) — bit for
+/// bit what [`PreparedDerivativeEstimator::estimate`] returns on that
+/// input and seed.
 ///
-/// Each row draws its shots' programs up front from the master stream
-/// `ShotSampler::seeded(streams[j][r])`. Shots are cut into fixed
-/// [`SHOT_TILE`]-shot tiles, and each (multiset, tile) pair runs one
-/// sampled sweep per program over every row's shots of that program (see
-/// `tile_sums`), with shot `s` on the derived stream
-/// `ShotSampler::derived(streams[j][r], s)`. A row's estimate sums its tile
-/// sums in tile order. Rows share sweeps but no bits: every sample is a
-/// function of its row, program and stream only. The pairs run on the
-/// calling thread unless their work (rows × amplitudes × program ops)
-/// pays for a fork, and then fan out across `qdp_par`. Pair `i` passes
-/// the fault-injection tile checkpoint `i`.
+/// Each row of a multiset with `m > 1` programs draws its shots' programs
+/// up front from the master stream `ShotSampler::seeded(streams[j][r])`;
+/// with `m = 1` every draw would be 0 and the master stream feeds nothing
+/// else, so nothing is drawn. Shots are cut into fixed [`SHOT_TILE`]-shot
+/// tiles, and each (multiset, tile) pair runs one sampled sweep per
+/// program over every row's shots of that program (see `tile_sums`), with
+/// shot `s` on the derived stream `ShotSampler::derived(streams[j][r], s)`.
+/// A row's estimate sums its tile sums in tile order. Rows share sweeps
+/// but no bits: every sample is a function of its row, program and stream
+/// only. The pairs run on the calling thread unless their work (rows ×
+/// amplitudes × program ops) pays for a fork, and then fan out across
+/// `qdp_par`. Pair `i` passes the fault-injection tile checkpoint `i`.
 ///
 /// # Panics
 ///
@@ -341,7 +338,8 @@ impl PreparedDerivativeEstimator {
 /// [`qdp_sim::QdpError::WorkerPanic`] message when a pair panicked
 /// through its bounded bit-identical retries.
 pub(crate) fn estimate_batch(
-    estimators: &[&PreparedDerivativeEstimator],
+    multisets: &[&[ShotEngine]],
+    readout: &ProjectiveObservable,
     ext_inputs: &[StateVector],
     shots: usize,
     streams: &[Vec<u64>],
@@ -350,18 +348,18 @@ pub(crate) fn estimate_batch(
     let rows = ext_inputs.len();
     // Per multiset and row, the program of every shot, drawn up front
     // from the row's master stream.
-    let draws: Vec<Vec<Vec<u32>>> = estimators
+    let draws: Vec<Vec<Vec<u32>>> = multisets
         .iter()
         .zip(streams)
-        .map(|(est, row_streams)| {
-            let m = est.num_programs();
+        .map(|(engines, row_streams)| {
+            let m = engines.len();
             row_streams
                 .iter()
-                .map(|&seed| {
-                    let mut master = ShotSampler::seeded(seed);
-                    match m {
-                        0 => Vec::new(),
-                        _ => (0..shots).map(|_| master.uniform_index(m) as u32).collect(),
+                .map(|&seed| match m {
+                    0 | 1 => Vec::new(),
+                    _ => {
+                        let mut master = ShotSampler::seeded(seed);
+                        (0..shots).map(|_| master.uniform_index(m) as u32).collect()
                     }
                 })
                 .collect()
@@ -371,32 +369,41 @@ pub(crate) fn estimate_batch(
         .step_by(SHOT_TILE)
         .map(|start| (start, SHOT_TILE.min(shots - start)))
         .collect();
-    let items: Vec<(usize, usize, (usize, usize))> = (0..estimators.len())
-        .filter(|&j| estimators[j].num_programs() > 0)
+    let items: Vec<(usize, usize, (usize, usize))> = (0..multisets.len())
+        .filter(|&j| !multisets[j].is_empty())
         .flat_map(|j| tiles.iter().map(move |&tile| (j, tile)))
         .enumerate()
         .map(|(i, (j, tile))| (i, j, tile))
         .collect();
     let dim = ext_inputs.first().map_or(0, StateVector::dim);
+    let op_count =
+        |engines: &[ShotEngine]| -> usize { engines.iter().map(|e| e.program().op_count()).sum() };
     let work = items
         .iter()
-        .map(|&(_, j, _)| rows * dim * estimators[j].op_count())
+        .map(|&(_, j, _)| rows * dim * op_count(multisets[j]))
         .sum();
     let sums = qdp_par::try_par_map_retry_work(
         work,
         &items,
         |&(i, j, tile)| {
             qdp_sim::fault::tile_checkpoint(i);
-            estimators[j].tile_sums(ext_inputs, &draws[j], &streams[j], tile)
+            tile_sums(
+                multisets[j],
+                readout,
+                ext_inputs,
+                &draws[j],
+                &streams[j],
+                tile,
+            )
         },
         TILE_RETRIES,
     )
     .unwrap_or_else(|e| panic!("{}", qdp_sim::QdpError::from(e)));
     let mut sums = sums.chunks(tiles.len());
-    estimators
+    multisets
         .iter()
-        .map(|est| {
-            let m = est.num_programs();
+        .map(|engines| {
+            let m = engines.len();
             if m == 0 {
                 return vec![0.0; rows];
             }

@@ -27,14 +27,14 @@
 //! on `2ⁿ` amplitudes, for every parameter at once.
 //! `crates/core/tests/adjoint_oracle.rs` pins the two within 1e-12.
 
-use crate::cache::{CompiledSkeleton, ProgramCache};
+use crate::cache::{CompiledSkeleton, ProgramCache, SharedMultiset};
 use crate::semantics::observable_semantics;
 use crate::transform::{derivative_programs, fresh_ancilla, TransformError};
 use qdp_lang::ast::{Params, Stmt, Var};
 use qdp_lang::Register;
 use qdp_sim::{BatchedStates, DensityMatrix, Observable, StateVector};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Bounded retry budget for panicked worker tiles in this module's
 /// parallel fan-outs. Every fanned-out closure here is pure per call, so
@@ -65,15 +65,15 @@ const TILE_RETRIES: usize = 2;
 #[derive(Clone, Debug)]
 pub struct Differentiated {
     param: String,
-    /// The differentiated program, whose adjoint sweep serves
-    /// [`derivative_pure_batch`](Self::derivative_pure_batch), shared with
+    /// The differentiated program over the base register, as a
+    /// one-program multiset: its adjoint sweep serves
+    /// [`derivative_pure_batch`](Self::derivative_pure_batch). Shared with
     /// the other parameters of a [`GradientEngine`].
-    program: Arc<Stmt>,
+    program: SharedMultiset,
     ancilla: Var,
-    /// Shared with the [`ProgramCache`] entry it interns as.
-    compiled: Arc<[Stmt]>,
-    base_register: Register,
-    ext_register: Register,
+    /// The compiled multiset over the extended register, shared with the
+    /// [`ProgramCache`] entry it interns as.
+    compiled: SharedMultiset,
 }
 
 /// Differentiates `program` with respect to `param`: the compiled
@@ -104,34 +104,37 @@ pub fn differentiate_in(
     param: &str,
     base_register: &Register,
 ) -> Result<Differentiated, TransformError> {
-    differentiate_shared(Arc::new(program.clone()), param, base_register)
+    differentiate_shared(
+        SharedMultiset::new(Arc::from([program.clone()]), base_register.clone()),
+        param,
+    )
 }
 
-/// [`differentiate_in`] on a program the caller shares.
+/// [`differentiate_in`] on a one-program multiset the caller shares.
 fn differentiate_shared(
-    program: Arc<Stmt>,
+    shared: SharedMultiset,
     param: &str,
-    base_register: &Register,
 ) -> Result<Differentiated, TransformError> {
+    let (program, base_register) = (&shared.compiled()[0], shared.register());
     for v in program.qvar() {
         assert!(
             base_register.contains(&v),
             "program variable '{v}' missing from the supplied register"
         );
     }
-    let mut ancilla = fresh_ancilla(&program, param);
+    let mut ancilla = fresh_ancilla(program, param);
     while base_register.contains(&ancilla) {
         ancilla = Var::new(format!("{}'", ancilla.name()));
     }
-    let compiled = derivative_programs(&program, param, &ancilla)?.into();
-    let ext_register = base_register.with_ancilla_front(ancilla.clone());
+    let compiled = SharedMultiset::new(
+        derivative_programs(program, param, &ancilla)?.into(),
+        base_register.with_ancilla_front(ancilla.clone()),
+    );
     Ok(Differentiated {
         param: param.to_string(),
-        program,
+        program: shared,
         ancilla,
         compiled,
-        base_register: base_register.clone(),
-        ext_register,
     })
 }
 
@@ -192,16 +195,17 @@ pub fn hessian(
     Ok(out)
 }
 
-/// The multiset the adjoint sweeps for `program`: the program itself when
-/// it is normal (the same interned skeleton as
+/// The multiset the adjoint sweeps for the one-program multiset `program`:
+/// the program itself when it is normal (the same interned skeleton as
 /// [`GradientEngine::forward_skeleton`]), its compiled multiset otherwise,
 /// since an additive program has no lowering of its own.
-fn adjoint_skeleton(program: &Stmt, register: &Register) -> Arc<CompiledSkeleton> {
+fn adjoint_skeleton(program: &SharedMultiset) -> Arc<CompiledSkeleton> {
     let cache = ProgramCache::global();
-    if program.is_normal() {
-        cache.intern(std::slice::from_ref(program), register)
+    let stmt = &program.compiled()[0];
+    if stmt.is_normal() {
+        cache.intern_shared(program)
     } else {
-        cache.intern(&qdp_lang::compile::compile(program), register)
+        cache.intern(&qdp_lang::compile::compile(stmt), program.register())
     }
 }
 
@@ -220,17 +224,17 @@ impl Differentiated {
     /// `|#∂/∂θj(P(θ))|` (Definition 4.3), the number of initial-state copies
     /// per evaluation (Section 7).
     pub fn compiled(&self) -> &[Stmt] {
-        &self.compiled
+        self.compiled.compiled()
     }
 
     /// The register of the original program.
     pub fn base_register(&self) -> &Register {
-        &self.base_register
+        self.program.register()
     }
 
     /// The extended register (`ancilla` at qubit 0).
     pub fn ext_register(&self) -> &Register {
-        &self.ext_register
+        self.compiled.register()
     }
 
     /// Evaluates the derivative
@@ -247,7 +251,7 @@ impl Differentiated {
     /// instead of once per program.
     pub fn derivative(&self, params: &Params, obs: &Observable, rho: &DensityMatrix) -> f64 {
         assert_eq!(
-            self.ext_register.len(),
+            self.ext_register().len(),
             rho.num_qubits() + 1,
             "extended register must have exactly one more qubit than the input state"
         );
@@ -269,8 +273,8 @@ impl Differentiated {
         // Pure per program, so a panicked worker tile retries
         // bit-identically before the failure is surfaced.
         qdp_par::try_par_map_retry(
-            &self.compiled,
-            |p| observable_semantics(p, &self.ext_register, params, ext_obs, ext_rho),
+            self.compiled(),
+            |p| observable_semantics(p, self.ext_register(), params, ext_obs, ext_rho),
             TILE_RETRIES,
         )
         .unwrap_or_else(|e| panic!("{}", qdp_sim::QdpError::from(e)))
@@ -307,7 +311,7 @@ impl Differentiated {
         obs: &Observable,
         states: &BatchedStates,
     ) -> Vec<f64> {
-        let skeleton = adjoint_skeleton(&self.program, &self.base_register);
+        let skeleton = adjoint_skeleton(&self.program);
         let lowered = skeleton.lowered();
         match lowered.param_names().iter().position(|p| *p == self.param) {
             Some(slot) => lowered
@@ -324,12 +328,15 @@ impl Differentiated {
     /// process-wide [`ProgramCache`]: the first `Differentiated` of a given
     /// (multiset, register) pair anywhere in the process compiles it, every
     /// later one — including clones and re-differentiations of the same
-    /// program — shares that one skeleton. Public so batch evaluators and
-    /// future backends can drive
+    /// program — shares that one skeleton. The cache key is hashed on the
+    /// first call and kept (clones made after that share it), and a lookup
+    /// that finds the entry this artifact's own multiset created matches it
+    /// by pointer, so a warm call hashes nothing and compares no trees.
+    /// Public so batch evaluators and future backends can drive
     /// [`LoweredSet::expectation_batch`](crate::LoweredSet::expectation_batch)
     /// directly.
     pub fn skeleton(&self) -> Arc<CompiledSkeleton> {
-        ProgramCache::global().intern_shared(&self.compiled, &self.ext_register)
+        ProgramCache::global().intern_shared(&self.compiled)
     }
 }
 
@@ -337,9 +344,16 @@ impl Differentiated {
 /// parameter transformations cached.
 #[derive(Clone, Debug)]
 pub struct GradientEngine {
-    program: Arc<Stmt>,
-    register: Register,
+    /// The program over its register, as a one-program multiset shared
+    /// with every parameter's [`Differentiated`].
+    program: SharedMultiset,
     diffs: BTreeMap<String, Differentiated>,
+    /// Per parameter (in name order), the index among the engine's
+    /// parameters of each slot of its derivative multiset's lowering: a
+    /// shot gradient looks each parameter's value up once and gathers
+    /// every multiset's slot values through this map. Built on the first
+    /// shot gradient.
+    shot_slots: OnceLock<Vec<Vec<usize>>>,
 }
 
 impl GradientEngine {
@@ -349,35 +363,39 @@ impl GradientEngine {
     ///
     /// Returns the first [`TransformError`] encountered.
     pub fn new(program: &Stmt) -> Result<Self, TransformError> {
-        let register = Register::from_program(program);
-        let program = Arc::new(program.clone());
+        let shared = SharedMultiset::new(
+            Arc::from([program.clone()]),
+            Register::from_program(program),
+        );
         let mut diffs = BTreeMap::new();
         for param in program.parameters() {
-            let diff = differentiate_shared(Arc::clone(&program), &param, &register)?;
+            let diff = differentiate_shared(shared.clone(), &param)?;
             diffs.insert(param, diff);
         }
         Ok(GradientEngine {
-            program,
-            register,
+            program: shared,
             diffs,
+            shot_slots: OnceLock::new(),
         })
     }
 
     /// The forward program as an interned one-element skeleton — the fast
     /// path of batched forward evaluation and the shift-rule gradient.
-    /// Compiled once per process via the shared [`ProgramCache`].
+    /// Compiled once per process via the shared [`ProgramCache`]; as with
+    /// [`Differentiated::skeleton`], a warm call matches the entry by
+    /// pointer under a memoised key.
     pub fn forward_skeleton(&self) -> Arc<CompiledSkeleton> {
-        ProgramCache::global().intern(std::slice::from_ref(&*self.program), &self.register)
+        ProgramCache::global().intern_shared(&self.program)
     }
 
     /// The program under differentiation.
     pub fn program(&self) -> &Stmt {
-        &self.program
+        &self.program.compiled()[0]
     }
 
     /// The program's register.
     pub fn register(&self) -> &Register {
-        &self.register
+        self.program.register()
     }
 
     /// Parameter names in lexicographic order.
@@ -392,7 +410,7 @@ impl GradientEngine {
 
     /// Forward value `tr(O · [[P(θ*)]]ρ)`.
     pub fn value(&self, params: &Params, obs: &Observable, rho: &DensityMatrix) -> f64 {
-        observable_semantics(&self.program, &self.register, params, obs, rho)
+        observable_semantics(self.program(), self.register(), params, obs, rho)
     }
 
     /// Forward value on a pure input: row 0 of
@@ -541,18 +559,25 @@ impl GradientEngine {
     }
 
     /// [`gradient_pure_shots`](Self::gradient_pure_shots) for many inputs
-    /// at once: every parameter's
-    /// [`crate::estimator::PreparedDerivativeEstimator`] (resolved
-    /// programs, decomposed read-out) is built **once** and shared by all
-    /// rows. Row `r` estimates parameter `j` on the derived stream
-    /// `(row_seeds[r], j)`, exactly as the single-input call does, and each
-    /// parameter's programs run as **one** sampled sweep per program (and
-    /// shot tile) over every row's shots of that program. Each row is
+    /// at once. Row `r` estimates parameter `j` on the derived stream
+    /// `(row_seeds[r], j)`, exactly as the single-input call does, and
+    /// each parameter's programs run as **one** sampled sweep per program
+    /// (and shot tile) over every row's shots of that program. Each row is
     /// reduced from its own samples in the single-input order, so entry
-    /// `r` is bit-identical to the single-input call. (Parameter, tile)
-    /// pairs fan out across `qdp_par` only when their work (rows ×
-    /// amplitudes × program ops) pays for a fork; a single small row runs
-    /// on the calling thread.
+    /// `r` is bit-identical to the single-input call, and parameter `j`'s
+    /// entry to [`crate::estimator::PreparedDerivativeEstimator::estimate`]
+    /// on that stream. (Parameter, tile) pairs fan out across `qdp_par`
+    /// only when their work (rows × amplitudes × program ops) pays for a
+    /// fork; a single small row runs on the calling thread.
+    ///
+    /// The set-up is per call and shared by all rows and parameters: each
+    /// parameter's value is looked up once and gathered into every
+    /// multiset's slot order through a map the engine builds on its first
+    /// shot gradient; `ZA ⊗ O` is decomposed once; each multiset's
+    /// skeleton is looked up by pointer under its memoised key (see
+    /// [`Differentiated::skeleton`]) and its trajectory templates patched
+    /// once. A parameter with one derivative program draws no program
+    /// indices.
     ///
     /// # Panics
     ///
@@ -573,21 +598,62 @@ impl GradientEngine {
             row_seeds.len(),
             "one seed stream per input row"
         );
-        let prepared: Vec<crate::estimator::PreparedDerivativeEstimator> = self
-            .diffs
-            .values()
-            .map(|diff| crate::estimator::PreparedDerivativeEstimator::new(diff, params, obs))
+        let skeletons: Vec<Arc<CompiledSkeleton>> =
+            self.diffs.values().map(Differentiated::skeleton).collect();
+        let slots = self.shot_slots.get_or_init(|| {
+            let names: Vec<&String> = self.diffs.keys().collect();
+            skeletons
+                .iter()
+                .map(|skeleton| {
+                    skeleton
+                        .lowered()
+                        .param_names()
+                        .iter()
+                        .map(|name| {
+                            // Infallible: derivative programs use only the
+                            // program's own parameters.
+                            #[allow(clippy::expect_used)]
+                            names
+                                .binary_search(&name)
+                                .expect("derivative parameters are engine parameters")
+                        })
+                        .collect()
+                })
+                .collect()
+        });
+        let values: Vec<Option<f64>> = self.diffs.keys().map(|name| params.get(name)).collect();
+        let engines: Vec<Vec<qdp_sim::ShotEngine>> = skeletons
+            .iter()
+            .zip(slots)
+            .map(|(skeleton, slots)| {
+                let slot_values: Vec<f64> = slots
+                    .iter()
+                    .map(|&k| {
+                        values[k].unwrap_or_else(|| {
+                            let name = self.diffs.keys().nth(k).map_or("", String::as_str);
+                            panic!("parameter '{name}' has no value")
+                        })
+                    })
+                    .collect();
+                crate::estimator::shot_engines(skeleton, &slot_values)
+            })
             .collect();
-        let estimators: Vec<&_> = prepared.iter().collect();
+        let multisets: Vec<&[qdp_sim::ShotEngine]> = engines.iter().map(Vec::as_slice).collect();
+        let readout = qdp_sim::ProjectiveObservable::new(&obs.with_ancilla_z());
         let ext_inputs: Vec<StateVector> = inputs
             .iter()
             .map(|psi| StateVector::zero_state(1).tensor(psi))
             .collect();
-        let streams: Vec<Vec<u64>> = (0..estimators.len() as u64)
+        let streams: Vec<Vec<u64>> = (0..multisets.len() as u64)
             .map(|j| row_seeds.iter().map(|&seed| qdp_sim::derive_seed(seed, j)).collect())
             .collect();
-        let per_param =
-            crate::estimator::estimate_batch(&estimators, &ext_inputs, shots_per_param, &streams);
+        let per_param = crate::estimator::estimate_batch(
+            &multisets,
+            &readout,
+            &ext_inputs,
+            shots_per_param,
+            &streams,
+        );
         (0..inputs.len())
             .map(|r| {
                 self.diffs
@@ -649,7 +715,7 @@ impl GradientEngine {
         obs: &Observable,
         states: &BatchedStates,
     ) -> Vec<BTreeMap<String, f64>> {
-        let skeleton = adjoint_skeleton(&self.program, &self.register);
+        let skeleton = adjoint_skeleton(&self.program);
         let lowered = skeleton.lowered();
         let columns = lowered.gradient_batch(&lowered.slot_values(params), states, obs);
         let slots: Vec<Option<usize>> = self
@@ -679,7 +745,7 @@ impl GradientEngine {
     pub fn shift_rule_eligible(&self) -> bool {
         self.diffs
             .keys()
-            .all(|p| crate::resource::occurrence_count(&self.program, p) == 1)
+            .all(|p| crate::resource::occurrence_count(self.program(), p) == 1)
     }
 
     /// The full gradient on a pure input via the `±π/2` shift rule — the

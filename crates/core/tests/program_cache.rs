@@ -16,8 +16,14 @@
 //!   shift-rule gradient lowers exactly **one** program skeleton, the
 //!   exact (adjoint) gradient reuses it without lowering anything more,
 //!   and the two gradients agree to 1e-8.
+//! * **Warm engine calls** — on a primed engine, shot gradients, shot
+//!   values and exact gradients only hit the process-wide cache (no
+//!   misses, no lowers), and after an eviction the engine's memoised keys
+//!   re-intern and the next shot gradient carries the same bits.
 
-use qdp_ad::{differentiate, lower_invocations, GradientEngine, LoweredSet, ProgramCache};
+use qdp_ad::{
+    differentiate, lower_invocations, CacheStats, GradientEngine, LoweredSet, ProgramCache,
+};
 use qdp_lang::ast::{Angle, Gate, Params, Stmt, Var};
 use qdp_lang::{parse_program, program_fingerprint, Register};
 use qdp_linalg::{C64, Pauli};
@@ -25,7 +31,15 @@ use qdp_sim::{BatchedStates, Observable, ShotEngine, ShotSampler, StateVector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Serialises the tests that count the process-wide cache's lowers or
+/// evict its entries: every test thread of this binary shares it.
+static GLOBAL_CACHE: Mutex<()> = Mutex::new(());
+
+fn global_cache_lock() -> MutexGuard<'static, ()> {
+    GLOBAL_CACHE.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn var(i: usize) -> Var {
     Var::new(format!("q{}", i + 1))
@@ -321,20 +335,22 @@ fn rot_block(prefix: &str) -> Stmt {
     Stmt::seq(stmts)
 }
 
-/// `P2`-shaped: `Q(Θ); case M[q1] = 0 → Q(Φ), 1 → Q(Ψ) end`, 36 params.
-fn p2_shaped() -> Stmt {
+/// `P2`-shaped: `Q(Θ); case M[q1] = 0 → Q(Φ), 1 → Q(Ψ) end`, 36 params,
+/// named `"{tag}T0..11"`, `"{tag}F0..11"` and `"{tag}S0..11"`.
+fn p2_shaped(tag: &str) -> Stmt {
     Stmt::seq([
-        rot_block("cT"),
+        rot_block(&format!("{tag}T")),
         Stmt::Case {
             qs: vec![Var::new("q1")],
-            arms: vec![rot_block("cF"), rot_block("cS")],
+            arms: vec![rot_block(&format!("{tag}F")), rot_block(&format!("{tag}S"))],
         },
     ])
 }
 
 #[test]
 fn shift_gradient_of_36_param_circuit_lowers_exactly_one_skeleton() {
-    let program = p2_shaped();
+    let _global = global_cache_lock();
+    let program = p2_shaped("c");
     let engine = GradientEngine::new(&program).unwrap();
     assert_eq!(engine.parameters().count(), 36);
     assert!(engine.shift_rule_eligible(), "each of the 36 params occurs once per path");
@@ -435,5 +451,129 @@ fn shift_rule_rejects_parameters_that_repeat_along_a_path() {
         &Params::from_pairs([("rp", 0.4)]),
         &Observable::pauli_z(1, 0),
         &StateVector::zero_state(1),
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Warm engine calls: memoised keys, pointer-identity hits
+// ---------------------------------------------------------------------------
+
+/// The valuation `θ_i = 0.2 + 0.31 i` over an engine's parameters.
+fn engine_params(engine: &GradientEngine) -> Params {
+    Params::from_pairs(
+        engine
+            .parameters()
+            .enumerate()
+            .map(|(i, name)| (name.to_string(), 0.2 + 0.31 * i as f64)),
+    )
+}
+
+/// The engine's interned multisets: its forward program first, then each
+/// parameter's derivative multiset in name order.
+fn engine_multisets(engine: &GradientEngine) -> Vec<(Vec<Stmt>, Register)> {
+    std::iter::once((vec![engine.program().clone()], engine.register().clone()))
+        .chain(engine.parameters().map(|name| {
+            let diff = engine.differentiated(name).unwrap();
+            (diff.compiled().to_vec(), diff.ext_register().clone())
+        }))
+        .collect()
+}
+
+/// Each multiset's global-cache counters, `None` when it is not resident.
+fn global_stats(multisets: &[(Vec<Stmt>, Register)]) -> Vec<Option<CacheStats>> {
+    multisets
+        .iter()
+        .map(|(compiled, reg)| ProgramCache::global().stats(compiled, reg))
+        .collect()
+}
+
+fn gradient_bits(rows: &[BTreeMap<String, f64>]) -> Vec<Vec<u64>> {
+    rows.iter()
+        .map(|row| row.values().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+#[test]
+fn warm_engine_calls_only_hit_the_cache() {
+    let _global = global_cache_lock();
+    let engine = GradientEngine::new(&p2_shaped("w")).unwrap();
+    let params = engine_params(&engine);
+    let obs = Observable::pauli_z(4, 0);
+    let mut rng = StdRng::seed_from_u64(0x3A7E);
+    let inputs: Vec<StateVector> = (0..3).map(|_| random_state(&mut rng, 4)).collect();
+    let batch = BatchedStates::from_states(&inputs);
+    let seeds = [11, 12, 13];
+    let calls = || {
+        (
+            engine.gradient_pure_shots_batch(&params, &obs, &inputs, 16, &seeds),
+            engine.value_pure_shots_batch(&params, &obs, &inputs, 16, &seeds),
+            engine.gradient_pure_batch(&params, &obs, &batch),
+        )
+    };
+    let primed = calls();
+    let multisets = engine_multisets(&engine);
+    let before = global_stats(&multisets);
+    let lowers = lower_invocations();
+    let warm = calls();
+    assert_eq!(lower_invocations(), lowers, "warm calls must not lower");
+    // Every entry is the one the primed calls built (an entry rebuilt by a
+    // miss would count its hits from zero): the forward program hit once
+    // by the shot value and once by the exact gradient, each derivative
+    // multiset once by the shot gradient.
+    for (k, (b, a)) in before.iter().zip(global_stats(&multisets)).enumerate() {
+        let (b, a) = (b.unwrap(), a.unwrap());
+        assert_eq!((b.lowers, a.lowers), (1, 1), "multiset {k} lowered again");
+        let hits = if k == 0 { 2 } else { 1 };
+        assert_eq!(a.hits, b.hits + hits, "multiset {k}: warm calls must hit");
+    }
+    assert_eq!(gradient_bits(&warm.0), gradient_bits(&primed.0));
+    let value_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(value_bits(&warm.1), value_bits(&primed.1));
+    assert_eq!(gradient_bits(&warm.2), gradient_bits(&primed.2));
+}
+
+#[test]
+fn evicted_multisets_reintern_under_memoised_keys_with_the_same_shot_bits() {
+    let _global = global_cache_lock();
+    let engine = GradientEngine::new(&p2_shaped("e")).unwrap();
+    let params = engine_params(&engine);
+    let obs = Observable::pauli_z(4, 0);
+    let mut rng = StdRng::seed_from_u64(0xE71C);
+    let inputs: Vec<StateVector> = (0..2).map(|_| random_state(&mut rng, 4)).collect();
+    let seeds = [5, 6];
+    let shots = || engine.gradient_pure_shots_batch(&params, &obs, &inputs, 16, &seeds);
+    let before = shots();
+    let derivatives = &engine_multisets(&engine)[1..];
+    assert!(global_stats(derivatives).iter().all(Option::is_some));
+
+    let cache = ProgramCache::global();
+    let capacity = cache.counters().capacity;
+    cache.set_capacity(Some(0));
+    assert!(
+        global_stats(derivatives).iter().all(Option::is_none),
+        "all evicted"
+    );
+    cache.set_capacity(capacity);
+
+    // The memoised keys route the next lookups to fresh entries, which a
+    // structural-fingerprint lookup finds: each multiset lowers once more.
+    let lowers = lower_invocations();
+    let after = shots();
+    assert_eq!(
+        lower_invocations() - lowers,
+        36,
+        "each multiset re-lowers once"
+    );
+    for (k, stats) in global_stats(derivatives).into_iter().enumerate() {
+        assert_eq!(
+            stats,
+            Some(CacheStats { lowers: 1, hits: 0 }),
+            "multiset {k}"
+        );
+    }
+    assert_eq!(
+        gradient_bits(&after),
+        gradient_bits(&before),
+        "eviction moved shot bits"
     );
 }
