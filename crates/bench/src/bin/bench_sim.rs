@@ -660,9 +660,9 @@ fn gradient_p1(fx: &Fixture, g: &mut Guards) -> Fields {
     set_reference_kernels(false);
     let speedup = reference_ns / fast_ns;
     // 30 runs, 1 / 2 threads: 1.72–1.94 / 1.35–1.74; 3 runs since
-    // `gradient_pure` is a row of the trie sweep: 1.75–2.06 / 1.95–2.06;
-    // 10 runs since it is a row of the adjoint sweep: 1.57–1.83 /
-    // 1.50–1.81.
+    // `gradient_pure` was a row of the shared prefix-trie sweep
+    // (since retired): 1.75–2.06 / 1.95–2.06; 10 runs since it is a row
+    // of the adjoint sweep: 1.57–1.83 / 1.50–1.81.
     g.at_least("P1 gradient vs reference kernels", speedup, 1.0);
     fields![
         "workload" => "GradientEngine::gradient_pure on P1",
@@ -931,9 +931,10 @@ fn gradient_branching_batch(fx: &Fixture, g: &mut Guards) -> Fields {
 
 /// The exact batched gradient by the adjoint method: `gradient_pure_batch`
 /// runs the forward program forward and backward once per branch on the
-/// input's own amplitudes, against the per-parameter tries it replaced
-/// (each parameter's derivative multiset swept as its own trie on the
-/// ancilla-extended batch, the parameters fanned out across `qdp_par`).
+/// input's own amplitudes, against its named oracle (each parameter's
+/// derivative multiset swept program by program on the ancilla-extended
+/// batch by `LoweredSet::expectation_batch`, the parameters fanned out
+/// across `qdp_par`).
 /// On `P2` over the 16-sample dataset, on `hardware_efficient_ansatz(6,
 /// 2)` over 16 random 6-qubit states, and on one random row of
 /// `hardware_efficient_ansatz(10, 1)`. Every comparison agrees within
@@ -947,12 +948,16 @@ fn adjoint(fx: &Fixture, g: &mut Guards) -> Fields {
     let ops = |lowered: &LoweredSet| -> usize { lowered.programs().iter().map(|p| p.op_weight()).sum() };
     let mut out = Fields::new();
     for (label, circuit, obs, inputs, floor) in [
-        // 10 runs, 1 / 2 threads: 6.54–7.31 / 3.69–7.24. At two threads
-        // the tries fan their parameters out; the adjoint runs on one.
+        // 10 runs, 1 / 2 threads, against per-parameter prefix tries:
+        // 6.54–7.31 / 3.69–7.24; 10 runs against the multisets swept per
+        // program: 5.45–6.19 / 3.41–5.45. At two threads the multisets
+        // fan their parameters out; the adjoint runs on one.
         ("p2", &fx.p2, &fx.obs, fx.inputs(), 2.7),
-        // 10 runs, 1 / 2 threads: 12.1–13.4 / 6.33–13.9.
+        // Tries: 12.1–13.4 / 6.33–13.9; per program: 10.7–12.5 /
+        // 5.84–8.32.
         ("hea_6_2", &hea, &hea_obs, hea_inputs, 4.7),
-        // 10 runs, 1 / 2 threads: 14.6–18.4 / 7.74–17.3.
+        // Tries: 14.6–18.4 / 7.74–17.3; per program: 12.6–14.0 /
+        // 6.65–11.4.
         (
             "hea_10_1_one_row",
             &wide,
@@ -969,7 +974,7 @@ fn adjoint(fx: &Fixture, g: &mut Guards) -> Fields {
                 .engine
                 .gradient_pure_batch(&circuit.params, obs, &batch)
         };
-        let tries = || {
+        let multisets = || {
             qdp_par::par_map(&names, |name| {
                 let skeleton = circuit
                     .engine
@@ -981,26 +986,26 @@ fn adjoint(fx: &Fixture, g: &mut Guards) -> Fields {
             })
         };
         let rows = adjoint();
-        for (j, column) in tries().iter().enumerate() {
+        for (j, column) in multisets().iter().enumerate() {
             for (row, want) in rows.iter().zip(column) {
                 let got = row[names[j]];
                 assert!(
                     (got - want).abs() < 1e-12,
-                    "{label}: adjoint {got} vs trie {want} for {}",
+                    "{label}: adjoint {got} vs multiset {want} for {}",
                     names[j]
                 );
             }
         }
-        let (adjoint_ns, tries_ns) = paired_ns(|is_adjoint| {
+        let (adjoint_ns, multisets_ns) = paired_ns(|is_adjoint| {
             if is_adjoint {
                 black_box(adjoint());
             } else {
-                black_box(tries());
+                black_box(multisets());
             }
         });
-        let speedup = tries_ns / adjoint_ns;
+        let speedup = multisets_ns / adjoint_ns;
         g.at_least(
-            &format!("{label} adjoint vs per-parameter tries"),
+            &format!("{label} adjoint vs per-parameter multisets"),
             speedup,
             floor,
         );
@@ -1017,7 +1022,7 @@ fn adjoint(fx: &Fixture, g: &mut Guards) -> Fields {
             .sum();
         let fields = fields![
             "workload" => format!(
-                "exact gradient, {}-row batch x {} params: one adjoint sweep ({} forward ops, {} qubits) vs per-parameter tries ({} ops, {} qubits)",
+                "exact gradient, {}-row batch x {} params: one adjoint sweep ({} forward ops, {} qubits) vs each parameter's multiset swept per program ({} ops, {} qubits)",
                 inputs.len(),
                 names.len(),
                 ops(circuit.engine.forward_skeleton().lowered()),
@@ -1026,7 +1031,7 @@ fn adjoint(fx: &Fixture, g: &mut Guards) -> Fields {
                 circuit.engine.register().len() + 1
             ),
             "adjoint_ns" => ns(adjoint_ns),
-            "tries_ns" => ns(tries_ns),
+            "multisets_ns" => ns(multisets_ns),
             "speedup" => ratio(speedup),
         ];
         out.push((label.to_string(), Value::Obj(fields)));
@@ -1276,7 +1281,9 @@ fn compile_cache(fx: &Fixture, g: &mut Guards) -> Fields {
     });
     let speedup = cold_ns / warm_ns;
     // 30 runs, 1 / 2 threads: 1.84–2.15 / 1.85–2.60; 3 runs since the
-    // warm path is a row of the trie sweep: 4.34–4.56 / 4.09–4.62.
+    // warm path was a row of the shared prefix-trie sweep (since
+    // retired; it is now a row of the adjoint sweep): 4.34–4.56 /
+    // 4.09–4.62.
     g.at_least("warm P2 gradient vs cold lowering", speedup, 1.3);
     fields![
         "workload" => "36-param P2 gradient, 1 input: lower all 36 multisets then evaluate vs interned warm path vs single-skeleton shift rule",

@@ -31,7 +31,7 @@
 //! A long-lived multi-program server cannot let the cache grow
 //! monotonically. A cache built with [`ProgramCache::with_capacity`]
 //! charges each entry a **cost weight** — the skeleton's total lowered op
-//! count plus its trajectory patch slots, a direct proxy for the matrices
+//! count plus its parameterised gates, a direct proxy for the matrices
 //! and op lists held resident — and never holds more total weight than the
 //! capacity. Overflow evicts by **second-chance** (clock) order: entries
 //! touched since their last consideration get one more lap before they go.
@@ -70,16 +70,15 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use qdp_lang::{multiset_fingerprint, Register, Stmt};
-use qdp_sim::TrajProgram;
 
-use crate::lowered::{LoweredSet, TrajSkeleton};
+use crate::lowered::LoweredSet;
 
-/// Everything parameter-independent about one compiled multiset, each part
-/// built once, on its first use: the lowered op lists (constant matrices
-/// hoisted) and one patchable trajectory skeleton per program. Interning
-/// builds neither, so a multiset nobody evaluates (an exact gradient runs
-/// on the forward program, not on the derivative multisets) is never
-/// lowered.
+/// Everything parameter-independent about one compiled multiset, built
+/// once, on its first use: the lowered multiset (constant matrices
+/// hoisted), which builds the programs its sweeps run on its own first
+/// sweep. Interning builds nothing, so a multiset nobody evaluates (an
+/// exact gradient runs on the forward program, not on the derivative
+/// multisets) is never lowered.
 #[derive(Debug)]
 pub struct CompiledSkeleton {
     compiled: Arc<[Stmt]>,
@@ -87,7 +86,6 @@ pub struct CompiledSkeleton {
     /// The cost weight residency charges, counted on the programs.
     weight: usize,
     lowered: OnceLock<LoweredSet>,
-    trajectories: OnceLock<Vec<TrajSkeleton>>,
 }
 
 impl CompiledSkeleton {
@@ -97,7 +95,6 @@ impl CompiledSkeleton {
             compiled,
             register: reg.clone(),
             lowered: OnceLock::new(),
-            trajectories: OnceLock::new(),
         }
     }
 
@@ -105,30 +102,6 @@ impl CompiledSkeleton {
     pub fn lowered(&self) -> &LoweredSet {
         self.lowered
             .get_or_init(|| LoweredSet::lower(&self.compiled, &self.register))
-    }
-
-    /// One patchable trajectory skeleton per lowered program, in multiset
-    /// order, built on the first call.
-    pub fn trajectories(&self) -> &[TrajSkeleton] {
-        self.trajectories.get_or_init(|| {
-            self.lowered()
-                .programs()
-                .iter()
-                .map(crate::lowered::LoweredProgram::to_skeleton)
-                .collect()
-        })
-    }
-
-    /// Substitutes a valuation into program `i`'s skeleton — bit-identical
-    /// to `lowered().programs()[i].resolve(values).to_trajectory()` with
-    /// only the parameterized matrices rebuilt.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of range or `values` is shorter than the slot
-    /// table.
-    pub fn trajectory_at(&self, i: usize, values: &[f64]) -> TrajProgram {
-        self.trajectories()[i].at(values)
     }
 }
 
@@ -637,8 +610,8 @@ mod tests {
         assert!(cache.stats(&pa, &ra).is_none(), "A must be evicted");
         // The pinned skeleton is untouched by eviction.
         assert_eq!(pinned.lowered().param_names(), ["a"]);
-        let traj = pinned.trajectory_at(0, &[0.3]);
-        assert!(!traj.is_empty());
+        let engines = pinned.lowered().shot_engines(&[0.3]);
+        assert!(!engines[0].program().is_empty());
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! additive error `δ`, each consuming a fresh copy of the input state — the
 //! resource `|#∂/∂θ(P)|` controls.
 
-use crate::cache::CompiledSkeleton;
 use crate::exec::Differentiated;
 use qdp_lang::ast::{Params, Stmt};
 use qdp_lang::Register;
@@ -137,9 +136,10 @@ pub fn estimate_derivative(
 /// shot, scaled by `m`) but spends the Chernoff budget in **batched
 /// trajectory sweeps**:
 ///
-/// * each compiled program's interned trajectory template is patched
-///   with the valuation **once** per call ([`crate::TrajSkeleton::at`]):
-///   every gate matrix is built a single time and the `ZA ⊗ O`
+/// * the interned multiset's programs are bound to one table of the
+///   valuation's parameterised matrices **once** per call
+///   ([`crate::LoweredSet::shot_engines`]): every such matrix is built a
+///   single time, no program is copied, and the `ZA ⊗ O`
 ///   eigendecomposition is hoisted out of the shot loop entirely,
 /// * the per-shot program indices are drawn **up front** from the master
 ///   stream `ShotSampler::seeded(seed)` (none when `m = 1`: every index
@@ -173,8 +173,8 @@ pub fn estimate_derivative_batched(
 }
 
 /// [`estimate_derivative_batched`] split into its per-valuation setup and
-/// its per-evaluation sweep: every program's trajectory template patched
-/// with one valuation into a [`ShotEngine`], and the `ZA ⊗ O` read-out
+/// its per-evaluation sweep: every program bound to one table of the
+/// valuation's matrices in a [`ShotEngine`], and the `ZA ⊗ O` read-out
 /// eigendecomposed, **once**, reusable across arbitrarily many inputs and
 /// seeds.
 ///
@@ -189,18 +189,19 @@ pub struct PreparedDerivativeEstimator {
 }
 
 impl PreparedDerivativeEstimator {
-    /// Patches the interned compiled multiset of `diff` (shared across the
-    /// process via [`crate::ProgramCache`]) with `params` and decomposes
-    /// the extended read-out. Bit-identical to resolving the multiset from
-    /// scratch under the same valuation.
+    /// Binds the interned compiled multiset of `diff` (shared across the
+    /// process via [`crate::ProgramCache`]) to the matrices of `params`
+    /// and decomposes the extended read-out. Bit-identical to resolving
+    /// the multiset from scratch under the same valuation.
     ///
     /// # Panics
     ///
     /// Panics when a used parameter has no value.
     pub fn new(diff: &Differentiated, params: &Params, obs: &Observable) -> Self {
         let skeleton = diff.skeleton();
+        let lowered = skeleton.lowered();
         PreparedDerivativeEstimator {
-            engines: shot_engines(&skeleton, &skeleton.lowered().slot_values(params)),
+            engines: lowered.shot_engines(&lowered.slot_values(params)),
             readout: ProjectiveObservable::new(&obs.with_ancilla_z()),
         }
     }
@@ -231,17 +232,6 @@ impl PreparedDerivativeEstimator {
             &[vec![seed]],
         )[0][0]
     }
-}
-
-/// One [`ShotEngine`] per program of `skeleton`, in multiset order, each
-/// its trajectory template with the parameterised matrices patched from
-/// the slot values `values`.
-pub(crate) fn shot_engines(skeleton: &CompiledSkeleton, values: &[f64]) -> Vec<ShotEngine> {
-    skeleton
-        .trajectories()
-        .iter()
-        .map(|t| ShotEngine::new(t.at(values)))
-        .collect()
 }
 
 /// Per input row, the sum of its samples in the shot tile `start..start +

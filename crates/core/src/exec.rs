@@ -65,11 +65,11 @@ const TILE_RETRIES: usize = 2;
 #[derive(Clone, Debug)]
 pub struct Differentiated {
     param: String,
-    /// The differentiated program over the base register, as a
-    /// one-program multiset: its adjoint sweep serves
-    /// [`derivative_pure_batch`](Self::derivative_pure_batch). Shared with
-    /// the other parameters of a [`GradientEngine`].
-    program: SharedMultiset,
+    /// The multiset whose adjoint sweep serves
+    /// [`derivative_pure_batch`](Self::derivative_pure_batch), over the
+    /// base register (see [`adjoint_multiset`]). Shared with the other
+    /// parameters of a [`GradientEngine`].
+    adjoint: SharedMultiset,
     ancilla: Var,
     /// The compiled multiset over the extended register, shared with the
     /// [`ProgramCache`] entry it interns as.
@@ -104,18 +104,35 @@ pub fn differentiate_in(
     param: &str,
     base_register: &Register,
 ) -> Result<Differentiated, TransformError> {
-    differentiate_shared(
-        SharedMultiset::new(Arc::from([program.clone()]), base_register.clone()),
-        param,
-    )
+    let shared = SharedMultiset::new(Arc::from([program.clone()]), base_register.clone());
+    differentiate_shared(program, adjoint_multiset(shared), param)
 }
 
-/// [`differentiate_in`] on a one-program multiset the caller shares.
+/// The multiset the adjoint sweeps for the one-program multiset `program`:
+/// the program itself when it is normal (the same interned skeleton as
+/// [`GradientEngine::forward_skeleton`]), its compiled multiset otherwise,
+/// since an additive program has no lowering of its own. Built once per
+/// differentiation, so warm gradients look it up by pointer.
+fn adjoint_multiset(program: SharedMultiset) -> SharedMultiset {
+    let stmt = &program.compiled()[0];
+    if stmt.is_normal() {
+        program
+    } else {
+        SharedMultiset::new(
+            qdp_lang::compile::compile(stmt).into(),
+            program.register().clone(),
+        )
+    }
+}
+
+/// [`differentiate_in`] of `program`, whose [`adjoint_multiset`] the
+/// caller built over the base register.
 fn differentiate_shared(
-    shared: SharedMultiset,
+    program: &Stmt,
+    adjoint: SharedMultiset,
     param: &str,
 ) -> Result<Differentiated, TransformError> {
-    let (program, base_register) = (&shared.compiled()[0], shared.register());
+    let base_register = adjoint.register();
     for v in program.qvar() {
         assert!(
             base_register.contains(&v),
@@ -132,7 +149,7 @@ fn differentiate_shared(
     );
     Ok(Differentiated {
         param: param.to_string(),
-        program: shared,
+        adjoint,
         ancilla,
         compiled,
     })
@@ -195,20 +212,6 @@ pub fn hessian(
     Ok(out)
 }
 
-/// The multiset the adjoint sweeps for the one-program multiset `program`:
-/// the program itself when it is normal (the same interned skeleton as
-/// [`GradientEngine::forward_skeleton`]), its compiled multiset otherwise,
-/// since an additive program has no lowering of its own.
-fn adjoint_skeleton(program: &SharedMultiset) -> Arc<CompiledSkeleton> {
-    let cache = ProgramCache::global();
-    let stmt = &program.compiled()[0];
-    if stmt.is_normal() {
-        cache.intern_shared(program)
-    } else {
-        cache.intern(&qdp_lang::compile::compile(stmt), program.register())
-    }
-}
-
 impl Differentiated {
     /// The differentiated parameter name.
     pub fn param(&self) -> &str {
@@ -229,7 +232,7 @@ impl Differentiated {
 
     /// The register of the original program.
     pub fn base_register(&self) -> &Register {
-        self.program.register()
+        self.adjoint.register()
     }
 
     /// The extended register (`ancilla` at qubit 0).
@@ -303,15 +306,17 @@ impl Differentiated {
     /// within 1e-12 (`crates/core/tests/adjoint_oracle.rs`). It carries bit
     /// for bit the column [`GradientEngine::gradient_pure_batch`] computes
     /// for this parameter, and the same bits under any thread count and
-    /// batch composition. The sweep's forks run unmonitored, as the trie's
-    /// do: no health checks and no mass budget.
+    /// batch composition. The sweep's forks run unmonitored, as every
+    /// exact sweep's do: no health checks and no mass budget. For a program
+    /// with `+` it sweeps the program's compiled multiset, built once when
+    /// this artifact was.
     pub fn derivative_pure_batch(
         &self,
         params: &Params,
         obs: &Observable,
         states: &BatchedStates,
     ) -> Vec<f64> {
-        let skeleton = adjoint_skeleton(&self.program);
+        let skeleton = ProgramCache::global().intern_shared(&self.adjoint);
         let lowered = skeleton.lowered();
         match lowered.param_names().iter().position(|p| *p == self.param) {
             Some(slot) => lowered
@@ -324,7 +329,7 @@ impl Differentiated {
 
     /// The compiled skeleton (lowered multiset with resolved qubit indices,
     /// interned parameter slots, pre-built measurements and constant
-    /// matrices, plus patchable trajectory templates), interned through the
+    /// matrices, and the programs its sweeps run), interned through the
     /// process-wide [`ProgramCache`]: the first `Differentiated` of a given
     /// (multiset, register) pair anywhere in the process compiles it, every
     /// later one — including clones and re-differentiations of the same
@@ -344,9 +349,11 @@ impl Differentiated {
 /// parameter transformations cached.
 #[derive(Clone, Debug)]
 pub struct GradientEngine {
-    /// The program over its register, as a one-program multiset shared
-    /// with every parameter's [`Differentiated`].
+    /// The program over its register, as a one-program multiset.
     program: SharedMultiset,
+    /// Its [`adjoint_multiset`], shared with every parameter's
+    /// [`Differentiated`].
+    adjoint: SharedMultiset,
     diffs: BTreeMap<String, Differentiated>,
     /// Per parameter (in name order), the index among the engine's
     /// parameters of each slot of its derivative multiset's lowering: a
@@ -367,13 +374,15 @@ impl GradientEngine {
             Arc::from([program.clone()]),
             Register::from_program(program),
         );
+        let adjoint = adjoint_multiset(shared.clone());
         let mut diffs = BTreeMap::new();
         for param in program.parameters() {
-            let diff = differentiate_shared(shared.clone(), &param)?;
+            let diff = differentiate_shared(program, adjoint.clone(), &param)?;
             diffs.insert(param, diff);
         }
         Ok(GradientEngine {
             program: shared,
+            adjoint,
             diffs,
             shot_slots: OnceLock::new(),
         })
@@ -519,11 +528,13 @@ impl GradientEngine {
             "one seed stream per input row"
         );
         let fwd = self.forward_skeleton();
-        let values = fwd.lowered().slot_values(params);
-        // The patched skeleton carries the identical bits a fresh
+        let lowered = fwd.lowered();
+        // The bound program carries the identical bits a fresh
         // resolve-and-convert would: shot streams stay bit-stable across
         // cold and warm cache states.
-        let engine = qdp_sim::ShotEngine::new(fwd.trajectory_at(0, &values));
+        let engine = lowered
+            .shot_engines(&lowered.slot_values(params))
+            .swap_remove(0);
         let readout = qdp_sim::ProjectiveObservable::new(obs);
         engine
             .estimate_expectation_batch(inputs, &readout, shots, row_seeds)
@@ -575,9 +586,9 @@ impl GradientEngine {
     /// multiset's slot order through a map the engine builds on its first
     /// shot gradient; `ZA ⊗ O` is decomposed once; each multiset's
     /// skeleton is looked up by pointer under its memoised key (see
-    /// [`Differentiated::skeleton`]) and its trajectory templates patched
-    /// once. A parameter with one derivative program draws no program
-    /// indices.
+    /// [`Differentiated::skeleton`]) and its programs bound to one table of
+    /// the valuation's matrices, with no program copied. A parameter with
+    /// one derivative program draws no program indices.
     ///
     /// # Panics
     ///
@@ -635,7 +646,7 @@ impl GradientEngine {
                         })
                     })
                     .collect();
-                crate::estimator::shot_engines(skeleton, &slot_values)
+                skeleton.lowered().shot_engines(&slot_values)
             })
             .collect();
         let multisets: Vec<&[qdp_sim::ShotEngine]> = engines.iter().map(Vec::as_slice).collect();
@@ -668,9 +679,9 @@ impl GradientEngine {
     /// Forward values `tr(O·[[P(θ*)]]|ψr⟩⟨ψr|)` for every row of a batch.
     ///
     /// Runs on the **lowered** forward program (resolved indices, interned
-    /// slots, gate matrices built once per batch, swept as a one-program
-    /// trie by
-    /// [`LoweredSet::expectation_batch`](crate::LoweredSet::expectation_batch)).
+    /// slots, gate matrices built once per batch, swept by
+    /// [`LoweredSet::expectation_batch`](crate::LoweredSet::expectation_batch)),
+    /// unmonitored: no health checks and no mass budget.
     /// Agrees with the per-row
     /// oracles ([`LoweredProgram::expectation_pure`](crate::LoweredProgram::expectation_pure)
     /// and the interpreter's `denot::expectation_pure`) to ≪ 1e-12 on
@@ -707,15 +718,15 @@ impl GradientEngine {
     /// every entry is bit-for-bit the same under any thread count and
     /// batch composition (`crates/core/tests/batch_equivalence.rs`). Large
     /// batches split into row tiles across `qdp_par`. The sweep's forks
-    /// run unmonitored, as the trie's do: no health checks and no mass
-    /// budget.
+    /// run unmonitored, as every exact sweep's do: no health checks and no
+    /// mass budget.
     pub fn gradient_pure_batch(
         &self,
         params: &Params,
         obs: &Observable,
         states: &BatchedStates,
     ) -> Vec<BTreeMap<String, f64>> {
-        let skeleton = adjoint_skeleton(&self.program);
+        let skeleton = ProgramCache::global().intern_shared(&self.adjoint);
         let lowered = skeleton.lowered();
         let columns = lowered.gradient_batch(&lowered.slot_values(params), states, obs);
         let slots: Vec<Option<usize>> = self

@@ -21,21 +21,23 @@
 //! Evaluating the same multiset against **many** input states (a training
 //! dataset, a coalesced service batch) repeats yet more
 //! parameter-independent work: every gate matrix `Rσ(θ)` depends only on
-//! the valuation, not the state. A [`LoweredSet`] therefore has two
-//! batched sweeps, each built lazily once per set and each reading its
-//! parameterised gates from one per-call matrix table (an entry per
-//! distinct gate, slot and offset, built exactly as
-//! [`LoweredProgram::resolve`] builds it):
+//! the valuation, not the state. A [`LoweredSet`] therefore builds its
+//! programs once, on first use, as [`qdp_sim::TrajProgram`]s whose
+//! parameterised gates name entries of one per-call matrix table (an
+//! entry per distinct gate, slot and offset, built exactly as
+//! [`LoweredProgram::resolve`] builds it). Every sweep runs on that one
+//! form, bound to the table of its call's valuation:
 //!
-//! * [`LoweredSet::expectation_batch`] runs the programs as one prefix
-//!   trie ([`qdp_sim::SweepTrie`]), swept as a branch-weighted exact
-//!   sweep: all rows measured at once, the block forked into
-//!   outcome-homogeneous sub-batches carrying branch weights, leaf
-//!   read-outs summed per row. Each shared prefix (measurement forks
-//!   included) runs once, and the batch is copied only where programs
-//!   part. It serves forward values, the shift rule's `2P` valuations,
-//!   and, on each parameter's derivative multiset, the named oracle of
-//!   exact gradients.
+//! * [`LoweredSet::expectation_batch`] runs each program as a
+//!   branch-weighted exact sweep
+//!   ([`qdp_sim::ShotEngine::expectation_sweep`]): all rows measured at
+//!   once, the block forked into outcome-homogeneous sub-batches carrying
+//!   branch weights, leaf read-outs summed per row, the programs summed
+//!   per row in multiset order. It serves forward values, the shift
+//!   rule's `2P` valuations, and, on each parameter's derivative
+//!   multiset, the named oracle of exact gradients. It runs
+//!   unmonitored: no health checks (no NaN/Inf or norm-drift detection)
+//!   and no mass budget.
 //! * [`LoweredSet::gradient_batch`] differentiates the programs by the
 //!   adjoint method ([`qdp_sim::AdjointProgram`]): one forward and one
 //!   backward sweep per branch give every slot's derivative. On the
@@ -43,21 +45,26 @@
 //!   (`GradientEngine::gradient_pure_batch`,
 //!   `Differentiated::derivative_pure_batch`): by Theorem 6.2 it equals
 //!   sweeping each parameter's derivative multiset, without an ancilla.
+//! * [`LoweredSet::shot_engines`] binds the programs for the sampled
+//!   sweeps of the shot-noise estimators.
 //!
-//! The trie has two oracles. Each program's own
-//! [`qdp_sim::ShotEngine::expectation_sweep`] on its
+//! The exact sweep has two oracles. Each program's own sweep on its
 //! [`ResolvedProgram::to_trajectory`], summed in multiset order, carries
-//! the same bits (the trie runs the same ops with the same fusion and
-//! flush order on the same rows). [`ResolvedProgram::expectation_pure`],
+//! the same bits (the table gates read matrices built by the same
+//! `Gate::matrix_at` at the same angles). [`ResolvedProgram::expectation_pure`],
 //! the per-row branch enumerator, agrees to ≪ 1e-12 (fusion and
 //! leaf-summation order move rounding, nothing else). The adjoint agrees
-//! with the per-parameter tries within 1e-12. Both sweeps give bit-for-bit
-//! the same results under any thread count and batch composition.
+//! with each parameter's multiset swept this way within 1e-12. Both
+//! sweeps give bit-for-bit the same results under any thread count and
+//! batch composition.
 
 use qdp_lang::ast::{Gate, Params, Stmt};
 use qdp_lang::Register;
 use qdp_linalg::Matrix;
-use qdp_sim::{BatchedStates, Measurement, Observable, StateVector};
+use qdp_sim::{
+    AdjointProgram, BatchedStates, Measurement, Observable, ShotEngine, StateVector, TrajProgram,
+};
+use std::sync::{Arc, OnceLock};
 
 /// Branches below this squared norm are pruned (matches `denot` and the
 /// branch-weighted batched executor).
@@ -94,8 +101,8 @@ enum Op {
         /// carries no parameter (`slot == None`): constant rotations, the
         /// Hadamards and controlled shifts of the differentiation gadget,
         /// every Clifford. Parameter-dependent matrices stay `None` and are
-        /// built per valuation by [`LoweredProgram::resolve`] — so a warm
-        /// skeleton re-patches only the shifted slots.
+        /// built per valuation, by [`LoweredProgram::resolve`] or into the
+        /// table a sweep binds, so a warm call builds only those.
         fixed: Option<Matrix>,
     },
     /// `q := |0⟩` with the Kraus pair pre-built.
@@ -128,15 +135,29 @@ pub struct LoweredSet {
     /// Size of the register the set was lowered against — input states
     /// must match it.
     n_qubits: usize,
-    /// The programs as one prefix trie with its table of parameterised
-    /// gates, the sweep behind [`expectation_batch`](Self::expectation_batch).
-    /// Built on the first batched evaluation, never at lowering.
-    trie: std::sync::OnceLock<(qdp_sim::SweepTrie, Vec<TableEntry>)>,
-    /// The programs as one adjoint program with its table of
-    /// parameterised gates, the sweep behind
+    /// The programs in table form with the recipe of each table entry:
+    /// the one form every sweep of the set runs. Built on the first
+    /// sweep, never at lowering.
+    table_form: OnceLock<TableForm>,
+    /// The table form as one adjoint program, the sweep behind
     /// [`gradient_batch`](Self::gradient_batch). Built on the first
-    /// gradient, never at lowering.
-    adjoint: std::sync::OnceLock<(qdp_sim::AdjointProgram, Vec<TableEntry>)>,
+    /// gradient.
+    adjoint: OnceLock<AdjointProgram>,
+}
+
+/// A [`LoweredSet`]'s programs as [`TrajProgram`]s whose parameterised
+/// gates name entries of one table, and the recipe of every entry.
+#[derive(Clone, Debug)]
+struct TableForm {
+    programs: Vec<Arc<TrajProgram>>,
+    entries: Vec<TableEntry>,
+}
+
+impl TableForm {
+    /// The table of the valuation `values`, one matrix per entry.
+    fn table(&self, values: &[f64]) -> Arc<[Matrix]> {
+        self.entries.iter().map(|e| e.matrix(values)).collect()
+    }
 }
 
 impl LoweredSet {
@@ -189,36 +210,44 @@ impl LoweredSet {
         &self.programs
     }
 
-    /// Evaluates the whole multiset against **every** row of a batch in one
-    /// pass: returns `out[r] = Σᵢ ⟨ψ·|O|ψ·⟩` over the branches of program
-    /// `i` run on input row `r`.
+    /// Evaluates the whole multiset against **every** row of a batch:
+    /// returns `out[r] = Σᵢ ⟨ψ·|O|ψ·⟩` over the branches of program `i` run
+    /// on input row `r`.
     ///
-    /// The programs run as one prefix trie ([`qdp_sim::SweepTrie`]), built
-    /// on the first call: each gate matrix is built once per call, each
-    /// shared prefix runs once over the whole batch, and the per-program
-    /// columns sum per row in multiset order. The result is bit-for-bit
-    /// the same under any thread count and batch composition, and equal to
-    /// summing each program's own
-    /// [`ShotEngine::expectation_sweep`](qdp_sim::ShotEngine::expectation_sweep)
-    /// (the bitwise oracle); against the per-row oracle
-    /// ([`ResolvedProgram::expectation_pure`]) it agrees to ≪ 1e-12.
+    /// Each program runs as one branch-weighted exact sweep
+    /// ([`ShotEngine::expectation_sweep`]) over the whole batch, bound to
+    /// one table of the call's parameterised matrices (see
+    /// [`shot_engines`](Self::shot_engines)), and the per-program columns
+    /// sum per row in multiset order. The sweeps run unmonitored: no
+    /// health checks and no mass budget. The result is bit-for-bit the
+    /// same under any thread count and batch composition, and equal to
+    /// summing each program's own sweep on its
+    /// [`ResolvedProgram::to_trajectory`] (the bitwise oracle); against
+    /// the per-row oracle ([`ResolvedProgram::expectation_pure`]) it
+    /// agrees to ≪ 1e-12.
     ///
     /// # Panics
     ///
     /// Panics when the batch register does not match the register the set
-    /// was lowered against, or when `values` is shorter than the slot table.
+    /// was lowered against, when `values` is shorter than the slot table,
+    /// or with the [`qdp_sim::QdpError::WorkerPanic`] message when a row
+    /// tile panicked through its bounded bit-identical retries.
     pub fn expectation_batch(
         &self,
         values: &[f64],
         states: &BatchedStates,
         obs: &Observable,
     ) -> Vec<f64> {
-        let (trie, table) = self
-            .trie
-            .get_or_init(|| self.with_table(qdp_sim::SweepTrie::build));
         self.check_register(states);
-        let matrices: Vec<Matrix> = table.iter().map(|e| e.matrix(values)).collect();
-        let columns = trie.expectation_sweep(&matrices, states.clone(), obs);
+        let columns: Vec<Vec<f64>> = self
+            .shot_engines(values)
+            .iter()
+            .map(|engine| {
+                engine
+                    .expectation_sweep(states.clone(), obs)
+                    .unwrap_or_else(|e| panic!("{e}"))
+            })
+            .collect();
         if columns.is_empty() {
             // An empty multiset denotes the zero map.
             return vec![0.0; states.len()];
@@ -237,7 +266,7 @@ impl LoweredSet {
     /// Theorem 6.2 slot `s`'s entries agree with the parameter's
     /// derivative multiset swept on `|0⟩⊗ψ` with `Z_A⊗O` to ≪ 1e-12, and
     /// every entry is bit-for-bit the same under any thread count and
-    /// batch composition. Like the trie, the sweep runs unmonitored.
+    /// batch composition. Like the exact sweeps, it runs unmonitored.
     ///
     /// # Panics
     ///
@@ -249,11 +278,13 @@ impl LoweredSet {
         states: &BatchedStates,
         obs: &Observable,
     ) -> Vec<Vec<f64>> {
-        let (adjoint, table) = self
+        let form = self.table_form();
+        let adjoint = self
             .adjoint
-            .get_or_init(|| self.with_table(qdp_sim::AdjointProgram::build));
+            .get_or_init(|| AdjointProgram::build(form.programs.iter().map(|p| &**p)));
         self.check_register(states);
-        let gates: Vec<qdp_sim::ParamGate> = table
+        let gates: Vec<qdp_sim::ParamGate> = form
+            .entries
             .iter()
             .map(|e| qdp_sim::ParamGate {
                 matrix: e.matrix(values),
@@ -264,12 +295,40 @@ impl LoweredSet {
         adjoint.gradient_sweep(&gates, self.param_names.len(), states.clone(), obs)
     }
 
-    /// `build` over the programs as [`qdp_sim::TrieOp`]s, whose
-    /// parameterised gates name entries of the returned table.
-    fn with_table<'s, T>(&'s self, build: impl FnOnce(Vec<Vec<qdp_sim::TrieOp<'s>>>) -> T) -> (T, Vec<TableEntry>) {
-        let mut table = TableBuilder::default();
-        let programs = self.programs.iter().map(|p| table.trie_ops(&p.ops)).collect();
-        (build(programs), table.entries)
+    /// One [`ShotEngine`] per program, in multiset order, every one bound
+    /// to one table of the parameterised matrices at the slot values
+    /// `values`: what the sampled and exact sweeps run. Each program is
+    /// built once per set, on the first call, and shared by every engine
+    /// since; a call builds the table and copies no program. The table's
+    /// matrices carry the bits [`LoweredProgram::resolve`] builds, so each
+    /// engine runs bit for bit as one on
+    /// [`ResolvedProgram::to_trajectory`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `values` is shorter than the slot table.
+    pub fn shot_engines(&self, values: &[f64]) -> Vec<ShotEngine> {
+        let form = self.table_form();
+        let table = form.table(values);
+        form.programs
+            .iter()
+            .map(|p| ShotEngine::bound(Arc::clone(p), Arc::clone(&table)))
+            .collect()
+    }
+
+    fn table_form(&self) -> &TableForm {
+        self.table_form.get_or_init(|| {
+            let mut table = TableBuilder::default();
+            let programs = self
+                .programs
+                .iter()
+                .map(|p| Arc::new(table.trajectory(&p.ops)))
+                .collect();
+            TableForm {
+                programs,
+                entries: table.entries,
+            }
+        })
     }
 
     /// Panics unless a non-empty batch matches the register of a
@@ -297,8 +356,8 @@ fn intern(names: &mut Vec<String>, name: &str) -> usize {
 
 /// What [`LoweredSet::lower`] makes of `stmt`, counted without building
 /// it: the lowered ops, nested arms included
-/// ([`LoweredProgram::op_weight`]), plus one per parameterised gate, the
-/// slot a trajectory template patches. The program cache charges it as an
+/// ([`LoweredProgram::op_weight`]), plus one per parameterised gate, whose
+/// table entry a sweep binds per call. The program cache charges it as an
 /// entry's cost weight.
 ///
 /// # Panics
@@ -488,12 +547,8 @@ impl TableEntry {
 }
 
 /// The per-call matrix table under construction, with its entries indexed
-/// by slot. A gate keys on its matrix: a constant gate on the bits built
-/// at lowering time, a parameterised gate on its table entry, one per
-/// distinct (gate, slot, offset bits). So two programs share a trie node
-/// only where they would run the same op on the same data, and every
-/// program's column carries the bits of its own exact sweep
-/// ([`qdp_sim::ShotEngine::expectation_sweep`], the oracle).
+/// by slot: one entry per distinct (gate, slot, offset bits), shared by
+/// every program of the set.
 #[derive(Default)]
 struct TableBuilder {
     entries: Vec<TableEntry>,
@@ -502,35 +557,35 @@ struct TableBuilder {
 }
 
 impl TableBuilder {
-    /// A lowered op list as [`qdp_sim::TrieOp`]s borrowing from it:
-    /// constant matrices as they are, parameterised ones as their table
-    /// entry (added on first use).
-    fn trie_ops<'p>(&mut self, ops: &'p [Op]) -> Vec<qdp_sim::TrieOp<'p>> {
-        use qdp_sim::{TrieMatrix, TrieOp};
-        ops.iter()
-            .map(|op| match op {
-                Op::Abort => TrieOp::Abort,
+    /// A lowered op list as a [`TrajProgram`]: constant matrices copied
+    /// as they are, parameterised ones as a gate naming their table entry
+    /// (added on first use).
+    fn trajectory(&mut self, ops: &[Op]) -> TrajProgram {
+        let mut out = TrajProgram::new();
+        for op in ops {
+            match op {
+                Op::Abort => out.push_abort(),
                 Op::Gate {
                     gate,
                     slot,
                     offset,
                     targets,
                     fixed,
-                } => TrieOp::Gate {
-                    matrix: match (slot, fixed) {
-                        (Some(s), _) => TrieMatrix::Table(self.entry(gate, *s, *offset)),
-                        (None, Some(matrix)) => TrieMatrix::Fixed(matrix),
-                        (None, None) => unreachable!("constant gates are built at lowering"),
-                    },
-                    targets,
+                } => match (slot, fixed) {
+                    (Some(s), _) => {
+                        out.push_table_gate(self.entry(gate, *s, *offset), targets.clone())
+                    }
+                    (None, Some(matrix)) => out.push_gate(matrix.clone(), targets.clone()),
+                    (None, None) => unreachable!("constant gates are built at lowering"),
                 },
-                Op::Init { target, .. } => TrieOp::Init { target: *target },
-                Op::Case { meas, arms } => TrieOp::Case {
-                    meas,
-                    arms: arms.iter().map(|arm| self.trie_ops(&arm.ops)).collect(),
-                },
-            })
-            .collect()
+                Op::Init { target, .. } => out.push_init(*target),
+                Op::Case { meas, arms } => out.push_case(
+                    meas.clone(),
+                    arms.iter().map(|arm| self.trajectory(&arm.ops)).collect(),
+                ),
+            }
+        }
+        out
     }
 
     /// The entry building `gate` at `slot` plus `offset`.
@@ -554,125 +609,6 @@ impl TableBuilder {
         self.by_slot[slot].push(self.entries.len() - 1);
         self.entries.len() - 1
     }
-}
-
-/// The location and recipe of one parameter-dependent matrix inside a
-/// [`TrajSkeleton`] template.
-#[derive(Clone, Debug)]
-struct SlotPatch {
-    /// Path into the template: op index, then alternating arm index / op
-    /// index through nested `Case`s (the addressing scheme of
-    /// [`qdp_sim::TrajProgram::gate_matrix_mut`]).
-    path: Vec<usize>,
-    gate: Gate,
-    slot: usize,
-    offset: f64,
-}
-
-/// A pre-built [`qdp_sim::TrajProgram`] with **patchable parameter slots**
-/// — the per-valuation artifact of the compile-once pipeline.
-///
-/// Building a trajectory program from scratch per valuation re-clones every
-/// constant matrix, re-resolves the read-out, and re-walks the op tree;
-/// only the parameterized matrices actually change. A skeleton does that
-/// walk once: the template holds every constant matrix, measurement, and
-/// arm structure final, with parameterized gates holding a placeholder
-/// matrix (their value at slot 0), and [`at`](Self::at) clones the template
-/// and overwrites **only** the recorded slot positions via
-/// `TrajProgram::gate_matrix_mut`.
-///
-/// `skeleton.at(&values)` is bit-identical to
-/// `program.resolve(&values).to_trajectory()`: both routes build every
-/// matrix through the same `Gate::matrix_at` at the same angle, and the op
-/// order is the same tree walk.
-#[derive(Clone, Debug)]
-pub struct TrajSkeleton {
-    template: qdp_sim::TrajProgram,
-    patches: Vec<SlotPatch>,
-}
-
-impl TrajSkeleton {
-    /// Substitutes a valuation: clones the template and re-patches only the
-    /// parameterized matrices.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `values` is shorter than the program's slot table.
-    pub fn at(&self, values: &[f64]) -> qdp_sim::TrajProgram {
-        let mut out = self.template.clone();
-        for p in &self.patches {
-            *out.gate_matrix_mut(&p.path) = p.gate.matrix_at(values[p.slot] + p.offset);
-        }
-        out
-    }
-}
-
-impl LoweredProgram {
-    /// Builds the patchable trajectory skeleton of this program (see
-    /// [`TrajSkeleton`]). Placeholder matrices for parameterized gates are
-    /// built at angle `offset` and are always overwritten by
-    /// [`TrajSkeleton::at`].
-    pub fn to_skeleton(&self) -> TrajSkeleton {
-        let mut patches = Vec::new();
-        let mut prefix = Vec::new();
-        let template = skeleton_template(&self.ops, &mut prefix, &mut patches);
-        TrajSkeleton { template, patches }
-    }
-}
-
-fn skeleton_template(
-    ops: &[Op],
-    prefix: &mut Vec<usize>,
-    patches: &mut Vec<SlotPatch>,
-) -> qdp_sim::TrajProgram {
-    let mut out = qdp_sim::TrajProgram::new();
-    // Ops map 1:1 onto trajectory ops (`Skip` vanished at lowering time),
-    // so the template op index is the lowered op index.
-    for (i, op) in ops.iter().enumerate() {
-        match op {
-            Op::Abort => out.push_abort(),
-            Op::Gate {
-                gate,
-                slot,
-                offset,
-                targets,
-                fixed,
-            } => {
-                if let Some(s) = slot {
-                    prefix.push(i);
-                    patches.push(SlotPatch {
-                        path: prefix.clone(),
-                        gate: gate.clone(),
-                        slot: *s,
-                        offset: *offset,
-                    });
-                    prefix.pop();
-                }
-                let placeholder = match fixed {
-                    Some(m) => m.clone(),
-                    None => gate.matrix_at(*offset),
-                };
-                out.push_gate(placeholder, targets.clone());
-            }
-            Op::Init { target, .. } => out.push_init(*target),
-            Op::Case { meas, arms } => {
-                let arm_templates = arms
-                    .iter()
-                    .enumerate()
-                    .map(|(a, arm)| {
-                        prefix.push(i);
-                        prefix.push(a);
-                        let t = skeleton_template(&arm.ops, prefix, patches);
-                        prefix.pop();
-                        prefix.pop();
-                        t
-                    })
-                    .collect();
-                out.push_case(meas.clone(), arm_templates);
-            }
-        }
-    }
-    out
 }
 
 /// One op of a [`ResolvedProgram`]: like [`Op`] but with the gate matrix
@@ -721,7 +657,7 @@ impl ResolvedProgram<'_> {
     /// `denot::run_pure_branches`.
     ///
     /// This is the **retained per-row branch-enumeration oracle**: the
-    /// production batched path sweeps a prefix trie instead, and the
+    /// production batched path runs the branch-weighted sweep instead, and the
     /// randomized differential suite
     /// (`crates/core/tests/branch_weighted_differential.rs`) pins the two
     /// against each other at 1e-12.
@@ -773,11 +709,12 @@ impl ResolvedProgram<'_> {
     }
 
     /// Converts into an owned [`qdp_sim::TrajProgram`], the branching IR
-    /// the shot engine runs. Every gate matrix and measurement is carried
-    /// over as-is. [`qdp_sim::ShotEngine::expectation_sweep`] on it,
-    /// summed over a multiset's programs in order, is the bitwise oracle
-    /// of [`LoweredSet::expectation_batch`]; the sampled sweeps run the
-    /// same IR, built through [`TrajSkeleton`].
+    /// the shot engine runs, with every gate matrix its own. Every gate
+    /// matrix and measurement is carried over as-is.
+    /// [`qdp_sim::ShotEngine::expectation_sweep`] on it, summed over a
+    /// multiset's programs in order, is the bitwise oracle of
+    /// [`LoweredSet::expectation_batch`], and its sampled sweeps are the
+    /// bitwise oracle of the engines [`LoweredSet::shot_engines`] binds.
     ///
     /// The only representational change is `q := |0⟩`: the per-row oracle
     /// enumerates both Kraus branches, while the trajectory form measures
@@ -949,6 +886,23 @@ mod tests {
         let none = LoweredSet::default();
         let batch = qdp_sim::BatchedStates::zero(3, 1);
         assert_eq!(none.expectation_batch(&[], &batch, &obs), vec![0.0; 3]);
+
+        // Every branch aborting (no leaf), and a read-out of exactly zero
+        // (`Z` on `H|0⟩`) beside it: each row reads `+0.0`, the bits of
+        // the oracle, which adds every leaf to `0.0`.
+        let compiled = [
+            parse_program("q1 *= RX(a); abort[q1]").unwrap(),
+            parse_program("q1 *= H").unwrap(),
+        ];
+        let reg = Register::from_program(&compiled[1]);
+        let batch = qdp_sim::BatchedStates::zero(2, 1);
+        for programs in [&compiled[..1], &compiled[..]] {
+            let set = LoweredSet::lower(programs, &reg);
+            let values = set.slot_values(&Params::from_pairs([("a", 0.1)]));
+            for v in set.expectation_batch(&values, &batch, &obs) {
+                assert_eq!(v.to_bits(), 0.0f64.to_bits(), "{} programs", programs.len());
+            }
+        }
     }
 
     #[test]
@@ -959,16 +913,23 @@ mod tests {
         .unwrap();
         let reg = Register::from_program(&p);
         let set = LoweredSet::lower(std::slice::from_ref(&p), &reg);
-        assert!(set.adjoint.get().is_none(), "lowering must not build the adjoint");
+        assert!(
+            set.table_form.get().is_none() && set.adjoint.get().is_none(),
+            "lowering must build no sweep"
+        );
         let values = set.slot_values(&Params::from_pairs([("a", 0.5), ("b", 1.4)]));
         let obs = Observable::pauli_z(2, 1);
         let batch = qdp_sim::BatchedStates::from_states(&[StateVector::zero_state(2)]);
         let first = set.gradient_batch(&values, &batch, &obs);
-        let built: *const qdp_sim::AdjointProgram = &set.adjoint.get().expect("built by the first call").0;
+        let built: *const AdjointProgram = set.adjoint.get().expect("built by the first call");
+        let program: *const TrajProgram =
+            &*set.table_form.get().expect("built with it").programs[0];
         let second = set.gradient_batch(&values, &batch, &obs);
+        set.expectation_batch(&values, &batch, &obs);
         assert!(
-            std::ptr::eq(built, &set.adjoint.get().unwrap().0),
-            "later calls reuse the program the first call built"
+            std::ptr::eq(built, set.adjoint.get().unwrap())
+                && std::ptr::eq(program, &*set.table_form.get().unwrap().programs[0]),
+            "later calls reuse the programs the first call built"
         );
         assert_eq!(first, second);
     }

@@ -5,8 +5,9 @@
 //! forward and once backward per branch (`LoweredSet::gradient_batch`).
 //! By Theorem 6.2 that is the quantity the paper's derivative programs
 //! compute, so the named oracle is each parameter's derivative multiset on
-//! its own: `diff.skeleton().lowered().expectation_batch` (a one-set prefix
-//! trie) on `|0⟩⊗ψ` with `Z_A⊗O`. Checked on:
+//! its own: `diff.skeleton().lowered().expectation_batch` (each program's
+//! exact sweep, summed in multiset order) on `|0⟩⊗ψ` with `Z_A⊗O`.
+//! Checked on:
 //!
 //! * the paper circuits `P1` and `P2`, the 12 `S` rows of Table 3 and
 //!   `hardware_efficient_ansatz(6, 2)`: within 1e-12 of the oracle and
@@ -46,7 +47,7 @@ fn serialized() -> MutexGuard<'static, ()> {
     THREADS.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Agreement with the per-parameter tries.
+/// Agreement with the per-parameter multisets.
 const ORACLE_TOL: f64 = 1e-12;
 
 /// Agreement with central finite differences at step [`FD_STEP`].
@@ -98,8 +99,8 @@ fn adjoint_columns(
         .collect()
 }
 
-/// The oracle in the same layout: each parameter's derivative multiset as
-/// its own one-set trie on the ancilla-extended batch and observable.
+/// The oracle in the same layout: each parameter's derivative multiset
+/// swept program by program on the ancilla-extended batch and observable.
 fn oracle_columns(
     engine: &GradientEngine,
     params: &Params,
@@ -235,7 +236,7 @@ fn check(label: &str, program: &Stmt, obs: &Observable, rows: usize, seed: u64) 
     let got = adjoint_columns(&engine, &params, obs, &batch);
     assert_close(
         label,
-        "trie",
+        "multiset",
         &got,
         &oracle_columns(&engine, &params, obs, &batch),
         ORACLE_TOL,
@@ -260,7 +261,7 @@ fn check(label: &str, program: &Stmt, obs: &Observable, rows: usize, seed: u64) 
 }
 
 #[test]
-fn paper_circuits_match_the_tries() {
+fn paper_circuits_match_the_multisets() {
     check("P1", &circuits::p1(), &task::readout_observable(), 16, 0xAD1);
     check("P2", &circuits::p2(), &task::readout_observable(), 16, 0xAD2);
     check(
@@ -294,7 +295,7 @@ fn row_tiles_carry_the_bits_of_one_block() {
 }
 
 #[test]
-fn small_paper_rows_match_the_tries() {
+fn small_paper_rows_match_the_multisets() {
     let rows: Vec<_> = paper_instances()
         .into_iter()
         .filter(|c| c.name.contains("{S,"))
@@ -307,10 +308,10 @@ fn small_paper_rows_match_the_tries() {
 }
 
 /// The `M` rows: 12- and 18-qubit programs, one row each, against the
-/// tries on 13- and 19-qubit extended registers.
+/// multisets on 13- and 19-qubit extended registers.
 #[test]
 #[ignore = "slow: run in release with --ignored"]
-fn medium_paper_rows_match_the_tries() {
+fn medium_paper_rows_match_the_multisets() {
     for (i, config) in paper_instances()
         .into_iter()
         .filter(|c| c.name.contains("{M,"))
@@ -325,7 +326,7 @@ fn medium_paper_rows_match_the_tries() {
         let got = adjoint_columns(&engine, &params, &obs, &batch);
         assert_close(
             &config.name,
-            "trie",
+            "multiset",
             &got,
             &oracle_columns(&engine, &params, &obs, &batch),
             ORACLE_TOL,
@@ -345,7 +346,7 @@ fn medium_paper_rows_match_the_tries() {
 }
 
 #[test]
-fn generated_programs_match_the_tries() {
+fn generated_programs_match_the_multisets() {
     let mut rng = StdRng::seed_from_u64(0xAD_5EED);
     let (mut nonempty, mut differenced) = (0, 0);
     for case in 0..400 {
@@ -360,7 +361,7 @@ fn generated_programs_match_the_tries() {
         let got = adjoint_columns(&engine, &params, &obs, &batch);
         assert_close(
             &label,
-            "trie",
+            "multiset",
             &got,
             &oracle_columns(&engine, &params, &obs, &batch),
             ORACLE_TOL,

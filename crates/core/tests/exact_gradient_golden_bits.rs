@@ -17,8 +17,9 @@
 //!
 //! The gradient, `derivative_pure_batch` and `Trainer` folds are those of
 //! the adjoint sweep (`LoweredSet::gradient_batch`); the forward-value and
-//! shift-rule folds are those of the prefix trie. `adjoint_oracle.rs`
-//! pins the adjoint within 1e-12 of each parameter's derivative multiset.
+//! shift-rule folds are those of the exact sweep
+//! (`LoweredSet::expectation_batch`). `adjoint_oracle.rs` pins the adjoint
+//! within 1e-12 of each parameter's derivative multiset.
 //!
 //! Each is checked under forced 1, 2 and 8 `qdp_par` threads. The values
 //! are a property of the arithmetic, not of the host: the kernels fix

@@ -3,9 +3,11 @@
 //! * **Memoization differential** — randomized branching programs, the
 //!   interned [`qdp_ad::CompiledSkeleton`] against a fresh
 //!   [`LoweredSet::lower`] of the same compiled multiset: expectation
-//!   sweeps must agree **bitwise**, and [`TrajSkeleton`] slot-patching must
-//!   reproduce the freshly-resolved trajectory's sampled runs bit for bit
-//!   across successive valuations of one shared skeleton.
+//!   sweeps must agree **bitwise**, and the engines
+//!   [`LoweredSet::shot_engines`] binds to each valuation's matrix table
+//!   must reproduce the freshly-resolved trajectory's sampled runs,
+//!   sampled read-outs and exact sweeps bit for bit across successive
+//!   valuations of one shared skeleton.
 //! * **Collision probes** — near-miss programs (wider register, renamed
 //!   parameter, ancilla-extended register, shifted constant angle) must
 //!   fingerprint apart and intern as distinct entries; a *forced* key
@@ -19,19 +21,25 @@
 //! * **Warm engine calls** — on a primed engine, shot gradients, shot
 //!   values and exact gradients only hit the process-wide cache (no
 //!   misses, no lowers), and after an eviction the engine's memoised keys
-//!   re-intern and the next shot gradient carries the same bits.
+//!   re-intern and the next shot gradient carries the same bits. A warm
+//!   exact derivative of a program with `+` compiles nothing either.
 
 use qdp_ad::{
     differentiate, lower_invocations, CacheStats, GradientEngine, LoweredSet, ProgramCache,
 };
 use qdp_lang::ast::{Angle, Gate, Params, Stmt, Var};
+use qdp_lang::compile::{compile, compile_invocations};
 use qdp_lang::{parse_program, program_fingerprint, Register};
 use qdp_linalg::{C64, Pauli};
-use qdp_sim::{BatchedStates, Observable, ShotEngine, ShotSampler, StateVector};
+use qdp_sim::{
+    BatchedStates, Observable, ProjectiveObservable, ShotEngine, ShotSampler, StateVector,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+mod support;
 
 /// Serialises the tests that count the process-wide cache's lowers or
 /// evict its entries: every test thread of this binary shares it.
@@ -159,11 +167,11 @@ fn interned_lowering_matches_fresh_lowering_bitwise() {
 }
 
 #[test]
-fn trajectory_skeleton_patching_matches_fresh_resolution_bitwise() {
-    // Two successive valuations through ONE interned skeleton: patching
+fn table_bound_engines_match_fresh_resolution_bitwise() {
+    // Two successive valuations through ONE interned skeleton: binding
     // must leave no residue of the first valuation in the second, and each
-    // patched trajectory must drive the shot engine bit-identically to a
-    // freshly resolved one.
+    // bound engine must run bit-identically to one on a freshly resolved
+    // trajectory.
     let mut rng = StdRng::seed_from_u64(0x7A7A);
     for trial in 0..8 {
         let n = 1 + (trial % 4);
@@ -180,7 +188,7 @@ fn trajectory_skeleton_patching_matches_fresh_resolution_bitwise() {
                     .map(|p| (p.clone(), rng.gen::<f64>() * std::f64::consts::TAU)),
             );
             let slots = fresh.slot_values(&values);
-            let patched = ShotEngine::new(skeleton.trajectory_at(0, &slots));
+            let bound = skeleton.lowered().shot_engines(&slots).swap_remove(0);
             let resolved = ShotEngine::new(fresh.programs()[0].resolve(&slots).to_trajectory());
 
             let inputs: Vec<StateVector> = (0..4).map(|_| random_state(&mut rng, reg.len())).collect();
@@ -192,7 +200,7 @@ fn trajectory_skeleton_patching_matches_fresh_resolution_bitwise() {
                 .map(|r| ShotSampler::derived(seed, r as u64))
                 .collect();
             let shots = vec![1; inputs.len()];
-            let out_a = patched.run(BatchedStates::from_states(&inputs), &shots, &mut samplers_a).unwrap();
+            let out_a = bound.run(BatchedStates::from_states(&inputs), &shots, &mut samplers_a).unwrap();
             let out_b = resolved.run(BatchedStates::from_states(&inputs), &shots, &mut samplers_b).unwrap();
             for (r, (a, b)) in out_a.iter().zip(&out_b).enumerate() {
                 assert_eq!(a.outcomes, b.outcomes, "trial {trial} round {round} row {r}");
@@ -215,6 +223,23 @@ fn trajectory_skeleton_patching_matches_fresh_resolution_bitwise() {
                     _ => panic!("abort status diverged on trial {trial} round {round} row {r}"),
                 }
             }
+
+            let obs = Observable::pauli_z(reg.len(), 0);
+            let readout = ProjectiveObservable::new(&obs);
+            let rows = || BatchedStates::from_states(&inputs);
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            let counts = vec![3; inputs.len()];
+            let sample = |engine: &ShotEngine| {
+                let mut samplers: Vec<ShotSampler> = (0..3 * inputs.len() as u64)
+                    .map(|s| ShotSampler::derived(seed, s))
+                    .collect();
+                let out = engine.sample_sweep(rows(), &counts, &mut samplers, &readout);
+                bits(out.unwrap())
+            };
+            let exact = |engine: &ShotEngine| bits(engine.expectation_sweep(rows(), &obs).unwrap());
+            let at = format!("trial {trial} round {round}");
+            assert_eq!(sample(&bound), sample(&resolved), "{at}: sample_sweep");
+            assert_eq!(exact(&bound), exact(&resolved), "{at}: expectation_sweep");
         }
     }
 }
@@ -576,4 +601,42 @@ fn evicted_multisets_reintern_under_memoised_keys_with_the_same_shot_bits() {
         gradient_bits(&before),
         "eviction moved shot bits"
     );
+}
+
+#[test]
+fn warm_derivative_of_a_program_with_a_sum_compiles_nothing() {
+    let _global = global_cache_lock();
+    // The first generated program with `+` that has a parameter.
+    let mut rng = StdRng::seed_from_u64(0x5A11);
+    let program = loop {
+        let p = support::stmt(&mut rng, 3);
+        if !p.is_normal() && !p.parameters().is_empty() {
+            break p;
+        }
+    };
+    let param = program.parameters().into_iter().next().unwrap();
+    let diff = differentiate(&program, &param).unwrap();
+    let reg = Register::from_program(&program);
+    let params = Params::from_pairs(program.parameters().into_iter().map(|p| (p, 0.7)));
+    let obs = Observable::pauli_z(reg.len(), 0);
+    let inputs: Vec<StateVector> = (0..3).map(|_| random_state(&mut rng, reg.len())).collect();
+    let batch = BatchedStates::from_states(&inputs);
+    let primed = diff.derivative_pure_batch(&params, &obs, &batch);
+    let multiset = compile(&program);
+    let before = ProgramCache::global().stats(&multiset, &reg).unwrap();
+    let counts = || (compile_invocations(), lower_invocations());
+    let cold = counts();
+    let warm = diff.derivative_pure_batch(&params, &obs, &batch);
+    assert_eq!(counts(), cold, "a warm derivative compiled or lowered");
+    let hit = CacheStats {
+        lowers: 1,
+        hits: before.hits + 1,
+    };
+    assert_eq!(
+        ProgramCache::global().stats(&multiset, &reg),
+        Some(hit),
+        "a warm derivative only hits its entry"
+    );
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&warm), bits(&primed));
 }

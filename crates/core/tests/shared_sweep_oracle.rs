@@ -1,14 +1,15 @@
-//! Bitwise oracle of the prefix-trie exact executor.
+//! Bitwise oracle of the exact batched executor.
 //!
-//! `LoweredSet::expectation_batch` sweeps a multiset's programs as one
-//! prefix trie: forward values (`GradientEngine::value_pure_batch`), the
-//! shift rule, and each parameter's derivative multiset, the named oracle
-//! of the adjoint exact gradient (`adjoint_oracle.rs`). Programs share a
-//! node only where they run the same op on the same data, so every entry
+//! `LoweredSet::expectation_batch` serves forward values
+//! (`GradientEngine::value_pure_batch`), the shift rule, and each
+//! parameter's derivative multiset, the named oracle of the adjoint exact
+//! gradient (`adjoint_oracle.rs`). It sweeps each program of the set,
+//! built once with its parameterised gates naming entries of a per-call
+//! matrix table, bound to the table of the call's valuation. Every entry
 //! must carry **exactly** the bits of the named oracle: each program on
-//! its own, resolved to the trajectory IR and run through
-//! `ShotEngine::expectation_sweep`, the programs of a multiset summed per
-//! row in multiset order. Both start every column at `0.0`. Checked on:
+//! its own, resolved to the trajectory IR with every matrix its own and
+//! run through `ShotEngine::expectation_sweep`, the programs of a
+//! multiset summed per row in multiset order. Checked on:
 //!
 //! * every parameter's derivative multiset of the paper circuits `P1` and
 //!   `P2`, the `S` rows of Table 3 and `hardware_efficient_ansatz(6, 2)`,
@@ -72,10 +73,10 @@ fn random_params(rng: &mut StdRng, program: &Stmt) -> Params {
     }))
 }
 
-/// Every parameter's derivative multiset swept as its own trie
+/// Every parameter's derivative multiset swept on its own
 /// (`LoweredSet::expectation_batch`) over the ancilla-extended batch and
 /// observable, as bits: `[row][parameter]`, parameters in name order.
-fn trie_bits(
+fn sweep_bits(
     engine: &GradientEngine,
     params: &Params,
     obs: &Observable,
@@ -149,7 +150,7 @@ fn oracle_bits(
         .collect()
 }
 
-/// Checks the trie against the oracle on a seeded `rows`-row batch, under
+/// Checks the sweeps against the oracle on a seeded `rows`-row batch, under
 /// forced 1, 2 and 8 threads.
 fn check_threads(label: &str, program: &Stmt, obs: &Observable, rows: usize, seed: u64) {
     let engine = GradientEngine::new(program).expect("differentiable");
@@ -162,11 +163,11 @@ fn check_threads(label: &str, program: &Stmt, obs: &Observable, rows: usize, see
     let _guard = serialized();
     for threads in [1usize, 2, 8] {
         qdp_par::set_max_threads(threads);
-        let got = trie_bits(&engine, &params, obs, &batch);
+        let got = sweep_bits(&engine, &params, obs, &batch);
         qdp_par::set_max_threads(0);
         assert!(
             got == expected,
-            "{label}: a trie differs from the oracle at {threads} threads"
+            "{label}: a sweep differs from the oracle at {threads} threads"
         );
     }
 }
@@ -178,8 +179,8 @@ fn z_last(program: &Stmt) -> Observable {
 
 #[test]
 fn paper_circuits_match_the_oracle() {
-    // Rows × amplitudes × multiset ops reach `FORK_MIN_WORK`: every
-    // parameter's trie splits into row tiles once threads are allowed.
+    // Rows × amplitudes × program ops reach `FORK_MIN_WORK`: every
+    // parameter's sweeps split into row tiles once threads are allowed.
     check_threads("P1", &circuits::p1(), &task::readout_observable(), 512, 0x51);
     check_threads("P2", &circuits::p2(), &task::readout_observable(), 512, 0x52);
     let hea = hardware_efficient_ansatz(6, 2);
@@ -221,9 +222,9 @@ fn medium_paper_rows_match_the_oracle() {
         let batch = BatchedStates::from_states(&[random_state(&mut rng, engine.register().len())]);
         let obs = z_last(&program);
         assert!(
-            trie_bits(&engine, &params, &obs, &batch)
+            sweep_bits(&engine, &params, &obs, &batch)
                 == oracle_bits(&engine, &params, &obs, &batch),
-            "{}: trie differs from the oracle",
+            "{}: a sweep differs from the oracle",
             config.name
         );
     }
@@ -241,10 +242,10 @@ fn generated_programs_match_the_oracle_under_splits_and_merges() {
         let obs = Observable::pauli_z(n, rng.gen_range(0..n));
         let states: Vec<StateVector> = (0..5).map(|_| random_state(&mut rng, n)).collect();
         let batch = BatchedStates::from_states(&states);
-        let whole = trie_bits(&engine, &params, &obs, &batch);
+        let whole = sweep_bits(&engine, &params, &obs, &batch);
         assert!(
             whole == oracle_bits(&engine, &params, &obs, &batch),
-            "program {case}: trie differs from the oracle: {program:?}"
+            "program {case}: a sweep differs from the oracle: {program:?}"
         );
         if program.is_normal() {
             let bits =
@@ -253,19 +254,19 @@ fn generated_programs_match_the_oracle_under_splits_and_merges() {
             assert!(
                 bits(engine.value_pure_batch(&params, &obs, &batch))
                     == bits(multiset_oracle(forward.lowered(), &params, &obs, &batch)),
-                "program {case}: forward trie differs from the oracle: {program:?}"
+                "program {case}: the forward sweep differs from the oracle: {program:?}"
             );
             forward_checked += 1;
         }
         // Every row carries the same bits in any batch: alone, and in the
         // two halves of a split.
-        let mut split = trie_bits(
+        let mut split = sweep_bits(
             &engine,
             &params,
             &obs,
             &BatchedStates::from_states(&states[..2]),
         );
-        split.extend(trie_bits(
+        split.extend(sweep_bits(
             &engine,
             &params,
             &obs,
@@ -273,7 +274,7 @@ fn generated_programs_match_the_oracle_under_splits_and_merges() {
         ));
         assert!(split == whole, "program {case}: a split batch moved bits");
         for (r, psi) in states.iter().enumerate() {
-            let alone = trie_bits(
+            let alone = sweep_bits(
                 &engine,
                 &params,
                 &obs,
@@ -298,7 +299,7 @@ fn generated_programs_match_the_oracle_under_splits_and_merges() {
 }
 
 /// The summed op weights of every parameter's derivative multiset, the
-/// work the per-parameter tries run at most, against the forward
+/// work its per-program sweeps run at most, against the forward
 /// program's, the work of one adjoint forward pass.
 #[test]
 fn multiset_and_forward_op_weights() {

@@ -1,8 +1,8 @@
 //! The per-row exact oracles the batched-evaluation suites compare against.
 //!
 //! The single-input engine calls (`value_pure`, `derivative_pure`,
-//! `gradient_pure`) are rows of the batched sweeps (the trie for values,
-//! the adjoint for derivatives), so a suite that checks the batch against
+//! `gradient_pure`) are rows of the batched sweeps (the exact sweep for
+//! values, the adjoint for derivatives), so a suite that checks the batch against
 //! them would compare a sweep with itself. These
 //! helpers evaluate one input row by branch enumeration instead:
 //! derivatives sum [`qdp_ad::LoweredProgram::expectation_pure`] over the

@@ -13,6 +13,19 @@
 
 use crate::ast::Stmt;
 
+thread_local! {
+    static COMPILE_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// How many times [`compile`] has been entered **on this thread**, its
+/// recursive calls included: the probe behind the compile-once contract
+/// of callers that keep a compiled multiset (a test thread's delta across
+/// a region counts what that region compiled, race-free under the
+/// parallel test harness).
+pub fn compile_invocations() -> usize {
+    COMPILE_CALLS.with(std::cell::Cell::get)
+}
+
 /// Compiles an additive program into its multiset of normal programs.
 ///
 /// For a normal input the result is the singleton `{|P|}` (or `{|abort|}`
@@ -31,6 +44,7 @@ use crate::ast::Stmt;
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn compile(stmt: &Stmt) -> Vec<Stmt> {
+    COMPILE_CALLS.with(|c| c.set(c.get() + 1));
     if stmt.is_normal() {
         return if stmt.essentially_aborts() {
             vec![abort_like(stmt)]

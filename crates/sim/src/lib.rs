@@ -71,7 +71,6 @@ pub use sampling::{
     ShotSampler,
 };
 pub use shots::{
-    AdjointProgram, ParamGate, ShotEngine, SweepTrie, TrajProgram, TrajectoryRow, TrieMatrix,
-    TrieOp, BRANCH_PRUNE, SHOT_TILE,
+    AdjointProgram, ParamGate, ShotEngine, TrajProgram, TrajectoryRow, BRANCH_PRUNE, SHOT_TILE,
 };
 pub use state::StateVector;

@@ -24,25 +24,29 @@
 //!   (probabilities, riding inside the unnormalised amplitudes) instead of
 //!   sampled draws, and leaf read-outs sum weighted expectations per
 //!   original row. This is exact branch enumeration at batched-kernel
-//!   speed, one program at a time. It is the named bitwise oracle of the
-//!   prefix-shared sweep below, and it carries the health surface:
-//!   per-fork trace checks with oracle fallback
-//!   ([`ShotEngine::with_health`]), the droppable-mass budget
+//!   speed, one program at a time; `qdp_ad` sweeps every exact forward
+//!   value and every multiset this way, one program after another. It
+//!   carries the health surface: per-fork trace checks with oracle
+//!   fallback ([`ShotEngine::with_health`]), the droppable-mass budget
 //!   ([`ShotEngine::with_mass_budget`]), the [`leaf_weights`] view and
-//!   the fault-injection checkpoints of its row tiles.
+//!   the fault-injection checkpoints of its row tiles. `qdp_ad`'s exact
+//!   sweeps enable none of it: they run unmonitored.
 //!
 //!   [`leaf_weights`]: ShotEngine::leaf_weights
-//! * **Exact, prefix-shared**: [`SweepTrie::expectation_sweep`] runs many
-//!   programs merged into one prefix trie as a single exact sweep — each
-//!   shared prefix, forks included, once — and reads every program out
-//!   into its own column, with the bits of that program's own sweep.
-//!   `qdp_ad` sweeps a trie for every forward value and single multiset.
 //! * **Exact gradients, reverse mode**: [`AdjointProgram::gradient_sweep`]
 //!   runs a program forward over its branch tree with the same forks, then
 //!   backward with the costate `λ = Oφ`, and reads out every parameter's
 //!   derivative at once (the adjoint method). It is the production exact
-//!   gradient; each parameter's derivative multiset swept as a trie is
-//!   its oracle.
+//!   gradient; each parameter's derivative multiset swept program by
+//!   program is its oracle.
+//!
+//! A program's parameterised gates may name entries of a matrix table
+//! instead of holding their own matrices
+//! ([`TrajProgram::push_table_gate`]): each program is built once and
+//! bound per call to one table of that valuation's matrices
+//! ([`ShotEngine::bound`], and the [`ParamGate`] table of
+//! [`AdjointProgram::gradient_sweep`]), so evaluating a valuation clones
+//! no program.
 //!
 //! Both modes share the straight-line machinery: gate segments stream as
 //! single batched kernel calls (with per-qubit 2×2 fusion of commuting
@@ -95,6 +99,7 @@ use crate::observable::Observable;
 use crate::sampling::{collapse_with_draw, ProjectiveObservable, ShotSampler};
 use crate::state::StateVector;
 use qdp_linalg::{C64, Matrix};
+use std::sync::Arc;
 
 /// Shots per parallel tile of [`ShotEngine::estimate_expectation_batch`].
 ///
@@ -112,11 +117,39 @@ pub const SHOT_TILE: usize = 256;
 /// on it.
 pub const EXACT_TILE: usize = 8;
 
+/// Where a gate of a [`TrajProgram`] takes its matrix from.
+#[derive(Clone, Debug)]
+enum TrajMatrix {
+    /// Its own matrix, built with the program.
+    Own(Matrix),
+    /// Entry `i` of the table the program's engine is bound to
+    /// ([`ShotEngine::bound`]).
+    Table(usize),
+}
+
+impl TrajMatrix {
+    /// The matrix, read from `table` for a table gate.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `table` has no entry the gate names.
+    #[inline]
+    fn get<'a>(&'a self, table: &'a [Matrix]) -> &'a Matrix {
+        match self {
+            TrajMatrix::Own(m) => m,
+            TrajMatrix::Table(i) => &table[*i],
+        }
+    }
+}
+
 /// One operation of a sampled-trajectory program.
 #[derive(Clone, Debug)]
 enum TrajOp {
-    /// An operator application with the matrix already built.
-    Gate { matrix: Matrix, targets: Vec<usize> },
+    /// An operator application.
+    Gate {
+        matrix: TrajMatrix,
+        targets: Vec<usize>,
+    },
     /// `q := |0⟩`, sampled: measure `q` and flip on outcome 1.
     Init {
         meas: Measurement,
@@ -132,14 +165,17 @@ enum TrajOp {
     Abort,
 }
 
-/// A trajectory program: the sampled-execution form of a normal program,
-/// with every matrix and measurement pre-built for a fixed valuation.
+/// A trajectory program: the form every branching program runs as, in
+/// both the sampled and the exact sweeps.
 ///
-/// Built either directly through the `push_*` methods or from a lowered
-/// derivative program (`qdp_ad::ResolvedProgram::to_trajectory`). The
-/// sampled semantics mirror `qdp_ad::estimator::sample_trajectory` op for
-/// op: `Init` measures the target and applies `X` on outcome 1, `Case`
-/// draws one outcome from the Born rule and continues into that arm.
+/// Built through the `push_*` methods, either with every matrix fixed
+/// (`qdp_ad::ResolvedProgram::to_trajectory`, a fixed valuation) or with
+/// parameterised gates naming entries of a per-call table
+/// ([`push_table_gate`](Self::push_table_gate), how `qdp_ad::LoweredSet`
+/// builds each program once for every valuation). The sampled semantics
+/// mirror `qdp_ad::estimator::sample_trajectory` op for op: `Init`
+/// measures the target and applies `X` on outcome 1, `Case` draws one
+/// outcome from the Born rule and continues into that arm.
 #[derive(Clone, Debug, Default)]
 pub struct TrajProgram {
     ops: Vec<TrajOp>,
@@ -153,7 +189,21 @@ impl TrajProgram {
 
     /// Appends an operator application.
     pub fn push_gate(&mut self, matrix: Matrix, targets: Vec<usize>) {
-        self.ops.push(TrajOp::Gate { matrix, targets });
+        self.ops.push(TrajOp::Gate {
+            matrix: TrajMatrix::Own(matrix),
+            targets,
+        });
+    }
+
+    /// Appends an operator application whose matrix is entry `entry` of
+    /// the table the program's engine is bound to ([`ShotEngine::bound`]).
+    /// A program built with [`push_gate`](Self::push_gate) alone needs no
+    /// table.
+    pub fn push_table_gate(&mut self, entry: usize, targets: Vec<usize>) {
+        self.ops.push(TrajOp::Gate {
+            matrix: TrajMatrix::Table(entry),
+            targets,
+        });
     }
 
     /// Appends a `q := |0⟩` reset of qubit `target` (measure + conditional
@@ -184,38 +234,6 @@ impl TrajProgram {
     /// Appends an abort: trajectories reaching it are dropped.
     pub fn push_abort(&mut self) {
         self.ops.push(TrajOp::Abort);
-    }
-
-    /// Mutable access to the matrix of one `Gate` op, addressed by a path
-    /// that alternates op index and `Case`-arm index from the root:
-    /// `[i]` is `ops[i]`, `[i, a, j]` is op `j` inside arm `a` of the
-    /// `Case` at `ops[i]`, and so on. This is the slot-patching seam of the
-    /// compile-once pipeline: a cached trajectory skeleton re-substitutes
-    /// only its parameterized matrices per valuation instead of rebuilding
-    /// the whole program.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the path runs off the program or does not end on a
-    /// `Gate` op.
-    pub fn gate_matrix_mut(&mut self, path: &[usize]) -> &mut Matrix {
-        let (&op_idx, rest) = path
-            .split_first()
-            .unwrap_or_else(|| panic!("gate path must not be empty"));
-        let op = self
-            .ops
-            .get_mut(op_idx)
-            .unwrap_or_else(|| panic!("gate path op index {op_idx} out of range"));
-        match (op, rest) {
-            (TrajOp::Gate { matrix, .. }, []) => matrix,
-            (TrajOp::Case { arms, .. }, [arm_idx, deeper @ ..]) => {
-                let arm = arms
-                    .get_mut(*arm_idx)
-                    .unwrap_or_else(|| panic!("gate path arm index {arm_idx} out of range"));
-                arm.gate_matrix_mut(deeper)
-            }
-            _ => panic!("gate path does not address a Gate op"),
-        }
     }
 
     /// Number of top-level operations.
@@ -523,8 +541,8 @@ impl RegroupScratch {
         pool_give(&mut self.pendings, pending);
     }
 
-    /// A copy of an **exact** group in pooled buffers: what a prefix-trie
-    /// sweep hands each extra path where programs part.
+    /// A copy of an **exact** group in pooled buffers: the block an
+    /// adjoint sweep keeps where it forks.
     fn copy_weighted(&mut self, group: &WeightedGroup) -> WeightedGroup {
         let states = self.copy_states(&group.states);
         let mut rows = self.weighted_rows.pop().unwrap_or_default();
@@ -656,7 +674,8 @@ fn scale_planes(re: &mut [f64], im: &mut [f64], s: C64) {
     }
 }
 
-/// The batched shot-noise executor for one [`TrajProgram`].
+/// The batched shot-noise executor for one [`TrajProgram`], bound to the
+/// matrix table its table gates read ([`bound`](Self::bound)).
 ///
 /// # Examples
 ///
@@ -684,7 +703,10 @@ fn scale_planes(re: &mut [f64], im: &mut [f64], s: C64) {
 /// ```
 #[derive(Clone, Debug)]
 pub struct ShotEngine {
-    program: TrajProgram,
+    program: Arc<TrajProgram>,
+    /// The matrices the program's table gates name; empty for a program
+    /// built with `push_gate` alone.
+    table: Arc<[Matrix]>,
     /// Droppable probability mass per row of the exact sweep, as a
     /// fraction of the row's initial mass — see
     /// [`with_mass_budget`](Self::with_mass_budget). 0 (the default)
@@ -703,10 +725,23 @@ pub struct ShotEngine {
 const TILE_RETRIES: usize = 2;
 
 impl ShotEngine {
-    /// Wraps a trajectory program for batched execution.
+    /// Wraps a trajectory program with no table gates for batched
+    /// execution.
     pub fn new(program: TrajProgram) -> Self {
+        ShotEngine::bound(Arc::new(program), Arc::from([]))
+    }
+
+    /// Binds a program to the table its table gates
+    /// ([`TrajProgram::push_table_gate`]) read. The engine shares both, so
+    /// the engines of one multiset share one table and binding a valuation
+    /// copies no program.
+    ///
+    /// Every sweep panics when the program names an entry past the end of
+    /// `table`.
+    pub fn bound(program: Arc<TrajProgram>, table: Arc<[Matrix]>) -> Self {
         ShotEngine {
             program,
+            table,
             mass_budget: 0.0,
             health: None,
         }
@@ -881,7 +916,7 @@ impl ShotEngine {
             }
             match &ops[i] {
                 TrajOp::Gate { matrix, targets } => {
-                    psi.apply_gate(matrix, targets);
+                    psi.apply_gate(matrix.get(&self.table), targets);
                     i += 1;
                 }
                 TrajOp::Abort => return TrajectoryRow { state: None, outcomes },
@@ -1146,6 +1181,7 @@ impl ShotEngine {
             let mut sweep = ExactSweep {
                 budgets: self.budgets_for(&group),
                 scratch,
+                table: &self.table,
                 flush_gate: Matrix::zeros(2, 2),
                 health: self.health,
                 defects: Vec::new(),
@@ -1190,7 +1226,9 @@ impl ShotEngine {
     ) {
         for (i, op) in ops.iter().enumerate() {
             match op {
-                TrajOp::Gate { matrix, targets } => psi.apply_gate(matrix, targets),
+                TrajOp::Gate { matrix, targets } => {
+                    psi.apply_gate(matrix.get(&self.table), targets)
+                }
                 TrajOp::Abort => return,
                 TrajOp::Init { meas, flip, target } => {
                     let rest = &ops[i + 1..];
@@ -1247,6 +1285,7 @@ impl ShotEngine {
             let mut sweep = ExactSweep {
                 budgets: self.budgets_for(&group),
                 scratch,
+                table: &self.table,
                 flush_gate: Matrix::zeros(2, 2),
                 // Diagnostic view: never health-monitored.
                 health: None,
@@ -1314,6 +1353,7 @@ impl ShotEngine {
                 samplers,
                 fuse,
                 scratch,
+                table: &self.table,
                 flush_gate: Matrix::zeros(2, 2),
                 finished: Vec::new(),
                 aborted: Vec::new(),
@@ -1402,6 +1442,8 @@ struct SampledSweep<'s> {
     samplers: &'s mut [ShotSampler],
     fuse: bool,
     scratch: &'s mut RegroupScratch,
+    /// The table the program's table gates read.
+    table: &'s [Matrix],
     /// Reusable 2×2 the pending products flush through.
     flush_gate: Matrix,
     finished: Vec<Group>,
@@ -1430,6 +1472,7 @@ impl SampledSweep<'_> {
         for (i, op) in ops.iter().enumerate() {
             match op {
                 TrajOp::Gate { matrix, targets } => {
+                    let matrix = matrix.get(self.table);
                     if !self.fuse {
                         // Bitwise mode: one batched kernel call streams the
                         // operator over every row, in program order.
@@ -1760,6 +1803,8 @@ struct ExactSweep<'a> {
     /// [`ShotEngine::with_mass_budget`]). All zero by default.
     budgets: Vec<f64>,
     scratch: &'a mut RegroupScratch,
+    /// The table the program's table gates read.
+    table: &'a [Matrix],
     /// Reusable 2×2 the pending products flush through.
     flush_gate: Matrix,
     /// Health monitoring config (`None` = no checks, today's bits).
@@ -1786,7 +1831,12 @@ impl ExactSweep<'_> {
         for (i, op) in ops.iter().enumerate() {
             match op {
                 TrajOp::Gate { matrix, targets } => {
-                    apply_fused(&mut group, matrix, targets, &mut self.flush_gate);
+                    apply_fused(
+                        &mut group,
+                        matrix.get(self.table),
+                        targets,
+                        &mut self.flush_gate,
+                    );
                 }
                 TrajOp::Abort => {
                     // Aborted branches contribute nothing.
@@ -2011,596 +2061,10 @@ impl ExactSweep<'_> {
     }
 }
 
-/// Where a [`SweepTrie`] gate takes its matrix from.
-#[derive(Clone, Copy, Debug)]
-pub enum TrieMatrix<'a> {
-    /// A matrix fixed when the trie is built. Two gates share a node when
-    /// their matrices carry the same bits.
-    Fixed(&'a Matrix),
-    /// Entry `i` of the matrix table each sweep call passes in. Two gates
-    /// share a node when they name the same entry.
-    Table(usize),
-}
-
-/// One op of a program inserted into a [`SweepTrie`]: a [`TrajProgram`]
-/// op whose gate matrix may be a per-call table entry. The trie copies
-/// what it keeps, so the ops may borrow from the caller's program.
-#[derive(Clone, Debug)]
-pub enum TrieOp<'a> {
-    /// An operator application.
-    Gate {
-        /// The matrix, or the table entry it is read from.
-        matrix: TrieMatrix<'a>,
-        /// The qubits it acts on.
-        targets: &'a [usize],
-    },
-    /// `q := |0⟩` on `target`: measure it and flip on outcome 1.
-    Init {
-        /// The reset qubit.
-        target: usize,
-    },
-    /// A measurement that continues into the arm of its outcome.
-    Case {
-        /// The measurement.
-        meas: &'a Measurement,
-        /// One arm per outcome.
-        arms: Vec<Vec<TrieOp<'a>>>,
-    },
-    /// Drop the branch.
-    Abort,
-}
-
-/// Many exact programs over one register, merged into a prefix trie and
-/// swept **together**: one branch-weighted exact sweep (see
-/// [`ShotEngine::expectation_sweep`]) for a whole family of programs that
-/// share prefixes, such as every derivative program of a gradient.
-///
-/// A node is a point that every program through it reaches with the same
-/// state. Programs share a node only while they execute the same ops:
-/// gates with the same matrix bits (or the same table entry) on the same
-/// targets, resets of the same qubit, measurements with the same operators
-/// on the same qubits. A measurement node has one child per outcome, over
-/// each program's `arm ++ continuation`; a program whose arm aborts has no
-/// leaf there, and subtrees without leaves are pruned.
-///
-/// [`expectation_sweep`](Self::expectation_sweep) runs the trie
-/// depth-first on one weighted group. It copies the group only where
-/// programs part, and it adds each leaf's read-out to the column of every
-/// program that ends there. So every column carries exactly the bits of
-/// that program's own exact sweep: the same ops, with the same fusion and
-/// flush order, run on the same rows, and each column sums its leaves in
-/// the program's own depth-first order, starting at `0.0` as the
-/// program's own sweep does.
-#[derive(Clone, Debug)]
-pub struct SweepTrie {
-    /// The arena; node 0 is the root.
-    nodes: Vec<TrieNode>,
-    /// Constant gate matrices, one per distinct bit pattern.
-    fixed: Vec<Matrix>,
-    /// Measurements of measurement and reset nodes, one per distinct one.
-    measurements: Vec<Measurement>,
-    /// Gate target lists, addressed by range.
-    targets: Vec<usize>,
-    /// The flip of reset nodes.
-    flip: Matrix,
-    /// Number of programs.
-    programs: usize,
-}
-
-/// "No node" in a child or sibling link: the root is nobody's child.
-const NO_NODE: usize = 0;
-
-#[derive(Clone, Debug)]
-struct TrieNode {
-    /// The op a program runs to reach this node.
-    step: Step,
-    /// First child and next sibling, or [`NO_NODE`].
-    child: usize,
-    sibling: usize,
-    /// Programs that end here.
-    leaves: Vec<usize>,
-    /// Ops in the subtree below; the root's is [`SweepTrie::op_count`].
-    weight: usize,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Step {
-    Root,
-    /// A gate, with the range of its targets in [`SweepTrie::targets`].
-    Gate {
-        matrix: GateMatrix,
-        targets: (usize, usize),
-    },
-    /// A reset: measure with `measurements[meas]`, flip on outcome 1.
-    Init {
-        meas: usize,
-        target: usize,
-    },
-    /// A measurement; its children are [`Step::Arm`]s.
-    Case {
-        meas: usize,
-    },
-    /// The programs that go on after one outcome of the parent case.
-    Arm {
-        outcome: usize,
-    },
-}
-
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum GateMatrix {
-    Fixed(usize),
-    Table(usize),
-}
-
-fn same_matrix_bits(a: &Matrix, b: &Matrix) -> bool {
-    a.rows() == b.rows()
-        && a.cols() == b.cols()
-        && a.as_slice()
-            .iter()
-            .zip(b.as_slice())
-            .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
-}
-
-impl SweepTrie {
-    /// Merges `programs` into one trie; program `i` reads out into column
-    /// `i` of every sweep.
-    pub fn build<'a>(programs: impl IntoIterator<Item = Vec<TrieOp<'a>>>) -> Self {
-        let mut trie = SweepTrie {
-            nodes: vec![TrieNode {
-                step: Step::Root,
-                child: NO_NODE,
-                sibling: NO_NODE,
-                leaves: Vec::new(),
-                weight: 0,
-            }],
-            fixed: Vec::new(),
-            measurements: Vec::new(),
-            targets: Vec::new(),
-            flip: Matrix::pauli_x(),
-            programs: 0,
-        };
-        for ops in programs {
-            trie.insert(0, &ops, &[], trie.programs);
-            trie.programs += 1;
-        }
-        trie.finish();
-        trie.nodes.shrink_to_fit();
-        trie
-    }
-
-    /// Number of programs (read-out columns).
-    pub fn programs(&self) -> usize {
-        self.programs
-    }
-
-    /// Ops in the trie, each measurement once plus the ops of every arm:
-    /// what one sweep executes at most.
-    pub fn op_count(&self) -> usize {
-        self.nodes[0].weight
-    }
-
-    fn children(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
-        let first = Some(self.nodes[node].child).filter(|&c| c != NO_NODE);
-        std::iter::successors(first, |&c| {
-            Some(self.nodes[c].sibling).filter(|&s| s != NO_NODE)
-        })
-    }
-
-    /// The child of `node` reached by `step`, added (as the last child) if
-    /// no program took it yet. `same` decides whether a child's step is
-    /// the one sought.
-    fn child(
-        &mut self,
-        node: usize,
-        same: impl Fn(&Self, &Step) -> bool,
-        step: impl FnOnce(&mut Self) -> Step,
-    ) -> usize {
-        let mut last = NO_NODE;
-        for c in self.children(node) {
-            if same(self, &self.nodes[c].step) {
-                return c;
-            }
-            last = c;
-        }
-        let step = step(self);
-        let id = self.nodes.len();
-        self.nodes.push(TrieNode {
-            step,
-            child: NO_NODE,
-            sibling: NO_NODE,
-            leaves: Vec::new(),
-            weight: 0,
-        });
-        match last {
-            NO_NODE => self.nodes[node].child = id,
-            last => self.nodes[last].sibling = id,
-        }
-        id
-    }
-
-    fn intern_measurement(&mut self, meas: &Measurement) -> usize {
-        let same = |m: &Measurement| {
-            m.targets() == meas.targets()
-                && m.num_outcomes() == meas.num_outcomes()
-                && m.operators()
-                    .iter()
-                    .zip(meas.operators())
-                    .all(|(a, b)| same_matrix_bits(a, b))
-        };
-        match self.measurements.iter().position(same) {
-            Some(i) => i,
-            None => {
-                self.measurements.push(meas.clone());
-                self.measurements.len() - 1
-            }
-        }
-    }
-
-    /// Inserts program `id`'s path from `node`: `ops`, then the suspended
-    /// continuations `cont` (innermost last).
-    fn insert<'a, 'p>(
-        &mut self,
-        mut node: usize,
-        mut ops: &'p [TrieOp<'a>],
-        mut cont: &[&'p [TrieOp<'a>]],
-        id: usize,
-    ) {
-        loop {
-            let Some((op, rest)) = ops.split_first() else {
-                match cont.split_last() {
-                    Some((next, outer)) => {
-                        ops = next;
-                        cont = outer;
-                        continue;
-                    }
-                    None => {
-                        self.nodes[node].leaves.push(id);
-                        return;
-                    }
-                }
-            };
-            ops = rest;
-            node = match op {
-                TrieOp::Abort => return,
-                TrieOp::Gate { matrix, targets } => {
-                    let matrix = match matrix {
-                        TrieMatrix::Table(i) => GateMatrix::Table(*i),
-                        TrieMatrix::Fixed(m) => GateMatrix::Fixed(
-                            match self.fixed.iter().position(|f| same_matrix_bits(f, m)) {
-                                Some(i) => i,
-                                None => {
-                                    self.fixed.push((*m).clone());
-                                    self.fixed.len() - 1
-                                }
-                            },
-                        ),
-                    };
-                    self.child(
-                        node,
-                        |trie, step| match *step {
-                            Step::Gate {
-                                matrix: m,
-                                targets: (s, e),
-                            } => m == matrix && trie.targets[s..e] == **targets,
-                            _ => false,
-                        },
-                        |trie| {
-                            let start = trie.targets.len();
-                            trie.targets.extend_from_slice(targets);
-                            Step::Gate {
-                                matrix,
-                                targets: (start, trie.targets.len()),
-                            }
-                        },
-                    )
-                }
-                TrieOp::Init { target } => self.child(
-                    node,
-                    |_, step| matches!(*step, Step::Init { target: t, .. } if t == *target),
-                    |trie| Step::Init {
-                        meas: trie.intern_measurement(&Measurement::computational(vec![*target])),
-                        target: *target,
-                    },
-                ),
-                TrieOp::Case { meas, arms } => {
-                    let meas = self.intern_measurement(meas);
-                    let case = self.child(
-                        node,
-                        |_, step| *step == Step::Case { meas },
-                        |_| Step::Case { meas },
-                    );
-                    let mut arm_cont = cont.to_vec();
-                    arm_cont.push(rest);
-                    for (outcome, arm) in arms.iter().enumerate() {
-                        let arm_node = self.child(
-                            case,
-                            |_, step| *step == Step::Arm { outcome },
-                            |_| Step::Arm { outcome },
-                        );
-                        self.insert(arm_node, arm, &arm_cont, id);
-                    }
-                    return;
-                }
-            };
-        }
-    }
-
-    /// Unlinks every subtree without a leaf (paths only aborting programs
-    /// take) and fills in the weights. Children sit after their parents in
-    /// the arena, so one backward pass sees every child before its parent.
-    fn finish(&mut self) {
-        for node in (0..self.nodes.len()).rev() {
-            let (mut first, mut prev, mut weight) = (NO_NODE, NO_NODE, 0);
-            let mut c = self.nodes[node].child;
-            while c != NO_NODE {
-                let next = self.nodes[c].sibling;
-                let child = &self.nodes[c];
-                if !child.leaves.is_empty() || child.child != NO_NODE {
-                    let own = usize::from(!matches!(child.step, Step::Arm { .. }));
-                    weight += own + child.weight;
-                    match prev {
-                        NO_NODE => first = c,
-                        p => self.nodes[p].sibling = c,
-                    }
-                    prev = c;
-                }
-                c = next;
-            }
-            if prev != NO_NODE {
-                self.nodes[prev].sibling = NO_NODE;
-            }
-            self.nodes[node].child = first;
-            self.nodes[node].weight = weight;
-        }
-    }
-
-    /// Every program's exact expectation `Σ_branches ⟨ψb|O|ψb⟩` on every
-    /// row of the batch: `out[i][r]` for program `i` on row `r`, with the
-    /// gate matrices of [`TrieMatrix::Table`] entries read from `table`.
-    ///
-    /// Work (rows × amplitudes × trie ops) that reaches
-    /// [`qdp_par::FORK_MIN_WORK`] splits into [`EXACT_TILE`]-row tiles
-    /// across `qdp_par`; smaller sweeps run as one block on the calling
-    /// thread. Every column is summed by one thread in its program's own
-    /// depth-first order, so per-row bits are the same under any thread
-    /// count and batch decomposition.
-    ///
-    /// The sweep runs **unmonitored**: its forks carry no health checks
-    /// (`health: None`, so no NaN/Inf or norm-drift detection, unlike
-    /// [`ShotEngine::with_health`]) and a zero mass budget (only branches
-    /// at weight ≤ [`BRANCH_PRUNE`] are dropped).
-    ///
-    /// # Panics
-    ///
-    /// Panics when a row tile still panicked after its bit-identical
-    /// retries, when `table` lacks an entry the trie names, or when the
-    /// register sizes of the batch, the programs and `obs` disagree.
-    pub fn expectation_sweep(
-        &self,
-        table: &[Matrix],
-        states: BatchedStates,
-        obs: &Observable,
-    ) -> Vec<Vec<f64>> {
-        let total_rows = states.len();
-        let mut out = vec![Vec::with_capacity(total_rows); self.programs()];
-        if total_rows == 0 || out.is_empty() {
-            return out;
-        }
-        let blocks = exact_tiles(states, self.op_count(), |block| {
-            self.sweep_tile(table, block, obs)
-        })
-        .unwrap_or_else(|e| panic!("{e}"));
-        for (rows, cols) in blocks {
-            for (col, part) in out.iter_mut().zip(cols.chunks(rows)) {
-                col.extend_from_slice(part);
-            }
-        }
-        out
-    }
-
-    /// One tile: the trie over one block, into a column-major
-    /// `programs × rows` buffer.
-    fn sweep_tile(
-        &self,
-        table: &[Matrix],
-        states: BatchedStates,
-        obs: &Observable,
-    ) -> Result<Vec<f64>, QdpError> {
-        let rows = states.len();
-        let mut cols = vec![0.0; self.programs * rows];
-        SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            let group = weighted_root(states, scratch);
-            let mut sweep = TrieSweep {
-                trie: self,
-                exact: ExactSweep {
-                    budgets: vec![0.0; rows],
-                    scratch,
-                    flush_gate: Matrix::zeros(2, 2),
-                    health: None,
-                    defects: Vec::new(),
-                },
-                table,
-                obs,
-                rows,
-                values: Vec::new(),
-            };
-            sweep.run(0, group, &mut cols)
-        })?;
-        Ok(cols)
-    }
-}
-
-/// The state of one [`SweepTrie`] sweep over one tile.
-struct TrieSweep<'a> {
-    trie: &'a SweepTrie,
-    /// The exact sweep's fork machinery: arena, flush scratch, zero mass
-    /// budgets, no health checks.
-    exact: ExactSweep<'a>,
-    table: &'a [Matrix],
-    obs: &'a Observable,
-    /// Rows of the tile: the stride of the column buffer.
-    rows: usize,
-    /// Read-out buffer of the current leaf group.
-    values: Vec<f64>,
-}
-
-impl<'a> TrieSweep<'a> {
-    /// Runs the subtree at `node` on `group`. Chains of single gates run
-    /// in place; only nodes where programs part recurse.
-    fn run(
-        &mut self,
-        mut node: usize,
-        mut group: WeightedGroup,
-        cols: &mut [f64],
-    ) -> Result<(), QdpError> {
-        let trie = self.trie;
-        loop {
-            let mut children = trie.children(node);
-            let (child, more) = (children.next(), children.next().is_some());
-            let leaves = &trie.nodes[node].leaves;
-            if !leaves.is_empty() {
-                self.read_leaves(leaves, &mut group, cols, child.is_none());
-            }
-            let Some(child) = child else {
-                self.exact.scratch.reclaim_weighted(group);
-                return Ok(());
-            };
-            if more {
-                return self.part(node, group, cols);
-            }
-            match trie.nodes[child].step {
-                Step::Gate { matrix, targets } => {
-                    self.gate(&mut group, matrix, targets);
-                    node = child;
-                }
-                _ => return self.step(child, group, cols),
-            }
-        }
-    }
-
-    fn gate(
-        &mut self,
-        group: &mut WeightedGroup,
-        matrix: GateMatrix,
-        (start, end): (usize, usize),
-    ) {
-        let trie = self.trie;
-        let matrix = match matrix {
-            GateMatrix::Fixed(i) => &trie.fixed[i],
-            GateMatrix::Table(i) => &self.table[i],
-        };
-        apply_fused(
-            group,
-            matrix,
-            &trie.targets[start..end],
-            &mut self.exact.flush_gate,
-        );
-    }
-
-    /// Adds the group's read-out to the column of every program ending
-    /// here. Pending products are flushed first, on a copy
-    /// when programs go on from the unflushed group.
-    fn read_leaves(
-        &mut self,
-        leaves: &[usize],
-        group: &mut WeightedGroup,
-        cols: &mut [f64],
-        last: bool,
-    ) {
-        if last || group.pending.iter().all(Option::is_none) {
-            flush_all(
-                &mut group.states,
-                &mut group.pending,
-                &mut self.exact.flush_gate,
-            );
-            self.obs
-                .expectation_batch_into(&group.states, &mut self.values);
-        } else {
-            let mut copy = self.exact.scratch.copy_weighted(group);
-            flush_all(
-                &mut copy.states,
-                &mut copy.pending,
-                &mut self.exact.flush_gate,
-            );
-            self.obs
-                .expectation_batch_into(&copy.states, &mut self.values);
-            self.exact.scratch.reclaim_weighted(copy);
-        }
-        for &p in leaves {
-            let col = &mut cols[p * self.rows..(p + 1) * self.rows];
-            for (ctx, v) in group.rows.iter().zip(&self.values) {
-                col[ctx.orig] += v;
-            }
-        }
-    }
-
-    /// Runs the op of node `node` on `group`, then the subtree below it.
-    fn step(
-        &mut self,
-        node: usize,
-        mut group: WeightedGroup,
-        cols: &mut [f64],
-    ) -> Result<(), QdpError> {
-        let trie = self.trie;
-        match trie.nodes[node].step {
-            Step::Gate { matrix, targets } => {
-                self.gate(&mut group, matrix, targets);
-                self.run(node, group, cols)
-            }
-            Step::Init { meas, target } => {
-                let mut forks = self.exact.fork(group, &trie.measurements[meas])?;
-                for (outcome, mut sub) in forks.drain(..) {
-                    if outcome == 1 {
-                        sub.states.apply_gate(&trie.flip, &[target]);
-                    }
-                    self.run(node, sub, cols)?;
-                }
-                pool_give(&mut self.exact.scratch.weighted_forks, forks);
-                Ok(())
-            }
-            Step::Case { meas } => {
-                let mut forks = self.exact.fork(group, &trie.measurements[meas])?;
-                for (outcome, sub) in forks.drain(..) {
-                    match trie
-                        .children(node)
-                        .find(|&arm| trie.nodes[arm].step == Step::Arm { outcome })
-                    {
-                        Some(arm) => self.run(arm, sub, cols)?,
-                        None => self.exact.scratch.reclaim_weighted(sub),
-                    }
-                }
-                pool_give(&mut self.exact.scratch.weighted_forks, forks);
-                Ok(())
-            }
-            Step::Root | Step::Arm { .. } => unreachable!("the root and arms have no op"),
-        }
-    }
-
-    /// Runs each child of a node where programs part on its own copy of
-    /// the group, the last on the group itself.
-    fn part(
-        &mut self,
-        node: usize,
-        group: WeightedGroup,
-        cols: &mut [f64],
-    ) -> Result<(), QdpError> {
-        let mut children = self.trie.children(node).peekable();
-        while let Some(child) = children.next() {
-            if children.peek().is_none() {
-                return self.step(child, group, cols);
-            }
-            let copy = self.exact.scratch.copy_weighted(&group);
-            self.step(child, copy, cols)?;
-        }
-        unreachable!("a node where programs part has children");
-    }
-}
-
 /// The per-call matrices of one parameterised gate of an
 /// [`AdjointProgram`]: entry `i` of the table
-/// [`AdjointProgram::gradient_sweep`] takes is what
-/// [`TrieMatrix::Table`]`(i)` names.
+/// [`AdjointProgram::gradient_sweep`] takes is what a table gate naming
+/// entry `i` ([`TrajProgram::push_table_gate`]) reads.
 #[derive(Clone, Debug)]
 pub struct ParamGate {
     /// `U(θ)`, the matrix the forward pass applies.
@@ -2655,28 +2119,28 @@ enum AdjointOp {
     Abort,
 }
 
-fn adjoint_ops(ops: &[TrieOp<'_>]) -> Vec<AdjointOp> {
+fn adjoint_ops(ops: &[TrajOp]) -> Vec<AdjointOp> {
     ops.iter()
         .map(|op| match op {
-            TrieOp::Gate { matrix, targets } => AdjointOp::Gate {
+            TrajOp::Gate { matrix, targets } => AdjointOp::Gate {
                 matrix: match matrix {
-                    TrieMatrix::Fixed(m) => AdjointMatrix::Fixed {
-                        matrix: (*m).clone(),
+                    TrajMatrix::Own(m) => AdjointMatrix::Fixed {
+                        matrix: m.clone(),
                         adjoint: m.dagger(),
                     },
-                    TrieMatrix::Table(i) => AdjointMatrix::Param(*i),
+                    TrajMatrix::Table(i) => AdjointMatrix::Param(*i),
                 },
-                targets: targets.to_vec(),
+                targets: targets.clone(),
             },
-            TrieOp::Init { target } => AdjointOp::Init {
-                meas: AdjointMeasurement::new(Measurement::computational(vec![*target])),
+            TrajOp::Init { meas, target, .. } => AdjointOp::Init {
+                meas: AdjointMeasurement::new(meas.clone()),
                 target: *target,
             },
-            TrieOp::Case { meas, arms } => AdjointOp::Case {
-                meas: AdjointMeasurement::new((*meas).clone()),
-                arms: arms.iter().map(|arm| adjoint_ops(arm)).collect(),
+            TrajOp::Case { meas, arms } => AdjointOp::Case {
+                meas: AdjointMeasurement::new(meas.clone()),
+                arms: arms.iter().map(|arm| adjoint_ops(&arm.ops)).collect(),
             },
-            TrieOp::Abort => AdjointOp::Abort,
+            TrajOp::Abort => AdjointOp::Abort,
         })
         .collect()
 }
@@ -2715,8 +2179,8 @@ const ADJOINT_PASSES: usize = 4;
 ///
 /// By Theorem 6.2 this is the quantity the paper's derivative programs
 /// compute, so it agrees with sweeping each parameter's derivative
-/// multiset ([`SweepTrie::expectation_sweep`] on `|0⟩⊗ψ` with `Z_A⊗O`)
-/// to rounding. Every row's arithmetic depends on that row alone: its
+/// multiset (each program's [`ShotEngine::expectation_sweep`] on `|0⟩⊗ψ`
+/// with `Z_A⊗O`) to rounding. Every row's arithmetic depends on that row alone: its
 /// gradients are bit-for-bit the same under any thread count and batch
 /// composition.
 #[derive(Clone, Debug)]
@@ -2730,10 +2194,12 @@ pub struct AdjointProgram {
 
 impl AdjointProgram {
     /// The programs of a multiset, whose gradients sum in multiset order.
-    /// [`TrieMatrix::Table`]`(i)` gates are parameterised: they read entry
-    /// `i` of the [`ParamGate`] table each sweep takes.
-    pub fn build<'a>(programs: impl IntoIterator<Item = Vec<TrieOp<'a>>>) -> Self {
-        let programs: Vec<Vec<AdjointOp>> = programs.into_iter().map(|ops| adjoint_ops(&ops)).collect();
+    /// Table gates ([`TrajProgram::push_table_gate`]) are parameterised:
+    /// the gate naming entry `i` reads entry `i` of the [`ParamGate`] table
+    /// each sweep takes.
+    pub fn build<'a>(programs: impl IntoIterator<Item = &'a TrajProgram>) -> Self {
+        let programs: Vec<Vec<AdjointOp>> =
+            programs.into_iter().map(|p| adjoint_ops(&p.ops)).collect();
         AdjointProgram {
             ops: programs.iter().map(|p| adjoint_op_count(p)).sum(),
             programs,
@@ -2749,9 +2215,10 @@ impl AdjointProgram {
     /// reaches [`qdp_par::FORK_MIN_WORK`] split into [`EXACT_TILE`]-row
     /// tiles across `qdp_par`; smaller ones run on the calling thread.
     ///
-    /// The sweep runs **unmonitored**, as [`SweepTrie::expectation_sweep`]
-    /// does: its forks carry no health checks and a zero mass budget (only
-    /// branches at weight ≤ [`BRANCH_PRUNE`] are dropped).
+    /// The sweep runs **unmonitored**, as an engine without
+    /// [`ShotEngine::with_health`] does: its forks carry no health checks
+    /// and a zero mass budget (only branches at weight ≤ [`BRANCH_PRUNE`]
+    /// are dropped).
     ///
     /// # Panics
     ///
@@ -2806,6 +2273,8 @@ impl AdjointProgram {
                 exact: ExactSweep {
                     budgets: vec![0.0; rows],
                     scratch,
+                    // Forks only: the adjoint reads its gates itself.
+                    table: &[],
                     flush_gate: Matrix::zeros(2, 2),
                     health: None,
                     defects: Vec::new(),
@@ -3238,7 +2707,7 @@ mod tests {
     fn enumerate_branches(ops: &[TrajOp], mut psi: StateVector, out: &mut Vec<StateVector>) {
         for (i, op) in ops.iter().enumerate() {
             match op {
-                TrajOp::Gate { matrix, targets } => psi.apply_gate(matrix, targets),
+                TrajOp::Gate { matrix, targets } => psi.apply_gate(matrix.get(&[]), targets),
                 TrajOp::Abort => return,
                 TrajOp::Init { meas, flip, target } => {
                     for b in meas.branches_pure(&psi) {
@@ -3338,107 +2807,83 @@ mod tests {
         }
     }
 
-    /// A [`SweepTrie`] program as its own [`TrajProgram`], with the table
-    /// entries substituted.
-    fn trie_traj(ops: &[TrieOp<'_>], table: &[Matrix]) -> TrajProgram {
+    /// A program over the table entries `0` (`RY`) and `1` (`RX`): `RY`
+    /// before a case on qubit 0 and in its continuation, `RX` in arm 0,
+    /// and `other` in arm 1. With `table = Some(..)` each table gate holds
+    /// its own copy of the entry instead.
+    fn table_program(other: fn(&mut TrajProgram), table: Option<&[Matrix]>) -> TrajProgram {
+        let gate = |p: &mut TrajProgram, entry: usize, t: usize| match table {
+            Some(table) => p.push_gate(table[entry].clone(), vec![t]),
+            None => p.push_table_gate(entry, vec![t]),
+        };
+        let (mut arm0, mut arm1) = (TrajProgram::new(), TrajProgram::new());
+        gate(&mut arm0, 1, 1);
+        gate(&mut arm0, 0, 1);
+        other(&mut arm1);
         let mut p = TrajProgram::new();
-        for op in ops {
-            match op {
-                TrieOp::Gate { matrix, targets } => p.push_gate(
-                    match matrix {
-                        TrieMatrix::Fixed(m) => (*m).clone(),
-                        TrieMatrix::Table(i) => table[*i].clone(),
-                    },
-                    targets.to_vec(),
-                ),
-                TrieOp::Init { target } => p.push_init(*target),
-                TrieOp::Case { meas, arms } => p.push_case(
-                    (*meas).clone(),
-                    arms.iter().map(|a| trie_traj(a, table)).collect(),
-                ),
-                TrieOp::Abort => p.push_abort(),
-            }
-        }
+        gate(&mut p, 0, 0);
+        p.push_gate(Matrix::hadamard(), vec![1]);
+        p.push_case(Measurement::computational(vec![0]), vec![arm0, arm1]);
+        gate(&mut p, 0, 1);
         p
     }
 
-    fn gate<'a>(matrix: TrieMatrix<'a>, targets: &'a [usize]) -> TrieOp<'a> {
-        TrieOp::Gate { matrix, targets }
+    fn ry_rx(a: [f64; 2]) -> Vec<Matrix> {
+        vec![
+            rotation_y(a[0]),
+            Matrix::rotation_from_involution(&Matrix::pauli_x(), a[1]),
+        ]
     }
 
-    #[test]
-    fn sweep_trie_columns_carry_each_programs_own_sweep_bits() {
-        let table = [
-            rotation_y(0.3),
-            Matrix::rotation_from_involution(&Matrix::pauli_x(), 0.7),
-            Matrix::hadamard(),
-        ];
-        let (h, cnot) = (Matrix::hadamard(), Matrix::cnot());
-        let m0 = Measurement::computational(vec![0]);
-        let case = |arm1: TrieOp<'static>| TrieOp::Case {
-            meas: &m0,
-            arms: vec![vec![gate(TrieMatrix::Table(2), &[1])], vec![arm1]],
-        };
-        let ry = || gate(TrieMatrix::Table(0), &[0]);
-        let rx = |t: &'static [usize]| gate(TrieMatrix::Table(1), t);
-        let programs = vec![
-            // A prefix of the next three: it reads out while they go on
-            // fusing into the same pending product.
-            vec![ry()],
-            vec![ry(), rx(&[0]), gate(TrieMatrix::Fixed(&cnot), &[0, 1])],
-            // One shared measurement; one arm aborts in the first program only.
-            vec![ry(), case(TrieOp::Abort), rx(&[1])],
-            vec![ry(), case(TrieOp::Init { target: 1 }), rx(&[1])],
-            // Parts at the root; the same matrix as entry 2, by its bits.
-            vec![gate(TrieMatrix::Fixed(&h), &[1])],
-            vec![TrieOp::Abort],
-        ];
-        let own: Vec<TrajProgram> = programs.iter().map(|ops| trie_traj(ops, &table)).collect();
-        let trie = SweepTrie::build(programs);
-        // ry; rx, cnot; case, H, rx (arm 0), init, rx (arm 1); H.
-        assert_eq!(trie.op_count(), 9);
-        let obs = Observable::pauli_z(2, 1);
-        let inputs: Vec<StateVector> = (0..3)
+    fn inputs(n: usize) -> Vec<StateVector> {
+        (0..n)
             .map(|k| {
-                let mut s = StateVector::basis_state(2, k);
-                s.apply_gate(&rotation_y(0.5 + 0.2 * k as f64), &[1]);
+                let mut s = StateVector::basis_state(2, k % 4);
+                s.apply_gate(&rotation_y(0.4 + 0.3 * k as f64), &[0]);
                 s
             })
-            .collect();
-        let columns = trie.expectation_sweep(&table, BatchedStates::from_states(&inputs), &obs);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for (i, program) in own.into_iter().enumerate() {
-            let alone = ShotEngine::new(program)
-                .expectation_sweep(BatchedStates::from_states(&inputs), &obs)
-                .unwrap();
-            assert_eq!(bits(&columns[i]), bits(&alone), "program {i}");
-        }
+            .collect()
     }
 
     #[test]
-    fn sweep_trie_columns_start_at_the_oracles_zero() {
-        // Straight-line programs whose read-out is exactly zero: `Z` on an
-        // equal superposition of qubit 1. Each column holds the oracle's
-        // bits, `+0.0`.
-        let (h, x) = (Matrix::hadamard(), Matrix::pauli_x());
-        let programs = vec![
-            vec![gate(TrieMatrix::Fixed(&h), &[1])],
-            vec![gate(TrieMatrix::Fixed(&x), &[0]), gate(TrieMatrix::Fixed(&h), &[1])],
-        ];
-        let own: Vec<TrajProgram> = programs.iter().map(|ops| trie_traj(ops, &[])).collect();
-        let trie = SweepTrie::build(programs);
+    fn table_gates_carry_the_bits_of_their_own_matrices() {
+        let table = ry_rx([0.9, -0.6]);
+        let reset = |p: &mut TrajProgram| p.push_init(1);
+        let bound = ShotEngine::bound(
+            Arc::new(table_program(reset, None)),
+            Arc::from(table.clone()),
+        );
+        let own = ShotEngine::new(table_program(reset, Some(&table)));
         let obs = Observable::pauli_z(2, 1);
-        let inputs: Vec<StateVector> = (0..2).map(|k| StateVector::basis_state(2, k)).collect();
-        let columns = trie.expectation_sweep(&[], BatchedStates::from_states(&inputs), &obs);
-        for (i, program) in own.into_iter().enumerate() {
-            let alone = ShotEngine::new(program)
-                .expectation_sweep(BatchedStates::from_states(&inputs), &obs)
-                .unwrap();
-            for (c, a) in columns[i].iter().zip(&alone) {
-                assert_eq!(c.to_bits(), 0.0f64.to_bits(), "program {i}");
-                assert_eq!(c.to_bits(), a.to_bits(), "program {i}");
-            }
-        }
+        let readout = ProjectiveObservable::new(&obs);
+        let rows = || BatchedStates::from_states(&inputs(3));
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let shots = [5, 3, 4];
+        let samplers =
+            || -> Vec<ShotSampler> { (0..12).map(|s| ShotSampler::derived(3, s)).collect() };
+        let run = |engine: &ShotEngine| -> Vec<(Vec<usize>, Option<Vec<u64>>)> {
+            let out = engine.run(rows(), &shots, &mut samplers()).unwrap();
+            out.into_iter()
+                .map(|row| {
+                    let amps = row.state.map(|s| {
+                        let (re, im) = s.planes();
+                        bits(re.iter().chain(im).copied().collect())
+                    });
+                    (row.outcomes, amps)
+                })
+                .collect()
+        };
+        let sample = |engine: &ShotEngine| {
+            bits(
+                engine
+                    .sample_sweep(rows(), &shots, &mut samplers(), &readout)
+                    .unwrap(),
+            )
+        };
+        let exact = |engine: &ShotEngine| bits(engine.expectation_sweep(rows(), &obs).unwrap());
+        assert_eq!(run(&bound), run(&own));
+        assert_eq!(sample(&bound), sample(&own));
+        assert_eq!(exact(&bound), exact(&own));
     }
 
     #[test]
@@ -3446,59 +2891,45 @@ mod tests {
         // θ0 on a rotation before a case and in its continuation, θ1 in
         // one arm; the other arm resets, and a second program aborts in
         // one arm: every kind of fork the backward pass pulls back through.
-        let m0 = Measurement::computational(vec![0]);
-        let ry = |t: &'static [usize]| gate(TrieMatrix::Table(0), t);
-        let rx = |t: &'static [usize]| gate(TrieMatrix::Table(1), t);
-        let h = Matrix::hadamard();
-        let program = |other: TrieOp<'static>| {
-            vec![
-                ry(&[0]),
-                gate(TrieMatrix::Fixed(&h), &[1]),
-                TrieOp::Case {
-                    meas: &m0,
-                    arms: vec![vec![rx(&[1]), ry(&[1])], vec![other]],
-                },
-                ry(&[1]),
-            ]
-        };
-        let build = || {
-            [
-                program(TrieOp::Init { target: 1 }),
-                program(TrieOp::Abort),
-            ]
-        };
+        let programs = [
+            table_program(|p| p.push_init(1), None),
+            table_program(TrajProgram::push_abort, None),
+        ];
         let angles = [0.7, -1.3];
         let gates = |a: [f64; 2]| -> Vec<ParamGate> {
-            (0..2)
-                .map(|c| {
-                    let axis = if c == 0 { Matrix::pauli_y() } else { Matrix::pauli_x() };
-                    ParamGate {
-                        matrix: Matrix::rotation_from_involution(&axis, a[c]),
-                        shifted: Matrix::rotation_from_involution(&axis, a[c] + std::f64::consts::PI),
-                        column: c,
-                    }
+            let shifted = ry_rx([a[0] + std::f64::consts::PI, a[1] + std::f64::consts::PI]);
+            ry_rx(a)
+                .into_iter()
+                .zip(shifted)
+                .enumerate()
+                .map(|(column, (matrix, shifted))| ParamGate {
+                    matrix,
+                    shifted,
+                    column,
                 })
                 .collect()
         };
         let obs = Observable::pauli_z(2, 1);
-        let inputs: Vec<StateVector> = (0..3)
-            .map(|k| {
-                let mut s = StateVector::basis_state(2, k);
-                s.apply_gate(&rotation_y(0.4 + 0.3 * k as f64), &[0]);
-                s
-            })
-            .collect();
-        let grads = AdjointProgram::build(build()).gradient_sweep(
+        let rows = inputs(3);
+        let grads = AdjointProgram::build(&programs).gradient_sweep(
             &gates(angles),
             2,
-            BatchedStates::from_states(&inputs),
+            BatchedStates::from_states(&rows),
             &obs,
         );
-        let trie = SweepTrie::build(build());
         let value = |a: [f64; 2]| -> Vec<f64> {
-            let table: Vec<Matrix> = gates(a).into_iter().map(|g| g.matrix).collect();
-            let columns = trie.expectation_sweep(&table, BatchedStates::from_states(&inputs), &obs);
-            (0..inputs.len()).map(|r| columns[0][r] + columns[1][r]).collect()
+            let table: Arc<[Matrix]> = Arc::from(ry_rx(a));
+            let columns: Vec<Vec<f64>> = programs
+                .iter()
+                .map(|p| {
+                    ShotEngine::bound(Arc::new(p.clone()), Arc::clone(&table))
+                        .expectation_sweep(BatchedStates::from_states(&rows), &obs)
+                        .unwrap()
+                })
+                .collect();
+            (0..rows.len())
+                .map(|r| columns[0][r] + columns[1][r])
+                .collect()
         };
         let step = 1e-6;
         for c in 0..2 {
