@@ -610,8 +610,8 @@ mod tests {
         assert!(cache.stats(&pa, &ra).is_none(), "A must be evicted");
         // The pinned skeleton is untouched by eviction.
         assert_eq!(pinned.lowered().param_names(), ["a"]);
-        let engines = pinned.lowered().shot_engines(&[0.3]);
-        assert!(!engines[0].program().is_empty());
+        let engine = pinned.lowered().shot_engines(&[0.3]).next().unwrap();
+        assert!(!engine.program().is_empty());
     }
 
     #[test]

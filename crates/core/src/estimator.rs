@@ -201,7 +201,7 @@ impl PreparedDerivativeEstimator {
         let skeleton = diff.skeleton();
         let lowered = skeleton.lowered();
         PreparedDerivativeEstimator {
-            engines: lowered.shot_engines(&lowered.slot_values(params)),
+            engines: lowered.shot_engines(&lowered.slot_values(params)).collect(),
             readout: ProjectiveObservable::new(&obs.with_ancilla_z()),
         }
     }

@@ -532,9 +532,10 @@ impl GradientEngine {
         // The bound program carries the identical bits a fresh
         // resolve-and-convert would: shot streams stay bit-stable across
         // cold and warm cache states.
-        let engine = lowered
-            .shot_engines(&lowered.slot_values(params))
-            .swap_remove(0);
+        let mut engines = lowered.shot_engines(&lowered.slot_values(params));
+        // Infallible: the forward skeleton lowers one program.
+        #[allow(clippy::expect_used)]
+        let engine = engines.next().expect("one forward program");
         let readout = qdp_sim::ProjectiveObservable::new(obs);
         engine
             .estimate_expectation_batch(inputs, &readout, shots, row_seeds)
@@ -646,7 +647,7 @@ impl GradientEngine {
                         })
                     })
                     .collect();
-                skeleton.lowered().shot_engines(&slot_values)
+                skeleton.lowered().shot_engines(&slot_values).collect()
             })
             .collect();
         let multisets: Vec<&[qdp_sim::ShotEngine]> = engines.iter().map(Vec::as_slice).collect();

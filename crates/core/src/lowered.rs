@@ -241,7 +241,6 @@ impl LoweredSet {
         self.check_register(states);
         let columns: Vec<Vec<f64>> = self
             .shot_engines(values)
-            .iter()
             .map(|engine| {
                 engine
                     .expectation_sweep(states.clone(), obs)
@@ -307,13 +306,12 @@ impl LoweredSet {
     /// # Panics
     ///
     /// Panics when `values` is shorter than the slot table.
-    pub fn shot_engines(&self, values: &[f64]) -> Vec<ShotEngine> {
+    pub fn shot_engines(&self, values: &[f64]) -> impl ExactSizeIterator<Item = ShotEngine> + '_ {
         let form = self.table_form();
         let table = form.table(values);
         form.programs
             .iter()
-            .map(|p| ShotEngine::bound(Arc::clone(p), Arc::clone(&table)))
-            .collect()
+            .map(move |p| ShotEngine::bound(Arc::clone(p), Arc::clone(&table)))
     }
 
     fn table_form(&self) -> &TableForm {

@@ -188,7 +188,7 @@ fn table_bound_engines_match_fresh_resolution_bitwise() {
                     .map(|p| (p.clone(), rng.gen::<f64>() * std::f64::consts::TAU)),
             );
             let slots = fresh.slot_values(&values);
-            let bound = skeleton.lowered().shot_engines(&slots).swap_remove(0);
+            let bound = skeleton.lowered().shot_engines(&slots).next().unwrap();
             let resolved = ShotEngine::new(fresh.programs()[0].resolve(&slots).to_trajectory());
 
             let inputs: Vec<StateVector> = (0..4).map(|_| random_state(&mut rng, reg.len())).collect();

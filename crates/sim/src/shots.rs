@@ -261,6 +261,16 @@ impl TrajProgram {
     }
 }
 
+/// The op slices a sweep resumes once its current slice is exhausted: the
+/// rest of each enclosing `case`, innermost first. Frames live on the
+/// call stack of the recursion that enters the arms, so entering an arm
+/// allocates nothing.
+#[derive(Clone, Copy)]
+struct Cont<'c, 'p> {
+    ops: &'p [TrajOp],
+    outer: Option<&'c Cont<'c, 'p>>,
+}
+
 /// The result of one sampled trajectory (one shot).
 #[derive(Clone, Debug)]
 pub struct TrajectoryRow {
@@ -1186,7 +1196,7 @@ impl ShotEngine {
                 health: self.health,
                 defects: Vec::new(),
             };
-            sweep.exec(&self.program.ops, Vec::new(), group, &mut |group: &WeightedGroup| {
+            sweep.exec(&self.program.ops, None, group, &mut |group: &WeightedGroup| {
                 obs.expectation_batch_into(&group.states, &mut values);
                 for (ctx, v) in group.rows.iter().zip(&values) {
                     out[ctx.orig] += v;
@@ -1292,7 +1302,7 @@ impl ShotEngine {
                 defects: Vec::new(),
             };
             sweep
-                .exec(&self.program.ops, Vec::new(), group, &mut |group: &WeightedGroup| {
+                .exec(&self.program.ops, None, group, &mut |group: &WeightedGroup| {
                     for ctx in &group.rows {
                         out[ctx.orig].push(ctx.weight);
                     }
@@ -1361,7 +1371,7 @@ impl ShotEngine {
                 expected,
                 defects: Vec::new(),
             };
-            sweep.exec(&self.program.ops, Vec::new(), group)?;
+            sweep.exec(&self.program.ops, None, group)?;
             Ok((sweep.finished, sweep.aborted, sweep.defects))
         })
     }
@@ -1460,13 +1470,12 @@ struct SampledSweep<'s> {
 }
 
 impl SampledSweep<'_> {
-    /// Executes `ops` on `group`, with `cont` the stack of suspended op
-    /// slices to resume (innermost last) once `ops` is exhausted — the
-    /// continuation a `case` arm returns into.
+    /// Executes `ops` on `group`, then `cont`, the continuation a `case`
+    /// arm returns into.
     fn exec<'p>(
         &mut self,
         ops: &'p [TrajOp],
-        cont: Vec<&'p [TrajOp]>,
+        cont: Option<&Cont<'_, 'p>>,
         mut group: Group,
     ) -> Result<(), QdpError> {
         for (i, op) in ops.iter().enumerate() {
@@ -1512,7 +1521,7 @@ impl SampledSweep<'_> {
                         if outcome == 1 {
                             sub.states.apply_gate(flip, &[*target]);
                         }
-                        self.exec(rest, cont.clone(), sub)?;
+                        self.exec(rest, cont, sub)?;
                     }
                     pool_give(&mut self.scratch.sampled_forks, forks);
                     return Ok(());
@@ -1522,21 +1531,19 @@ impl SampledSweep<'_> {
                     let rest = &ops[i + 1..];
                     let mut forks = self.scratch.sampled_forks.pop().unwrap_or_default();
                     self.measure_group(group, meas, &mut forks)?;
+                    let arm_cont = Cont { ops: rest, outer: cont };
                     for (outcome, sub) in forks.drain(..) {
-                        let mut arm_cont = cont.clone();
-                        arm_cont.push(rest);
-                        self.exec(&arms[outcome].ops, arm_cont, sub)?;
+                        self.exec(&arms[outcome].ops, Some(&arm_cont), sub)?;
                     }
                     pool_give(&mut self.scratch.sampled_forks, forks);
                     return Ok(());
                 }
             }
         }
-        let mut cont = cont;
-        match cont.pop() {
+        match cont {
             // Pending products flow into the continuation: there is no
             // measurement between an arm's trailing gates and the join.
-            Some(next) => self.exec(next, cont, group),
+            Some(next) => self.exec(next.ops, next.outer, group),
             None => {
                 flush_all(&mut group.states, &mut group.pending, &mut self.flush_gate);
                 self.finished.push(group);
@@ -1814,9 +1821,9 @@ struct ExactSweep<'a> {
 }
 
 impl ExactSweep<'_> {
-    /// Executes `ops` on `group` **exactly**, with `cont` the stack of
-    /// suspended op slices to resume (innermost last) once `ops` is
-    /// exhausted. At every measurement the group forks into
+    /// Executes `ops` on `group` **exactly**, then `cont`, the
+    /// continuation a `case` arm returns into. At every measurement the
+    /// group forks into
     /// outcome-homogeneous sub-groups via
     /// [`branch_groups`](Self::branch_groups); `leaf` is called once per
     /// surviving leaf group (pending products flushed), whose buffers are
@@ -1824,7 +1831,7 @@ impl ExactSweep<'_> {
     fn exec<'p>(
         &mut self,
         ops: &'p [TrajOp],
-        cont: Vec<&'p [TrajOp]>,
+        cont: Option<&Cont<'_, 'p>>,
         mut group: WeightedGroup,
         leaf: &mut dyn FnMut(&WeightedGroup),
     ) -> Result<(), QdpError> {
@@ -1850,7 +1857,7 @@ impl ExactSweep<'_> {
                         if outcome == 1 {
                             sub.states.apply_gate(flip, &[*target]);
                         }
-                        self.exec(rest, cont.clone(), sub, leaf)?;
+                        self.exec(rest, cont, sub, leaf)?;
                     }
                     pool_give(&mut self.scratch.weighted_forks, forks);
                     return Ok(());
@@ -1858,21 +1865,19 @@ impl ExactSweep<'_> {
                 TrajOp::Case { meas, arms } => {
                     let rest = &ops[i + 1..];
                     let mut forks = self.fork(group, meas)?;
+                    let arm_cont = Cont { ops: rest, outer: cont };
                     for (outcome, sub) in forks.drain(..) {
-                        let mut arm_cont = cont.clone();
-                        arm_cont.push(rest);
-                        self.exec(&arms[outcome].ops, arm_cont, sub, leaf)?;
+                        self.exec(&arms[outcome].ops, Some(&arm_cont), sub, leaf)?;
                     }
                     pool_give(&mut self.scratch.weighted_forks, forks);
                     return Ok(());
                 }
             }
         }
-        let mut cont = cont;
-        match cont.pop() {
+        match cont {
             // Pending products flow into the continuation: there is no
             // measurement between an arm's trailing gates and the join.
-            Some(next) => self.exec(next, cont, group, leaf),
+            Some(next) => self.exec(next.ops, next.outer, group, leaf),
             None => {
                 flush_all(&mut group.states, &mut group.pending, &mut self.flush_gate);
                 leaf(&group);
