@@ -1531,7 +1531,10 @@ impl SampledSweep<'_> {
                     let rest = &ops[i + 1..];
                     let mut forks = self.scratch.sampled_forks.pop().unwrap_or_default();
                     self.measure_group(group, meas, &mut forks)?;
-                    let arm_cont = Cont { ops: rest, outer: cont };
+                    let arm_cont = Cont {
+                        ops: rest,
+                        outer: cont,
+                    };
                     for (outcome, sub) in forks.drain(..) {
                         self.exec(&arms[outcome].ops, Some(&arm_cont), sub)?;
                     }
@@ -1865,7 +1868,10 @@ impl ExactSweep<'_> {
                 TrajOp::Case { meas, arms } => {
                     let rest = &ops[i + 1..];
                     let mut forks = self.fork(group, meas)?;
-                    let arm_cont = Cont { ops: rest, outer: cont };
+                    let arm_cont = Cont {
+                        ops: rest,
+                        outer: cont,
+                    };
                     for (outcome, sub) in forks.drain(..) {
                         self.exec(&arms[outcome].ops, Some(&arm_cont), sub, leaf)?;
                     }
