@@ -49,6 +49,7 @@ use qdp_vqc::baseline::PhaseShift;
 use qdp_vqc::circuits::{p1, p2};
 use qdp_vqc::hamiltonian::hardware_efficient_ansatz;
 use qdp_vqc::loss::{Loss, SquaredLoss};
+use qdp_vqc::optim::{GradientDescent, Optimizer};
 use qdp_vqc::task;
 use qdp_vqc::train::Trainer;
 use std::cell::Cell;
@@ -487,7 +488,7 @@ fn seam_states() -> Vec<StateVector> {
 type Section = fn(&Fixture, &mut Guards) -> Fields;
 
 /// Every section, in record order.
-const SECTIONS: [(&str, Section); 15] = [
+const SECTIONS: [(&str, Section); 16] = [
     ("gate_apply", gate_apply),
     ("simd", simd_tiers),
     ("gate_apply_10q_density", gate_apply_10q_density),
@@ -495,6 +496,7 @@ const SECTIONS: [(&str, Section); 15] = [
     ("full_gradient", full_gradient),
     ("semantics_engines", semantics_engines),
     ("gradient_batch_16x", gradient_batch),
+    ("exact_epoch", exact_epoch),
     ("estimator_shots", estimator_shots),
     ("gradient_branching_batch", gradient_branching_batch),
     ("adjoint", adjoint),
@@ -769,6 +771,83 @@ fn gradient_batch(fx: &Fixture, g: &mut Guards) -> Fields {
         "workload" => format!("Trainer::loss_gradient on P1, {}-sample batch", fx.data.len()),
         "batched_ns" => ns(batched_ns),
         "serial_loop_ns" => ns(serial_ns),
+        "speedup" => ratio(speedup),
+    ]
+}
+
+/// One exact full-batch `P2` training epoch over the 16-sample dataset:
+/// `Trainer::epoch`, one dense engine call (`value_and_gradient_batch`)
+/// folded over its gradient rows, against the map epoch it replaced, kept
+/// here as the baseline: `value_pure_batch`, then `gradient_pure_batch`'s
+/// per-row maps folded by name in row order, then the same optimizer step.
+/// Both sides restart every epoch from the same point, and their losses
+/// and parameters agree bit for bit.
+fn exact_epoch(fx: &Fixture, g: &mut Guards) -> Fields {
+    let (p2, obs, loss, rate) = (&fx.p2, &fx.obs, SquaredLoss, 0.3);
+    let batch = BatchedStates::from_states(&fx.inputs());
+    let labels: Vec<f64> = fx.data.iter().map(|(_, label)| *label).collect();
+    let map_epoch = |params: &mut BTreeMap<String, f64>| -> f64 {
+        let valuation = Params::from_pairs(params.iter().map(|(k, &v)| (k.clone(), v)));
+        let preds = p2.engine.value_pure_batch(&valuation, obs, &batch);
+        let value = preds
+            .iter()
+            .zip(&labels)
+            .map(|(&y, &l)| loss.loss(y, l))
+            .sum();
+        let rows = p2.engine.gradient_pure_batch(&valuation, obs, &batch);
+        let mut grads: BTreeMap<String, f64> = params.keys().map(|k| (k.clone(), 0.0)).collect();
+        for ((row, &y), &l) in rows.iter().zip(&preds).zip(&labels) {
+            let outer = loss.grad(y, l);
+            if outer == 0.0 {
+                continue;
+            }
+            for (name, d) in row {
+                *grads.get_mut(name).expect("known parameter") += outer * d;
+            }
+        }
+        GradientDescent::new(rate).step(params, &grads);
+        value
+    };
+    let mut trainer = Trainer::new(&p2.program, obs.clone(), fx.data.clone()).expect("P2 trains");
+    let mut params = p2.values.clone();
+    let dense = |trainer: &mut Trainer| {
+        trainer.set_params(&p2.values);
+        trainer.epoch(&loss, &mut GradientDescent::new(rate))
+    };
+    let mapped = |params: &mut BTreeMap<String, f64>| {
+        // Reset in place, as `set_params` does on the dense side.
+        for (name, v) in &p2.values {
+            *params.get_mut(name).expect("known parameter") = *v;
+        }
+        map_epoch(params)
+    };
+    let (want, got) = (mapped(&mut params), dense(&mut trainer));
+    assert_eq!(got.to_bits(), want.to_bits(), "dense epoch loss diverged");
+    for (name, v) in &params {
+        assert_eq!(
+            trainer.params()[name].to_bits(),
+            v.to_bits(),
+            "dense epoch diverged on {name}"
+        );
+    }
+    let (dense_ns, map_ns) = paired_ns(|is_dense| {
+        if is_dense {
+            black_box(dense(&mut trainer));
+        } else {
+            black_box(mapped(&mut params));
+        }
+    });
+    let speedup = map_ns / dense_ns;
+    // 10 runs, 1 / 2 threads: 1.84–1.90 / 1.87–1.93 (steal 0–0.047).
+    g.at_least("dense exact epoch vs map epoch", speedup, 1.4);
+    fields![
+        "workload" => format!(
+            "exact Trainer::epoch on P2, {}-sample batch x {} params: one dense call vs value_pure_batch + gradient_pure_batch maps",
+            fx.data.len(),
+            p2.values.len()
+        ),
+        "dense_ns" => ns(dense_ns),
+        "map_epoch_ns" => ns(map_ns),
         "speedup" => ratio(speedup),
     ]
 }

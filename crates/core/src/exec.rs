@@ -28,6 +28,7 @@
 //! `crates/core/tests/adjoint_oracle.rs` pins the two within 1e-12.
 
 use crate::cache::{CompiledSkeleton, ProgramCache, SharedMultiset};
+use crate::lowered::LoweredSet;
 use crate::semantics::observable_semantics;
 use crate::transform::{derivative_programs, fresh_ancilla, TransformError};
 use qdp_lang::ast::{Params, Stmt, Var};
@@ -108,11 +109,13 @@ pub fn differentiate_in(
     differentiate_shared(program, adjoint_multiset(shared), param)
 }
 
-/// The multiset the adjoint sweeps for the one-program multiset `program`:
-/// the program itself when it is normal (the same interned skeleton as
-/// [`GradientEngine::forward_skeleton`]), its compiled multiset otherwise,
-/// since an additive program has no lowering of its own. Built once per
-/// differentiation, so warm gradients look it up by pointer.
+/// The multiset exact values and the adjoint sweep run for the
+/// one-program multiset `program`: the program itself when it is normal
+/// (the same interned skeleton as [`GradientEngine::forward_skeleton`]),
+/// its compiled multiset otherwise, since an additive program has no
+/// lowering of its own and means the sum over that multiset
+/// (Proposition 3.1). Built once per differentiation, so warm calls look
+/// it up by pointer.
 fn adjoint_multiset(program: SharedMultiset) -> SharedMultiset {
     let stmt = &program.compiled()[0];
     if stmt.is_normal() {
@@ -355,12 +358,77 @@ pub struct GradientEngine {
     /// [`Differentiated`].
     adjoint: SharedMultiset,
     diffs: BTreeMap<String, Differentiated>,
+    /// Between the engine's parameters and the slots of the adjoint
+    /// skeleton's lowering, both ways. Built on the first exact gradient.
+    slot_index: OnceLock<SlotIndex>,
     /// Per parameter (in name order), the index among the engine's
     /// parameters of each slot of its derivative multiset's lowering: a
     /// shot gradient looks each parameter's value up once and gathers
     /// every multiset's slot values through this map. Built on the first
     /// shot gradient.
     shot_slots: OnceLock<Vec<Vec<usize>>>,
+}
+
+/// Where each engine parameter sits in the lowering of a
+/// [`GradientEngine`]'s adjoint multiset, and back. Lowering interns slots
+/// in a fixed order, so an index built once stays right for every
+/// re-lowering of the same multiset, after an eviction too.
+#[derive(Clone, Debug)]
+struct SlotIndex {
+    /// `slot[j]`: the slot of parameter `j` (in the engine's order), `None`
+    /// when the multiset never reaches it.
+    slot: Vec<Option<usize>>,
+    /// `param[s]`: the engine index of slot `s`.
+    param: Vec<usize>,
+}
+
+impl SlotIndex {
+    fn new<'a>(names: impl Iterator<Item = &'a String>, lowered: &LoweredSet) -> Self {
+        let slots = lowered.param_names();
+        let slot: Vec<Option<usize>> = names
+            .map(|name| slots.iter().position(|p| p == name))
+            .collect();
+        let mut param = vec![0; slots.len()];
+        for (j, s) in slot.iter().enumerate() {
+            if let Some(s) = *s {
+                param[s] = j;
+            }
+        }
+        SlotIndex { slot, param }
+    }
+}
+
+/// Exact values and gradient of a batch, in a [`GradientEngine`]'s
+/// parameter order: what [`GradientEngine::value_and_gradient_batch`]
+/// returns.
+#[derive(Clone, Debug, PartialEq)]
+pub struct DenseEvaluation {
+    values: Vec<f64>,
+    gradient: Vec<f64>,
+    parameters: usize,
+}
+
+impl DenseEvaluation {
+    /// Each row's value `tr(O·[[P(θ)]]|ψr⟩⟨ψr|)`.
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// The gradient, row-major: `rows × parameters` entries, entry
+    /// `r · parameters + j` the derivative of row `r`'s value by parameter
+    /// `j`.
+    pub fn gradient(&self) -> &[f64] {
+        &self.gradient
+    }
+
+    /// Row `r`'s gradient, one entry per parameter in the engine's order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `r` is not a row of the batch.
+    pub fn gradient_row(&self, r: usize) -> &[f64] {
+        &self.gradient[r * self.parameters..(r + 1) * self.parameters]
+    }
 }
 
 impl GradientEngine {
@@ -384,12 +452,14 @@ impl GradientEngine {
             program: shared,
             adjoint,
             diffs,
+            slot_index: OnceLock::new(),
             shot_slots: OnceLock::new(),
         })
     }
 
-    /// The forward program as an interned one-element skeleton — the fast
-    /// path of batched forward evaluation and the shift-rule gradient.
+    /// The forward program as an interned one-element skeleton — what the
+    /// shift-rule gradient and the shot values run. For a normal program
+    /// it is also the skeleton exact values and gradients sweep.
     /// Compiled once per process via the shared [`ProgramCache`]; as with
     /// [`Differentiated::skeleton`], a warm call matches the entry by
     /// pointer under a memoised key.
@@ -417,9 +487,17 @@ impl GradientEngine {
         self.diffs.get(param)
     }
 
-    /// Forward value `tr(O · [[P(θ*)]]ρ)`.
+    /// Forward value `tr(O · [[P(θ*)]]ρ)`. For a program with `+` it is
+    /// the sum over its compiled multiset, in multiset order
+    /// (Proposition 3.1); a normal program is its own one-program
+    /// multiset.
     pub fn value(&self, params: &Params, obs: &Observable, rho: &DensityMatrix) -> f64 {
-        observable_semantics(self.program(), self.register(), params, obs, rho)
+        self.adjoint
+            .compiled()
+            .iter()
+            .map(|p| observable_semantics(p, self.register(), params, obs, rho))
+            .reduce(|a, b| a + b)
+            .unwrap_or(0.0)
     }
 
     /// Forward value on a pure input: row 0 of
@@ -677,31 +755,44 @@ impl GradientEngine {
             .collect()
     }
 
-    /// Forward values `tr(O·[[P(θ*)]]|ψr⟩⟨ψr|)` for every row of a batch.
+    /// Forward values `tr(O·[[P(θ*)]]|ψr⟩⟨ψr|)` for every row of a batch:
+    /// [`value_and_gradient_batch`](Self::value_and_gradient_batch)'s
+    /// values, bit for bit, without the gradient sweep, for a valuation
+    /// keyed by name.
     ///
-    /// Runs on the **lowered** forward program (resolved indices, interned
-    /// slots, gate matrices built once per batch, swept by
+    /// Runs on the **lowered** adjoint multiset (resolved indices,
+    /// interned slots, gate matrices built once per batch, swept by
     /// [`LoweredSet::expectation_batch`](crate::LoweredSet::expectation_batch)),
-    /// unmonitored: no health checks and no mass budget.
-    /// Agrees with the per-row
-    /// oracles ([`LoweredProgram::expectation_pure`](crate::LoweredProgram::expectation_pure)
+    /// unmonitored: no health checks and no mass budget. That multiset is
+    /// the program itself when it is normal, and its compiled multiset,
+    /// summed in multiset order, when it has `+` (Proposition 3.1).
+    /// Agrees with the per-row oracles
+    /// ([`LoweredProgram::expectation_pure`](crate::LoweredProgram::expectation_pure)
     /// and the interpreter's `denot::expectation_pure`) to ≪ 1e-12 on
     /// every row.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a used parameter has no value or the batch register
+    /// does not match the program's.
     pub fn value_pure_batch(
         &self,
         params: &Params,
         obs: &Observable,
         states: &BatchedStates,
     ) -> Vec<f64> {
-        let fwd = self.forward_skeleton();
-        let values = fwd.lowered().slot_values(params);
-        fwd.lowered().expectation_batch(&values, states, obs)
+        let skeleton = self.adjoint_skeleton();
+        let lowered = skeleton.lowered();
+        lowered.expectation_batch(&lowered.slot_values(params), states, obs)
     }
 
     /// The full gradient for **every** row of a batch, keyed by parameter
-    /// name, by the adjoint method
-    /// ([`LoweredSet::gradient_batch`](crate::LoweredSet::gradient_batch)).
+    /// name: [`value_and_gradient_batch`](Self::value_and_gradient_batch)'s
+    /// gradient rows, bit for bit, without the value sweep, for a
+    /// valuation keyed by name.
     ///
+    /// The gradient runs by the adjoint method
+    /// ([`LoweredSet::gradient_batch`](crate::LoweredSet::gradient_batch)).
     /// One sweep runs the forward program over the batch as a depth-first
     /// walk of its branch tree, measurement forks included, and sets the
     /// costate `λ = Oφ` at each leaf. Walking back, it undoes every gate
@@ -721,29 +812,112 @@ impl GradientEngine {
     /// batches split into row tiles across `qdp_par`. The sweep's forks
     /// run unmonitored, as every exact sweep's do: no health checks and no
     /// mass budget.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a used parameter has no value or the batch register
+    /// does not match the program's.
     pub fn gradient_pure_batch(
         &self,
         params: &Params,
         obs: &Observable,
         states: &BatchedStates,
     ) -> Vec<BTreeMap<String, f64>> {
-        let skeleton = ProgramCache::global().intern_shared(&self.adjoint);
+        let skeleton = self.adjoint_skeleton();
         let lowered = skeleton.lowered();
-        let columns = lowered.gradient_batch(&lowered.slot_values(params), states, obs);
-        let slots: Vec<Option<usize>> = self
-            .diffs
-            .keys()
-            .map(|name| lowered.param_names().iter().position(|p| p == name))
-            .collect();
+        let gradient = self.dense_gradient(lowered, &lowered.slot_values(params), states, obs);
+        let width = self.diffs.len();
         (0..states.len())
             .map(|r| {
                 self.diffs
                     .keys()
-                    .zip(&slots)
-                    .map(|(name, slot)| (name.clone(), slot.map_or(0.0, |s| columns[s][r])))
+                    .cloned()
+                    .zip(gradient[r * width..(r + 1) * width].iter().copied())
                     .collect()
             })
             .collect()
+    }
+
+    /// Exact values and the full gradient of every row of a batch, dense:
+    /// the valuation enters as one value per parameter in
+    /// [`parameters`](Self::parameters) order, and the gradient comes back
+    /// row-major in that order ([`DenseEvaluation`]), with no parameter
+    /// name looked up or copied.
+    ///
+    /// One lookup of the adjoint skeleton serves two sweeps of it: the
+    /// values are [`LoweredSet::expectation_batch`](crate::LoweredSet::expectation_batch)'s,
+    /// the bits [`value_pure_batch`](Self::value_pure_batch) returns, and
+    /// the gradient is [`LoweredSet::gradient_batch`](crate::LoweredSet::gradient_batch)'s
+    /// columns, the bits [`gradient_pure_batch`](Self::gradient_pure_batch)
+    /// returns. A parameter the lowering never reaches gets a zero column.
+    /// Which slot serves which parameter is worked out once per engine.
+    /// Both sweeps run unmonitored, and every entry is bit-for-bit the
+    /// same under any thread count and batch composition. A program with
+    /// `+` runs on its compiled multiset, summed in multiset order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `values` does not hold one value per parameter or the
+    /// batch register does not match the program's.
+    pub fn value_and_gradient_batch(
+        &self,
+        values: &[f64],
+        obs: &Observable,
+        states: &BatchedStates,
+    ) -> DenseEvaluation {
+        assert_eq!(
+            values.len(),
+            self.diffs.len(),
+            "one value per engine parameter, in parameters() order"
+        );
+        let skeleton = self.adjoint_skeleton();
+        let lowered = skeleton.lowered();
+        let slot_values: Vec<f64> = self
+            .slot_index(lowered)
+            .param
+            .iter()
+            .map(|&j| values[j])
+            .collect();
+        DenseEvaluation {
+            values: lowered.expectation_batch(&slot_values, states, obs),
+            gradient: self.dense_gradient(lowered, &slot_values, states, obs),
+            parameters: self.diffs.len(),
+        }
+    }
+
+    /// The skeleton of the [`adjoint_multiset`], which every exact value
+    /// and gradient sweeps; a warm call matches it by pointer.
+    fn adjoint_skeleton(&self) -> Arc<CompiledSkeleton> {
+        ProgramCache::global().intern_shared(&self.adjoint)
+    }
+
+    fn slot_index(&self, lowered: &LoweredSet) -> &SlotIndex {
+        self.slot_index
+            .get_or_init(|| SlotIndex::new(self.diffs.keys(), lowered))
+    }
+
+    /// The adjoint gradient at `slot_values`, row-major in the engine's
+    /// parameter order.
+    fn dense_gradient(
+        &self,
+        lowered: &LoweredSet,
+        slot_values: &[f64],
+        states: &BatchedStates,
+        obs: &Observable,
+    ) -> Vec<f64> {
+        let columns = lowered.gradient_batch(slot_values, states, obs);
+        let slots = &self.slot_index(lowered).slot;
+        let width = slots.len();
+        // A parameter without a slot keeps its zero column.
+        let mut gradient = vec![0.0; states.len() * width];
+        for (j, slot) in slots.iter().enumerate() {
+            if let Some(s) = *slot {
+                for (r, &d) in columns[s].iter().enumerate() {
+                    gradient[r * width + j] = d;
+                }
+            }
+        }
+        gradient
     }
 
     /// Whether the phase-shift rule applies: every parameter occurs exactly

@@ -56,7 +56,7 @@ pub mod service;
 pub mod transform;
 
 pub use cache::{CacheCounters, CacheStats, CompiledSkeleton, ProgramCache};
-pub use exec::{differentiate, Differentiated, GradientEngine};
+pub use exec::{differentiate, DenseEvaluation, Differentiated, GradientEngine};
 pub use lowered::{lower_invocations, LoweredProgram, LoweredSet, ResolvedProgram};
 pub use service::{
     GradientService, OverloadPolicy, ProgramHandle, RequestOptions, ServiceConfig,

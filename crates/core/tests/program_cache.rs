@@ -22,7 +22,9 @@
 //!   values and exact gradients only hit the process-wide cache (no
 //!   misses, no lowers), and after an eviction the engine's memoised keys
 //!   re-intern and the next shot gradient carries the same bits. A warm
-//!   exact derivative of a program with `+` compiles nothing either.
+//!   exact derivative of a program with `+` compiles nothing either. After
+//!   an eviction the dense exact call re-lowers its skeleton once, and the
+//!   slot index the engine memoised still gives the same bits.
 
 use qdp_ad::{
     differentiate, lower_invocations, CacheStats, GradientEngine, LoweredSet, ProgramCache,
@@ -639,4 +641,45 @@ fn warm_derivative_of_a_program_with_a_sum_compiles_nothing() {
     );
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&warm), bits(&primed));
+}
+
+#[test]
+fn evicted_adjoint_skeleton_keeps_the_dense_bits_under_the_memoised_slot_index() {
+    let _global = global_cache_lock();
+    // Lowering interns the `T` block's slots first, while the engine's
+    // order is by name, so the index is a real permutation.
+    let engine = GradientEngine::new(&p2_shaped("d")).unwrap();
+    let params = engine_params(&engine);
+    let values: Vec<f64> = engine
+        .parameters()
+        .map(|name| params.get(name).unwrap())
+        .collect();
+    let obs = Observable::pauli_z(4, 0);
+    let mut rng = StdRng::seed_from_u64(0xD5E);
+    let inputs: Vec<StateVector> = (0..3).map(|_| random_state(&mut rng, 4)).collect();
+    let batch = BatchedStates::from_states(&inputs);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let dense_bits = || {
+        let dense = engine.value_and_gradient_batch(&values, &obs, &batch);
+        (bits(dense.values()), bits(dense.gradient()))
+    };
+    let before = dense_bits();
+    let forward = &engine_multisets(&engine)[..1];
+    assert!(global_stats(forward)[0].is_some());
+
+    let cache = ProgramCache::global();
+    let capacity = cache.counters().capacity;
+    cache.set_capacity(Some(0));
+    assert!(global_stats(forward)[0].is_none(), "evicted");
+    cache.set_capacity(capacity);
+
+    let lowers = lower_invocations();
+    let after = dense_bits();
+    assert_eq!(lower_invocations() - lowers, 1, "re-lowered once");
+    assert_eq!(after, before, "eviction moved dense bits");
+    // And they are still the keyed calls' bits.
+    let keyed = gradient_bits(&engine.gradient_pure_batch(&params, &obs, &batch));
+    assert_eq!(after.1, keyed.concat());
+    let value = engine.value_pure_batch(&params, &obs, &batch);
+    assert_eq!(after.0, bits(&value));
 }

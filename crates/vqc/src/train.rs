@@ -7,12 +7,21 @@
 //! descent, exactly as in the paper's case study.
 //!
 //! The dataset is packed once into a [`BatchedStates`] block at
-//! construction; every forward and gradient pass then evaluates the
-//! compiled multisets against **all** samples in one batched sweep
-//! (`GradientEngine::value_pure_batch` / `gradient_pure_batch`) instead of
-//! looping the per-sample engine — parameter slots and gate matrices are
-//! resolved once per epoch and shared by the whole batch. The results are
-//! numerically identical to the per-sample loop (see
+//! construction; every pass then evaluates the program against **all**
+//! samples in one batched sweep instead of looping the per-sample engine —
+//! parameter slots and gate matrices are resolved once per epoch and
+//! shared by the whole batch. An exact epoch is one dense call,
+//! `GradientEngine::value_and_gradient_batch`: the parameter values go in
+//! as a slice in the engine's order (the order of [`Trainer::params`]),
+//! and each row's value and gradient row come back in that order. The
+//! chain rule folds `dL/d predr · d predr/dθj` over the rows in row order,
+//! skipping rows whose outer derivative is zero, and builds one gradient
+//! map for the optimizer, with no name looked up per row. Its loss and
+//! parameters carry bit for bit the epoch spelled out from
+//! `value_pure_batch`, `gradient_pure_batch` and the same fold over their
+//! maps (`crates/vqc/tests/dense_epoch.rs`). In shot-noise mode values and
+//! gradients come from the batched shot estimators instead. The results
+//! are numerically identical to the per-sample loop (see
 //! `crates/core/tests/batch_equivalence.rs`).
 
 use crate::loss::Loss;
@@ -385,93 +394,111 @@ impl Trainer {
     /// Total loss under the current parameters, from one batched forward
     /// sweep.
     pub fn loss_value(&self, loss: &impl Loss) -> f64 {
-        self.predictions()
+        self.total_loss(loss, &self.predictions())
+    }
+
+    /// The gradient of the total loss with respect to every parameter.
+    ///
+    /// Exact mode runs the epoch's dense call (see the module docs); shot
+    /// mode estimates all predictions in one batched call, then every
+    /// per-sample quantum gradient in another. Either way the chain rule
+    /// accumulates `Σr dL/d predr · d predr/dθj` in sample order, so the
+    /// result matches the per-sample loop it replaced.
+    pub fn loss_gradient(&self, loss: &impl Loss) -> BTreeMap<String, f64> {
+        self.loss_and_gradient(loss).1
+    }
+
+    /// The total loss and its gradient under the current parameters, from
+    /// one forward pass: the exact dense call, or the shot estimates whose
+    /// predictions also give the outer derivatives.
+    fn loss_and_gradient(&self, loss: &impl Loss) -> (f64, BTreeMap<String, f64>) {
+        match &self.shot_noise {
+            None => self.exact_loss_and_gradient(loss),
+            Some(cfg) => {
+                let preds = self.predictions();
+                (
+                    self.total_loss(loss, &preds),
+                    self.shot_gradient(loss, &preds, cfg),
+                )
+            }
+        }
+    }
+
+    fn total_loss(&self, loss: &impl Loss, preds: &[f64]) -> f64 {
+        preds
             .iter()
             .zip(&self.labels)
             .map(|(&pred, &label)| loss.loss(pred, label))
             .sum()
     }
 
-    /// The gradient of the total loss with respect to every parameter.
-    ///
-    /// One batched forward sweep produces all predictions, one batched
-    /// gradient sweep produces all per-sample quantum gradients; the chain
-    /// rule then accumulates `Σr dL/d predr · d predr/dθj` in sample order,
-    /// so the result matches the per-sample loop it replaced.
-    pub fn loss_gradient(&self, loss: &impl Loss) -> BTreeMap<String, f64> {
-        self.gradient_from_predictions(loss, &self.predictions())
+    /// The exact loss and gradient from one dense call: values and
+    /// gradient rows in the engine's parameter order, which is the order
+    /// of `self.params`, folded row by row.
+    fn exact_loss_and_gradient(&self, loss: &impl Loss) -> (f64, BTreeMap<String, f64>) {
+        let values: Vec<f64> = self.params.values().copied().collect();
+        let dense = self
+            .engine
+            .value_and_gradient_batch(&values, &self.observable, &self.batch);
+        let mut grads = vec![0.0; values.len()];
+        for (r, (&pred, &label)) in dense.values().iter().zip(&self.labels).enumerate() {
+            let outer = loss.grad(pred, label);
+            if outer == 0.0 {
+                continue;
+            }
+            for (acc, g) in grads.iter_mut().zip(dense.gradient_row(r)) {
+                *acc += outer * g;
+            }
+        }
+        (
+            self.total_loss(loss, dense.values()),
+            self.params.keys().cloned().zip(grads).collect(),
+        )
     }
 
-    /// The chain rule over already-computed predictions — shared by
-    /// [`loss_gradient`](Self::loss_gradient) and [`epoch`](Self::epoch)
-    /// so one forward pass (exact sweep or shot estimates) serves both
-    /// the reported loss and the outer derivatives.
+    /// The shot-noise chain rule over the shot predictions `preds`, whose
+    /// streams also give the outer derivatives: the chain rule is applied
+    /// to what the hardware would have measured.
     ///
-    /// In shot-noise mode the outer derivatives thus come from the *same*
-    /// estimates `predictions()` reports (identical streams): the chain
-    /// rule is applied to what the hardware would have measured.
-    fn gradient_from_predictions(
+    /// One batch call covers the rows with gradient signal: the
+    /// per-parameter estimators are prepared once, and each program runs
+    /// one sampled sweep over every row's shots (independent derived
+    /// streams); accumulation stays in row order, so the result is
+    /// deterministic under any thread count.
+    fn shot_gradient(
         &self,
         loss: &impl Loss,
         preds: &[f64],
+        cfg: &ShotNoise,
     ) -> BTreeMap<String, f64> {
-        let params = self.params_struct();
         let mut grads: BTreeMap<String, f64> =
             self.params.keys().map(|k| (k.clone(), 0.0)).collect();
-        let outers: Vec<f64> = preds
+        let live: Vec<(usize, f64)> = preds
             .iter()
             .zip(&self.labels)
             .map(|(&pred, &label)| loss.grad(pred, label))
+            .enumerate()
+            .filter(|&(_, outer)| outer != 0.0)
             .collect();
-        if outers.iter().all(|&outer| outer == 0.0) {
+        if live.is_empty() {
             return grads;
         }
-        match &self.shot_noise {
-            None => {
-                let inner = self
-                    .engine
-                    .gradient_pure_batch(&params, &self.observable, &self.batch);
-                for (row, outer) in inner.iter().zip(&outers) {
-                    if *outer == 0.0 {
-                        continue;
-                    }
-                    for (name, g) in row {
-                        *grads.get_mut(name).expect("known parameter") += outer * g;
-                    }
-                }
-            }
-            Some(cfg) => {
-                // One batch call over the rows with gradient signal: the
-                // per-parameter estimators are prepared once, and each
-                // program runs one sampled sweep over every row's shots
-                // (independent derived streams); accumulation stays in
-                // row order, so the result is deterministic under any
-                // thread count.
-                let stream = self.epoch_stream(cfg);
-                let live: Vec<(usize, f64)> = outers
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .filter(|&(_, outer)| outer != 0.0)
-                    .collect();
-                let inputs: Vec<StateVector> =
-                    live.iter().map(|&(r, _)| self.batch.row_state(r)).collect();
-                let seeds: Vec<u64> = live
-                    .iter()
-                    .map(|&(r, _)| derive_seed(stream, 2 * r as u64 + 1))
-                    .collect();
-                let rows = self.engine.gradient_pure_shots_batch(
-                    &params,
-                    &self.observable,
-                    &inputs,
-                    cfg.gradient_shots,
-                    &seeds,
-                );
-                for ((_, outer), row) in live.iter().zip(&rows) {
-                    for (name, g) in row {
-                        *grads.get_mut(name).expect("known parameter") += outer * g;
-                    }
-                }
+        let stream = self.epoch_stream(cfg);
+        let inputs: Vec<StateVector> = live.iter().map(|&(r, _)| self.batch.row_state(r)).collect();
+        let seeds: Vec<u64> = live
+            .iter()
+            .map(|&(r, _)| derive_seed(stream, 2 * r as u64 + 1))
+            .collect();
+        let rows = self.engine.gradient_pure_shots_batch(
+            &self.params_struct(),
+            &self.observable,
+            &inputs,
+            cfg.gradient_shots,
+            &seeds,
+        );
+        for ((_, outer), row) in live.iter().zip(&rows) {
+            for (name, g) in row {
+                *grads.get_mut(name).expect("known parameter") += outer * g;
             }
         }
         grads
@@ -480,17 +507,12 @@ impl Trainer {
     /// One full-batch epoch: computes the loss, takes one optimizer step,
     /// and returns the *pre-step* loss (matching how training curves are
     /// usually reported). One forward pass serves both the reported loss
-    /// and the chain rule. In shot-noise mode each epoch advances the
-    /// noise stream first, so successive steps see fresh shots.
+    /// and the chain rule: an exact epoch is one dense engine call. In
+    /// shot-noise mode each epoch advances the noise stream first, so
+    /// successive steps see fresh shots.
     pub fn epoch(&mut self, loss: &impl Loss, optimizer: &mut dyn Optimizer) -> f64 {
         self.shot_epoch = self.shot_epoch.wrapping_add(1);
-        let preds = self.predictions();
-        let value = preds
-            .iter()
-            .zip(&self.labels)
-            .map(|(&pred, &label)| loss.loss(pred, label))
-            .sum();
-        let grads = self.gradient_from_predictions(loss, &preds);
+        let (value, grads) = self.loss_and_gradient(loss);
         optimizer.step(&mut self.params, &grads);
         value
     }
