@@ -43,7 +43,8 @@ use qdp_sim::kernels::{
 };
 use qdp_sim::simd::{self, SimdTier};
 use qdp_sim::{
-    BatchedStates, DensityMatrix, Measurement, Observable, ShotEngine, ShotSampler, StateVector,
+    BatchedStates, DensityMatrix, Measurement, Observable, ProjectiveObservable, ShotEngine,
+    ShotSampler, StateVector, TrajProgram,
 };
 use qdp_vqc::baseline::PhaseShift;
 use qdp_vqc::circuits::{p1, p2};
@@ -320,6 +321,21 @@ impl Guards {
     /// A guard timed by [`paired_ns`] also records its steal share when
     /// the pass asks for it.
     fn at_least(&mut self, what: &str, speedup: f64, floor: f64) {
+        self.check(what, speedup.is_nan() || speedup < floor, || {
+            format!("{what} {speedup:.2}x < floor {floor}x")
+        });
+    }
+
+    /// Requires `ratio` (production time over its bare lower bound) ≤
+    /// `ceiling`, recording the steal share as [`at_least`](Self::at_least)
+    /// does.
+    fn at_most(&mut self, what: &str, ratio: f64, ceiling: f64) {
+        self.check(what, ratio.is_nan() || ratio > ceiling, || {
+            format!("{what} {ratio:.2}x > ceiling {ceiling}x")
+        });
+    }
+
+    fn check(&mut self, what: &str, failed: bool, message: impl FnOnce() -> String) {
         if let Some(start) = STEAL_MARK.with(Cell::take) {
             if self.record_steal {
                 self.steal
@@ -327,10 +343,9 @@ impl Guards {
             }
         }
         self.checked += 1;
-        if speedup.is_nan() || speedup < floor {
+        if failed {
             let pass = self.pass;
-            self.failed
-                .push(format!("{pass}: {what} {speedup:.2}x < floor {floor}x"));
+            self.failed.push(format!("{pass}: {}", message()));
         }
     }
 }
@@ -952,6 +967,9 @@ fn estimator_shots(fx: &Fixture, g: &mut Guards) -> Fields {
             black_box(PreparedDerivativeEstimator::new(diff, &p2.params, obs));
         }
     });
+    let (sweep_ns, bare_ns) = per_shot_layer(fx);
+    let overhead = sweep_ns / bare_ns;
+    g.at_most("shots: per-shot sweep vs bare stream cost", overhead, PER_SHOT_CEILING);
     fields![
         "workload" => format!("shot-noise P1 gradient, {shots} shots x {} params", p1.values.len()),
         "batched_ns" => ns(batched_ns),
@@ -966,7 +984,103 @@ fn estimator_shots(fx: &Fixture, g: &mut Guards) -> Fields {
         "p2_epoch_per_call_ns" => ns(epoch_per_call_ns),
         "p2_epoch_speedup" => ratio(epoch_speedup),
         "p2_prepare_36_estimators_ns" => ns(prepare_ns),
+        "per_shot_workload" => format!(
+            "one-case {PER_SHOT_QUBITS}-qubit sample_sweep, {PER_SHOT_ROWS} rows x {PER_SHOT_SHOTS} shots"
+        ),
+        "per_shot_sweep_ns" => ns(sweep_ns),
+        "per_shot_bare_ns" => ns(bare_ns),
+        "per_shot_overhead" => ratio(overhead),
     ]
+}
+
+/// Qubits, input rows and shots per row of [`per_shot_layer`].
+const PER_SHOT_QUBITS: usize = 5;
+const PER_SHOT_ROWS: usize = 16;
+const PER_SHOT_SHOTS: usize = 256;
+
+/// Ceiling of the per-shot sweep over its bare stream cost, about 4/3 of
+/// the highest value the ratio took: 10 runs, 1 / 2 threads: 1.64–2.10 /
+/// 1.66–2.04 (Intel Xeon, 2 vCPUs, AVX2). The per-shot loop that took an
+/// early-exit branch per draw and scanned the members once per outcome
+/// read 3.33–3.46 / 3.33–3.41 over 3 runs on the same host.
+const PER_SHOT_CEILING: f64 = 2.8;
+
+/// The per-shot layer of the sampled executor, in ns per shot: one
+/// `ShotEngine::sample_sweep` of a one-`case` program (a computational
+/// measurement of one qubit, two empty arms) over random 5-qubit rows,
+/// read out with P2's `Z_A ⊗ O`, each shot's sampler derived in the call
+/// as the estimator derives them; against the bare stream cost of the
+/// same shots: derive the sampler, then one draw and one selection against
+/// the row's measurement probabilities and one draw and one selection
+/// against its read-out probabilities. Returns `(sweep, bare)`; their
+/// ratio is the bookkeeping the sweep spends per shot beyond its draws.
+fn per_shot_layer(fx: &Fixture) -> (f64, f64) {
+    let mut program = TrajProgram::new();
+    program.push_case(
+        Measurement::computational(vec![1]),
+        vec![TrajProgram::new(), TrajProgram::new()],
+    );
+    let engine = ShotEngine::new(program);
+    let readout = ProjectiveObservable::new(&fx.obs.with_ancilla_z());
+    let inputs: Vec<StateVector> = (0..PER_SHOT_ROWS as u64)
+        .map(|r| random_state(PER_SHOT_QUBITS, 700 + r))
+        .collect();
+    // Every call draws on fresh streams, so the branch predictor cannot
+    // learn one call's outcomes.
+    let call = Cell::new(0u64);
+    let seeds = || -> Vec<u64> {
+        call.set(call.get() + 1);
+        (0..PER_SHOT_ROWS as u64).map(|r| qdp_sim::derive_seed(call.get(), r)).collect()
+    };
+    let counts = [PER_SHOT_SHOTS; PER_SHOT_ROWS];
+    let sweep = || -> Vec<f64> {
+        let mut samplers = Vec::with_capacity(PER_SHOT_ROWS * PER_SHOT_SHOTS);
+        for seed in seeds() {
+            samplers.extend((0..PER_SHOT_SHOTS as u64).map(|s| ShotSampler::derived(seed, s)));
+        }
+        engine
+            .sample_sweep(BatchedStates::from_states(&inputs), &counts, &mut samplers, &readout)
+            .expect("unmonitored sweep")
+    };
+    // Each row's measurement and read-out probabilities.
+    let meas = Measurement::computational(vec![1]);
+    let mut table = Vec::new();
+    readout.pair_probabilities_batch(&BatchedStates::from_states(&inputs), &mut table);
+    let pairs = readout.pairs().len();
+    let rows: Vec<(Vec<f64>, &[f64])> = inputs
+        .iter()
+        .zip(table.chunks(pairs))
+        .map(|(psi, read)| (meas.branch_probabilities_pure(psi), read))
+        .collect();
+    let select = |u: f64, probs: &[f64]| -> usize {
+        let (mut r, mut stopped, mut k) = (u, false, 0);
+        for &p in probs {
+            r -= p;
+            stopped |= r <= 0.0;
+            k += usize::from(!stopped);
+        }
+        k
+    };
+    let bare = || -> usize {
+        let mut acc = 0;
+        for (seed, (probs, read)) in seeds().into_iter().zip(black_box(&rows)) {
+            for s in 0..PER_SHOT_SHOTS as u64 {
+                let mut sampler = ShotSampler::derived(seed, s);
+                acc += select(sampler.next_uniform(), probs);
+                acc += select(sampler.next_uniform(), read);
+            }
+        }
+        acc
+    };
+    let (sweep_ns, bare_ns) = paired_ns(|is_sweep| {
+        if is_sweep {
+            black_box(sweep());
+        } else {
+            black_box(bare());
+        }
+    });
+    let shots = (PER_SHOT_ROWS * PER_SHOT_SHOTS) as f64;
+    (sweep_ns / shots, bare_ns / shots)
 }
 
 /// The 36-parameter gradient of the measurement-controlled `P2` over the

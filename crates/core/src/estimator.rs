@@ -237,11 +237,12 @@ impl PreparedDerivativeEstimator {
 /// Per input row, the sum of its samples in the shot tile `start..start +
 /// len` of the multiset `engines`: program by program, each program's
 /// shots in shot order — the order the per-shot estimator's tile sums
-/// take. The tile's shots are bucketed by program once, and each program
-/// runs **one** sampled sweep over every row's shots of it; row `r`'s
-/// shots drew their programs into `draws[r]` (empty for a one-program
-/// multiset, whose every shot runs program 0) and sample on the streams
-/// derived from `streams[r]`.
+/// take. One loop over the tile's shots, row by row, builds each shot's
+/// sampler and buckets it by program, and each program runs **one**
+/// sampled sweep over every row's shots of it; row `r`'s shots drew their
+/// programs into `draws[r]` and sample on the streams derived from
+/// `streams[r]`. A one-program multiset draws nothing: every shot runs
+/// program 0, so each row's samplers are built in one run.
 fn tile_sums(
     engines: &[ShotEngine],
     readout: &ProjectiveObservable,
@@ -250,49 +251,45 @@ fn tile_sums(
     streams: &[u64],
     (start, len): (usize, usize),
 ) -> Vec<f64> {
-    // Per program, the (row, shot) pairs that drew it, row by row.
-    let mut drawn: Vec<Vec<(usize, usize)>> = vec![Vec::new(); engines.len()];
-    for (r, row_draws) in draws.iter().enumerate() {
-        if engines.len() == 1 {
-            drawn[0].extend((start..start + len).map(|s| (r, s)));
-        } else {
-            for (s, &prog) in row_draws.iter().enumerate().skip(start).take(len) {
-                drawn[prog as usize].push((r, s));
+    // Per program: the rows that drew it, each row's shots of it, and one
+    // sampler per shot, row by row.
+    let m = engines.len();
+    let mut rows: Vec<Vec<usize>> = vec![Vec::new(); m];
+    let mut counts: Vec<Vec<usize>> = vec![Vec::new(); m];
+    let mut samplers: Vec<Vec<ShotSampler>> =
+        (0..m).map(|_| Vec::with_capacity(len * streams.len() / m)).collect();
+    for (r, &seed) in streams.iter().enumerate() {
+        if m == 1 {
+            rows[0].push(r);
+            counts[0].push(len);
+            samplers[0].extend((start..start + len).map(|s| ShotSampler::derived(seed, s as u64)));
+            continue;
+        }
+        for (s, &prog) in draws[r].iter().enumerate().skip(start).take(len) {
+            let prog = prog as usize;
+            match counts[prog].last_mut() {
+                Some(k) if rows[prog].last() == Some(&r) => *k += 1,
+                _ => {
+                    rows[prog].push(r);
+                    counts[prog].push(1);
+                }
             }
+            samplers[prog].push(ShotSampler::derived(seed, s as u64));
         }
     }
     let mut acc = vec![0.0; ext_inputs.len()];
-    for (engine, shots) in engines.iter().zip(&drawn) {
-        if shots.is_empty() {
+    for (((engine, rows), counts), samplers) in engines.iter().zip(&rows).zip(&counts).zip(&mut samplers) {
+        if rows.is_empty() {
             continue;
         }
-        let (mut rows, mut counts) = (Vec::new(), Vec::new());
-        for &(r, _) in shots {
-            match counts.last_mut() {
-                Some(k) if rows.last() == Some(&r) => *k += 1,
-                _ => {
-                    rows.push(r);
-                    counts.push(1);
-                }
-            }
-        }
-        let mut samplers: Vec<ShotSampler> = shots
-            .iter()
-            .map(|&(r, s)| ShotSampler::derived(streams[r], s as u64))
-            .collect();
         let inputs: Vec<&StateVector> = rows.iter().map(|&r| &ext_inputs[r]).collect();
         // Unmonitored engines: any error panics with its message, as the
         // former infallible `sample_sweep` did.
         let values = engine
-            .sample_sweep(
-                BatchedStates::gather(&inputs),
-                &counts,
-                &mut samplers,
-                readout,
-            )
+            .sample_sweep(BatchedStates::gather(&inputs), counts, samplers, readout)
             .unwrap_or_else(|e| panic!("{e}"));
         let mut rest = values.as_slice();
-        for (&r, &k) in rows.iter().zip(&counts) {
+        for (&r, &k) in rows.iter().zip(counts) {
             let (row, tail) = rest.split_at(k);
             acc[r] += row.iter().sum::<f64>();
             rest = tail;

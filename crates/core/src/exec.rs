@@ -560,7 +560,9 @@ impl GradientEngine {
     /// Runs on the lowered forward program through the batched
     /// [`qdp_sim::ShotEngine`] (tiled across `qdp_par`, shot `s` on the
     /// derived stream `(seed, s)`), so the estimate is bit-for-bit
-    /// deterministic for a fixed seed under any thread count.
+    /// deterministic for a fixed seed under any thread count. A program
+    /// with `+` is estimated on its compiled multiset (see
+    /// [`value_pure_shots_batch`](Self::value_pure_shots_batch)).
     ///
     /// # Panics
     ///
@@ -585,6 +587,14 @@ impl GradientEngine {
     /// is bit-identical to the single-input call with the same seed, under
     /// any thread count.
     ///
+    /// A program with `+` has no lowering of its own: its value is the sum
+    /// over its compiled multiset (Proposition 3.1), so it is estimated as
+    /// `m` times the mean of shots that each run one of the multiset's `m`
+    /// programs, drawn uniformly from the row's master stream
+    /// `ShotSampler::seeded(row_seeds[r])` and read out with `O` — the
+    /// sampled sweeps derivative multisets run, on the unextended
+    /// register.
+    ///
     /// # Panics
     ///
     /// Panics when `inputs` and `row_seeds` disagree in length, `shots` is
@@ -605,6 +615,20 @@ impl GradientEngine {
             row_seeds.len(),
             "one seed stream per input row"
         );
+        if !self.program().is_normal() {
+            let skeleton = self.adjoint_skeleton();
+            let lowered = skeleton.lowered();
+            let engines: Vec<qdp_sim::ShotEngine> =
+                lowered.shot_engines(&lowered.slot_values(params)).collect();
+            return crate::estimator::estimate_batch(
+                &[&engines],
+                &qdp_sim::ProjectiveObservable::new(obs),
+                inputs,
+                shots,
+                &[row_seeds.to_vec()],
+            )
+            .remove(0);
+        }
         let fwd = self.forward_skeleton();
         let lowered = fwd.lowered();
         // The bound program carries the identical bits a fresh

@@ -172,3 +172,44 @@ fn batched_estimator_is_bitwise_deterministic_under_forced_thread_counts() {
     assert_eq!(per_config[0], per_config[1], "1 vs 2 threads");
     assert_eq!(per_config[0], per_config[2], "1 vs 8 threads");
 }
+
+#[test]
+fn shot_values_of_a_program_with_a_sum_track_its_exact_value() {
+    let _guard = serialized();
+    // Two compiled programs (m = 2), one with a measurement: each shot
+    // runs one of them, drawn from the row's master stream, and reads out
+    // `m·λ` with `|λ| ≤ 1`.
+    let p = parse_program(
+        "q1 *= RY(a); q2 *= RX(b); case M[q1] = 0 -> q2 *= RY(a), 1 -> q2 := |0> end \
+         + q1, q2 *= RZZ(b); q1 *= RY(a)",
+    )
+    .unwrap();
+    assert!(!p.is_normal());
+    let engine = GradientEngine::new(&p).unwrap();
+    let params = Params::from_pairs([("a", 0.7), ("b", 1.3)]);
+    let obs = Observable::pauli_z(2, 1);
+    let inputs: Vec<StateVector> = (0..4).map(|k| StateVector::basis_state(2, k)).collect();
+    let seeds = [11, 12, 13, 14];
+    let shots = 20_000;
+    let m = 2.0;
+    // Hoeffding on values in [-m, m]: |mean − value| ≥ t with probability
+    // at most 2·exp(−2·shots·t²/(2m)²); t below holds that at 1e-9.
+    let t = 2.0 * m * ((2.0f64 / 1e-9).ln() / (2.0 * shots as f64)).sqrt();
+    let exact = engine.value_pure_batch(&params, &obs, &qdp_sim::BatchedStates::from_states(&inputs));
+
+    let mut per_config: Vec<Vec<u64>> = Vec::new();
+    for threads in [1usize, 2, 8] {
+        qdp_par::set_max_threads(threads);
+        let values = engine.value_pure_shots_batch(&params, &obs, &inputs, shots, &seeds);
+        for (r, (v, e)) in values.iter().zip(&exact).enumerate() {
+            assert!((v - e).abs() < t, "row {r}: shots {v} vs exact {e} (bound {t})");
+        }
+        // A row's estimate is the single-input call's.
+        let single = engine.value_pure_shots(&params, &obs, &inputs[2], shots, seeds[2]);
+        assert_eq!(single.to_bits(), values[2].to_bits());
+        per_config.push(values.iter().map(|v| v.to_bits()).collect());
+    }
+    qdp_par::set_max_threads(0);
+    assert_eq!(per_config[0], per_config[1], "1 vs 2 threads");
+    assert_eq!(per_config[0], per_config[2], "1 vs 8 threads");
+}

@@ -382,40 +382,46 @@ impl ProjectiveObservable {
     /// Diagonal observables draw from
     /// [`row_probabilities_block`](Self::row_probabilities_block) on a
     /// block of one row; the rest evaluate one projector expectation per
-    /// selection step (lazily, so early exits skip the remaining
-    /// projectors).
+    /// pair.
     pub fn sample_with_draw_planes(&self, u: f64, total: f64, re: &[f64], im: &[f64]) -> f64 {
         let mut probs = Vec::new();
-        if self.row_probabilities_block(re, im, 1, &mut probs) {
-            self.select_with(u, total, |k| probs[k])
-        } else {
-            self.select_with(u, total, |k| self.pairs[k].1.expectation_planes(re, im))
+        self.row_probabilities(re, im, &mut probs);
+        self.select_with(u, total, &probs)
+    }
+
+    /// One row's pair probabilities into `probs`: the diagonal block sweep
+    /// on a block of one row, or one projector expectation per pair.
+    fn row_probabilities(&self, re: &[f64], im: &[f64], probs: &mut Vec<f64>) {
+        if !self.row_probabilities_block(re, im, 1, probs) {
+            probs.clear();
+            probs.extend(self.pairs.iter().map(|(_, p)| p.expectation_planes(re, im)));
         }
     }
 
     /// The cumulative Born-rule selection shared by every sampling path:
-    /// walks the pairs in order, subtracting `probability(k)` (evaluated
-    /// lazily, so early exits skip the remaining projectors) from
-    /// `u · total`, and returns the first eigenvalue driving the rest
-    /// non-positive — the last eigenvalue under floating-point slack.
+    /// subtracts the pair probabilities `probs` in order from `u · total`
+    /// and returns the eigenvalue of the first pair driving the rest
+    /// non-positive — the last eigenvalue under floating-point slack. The
+    /// chain runs over every pair and the pair is counted, not branched
+    /// to, so a random draw costs no mispredicted branch.
     ///
     /// [`sample_with_draw_planes`](Self::sample_with_draw_planes) and the
     /// batched read-out of `ShotEngine::sample_sweep` both go through this
     /// one loop, so their selection arithmetic can never drift apart.
-    pub(crate) fn select_with(
-        &self,
-        u: f64,
-        total: f64,
-        mut probability: impl FnMut(usize) -> f64,
-    ) -> f64 {
+    #[inline]
+    pub(crate) fn select_with(&self, u: f64, total: f64, probs: &[f64]) -> f64 {
         let mut r = u * total;
-        for (k, (eigenvalue, _)) in self.pairs.iter().enumerate() {
-            r -= probability(k);
-            if r <= 0.0 {
-                return *eigenvalue;
-            }
+        let mut stopped = false;
+        let mut first = 0;
+        for &p in probs {
+            r -= p;
+            stopped |= r <= 0.0;
+            first += usize::from(!stopped);
         }
-        self.pairs.last().map(|(l, _)| *l).unwrap_or(0.0)
+        // Past the last pair (slack) reads the last eigenvalue.
+        self.pairs
+            .get(first.min(self.pairs.len().saturating_sub(1)))
+            .map_or(0.0, |(l, _)| *l)
     }
 }
 
@@ -504,10 +510,10 @@ impl ShotSampler {
     ///
     /// The state is fixed, so its read-out probabilities are computed once
     /// per call, not once per shot: one bucketed pass for a diagonal
-    /// observable, and otherwise each projector's expectation the first
-    /// time a selection reads it. Every shot then selects against the same
-    /// numbers [`ProjectiveObservable::sample_with_draw_planes`] computes,
-    /// so the estimate carries the bits of that per-shot loop.
+    /// observable, and otherwise one expectation per projector. Every shot
+    /// then selects against the same numbers
+    /// [`ProjectiveObservable::sample_with_draw_planes`] computes, so the
+    /// estimate carries the bits of that per-shot loop.
     pub fn estimate_observable(
         &mut self,
         psi: &StateVector,
@@ -522,18 +528,11 @@ impl ShotSampler {
         let projective = ProjectiveObservable::new(obs);
         let (re, im) = psi.planes();
         let mut probs = Vec::new();
-        let diagonal = projective.row_probabilities_block(re, im, 1, &mut probs);
-        let mut memo: Vec<Option<f64>> = vec![None; projective.pairs().len()];
+        projective.row_probabilities(re, im, &mut probs);
         let mut acc = 0.0;
         for _ in 0..shots {
             let u = self.next_uniform();
-            acc += if diagonal {
-                projective.select_with(u, total, |k| probs[k])
-            } else {
-                projective.select_with(u, total, |k| {
-                    *memo[k].get_or_insert_with(|| projective.pairs()[k].1.expectation_planes(re, im))
-                })
-            };
+            acc += projective.select_with(u, total, &probs);
         }
         acc / shots as f64
     }
@@ -742,7 +741,7 @@ mod tests {
         (last.outcome, state)
     }
 
-    use crate::test_support::awkward_state;
+    use crate::test_support::{awkward_state, crafted_rows, draws};
 
     #[test]
     fn selected_branch_collapse_matches_branches_pure_oracle_bitwise() {
@@ -882,7 +881,8 @@ mod tests {
                     let (re, im) = psi.planes();
                     for step in 0..=24 {
                         let u = step as f64 / 24.0;
-                        let from_table = readout.select_with(u, total, |k| table[ri * pairs + k]);
+                        let from_table =
+                            readout.select_with(u, total, &table[ri * pairs..(ri + 1) * pairs]);
                         let single = readout.sample_with_draw_planes(u, total, re, im);
                         assert_eq!(
                             from_table.to_bits(),
@@ -894,6 +894,42 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn branch_free_readout_selection_matches_the_early_exit_walk() {
+        // The early-exit walk `select_with` ran before it became
+        // branch-free, on rows whose pair `k` has eigenvalue `k`.
+        let early_exit = |u: f64, total: f64, probs: &[f64]| -> f64 {
+            let mut r = u * total;
+            for (k, &p) in probs.iter().enumerate() {
+                r -= p;
+                if r <= 0.0 {
+                    return k as f64;
+                }
+            }
+            probs.len().saturating_sub(1) as f64
+        };
+        for (total, probs) in crafted_rows() {
+            let readout = ProjectiveObservable {
+                pairs: (0..probs.len()).map(|k| (k as f64, Observable::pauli_z(1, 0))).collect(),
+                diagonal: None,
+            };
+            for u in draws(total, &probs) {
+                assert_eq!(
+                    readout.select_with(u, total, &probs).to_bits(),
+                    early_exit(u, total, &probs).to_bits(),
+                    "u {u} total {total} probs {probs:?}"
+                );
+            }
+        }
+        let nan = ProjectiveObservable {
+            pairs: vec![(-1.0, Observable::pauli_z(1, 0)), (1.0, Observable::pauli_z(1, 0))],
+            diagonal: None,
+        };
+        assert_eq!(nan.select_with(0.5, 1.0, &[f64::NAN, f64::NAN]), 1.0);
+        let empty = ProjectiveObservable { pairs: Vec::new(), diagonal: None };
+        assert_eq!(empty.select_with(0.5, 1.0, &[]), 0.0);
     }
 
     #[test]

@@ -81,6 +81,20 @@
 //! class's `(p, total)` and the slack flag, so every member of a sub-class
 //! gets the bits its own row would have carried. Distinct inputs of one
 //! shot each are the case of one member per class.
+//!
+//! # Per-shot layout
+//!
+//! A sampled sweep's per-shot work is only each shot's own draws. A
+//! member is two `u32`s, its shot and its class. A measurement makes one
+//! pass over a group's members: each draws one uniform, selects its
+//! outcome against its class's probability row with the serial `r -= p`
+//! chain, picked without a data-dependent branch, and joins its outcome's
+//! bucket keyed by (class, slack flag); `p` and `total` stay in the
+//! class's rows. The buckets are a stable distribution sort, so each
+//! keeps shot order, and one pass over each numbers its sub-classes by
+//! first member; a bucket becomes its child group's member list. The
+//! read-out is one draw and one branch-free selection per member against
+//! its class's row of the group's probability table.
 
 //! Exact sweeps are deterministic, full stop: per-row results are a pure
 //! function of the program and that row's input, **bit-for-bit invariant
@@ -284,10 +298,25 @@ pub struct TrajectoryRow {
 /// A trajectory in flight: its shot index (shots are numbered row-major
 /// over the sweep's input rows) and its class, the state row of its group
 /// it shares with the trajectories known to carry bitwise the same state.
+/// A sweep runs at most [`MAX_SWEEP_SHOTS`] shots, so both fit in `u32`
+/// with a bit to spare for the slack flag a fork keys its buckets by.
 #[derive(Clone, Copy, Debug)]
-struct RowCtx {
-    orig: usize,
-    class: usize,
+struct Member {
+    shot: u32,
+    class: u32,
+}
+
+/// The most shots one sampled sweep runs (see [`Member`]).
+const MAX_SWEEP_SHOTS: usize = (u32::MAX >> 1) as usize;
+
+impl Member {
+    fn shot(self) -> usize {
+        self.shot as usize
+    }
+
+    fn class(self) -> usize {
+        self.class as usize
+    }
 }
 
 /// An outcome-homogeneous group of trajectories evolving together under
@@ -305,7 +334,7 @@ struct Group {
     states: BatchedStates,
     /// Every measurement outcome the members drew, in program order.
     outcomes: Vec<usize>,
-    members: Vec<RowCtx>,
+    members: Vec<Member>,
     /// Fused-mode state: per qubit, the pending product of
     /// not-yet-applied single-qubit gates (`pending[q] = g_k · … · g_1` in
     /// program order), held as a stack 2×2 so fusing a gate never touches
@@ -416,7 +445,7 @@ pub const BRANCH_PRUNE: f64 = 1e-24;
 /// batch index and the accumulated branch weight — the squared norm of its
 /// unnormalised state, i.e. the probability of the measurement history
 /// that produced it (times the input row's own squared norm). This is the
-/// weight-carrying counterpart of the sampled executor's [`RowCtx`]: where
+/// weight-carrying counterpart of the sampled executor's [`Member`]: where
 /// a sampled group records the outcomes its rows drew, a weighted row
 /// records how much probability mass its branch carries. Exact rows never
 /// share a state row: each carries its own weight.
@@ -460,17 +489,20 @@ struct RegroupScratch {
     probs: Vec<f64>,
     /// Per-row squared norms of the current fork or read-out group.
     totals: Vec<f64>,
-    /// Per-member draw records of the current fork (sampled mode).
-    draws: Vec<Draw>,
+    /// Per outcome of the current fork, the members that drew it, each
+    /// with its class shifted left by one and its slack flag in bit 0
+    /// until the sub-classes are numbered (sampled mode). Emptied by every
+    /// fork: the buckets become the children's member lists.
+    buckets: Vec<Vec<Member>>,
     /// Parent-block indices of the rows surviving into the outcome under
     /// construction (sampled mode: the parent class of each sub-class).
     selected: Vec<usize>,
-    /// The draw each sub-class of the outcome under construction rescales
-    /// with (sampled mode).
-    class_draws: Vec<Draw>,
+    /// The slack flag each sub-class of the outcome under construction
+    /// rescales with (sampled mode).
+    sub_slack: Vec<bool>,
     /// Sub-class index of each (parent class, slack flag) pair in the
-    /// outcome under construction, or `usize::MAX` (sampled mode).
-    class_slot: Vec<usize>,
+    /// outcome under construction, or `u32::MAX` (sampled mode).
+    class_slot: Vec<u32>,
     /// Outcome indices ordered by weight (mass-budget pruning).
     order: Vec<usize>,
     /// `rows × outcomes` keep flags of the current fork (exact mode).
@@ -482,7 +514,7 @@ struct RegroupScratch {
     /// Pooled weighted row lists (exact mode).
     weighted_rows: Vec<Vec<WeightedRow>>,
     /// Pooled sampled member lists.
-    sampled_rows: Vec<Vec<RowCtx>>,
+    sampled_rows: Vec<Vec<Member>>,
     /// Pooled sampled outcome histories.
     histories: Vec<Vec<usize>>,
     /// Pooled fork child lists (exact mode).
@@ -602,57 +634,41 @@ thread_local! {
         std::cell::RefCell::new(RegroupScratch::default());
 }
 
-/// One member's Born-rule record at a sampled fork — everything the
-/// in-place rescale of its collapsed row needs, mirroring
-/// [`collapse_with_draw`]. `p` and `total` are functions of the class's
-/// row and the outcome; only `outcome` and `slack` depend on the member's
-/// own draw.
-#[derive(Clone, Copy, Debug)]
-struct Draw {
-    /// The drawn outcome.
-    outcome: usize,
-    /// The drawn branch's probability.
-    p: f64,
-    /// The row's pre-measurement squared norm.
-    total: f64,
-    /// Whether the floating-point-slack fallback selected the branch
-    /// (which skips the `(total/p).sqrt()` blow-up, like the serial path).
-    slack: bool,
-}
-
-/// The Born-rule selection walk of [`collapse_with_draw`] on a
-/// pre-computed probability row — identical arithmetic to the serial path
-/// (including the slack fallback to the last branch with support), so
-/// batched draws match it bit for bit.
+/// The Born-rule selection of [`collapse_with_draw`] on a pre-computed
+/// probability row: the same `r -= p` chain from `u · total`, selecting
+/// the first outcome that drives `r` non-positive, and under
+/// floating-point slack the last outcome with support (`true` in the
+/// second slot: the rescale then skips the `(total/p).sqrt()` blow-up).
+/// The chain runs over the whole row and the outcome is counted, not
+/// branched to, so a random draw costs no mispredicted branch; a NaN
+/// never compares non-positive, as in the early-exit walk.
 ///
 /// # Panics
 ///
 /// Panics when no branch has support.
-fn select_branch(u: f64, total: f64, probs: &[f64]) -> Draw {
+#[inline]
+fn select_branch(u: f64, total: f64, probs: &[f64]) -> (usize, bool) {
     let mut r: f64 = u * total;
-    for (outcome, &p) in probs.iter().enumerate() {
+    let mut stopped = false;
+    let mut first = 0;
+    for &p in probs {
         r -= p;
-        if r <= 0.0 {
-            return Draw { outcome, p, total, slack: false };
-        }
+        stopped |= r <= 0.0;
+        first += usize::from(!stopped);
     }
-    // Infallible: the walk only falls through when `total > 0`, so at
-    // least one branch probability is positive.
+    if first < probs.len() {
+        return (first, false);
+    }
+    // The walk only falls through when `total > 0`, so at least one branch
+    // probability is positive unless the row holds NaN.
     #[allow(clippy::expect_used)]
-    let outcome = (0..probs.len())
-        .rev()
-        .find(|&m| probs[m] > 0.0)
-        .expect("no branch has support");
-    Draw {
-        outcome,
-        p: probs[outcome],
-        total,
-        slack: true,
-    }
+    let outcome = probs.iter().rposition(|&p| p > 0.0).expect("no branch has support");
+    (outcome, true)
 }
 
 /// Replays, in place on one freshly collapsed destination row, the
-/// rescaling [`collapse_with_draw`] applies to the selected branch: the
+/// rescaling [`collapse_with_draw`] applies to the selected branch, of
+/// probability `p`, of a row of squared norm `total`: the
 /// `(total/p).sqrt()` blow-up (skipped on the slack path, and — like the
 /// serial path — skipped entirely together with the renormalisation when
 /// the drawn probability is zero), then the renormalisation to the parent
@@ -660,16 +676,16 @@ fn select_branch(u: f64, total: f64, probs: &[f64]) -> Draw {
 /// row ([`StateVector::scale`], transcribed onto the planes) and the
 /// identical lane-split norm fold ([`StateVector::norm_sqr`]), so the row
 /// carries the serial path's bits.
-fn rescale_collapsed(re: &mut [f64], im: &mut [f64], d: Draw) {
-    if !d.slack {
-        if d.p <= 0.0 {
+fn rescale_collapsed(re: &mut [f64], im: &mut [f64], p: f64, total: f64, slack: bool) {
+    if !slack {
+        if p <= 0.0 {
             return;
         }
-        scale_planes(re, im, C64::real((d.total / d.p).sqrt().min(1e150)));
+        scale_planes(re, im, C64::real((total / p).sqrt().min(1e150)));
     }
     let norm = crate::lanes::sum_norm_sqr(re, im).sqrt();
     if norm > 0.0 {
-        scale_planes(re, im, C64::real(d.total.sqrt() / norm));
+        scale_planes(re, im, C64::real(total.sqrt() / norm));
     }
 }
 
@@ -841,7 +857,8 @@ impl ShotEngine {
     /// # Panics
     ///
     /// Panics when `shots` does not hold one count per row, a count is
-    /// zero, or `samplers` does not hold one stream per shot.
+    /// zero, `samplers` does not hold one stream per shot, or there are
+    /// 2^31 shots or more.
     pub fn run(
         &self,
         states: BatchedStates,
@@ -852,16 +869,16 @@ impl ShotEngine {
         let (finished, aborted, defects) = self.sampled_sweep(states, shots, samplers, false)?;
         let mut out: Vec<Option<TrajectoryRow>> = (0..samplers.len()).map(|_| None).collect();
         for group in &finished {
-            for ctx in &group.members {
-                out[ctx.orig] = Some(TrajectoryRow {
-                    state: Some(group.states.row_state(ctx.class)),
+            for &m in &group.members {
+                out[m.shot()] = Some(TrajectoryRow {
+                    state: Some(group.states.row_state(m.class())),
                     outcomes: group.outcomes.clone(),
                 });
             }
         }
         for (outcomes, members) in &aborted {
-            for ctx in members {
-                out[ctx.orig] = Some(TrajectoryRow {
+            for &m in members {
+                out[m.shot()] = Some(TrajectoryRow {
                     state: None,
                     outcomes: outcomes.clone(),
                 });
@@ -965,7 +982,11 @@ impl ShotEngine {
     /// bucketed `|amp|²` sweep over the group's contiguous block for
     /// diagonal observables, one batched expectation pass per projector
     /// otherwise) plus one norm pass, so leaf read-out is one sweep per
-    /// group instead of one per shot, and each shot draws once against its
+    /// group instead of one per shot. Per shot there remain its own draws:
+    /// at each measurement one uniform and a branch-free selection against
+    /// its class's probability row, then one place in its outcome's bucket
+    /// (see the module's per-shot layout), and at the read-out one uniform
+    /// and the branch-free selection of the serial sampler against its
     /// class's table row. The probabilities are bit-identical
     /// to the per-row passes the serial sampler selects from, so draws can
     /// never drift apart. On top of that, straight-line gate segments
@@ -1004,16 +1025,15 @@ impl ShotEngine {
             // One table row per class, one draw per member.
             readout.pair_probabilities_batch(&group.states, &mut table);
             group.states.row_norms_sqr_into(&mut totals);
-            for ctx in &group.members {
+            for &m in &group.members {
                 // The shared selection loop of `sample_with_draw_planes`, with
                 // the probabilities read off the group's table.
-                let c = ctx.class;
+                let c = m.class();
                 let total = totals[c];
-                if total <= 1e-300 {
-                    continue;
+                if total > 1e-300 {
+                    let u = samplers[m.shot()].next_uniform();
+                    out[m.shot()] = readout.select_with(u, total, &table[c * pairs..(c + 1) * pairs]);
                 }
-                let u = samplers[ctx.orig].next_uniform();
-                out[ctx.orig] = readout.select_with(u, total, |k| table[c * pairs + k]);
             }
         }
         // Aborted shots stay 0.0 and draw nothing.
@@ -1079,10 +1099,10 @@ impl ShotEngine {
             &tiles,
             |&(start, len)| {
                 crate::fault::tile_checkpoint(start / SHOT_TILE);
-                let mut samplers: Vec<ShotSampler> = seeds
-                    .iter()
-                    .flat_map(|&seed| (start..start + len).map(move |s| ShotSampler::derived(seed, s as u64)))
-                    .collect();
+                let mut samplers = Vec::with_capacity(seeds.len() * len);
+                for &seed in seeds {
+                    samplers.extend((start..start + len).map(|s| ShotSampler::derived(seed, s as u64)));
+                }
                 let counts = vec![len; inputs.len()];
                 let values = self.sample_sweep(
                     BatchedStates::from_states(inputs),
@@ -1345,6 +1365,10 @@ impl ShotEngine {
             samplers.len(),
             "one sampler stream per batch row shot"
         );
+        assert!(
+            samplers.len() <= MAX_SWEEP_SHOTS,
+            "a sweep runs at most 2^31 - 1 shots"
+        );
         let expected = match self.health {
             Some(_) => {
                 let mut norms = Vec::new();
@@ -1384,7 +1408,7 @@ type SweepOutput = (Vec<Group>, Vec<Aborted>, Vec<usize>);
 /// The trajectories of one group that reached an `abort`: the outcome
 /// history they share and their members (whose classes no longer mean
 /// anything: the states are gone).
-type Aborted = (Vec<usize>, Vec<RowCtx>);
+type Aborted = (Vec<usize>, Vec<Member>);
 
 /// The [`SHOT_TILE`]-shot tiles of `shots` shots: `(first shot, shots)`.
 fn shot_tiles(shots: usize) -> Vec<(usize, usize)> {
@@ -1409,9 +1433,11 @@ fn per_shot<T: Clone>(shots: &[usize], at: impl Fn(usize) -> T) -> Vec<T> {
 /// the block as given: no shot copies its input.
 fn sampled_root(states: BatchedStates, shots: &[usize], scratch: &mut RegroupScratch) -> Group {
     let mut members = scratch.sampled_rows.pop().unwrap_or_default();
-    for (class, &k) in shots.iter().enumerate() {
-        let first = members.len();
-        members.extend((first..first + k).map(|orig| RowCtx { orig, class }));
+    let mut shot = 0;
+    for (class, &k) in (0u32..).zip(shots) {
+        // `sampled_sweep` caps the shot count at `MAX_SWEEP_SHOTS`.
+        members.extend((shot..shot + k as u32).map(|shot| Member { shot, class }));
+        shot += k as u32;
     }
     let n = states.num_qubits();
     Group {
@@ -1564,14 +1590,22 @@ impl SampledSweep<'_> {
     /// **Block-level, once per class**: the pre-measurement norms, the
     /// health checks and the full `classes × outcomes` probability table
     /// come from one sweep each over the group's contiguous amplitude
-    /// block ([`Measurement::branch_probabilities_block`]). Each member
-    /// then draws from its own stream against its class's row through
-    /// [`select_branch`]. Members that drew the same outcome from the same
-    /// class, with the same slack flag, form one sub-class; each outcome's
-    /// sub-batch is materialised by one strided
+    /// block ([`Measurement::branch_probabilities_block`]).
+    ///
+    /// **Per member, only its own draw**: one pass over the members, each
+    /// drawing one uniform from its own stream and selecting against its
+    /// class's row through the branch-free [`select_branch`], appends the
+    /// member to its outcome's bucket with its class and slack flag packed
+    /// in the class field. Buckets fill in member order, so each is a
+    /// stable distribution sort: shot order holds inside every outcome,
+    /// and no pass scans the members once per outcome. One pass over each
+    /// bucket numbers its sub-classes, one per (parent class, slack flag),
+    /// by first member, and the bucket becomes the child's member list;
+    /// the outcome's sub-batch is materialised by one strided
     /// [`Measurement::collapse_block_into`] pass over the parent classes,
-    /// with the serial rescaling replayed in place once per sub-class
-    /// ([`rescale_collapsed`]). Drawn outcomes and collapsed amplitudes are
+    /// and each sub-class replays the serial rescaling once
+    /// ([`rescale_collapsed`]) from its parent class's `p` and `total` and
+    /// its slack flag. Drawn outcomes and collapsed amplitudes are
     /// **bit for bit** the per-row [`collapse_with_draw`] results — the
     /// differential suites pin this — and the scratch arena makes the
     /// whole fork allocation-free once its pools are warm.
@@ -1604,14 +1638,14 @@ impl SampledSweep<'_> {
         // shot, as an unshared sweep would.
         if let Some(cfg) = self.health {
             let mut next_class = 0;
-            for ctx in &members {
-                if ctx.class != next_class {
+            for &m in &members {
+                if m.class() != next_class {
                     continue;
                 }
                 next_class += 1;
-                let c = ctx.class;
+                let c = m.class();
                 let total = self.scratch.totals[c];
-                let expected = self.expected[ctx.orig];
+                let expected = self.expected[m.shot()];
                 let non_finite = !total.is_finite() || !expected.is_finite();
                 let drifted = !non_finite
                     && (total - expected).abs()
@@ -1622,10 +1656,10 @@ impl SampledSweep<'_> {
                 match cfg.policy {
                     HealthPolicy::FailFast => {
                         return Err(if non_finite {
-                            QdpError::NonFinite { row: ctx.orig, context: "row norms" }
+                            QdpError::NonFinite { row: m.shot(), context: "row norms" }
                         } else {
                             QdpError::NormDrift {
-                                row: ctx.orig,
+                                row: m.shot(),
                                 expected,
                                 actual: total,
                                 tolerance: cfg.drift_tol,
@@ -1636,7 +1670,7 @@ impl SampledSweep<'_> {
                         // Finite drift is repairable by rescaling; NaN/Inf
                         // amplitudes are not — no scale factor undoes them.
                         if non_finite || total <= 1e-300 {
-                            return Err(QdpError::NonFinite { row: ctx.orig, context: "row norms" });
+                            return Err(QdpError::NonFinite { row: m.shot(), context: "row norms" });
                         }
                         let s = C64::real((expected / total).sqrt());
                         let (row_re, row_im) = states.row_planes_mut(c);
@@ -1652,7 +1686,7 @@ impl SampledSweep<'_> {
                         // contract keep healthy rows' bits untouched by the
                         // substitution.
                         self.defects
-                            .extend(members.iter().filter(|m| m.class == c).map(|m| m.orig));
+                            .extend(members.iter().filter(|m| m.class() == c).map(|m| m.shot()));
                         let norm = if expected.is_finite() && expected > 1e-300 {
                             expected
                         } else {
@@ -1676,66 +1710,72 @@ impl SampledSweep<'_> {
             "cannot measure a zero-norm state"
         );
         let outcomes = meas.num_outcomes();
-        self.scratch.draws.clear();
-        for ctx in &members {
-            let c = ctx.class;
-            let u = self.samplers[ctx.orig].next_uniform();
-            let probs = &self.scratch.probs[c * outcomes..(c + 1) * outcomes];
-            self.scratch.draws.push(select_branch(u, self.scratch.totals[c], probs));
+        let s = &mut *self.scratch;
+        let samplers = &mut *self.samplers;
+        // One pass: every member draws against its class's row and joins
+        // its outcome's bucket, keyed by (class, slack flag) — a stable
+        // distribution sort, so each bucket keeps shot order.
+        let mut buckets = std::mem::take(&mut s.buckets);
+        buckets.extend((0..outcomes).map(|_| s.sampled_rows.pop().unwrap_or_default()));
+        for &m in &members {
+            let c = m.class();
+            let u = samplers[m.shot()].next_uniform();
+            let (outcome, slack) =
+                select_branch(u, s.totals[c], &s.probs[c * outcomes..(c + 1) * outcomes]);
+            buckets[outcome].push(Member { shot: m.shot, class: m.class << 1 | u32::from(slack) });
         }
-        let mut selected = std::mem::take(&mut self.scratch.selected);
-        for m in 0..outcomes {
-            selected.clear();
-            self.scratch.class_draws.clear();
-            self.scratch.class_slot.clear();
-            self.scratch.class_slot.resize(2 * classes, usize::MAX);
-            let mut sub_members = self.scratch.sampled_rows.pop().unwrap_or_default();
-            for (ctx, d) in members.iter().zip(&self.scratch.draws) {
-                if d.outcome != m {
-                    continue;
-                }
-                // Sub-classes are numbered by first member, like classes.
-                let slot = &mut self.scratch.class_slot[2 * ctx.class + usize::from(d.slack)];
-                if *slot == usize::MAX {
-                    *slot = selected.len();
-                    selected.push(ctx.class);
-                    self.scratch.class_draws.push(*d);
-                }
-                sub_members.push(RowCtx { orig: ctx.orig, class: *slot });
-            }
-            if selected.is_empty() {
-                pool_give(&mut self.scratch.sampled_rows, sub_members);
+        s.class_slot.clear();
+        s.class_slot.resize(2 * classes, u32::MAX);
+        for (outcome, mut sub_members) in buckets.drain(..).enumerate() {
+            if sub_members.is_empty() {
+                pool_give(&mut s.sampled_rows, sub_members);
                 continue;
             }
-            let (mut dst_re, mut dst_im) = self.scratch.take_block();
+            s.selected.clear();
+            s.sub_slack.clear();
+            for m in &mut sub_members {
+                // Sub-classes are numbered by first member, like classes.
+                let slot = &mut s.class_slot[m.class()];
+                if *slot == u32::MAX {
+                    *slot = s.selected.len() as u32;
+                    s.selected.push(m.class() >> 1);
+                    s.sub_slack.push(m.class & 1 == 1);
+                }
+                m.class = *slot;
+            }
+            let (mut dst_re, mut dst_im) = s.take_block();
             {
                 let (re, im) = states.planes();
-                meas.collapse_block_into(n, re, im, &selected, m, &mut dst_re, &mut dst_im);
+                meas.collapse_block_into(n, re, im, &s.selected, outcome, &mut dst_re, &mut dst_im);
             }
-            for (j, &d) in self.scratch.class_draws.iter().enumerate() {
+            for (j, (&c, &slack)) in s.selected.iter().zip(&s.sub_slack).enumerate() {
+                // Leave the slot table all `u32::MAX` for the next outcome.
+                s.class_slot[2 * c + usize::from(slack)] = u32::MAX;
                 rescale_collapsed(
                     &mut dst_re[j * dim..(j + 1) * dim],
                     &mut dst_im[j * dim..(j + 1) * dim],
-                    d,
+                    s.probs[c * outcomes + outcome],
+                    s.totals[c],
+                    slack,
                 );
             }
-            let mut sub_history = self.scratch.take_history();
+            let mut sub_history = s.take_history();
             sub_history.extend_from_slice(&history);
-            sub_history.push(m);
-            let pending = self.scratch.take_pending(n);
+            sub_history.push(outcome);
+            let pending = s.take_pending(n);
             forks.push((
-                m,
+                outcome,
                 Group {
-                    states: BatchedStates::from_raw(selected.len(), n, dst_re, dst_im),
+                    states: BatchedStates::from_raw(s.selected.len(), n, dst_re, dst_im),
                     outcomes: sub_history,
                     members: sub_members,
                     pending,
                 },
             ));
         }
-        self.scratch.selected = selected;
+        s.buckets = buckets;
         members.clear();
-        self.scratch.reclaim_sampled(Group { states, outcomes: history, members, pending });
+        s.reclaim_sampled(Group { states, outcomes: history, members, pending });
         Ok(())
     }
 }
@@ -2546,6 +2586,7 @@ impl<'a> AdjointSweep<'a> {
 mod tests {
     use super::*;
     use crate::observable::Observable;
+    use crate::test_support::{crafted_rows, draws};
 
     fn rotation_y(theta: f64) -> Matrix {
         Matrix::rotation_from_involution(&Matrix::pauli_y(), theta)
@@ -3085,6 +3126,77 @@ mod tests {
     fn mass_budget_rejects_out_of_range_epsilon() {
         let err = ShotEngine::new(TrajProgram::new()).with_mass_budget(1.0).unwrap_err();
         assert!(err.to_string().contains("mass budget must be in [0, 1)"), "{err}");
+    }
+
+    /// The early-exit selection walk the sampled fork ran before it
+    /// became branch-free: the oracle [`select_branch`] is pinned to.
+    fn early_exit_select(u: f64, total: f64, probs: &[f64]) -> (usize, bool) {
+        let mut r: f64 = u * total;
+        for (outcome, &p) in probs.iter().enumerate() {
+            r -= p;
+            if r <= 0.0 {
+                return (outcome, false);
+            }
+        }
+        let outcome = (0..probs.len())
+            .rev()
+            .find(|&m| probs[m] > 0.0)
+            .expect("no branch has support");
+        (outcome, true)
+    }
+
+    #[test]
+    fn branch_free_selection_matches_the_early_exit_walk() {
+        for (total, probs) in crafted_rows() {
+            for u in draws(total, &probs) {
+                assert_eq!(
+                    select_branch(u, total, &probs),
+                    early_exit_select(u, total, &probs),
+                    "u {u} total {total} probs {probs:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no branch has support")]
+    fn branch_free_selection_of_a_nan_row_panics() {
+        select_branch(0.5, f64::NAN, &[f64::NAN, f64::NAN]);
+    }
+
+    #[test]
+    fn regroup_keeps_shot_order_and_first_member_numbering() {
+        // 2048 shots of three inputs through a two-qubit measurement: every
+        // leaf lists its shots in ascending order, and its classes are
+        // numbered by first member.
+        let mut p = TrajProgram::new();
+        p.push_gate(Matrix::hadamard(), vec![0]);
+        p.push_gate(Matrix::hadamard(), vec![1]);
+        p.push_case(
+            Measurement::computational(vec![0, 1]),
+            (0..4).map(|_| TrajProgram::new()).collect(),
+        );
+        let engine = ShotEngine::new(p);
+        let inputs = inputs(3);
+        let counts = [1000, 24, 1024];
+        let mut samplers: Vec<ShotSampler> = (0..2048).map(|s| ShotSampler::derived(8, s)).collect();
+        let (finished, aborted, _) = engine
+            .sampled_sweep(BatchedStates::from_states(&inputs), &counts, &mut samplers, false)
+            .unwrap();
+        assert!(aborted.is_empty());
+        assert_eq!(finished.len(), 4);
+        let mut seen = 0;
+        for group in &finished {
+            assert!(group.members.windows(2).all(|w| w[0].shot < w[1].shot));
+            let mut next_class = 0;
+            for m in &group.members {
+                assert!(m.class() <= next_class, "class {} before {next_class}", m.class());
+                next_class = next_class.max(m.class() + 1);
+            }
+            assert_eq!(next_class, group.states.len());
+            seen += group.members.len();
+        }
+        assert_eq!(seen, 2048);
     }
 
     #[test]

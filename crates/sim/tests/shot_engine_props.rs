@@ -10,7 +10,10 @@
 //! aborts, so the regrouping recursion is exercised at every depth. Shots
 //! come in three layouts: distinct inputs of one shot each, one input for
 //! every shot (a shot block), and runs of shots that follow the inputs
-//! `[a, b, a, a, c, b]`, repeated.
+//! `[a, b, a, a, c, b]`, repeated. At scale, classes of more than a
+//! thousand shots fork at two- and three-qubit measurements (4 and 8
+//! outcomes), some of probability zero, through nested `case`s whose arms
+//! abort.
 
 use qdp_linalg::{C64, Matrix};
 use qdp_sim::{
@@ -234,3 +237,120 @@ fn regrouping_is_insensitive_to_row_order() {
         }
     }
 }
+
+/// `psi` with every amplitude whose `qubit` reads 1 set to zero and the
+/// rest renormalised: every measurement outcome with that qubit at 1 has
+/// probability exactly zero.
+fn pin_to_zero(psi: &StateVector, qubit: usize) -> StateVector {
+    let n = psi.num_qubits();
+    let mask = 1usize << (n - 1 - qubit);
+    let mut amps = psi.amplitudes().to_vec();
+    for (i, a) in amps.iter_mut().enumerate() {
+        if i & mask != 0 {
+            *a = C64::ZERO;
+        }
+    }
+    let norm: f64 = amps.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt();
+    for a in &mut amps {
+        *a *= C64::real(1.0 / norm);
+    }
+    StateVector::from_amplitudes(n, amps)
+}
+
+/// A 4-qubit program forking at a two-qubit measurement (4 outcomes) into
+/// arms that nest a three-qubit measurement (8 outcomes) with aborting
+/// arms, abort outright, or measure again after a gate.
+fn scale_program(rng: &mut StdRng) -> TrajProgram {
+    let mut inner: Vec<TrajProgram> = (0..8)
+        .map(|k| {
+            let mut arm = TrajProgram::new();
+            arm.push_gate(random_1q_gate(rng), vec![k % 4]);
+            if k % 3 == 2 {
+                arm.push_abort();
+            }
+            arm
+        })
+        .collect();
+    inner[0].push_init(1);
+    let mut arms: Vec<TrajProgram> = (0..4).map(|_| TrajProgram::new()).collect();
+    arms[0].push_gate(Matrix::cnot(), vec![2, 0]);
+    arms[0].push_case(Measurement::computational(vec![0, 2, 3]), inner);
+    arms[1].push_abort();
+    arms[2].push_gate(random_1q_gate(rng), vec![2]);
+    arms[2].push_case(
+        Measurement::computational(vec![2]),
+        vec![TrajProgram::new(), random_program(rng, 4, 3, 0)],
+    );
+    let mut p = TrajProgram::new();
+    p.push_gate(random_1q_gate(rng), vec![0]);
+    p.push_gate(Matrix::cnot(), vec![0, 1]);
+    p.push_case(Measurement::computational(vec![1, 3]), arms);
+    p.push_gate(random_1q_gate(rng), vec![3]);
+    p
+}
+
+#[test]
+fn regrouped_classes_at_scale_match_per_row_fallback() {
+    // Two classes of more than a thousand shots — one with its last qubit
+    // pinned to |0⟩, so half the outcomes of every measurement reading it
+    // have probability zero — and a class of one shot, through wide and
+    // nested forks. Every shot's trajectory and read-out must be the one it
+    // draws alone on its stream.
+    let mut rng = StdRng::seed_from_u64(0x5ca1e);
+    let n = 4;
+    for trial in 0..2 {
+        let engine = ShotEngine::new(scale_program(&mut rng));
+        let rows = [
+            random_state(&mut rng, n),
+            pin_to_zero(&random_state(&mut rng, n), 3),
+            random_state(&mut rng, n),
+        ];
+        let counts = [1024, 1100, 1];
+        let shots: usize = counts.iter().sum();
+        let readout = ProjectiveObservable::new(&Observable::pauli_z(n, 2));
+        let seed = 0x5EED + trial;
+        let streams = || -> Vec<ShotSampler> {
+            (0..shots).map(|s| ShotSampler::derived(seed, s as u64)).collect()
+        };
+        let grouped = engine
+            .run(BatchedStates::from_states(&rows), &counts, &mut streams())
+            .unwrap();
+        let samples = engine
+            .sample_sweep(BatchedStates::from_states(&rows), &counts, &mut streams(), &readout)
+            .unwrap();
+        let mut outcome_counts = [0usize; 4];
+        let mut aborted = 0;
+        for (r, &input) in shot_inputs(&rows, &counts).iter().enumerate() {
+            let solo_stream = || vec![ShotSampler::derived(seed, r as u64)];
+            let solo_input = || BatchedStates::from_states(std::slice::from_ref(input));
+            let solo = engine.run(solo_input(), &[1], &mut solo_stream()).unwrap().remove(0);
+            assert_eq!(solo.outcomes, grouped[r].outcomes, "trial {trial} shot {r}: outcomes");
+            outcome_counts[solo.outcomes[0]] += 1;
+            match (&solo.state, &grouped[r].state) {
+                (None, None) => aborted += 1,
+                (Some(a), Some(b)) => {
+                    for (k, (x, y)) in a.amplitudes().iter().zip(b.amplitudes()).enumerate() {
+                        assert!(
+                            x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                            "trial {trial} shot {r} amp {k}: solo {x:?} vs grouped {y:?}"
+                        );
+                    }
+                }
+                _ => panic!("trial {trial} shot {r}: abort status changed"),
+            }
+            let solo_sample = engine
+                .sample_sweep(solo_input(), &[1], &mut solo_stream(), &readout)
+                .unwrap()[0];
+            assert_eq!(
+                solo_sample.to_bits(),
+                samples[r].to_bits(),
+                "trial {trial} shot {r}: read-out sample"
+            );
+        }
+        // The forks were real: every first outcome occurred, and some shots
+        // aborted while others finished.
+        assert!(outcome_counts.iter().all(|&k| k > 0), "trial {trial}: {outcome_counts:?}");
+        assert!(aborted > 0 && aborted < shots, "trial {trial}: {aborted} aborted");
+    }
+}
+
