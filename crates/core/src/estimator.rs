@@ -11,10 +11,7 @@ use crate::exec::Differentiated;
 use qdp_lang::ast::{Params, Stmt};
 use qdp_lang::Register;
 use qdp_linalg::Matrix;
-use qdp_sim::{
-    BatchedStates, Measurement, Observable, ProjectiveObservable, ShotEngine, ShotSampler,
-    StateVector, SHOT_TILE,
-};
+use qdp_sim::{Measurement, Observable, ProjectiveObservable, ShotEngine, ShotSampler, StateVector};
 
 /// Runs one *sampled trajectory* of a normal program on a pure state:
 /// measurement outcomes are drawn from the Born rule and the state collapses
@@ -144,7 +141,7 @@ pub fn estimate_derivative(
 /// * the per-shot program indices are drawn **up front** from the master
 ///   stream `ShotSampler::seeded(seed)` (none when `m = 1`: every index
 ///   would be 0),
-/// * shots are split into fixed [`SHOT_TILE`]-sized tiles; within a tile,
+/// * shots are split into fixed [`qdp_sim::SHOT_TILE`]-sized tiles; within a tile,
 ///   the shots of each program run as one [`ShotEngine`] sweep with
 ///   branch-grouped batching over the input row and its shot count (see
 ///   [`PreparedDerivativeEstimator::estimate`]),
@@ -206,11 +203,6 @@ impl PreparedDerivativeEstimator {
         }
     }
 
-    /// The number of compiled programs `m` of the underlying multiset.
-    pub fn num_programs(&self) -> usize {
-        self.engines.len()
-    }
-
     /// One batched derivative estimate — identical bits to
     /// [`estimate_derivative_batched`] with the same arguments. It runs
     /// the per-program sweeps of
@@ -224,189 +216,11 @@ impl PreparedDerivativeEstimator {
     /// panicked through its bounded bit-identical retries.
     pub fn estimate(&self, psi: &StateVector, shots: usize, seed: u64) -> f64 {
         let ext_psi = [StateVector::zero_state(1).tensor(psi)];
-        estimate_batch(
-            &[&self.engines],
-            &self.readout,
-            &ext_psi,
-            shots,
-            &[vec![seed]],
-        )[0][0]
+        // Unmonitored engines: the only error is a tile's exhausted retries.
+        qdp_sim::estimate_batch(&[&self.engines], &self.readout, &ext_psi, shots, &[vec![seed]])
+            .unwrap_or_else(|e| panic!("{e}"))[0][0]
     }
 }
-
-/// Per input row, the sum of its samples in the shot tile `start..start +
-/// len` of the multiset `engines`: program by program, each program's
-/// shots in shot order — the order the per-shot estimator's tile sums
-/// take. One loop over the tile's shots, row by row, builds each shot's
-/// sampler and buckets it by program, and each program runs **one**
-/// sampled sweep over every row's shots of it; row `r`'s shots drew their
-/// programs into `draws[r]` and sample on the streams derived from
-/// `streams[r]`. A one-program multiset draws nothing: every shot runs
-/// program 0, so each row's samplers are built in one run.
-fn tile_sums(
-    engines: &[ShotEngine],
-    readout: &ProjectiveObservable,
-    ext_inputs: &[StateVector],
-    draws: &[Vec<u32>],
-    streams: &[u64],
-    (start, len): (usize, usize),
-) -> Vec<f64> {
-    // Per program: the rows that drew it, each row's shots of it, and one
-    // sampler per shot, row by row.
-    let m = engines.len();
-    let mut rows: Vec<Vec<usize>> = vec![Vec::new(); m];
-    let mut counts: Vec<Vec<usize>> = vec![Vec::new(); m];
-    let mut samplers: Vec<Vec<ShotSampler>> =
-        (0..m).map(|_| Vec::with_capacity(len * streams.len() / m)).collect();
-    for (r, &seed) in streams.iter().enumerate() {
-        if m == 1 {
-            rows[0].push(r);
-            counts[0].push(len);
-            samplers[0].extend((start..start + len).map(|s| ShotSampler::derived(seed, s as u64)));
-            continue;
-        }
-        for (s, &prog) in draws[r].iter().enumerate().skip(start).take(len) {
-            let prog = prog as usize;
-            match counts[prog].last_mut() {
-                Some(k) if rows[prog].last() == Some(&r) => *k += 1,
-                _ => {
-                    rows[prog].push(r);
-                    counts[prog].push(1);
-                }
-            }
-            samplers[prog].push(ShotSampler::derived(seed, s as u64));
-        }
-    }
-    let mut acc = vec![0.0; ext_inputs.len()];
-    for (((engine, rows), counts), samplers) in engines.iter().zip(&rows).zip(&counts).zip(&mut samplers) {
-        if rows.is_empty() {
-            continue;
-        }
-        let inputs: Vec<&StateVector> = rows.iter().map(|&r| &ext_inputs[r]).collect();
-        // Unmonitored engines: any error panics with its message, as the
-        // former infallible `sample_sweep` did.
-        let values = engine
-            .sample_sweep(BatchedStates::gather(&inputs), counts, samplers, readout)
-            .unwrap_or_else(|e| panic!("{e}"));
-        let mut rest = values.as_slice();
-        for (&r, &k) in rows.iter().zip(counts) {
-            let (row, tail) = rest.split_at(k);
-            acc[r] += row.iter().sum::<f64>();
-            rest = tail;
-        }
-    }
-    acc
-}
-
-/// Shot estimates of several prepared multisets on several inputs:
-/// `out[j][r]` is multiset `multisets[j]` (one [`ShotEngine`] per program)
-/// on `ext_inputs[r]` (the input with the ancilla already prepended) from
-/// `shots` trajectories on the seed `streams[j][r]`, each read out by
-/// `readout` (the decomposed `ZA ⊗ O`, shared by every multiset) — bit for
-/// bit what [`PreparedDerivativeEstimator::estimate`] returns on that
-/// input and seed.
-///
-/// Each row of a multiset with `m > 1` programs draws its shots' programs
-/// up front from the master stream `ShotSampler::seeded(streams[j][r])`;
-/// with `m = 1` every draw would be 0 and the master stream feeds nothing
-/// else, so nothing is drawn. Shots are cut into fixed [`SHOT_TILE`]-shot
-/// tiles, and each (multiset, tile) pair runs one sampled sweep per
-/// program over every row's shots of that program (see `tile_sums`), with
-/// shot `s` on the derived stream `ShotSampler::derived(streams[j][r], s)`.
-/// A row's estimate sums its tile sums in tile order. Rows share sweeps
-/// but no bits: every sample is a function of its row, program and stream
-/// only. The pairs run on the calling thread unless their work (rows ×
-/// amplitudes × program ops) pays for a fork, and then fan out across
-/// `qdp_par`. Pair `i` passes the fault-injection tile checkpoint `i`.
-///
-/// # Panics
-///
-/// Panics when `shots` is zero, and with the
-/// [`qdp_sim::QdpError::WorkerPanic`] message when a pair panicked
-/// through its bounded bit-identical retries.
-pub(crate) fn estimate_batch(
-    multisets: &[&[ShotEngine]],
-    readout: &ProjectiveObservable,
-    ext_inputs: &[StateVector],
-    shots: usize,
-    streams: &[Vec<u64>],
-) -> Vec<Vec<f64>> {
-    assert!(shots > 0, "need at least one shot");
-    let rows = ext_inputs.len();
-    // Per multiset and row, the program of every shot, drawn up front
-    // from the row's master stream.
-    let draws: Vec<Vec<Vec<u32>>> = multisets
-        .iter()
-        .zip(streams)
-        .map(|(engines, row_streams)| {
-            let m = engines.len();
-            row_streams
-                .iter()
-                .map(|&seed| match m {
-                    0 | 1 => Vec::new(),
-                    _ => {
-                        let mut master = ShotSampler::seeded(seed);
-                        (0..shots).map(|_| master.uniform_index(m) as u32).collect()
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    let tiles: Vec<(usize, usize)> = (0..shots)
-        .step_by(SHOT_TILE)
-        .map(|start| (start, SHOT_TILE.min(shots - start)))
-        .collect();
-    let items: Vec<(usize, usize, (usize, usize))> = (0..multisets.len())
-        .filter(|&j| !multisets[j].is_empty())
-        .flat_map(|j| tiles.iter().map(move |&tile| (j, tile)))
-        .enumerate()
-        .map(|(i, (j, tile))| (i, j, tile))
-        .collect();
-    let dim = ext_inputs.first().map_or(0, StateVector::dim);
-    let op_count =
-        |engines: &[ShotEngine]| -> usize { engines.iter().map(|e| e.program().op_count()).sum() };
-    let work = items
-        .iter()
-        .map(|&(_, j, _)| rows * dim * op_count(multisets[j]))
-        .sum();
-    let sums = qdp_par::try_par_map_retry_work(
-        work,
-        &items,
-        |&(i, j, tile)| {
-            qdp_sim::fault::tile_checkpoint(i);
-            tile_sums(
-                multisets[j],
-                readout,
-                ext_inputs,
-                &draws[j],
-                &streams[j],
-                tile,
-            )
-        },
-        TILE_RETRIES,
-    )
-    .unwrap_or_else(|e| panic!("{}", qdp_sim::QdpError::from(e)));
-    let mut sums = sums.chunks(tiles.len());
-    multisets
-        .iter()
-        .map(|engines| {
-            let m = engines.len();
-            if m == 0 {
-                return vec![0.0; rows];
-            }
-            let per_tile = sums.next().unwrap_or_default();
-            (0..rows)
-                .map(|r| m as f64 * per_tile.iter().map(|t| t[r]).sum::<f64>() / shots as f64)
-                .collect()
-        })
-        .collect()
-}
-
-/// Bounded retry budget for panicked worker tiles: tiles are pure per
-/// call (fresh batch, fresh derived streams), so a retry is bit-identical
-/// to a first-try success, and two retries heal any transient fault the
-/// fault-injection suite models.
-const TILE_RETRIES: usize = 2;
 
 /// The shot budget the Chernoff analysis prescribes for precision `delta`
 /// given `m` compiled programs — the single workspace definition lives in

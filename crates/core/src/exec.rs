@@ -33,14 +33,9 @@ use crate::semantics::observable_semantics;
 use crate::transform::{derivative_programs, fresh_ancilla, TransformError};
 use qdp_lang::ast::{Params, Stmt, Var};
 use qdp_lang::Register;
-use qdp_sim::{BatchedStates, DensityMatrix, Observable, StateVector};
+use qdp_sim::{BatchedStates, DensityMatrix, Observable, StateVector, TILE_RETRIES};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
-
-/// Bounded retry budget for panicked worker tiles in this module's
-/// parallel fan-outs. Every fanned-out closure here is pure per call, so
-/// a retry is bit-identical to a first-try success.
-const TILE_RETRIES: usize = 2;
 
 /// The compile-time artifact of differentiating one program with respect to
 /// one parameter.
@@ -458,8 +453,8 @@ impl GradientEngine {
     }
 
     /// The forward program as an interned one-element skeleton — what the
-    /// shift-rule gradient and the shot values run. For a normal program
-    /// it is also the skeleton exact values and gradients sweep.
+    /// shift-rule gradient runs. For a normal program it is also the
+    /// skeleton exact values, gradients and shot values sweep.
     /// Compiled once per process via the shared [`ProgramCache`]; as with
     /// [`Differentiated::skeleton`], a warm call matches the entry by
     /// pointer under a memoised key.
@@ -557,12 +552,10 @@ impl GradientEngine {
     /// run would report: `shots` sampled trajectories of the program from
     /// `psi`, one projective read-out each, averaged.
     ///
-    /// Runs on the lowered forward program through the batched
-    /// [`qdp_sim::ShotEngine`] (tiled across `qdp_par`, shot `s` on the
-    /// derived stream `(seed, s)`), so the estimate is bit-for-bit
-    /// deterministic for a fixed seed under any thread count. A program
-    /// with `+` is estimated on its compiled multiset (see
-    /// [`value_pure_shots_batch`](Self::value_pure_shots_batch)).
+    /// Row 0 of [`value_pure_shots_batch`](Self::value_pure_shots_batch):
+    /// shot `s` runs on the derived stream `(seed, s)`, so the estimate is
+    /// bit-for-bit deterministic for a fixed seed under any thread count.
+    /// A program with `+` is estimated on its compiled multiset.
     ///
     /// # Panics
     ///
@@ -580,20 +573,21 @@ impl GradientEngine {
     }
 
     /// [`value_pure_shots`](Self::value_pure_shots) for many inputs at
-    /// once: the forward program is resolved and the read-out decomposed
-    /// **once**, then each shot tile runs as one sampled sweep over every
-    /// row's shots (row `r` on stream `row_seeds[r]`; see
-    /// [`qdp_sim::ShotEngine::estimate_expectation_batch`]). Entry `r`
-    /// is bit-identical to the single-input call with the same seed, under
-    /// any thread count.
+    /// once: the adjoint multiset's programs are bound to the valuation
+    /// and the read-out `O` decomposed **once**, then
+    /// [`qdp_sim::estimate_batch`] runs each shot tile as one sampled
+    /// sweep per program over every row's shots (row `r` on stream
+    /// `row_seeds[r]`). Entry `r` is bit-identical to the single-input
+    /// call with the same seed, under any thread count.
     ///
-    /// A program with `+` has no lowering of its own: its value is the sum
-    /// over its compiled multiset (Proposition 3.1), so it is estimated as
-    /// `m` times the mean of shots that each run one of the multiset's `m`
-    /// programs, drawn uniformly from the row's master stream
-    /// `ShotSampler::seeded(row_seeds[r])` and read out with `O` — the
-    /// sampled sweeps derivative multisets run, on the unextended
-    /// register.
+    /// That multiset is the forward program's own interned entry when the
+    /// program is normal, so every shot runs it and nothing is drawn. A
+    /// program with `+` has no lowering of its own: its value is the sum
+    /// over its compiled multiset (Proposition 3.1), estimated as `m`
+    /// times the mean of shots that each run one of the `m` programs,
+    /// drawn uniformly from the row's master stream
+    /// `ShotSampler::seeded(row_seeds[r])` — the sampled sweeps derivative
+    /// multisets run, on the unextended register.
     ///
     /// # Panics
     ///
@@ -615,33 +609,23 @@ impl GradientEngine {
             row_seeds.len(),
             "one seed stream per input row"
         );
-        if !self.program().is_normal() {
-            let skeleton = self.adjoint_skeleton();
-            let lowered = skeleton.lowered();
-            let engines: Vec<qdp_sim::ShotEngine> =
-                lowered.shot_engines(&lowered.slot_values(params)).collect();
-            return crate::estimator::estimate_batch(
-                &[&engines],
-                &qdp_sim::ProjectiveObservable::new(obs),
-                inputs,
-                shots,
-                &[row_seeds.to_vec()],
-            )
-            .remove(0);
-        }
-        let fwd = self.forward_skeleton();
-        let lowered = fwd.lowered();
-        // The bound program carries the identical bits a fresh
+        let skeleton = self.adjoint_skeleton();
+        let lowered = skeleton.lowered();
+        // The bound programs carry the identical bits a fresh
         // resolve-and-convert would: shot streams stay bit-stable across
         // cold and warm cache states.
-        let mut engines = lowered.shot_engines(&lowered.slot_values(params));
-        // Infallible: the forward skeleton lowers one program.
-        #[allow(clippy::expect_used)]
-        let engine = engines.next().expect("one forward program");
-        let readout = qdp_sim::ProjectiveObservable::new(obs);
-        engine
-            .estimate_expectation_batch(inputs, &readout, shots, row_seeds)
-            .unwrap_or_else(|e| panic!("{e}"))
+        let engines: Vec<qdp_sim::ShotEngine> =
+            lowered.shot_engines(&lowered.slot_values(params)).collect();
+        // Unmonitored engines: the only error is a tile's exhausted retries.
+        qdp_sim::estimate_batch(
+            &[&engines],
+            &qdp_sim::ProjectiveObservable::new(obs),
+            inputs,
+            shots,
+            &[row_seeds.to_vec()],
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
+        .remove(0)
     }
 
     /// Shot-based estimate of the full gradient on a pure input: each
@@ -761,13 +745,9 @@ impl GradientEngine {
         let streams: Vec<Vec<u64>> = (0..multisets.len() as u64)
             .map(|j| row_seeds.iter().map(|&seed| qdp_sim::derive_seed(seed, j)).collect())
             .collect();
-        let per_param = crate::estimator::estimate_batch(
-            &multisets,
-            &readout,
-            &ext_inputs,
-            shots_per_param,
-            &streams,
-        );
+        let per_param =
+            qdp_sim::estimate_batch(&multisets, &readout, &ext_inputs, shots_per_param, &streams)
+                .unwrap_or_else(|e| panic!("{e}"));
         (0..inputs.len())
             .map(|r| {
                 self.diffs

@@ -59,7 +59,8 @@ pub use cache::{CacheCounters, CacheStats, CompiledSkeleton, ProgramCache};
 pub use exec::{differentiate, DenseEvaluation, Differentiated, GradientEngine};
 pub use lowered::{lower_invocations, LoweredProgram, LoweredSet, ResolvedProgram};
 pub use service::{
-    GradientService, OverloadPolicy, ProgramHandle, RequestOptions, ServiceConfig,
+    GradientService, OverloadPolicy, ProgramHandle, Request, RequestOptions, Response,
+    ServiceConfig,
 };
 pub use logic::{check, derive, Derivation, Judgement, Rule};
 pub use resource::{analyze, gradient_shot_budget, occurrence_count, ResourceReport};

@@ -51,8 +51,8 @@
 //!
 //! # Robustness contract
 //!
-//! * **Deadlines** ([`RequestOptions::deadline`], the fallible `*_with`
-//!   submit paths): the deadline bounds the *queue wait*. A request still
+//! * **Deadlines** ([`RequestOptions::deadline`]): the deadline bounds
+//!   the *queue wait*. A request still
 //!   queued when its deadline passes removes exactly its own entry and
 //!   returns [`qdp_sim::QdpError::DeadlineExceeded`]; followers and the
 //!   admitted-carryover gate are untouched. A request already drained
@@ -82,10 +82,21 @@
 //!   [`qdp_sim::QdpError::ServicePanic`] errors, leadership resets, and
 //!   the tenant keeps serving fresh requests.
 //!
-//! The legacy infallible entry points ([`expectation`](GradientService::expectation)
-//! etc.) delegate to the fallible ones with default options and panic on
-//! the **caller's** thread with the typed message — same surface as
-//! before, still hang-free.
+//! # One entry
+//!
+//! Every request kind enters through [`GradientService::submit`]: a
+//! [`Request`] on one input state, answered by a [`Response`] or a typed
+//! [`qdp_sim::QdpError`]. `submit` validates the request on the
+//! **caller's** thread before enqueueing (parameters, input width, shot
+//! counts, shift-rule eligibility), so a malformed request panics there
+//! and never fails a coalesced group. The per-kind calls
+//! ([`expectation`](GradientService::expectation),
+//! [`expectation_with`](GradientService::expectation_with),
+//! [`gradient_with`](GradientService::gradient_with),
+//! [`gradient_shift_with`](GradientService::gradient_shift_with),
+//! [`gradient_shots_with`](GradientService::gradient_shots_with)) are thin
+//! wrappers over it that unpack the response; `expectation` panics with
+//! the typed error's message on the caller's thread.
 
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -99,37 +110,90 @@ use qdp_sim::{BatchedStates, Observable, QdpError, StateVector};
 use crate::exec::GradientEngine;
 use crate::transform::TransformError;
 
-/// What one request asks for. Seeds live here (not in the compatibility
-/// key) so clients with distinct seeds still coalesce.
+/// What one request to [`GradientService::submit`] asks for. Seeds live
+/// here (not in the compatibility key) so clients with distinct seeds
+/// still coalesce.
 #[derive(Clone, Debug)]
-enum Request {
-    /// Exact forward value `⟨O⟩`.
-    Value { params: Params, obs: Observable },
-    /// Exact gradient via the per-parameter gadget multisets.
-    Gradient { params: Params, obs: Observable },
-    /// Exact gradient via the `±π/2` shift rule on the forward skeleton.
-    ShiftGradient { params: Params, obs: Observable },
-    /// Shot-sampled forward value on the client's seed stream.
-    ValueShots {
+pub enum Request {
+    /// Exact forward value `⟨O⟩`
+    /// ([`GradientEngine::value_pure_batch`]), answered by
+    /// [`Response::Value`].
+    Value {
+        /// The valuation; every parameter of the program needs a value.
         params: Params,
+        /// The observable `O`.
         obs: Observable,
+    },
+    /// Exact gradient ([`GradientEngine::gradient_pure_batch`]), answered
+    /// by [`Response::Gradient`].
+    Gradient {
+        /// The valuation; every parameter of the program needs a value.
+        params: Params,
+        /// The observable `O`.
+        obs: Observable,
+    },
+    /// Exact gradient via the `±π/2` shift rule on the forward skeleton
+    /// ([`GradientEngine::gradient_pure_shift_batch`]), answered by
+    /// [`Response::Gradient`]. The program must be shift-rule eligible.
+    ShiftGradient {
+        /// The valuation; every parameter of the program needs a value.
+        params: Params,
+        /// The observable `O`.
+        obs: Observable,
+    },
+    /// Shot-sampled forward value on the client's seed stream —
+    /// bit-identical to [`GradientEngine::value_pure_shots`] with the same
+    /// seed, whichever clients it coalesced with. Answered by
+    /// [`Response::Value`].
+    ValueShots {
+        /// The valuation; every parameter of the program needs a value.
+        params: Params,
+        /// The observable `O`.
+        obs: Observable,
+        /// Trajectories to sample; at least one.
         shots: usize,
+        /// The client's seed stream.
         seed: u64,
     },
-    /// Shot-sampled gradient on the client's seed stream.
+    /// Shot-sampled gradient on the client's seed stream — bit-identical
+    /// to [`GradientEngine::gradient_pure_shots`] with the same seed,
+    /// whichever clients it coalesced with. Answered by
+    /// [`Response::Gradient`].
     GradientShots {
+        /// The valuation; every parameter of the program needs a value.
         params: Params,
+        /// The observable `O`.
         obs: Observable,
+        /// Trajectories to sample per parameter; at least one.
         shots_per_param: usize,
+        /// The client's seed stream.
         seed: u64,
     },
 }
 
-/// The result of one request.
+/// The answer to one [`Request`].
 #[derive(Clone, Debug)]
-enum Output {
+pub enum Response {
+    /// A value kind's `⟨O⟩`.
     Value(f64),
+    /// A gradient kind's derivatives, keyed by parameter name.
     Gradient(BTreeMap<String, f64>),
+}
+
+/// The answer to a value kind.
+fn value(out: Response) -> f64 {
+    match out {
+        Response::Value(v) => v,
+        Response::Gradient(_) => unreachable!("value requests produce scalar outputs"),
+    }
+}
+
+/// The answer to a gradient kind.
+fn gradient(out: Response) -> BTreeMap<String, f64> {
+    match out {
+        Response::Gradient(g) => g,
+        Response::Value(_) => unreachable!("gradient requests produce map outputs"),
+    }
 }
 
 /// Whether two requests may share one batched sweep: same kind, same
@@ -180,7 +244,7 @@ fn compatible(a: &Request, b: &Request) -> bool {
     }
 }
 
-/// Per-request submission options for the fallible `*_with` entry points.
+/// Per-request submission options of [`GradientService::submit`].
 #[derive(Clone, Debug)]
 pub struct RequestOptions {
     /// Maximum time the request may spend **queued** before it is
@@ -278,7 +342,7 @@ struct Pending {
 #[derive(Debug, Default)]
 struct TenantState {
     pending: Vec<Pending>,
-    results: HashMap<u64, Result<Output, QdpError>>,
+    results: HashMap<u64, Result<Response, QdpError>>,
     /// Whether a leader is currently running a sweep.
     leader: bool,
     next_ticket: u64,
@@ -561,10 +625,10 @@ impl GradientService {
     ///
     /// # Panics
     ///
-    /// Panics when a used parameter has no value, the input width does
-    /// not match the program register, or the request fails (overload
-    /// shedding under a bounded config, sweep failure past the retry
-    /// budget) — the panic carries the typed error's message. Use
+    /// Panics on the malformed requests [`submit`](Self::submit) rejects,
+    /// and when the request fails (overload shedding under a bounded
+    /// config, sweep failure past the retry budget) — the panic carries
+    /// the typed error's message. Use
     /// [`expectation_with`](Self::expectation_with) to handle failures.
     pub fn expectation(
         &self,
@@ -577,20 +641,8 @@ impl GradientService {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`expectation`](Self::expectation) with per-request
-    /// options.
-    ///
-    /// # Errors
-    ///
-    /// [`QdpError::Overloaded`] when shed at submission,
-    /// [`QdpError::DeadlineExceeded`] when the queue wait outlived
-    /// `opts.deadline`, [`QdpError::ServicePanic`] when the serving sweep
-    /// failed past the retry budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed requests (missing parameter, width mismatch) —
-    /// validated on the caller's thread before enqueueing.
+    /// [`submit`](Self::submit) of a [`Request::Value`], with its errors
+    /// and panics.
     pub fn expectation_with(
         &self,
         handle: &ProgramHandle,
@@ -599,42 +651,12 @@ impl GradientService {
         psi: &StateVector,
         opts: &RequestOptions,
     ) -> Result<f64, QdpError> {
-        self.validate(handle, params, psi);
-        match self.try_submit(handle, psi.clone(), Request::Value {
-            params: params.clone(),
-            obs: obs.clone(),
-        }, opts)? {
-            Output::Value(v) => Ok(v),
-            Output::Gradient(_) => unreachable!("value requests produce scalar outputs"),
-        }
+        let request = Request::Value { params: params.clone(), obs: obs.clone() };
+        self.submit(handle, psi, request, opts).map(value)
     }
 
-    /// Exact gradient via the gadget multisets, keyed by parameter name.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`expectation`](Self::expectation).
-    pub fn gradient(
-        &self,
-        handle: &ProgramHandle,
-        params: &Params,
-        obs: &Observable,
-        psi: &StateVector,
-    ) -> BTreeMap<String, f64> {
-        self.gradient_with(handle, params, obs, psi, &RequestOptions::default())
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`gradient`](Self::gradient) with per-request options —
-    /// same error surface as [`expectation_with`](Self::expectation_with).
-    ///
-    /// # Errors
-    ///
-    /// See [`expectation_with`](Self::expectation_with).
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed requests, validated on the caller's thread.
+    /// [`submit`](Self::submit) of a [`Request::Gradient`], with its errors
+    /// and panics.
     pub fn gradient_with(
         &self,
         handle: &ProgramHandle,
@@ -643,46 +665,12 @@ impl GradientService {
         psi: &StateVector,
         opts: &RequestOptions,
     ) -> Result<BTreeMap<String, f64>, QdpError> {
-        self.validate(handle, params, psi);
-        match self.try_submit(handle, psi.clone(), Request::Gradient {
-            params: params.clone(),
-            obs: obs.clone(),
-        }, opts)? {
-            Output::Gradient(g) => Ok(g),
-            Output::Value(_) => unreachable!("gradient requests produce map outputs"),
-        }
+        let request = Request::Gradient { params: params.clone(), obs: obs.clone() };
+        self.submit(handle, psi, request, opts).map(gradient)
     }
 
-    /// Exact gradient via the `±π/2` shift rule on the single interned
-    /// forward skeleton (see
-    /// [`GradientEngine::gradient_pure_shift_batch`]).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`expectation`](Self::expectation), plus
-    /// shift-rule eligibility.
-    pub fn gradient_shift(
-        &self,
-        handle: &ProgramHandle,
-        params: &Params,
-        obs: &Observable,
-        psi: &StateVector,
-    ) -> BTreeMap<String, f64> {
-        self.gradient_shift_with(handle, params, obs, psi, &RequestOptions::default())
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`gradient_shift`](Self::gradient_shift) with per-request
-    /// options.
-    ///
-    /// # Errors
-    ///
-    /// See [`expectation_with`](Self::expectation_with).
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed requests or shift-ineligible programs,
-    /// validated on the caller's thread.
+    /// [`submit`](Self::submit) of a [`Request::ShiftGradient`], with its errors
+    /// and panics.
     pub fn gradient_shift_with(
         &self,
         handle: &ProgramHandle,
@@ -691,117 +679,12 @@ impl GradientService {
         psi: &StateVector,
         opts: &RequestOptions,
     ) -> Result<BTreeMap<String, f64>, QdpError> {
-        self.validate(handle, params, psi);
-        assert!(
-            handle.tenant.engine.shift_rule_eligible(),
-            "shift-rule gradient requires every parameter to occur exactly once \
-             per execution path"
-        );
-        match self.try_submit(handle, psi.clone(), Request::ShiftGradient {
-            params: params.clone(),
-            obs: obs.clone(),
-        }, opts)? {
-            Output::Gradient(g) => Ok(g),
-            Output::Value(_) => unreachable!("gradient requests produce map outputs"),
-        }
+        let request = Request::ShiftGradient { params: params.clone(), obs: obs.clone() };
+        self.submit(handle, psi, request, opts).map(gradient)
     }
 
-    /// Shot-sampled forward value on this client's own `seed` stream —
-    /// bit-identical to [`GradientEngine::value_pure_shots`] with the same
-    /// seed, no matter which clients it coalesced with.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`expectation`](Self::expectation), plus
-    /// `shots > 0`.
-    pub fn expectation_shots(
-        &self,
-        handle: &ProgramHandle,
-        params: &Params,
-        obs: &Observable,
-        psi: &StateVector,
-        shots: usize,
-        seed: u64,
-    ) -> f64 {
-        self.expectation_shots_with(handle, params, obs, psi, shots, seed, &RequestOptions::default())
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`expectation_shots`](Self::expectation_shots) with
-    /// per-request options.
-    ///
-    /// # Errors
-    ///
-    /// See [`expectation_with`](Self::expectation_with).
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed requests (incl. `shots == 0`), validated on
-    /// the caller's thread.
-    #[allow(clippy::too_many_arguments)]
-    pub fn expectation_shots_with(
-        &self,
-        handle: &ProgramHandle,
-        params: &Params,
-        obs: &Observable,
-        psi: &StateVector,
-        shots: usize,
-        seed: u64,
-        opts: &RequestOptions,
-    ) -> Result<f64, QdpError> {
-        self.validate(handle, params, psi);
-        assert!(shots > 0, "need at least one shot");
-        match self.try_submit(handle, psi.clone(), Request::ValueShots {
-            params: params.clone(),
-            obs: obs.clone(),
-            shots,
-            seed,
-        }, opts)? {
-            Output::Value(v) => Ok(v),
-            Output::Gradient(_) => unreachable!("value requests produce scalar outputs"),
-        }
-    }
-
-    /// Shot-sampled gradient on this client's own `seed` stream —
-    /// bit-identical to [`GradientEngine::gradient_pure_shots`] with the
-    /// same seed, no matter which clients it coalesced with.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`expectation`](Self::expectation), plus
-    /// `shots_per_param > 0`.
-    pub fn gradient_shots(
-        &self,
-        handle: &ProgramHandle,
-        params: &Params,
-        obs: &Observable,
-        psi: &StateVector,
-        shots_per_param: usize,
-        seed: u64,
-    ) -> BTreeMap<String, f64> {
-        self.gradient_shots_with(
-            handle,
-            params,
-            obs,
-            psi,
-            shots_per_param,
-            seed,
-            &RequestOptions::default(),
-        )
-        .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`gradient_shots`](Self::gradient_shots) with per-request
-    /// options.
-    ///
-    /// # Errors
-    ///
-    /// See [`expectation_with`](Self::expectation_with).
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed requests (incl. `shots_per_param == 0`),
-    /// validated on the caller's thread.
+    /// [`submit`](Self::submit) of a [`Request::GradientShots`], with its errors
+    /// and panics.
     #[allow(clippy::too_many_arguments)]
     pub fn gradient_shots_with(
         &self,
@@ -813,47 +696,80 @@ impl GradientService {
         seed: u64,
         opts: &RequestOptions,
     ) -> Result<BTreeMap<String, f64>, QdpError> {
-        self.validate(handle, params, psi);
-        assert!(shots_per_param > 0, "need at least one shot per parameter");
-        match self.try_submit(handle, psi.clone(), Request::GradientShots {
+        let request = Request::GradientShots {
             params: params.clone(),
             obs: obs.clone(),
             shots_per_param,
             seed,
-        }, opts)? {
-            Output::Gradient(g) => Ok(g),
-            Output::Value(_) => unreachable!("gradient requests produce map outputs"),
-        }
+        };
+        self.submit(handle, psi, request, opts).map(gradient)
     }
 
     /// Fail fast on the caller's thread, before enqueueing: a request that
     /// would panic mid-sweep would fail its whole coalesced group.
-    fn validate(&self, handle: &ProgramHandle, params: &Params, psi: &StateVector) {
+    fn validate(&self, handle: &ProgramHandle, psi: &StateVector, request: &Request) {
         let engine = &handle.tenant.engine;
         assert_eq!(
             psi.num_qubits(),
             engine.register().len(),
             "input state width must match the program register"
         );
+        let (Request::Value { params, .. }
+        | Request::Gradient { params, .. }
+        | Request::ShiftGradient { params, .. }
+        | Request::ValueShots { params, .. }
+        | Request::GradientShots { params, .. }) = request;
         for name in engine.parameters() {
             assert!(
                 params.get(name).is_some(),
                 "parameter '{name}' has no value"
             );
         }
+        match request {
+            Request::ShiftGradient { .. } => assert!(
+                engine.shift_rule_eligible(),
+                "shift-rule gradient requires every parameter to occur exactly once \
+                 per execution path"
+            ),
+            Request::ValueShots { shots, .. } => assert!(*shots > 0, "need at least one shot"),
+            Request::GradientShots { shots_per_param, .. } => {
+                assert!(*shots_per_param > 0, "need at least one shot per parameter")
+            }
+            Request::Value { .. } | Request::Gradient { .. } => {}
+        }
     }
 
-    /// Enqueues one request (applying the overload policy first — with
-    /// [`OverloadPolicy::RejectNewest`] this never blocks for queue space)
-    /// and blocks until its result or typed failure is published, serving
-    /// as leader when elected (see the module docs).
-    fn try_submit(
+    /// Submits `request` on the input `psi` and blocks until a (possibly
+    /// shared) sweep serves it or it fails typed: the one entry of every
+    /// request kind. A value kind is answered by [`Response::Value`], a
+    /// gradient kind by [`Response::Gradient`].
+    ///
+    /// The request is validated on the caller's thread before it is
+    /// enqueued. Enqueueing applies the overload policy first — with
+    /// [`OverloadPolicy::RejectNewest`] it never blocks for queue space —
+    /// and the caller serves as leader when elected (see the module docs).
+    ///
+    /// # Errors
+    ///
+    /// [`QdpError::Overloaded`] when shed at submission,
+    /// [`QdpError::DeadlineExceeded`] when the queue wait outlived
+    /// `opts.deadline`, [`QdpError::ServicePanic`] when the serving sweep
+    /// failed past the retry budget.
+    ///
+    /// # Panics
+    ///
+    /// Panics on malformed requests: a parameter of the program without a
+    /// value, an input whose width does not match the program register,
+    /// zero shots, or a shift-rule gradient of a program that is not
+    /// shift-rule eligible.
+    pub fn submit(
         &self,
         handle: &ProgramHandle,
-        input: StateVector,
+        psi: &StateVector,
         request: Request,
         opts: &RequestOptions,
-    ) -> Result<Output, QdpError> {
+    ) -> Result<Response, QdpError> {
+        self.validate(handle, psi, &request);
         let tenant = &*handle.tenant;
         let deadline = opts.deadline.map(|d| (Instant::now() + d, duration_ms(d)));
         let mut st = tenant.lock_state();
@@ -890,7 +806,7 @@ impl GradientService {
         st.next_ticket += 1;
         st.pending.push(Pending {
             ticket,
-            input,
+            input: psi.clone(),
             request,
             admitted: false,
             attempts: 0,
@@ -936,7 +852,7 @@ impl GradientService {
                 // panic that escapes the sweep (worker-panic exhaustion)
                 // become a typed error to publish — never an unwind past
                 // the leader, never a stranded follower.
-                let outcome: Result<Vec<Output>, QdpError> =
+                let outcome: Result<Vec<Response>, QdpError> =
                     catch_unwind(AssertUnwindSafe(|| {
                         qdp_sim::fault::service_checkpoint();
                         run_group(&tenant.engine, &group)
@@ -1028,7 +944,7 @@ fn duration_ms(d: Duration) -> u64 {
 /// output per member, in group (submission) order. Worker-panic
 /// exhaustion panics out of the engine's batched entry point, and the
 /// leader's `catch_unwind` turns it into [`QdpError::ServicePanic`].
-fn run_group(engine: &GradientEngine, group: &[Pending]) -> Vec<Output> {
+fn run_group(engine: &GradientEngine, group: &[Pending]) -> Vec<Response> {
     let rows: Vec<&StateVector> = group.iter().map(|p| &p.input).collect();
     match &group[0].request {
         Request::Value { params, obs } => {
@@ -1036,7 +952,7 @@ fn run_group(engine: &GradientEngine, group: &[Pending]) -> Vec<Output> {
             engine
                 .value_pure_batch(params, obs, &batch)
                 .into_iter()
-                .map(Output::Value)
+                .map(Response::Value)
                 .collect()
         }
         Request::Gradient { params, obs } => {
@@ -1044,7 +960,7 @@ fn run_group(engine: &GradientEngine, group: &[Pending]) -> Vec<Output> {
             engine
                 .gradient_pure_batch(params, obs, &batch)
                 .into_iter()
-                .map(Output::Gradient)
+                .map(Response::Gradient)
                 .collect()
         }
         Request::ShiftGradient { params, obs } => {
@@ -1052,7 +968,7 @@ fn run_group(engine: &GradientEngine, group: &[Pending]) -> Vec<Output> {
             engine
                 .gradient_pure_shift_batch(params, obs, &batch)
                 .into_iter()
-                .map(Output::Gradient)
+                .map(Response::Gradient)
                 .collect()
         }
         Request::ValueShots {
@@ -1063,7 +979,7 @@ fn run_group(engine: &GradientEngine, group: &[Pending]) -> Vec<Output> {
             engine
                 .value_pure_shots_batch(params, obs, &inputs, *shots, &row_seeds)
                 .into_iter()
-                .map(Output::Value)
+                .map(Response::Value)
                 .collect()
         }
         Request::GradientShots {
@@ -1077,7 +993,7 @@ fn run_group(engine: &GradientEngine, group: &[Pending]) -> Vec<Output> {
             engine
                 .gradient_pure_shots_batch(params, obs, &inputs, *shots_per_param, &row_seeds)
                 .into_iter()
-                .map(Output::Gradient)
+                .map(Response::Gradient)
                 .collect()
         }
     }
@@ -1128,7 +1044,8 @@ mod tests {
         )[0];
         assert_eq!(v.to_bits(), direct_v.to_bits());
 
-        let g = service.gradient(&handle, &params, &obs, &psi);
+        let opts = RequestOptions::default();
+        let g = service.gradient_with(&handle, &params, &obs, &psi, &opts).unwrap();
         let direct_g = engine.gradient_pure_batch(
             &params,
             &obs,
@@ -1138,7 +1055,10 @@ mod tests {
             assert_eq!(val.to_bits(), direct_g[0][name].to_bits(), "∂/∂{name}");
         }
 
-        let gs = service.gradient_shift(&handle, &params, &obs, &psi);
+        let shift = Request::ShiftGradient { params: params.clone(), obs: obs.clone() };
+        let Ok(Response::Gradient(gs)) = service.submit(&handle, &psi, shift, &opts) else {
+            panic!("a shift-rule gradient answers a gradient");
+        };
         for (name, val) in &g {
             assert!((gs[name] - val).abs() < 1e-10, "shift ∂/∂{name}");
         }

@@ -26,7 +26,7 @@
 //! followed by [`qdp_lang::compile::compile`] is that pass's oracle; it also
 //! backs the logic of Fig. 5 ([`crate::logic`]) and `qdpc transform`.
 
-use qdp_lang::ast::{Angle, Gate, Stmt, Var};
+use qdp_lang::ast::{Gate, Stmt, Var};
 use qdp_lang::compile;
 use std::fmt;
 
@@ -377,32 +377,6 @@ fn rprime(controlled: Gate, ancilla: &Var, qs: &[Var]) -> Stmt {
         },
         Stmt::unitary(Gate::H, [ancilla.clone()]),
     ])
-}
-
-/// Convenience: returns the gadget statement `R′σ(θ)[A, q̄]` for tests and
-/// documentation (Definition 6.1).
-pub fn rprime_gadget(axis: qdp_linalg::Pauli, angle: Angle, ancilla: &Var, qs: &[Var]) -> Stmt {
-    match qs.len() {
-        1 => rprime(
-            Gate::CRot {
-                controls: 1,
-                axis,
-                angle,
-            },
-            ancilla,
-            qs,
-        ),
-        2 => rprime(
-            Gate::CCoupling {
-                controls: 1,
-                axis,
-                angle,
-            },
-            ancilla,
-            qs,
-        ),
-        n => panic!("R′ gadgets exist for 1- and 2-qubit rotations, got {n} operands"),
-    }
 }
 
 #[cfg(test)]

@@ -13,14 +13,41 @@
 //! in this binary serialize on one mutex (the same idiom as
 //! `qdp-sim/tests/layout_differential.rs`).
 
-use qdp_ad::GradientService;
+use qdp_ad::{GradientService, Request, RequestOptions, Response};
 use qdp_lang::ast::Params;
 use qdp_lang::parse_program;
 use qdp_sim::{BatchedStates, Observable, StateVector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Submits `request` with default options and unpacks a value answer.
+fn submit_value(
+    service: &GradientService,
+    handle: &qdp_ad::ProgramHandle,
+    psi: &StateVector,
+    request: Request,
+) -> f64 {
+    match service.submit(handle, psi, request, &RequestOptions::default()) {
+        Ok(Response::Value(v)) => v,
+        other => panic!("expected a value, got {other:?}"),
+    }
+}
+
+/// Submits `request` with default options and unpacks a gradient answer.
+fn submit_gradient(
+    service: &GradientService,
+    handle: &qdp_ad::ProgramHandle,
+    psi: &StateVector,
+    request: Request,
+) -> BTreeMap<String, f64> {
+    match service.submit(handle, psi, request, &RequestOptions::default()) {
+        Ok(Response::Gradient(g)) => g,
+        other => panic!("expected a gradient, got {other:?}"),
+    }
+}
 
 /// Serializes the thread-override tests in this binary.
 static THREAD_OVERRIDE: Mutex<()> = Mutex::new(());
@@ -86,7 +113,8 @@ fn coalesced_shot_values_are_bit_identical_to_solo_under_the_thread_matrix() {
                 let psi = inputs[i].clone();
                 let seed = seeds[i];
                 std::thread::spawn(move || {
-                    service.expectation_shots(&handle, &params, &obs, &psi, shots, seed)
+                    let request = Request::ValueShots { params, obs, shots, seed };
+                    submit_value(&service, &handle, &psi, request)
                 })
             })
             .collect();
@@ -141,7 +169,9 @@ fn coalesced_shot_gradients_are_bit_identical_to_solo_under_the_thread_matrix() 
                 let psi = inputs[i].clone();
                 let seed = seeds[i];
                 std::thread::spawn(move || {
-                    service.gradient_shots(&handle, &params, &obs, &psi, shots, seed)
+                    let request =
+                        Request::GradientShots { params, obs, shots_per_param: shots, seed };
+                    submit_gradient(&service, &handle, &psi, request)
                 })
             })
             .collect();
@@ -214,7 +244,8 @@ fn coalesced_exact_requests_match_batch_of_one_bitwise() {
                     let obs = obs.clone();
                     let psi = inputs[i].clone();
                     std::thread::spawn(move || {
-                        service.gradient_shift(&handle, &params, &obs, &psi)
+                        let request = Request::ShiftGradient { params, obs };
+                        submit_gradient(&service, &handle, &psi, request)
                     })
                 })
                 .collect();
@@ -406,7 +437,8 @@ fn mixed_tenants_serve_concurrently_without_cross_talk() {
                     let v = service.expectation(&h_a, &params_a, &obs1, &psi1);
                     assert_eq!(v.to_bits(), want_a.to_bits(), "tenant A client {i}");
                 } else {
-                    let g = service.gradient(&h_b, &params_b, &obs2, &psi2);
+                    let request = Request::Gradient { params: params_b, obs: obs2 };
+                    let g = submit_gradient(&service, &h_b, &psi2, request);
                     for (name, v) in &want_b {
                         assert_eq!(g[name].to_bits(), v.to_bits(), "tenant B client {i} ∂/∂{name}");
                     }

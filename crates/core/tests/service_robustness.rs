@@ -40,7 +40,7 @@ use qdp_ad::{
 use qdp_lang::ast::Params;
 use qdp_lang::{parse_program, Register};
 use qdp_sim::fault::{fired_count, inject, FaultSite};
-use qdp_sim::{BatchedStates, Observable, QdpError, StateVector};
+use qdp_sim::{BatchedStates, Observable, QdpError, StateVector, TILE_RETRIES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -388,9 +388,6 @@ fn submit_tiled(
 fn exhausted_tile_retries_fail_every_coalesced_client_typed_without_hanging() {
     let _guard = serialized();
     const N: usize = 3;
-    // The engine's bounded retries per tile: one panic more than they
-    // absorb exhausts the tile.
-    const TILE_RETRIES: usize = 2;
     let program = parse_program(SRC).unwrap();
     let (params, obs) = (fixed_params(), Observable::pauli_z(2, 1));
     let mut rng = StdRng::seed_from_u64(0x711E);

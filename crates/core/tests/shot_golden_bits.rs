@@ -3,7 +3,7 @@
 //! single bit fails here even when every self-consistency suite (batched
 //! vs serial, grouped vs solo, 1 vs 8 threads) still agrees with itself.
 //!
-//! * `ShotEngine::estimate_expectation_batch` on one input of a
+//! * `qdp_sim::estimate_batch` on one input of a one-program multiset, a
 //!   hand-built program with a reset, nested `case`s and an aborting arm,
 //!   and `ShotEngine::run` of that program on one input with 64 shots
 //!   (every outcome and every
@@ -94,11 +94,16 @@ fn one_row_estimate_expectation_bits() {
     psi.apply_gate(&Matrix::hadamard(), &[2]);
     // Three full tiles and a ragged one, so the tile fan-out is exercised.
     let shots = 3 * SHOT_TILE + 17;
-    assert_golden("one-row estimate_expectation_batch", 0xbfe2_dfb6_f348_1243, || {
-        engine
-            .estimate_expectation_batch(std::slice::from_ref(&psi), &readout, shots, &[0x601D])
-            .unwrap()[0]
-            .to_bits()
+    assert_golden("one-row estimate_batch", 0xbfe2_dfb6_f348_1243, || {
+        qdp_sim::estimate_batch(
+            &[std::slice::from_ref(&engine)],
+            &readout,
+            std::slice::from_ref(&psi),
+            shots,
+            &[vec![0x601D]],
+        )
+        .unwrap()[0][0]
+        .to_bits()
     });
 }
 

@@ -71,6 +71,7 @@ pub use sampling::{
     ShotSampler,
 };
 pub use shots::{
-    AdjointProgram, ParamGate, ShotEngine, TrajProgram, TrajectoryRow, BRANCH_PRUNE, SHOT_TILE,
+    estimate_batch, AdjointProgram, ParamGate, ShotEngine, TrajProgram, TrajectoryRow, BRANCH_PRUNE,
+    SHOT_TILE, TILE_RETRIES,
 };
 pub use state::StateVector;

@@ -115,7 +115,7 @@ use crate::state::StateVector;
 use qdp_linalg::{C64, Matrix};
 use std::sync::Arc;
 
-/// Shots per parallel tile of [`ShotEngine::estimate_expectation_batch`].
+/// Shots per parallel tile of [`estimate_batch`].
 ///
 /// Fixed (not derived from the thread count) so the tile partition — and
 /// with it every drawn value and every rounding order — is identical under
@@ -130,6 +130,13 @@ pub const SHOT_TILE: usize = 256;
 /// workers. Fixed for a predictable partition; per-row bits do not depend
 /// on it.
 pub const EXACT_TILE: usize = 8;
+
+/// Bounded retry budget for panicked worker tiles, shared by every
+/// `qdp_par` fan-out of the workspace: a tile is re-run up to this many
+/// extra times (bit-identically — tiles are pure functions of their
+/// inputs) before its failure surfaces as [`QdpError::WorkerPanic`]. Two
+/// retries heal any transient fault the fault-injection suite models.
+pub const TILE_RETRIES: usize = 2;
 
 /// Where a gate of a [`TrajProgram`] takes its matrix from.
 #[derive(Clone, Debug)]
@@ -744,12 +751,6 @@ pub struct ShotEngine {
     health: Option<HealthConfig>,
 }
 
-/// Bounded retry budget for panicked worker tiles on the fallible fan-out
-/// paths: a tile is re-run up to this many extra times (deterministically
-/// — tiles are pure functions of their input) before its failure surfaces
-/// as [`QdpError::WorkerPanic`].
-const TILE_RETRIES: usize = 2;
-
 impl ShotEngine {
     /// Wraps a trajectory program with no table gates for batched
     /// execution.
@@ -782,11 +783,10 @@ impl ShotEngine {
     ///
     /// Every entry point ([`run`](Self::run),
     /// [`sample_sweep`](Self::sample_sweep),
-    /// [`expectation_sweep`](Self::expectation_sweep),
-    /// [`estimate_expectation_batch`](Self::estimate_expectation_batch))
-    /// reports a failed check as a [`QdpError`]. Unmonitored engines (the
-    /// default) skip every check and stay bit-identical to the
-    /// pre-monitoring engine.
+    /// [`expectation_sweep`](Self::expectation_sweep)) and
+    /// [`estimate_batch`] over the engine report a failed check as a
+    /// [`QdpError`]. Unmonitored engines (the default) skip every check
+    /// and stay bit-identical to the pre-monitoring engine.
     pub fn with_health(mut self, cfg: HealthConfig) -> Self {
         self.health = Some(cfg);
         self
@@ -1057,75 +1057,6 @@ impl ShotEngine {
             }
         }
         Ok(out)
-    }
-
-    /// Shot estimates of `⟨readout⟩` on the program's output for every
-    /// input: entry `r` is the mean of `shots` read-out samples from
-    /// `inputs[r]` (0 for aborted trajectories), shot `s` of row `r` on the
-    /// derived stream `ShotSampler::derived(seeds[r], s)`.
-    ///
-    /// Shots are cut into fixed [`SHOT_TILE`]-shot tiles, and each tile is
-    /// **one** sampled sweep over every input's shots of that tile. Each
-    /// row sums its samples per tile, in shot order, then the tile sums in
-    /// tile order, so entry `r` carries the bits of a batch of one with
-    /// `seeds[r]`, under any thread count and beside any other inputs.
-    /// Tiles run on the calling thread unless their work (inputs ×
-    /// amplitudes × program ops, summed over tiles) pays for a fork
-    /// ([`qdp_par::fork_pays`]); then they fan out across `qdp_par`. Each
-    /// tile runs panic-isolated, a panicked tile is retried up to 2 extra
-    /// times (bit-identically: tiles are pure functions of their inputs,
-    /// seeds and shot range), and exhausted retries or health-check
-    /// failures surface as a typed [`QdpError`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shots` is zero or `inputs` and `seeds` differ in length.
-    pub fn estimate_expectation_batch(
-        &self,
-        inputs: &[StateVector],
-        readout: &ProjectiveObservable,
-        shots: usize,
-        seeds: &[u64],
-    ) -> Result<Vec<f64>, QdpError> {
-        assert!(shots > 0, "need at least one shot");
-        assert_eq!(inputs.len(), seeds.len(), "one seed per input");
-        if inputs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let tiles = shot_tiles(shots);
-        let work = tiles.len() * inputs.len() * inputs[0].dim() * self.program.op_count();
-        let sums = qdp_par::try_par_map_retry_work(
-            work,
-            &tiles,
-            |&(start, len)| {
-                crate::fault::tile_checkpoint(start / SHOT_TILE);
-                let mut samplers = Vec::with_capacity(seeds.len() * len);
-                for &seed in seeds {
-                    samplers.extend((start..start + len).map(|s| ShotSampler::derived(seed, s as u64)));
-                }
-                let counts = vec![len; inputs.len()];
-                let values = self.sample_sweep(
-                    BatchedStates::from_states(inputs),
-                    &counts,
-                    &mut samplers,
-                    readout,
-                )?;
-                Ok::<Vec<f64>, QdpError>(values.chunks(len).map(|row| row.iter().sum::<f64>()).collect())
-            },
-            TILE_RETRIES,
-        )
-        .map_err(QdpError::from)?
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-        Ok((0..inputs.len())
-            .map(|r| {
-                let mut acc = 0.0;
-                for tile in &sums {
-                    acc += tile[r];
-                }
-                acc / shots as f64
-            })
-            .collect())
     }
 
     /// **Branch-weighted exact execution**: the exact expectation
@@ -1399,6 +1330,178 @@ impl ShotEngine {
             Ok((sweep.finished, sweep.aborted, sweep.defects))
         })
     }
+}
+
+/// Shot estimates of several multisets of programs on several inputs, by
+/// the paper's sampling procedure (Section 7): each shot draws one of a
+/// multiset's `m` programs uniformly, runs it, and reads `readout` out
+/// once (0 when the trajectory aborted); the estimate is `m` times the
+/// mean sample. `out[j][r]` is multiset `multisets[j]` (one [`ShotEngine`]
+/// per program) on `inputs[r]` from `shots` trajectories on the seed
+/// `streams[j][r]`. A forward value is the case `m = 1`; an empty multiset
+/// estimates 0.
+///
+/// Each row of a multiset with `m > 1` programs draws its shots' programs
+/// up front from the master stream `ShotSampler::seeded(streams[j][r])`;
+/// with `m = 1` every draw would be 0 and the master stream feeds nothing
+/// else, so nothing is drawn. Shots are cut into fixed [`SHOT_TILE`]-shot
+/// tiles, and each (multiset, tile) pair runs one
+/// [`sample_sweep`](ShotEngine::sample_sweep) per program over every
+/// row's shots of that program, shot `s` on the derived stream
+/// `ShotSampler::derived(streams[j][r], s)`. A row sums its samples per
+/// tile, program by program in shot order, then its tile sums in tile
+/// order. Rows share sweeps but no bits: entry `[j][r]` carries the bits
+/// of a batch of one row with that seed, under any thread count and
+/// beside any other inputs.
+///
+/// The pairs run on the calling thread unless their work (rows ×
+/// amplitudes × program ops) pays for a fork ([`qdp_par::fork_pays`]);
+/// then they fan out across `qdp_par`. Pair `i` passes the
+/// fault-injection tile checkpoint `i`, runs panic-isolated, and is
+/// retried up to [`TILE_RETRIES`] times, bit-identically.
+///
+/// # Errors
+///
+/// A pair that panicked through its retries surfaces as
+/// [`QdpError::WorkerPanic`]; a health check that fails in a monitored
+/// engine's sweep surfaces as that sweep's typed error.
+///
+/// # Panics
+///
+/// Panics when `shots` is zero, `streams` does not hold one stream list
+/// per multiset, or a stream list does not hold one seed per input.
+pub fn estimate_batch(
+    multisets: &[&[ShotEngine]],
+    readout: &ProjectiveObservable,
+    inputs: &[StateVector],
+    shots: usize,
+    streams: &[Vec<u64>],
+) -> Result<Vec<Vec<f64>>, QdpError> {
+    assert!(shots > 0, "need at least one shot");
+    assert_eq!(multisets.len(), streams.len(), "one stream list per multiset");
+    assert!(
+        streams.iter().all(|s| s.len() == inputs.len()),
+        "one seed per input"
+    );
+    let rows = inputs.len();
+    // Per multiset and row, the program of every shot, drawn up front
+    // from the row's master stream.
+    let draws: Vec<Vec<Vec<u32>>> = multisets
+        .iter()
+        .zip(streams)
+        .map(|(engines, row_streams)| {
+            let m = engines.len();
+            row_streams
+                .iter()
+                .map(|&seed| match m {
+                    0 | 1 => Vec::new(),
+                    _ => {
+                        let mut master = ShotSampler::seeded(seed);
+                        (0..shots).map(|_| master.uniform_index(m) as u32).collect()
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let tiles = shot_tiles(shots);
+    let items: Vec<(usize, usize, (usize, usize))> = (0..multisets.len())
+        .filter(|&j| !multisets[j].is_empty())
+        .flat_map(|j| tiles.iter().map(move |&tile| (j, tile)))
+        .enumerate()
+        .map(|(i, (j, tile))| (i, j, tile))
+        .collect();
+    let dim = inputs.first().map_or(0, StateVector::dim);
+    let work = items
+        .iter()
+        .map(|&(_, j, _)| {
+            rows * dim * multisets[j].iter().map(|e| e.program.op_count()).sum::<usize>()
+        })
+        .sum();
+    let sums = qdp_par::try_par_map_retry_work(
+        work,
+        &items,
+        |&(i, j, tile)| {
+            crate::fault::tile_checkpoint(i);
+            tile_sums(multisets[j], readout, inputs, &draws[j], &streams[j], tile)
+        },
+        TILE_RETRIES,
+    )
+    .map_err(QdpError::from)?
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
+    let mut sums = sums.chunks(tiles.len());
+    Ok(multisets
+        .iter()
+        .map(|engines| {
+            let m = engines.len();
+            if m == 0 {
+                return vec![0.0; rows];
+            }
+            let per_tile = sums.next().unwrap_or_default();
+            (0..rows)
+                .map(|r| m as f64 * per_tile.iter().map(|t| t[r]).sum::<f64>() / shots as f64)
+                .collect()
+        })
+        .collect())
+}
+
+/// Per input row, the sum of its samples in the shot tile `start..start +
+/// len` of the multiset `engines`: program by program, each program's
+/// shots in shot order. One loop over the tile's shots, row by row,
+/// builds each shot's sampler and buckets it by program, and each program
+/// runs **one** sampled sweep over every row's shots of it; row `r`'s
+/// shots drew their programs into `draws[r]` and sample on the streams
+/// derived from `streams[r]`. A one-program multiset draws nothing: every
+/// shot runs program 0, so each row's samplers are built in one run.
+fn tile_sums(
+    engines: &[ShotEngine],
+    readout: &ProjectiveObservable,
+    inputs: &[StateVector],
+    draws: &[Vec<u32>],
+    streams: &[u64],
+    (start, len): (usize, usize),
+) -> Result<Vec<f64>, QdpError> {
+    // Per program: the rows that drew it, each row's shots of it, and one
+    // sampler per shot, row by row.
+    let m = engines.len();
+    let mut rows: Vec<Vec<usize>> = vec![Vec::new(); m];
+    let mut counts: Vec<Vec<usize>> = vec![Vec::new(); m];
+    let mut samplers: Vec<Vec<ShotSampler>> =
+        (0..m).map(|_| Vec::with_capacity(len * streams.len() / m)).collect();
+    for (r, &seed) in streams.iter().enumerate() {
+        if m == 1 {
+            rows[0].push(r);
+            counts[0].push(len);
+            samplers[0].extend((start..start + len).map(|s| ShotSampler::derived(seed, s as u64)));
+            continue;
+        }
+        for (s, &prog) in draws[r].iter().enumerate().skip(start).take(len) {
+            let prog = prog as usize;
+            match counts[prog].last_mut() {
+                Some(k) if rows[prog].last() == Some(&r) => *k += 1,
+                _ => {
+                    rows[prog].push(r);
+                    counts[prog].push(1);
+                }
+            }
+            samplers[prog].push(ShotSampler::derived(seed, s as u64));
+        }
+    }
+    let mut acc = vec![0.0; inputs.len()];
+    for (((engine, rows), counts), samplers) in engines.iter().zip(&rows).zip(&counts).zip(&mut samplers) {
+        if rows.is_empty() {
+            continue;
+        }
+        let states: Vec<&StateVector> = rows.iter().map(|&r| &inputs[r]).collect();
+        let values = engine.sample_sweep(BatchedStates::gather(&states), counts, samplers, readout)?;
+        let mut rest = values.as_slice();
+        for (&r, &k) in rows.iter().zip(counts) {
+            let (row, tail) = rest.split_at(k);
+            acc[r] += row.iter().sum::<f64>();
+            rest = tail;
+        }
+    }
+    Ok(acc)
 }
 
 /// Outcome of a sampled sweep: finished leaf groups, aborted trajectories,
@@ -2732,13 +2835,10 @@ mod tests {
         let psi = StateVector::zero_state(1);
         let readout = ProjectiveObservable::new(&obs);
         let inputs = std::slice::from_ref(&psi);
-        let est = engine
-            .estimate_expectation_batch(inputs, &readout, 40_000, &[2024])
-            .unwrap()[0];
+        let multiset = std::slice::from_ref(&engine);
+        let est = estimate_batch(&[multiset], &readout, inputs, 40_000, &[vec![2024]]).unwrap()[0][0];
         assert!((est - 0.8f64.cos()).abs() < 0.02, "estimate {est}");
-        let again = engine
-            .estimate_expectation_batch(inputs, &readout, 40_000, &[2024])
-            .unwrap()[0];
+        let again = estimate_batch(&[multiset], &readout, inputs, 40_000, &[vec![2024]]).unwrap()[0][0];
         assert_eq!(est.to_bits(), again.to_bits());
     }
 

@@ -92,8 +92,14 @@ fn estimate(
     shots: usize,
     seed: u64,
 ) -> Result<f64, QdpError> {
-    e.estimate_expectation_batch(std::slice::from_ref(psi), readout, shots, &[seed])
-        .map(|estimates| estimates[0])
+    qdp_sim::estimate_batch(
+        &[std::slice::from_ref(e)],
+        readout,
+        std::slice::from_ref(psi),
+        shots,
+        &[vec![seed]],
+    )
+    .map(|estimates| estimates[0][0])
 }
 
 fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
@@ -179,6 +185,32 @@ fn injected_non_finite_amplitudes_fail_fast_with_typed_errors() {
             drop(guard);
         }
     }
+    qdp_par::set_max_threads(0);
+}
+
+#[test]
+fn monitored_multiset_estimates_fail_fast_with_typed_errors() {
+    let _l = lock();
+    qdp_par::set_max_threads(1);
+    // Two monitored programs: each shot draws one, so the estimator runs
+    // one sampled sweep per program, and the first (kernel call 0) is
+    // poisoned on its only state row before its measurement.
+    let multiset = [with_policy(HealthPolicy::FailFast), with_policy(HealthPolicy::FailFast)];
+    let readout = ProjectiveObservable::new(&Observable::pauli_z(2, 1));
+    let psi = &inputs(1);
+    let clean = qdp_sim::estimate_batch(&[&multiset], &readout, psi, 64, &[vec![5]])
+        .expect("a clean run estimates");
+    assert!(clean[0][0].is_finite());
+
+    let guard = inject(FaultSite::Kernel { call: 0, row: 0, kind: FaultKind::Nan });
+    let err = qdp_sim::estimate_batch(&[&multiset], &readout, psi, 64, &[vec![5]])
+        .expect_err("the poisoned sweep must fail its estimate");
+    assert!(
+        matches!(err, QdpError::NonFinite { row: 0, .. }),
+        "unexpected error {err:?}"
+    );
+    assert_eq!(fired_count(), 1, "the fault fired once, with no retry");
+    drop(guard);
     qdp_par::set_max_threads(0);
 }
 

@@ -59,13 +59,6 @@ pub fn p2() -> Stmt {
     ])
 }
 
-/// All parameter names of [`p1`].
-pub fn p1_param_names() -> Vec<String> {
-    let mut names = block_param_names("T");
-    names.extend(block_param_names("F"));
-    names
-}
-
 /// All parameter names of [`p2`].
 pub fn p2_param_names() -> Vec<String> {
     let mut names = block_param_names("T");

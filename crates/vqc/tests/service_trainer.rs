@@ -5,7 +5,7 @@
 //! and the two must actually share one engine (no second differentiation
 //! or lowering of the program).
 
-use qdp_ad::GradientService;
+use qdp_ad::{GradientService, Request, RequestOptions, Response};
 use qdp_vqc::circuits::p1;
 use qdp_vqc::loss::SquaredLoss;
 use qdp_vqc::optim::GradientDescent;
@@ -93,7 +93,12 @@ fn service_requests_and_trainer_share_one_tenant_engine() {
     let obs = task::readout_observable();
     let psi = data()[0].0.clone();
 
-    let via_service = service.gradient(&h2, &params, &obs, &psi);
+    let request = Request::Gradient { params: params.clone(), obs: obs.clone() };
+    let Ok(Response::Gradient(via_service)) =
+        service.submit(&h2, &psi, request, &RequestOptions::default())
+    else {
+        panic!("a gradient request answers a gradient");
+    };
     let via_engine = trainer.engine().gradient_pure_batch(
         &params,
         &obs,

@@ -3,6 +3,8 @@
 # files of the working tree: first under the library and binary sources
 # (`crates/*/src` and `src`), then under the tests (`crates/*/tests` and
 # `tests`). Code moved from the library into tests shows on both lines.
+# Last it prints the number of `pub fn` items under the sources at `base`
+# and in the working tree: the public surface.
 # Usage: net_lines.sh [base]   (base defaults to HEAD~1)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -17,5 +19,13 @@ count() {
                 base, added, removed, added - removed, what
         }'
 }
-count "crates/*/src and src" ':(glob)crates/*/src/**' ':(glob)src/**'
+sources=(':(glob)crates/*/src/**' ':(glob)src/**')
+count "crates/*/src and src" "${sources[@]}"
 count "crates/*/tests and tests" ':(glob)crates/*/tests/**' ':(glob)tests/**'
+pub_fns() {
+    { git grep -hE '^[[:space:]]*pub (const |unsafe )*fn ' "$@" -- "${sources[@]}" || true; } | wc -l
+}
+at_base=$(pub_fns "$base")
+in_tree=$(pub_fns)
+printf "pub fn under crates/*/src and src: %d at %s, %d in the working tree (%+d)\n" \
+    "$at_base" "$base" "$in_tree" "$((in_tree - at_base))"
