@@ -117,6 +117,11 @@ fn ns(t: f64) -> Value {
     Value::Num((t * 10.0).round() / 10.0)
 }
 
+/// A time per amplitude in nanoseconds, kept to 0.001 ns.
+fn per_amp(t: f64) -> Value {
+    Value::Num((t * 1000.0).round() / 1000.0)
+}
+
 /// A ratio, kept to two decimals.
 fn ratio(r: f64) -> Value {
     Value::Num((r * 100.0).round() / 100.0)
@@ -503,9 +508,10 @@ fn seam_states() -> Vec<StateVector> {
 type Section = fn(&Fixture, &mut Guards) -> Fields;
 
 /// Every section, in record order.
-const SECTIONS: [(&str, Section); 16] = [
+const SECTIONS: [(&str, Section); 17] = [
     ("gate_apply", gate_apply),
     ("simd", simd_tiers),
+    ("per_bit", per_bit),
     ("gate_apply_10q_density", gate_apply_10q_density),
     ("gradient_p1_24_params", gradient_p1),
     ("full_gradient", full_gradient),
@@ -556,7 +562,7 @@ fn gate_apply(_: &Fixture, g: &mut Guards) -> Fields {
 /// The explicit SIMD kernels against the scalar plane kernels, by capping
 /// the tier (`simd::set_tier_cap`) inside the timed closure. First on the
 /// seam batch — dense RX on a contiguous run, RX, H, RZ and CNOT on the
-/// `mask = 1` deinterleave orbit (row qubit 9), a dense two-qubit RXX on
+/// `mask = 1` short orbit (row qubit 9), a dense two-qubit RXX on
 /// chunked runs — then every SIMD tier of this host on a 14-qubit pure
 /// state. Guards apply on the seam only, when a vector tier is active;
 /// their floors come from an AVX-512 host and hold for AVX2 on the 14-qubit
@@ -632,6 +638,155 @@ fn simd_tiers(_: &Fixture, g: &mut Guards) -> Fields {
             per_case.push((format!("{case}_speedup"), ratio(speedup)));
         }
         fields.push((format!("tier_{tier:?}_14q_pure"), Value::Obj(per_case)));
+    }
+    fields
+}
+
+/// The per-bit record's shapes: P2's exact batch (16 rows × 4 qubits),
+/// where every gate lands on a short orbit, and one 14-qubit row.
+const PER_BIT_SHAPES: [(&str, usize, usize); 2] = [("p2_16x4q", 16, 4), ("row_14q", 1, 14)];
+
+/// The 14-qubit row's interior bits: long orbits at every tier, below the
+/// top bit.
+const INTERIOR_BITS: std::ops::RangeInclusive<usize> = 5..=12;
+
+/// Rounds of the per-bit record; each runs every cell for one block.
+const PER_BIT_ROUNDS: usize = 21;
+
+/// Ceilings on the per-bit guards: at the active tier, the worst
+/// short-orbit bit of either shape over the same gate's median on the
+/// 14-qubit row's interior bits, about 4/3 of the highest value each took
+/// (Intel Xeon, 2 vCPUs, AVX-512). RX, RY and RZ: 22 / 10 runs at 1 / 2
+/// threads, 1.11–1.42 / 1.14–1.50. CNOT, whose short kernel computes the
+/// identity block's lanes before blending them back while the interior
+/// kernel skips that block: 2.80–3.68 / 2.87–3.74. The kernels these
+/// replaced (scalar loops at mask 2, one call per 4-amplitude run at mask
+/// 4) read 3.6–7.9 and 8.9–12.1 over 3 runs on the same host.
+const SHORT_ORBIT_1Q_CEILING: f64 = 2.0;
+const SHORT_ORBIT_CNOT_CEILING: f64 = 5.0;
+
+/// RX, RY, RZ and CNOT (control on the next bit up, or down from the
+/// top) at every target bit, in ns per amplitude, on each
+/// [`PER_BIT_SHAPES`] shape, at every tier up to the active one and at the
+/// scalar cap: each (shape, tier, bit, gate) cell is calibrated to a block
+/// of about 0.2 ms, and every round runs every cell once, so the host's
+/// slow spells land on all cells alike; each cell records its median. The
+/// guards bound the worst short-orbit bit (mask within one vector) at the
+/// active tier against the interior bits, where the vector kernels run
+/// contiguous runs of whole vectors.
+fn per_bit(_: &Fixture, g: &mut Guards) -> Fields {
+    let active = simd::active_tier();
+    let cap = simd::tier_cap();
+    let tiers: Vec<SimdTier> = [SimdTier::Avx512, SimdTier::Avx2, SimdTier::Scalar]
+        .into_iter()
+        .filter(|&t| t <= active)
+        .collect();
+    let gates = [
+        ("rx", Matrix::rotation_x(0.7)),
+        ("ry", Matrix::rotation_y(0.7)),
+        ("rz", Matrix::rotation_z(0.7)),
+        ("cnot", Matrix::cnot()),
+    ];
+    let mut batches: Vec<BatchedStates> = PER_BIT_SHAPES
+        .iter()
+        .map(|&(_, rows, n)| {
+            let states: Vec<StateVector> =
+                (0..rows as u64).map(|s| random_state(n, 100 + s)).collect();
+            BatchedStates::from_states(&states)
+        })
+        .collect();
+    // (shape, tier, bit, gate, targets)
+    let mut cells = Vec::new();
+    for (shape, &(_, _, n)) in PER_BIT_SHAPES.iter().enumerate() {
+        for &tier in &tiers {
+            for bit in 0..n {
+                let control = if bit + 1 < n { bit + 1 } else { bit - 1 };
+                let target = n - 1 - bit;
+                for (gate, (name, _)) in gates.iter().enumerate() {
+                    let targets = if *name == "cnot" {
+                        vec![n - 1 - control, target]
+                    } else {
+                        vec![target]
+                    };
+                    cells.push((shape, tier, bit, gate, targets));
+                }
+            }
+        }
+    }
+    let mut run = |k: usize, iters: Option<u64>| {
+        let (shape, tier, _, gate, ref targets) = cells[k];
+        simd::set_tier_cap(tier);
+        let mut f = |_: bool| batches[shape].apply_gate(&gates[gate].1, targets);
+        match iters {
+            Some(iters) => block_ns(&mut f, true, iters),
+            None => calibrate(&mut f, true, 2e5) as f64,
+        }
+    };
+    let iters: Vec<u64> = (0..cells.len()).map(|k| run(k, None) as u64).collect();
+    let mut samples = vec![Vec::with_capacity(PER_BIT_ROUNDS); cells.len()];
+    for _ in 0..PER_BIT_ROUNDS {
+        for (k, sample) in samples.iter_mut().enumerate() {
+            sample.push(run(k, Some(iters[k])));
+        }
+    }
+    simd::set_tier_cap(cap);
+    // ns per amplitude, by (shape, tier, bit, gate).
+    let mut cost = BTreeMap::new();
+    for (k, sample) in samples.into_iter().enumerate() {
+        let (shape, tier, bit, gate, _) = cells[k];
+        let (_, rows, n) = PER_BIT_SHAPES[shape];
+        cost.insert((shape, tier, bit, gate), median(sample) / (rows << n) as f64);
+    }
+
+    let mut fields = fields![
+        "active_tier" => format!("{active:?}"),
+        "unit" => "ns per amplitude",
+        "rounds" => PER_BIT_ROUNDS,
+    ];
+    for (shape, &(label, _, n)) in PER_BIT_SHAPES.iter().enumerate() {
+        let mut by_tier = Fields::new();
+        for &tier in &tiers {
+            let mut by_bit = Fields::new();
+            for bit in 0..n {
+                let per_gate: Fields = gates
+                    .iter()
+                    .enumerate()
+                    .map(|(gate, (name, _))| {
+                        (name.to_string(), per_amp(cost[&(shape, tier, bit, gate)]))
+                    })
+                    .collect();
+                by_bit.push((format!("bit{bit}"), Value::Obj(per_gate)));
+            }
+            by_tier.push((format!("{tier:?}"), Value::Obj(by_bit)));
+        }
+        fields.push((label.to_string(), Value::Obj(by_tier)));
+    }
+    if active != SimdTier::Scalar {
+        let row = PER_BIT_SHAPES.iter().position(|s| s.0 == "row_14q").expect("the 14-qubit shape");
+        let mut worst_1q = 0.0f64;
+        for (gate, (name, _)) in gates.iter().enumerate() {
+            let interior =
+                median(INTERIOR_BITS.map(|bit| cost[&(row, active, bit, gate)]).collect());
+            let mut worst = (0.0f64, String::new());
+            for (shape, &(label, _, n)) in PER_BIT_SHAPES.iter().enumerate() {
+                for bit in (0..n).filter(|&b| 1 << b <= active.lanes()) {
+                    let r = cost[&(shape, active, bit, gate)] / interior;
+                    if r > worst.0 {
+                        worst = (r, format!("{label} bit{bit}"));
+                    }
+                }
+            }
+            if *name == "cnot" {
+                let what = "worst short-orbit CNOT bit vs interior";
+                g.at_most(what, worst.0, SHORT_ORBIT_CNOT_CEILING);
+            } else {
+                worst_1q = worst_1q.max(worst.0);
+            }
+            fields.push((format!("{name}_interior"), per_amp(interior)));
+            fields.push((format!("{name}_worst_short_over_interior"), ratio(worst.0)));
+            fields.push((format!("{name}_worst_short_bit"), Value::from(worst.1)));
+        }
+        g.at_most("worst short-orbit 1q bit vs interior", worst_1q, SHORT_ORBIT_1Q_CEILING);
     }
     fields
 }

@@ -40,9 +40,11 @@
 //!   `|0⟩⟨0| ⊗ A + |1⟩⟨1| ⊗ B` — every controlled rotation the
 //!   differentiation gadget emits, plus `CNOT` — skip the zero blocks,
 //!   halving the multiply count.
-//! * **Explicit SIMD tiers.** Dense runs dispatch to the AVX2/AVX-512
-//!   kernels of [`crate::simd`], which are bitwise equal to the scalar
-//!   plane kernels here.
+//! * **Explicit SIMD tiers.** Dense runs, and every 1q, diagonal and
+//!   controlled gate whose target orbit fits in one vector (a short
+//!   orbit: the lowest qubits), dispatch to the AVX2/AVX-512 kernels of
+//!   [`crate::simd`], which are bitwise equal to the scalar plane kernels
+//!   here.
 //! * **Parallel split.** From [`qdp_par::FORK_MIN_WORK`] (`2¹⁸`)
 //!   amplitudes the work is split across threads via `qdp_par`: in place
 //!   over contiguous aligned chunks when the target bits lie below the
@@ -244,13 +246,12 @@ fn apply_1q_planes(re: &mut [f64], im: &mut [f64], n: usize, m: &Matrix, t: usiz
         return;
     }
 
-    // Explicit SIMD tier for the dense contiguous-run and `mask = 1`
-    // orbits (see `crate::simd` for the bitwise-oracle contract).
-    // `mask == 2` is deliberately left to the scalar kernel: its
-    // two-element runs are too short for full vectors and the stride-2
-    // deinterleave shape does not apply.
-    let tier = simd::active_tier();
-    if tier != SimdTier::Scalar && mask != 2 {
+    // Explicit SIMD tiers (see `crate::simd` for the bitwise-oracle
+    // contract): a short orbit (`mask` within one vector) runs in-register
+    // over whole two-vector blocks, a long one as contiguous vector runs. A
+    // short orbit on a plane shorter than every tier's block keeps the
+    // scalar loop below.
+    if let Some(tier) = simd::orbit_tier(simd::active_tier(), re.len(), mask) {
         let g = [m00, m01, m10, m11];
         let chain = simd::classify_1q(&g, true);
         apply_1q_dense_simd(re, im, mask, &g, chain, tier);
@@ -389,7 +390,8 @@ fn apply_1q_dense_simd(
     tier: SimdTier,
 ) {
     let g = *g;
-    let align = mask << 1;
+    // Chunks hold whole short-orbit blocks as well as whole orbits.
+    let align = (mask << 1).max(2 * tier.lanes());
     if !qdp_par::fork_pays(re.len()) {
         simd::sweep_1q(tier, re, im, mask, &g, chain);
         return;
@@ -536,18 +538,17 @@ fn apply_blockdiag_ctrl_planes(
     let align = (cmask.max(tmask)) << 1;
     let tier = simd::active_tier();
 
-    // `tmask == 1`: every orbit is a stride-2 pair, i.e. the `mask = 1`
-    // deinterleave-kernel shape, with the control bit constant over
-    // alternating `cmask`-length segments. Route whole chunks through the
-    // SIMD segment sweep (chunks are `2·cmask`-aligned either way).
-    if tmask == 1 && tier != SimdTier::Scalar {
+    // A short target orbit (`tmask` within one vector) runs the
+    // short-orbit sweep over whole chunks: per-lane blocks when the control
+    // is short too, whole control segments otherwise.
+    if let Some(short) = simd::short_tier(tier, re.len(), tmask) {
         let body = move |_: usize, cre: &mut [f64], cim: &mut [f64]| {
-            simd::sweep_blockdiag_t1(tier, cre, cim, cmask, &a, &b, identity_a);
+            simd::sweep_ctrl(short, cre, cim, cmask, tmask, &a, &b, identity_a);
         };
         if !qdp_par::fork_pays(re.len()) {
             body(0, re, im);
         } else {
-            qdp_par::par_chunks2_mut(re, im, align, body);
+            qdp_par::par_chunks2_mut(re, im, align.max(2 * short.lanes()), body);
         }
         return;
     }
@@ -740,20 +741,18 @@ fn apply_diag_planes(re: &mut [f64], im: &mut [f64], masks: &[usize], diag: &[C6
         // both entries hoist out of the sweep — no per-run outcome-index
         // computation or entry reload (which dominates at small `run`).
         let (d0, d1) = (diag[0], diag[1]);
-        // `run == 1` is the stride-2 `mask = 1` orbit shape: the SIMD tier
-        // multiplies by an interleaved `[d0, d1, …]` coefficient vector
-        // when both entries sit on the same real/complex branch and
-        // neither is the identity (the scalar kernel's per-entry skip).
-        // Larger runs are contiguous scales the autovectorizer handles.
-        let tier = simd::active_tier();
-        if run == 1 && tier != SimdTier::Scalar && simd::diag1_vectorizable(d0, d1) {
+        // A short run (within one vector) scales in-register by lane-pattern
+        // coefficient vectors, each lane on its entry's scalar branch.
+        // Longer runs are contiguous scales the autovectorizer handles.
+        if let Some(short) = simd::short_tier(simd::active_tier(), re.len(), run) {
+            let kind = simd::classify_diag(d0, d1);
             let body = move |_: usize, cre: &mut [f64], cim: &mut [f64]| {
-                simd::sweep_diag1(tier, cre, cim, d0, d1);
+                simd::sweep_diag(short, cre, cim, run, d0, d1, kind);
             };
             if !qdp_par::fork_pays(re.len()) {
                 body(0, re, im);
             } else {
-                qdp_par::par_chunks2_mut(re, im, 2, body);
+                qdp_par::par_chunks2_mut(re, im, (run << 1).max(2 * short.lanes()), body);
             }
             return;
         }

@@ -3,21 +3,35 @@
 //! PR 7 split the state into SoA re/im planes precisely so this layer could
 //! exist; this module is the explicit-vector half of that bargain. It holds
 //! hand-written AVX2+FMA and AVX-512F kernels for the hot dispatch classes
-//! where the autovectorizer tops out (see ROADMAP item 1 follow-ups):
+//! where the autovectorizer tops out (see ROADMAP item 1 follow-ups). An
+//! orbit mask is **short** at a tier when it fits inside one vector
+//! (`mask ≤ W`: 1, 2, 4, 8 at AVX-512, 1, 2, 4 at AVX2) and **long**
+//! otherwise:
 //!
-//! * the dense-1q contiguous-run sweep (`run_*`/`sweep_1q`) — 4 (AVX2) or
-//!   8 (AVX-512) amplitude pairs per iteration on the re/im planes;
-//! * the `mask = 1` (last-qubit target) orbit (`mask1_*`) — stride-2 pair
-//!   access defeats contiguous vector loads in every layout, so this kernel
-//!   loads full vectors and deinterleaves in-register
-//!   (`_mm256_unpacklo/hi_pd`, `_mm512_permutex2var_pd`), covering the
-//!   dense, diagonal, and block-diagonal dispatch classes;
+//! * long dense-1q orbits (`run`/`sweep_1q`) — contiguous runs of 4 (AVX2)
+//!   or 8 (AVX-512) amplitude pairs per iteration on the re/im planes;
+//! * the short-orbit family (`short_1q`, `short_ctrl`, `short_diag`) — one
+//!   hoisted loop over whole `2·W`-amplitude blocks with the coefficients
+//!   broadcast once. A block loads as two full vectors per plane; dense
+//!   kernels split it in-register into its `W` orbit pairs (two-source lane
+//!   permutes `_mm512_permutex2var_pd`, `_mm256_unpacklo/hi_pd`,
+//!   `_mm256_permute2f128_pd`; no permute when `mask = W`), run the chain
+//!   on `(a0, a1)` — each orbit's low and high amplitude — and interleave
+//!   back. It covers dense 1q gates, block-diagonal 2q gates whose target
+//!   is short (per-lane coefficients picked by the control bit when the
+//!   control is short too, identity-block lanes blended back unchanged,
+//!   never multiplied by 1; whole control segments otherwise), and
+//!   diagonal 1q gates (lane-pattern coefficient vectors);
 //! * the chunked-run dense 2q path and the k ≥ 3 fallback (`run_2q`,
 //!   `run_kq`) — hoisted base enumeration with vector loads on the
 //!   innermost contiguous runs;
 //! * the `lanes.rs` |amp|² reduction accumulator (`accumulate_lanes`) —
 //!   the four LANES partials ride one AVX2 register, preserving the
 //!   index-partition combine tree bitwise.
+//!
+//! A short orbit on a plane shorter than one block of the active tier runs
+//! one tier down (`short_tier`), or on the scalar loop when no tier's
+//! block fits.
 //!
 //! # The bitwise-oracle contract
 //!
@@ -30,7 +44,9 @@
 //! contract, but no `vfmadd` intrinsic is emitted) — results agree **bit
 //! for bit** with the scalar plane kernels for every input, and hence with
 //! the reference scan (`kernels::apply_matrix_reference`) up to the sign of
-//! zero (see the `kernels` module docs).
+//! zero (see the `kernels` module docs). Permutes and blends move values
+//! without rounding them, so the short-orbit kernels inherit the contract
+//! lane by lane.
 //!
 //! The one deliberate exception is the **cross-structured chain**
 //! (`Chain1q::Cross`): gates whose diagonal is real and whose off-diagonal
@@ -41,9 +57,12 @@
 //! additive step that the leading `0.0 +` flush makes an identity — and the
 //! differential suite pins it bitwise against the scalar kernels. For
 //! non-finite inputs (`NaN`/`±inf` amplitudes) the dropped `0.0 * NaN`
-//! terms change the result; poisoned planes are still caught by the health
-//! monitor's reductions, which never use this chain. Vector-loop
-//! remainders always use the exact generic chain.
+//! terms change the result, but only in the orbits that hold the
+//! non-finite amplitude, so only in its own row of a batch (the
+//! differential suite pins that extent); poisoned planes are still caught
+//! by the health monitor's reductions, which never use this chain.
+//! Vector-loop remainders of the long runs always use the exact generic
+//! chain; the short-orbit kernels have no remainder.
 //!
 //! # Dispatch and fallback
 //!
@@ -159,6 +178,40 @@ pub fn active_tier() -> SimdTier {
     detected_tier().min(tier_cap())
 }
 
+impl SimdTier {
+    /// The `f64` lanes of one vector at this tier (1 for `Scalar`): the
+    /// widest orbit mask the tier runs as a short orbit.
+    pub fn lanes(self) -> usize {
+        match self {
+            SimdTier::Scalar => 1,
+            SimdTier::Avx2 => 4,
+            SimdTier::Avx512 => 8,
+        }
+    }
+}
+
+/// The tier that runs an orbit of `mask` on a `len`-amplitude (sub-)plane
+/// as a **short orbit**: the widest vector tier up to `tier` whose vectors
+/// hold the orbit (`mask ≤ lanes`) and whose two-vector block divides the
+/// plane. `None` at the scalar tier, for a long orbit, or when no block
+/// fits (a plane shorter than one block keeps the scalar loop).
+pub(crate) fn short_tier(tier: SimdTier, len: usize, mask: usize) -> Option<SimdTier> {
+    [SimdTier::Avx512, SimdTier::Avx2]
+        .into_iter()
+        .find(|&t| t <= tier && mask <= t.lanes() && len.is_multiple_of(2 * t.lanes()))
+}
+
+/// The tier that takes a dense-1q orbit of `mask` on a `len`-amplitude
+/// plane: `tier` itself for a long orbit (contiguous runs of whole
+/// vectors), [`short_tier`] for a short one, `None` at the scalar tier.
+pub(crate) fn orbit_tier(tier: SimdTier, len: usize, mask: usize) -> Option<SimdTier> {
+    match tier {
+        SimdTier::Scalar => None,
+        _ if mask > tier.lanes() => Some(tier),
+        _ => short_tier(tier, len, mask),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Chain classification
 // ---------------------------------------------------------------------------
@@ -199,13 +252,42 @@ pub(crate) fn classify_1q(g: &[C64; 4], allow_real: bool) -> Chain1q {
     Chain1q::Full
 }
 
-/// Whether the k=1 `run == 1` diagonal sweep can use the interleaved
-/// vector kernel: the scalar `scale_run` skips `C64::ONE` entries entirely
-/// and branches real/complex per entry, so vectorizing requires neither
-/// entry to be the identity and both to sit on the same branch.
-pub(crate) fn diag1_vectorizable(d0: C64, d1: C64) -> bool {
-    d0 != C64::ONE && d1 != C64::ONE && (d0.im == 0.0) == (d1.im == 0.0)
+/// Which branch of the scalar diagonal kernel (`scale_run`) a 1q diagonal
+/// `diag(d0, d1)` takes on its lanes: that kernel skips `C64::ONE` entries,
+/// scales both planes by a real entry (`im == 0.0`), and runs the complex
+/// product otherwise.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum DiagKind {
+    /// Both entries real, neither the identity: one multiply per plane.
+    Real,
+    /// Both entries complex: the complex product on every lane.
+    Complex,
+    /// An identity entry, or one real and one complex entry: both products
+    /// computed and picked per lane, identity lanes kept unchanged.
+    Mixed,
 }
+
+/// Classifies `diag(d0, d1)` by the scalar kernel's per-entry branches.
+pub(crate) fn classify_diag(d0: C64, d1: C64) -> DiagKind {
+    if d0 == C64::ONE || d1 == C64::ONE || (d0.im == 0.0) != (d1.im == 0.0) {
+        DiagKind::Mixed
+    } else if d0.im == 0.0 {
+        DiagKind::Real
+    } else {
+        DiagKind::Complex
+    }
+}
+
+/// Chain and diagonal-branch selectors as const-generic arguments of the
+/// width kernels (one monomorphised loop per chain, no branch inside).
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+const FULL: u8 = 0;
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+const CROSS: u8 = 1;
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+const REAL: u8 = 2;
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+const MIXED: u8 = 3;
 
 // ---------------------------------------------------------------------------
 // x86_64 kernel backend
@@ -213,92 +295,153 @@ pub(crate) fn diag1_vectorizable(d0: C64, d1: C64) -> bool {
 
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 mod x86 {
-    use super::{Chain1q, SimdTier};
+    use super::{classify_1q, Chain1q, DiagKind, SimdTier};
+    use super::{CROSS, FULL, MIXED, REAL};
     use qdp_linalg::C64;
 
-    /// In-register shuffles for the AVX2 width. `deint` splits two
-    /// interleaved vectors `[e0 o0 e1 o1] [e2 o2 e3 o3]` into
-    /// `(evens, odds)` — in the permuted-but-consistent unpack order
-    /// `[e0 e2 e1 e3]`, which is harmless because every chain is
-    /// elementwise — and `inter` is its exact inverse.
+    /// In-register shuffles for the AVX2 width. `deint::<M>` splits one
+    /// 8-amplitude block `v0 ‖ v1` into its four mask-`M` orbit pairs
+    /// `(lo, hi)` and `inter::<M>` is its exact inverse. For `M = 1` the
+    /// unpack order is `[p0 p2 p1 p3]` — harmless, because every chain is
+    /// elementwise and every lane pattern goes through the same `deint`.
+    /// `Mask`/`nonzero`/`select` are the per-lane predicate, its
+    /// construction, and a blend.
     mod shuf256 {
         use std::arch::x86_64::*;
 
+        pub(super) type Mask = __m256d;
+
         #[target_feature(enable = "avx2")]
         #[inline]
-        pub(super) fn deint(v0: __m256d, v1: __m256d) -> (__m256d, __m256d) {
-            (_mm256_unpacklo_pd(v0, v1), _mm256_unpackhi_pd(v0, v1))
+        pub(super) fn deint<const M: usize>(v0: __m256d, v1: __m256d) -> (__m256d, __m256d) {
+            match M {
+                1 => (_mm256_unpacklo_pd(v0, v1), _mm256_unpackhi_pd(v0, v1)),
+                2 => (
+                    _mm256_permute2f128_pd::<0x20>(v0, v1),
+                    _mm256_permute2f128_pd::<0x31>(v0, v1),
+                ),
+                // `M = 4`: the two vectors are the orbit halves.
+                _ => (v0, v1),
+            }
         }
 
         #[target_feature(enable = "avx2")]
         #[inline]
-        pub(super) fn inter(lo: __m256d, hi: __m256d) -> (__m256d, __m256d) {
-            (_mm256_unpacklo_pd(lo, hi), _mm256_unpackhi_pd(lo, hi))
+        pub(super) fn inter<const M: usize>(lo: __m256d, hi: __m256d) -> (__m256d, __m256d) {
+            // Each split above is its own inverse.
+            deint::<M>(lo, hi)
         }
 
-        /// `[a, b, a, b]` — the interleaved two-coefficient pattern of the
-        /// `run == 1` diagonal sweep.
+        /// Lanes of `v` that are not `0.0`.
         #[target_feature(enable = "avx2")]
         #[inline]
-        pub(super) fn pair2(a: f64, b: f64) -> __m256d {
-            _mm256_setr_pd(a, b, a, b)
+        pub(super) fn nonzero(v: __m256d) -> Mask {
+            _mm256_cmp_pd::<_CMP_NEQ_UQ>(v, _mm256_setzero_pd())
+        }
+
+        /// `if_set` on the lanes of `m`, `if_clear` elsewhere.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        pub(super) fn select(m: Mask, if_set: __m256d, if_clear: __m256d) -> __m256d {
+            _mm256_blendv_pd(if_clear, if_set, m)
         }
     }
 
     /// In-register shuffles for the AVX-512 width, via two-source lane
-    /// permutes. Unlike the unpack order, `deint` here is index-exact
-    /// (`[e0..e7]`) and `inter` restores the original interleaving.
+    /// permutes over one 16-amplitude block `v0 ‖ v1`: `deint::<M>` is
+    /// index-exact (`lo` holds the block's mask-`M`-clear indices in
+    /// order) and `inter::<M>` restores the original interleaving.
     mod shuf512 {
         use std::arch::x86_64::*;
 
+        pub(super) type Mask = __mmask8;
+
         #[target_feature(enable = "avx512f")]
         #[inline]
-        pub(super) fn deint(v0: __m512d, v1: __m512d) -> (__m512d, __m512d) {
-            let idx_even = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
-            let idx_odd = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
+        pub(super) fn deint<const M: usize>(v0: __m512d, v1: __m512d) -> (__m512d, __m512d) {
+            let (lo, hi) = match M {
+                1 => (
+                    _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14),
+                    _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15),
+                ),
+                2 => (
+                    _mm512_setr_epi64(0, 1, 4, 5, 8, 9, 12, 13),
+                    _mm512_setr_epi64(2, 3, 6, 7, 10, 11, 14, 15),
+                ),
+                4 => (
+                    _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11),
+                    _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15),
+                ),
+                // `M = 8`: the two vectors are the orbit halves.
+                _ => return (v0, v1),
+            };
             (
-                _mm512_permutex2var_pd(v0, idx_even, v1),
-                _mm512_permutex2var_pd(v0, idx_odd, v1),
+                _mm512_permutex2var_pd(v0, lo, v1),
+                _mm512_permutex2var_pd(v0, hi, v1),
             )
         }
 
         #[target_feature(enable = "avx512f")]
         #[inline]
-        pub(super) fn inter(lo: __m512d, hi: __m512d) -> (__m512d, __m512d) {
-            let idx_lo = _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11);
-            let idx_hi = _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15);
+        pub(super) fn inter<const M: usize>(lo: __m512d, hi: __m512d) -> (__m512d, __m512d) {
+            let (i0, i1) = match M {
+                1 => (
+                    _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11),
+                    _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15),
+                ),
+                2 => (
+                    _mm512_setr_epi64(0, 1, 8, 9, 2, 3, 10, 11),
+                    _mm512_setr_epi64(4, 5, 12, 13, 6, 7, 14, 15),
+                ),
+                4 => (
+                    _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11),
+                    _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15),
+                ),
+                _ => return (lo, hi),
+            };
             (
-                _mm512_permutex2var_pd(lo, idx_lo, hi),
-                _mm512_permutex2var_pd(lo, idx_hi, hi),
+                _mm512_permutex2var_pd(lo, i0, hi),
+                _mm512_permutex2var_pd(lo, i1, hi),
             )
         }
 
-        /// `[a, b, a, b, a, b, a, b]`.
+        /// Lanes of `v` that are not `0.0`.
         #[target_feature(enable = "avx512f")]
         #[inline]
-        pub(super) fn pair2(a: f64, b: f64) -> __m512d {
-            _mm512_setr_pd(a, b, a, b, a, b, a, b)
+        pub(super) fn nonzero(v: __m512d) -> Mask {
+            _mm512_cmpneq_pd_mask(v, _mm512_setzero_pd())
+        }
+
+        /// `if_set` on the lanes of `m`, `if_clear` elsewhere.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        pub(super) fn select(m: Mask, if_set: __m512d, if_clear: __m512d) -> __m512d {
+            _mm512_mask_blend_pd(m, if_clear, if_set)
         }
     }
 
     /// Scalar remainder kernels: raw-pointer loops running the **exact**
     /// scalar plane chains (`complex_pair` and the real chain), shared as
-    /// the tail of every vector loop so remainders always carry the same
-    /// bits as the scalar kernels — including for non-finite inputs, where
-    /// the Cross vector body diverges (remainders never use the reduced
-    /// chain).
+    /// the tail of every long-run vector loop so remainders always carry
+    /// the same bits as the scalar kernels — including for non-finite
+    /// inputs, where the Cross vector body diverges (remainders never use
+    /// the reduced chain).
     ///
     /// Every fn here has the contract: all `ptr.add(idx)` touched for
     /// `idx` in the documented range must be in-bounds of a live `f64`
     /// allocation the caller has exclusive access to. The safe wrappers at
     /// the bottom of this module establish that from `&mut [f64]` slices.
     mod tails {
+        use super::REAL;
         use crate::kernels::complex_pair;
         use qdp_linalg::C64;
 
+        /// The remainder of chain `C`: the real chain for `REAL`, the
+        /// generic chain otherwise.
+        ///
         /// # Safety
         /// `lr/li/hr/hi + 0..len` must be in-bounds and mutually disjoint.
-        pub(super) unsafe fn run_full(
+        pub(super) unsafe fn run<const C: u8>(
             lr: *mut f64,
             li: *mut f64,
             hr: *mut f64,
@@ -306,8 +449,18 @@ mod x86 {
             len: usize,
             g: &[C64; 4],
         ) {
-            let mut i = 0usize;
-            while i < len {
+            if C == REAL {
+                let (r00, r01, r10, r11) = (g[0].re, g[1].re, g[2].re, g[3].re);
+                for i in 0..len {
+                    let (a0r, a0i, a1r, a1i) = (*lr.add(i), *li.add(i), *hr.add(i), *hi.add(i));
+                    *lr.add(i) = r00 * a0r + r01 * a1r;
+                    *li.add(i) = r00 * a0i + r01 * a1i;
+                    *hr.add(i) = r10 * a0r + r11 * a1r;
+                    *hi.add(i) = r10 * a0i + r11 * a1i;
+                }
+                return;
+            }
+            for i in 0..len {
                 let (a, b, c, d) = complex_pair(
                     g[0],
                     g[1],
@@ -322,96 +475,6 @@ mod x86 {
                 *li.add(i) = b;
                 *hr.add(i) = c;
                 *hi.add(i) = d;
-                i += 1;
-            }
-        }
-
-        /// # Safety
-        /// `lr/li/hr/hi + 0..len` must be in-bounds and mutually disjoint.
-        pub(super) unsafe fn run_real(
-            lr: *mut f64,
-            li: *mut f64,
-            hr: *mut f64,
-            hi: *mut f64,
-            len: usize,
-            g: &[C64; 4],
-        ) {
-            let (r00, r01, r10, r11) = (g[0].re, g[1].re, g[2].re, g[3].re);
-            let mut i = 0usize;
-            while i < len {
-                let (a0r, a0i, a1r, a1i) = (*lr.add(i), *li.add(i), *hr.add(i), *hi.add(i));
-                *lr.add(i) = r00 * a0r + r01 * a1r;
-                *li.add(i) = r00 * a0i + r01 * a1i;
-                *hr.add(i) = r10 * a0r + r11 * a1r;
-                *hi.add(i) = r10 * a0i + r11 * a1i;
-                i += 1;
-            }
-        }
-
-        /// # Safety
-        /// `pr/pi + 0..n` must be in-bounds, disjoint; `n` even.
-        pub(super) unsafe fn mask1_full(pr: *mut f64, pi: *mut f64, n: usize, g: &[C64; 4]) {
-            let mut idx = 0usize;
-            while idx < n {
-                let (a, b, c, d) = complex_pair(
-                    g[0],
-                    g[1],
-                    g[2],
-                    g[3],
-                    *pr.add(idx),
-                    *pi.add(idx),
-                    *pr.add(idx + 1),
-                    *pi.add(idx + 1),
-                );
-                *pr.add(idx) = a;
-                *pi.add(idx) = b;
-                *pr.add(idx + 1) = c;
-                *pi.add(idx + 1) = d;
-                idx += 2;
-            }
-        }
-
-        /// # Safety
-        /// `pr/pi + 0..n` must be in-bounds, disjoint; `n` even.
-        pub(super) unsafe fn mask1_real(pr: *mut f64, pi: *mut f64, n: usize, g: &[C64; 4]) {
-            let (r00, r01, r10, r11) = (g[0].re, g[1].re, g[2].re, g[3].re);
-            let mut idx = 0usize;
-            while idx < n {
-                let (a0r, a0i) = (*pr.add(idx), *pi.add(idx));
-                let (a1r, a1i) = (*pr.add(idx + 1), *pi.add(idx + 1));
-                *pr.add(idx) = r00 * a0r + r01 * a1r;
-                *pi.add(idx) = r00 * a0i + r01 * a1i;
-                *pr.add(idx + 1) = r10 * a0r + r11 * a1r;
-                *pi.add(idx + 1) = r10 * a0i + r11 * a1i;
-                idx += 2;
-            }
-        }
-
-        /// # Safety
-        /// `pr/pi + 0..n` must be in-bounds, disjoint; `n` even.
-        pub(super) unsafe fn diag1_real(pr: *mut f64, pi: *mut f64, n: usize, s0: f64, s1: f64) {
-            let mut idx = 0usize;
-            while idx < n {
-                *pr.add(idx) *= s0;
-                *pi.add(idx) *= s0;
-                *pr.add(idx + 1) *= s1;
-                *pi.add(idx + 1) *= s1;
-                idx += 2;
-            }
-        }
-
-        /// # Safety
-        /// `pr/pi + 0..n` must be in-bounds, disjoint; `n` even.
-        pub(super) unsafe fn diag1_complex(pr: *mut f64, pi: *mut f64, n: usize, d0: C64, d1: C64) {
-            let mut idx = 0usize;
-            while idx < n {
-                let (r0, i0) = (*pr.add(idx), *pi.add(idx));
-                *pr.add(idx) = r0 * d0.re - i0 * d0.im;
-                *pi.add(idx) = r0 * d0.im + i0 * d0.re;
-                let (r1, i1) = (*pr.add(idx + 1), *pi.add(idx + 1));
-                *pr.add(idx + 1) = r1 * d1.re - i1 * d1.im;
-                *pi.add(idx + 1) = r1 * d1.im + i1 * d1.re;
-                idx += 2;
             }
         }
 
@@ -489,33 +552,97 @@ mod x86 {
     }
 
     /// Generates one width's kernel module. `$feat` is the target-feature
-    /// set, `$W` the f64 lane count, the intrinsic paths the width's
-    /// arithmetic, `$shuf` the width's shuffle helpers, and `$tails` the
-    /// module handling the `len % $W` vector-loop remainder — the scalar
-    /// `tails` for AVX2, the AVX2 module itself for AVX-512, so remainders
-    /// degrade one tier at a time and always end on the exact scalar chain.
+    /// set, `$W` the f64 lane count, `$V` its vector type, the intrinsic
+    /// paths the width's arithmetic, `$shuf` the width's shuffle helpers,
+    /// and `$tails` the module handling the `len % $W` remainder of a long
+    /// run — the scalar `tails` for AVX2, the AVX2 module itself for
+    /// AVX-512, so remainders degrade one tier at a time and always end on
+    /// the exact scalar chain.
     ///
     /// Every kernel is `# Safety`: caller must guarantee the pointer
-    /// ranges documented on the matching `tails` fn **and** that the
-    /// `$feat` target features are available (the safe wrappers below
-    /// guarantee both).
+    /// ranges documented on the kernel **and** that the `$feat` target
+    /// features are available (the safe wrappers below guarantee both).
     macro_rules! simd_width_kernels {
-        ($modname:ident, $feat:literal, $W:literal,
+        ($modname:ident, $feat:literal, $W:literal, $V:ty,
          $set1:ident, $zero:ident, $load:ident, $store:ident,
          $add:ident, $sub:ident, $mul:ident,
          $shuf:ident, $tails:ident) => {
             mod $modname {
+                use super::super::{CROSS, MIXED, REAL};
+                use super::$shuf::{deint, inter, nonzero, select, Mask};
                 use qdp_linalg::C64;
                 use std::arch::x86_64::*;
 
-                /// Generic 28-op `complex_pair` chain over one contiguous
-                /// run of `len` orbit pairs at four disjoint streams.
+                /// A 2×2 gate's components `[g00.re, g00.im, g01.re,
+                /// g01.im, g10.re, g10.im, g11.re, g11.im]`, one vector
+                /// each: broadcast, or one gate per lane.
+                type Coef = [$V; 8];
+
+                #[target_feature(enable = $feat)]
+                #[inline]
+                fn splat(g: &[C64; 4]) -> Coef {
+                    [
+                        $set1(g[0].re),
+                        $set1(g[0].im),
+                        $set1(g[1].re),
+                        $set1(g[1].im),
+                        $set1(g[2].re),
+                        $set1(g[2].im),
+                        $set1(g[3].re),
+                        $set1(g[3].im),
+                    ]
+                }
+
+                /// Chain `C` on one vector of orbit pairs `(a0, a1)`,
+                /// returning `(lo.re, lo.im, hi.re, hi.im)`: each lane runs
+                /// the scalar operation sequence exactly — `complex_pair`
+                /// for `FULL`, its `+0.0`-reduced form for `CROSS` (see the
+                /// module docs), the real fast path for `REAL`.
+                #[target_feature(enable = $feat)]
+                #[inline]
+                fn chain<const C: u8>(
+                    c: &Coef,
+                    a0r: $V,
+                    a0i: $V,
+                    a1r: $V,
+                    a1i: $V,
+                ) -> ($V, $V, $V, $V) {
+                    let zero = $zero();
+                    match C {
+                        REAL => (
+                            $add($mul(c[0], a0r), $mul(c[2], a1r)),
+                            $add($mul(c[0], a0i), $mul(c[2], a1i)),
+                            $add($mul(c[4], a0r), $mul(c[6], a1r)),
+                            $add($mul(c[4], a0i), $mul(c[6], a1i)),
+                        ),
+                        CROSS => (
+                            $sub($add(zero, $mul(c[0], a0r)), $mul(c[3], a1i)),
+                            $add($add(zero, $mul(c[0], a0i)), $mul(c[3], a1r)),
+                            $add($sub(zero, $mul(c[5], a0i)), $mul(c[6], a1r)),
+                            $add($add(zero, $mul(c[5], a0r)), $mul(c[6], a1i)),
+                        ),
+                        _ => {
+                            let s0r = $sub($add(zero, $mul(c[0], a0r)), $mul(c[1], a0i));
+                            let s0i = $add($add(zero, $mul(c[0], a0i)), $mul(c[1], a0r));
+                            let lor = $sub($add(s0r, $mul(c[2], a1r)), $mul(c[3], a1i));
+                            let loi = $add($add(s0i, $mul(c[2], a1i)), $mul(c[3], a1r));
+                            let s1r = $sub($add(zero, $mul(c[4], a0r)), $mul(c[5], a0i));
+                            let s1i = $add($add(zero, $mul(c[4], a0i)), $mul(c[5], a0r));
+                            let hir = $sub($add(s1r, $mul(c[6], a1r)), $mul(c[7], a1i));
+                            let hii = $add($add(s1i, $mul(c[6], a1i)), $mul(c[7], a1r));
+                            (lor, loi, hir, hii)
+                        }
+                    }
+                }
+
+                /// One contiguous run of `len` orbit pairs at four disjoint
+                /// streams, chain `C`, `$W` pairs per iteration.
                 ///
                 /// # Safety
-                /// See module docs of the enclosing macro.
+                /// `lr/li/hr/hi + 0..len` in-bounds and mutually disjoint;
+                /// the `$feat` features present.
                 #[target_feature(enable = $feat)]
-                #[allow(clippy::too_many_arguments)]
-                pub(in super::super) unsafe fn run_full(
+                pub(in super::super) unsafe fn run<const C: u8>(
                     lr: *mut f64,
                     li: *mut f64,
                     hr: *mut f64,
@@ -523,29 +650,16 @@ mod x86 {
                     len: usize,
                     g: &[C64; 4],
                 ) {
-                    let g00r = $set1(g[0].re);
-                    let g00i = $set1(g[0].im);
-                    let g01r = $set1(g[1].re);
-                    let g01i = $set1(g[1].im);
-                    let g10r = $set1(g[2].re);
-                    let g10i = $set1(g[2].im);
-                    let g11r = $set1(g[3].re);
-                    let g11i = $set1(g[3].im);
-                    let zero = $zero();
+                    let c = splat(g);
                     let mut i = 0usize;
                     while i + $W <= len {
-                        let a0r = $load(lr.add(i));
-                        let a0i = $load(li.add(i));
-                        let a1r = $load(hr.add(i));
-                        let a1i = $load(hi.add(i));
-                        let s0r = $sub($add(zero, $mul(g00r, a0r)), $mul(g00i, a0i));
-                        let s0i = $add($add(zero, $mul(g00r, a0i)), $mul(g00i, a0r));
-                        let lor = $sub($add(s0r, $mul(g01r, a1r)), $mul(g01i, a1i));
-                        let loi = $add($add(s0i, $mul(g01r, a1i)), $mul(g01i, a1r));
-                        let s1r = $sub($add(zero, $mul(g10r, a0r)), $mul(g10i, a0i));
-                        let s1i = $add($add(zero, $mul(g10r, a0i)), $mul(g10i, a0r));
-                        let hir = $sub($add(s1r, $mul(g11r, a1r)), $mul(g11i, a1i));
-                        let hii = $add($add(s1i, $mul(g11r, a1i)), $mul(g11i, a1r));
+                        let (lor, loi, hir, hii) = chain::<C>(
+                            &c,
+                            $load(lr.add(i)),
+                            $load(li.add(i)),
+                            $load(hr.add(i)),
+                            $load(hi.add(i)),
+                        );
                         $store(lr.add(i), lor);
                         $store(li.add(i), loi);
                         $store(hr.add(i), hir);
@@ -553,7 +667,7 @@ mod x86 {
                         i += $W;
                     }
                     if i < len {
-                        super::$tails::run_full(
+                        super::$tails::run::<C>(
                             lr.add(i),
                             li.add(i),
                             hr.add(i),
@@ -564,287 +678,164 @@ mod x86 {
                     }
                 }
 
-                /// Reduced 16-op cross chain (real diagonal, imaginary
-                /// off-diagonal, dead components `+0.0`) — bitwise equal to
-                /// [`run_full`] on finite inputs; the remainder always runs
-                /// the generic chain.
+                /// The short-orbit loop: every `2·$W`-amplitude block of
+                /// `pr/pi + 0..n` splits into its mask-`M` orbit pairs,
+                /// runs chain `C` with the per-lane coefficients `c`, and
+                /// interleaves back. With `KEEP`, the lanes outside `set`
+                /// keep their amplitudes (an identity block, blended back
+                /// rather than multiplied by 1).
                 ///
                 /// # Safety
-                /// See module docs of the enclosing macro.
+                /// `pr/pi + 0..n` in-bounds and disjoint; the `$feat`
+                /// features present.
                 #[target_feature(enable = $feat)]
-                #[allow(clippy::too_many_arguments)]
-                pub(in super::super) unsafe fn run_cross(
-                    lr: *mut f64,
-                    li: *mut f64,
-                    hr: *mut f64,
-                    hi: *mut f64,
-                    len: usize,
-                    g: &[C64; 4],
-                ) {
-                    let g00r = $set1(g[0].re);
-                    let g01i = $set1(g[1].im);
-                    let g10i = $set1(g[2].im);
-                    let g11r = $set1(g[3].re);
-                    let zero = $zero();
-                    let mut i = 0usize;
-                    while i + $W <= len {
-                        let a0r = $load(lr.add(i));
-                        let a0i = $load(li.add(i));
-                        let a1r = $load(hr.add(i));
-                        let a1i = $load(hi.add(i));
-                        let lor = $sub($add(zero, $mul(g00r, a0r)), $mul(g01i, a1i));
-                        let loi = $add($add(zero, $mul(g00r, a0i)), $mul(g01i, a1r));
-                        let hir = $add($sub(zero, $mul(g10i, a0i)), $mul(g11r, a1r));
-                        let hii = $add($add(zero, $mul(g10i, a0r)), $mul(g11r, a1i));
-                        $store(lr.add(i), lor);
-                        $store(li.add(i), loi);
-                        $store(hr.add(i), hir);
-                        $store(hi.add(i), hii);
-                        i += $W;
-                    }
-                    if i < len {
-                        super::$tails::run_full(
-                            lr.add(i),
-                            li.add(i),
-                            hr.add(i),
-                            hi.add(i),
-                            len - i,
-                            g,
-                        );
-                    }
-                }
-
-                /// 8-op all-real chain, transcribing the scalar real fast
-                /// path `r00*a0r + r01*a1r` (and friends) exactly.
-                ///
-                /// # Safety
-                /// See module docs of the enclosing macro.
-                #[target_feature(enable = $feat)]
-                #[allow(clippy::too_many_arguments)]
-                pub(in super::super) unsafe fn run_real(
-                    lr: *mut f64,
-                    li: *mut f64,
-                    hr: *mut f64,
-                    hi: *mut f64,
-                    len: usize,
-                    g: &[C64; 4],
-                ) {
-                    let r00 = $set1(g[0].re);
-                    let r01 = $set1(g[1].re);
-                    let r10 = $set1(g[2].re);
-                    let r11 = $set1(g[3].re);
-                    let mut i = 0usize;
-                    while i + $W <= len {
-                        let a0r = $load(lr.add(i));
-                        let a0i = $load(li.add(i));
-                        let a1r = $load(hr.add(i));
-                        let a1i = $load(hi.add(i));
-                        $store(lr.add(i), $add($mul(r00, a0r), $mul(r01, a1r)));
-                        $store(li.add(i), $add($mul(r00, a0i), $mul(r01, a1i)));
-                        $store(hr.add(i), $add($mul(r10, a0r), $mul(r11, a1r)));
-                        $store(hi.add(i), $add($mul(r10, a0i), $mul(r11, a1i)));
-                        i += $W;
-                    }
-                    if i < len {
-                        super::$tails::run_real(
-                            lr.add(i),
-                            li.add(i),
-                            hr.add(i),
-                            hi.add(i),
-                            len - i,
-                            g,
-                        );
-                    }
-                }
-
-                /// `mask = 1` orbit, generic chain: loads `2·$W` stride-2
-                /// pairs as full vectors, deinterleaves in-register,
-                /// applies the chain, re-interleaves.
-                ///
-                /// # Safety
-                /// See module docs of the enclosing macro; `n` even.
-                #[target_feature(enable = $feat)]
-                pub(in super::super) unsafe fn mask1_full(
+                #[inline]
+                unsafe fn short<const C: u8, const KEEP: bool, const M: usize>(
                     pr0: *mut f64,
                     pi0: *mut f64,
                     n: usize,
-                    g: &[C64; 4],
+                    c: &Coef,
+                    set: Mask,
                 ) {
-                    let g00r = $set1(g[0].re);
-                    let g00i = $set1(g[0].im);
-                    let g01r = $set1(g[1].re);
-                    let g01i = $set1(g[1].im);
-                    let g10r = $set1(g[2].re);
-                    let g10i = $set1(g[2].im);
-                    let g11r = $set1(g[3].re);
-                    let g11i = $set1(g[3].im);
-                    let zero = $zero();
                     let mut idx = 0usize;
                     while idx + 2 * $W <= n {
                         let pr = pr0.add(idx);
                         let pi = pi0.add(idx);
-                        let r0 = $load(pr);
-                        let r1 = $load(pr.add($W));
-                        let i0 = $load(pi);
-                        let i1 = $load(pi.add($W));
-                        let (a0r, a1r) = super::$shuf::deint(r0, r1);
-                        let (a0i, a1i) = super::$shuf::deint(i0, i1);
-                        let s0r = $sub($add(zero, $mul(g00r, a0r)), $mul(g00i, a0i));
-                        let s0i = $add($add(zero, $mul(g00r, a0i)), $mul(g00i, a0r));
-                        let lor = $sub($add(s0r, $mul(g01r, a1r)), $mul(g01i, a1i));
-                        let loi = $add($add(s0i, $mul(g01r, a1i)), $mul(g01i, a1r));
-                        let s1r = $sub($add(zero, $mul(g10r, a0r)), $mul(g10i, a0i));
-                        let s1i = $add($add(zero, $mul(g10r, a0i)), $mul(g10i, a0r));
-                        let hir = $sub($add(s1r, $mul(g11r, a1r)), $mul(g11i, a1i));
-                        let hii = $add($add(s1i, $mul(g11r, a1i)), $mul(g11i, a1r));
-                        let (o0, o1) = super::$shuf::inter(lor, hir);
+                        let (a0r, a1r) = deint::<M>($load(pr), $load(pr.add($W)));
+                        let (a0i, a1i) = deint::<M>($load(pi), $load(pi.add($W)));
+                        let (mut lor, mut loi, mut hir, mut hii) =
+                            chain::<C>(c, a0r, a0i, a1r, a1i);
+                        if KEEP {
+                            lor = select(set, lor, a0r);
+                            loi = select(set, loi, a0i);
+                            hir = select(set, hir, a1r);
+                            hii = select(set, hii, a1i);
+                        }
+                        let (o0, o1) = inter::<M>(lor, hir);
                         $store(pr, o0);
                         $store(pr.add($W), o1);
-                        let (q0, q1) = super::$shuf::inter(loi, hii);
+                        let (q0, q1) = inter::<M>(loi, hii);
                         $store(pi, q0);
                         $store(pi.add($W), q1);
                         idx += 2 * $W;
                     }
-                    if idx < n {
-                        super::$tails::mask1_full(pr0.add(idx), pi0.add(idx), n - idx, g);
-                    }
                 }
 
-                /// `mask = 1` orbit, reduced cross chain (see [`run_cross`]).
+                /// Dense 1q gate `g` on the short orbit `M ≤ $W`, chain `C`.
                 ///
                 /// # Safety
-                /// See module docs of the enclosing macro; `n` even.
+                /// `pr/pi + 0..n` in-bounds and disjoint, `n` a multiple
+                /// of `2·$W`; the `$feat` features present.
                 #[target_feature(enable = $feat)]
-                pub(in super::super) unsafe fn mask1_cross(
-                    pr0: *mut f64,
-                    pi0: *mut f64,
-                    n: usize,
-                    g: &[C64; 4],
-                ) {
-                    let g00r = $set1(g[0].re);
-                    let g01i = $set1(g[1].im);
-                    let g10i = $set1(g[2].im);
-                    let g11r = $set1(g[3].re);
-                    let zero = $zero();
-                    let mut idx = 0usize;
-                    while idx + 2 * $W <= n {
-                        let pr = pr0.add(idx);
-                        let pi = pi0.add(idx);
-                        let r0 = $load(pr);
-                        let r1 = $load(pr.add($W));
-                        let i0 = $load(pi);
-                        let i1 = $load(pi.add($W));
-                        let (a0r, a1r) = super::$shuf::deint(r0, r1);
-                        let (a0i, a1i) = super::$shuf::deint(i0, i1);
-                        let lor = $sub($add(zero, $mul(g00r, a0r)), $mul(g01i, a1i));
-                        let loi = $add($add(zero, $mul(g00r, a0i)), $mul(g01i, a1r));
-                        let hir = $add($sub(zero, $mul(g10i, a0i)), $mul(g11r, a1r));
-                        let hii = $add($add(zero, $mul(g10i, a0r)), $mul(g11r, a1i));
-                        let (o0, o1) = super::$shuf::inter(lor, hir);
-                        $store(pr, o0);
-                        $store(pr.add($W), o1);
-                        let (q0, q1) = super::$shuf::inter(loi, hii);
-                        $store(pi, q0);
-                        $store(pi.add($W), q1);
-                        idx += 2 * $W;
-                    }
-                    if idx < n {
-                        super::$tails::mask1_full(pr0.add(idx), pi0.add(idx), n - idx, g);
-                    }
-                }
-
-                /// `mask = 1` orbit, all-real chain (see [`run_real`]).
-                ///
-                /// # Safety
-                /// See module docs of the enclosing macro; `n` even.
-                #[target_feature(enable = $feat)]
-                pub(in super::super) unsafe fn mask1_real(
-                    pr0: *mut f64,
-                    pi0: *mut f64,
-                    n: usize,
-                    g: &[C64; 4],
-                ) {
-                    let r00 = $set1(g[0].re);
-                    let r01 = $set1(g[1].re);
-                    let r10 = $set1(g[2].re);
-                    let r11 = $set1(g[3].re);
-                    let mut idx = 0usize;
-                    while idx + 2 * $W <= n {
-                        let pr = pr0.add(idx);
-                        let pi = pi0.add(idx);
-                        let r0 = $load(pr);
-                        let r1 = $load(pr.add($W));
-                        let i0 = $load(pi);
-                        let i1 = $load(pi.add($W));
-                        let (a0r, a1r) = super::$shuf::deint(r0, r1);
-                        let (a0i, a1i) = super::$shuf::deint(i0, i1);
-                        let lor = $add($mul(r00, a0r), $mul(r01, a1r));
-                        let loi = $add($mul(r00, a0i), $mul(r01, a1i));
-                        let hir = $add($mul(r10, a0r), $mul(r11, a1r));
-                        let hii = $add($mul(r10, a0i), $mul(r11, a1i));
-                        let (o0, o1) = super::$shuf::inter(lor, hir);
-                        $store(pr, o0);
-                        $store(pr.add($W), o1);
-                        let (q0, q1) = super::$shuf::inter(loi, hii);
-                        $store(pi, q0);
-                        $store(pi.add($W), q1);
-                        idx += 2 * $W;
-                    }
-                    if idx < n {
-                        super::$tails::mask1_real(pr0.add(idx), pi0.add(idx), n - idx, g);
-                    }
-                }
-
-                /// `run == 1` real-diagonal sweep: interleaved `[s0, s1,
-                /// s0, s1, …]` coefficient vector, one multiply per plane.
-                ///
-                /// # Safety
-                /// See module docs of the enclosing macro; `n` even.
-                #[target_feature(enable = $feat)]
-                pub(in super::super) unsafe fn diag1_real(
+                pub(in super::super) unsafe fn short_1q<const C: u8, const M: usize>(
                     pr: *mut f64,
                     pi: *mut f64,
                     n: usize,
-                    s0: f64,
-                    s1: f64,
+                    g: &[C64; 4],
                 ) {
-                    let sv = super::$shuf::pair2(s0, s1);
-                    let mut i = 0usize;
-                    while i + $W <= n {
-                        $store(pr.add(i), $mul($load(pr.add(i)), sv));
-                        $store(pi.add(i), $mul($load(pi.add(i)), sv));
-                        i += $W;
-                    }
-                    if i < n {
-                        super::$tails::diag1_real(pr.add(i), pi.add(i), n - i, s0, s1);
-                    }
+                    short::<C, false, M>(pr, pi, n, &splat(g), nonzero($zero()));
                 }
 
-                /// `run == 1` complex-diagonal sweep, transcribing the
-                /// scalar `r0*dr - i0*di` / `r0*di + i0*dr` pair.
+                /// Block-diagonal 2q gate with target `M ≤ $W` and control
+                /// `cmask ≤ $W`: each orbit takes `b` where its control bit
+                /// is set and `a` elsewhere — or keeps its amplitudes there
+                /// when `KEEP` (`a` is the identity).
                 ///
                 /// # Safety
-                /// See module docs of the enclosing macro; `n` even.
+                /// As [`short_1q`].
                 #[target_feature(enable = $feat)]
-                pub(in super::super) unsafe fn diag1_complex(
+                pub(in super::super) unsafe fn short_ctrl<
+                    const C: u8,
+                    const KEEP: bool,
+                    const M: usize,
+                >(
                     pr: *mut f64,
                     pi: *mut f64,
                     n: usize,
+                    cmask: usize,
+                    a: &[C64; 4],
+                    b: &[C64; 4],
+                ) {
+                    // Each orbit's control bit, in the lane order `deint`
+                    // gives its pairs (blocks are `2·cmask`-aligned).
+                    let mut flag = [0.0f64; 2 * $W];
+                    for (j, f) in flag.iter_mut().enumerate() {
+                        if j & cmask != 0 {
+                            *f = 1.0;
+                        }
+                    }
+                    let (ctrl, _) = deint::<M>($load(flag.as_ptr()), $load(flag.as_ptr().add($W)));
+                    let set = nonzero(ctrl);
+                    let (ca, cb) = (splat(a), splat(b));
+                    let mut c = ca;
+                    for k in 0..8 {
+                        c[k] = select(set, cb[k], ca[k]);
+                    }
+                    short::<C, KEEP, M>(pr, pi, n, &c, set);
+                }
+
+                /// Diagonal 1q gate `diag(d0, d1)` on the short orbit
+                /// `mask ≤ $W`: lane `j` of each `2·$W` block scales by `d0`
+                /// or `d1` as bit `mask` of `j` says, from lane-pattern
+                /// coefficient vectors built once. `K` is the scalar
+                /// branch (`DiagKind`): `REAL` multiplies each plane,
+                /// `FULL` runs the complex product, `MIXED` runs both,
+                /// picks per lane and keeps identity lanes.
+                ///
+                /// # Safety
+                /// As [`short_1q`].
+                #[target_feature(enable = $feat)]
+                pub(in super::super) unsafe fn short_diag<const K: u8>(
+                    pr: *mut f64,
+                    pi: *mut f64,
+                    n: usize,
+                    mask: usize,
                     d0: C64,
                     d1: C64,
                 ) {
-                    let drv = super::$shuf::pair2(d0.re, d1.re);
-                    let div = super::$shuf::pair2(d0.im, d1.im);
-                    let mut i = 0usize;
-                    while i + $W <= n {
-                        let r = $load(pr.add(i));
-                        let im = $load(pi.add(i));
-                        $store(pr.add(i), $sub($mul(r, drv), $mul(im, div)));
-                        $store(pi.add(i), $add($mul(r, div), $mul(im, drv)));
-                        i += $W;
+                    // Per block lane: d.re, d.im, complex branch, identity.
+                    let mut pat = [[0.0f64; 2 * $W]; 4];
+                    for j in 0..2 * $W {
+                        let d = if j & mask == 0 { d0 } else { d1 };
+                        pat[0][j] = d.re;
+                        pat[1][j] = d.im;
+                        pat[2][j] = if d.im == 0.0 { 0.0 } else { 1.0 };
+                        pat[3][j] = if d == C64::ONE { 1.0 } else { 0.0 };
                     }
-                    if i < n {
-                        super::$tails::diag1_complex(pr.add(i), pi.add(i), n - i, d0, d1);
+                    let zero = $zero();
+                    let (mut dr, mut di) = ([zero; 2], [zero; 2]);
+                    let (mut cplx, mut keep) = ([nonzero(zero); 2], [nonzero(zero); 2]);
+                    for h in 0..2 {
+                        dr[h] = $load(pat[0].as_ptr().add(h * $W));
+                        di[h] = $load(pat[1].as_ptr().add(h * $W));
+                        cplx[h] = nonzero($load(pat[2].as_ptr().add(h * $W)));
+                        keep[h] = nonzero($load(pat[3].as_ptr().add(h * $W)));
+                    }
+                    let mut idx = 0usize;
+                    while idx + 2 * $W <= n {
+                        for h in 0..2 {
+                            let p = idx + h * $W;
+                            let r = $load(pr.add(p));
+                            let i = $load(pi.add(p));
+                            let (or, oi) = if K == REAL {
+                                ($mul(r, dr[h]), $mul(i, dr[h]))
+                            } else {
+                                let cr = $sub($mul(r, dr[h]), $mul(i, di[h]));
+                                let ci = $add($mul(r, di[h]), $mul(i, dr[h]));
+                                if K == MIXED {
+                                    let (rr, ri) = ($mul(r, dr[h]), $mul(i, dr[h]));
+                                    (
+                                        select(keep[h], r, select(cplx[h], cr, rr)),
+                                        select(keep[h], i, select(cplx[h], ci, ri)),
+                                    )
+                                } else {
+                                    (cr, ci)
+                                }
+                            };
+                            $store(pr.add(p), or);
+                            $store(pi.add(p), oi);
+                        }
+                        idx += 2 * $W;
                     }
                 }
 
@@ -854,7 +845,8 @@ mod x86 {
                 /// before any row stores.
                 ///
                 /// # Safety
-                /// See module docs of the enclosing macro.
+                /// `pr/pi + off[b] + 0..len` in-bounds for all `b`, the
+                /// four streams disjoint; the `$feat` features present.
                 #[target_feature(enable = $feat)]
                 pub(in super::super) unsafe fn run_2q(
                     pr: *mut f64,
@@ -901,7 +893,8 @@ mod x86 {
                 /// broadcasts (1024 pairs cannot live in registers).
                 ///
                 /// # Safety
-                /// See module docs of the enclosing macro.
+                /// `pr/pi + offsets[b] + 0..len` in-bounds for all `b`,
+                /// the streams disjoint; the `$feat` features present.
                 #[target_feature(enable = $feat)]
                 pub(in super::super) unsafe fn run_kq(
                     pr: *mut f64,
@@ -948,6 +941,7 @@ mod x86 {
         avx2k,
         "avx2,fma",
         4,
+        __m256d,
         _mm256_set1_pd,
         _mm256_setzero_pd,
         _mm256_loadu_pd,
@@ -963,6 +957,7 @@ mod x86 {
         avx512k,
         "avx512f,avx2,fma",
         8,
+        __m512d,
         _mm512_set1_pd,
         _mm512_setzero_pd,
         _mm512_loadu_pd,
@@ -973,6 +968,23 @@ mod x86 {
         shuf512,
         avx2k
     );
+
+    /// Calls width kernel `$f::<$g.., M>` of `$tier`'s module for the short
+    /// mask `M = $mask` — one monomorphised loop per (tier, mask).
+    macro_rules! short_call {
+        ($tier:expr, $mask:expr, $f:ident::<$($g:tt),*>($($arg:expr),*)) => {
+            match ($tier, $mask) {
+                (SimdTier::Avx512, 1) => avx512k::$f::<$($g,)* 1>($($arg),*),
+                (SimdTier::Avx512, 2) => avx512k::$f::<$($g,)* 2>($($arg),*),
+                (SimdTier::Avx512, 4) => avx512k::$f::<$($g,)* 4>($($arg),*),
+                (SimdTier::Avx512, 8) => avx512k::$f::<$($g,)* 8>($($arg),*),
+                (SimdTier::Avx2, 1) => avx2k::$f::<$($g,)* 1>($($arg),*),
+                (SimdTier::Avx2, 2) => avx2k::$f::<$($g,)* 2>($($arg),*),
+                (SimdTier::Avx2, 4) => avx2k::$f::<$($g,)* 4>($($arg),*),
+                (tier, mask) => unreachable!("mask {mask} is no short orbit at {tier:?}"),
+            }
+        };
+    }
 
     /// AVX2 accumulator for the `lanes.rs` reduction: the four LANES
     /// partials ride one vector, each block folding `re²+im²` into its
@@ -1000,8 +1012,8 @@ mod x86 {
     /// Tier × chain dispatch for one contiguous dense-1q run.
     ///
     /// # Safety
-    /// Pointer contracts of `tails::run_full`; `tier` must be a
-    /// runtime-detected non-Scalar tier (its target features present).
+    /// `lr/li/hr/hi + 0..len` in-bounds and mutually disjoint; `tier` must
+    /// be a runtime-detected non-Scalar tier (its target features present).
     #[allow(clippy::too_many_arguments)]
     unsafe fn run_1q_raw(
         tier: SimdTier,
@@ -1014,43 +1026,55 @@ mod x86 {
         chain: Chain1q,
     ) {
         match (tier, chain) {
-            (SimdTier::Avx512, Chain1q::Full) => avx512k::run_full(lr, li, hr, hi, len, g),
-            (SimdTier::Avx512, Chain1q::Cross) => avx512k::run_cross(lr, li, hr, hi, len, g),
-            (SimdTier::Avx512, Chain1q::Real) => avx512k::run_real(lr, li, hr, hi, len, g),
-            (SimdTier::Avx2, Chain1q::Full) => avx2k::run_full(lr, li, hr, hi, len, g),
-            (SimdTier::Avx2, Chain1q::Cross) => avx2k::run_cross(lr, li, hr, hi, len, g),
-            (SimdTier::Avx2, Chain1q::Real) => avx2k::run_real(lr, li, hr, hi, len, g),
+            (SimdTier::Avx512, Chain1q::Full) => avx512k::run::<FULL>(lr, li, hr, hi, len, g),
+            (SimdTier::Avx512, Chain1q::Cross) => avx512k::run::<CROSS>(lr, li, hr, hi, len, g),
+            (SimdTier::Avx512, Chain1q::Real) => avx512k::run::<REAL>(lr, li, hr, hi, len, g),
+            (SimdTier::Avx2, Chain1q::Full) => avx2k::run::<FULL>(lr, li, hr, hi, len, g),
+            (SimdTier::Avx2, Chain1q::Cross) => avx2k::run::<CROSS>(lr, li, hr, hi, len, g),
+            (SimdTier::Avx2, Chain1q::Real) => avx2k::run::<REAL>(lr, li, hr, hi, len, g),
             (SimdTier::Scalar, _) => unreachable!("SIMD dispatch reached with Scalar tier"),
         }
     }
 
-    /// Tier × chain dispatch for one `mask = 1` span of `n` amplitudes.
+    /// Tier × chain × mask dispatch for one short-orbit dense-1q span.
     ///
     /// # Safety
-    /// Pointer contracts of `tails::mask1_full` (`n` even); `tier` must be
-    /// a runtime-detected non-Scalar tier.
-    unsafe fn mask1_raw(
+    /// `pr/pi + 0..n` in-bounds and disjoint, `n` a multiple of the tier's
+    /// two-vector block; `tier` runtime-detected and non-Scalar.
+    unsafe fn short_1q_raw(
         tier: SimdTier,
         pr: *mut f64,
         pi: *mut f64,
         n: usize,
+        mask: usize,
         g: &[C64; 4],
         chain: Chain1q,
     ) {
-        match (tier, chain) {
-            (SimdTier::Avx512, Chain1q::Full) => avx512k::mask1_full(pr, pi, n, g),
-            (SimdTier::Avx512, Chain1q::Cross) => avx512k::mask1_cross(pr, pi, n, g),
-            (SimdTier::Avx512, Chain1q::Real) => avx512k::mask1_real(pr, pi, n, g),
-            (SimdTier::Avx2, Chain1q::Full) => avx2k::mask1_full(pr, pi, n, g),
-            (SimdTier::Avx2, Chain1q::Cross) => avx2k::mask1_cross(pr, pi, n, g),
-            (SimdTier::Avx2, Chain1q::Real) => avx2k::mask1_real(pr, pi, n, g),
-            (SimdTier::Scalar, _) => unreachable!("SIMD dispatch reached with Scalar tier"),
+        match chain {
+            Chain1q::Full => short_call!(tier, mask, short_1q::<FULL>(pr, pi, n, g)),
+            Chain1q::Cross => short_call!(tier, mask, short_1q::<CROSS>(pr, pi, n, g)),
+            Chain1q::Real => short_call!(tier, mask, short_1q::<REAL>(pr, pi, n, g)),
         }
     }
 
-    /// Serial dense-1q sweep over whole (sub-)planes: `mask = 1` goes to
-    /// the deinterleave kernel, larger masks walk `2·mask` blocks and run
-    /// the contiguous-run kernel on each half pair.
+    /// Checks the short-orbit shape the kernels rely on for their bits:
+    /// whole blocks, and every orbit inside one block.
+    fn check_short(tier: SimdTier, n: usize, mask: usize) {
+        debug_assert_ne!(tier, SimdTier::Scalar, "SIMD sweep called with Scalar tier");
+        assert!(
+            mask <= tier.lanes(),
+            "mask {mask} is no short orbit at {tier:?}"
+        );
+        assert!(
+            n.is_multiple_of(2 * tier.lanes()),
+            "a short-orbit sweep takes whole two-vector blocks"
+        );
+    }
+
+    /// Serial dense-1q sweep over whole (sub-)planes: a short orbit
+    /// (`mask ≤ lanes`; the plane a multiple of the tier's two-vector
+    /// block) runs the short-orbit kernel, a long one walks `2·mask`
+    /// blocks and runs the contiguous-run kernel on each half pair.
     pub(crate) fn sweep_1q(
         tier: SimdTier,
         re: &mut [f64],
@@ -1063,25 +1087,25 @@ mod x86 {
         debug_assert!(mask.is_power_of_two(), "orbit mask must be a power of two");
         debug_assert!(re.len().is_multiple_of(mask << 1), "plane length must be a multiple of 2·mask");
         debug_assert_ne!(tier, SimdTier::Scalar, "SIMD sweep called with Scalar tier");
-        let n = re.len();
+        let n = re.len().min(im.len());
         let pr = re.as_mut_ptr();
         let pi = im.as_mut_ptr();
-        if mask == 1 {
-            // SAFETY: `pr`/`pi` cover `n` in-bounds f64s from two disjoint
-            // `&mut` slices of asserted-equal length; `n` is even (multiple
-            // of 2·mask = 2); `tier` comes from runtime detection, so the
-            // kernel's target features are present.
-            unsafe { mask1_raw(tier, pr, pi, n, g, chain) };
+        if mask <= tier.lanes() {
+            check_short(tier, n, mask);
+            // SAFETY: `pr`/`pi` cover `n` in-bounds f64s of two disjoint
+            // `&mut` slices; `n` is a multiple of the block (checked);
+            // `tier` comes from runtime detection, so the kernel's target
+            // features are present.
+            unsafe { short_1q_raw(tier, pr, pi, n, mask, g, chain) };
             return;
         }
         let align = mask << 1;
         let mut base = 0usize;
-        while base < n {
-            // SAFETY: `n` is a multiple of `align`, so `base + align <= n`:
-            // the lo run `[base, base+mask)` and hi run `[base+mask,
-            // base+2·mask)` are in-bounds and disjoint in each plane, and
-            // the re/im planes are themselves disjoint `&mut` slices;
-            // `tier` comes from runtime detection.
+        while base + align <= n {
+            // SAFETY: `base + align <= n`: the lo run `[base, base+mask)`
+            // and hi run `[base+mask, base+2·mask)` are in-bounds and
+            // disjoint in each plane, and the re/im planes are themselves
+            // disjoint `&mut` slices; `tier` comes from runtime detection.
             unsafe {
                 let lr = pr.add(base);
                 let li = pi.add(base);
@@ -1104,7 +1128,7 @@ mod x86 {
         chain: Chain1q,
     ) {
         let len = lre.len();
-        debug_assert!(
+        assert!(
             lim.len() == len && hre.len() == len && him.len() == len,
             "all four streams must have equal lengths"
         );
@@ -1125,81 +1149,128 @@ mod x86 {
         };
     }
 
-    /// `run == 1` diagonal sweep: even indices scale by `d0`, odd by `d1`.
-    /// Caller must have checked [`super::diag1_vectorizable`].
-    pub(crate) fn sweep_diag1(tier: SimdTier, re: &mut [f64], im: &mut [f64], d0: C64, d1: C64) {
-        debug_assert_eq!(re.len(), im.len(), "re/im planes must have equal lengths");
-        debug_assert!(re.len().is_multiple_of(2), "diag1 sweep needs an even plane length");
-        debug_assert!(super::diag1_vectorizable(d0, d1), "diag1 sweep on unvectorizable entries");
-        debug_assert_ne!(tier, SimdTier::Scalar, "SIMD sweep called with Scalar tier");
-        let n = re.len();
-        let pr = re.as_mut_ptr();
-        let pi = im.as_mut_ptr();
-        // `diag1_vectorizable` guarantees both entries sit on the same
-        // real/complex branch, mirroring the scalar per-entry split.
-        if d0.im == 0.0 {
-            // SAFETY: `pr`/`pi` cover `n` (even) in-bounds f64s from two
-            // disjoint `&mut` slices; `tier` comes from runtime detection.
-            unsafe {
-                match tier {
-                    SimdTier::Avx512 => avx512k::diag1_real(pr, pi, n, d0.re, d1.re),
-                    SimdTier::Avx2 => avx2k::diag1_real(pr, pi, n, d0.re, d1.re),
-                    SimdTier::Scalar => unreachable!("SIMD dispatch reached with Scalar tier"),
-                }
-            }
-        } else {
-            // SAFETY: as above.
-            unsafe {
-                match tier {
-                    SimdTier::Avx512 => avx512k::diag1_complex(pr, pi, n, d0, d1),
-                    SimdTier::Avx2 => avx2k::diag1_complex(pr, pi, n, d0, d1),
-                    SimdTier::Scalar => unreachable!("SIMD dispatch reached with Scalar tier"),
-                }
-            }
-        }
-    }
-
-    /// Block-diagonal sweep for `tmask == 1` (target on the last qubit):
-    /// the plane is alternating `cmask`-length segments whose control bit
-    /// is the segment parity (chunks are `2·cmask`-aligned), and each
-    /// selected segment is exactly a `mask = 1` orbit span — `B` on
-    /// control-set segments, `A` on control-clear ones unless `A` is the
-    /// identity. Chains are classified with `allow_real = false` because
-    /// the scalar block-diagonal kernel always runs `complex_pair`.
-    pub(crate) fn sweep_blockdiag_t1(
+    /// Block-diagonal sweep `|0⟩⟨0| ⊗ a + |1⟩⟨1| ⊗ b` (control `cmask`)
+    /// whose target `tmask` is a short orbit at `tier`. A short control
+    /// runs the per-lane kernel over the whole plane (`b` on control-set
+    /// lanes, `a` on the others, or their amplitudes kept when `a` is the
+    /// identity); a long one makes the plane alternating `cmask`-length
+    /// segments of constant control bit — each a whole number of blocks —
+    /// and sweeps each selected segment with the short 1q kernel. Chains
+    /// are classified with `allow_real = false` because the scalar
+    /// block-diagonal kernel always runs `complex_pair`; mixed lanes run
+    /// Cross only when both blocks are Cross-shaped.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn sweep_ctrl(
         tier: SimdTier,
         re: &mut [f64],
         im: &mut [f64],
         cmask: usize,
+        tmask: usize,
         a: &[C64; 4],
         b: &[C64; 4],
         identity_a: bool,
     ) {
         debug_assert_eq!(re.len(), im.len(), "re/im planes must have equal lengths");
-        debug_assert!(cmask >= 2 && cmask.is_power_of_two(), "tmask == 1 implies cmask >= 2");
-        debug_assert!(re.len().is_multiple_of(cmask << 1), "plane length must be a multiple of 2·cmask");
-        debug_assert_ne!(tier, SimdTier::Scalar, "SIMD sweep called with Scalar tier");
-        let ca = super::classify_1q(a, false);
-        let cb = super::classify_1q(b, false);
-        let n = re.len();
+        debug_assert!(
+            cmask.is_power_of_two() && cmask != tmask,
+            "control must be another bit"
+        );
+        let n = re.len().min(im.len());
+        check_short(tier, n, tmask);
+        assert!(
+            n.is_multiple_of(cmask << 1),
+            "plane length must be a multiple of 2·cmask"
+        );
+        let (ca, cb) = (classify_1q(a, false), classify_1q(b, false));
         let pr = re.as_mut_ptr();
         let pi = im.as_mut_ptr();
-        let mut s = 0usize;
-        let mut ctrl_set = false;
-        while s < n {
-            if ctrl_set {
-                // SAFETY: `n` is a multiple of `2·cmask`, so the segment
-                // `[s, s+cmask)` is in-bounds of both (disjoint) planes and
-                // `cmask` is even-length... `cmask >= 2` and a power of
-                // two, so the span length is even as the kernel requires;
-                // `tier` comes from runtime detection.
-                unsafe { mask1_raw(tier, pr.add(s), pi.add(s), cmask, b, cb) };
-            } else if !identity_a {
-                // SAFETY: as above.
-                unsafe { mask1_raw(tier, pr.add(s), pi.add(s), cmask, a, ca) };
+        if cmask > tier.lanes() {
+            // `cmask` is a power of two above one vector, so each segment
+            // is a whole number of blocks.
+            let mut s = 0usize;
+            while s < n {
+                // SAFETY: `n` is a multiple of `2·cmask`, so the segments
+                // `[s, s+cmask)` and `[s+cmask, s+2·cmask)` are in-bounds
+                // of both (disjoint) planes, and `cmask` is a multiple of
+                // the block; `tier` comes from runtime detection.
+                unsafe {
+                    if !identity_a {
+                        short_1q_raw(tier, pr.add(s), pi.add(s), cmask, tmask, a, ca);
+                    }
+                    let (hr, hi) = (pr.add(s + cmask), pi.add(s + cmask));
+                    short_1q_raw(tier, hr, hi, cmask, tmask, b, cb);
+                }
+                s += cmask << 1;
             }
-            s += cmask;
-            ctrl_set = !ctrl_set;
+            return;
+        }
+        let cross = cb == Chain1q::Cross && (identity_a || ca == Chain1q::Cross);
+        // SAFETY: `pr`/`pi` cover `n` in-bounds f64s of two disjoint `&mut`
+        // slices, `n` a multiple of the block (checked); both masks fit in
+        // one vector; `tier` comes from runtime detection.
+        unsafe {
+            match (cross, identity_a) {
+                (true, true) => {
+                    short_call!(tier, tmask, short_ctrl::<CROSS, true>(pr, pi, n, cmask, a, b))
+                }
+                (true, false) => {
+                    short_call!(tier, tmask, short_ctrl::<CROSS, false>(pr, pi, n, cmask, a, b))
+                }
+                (false, true) => {
+                    short_call!(tier, tmask, short_ctrl::<FULL, true>(pr, pi, n, cmask, a, b))
+                }
+                (false, false) => {
+                    short_call!(tier, tmask, short_ctrl::<FULL, false>(pr, pi, n, cmask, a, b))
+                }
+            }
+        }
+    }
+
+    /// Diagonal 1q sweep `diag(d0, d1)` on the short orbit `mask` — even
+    /// runs of `mask` amplitudes scale by `d0`, odd runs by `d1`, each lane
+    /// on the scalar kernel's branch for its entry (`kind`, from
+    /// [`super::classify_diag`]).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn sweep_diag(
+        tier: SimdTier,
+        re: &mut [f64],
+        im: &mut [f64],
+        mask: usize,
+        d0: C64,
+        d1: C64,
+        kind: DiagKind,
+    ) {
+        debug_assert_eq!(kind, super::classify_diag(d0, d1), "diagonal branch mismatch");
+        debug_assert_eq!(re.len(), im.len(), "re/im planes must have equal lengths");
+        let n = re.len().min(im.len());
+        check_short(tier, n, mask);
+        let pr = re.as_mut_ptr();
+        let pi = im.as_mut_ptr();
+        // SAFETY: `pr`/`pi` cover `n` in-bounds f64s of two disjoint `&mut`
+        // slices, `n` a multiple of the block (checked); `tier` comes from
+        // runtime detection.
+        unsafe {
+            match (tier, kind) {
+                (SimdTier::Avx512, DiagKind::Real) => {
+                    avx512k::short_diag::<REAL>(pr, pi, n, mask, d0, d1)
+                }
+                (SimdTier::Avx512, DiagKind::Complex) => {
+                    avx512k::short_diag::<FULL>(pr, pi, n, mask, d0, d1)
+                }
+                (SimdTier::Avx512, DiagKind::Mixed) => {
+                    avx512k::short_diag::<MIXED>(pr, pi, n, mask, d0, d1)
+                }
+                (SimdTier::Avx2, DiagKind::Real) => {
+                    avx2k::short_diag::<REAL>(pr, pi, n, mask, d0, d1)
+                }
+                (SimdTier::Avx2, DiagKind::Complex) => {
+                    avx2k::short_diag::<FULL>(pr, pi, n, mask, d0, d1)
+                }
+                (SimdTier::Avx2, DiagKind::Mixed) => {
+                    avx2k::short_diag::<MIXED>(pr, pi, n, mask, d0, d1)
+                }
+                (SimdTier::Scalar, _) => unreachable!("SIMD dispatch reached with Scalar tier"),
+            }
         }
     }
 
@@ -1284,9 +1355,7 @@ mod x86 {
 }
 
 #[cfg(all(target_arch = "x86_64", not(miri)))]
-pub(crate) use x86::{
-    accumulate_lanes, run_1q, run_2q, run_kq, sweep_1q, sweep_blockdiag_t1, sweep_diag1,
-};
+pub(crate) use x86::{accumulate_lanes, run_1q, run_2q, run_kq, sweep_1q, sweep_ctrl, sweep_diag};
 
 /// Stub backend for non-x86_64 targets and Miri: [`active_tier`] is always
 /// [`SimdTier::Scalar`] there (see [`detect`]), and every kernel dispatch
@@ -1295,7 +1364,7 @@ pub(crate) use x86::{
 /// sites compile unchanged.
 #[cfg(not(all(target_arch = "x86_64", not(miri))))]
 mod fallback {
-    use super::{Chain1q, SimdTier};
+    use super::{Chain1q, DiagKind, SimdTier};
     use qdp_linalg::C64;
 
     pub(crate) fn sweep_1q(
@@ -1321,19 +1390,29 @@ mod fallback {
         unreachable!("SIMD kernel called on a target with no SIMD backend");
     }
 
-    pub(crate) fn sweep_diag1(_tier: SimdTier, _re: &mut [f64], _im: &mut [f64], _d0: C64, _d1: C64) {
-        unreachable!("SIMD kernel called on a target with no SIMD backend");
-    }
-
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn sweep_blockdiag_t1(
+    pub(crate) fn sweep_ctrl(
         _tier: SimdTier,
         _re: &mut [f64],
         _im: &mut [f64],
         _cmask: usize,
+        _tmask: usize,
         _a: &[C64; 4],
         _b: &[C64; 4],
         _identity_a: bool,
+    ) {
+        unreachable!("SIMD kernel called on a target with no SIMD backend");
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn sweep_diag(
+        _tier: SimdTier,
+        _re: &mut [f64],
+        _im: &mut [f64],
+        _mask: usize,
+        _d0: C64,
+        _d1: C64,
+        _kind: DiagKind,
     ) {
         unreachable!("SIMD kernel called on a target with no SIMD backend");
     }
@@ -1371,7 +1450,7 @@ mod fallback {
 
 #[cfg(not(all(target_arch = "x86_64", not(miri))))]
 pub(crate) use fallback::{
-    accumulate_lanes, run_1q, run_2q, run_kq, sweep_1q, sweep_blockdiag_t1, sweep_diag1,
+    accumulate_lanes, run_1q, run_2q, run_kq, sweep_1q, sweep_ctrl, sweep_diag,
 };
 
 #[cfg(test)]
@@ -1384,6 +1463,29 @@ mod tests {
         assert!(SimdTier::Avx2 < SimdTier::Avx512);
         assert_eq!(SimdTier::Avx512.min(SimdTier::Avx2), SimdTier::Avx2);
         assert_eq!(SimdTier::Scalar.min(SimdTier::Avx512), SimdTier::Scalar);
+    }
+
+    #[test]
+    fn short_orbits_take_the_widest_tier_whose_block_fits() {
+        use SimdTier::*;
+        // At AVX-512 masks up to 8 are short, on planes of whole 16-blocks.
+        for mask in [1, 2, 4, 8] {
+            assert_eq!(short_tier(Avx512, 256, mask), Some(Avx512), "mask {mask}");
+        }
+        assert_eq!(short_tier(Avx512, 256, 16), None, "mask 16 is a long orbit");
+        // A plane shorter than one 16-block drops to the AVX2 block, then
+        // to the scalar loop.
+        assert_eq!(short_tier(Avx512, 8, 4), Some(Avx2));
+        assert_eq!(short_tier(Avx512, 4, 1), None);
+        // At AVX2 masks up to 4 are short; mask 8 runs as contiguous runs.
+        assert_eq!(short_tier(Avx2, 256, 4), Some(Avx2));
+        assert_eq!(short_tier(Avx2, 256, 8), None);
+        assert_eq!(orbit_tier(Avx2, 256, 8), Some(Avx2));
+        assert_eq!(orbit_tier(Avx512, 4, 2), None);
+        for mask in [1, 2, 64] {
+            assert_eq!(short_tier(Scalar, 256, mask), None);
+            assert_eq!(orbit_tier(Scalar, 256, mask), None);
+        }
     }
 
     #[test]
@@ -1414,15 +1516,14 @@ mod tests {
     }
 
     #[test]
-    fn diag1_vectorizable_requires_shared_branch_and_no_identity() {
-        let one = C64::ONE;
+    fn classify_diag_follows_the_scalar_branches() {
         let r = C64::new(0.5, 0.0);
         let z = C64::new(0.3, 0.4);
-        assert!(diag1_vectorizable(r, C64::new(-1.0, 0.0)));
-        assert!(diag1_vectorizable(z, C64::new(0.0, 1.0)));
-        assert!(!diag1_vectorizable(one, z), "identity entries keep the scalar skip");
-        assert!(!diag1_vectorizable(r, one));
-        assert!(!diag1_vectorizable(r, z), "mixed real/complex branches stay scalar");
+        assert_eq!(classify_diag(r, C64::new(-1.0, -0.0)), DiagKind::Real);
+        assert_eq!(classify_diag(z, C64::new(0.0, 1.0)), DiagKind::Complex);
+        assert_eq!(classify_diag(C64::ONE, z), DiagKind::Mixed, "identity lanes are kept");
+        assert_eq!(classify_diag(r, C64::ONE), DiagKind::Mixed);
+        assert_eq!(classify_diag(r, z), DiagKind::Mixed, "real and complex lanes differ");
     }
 
     #[cfg(all(target_arch = "x86_64", not(miri)))]
@@ -1430,191 +1531,212 @@ mod tests {
         use super::super::*;
         use crate::kernels::complex_pair;
 
+        /// Random planes salted with `-0.0` components, so every pin also
+        /// covers the kernels' signed-zero handling.
         fn planes(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
             let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
             let mut next = || {
                 s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 ((s >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
             };
-            let re: Vec<f64> = (0..n).map(|_| next()).collect();
-            let im: Vec<f64> = (0..n).map(|_| next()).collect();
+            let mut re: Vec<f64> = (0..n).map(|_| next()).collect();
+            let mut im: Vec<f64> = (0..n).map(|_| next()).collect();
+            for i in (0..n).step_by(5) {
+                re[i] = -0.0;
+            }
+            for i in (3..n).step_by(7) {
+                im[i] = -0.0;
+            }
             (re, im)
         }
 
         fn tiers() -> Vec<SimdTier> {
-            let mut t = Vec::new();
-            if detected_tier() >= SimdTier::Avx2 {
-                t.push(SimdTier::Avx2);
-            }
-            if detected_tier() >= SimdTier::Avx512 {
-                t.push(SimdTier::Avx512);
-            }
-            t
+            [SimdTier::Avx2, SimdTier::Avx512]
+                .into_iter()
+                .filter(|&t| t <= detected_tier())
+                .collect()
         }
 
         fn bits(v: &[f64]) -> Vec<u64> {
             v.iter().map(|x| x.to_bits()).collect()
         }
 
-        /// The scalar dense-1q sweep: the same chain selection the SIMD
-        /// dispatch uses, written as the plane kernels write it.
-        fn scalar_sweep(re: &mut [f64], im: &mut [f64], mask: usize, g: &[C64; 4], real: bool) {
-            let align = mask << 1;
-            let mut base = 0usize;
-            while base < re.len() {
-                for i in base..base + mask {
-                    let (a0r, a0i, a1r, a1i) = (re[i], im[i], re[i + mask], im[i + mask]);
-                    let (lr, li, hr, hi) = if real {
-                        (
-                            g[0].re * a0r + g[1].re * a1r,
-                            g[0].re * a0i + g[1].re * a1i,
-                            g[2].re * a0r + g[3].re * a1r,
-                            g[2].re * a0i + g[3].re * a1i,
-                        )
-                    } else {
-                        complex_pair(g[0], g[1], g[2], g[3], a0r, a0i, a1r, a1i)
-                    };
+        /// The scalar orbit update of `g`: the real fast path or
+        /// `complex_pair`, as the plane kernels write them.
+        fn scalar_pair(g: &[C64; 4], real: bool, a: (f64, f64, f64, f64)) -> (f64, f64, f64, f64) {
+            let (a0r, a0i, a1r, a1i) = a;
+            if real {
+                (
+                    g[0].re * a0r + g[1].re * a1r,
+                    g[0].re * a0i + g[1].re * a1i,
+                    g[2].re * a0r + g[3].re * a1r,
+                    g[2].re * a0i + g[3].re * a1i,
+                )
+            } else {
+                complex_pair(g[0], g[1], g[2], g[3], a0r, a0i, a1r, a1i)
+            }
+        }
+
+        /// Applies `update` to every orbit `(i, i | mask)` of the planes.
+        fn scalar_orbits(
+            re: &mut [f64],
+            im: &mut [f64],
+            mask: usize,
+            update: impl Fn(usize, (f64, f64, f64, f64)) -> Option<(f64, f64, f64, f64)>,
+        ) {
+            for i in (0..re.len()).filter(|i| i & mask == 0) {
+                let j = i | mask;
+                if let Some((lr, li, hr, hi)) = update(i, (re[i], im[i], re[j], im[j])) {
                     re[i] = lr;
                     im[i] = li;
-                    re[i + mask] = hr;
-                    im[i + mask] = hi;
+                    re[j] = hr;
+                    im[j] = hi;
                 }
-                base += align;
             }
         }
 
-        #[test]
-        fn dense_1q_sweeps_match_scalar_bitwise() {
+        fn assert_planes(want: (&[f64], &[f64]), got: (&[f64], &[f64]), what: &str) {
+            assert_eq!(bits(want.0), bits(got.0), "re {what}");
+            assert_eq!(bits(want.1), bits(got.1), "im {what}");
+        }
+
+        /// Cross (RX shape), Real, and Full gates, with the `allow_real`
+        /// flag of the dense path.
+        fn dense_gates() -> [([C64; 4], bool); 3] {
             let c = (0.35f64).cos();
             let s = (0.35f64).sin();
-            let gates: [([C64; 4], bool); 3] = [
-                // Cross (RX shape).
-                (
-                    [C64::new(c, 0.0), C64::new(0.0, -s), C64::new(0.0, -s), C64::new(c, 0.0)],
-                    false,
-                ),
-                // Real.
+            [
+                ([C64::new(c, 0.0), C64::new(0.0, -s), C64::new(0.0, -s), C64::new(c, 0.0)], false),
                 ([C64::new(c, 0.0), C64::new(s, 0.0), C64::new(s, 0.0), C64::new(-c, 0.0)], true),
-                // Full complex.
                 ([C64::new(c, s), C64::new(s, -c), C64::new(-s, c), C64::new(c, -s)], false),
+            ]
+        }
+
+        /// `short_1q` for every short mask of each tier, and the long-run
+        /// sweep above it, against the scalar orbit loop.
+        #[test]
+        fn dense_1q_sweeps_match_scalar_bitwise() {
+            for tier in tiers() {
+                for (g, real) in &dense_gates() {
+                    let chain = classify_1q(g, *real);
+                    for mask in [1usize, 2, 4, 8, 16, 32] {
+                        let block = (mask << 1).max(2 * tier.lanes());
+                        for blocks in [1usize, 3, 5] {
+                            let n = block * blocks;
+                            let (re0, im0) = planes(n, (mask * 7 + blocks) as u64);
+                            let (mut re_s, mut im_s) = (re0.clone(), im0.clone());
+                            scalar_orbits(&mut re_s, &mut im_s, mask, |_, a| {
+                                Some(scalar_pair(g, *real, a))
+                            });
+                            let (mut re_v, mut im_v) = (re0, im0);
+                            sweep_1q(tier, &mut re_v, &mut im_v, mask, g, chain);
+                            let what = format!("tier={tier:?} mask={mask} n={n} chain={chain:?}");
+                            assert_planes((&re_s, &im_s), (&re_v, &im_v), &what);
+                        }
+                    }
+                }
+            }
+        }
+
+        /// `run` with lengths that leave every remainder size, so the
+        /// one-tier-down tails are pinned too.
+        #[test]
+        fn dense_1q_runs_match_scalar_bitwise() {
+            for tier in tiers() {
+                for (g, real) in &dense_gates() {
+                    let chain = classify_1q(g, *real);
+                    for len in [1usize, 3, 4, 7, 8, 13, 16, 19] {
+                        let (re0, im0) = planes(2 * len, len as u64 + 3);
+                        let (mut re_s, mut im_s) = (re0.clone(), im0.clone());
+                        for i in 0..len {
+                            let a = (re_s[i], im_s[i], re_s[len + i], im_s[len + i]);
+                            let (lr, li, hr, hi) = scalar_pair(g, *real, a);
+                            (re_s[i], im_s[i], re_s[len + i], im_s[len + i]) = (lr, li, hr, hi);
+                        }
+                        let (mut re_v, mut im_v) = (re0, im0);
+                        let (lre, hre) = re_v.split_at_mut(len);
+                        let (lim, him) = im_v.split_at_mut(len);
+                        run_1q(tier, lre, lim, hre, him, g, chain);
+                        let what = format!("tier={tier:?} len={len} chain={chain:?}");
+                        assert_planes((&re_s, &im_s), (&re_v, &im_v), &what);
+                    }
+                }
+            }
+        }
+
+        /// `short_ctrl` (short control) and the control-segment sweep (long
+        /// control) for every short target, with and without the identity
+        /// block, against the scalar orbit loop.
+        #[test]
+        fn ctrl_sweeps_match_scalar_bitwise() {
+            let (c, s) = ((0.7f64).cos(), (0.7f64).sin());
+            let full = [C64::new(c, s), C64::new(s, -c), C64::new(-s, c), C64::new(c, -s)];
+            let cross = [C64::new(c, 0.0), C64::new(0.0, -s), C64::new(0.0, -s), C64::new(c, 0.0)];
+            let x = [C64::ZERO, C64::ONE, C64::ONE, C64::ZERO];
+            let id = [C64::ONE, C64::ZERO, C64::ZERO, C64::ONE];
+            // (a, b, identity_a): every chain pairing the dispatch picks.
+            let blocks = [
+                (full, cross, false),
+                (cross, cross, false),
+                (id, x, true),
+                (id, cross, true),
             ];
             for tier in tiers() {
-                for (g, real) in &gates {
-                    let chain = classify_1q(g, *real);
-                    for mask in [1usize, 2, 4, 8, 16] {
-                        // Lengths exercising both full vectors and tails.
-                        for blocks in [1usize, 3, 5] {
-                            let n = (mask << 1) * blocks;
-                            let (re0, im0) = planes(n, (mask * 7 + blocks) as u64);
-                            let mut re_s = re0.clone();
-                            let mut im_s = im0.clone();
-                            scalar_sweep(&mut re_s, &mut im_s, mask, g, *real);
-                            let mut re_v = re0.clone();
-                            let mut im_v = im0.clone();
-                            sweep_1q(tier, &mut re_v, &mut im_v, mask, g, chain);
-                            assert_eq!(
-                                bits(&re_s),
-                                bits(&re_v),
-                                "re tier={tier:?} mask={mask} n={n} chain={chain:?}"
+                for tmask in (0..4).map(|b| 1usize << b).filter(|&m| m <= tier.lanes()) {
+                    for cmask in (0..6).map(|b| 1usize << b).filter(|&m| m != tmask) {
+                        for (a, b, identity_a) in &blocks {
+                            let n = 3 * (cmask << 1).max(tmask << 1).max(2 * tier.lanes());
+                            let (re0, im0) = planes(n, (cmask * 31 + tmask) as u64);
+                            let (mut re_s, mut im_s) = (re0.clone(), im0.clone());
+                            scalar_orbits(&mut re_s, &mut im_s, tmask, |i, v| {
+                                let ctrl = i & cmask != 0;
+                                (ctrl || !identity_a)
+                                    .then(|| scalar_pair(if ctrl { b } else { a }, false, v))
+                            });
+                            let (mut re_v, mut im_v) = (re0, im0);
+                            sweep_ctrl(tier, &mut re_v, &mut im_v, cmask, tmask, a, b, *identity_a);
+                            let what = format!(
+                                "tier={tier:?} cmask={cmask} tmask={tmask} id_a={identity_a}"
                             );
-                            assert_eq!(
-                                bits(&im_s),
-                                bits(&im_v),
-                                "im tier={tier:?} mask={mask} n={n} chain={chain:?}"
-                            );
+                            assert_planes((&re_s, &im_s), (&re_v, &im_v), &what);
                         }
                     }
                 }
             }
         }
 
+        /// `short_diag` on every branch mix against the scalar
+        /// `scale_run` arithmetic: identity entries untouched, real entries
+        /// one multiply per plane, complex entries the complex product.
         #[test]
-        fn diag1_sweeps_match_scalar_bitwise() {
+        fn diag_sweeps_match_scalar_bitwise() {
+            let r = C64::new(0.8, 0.0);
+            let q = C64::new(-1.25, -0.0);
+            let z = C64::new(0.6, -0.8);
+            let w = C64::new(0.6, 0.8);
+            let pairs = [(r, q), (z, w), (C64::ONE, C64::ZERO), (C64::ONE, w), (r, z)];
             for tier in tiers() {
-                for n in [2usize, 6, 8, 20, 34] {
-                    let (re0, im0) = planes(n, n as u64 + 11);
-                    // Real pair.
-                    let (s0, s1) = (0.8f64, -1.25f64);
-                    let mut re_s = re0.clone();
-                    let mut im_s = im0.clone();
-                    for i in (0..n).step_by(2) {
-                        re_s[i] *= s0;
-                        im_s[i] *= s0;
-                        re_s[i + 1] *= s1;
-                        im_s[i + 1] *= s1;
-                    }
-                    let mut re_v = re0.clone();
-                    let mut im_v = im0.clone();
-                    sweep_diag1(
-                        tier,
-                        &mut re_v,
-                        &mut im_v,
-                        C64::new(s0, 0.0),
-                        C64::new(s1, 0.0),
-                    );
-                    assert_eq!(bits(&re_s), bits(&re_v), "real re tier={tier:?} n={n}");
-                    assert_eq!(bits(&im_s), bits(&im_v), "real im tier={tier:?} n={n}");
-                    // Complex pair (RZ shape).
-                    let d0 = C64::new(0.6, -0.8);
-                    let d1 = C64::new(0.6, 0.8);
-                    let mut re_s = re0.clone();
-                    let mut im_s = im0.clone();
-                    for i in 0..n {
-                        let d = if i % 2 == 0 { d0 } else { d1 };
-                        let (r0, i0) = (re_s[i], im_s[i]);
-                        re_s[i] = r0 * d.re - i0 * d.im;
-                        im_s[i] = r0 * d.im + i0 * d.re;
-                    }
-                    let mut re_v = re0.clone();
-                    let mut im_v = im0.clone();
-                    sweep_diag1(tier, &mut re_v, &mut im_v, d0, d1);
-                    assert_eq!(bits(&re_s), bits(&re_v), "complex re tier={tier:?} n={n}");
-                    assert_eq!(bits(&im_s), bits(&im_v), "complex im tier={tier:?} n={n}");
-                }
-            }
-        }
-
-        #[test]
-        fn blockdiag_t1_matches_scalar_bitwise() {
-            let c = (0.7f64).cos();
-            let s = (0.7f64).sin();
-            let a = [C64::new(c, s), C64::new(s, -c), C64::new(-s, c), C64::new(c, -s)];
-            let b = [C64::new(c, 0.0), C64::new(0.0, -s), C64::new(0.0, -s), C64::new(c, 0.0)];
-            for tier in tiers() {
-                for cmask in [2usize, 4, 8, 16] {
-                    for identity_a in [false, true] {
-                        let n = cmask * 6;
-                        let (re0, im0) = planes(n, cmask as u64 + 29);
-                        let mut re_s = re0.clone();
-                        let mut im_s = im0.clone();
-                        for p in (0..n).step_by(2) {
-                            let ctrl = p & cmask != 0;
-                            if !ctrl && identity_a {
+                for mask in (0..4).map(|b| 1usize << b).filter(|&m| m <= tier.lanes()) {
+                    for (d0, d1) in pairs {
+                        let n = 6 * tier.lanes();
+                        let (re0, im0) = planes(n, mask as u64 + 11);
+                        let (mut re_s, mut im_s) = (re0.clone(), im0.clone());
+                        for i in 0..n {
+                            let d = if i & mask == 0 { d0 } else { d1 };
+                            let (r0, i0) = (re_s[i], im_s[i]);
+                            if d == C64::ONE {
                                 continue;
+                            } else if d.im == 0.0 {
+                                (re_s[i], im_s[i]) = (r0 * d.re, i0 * d.re);
+                            } else {
+                                (re_s[i], im_s[i]) = (r0 * d.re - i0 * d.im, r0 * d.im + i0 * d.re);
                             }
-                            let g = if ctrl { &b } else { &a };
-                            let (lr, li, hr, hi) = complex_pair(
-                                g[0], g[1], g[2], g[3], re_s[p], im_s[p], re_s[p + 1],
-                                im_s[p + 1],
-                            );
-                            re_s[p] = lr;
-                            im_s[p] = li;
-                            re_s[p + 1] = hr;
-                            im_s[p + 1] = hi;
                         }
-                        let mut re_v = re0.clone();
-                        let mut im_v = im0.clone();
-                        sweep_blockdiag_t1(tier, &mut re_v, &mut im_v, cmask, &a, &b, identity_a);
-                        assert_eq!(
-                            bits(&re_s),
-                            bits(&re_v),
-                            "re tier={tier:?} cmask={cmask} id_a={identity_a}"
-                        );
-                        assert_eq!(
-                            bits(&im_s),
-                            bits(&im_v),
-                            "im tier={tier:?} cmask={cmask} id_a={identity_a}"
-                        );
+                        let (mut re_v, mut im_v) = (re0, im0);
+                        let kind = classify_diag(d0, d1);
+                        sweep_diag(tier, &mut re_v, &mut im_v, mask, d0, d1, kind);
+                        let what = format!("tier={tier:?} mask={mask} d=({d0:?}, {d1:?})");
+                        assert_planes((&re_s, &im_s), (&re_v, &im_v), &what);
                     }
                 }
             }

@@ -792,9 +792,9 @@ fn collapse_preserves_signed_zero_bits_across_layouts() {
 // ---------------------------------------------------------------------------
 // 7. Explicit SIMD tiers (`qdp_sim::simd`) vs the scalar plane kernels vs
 //    the reference scan — bitwise, across every dispatch class (dense 1q,
-//    diagonal, block-diagonal, 2q/kq dense), every orbit shape (`mask = 1`
-//    deinterleave, top-bit split, interior strides, scalar-excluded
-//    `mask = 2` and short-run cases), and forced 1 / 2 / 8 worker threads.
+//    diagonal, block-diagonal, 2q/kq dense), every orbit shape (the short
+//    orbits `mask = 1 … 16` at both widths, top-bit split, interior strides,
+//    scalar short-run cases), and forced 1 / 2 / 8 worker threads.
 // ---------------------------------------------------------------------------
 
 use qdp_sim::simd::{self, SimdTier};
@@ -821,74 +821,122 @@ fn vector_tiers() -> Vec<SimdTier> {
         .collect()
 }
 
-/// `[[I, 0], [0, u]]` — the block-diagonal (controlled-`u`) 4×4.
-fn controlled(u: &Matrix) -> Matrix {
-    let mut m = Matrix::identity(4);
+/// `[[a, 0], [0, b]]` — the block-diagonal 4×4 (`a` where the first
+/// target is clear, `b` where it is set).
+fn block_diag(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut m = Matrix::zeros(4, 4);
     for r in 0..2 {
         for c in 0..2 {
-            m.set(2 + r, 2 + c, u.get(r, c));
+            m.set(r, c, a.get(r, c));
+            m.set(2 + r, 2 + c, b.get(r, c));
         }
     }
     m
 }
 
-/// Gate × target cases covering every SIMD dispatch class and chain
-/// variant on an `n`-qubit register, plus the deliberately-scalar shapes
-/// (`mask = 2`, short 2q/kq runs, identity-diagonal skip) so the dispatch
-/// boundaries themselves are pinned.
-fn simd_gate_cases(n: usize) -> Vec<(&'static str, Matrix, Vec<usize>)> {
-    let th = 0.7368_f64;
-    // Dense 2×2 with all eight components nonzero — the Full chain.
-    let dense_full = Matrix::rotation_z(1.1).mul(&Matrix::rotation_x(th));
-    let one_q_targets = [
-        ("mask1", n - 1),
-        ("mask2", n - 2), // scalar-excluded stride-2 shape
-        ("mid", n / 2),
-        ("top", 0),
-    ];
-    let mut cases: Vec<(&'static str, Matrix, Vec<usize>)> = Vec::new();
-    for &(_, t) in &one_q_targets {
-        cases.push(("dense-real-h", Matrix::hadamard(), vec![t]));
-        cases.push(("dense-cross-rx", Matrix::rotation_x(th), vec![t]));
-        cases.push(("dense-full", dense_full.clone(), vec![t]));
-        cases.push(("diag-complex-rz", Matrix::rotation_z(th), vec![t]));
-        cases.push((
-            "diag-real",
-            Matrix::diagonal(&[C64::real(0.6), C64::real(-0.8)]),
-            vec![t],
-        ));
-        // `d0 = 1` keeps the scalar identity-run skip: not vectorizable.
-        cases.push((
-            "diag-phase",
-            Matrix::diagonal(&[C64::ONE, C64::new(th.cos(), th.sin())]),
-            vec![t],
-        ));
+/// `[[I, 0], [0, u]]` — the block-diagonal (controlled-`u`) 4×4.
+fn controlled(u: &Matrix) -> Matrix {
+    block_diag(&Matrix::identity(2), u)
+}
+
+const TH: f64 = 0.7368;
+
+/// Dense 2×2 with all eight components nonzero — the Full chain.
+fn dense_full() -> Matrix {
+    Matrix::rotation_z(1.1).mul(&Matrix::rotation_x(TH))
+}
+
+/// Every 1q dispatch class and chain on target `t`: dense Real, Cross and
+/// Full, and the diagonal branches (complex, real, identity-kept phase,
+/// real-and-complex mixed).
+fn one_q_cases(t: usize) -> Vec<(&'static str, Matrix, Vec<usize>)> {
+    vec![
+        ("dense-real-h", Matrix::hadamard(), vec![t]),
+        ("dense-cross-rx", Matrix::rotation_x(TH), vec![t]),
+        ("dense-full", dense_full(), vec![t]),
+        ("diag-complex-rz", Matrix::rotation_z(TH), vec![t]),
+        ("diag-real", Matrix::diagonal(&[C64::real(0.6), C64::real(-0.8)]), vec![t]),
+        ("diag-phase", Matrix::diagonal(&[C64::ONE, C64::new(TH.cos(), TH.sin())]), vec![t]),
+        ("diag-mixed", Matrix::diagonal(&[C64::real(-0.8), C64::new(TH.cos(), TH.sin())]), vec![t]),
+    ]
+}
+
+/// Block-diagonal and diagonal 2q gates with both masks short at every
+/// tier (the lowest three qubits, both target orders): CNOT (Full chain,
+/// identity block kept), controlled RX (Cross), controlled dense (Full),
+/// two RX blocks (Cross, no identity block), CZ and a complex diagonal.
+fn short_pair_cases(n: usize) -> Vec<(&'static str, Matrix, Vec<usize>)> {
+    let rx2 = block_diag(&Matrix::rotation_x(0.3), &Matrix::rotation_x(TH));
+    let cz = Matrix::diagonal(&[C64::ONE, C64::ONE, C64::ONE, -C64::ONE]);
+    let phases: Vec<C64> = (0..4)
+        .map(|k| C64::new((0.4 * k as f64).cos(), (0.4 * k as f64 + 0.1).sin()))
+        .collect();
+    let mut cases = Vec::new();
+    for pair in [[n - 2, n - 1], [n - 1, n - 2], [n - 3, n - 1], [n - 1, n - 3]] {
+        cases.push(("cnot-short", Matrix::cnot(), pair.to_vec()));
+        cases.push(("ctrl-rx-short", controlled(&Matrix::rotation_x(TH)), pair.to_vec()));
+        cases.push(("ctrl-full-short", controlled(&dense_full()), pair.to_vec()));
+        cases.push(("blocks-rx-short", rx2.clone(), pair.to_vec()));
+        cases.push(("diag2-cz-short", cz.clone(), pair.to_vec()));
+        cases.push(("diag2-complex-short", Matrix::diagonal(&phases), pair.to_vec()));
     }
-    // Block-diagonal: tmask = 1 segment sweep, cmask < tmask and
-    // cmask > tmask general shapes, real (CNOT) and complex chains.
+    cases
+}
+
+/// Gate × target cases covering every SIMD dispatch class and chain
+/// variant on an `n`-qubit register: every 1q class on the short orbits
+/// (targets `n-1 … n-5`, masks 1–16: short at AVX-512 up to 8, at AVX2 up
+/// to 4), an interior and the top qubit, short-mask 2q pairs, long-control
+/// and interior controlled gates, and the deliberately-scalar shapes
+/// (short 2q/kq runs) so the dispatch boundaries themselves are pinned.
+fn simd_gate_cases(n: usize) -> Vec<(&'static str, Matrix, Vec<usize>)> {
+    let mut cases: Vec<(&'static str, Matrix, Vec<usize>)> = Vec::new();
+    for t in [n - 1, n - 2, n - 3, n - 4, n - 5, n / 2, 0] {
+        cases.extend(one_q_cases(t));
+    }
+    cases.extend(short_pair_cases(n));
+    // Block-diagonal: short target under a long control (segment sweep),
+    // cmask < tmask and cmask > tmask general shapes, real (CNOT) and
+    // complex chains.
     cases.push(("cnot-tmask1", Matrix::cnot(), vec![0, n - 1]));
+    cases.push(("cnot-tmask4", Matrix::cnot(), vec![1, n - 3]));
     cases.push(("cnot-cmask-lt-tmask", Matrix::cnot(), vec![n - 1, 0]));
     cases.push(("cnot-interior", Matrix::cnot(), vec![3, 7]));
-    cases.push(("ctrl-rx-tmask1", controlled(&Matrix::rotation_x(th)), vec![2, n - 1]));
-    cases.push(("ctrl-full-interior", controlled(&dense_full), vec![2, 8]));
+    cases.push(("ctrl-rx-tmask1", controlled(&Matrix::rotation_x(TH)), vec![2, n - 1]));
+    cases.push(("ctrl-full-interior", controlled(&dense_full()), vec![2, 8]));
     // Dense 2q: contiguous-run kernel (b_lo ≥ 2) and the short-run
     // scalar shape (b_lo < 2).
     cases.push((
         "2q-dense-rxx",
-        Matrix::coupling_rotation(qdp_linalg::Pauli::X, th),
+        Matrix::coupling_rotation(qdp_linalg::Pauli::X, TH),
         vec![3, 7],
     ));
     cases.push((
         "2q-dense-short-run",
-        Matrix::coupling_rotation(qdp_linalg::Pauli::Y, th),
+        Matrix::coupling_rotation(qdp_linalg::Pauli::Y, TH),
         vec![n - 2, n - 1],
     ));
     // Dense k = 3: chunked-run kernel (bits[0] ≥ 2) and the short-run
     // scalar shape.
-    let dense_3q = dense_full.kron(&Matrix::hadamard()).kron(&Matrix::rotation_x(0.3));
+    let dense_3q = dense_full().kron(&Matrix::hadamard()).kron(&Matrix::rotation_x(0.3));
     cases.push(("3q-dense-runs", dense_3q.clone(), vec![2, 5, 9]));
     cases.push(("3q-dense-short-run", dense_3q, vec![2, 5, n - 1]));
     cases
+}
+
+/// Salts amplitudes with negative zeros in both components: the kernels'
+/// leading `0.0 +` flush, the blends and the untouched-segment copies
+/// must produce the same bits in every tier.
+fn salt_signed_zeros(amps: &mut [C64]) {
+    for i in (0..amps.len()).step_by(3) {
+        amps[i] = C64::new(-0.0, amps[i].im);
+    }
+    for i in (1..amps.len()).step_by(5) {
+        amps[i] = C64::new(amps[i].re, -0.0);
+    }
+    for i in (2..amps.len()).step_by(7) {
+        amps[i] = C64::new(-0.0, -0.0);
+    }
 }
 
 #[test]
@@ -939,47 +987,123 @@ fn simd_tiers_match_scalar_planes_and_aos_oracle_bitwise() {
     }
 }
 
+/// `m` on `targets` of every row, through the batched planes at the
+/// current tier cap.
+fn batched_bits(states: &[StateVector], m: &Matrix, targets: &[usize]) -> Vec<(u64, u64)> {
+    let mut batch = BatchedStates::from_states(states);
+    batch.apply_gate(m, targets);
+    let (re, im) = batch.planes();
+    plane_bits(re, im)
+}
+
+/// The batched seam on P2's shapes — 16 rows of 4 and of 5 qubits, where
+/// every gate lands on a short orbit — and on 10-qubit rows, with
+/// signed-zero salting: every vector tier and thread count against the
+/// scalar planes, and the scalar planes against each row's reference scan
+/// (up to the sign of zero, which the scan's `+0.0` seeding drops).
 #[test]
 fn simd_tiers_match_scalar_on_batched_rows_bitwise() {
     let _guard = serialized();
-    let n = 10;
-    let mut rng = 0x6367_u64;
-    let rows: Vec<Vec<C64>> = (0..16).map(|_| random_state(n, &mut rng)).collect();
-    let states: Vec<StateVector> = rows
-        .iter()
-        .map(|amps| StateVector::from_amplitudes(n, amps.clone()))
-        .collect();
+    for n in [4usize, 5, 10] {
+        let mut rng = 0x6367_u64 + n as u64;
+        let rows: Vec<Vec<C64>> = (0..16)
+            .map(|_| {
+                let mut amps = random_state(n, &mut rng);
+                salt_signed_zeros(&mut amps);
+                amps
+            })
+            .collect();
+        let states: Vec<StateVector> = rows
+            .iter()
+            .map(|amps| StateVector::from_amplitudes(n, amps.clone()))
+            .collect();
 
-    let gates: [(&str, Matrix, Vec<usize>); 4] = [
-        ("h-mask1", Matrix::hadamard(), vec![n - 1]),
-        ("rx-mid", Matrix::rotation_x(0.9), vec![4]),
-        ("cnot", Matrix::cnot(), vec![1, n - 1]),
-        (
-            "rxx",
-            Matrix::coupling_rotation(qdp_linalg::Pauli::X, 0.9),
-            vec![2, 5],
-        ),
-    ];
-    for (label, m, targets) in gates {
-        let scalar_bits = with_tier_cap(SimdTier::Scalar, || {
-            let mut batch = BatchedStates::from_states(&states);
-            batch.apply_gate(&m, &targets);
-            let (re, im) = batch.planes();
-            plane_bits(re, im)
-        });
-        for tier in vector_tiers() {
-            for &threads in &THREAD_COUNTS {
-                qdp_par::set_max_threads(threads);
-                let got = with_tier_cap(tier, || {
-                    let mut batch = BatchedStates::from_states(&states);
-                    batch.apply_gate(&m, &targets);
-                    let (re, im) = batch.planes();
-                    plane_bits(re, im)
-                });
-                qdp_par::set_max_threads(0);
-                assert_eq!(got, scalar_bits, "{label}: {tier:?} threads={threads}");
+        let gates: Vec<(&str, Matrix, Vec<usize>)> = if n < 10 {
+            let mut gates: Vec<_> = (0..n).flat_map(one_q_cases).collect();
+            gates.extend(short_pair_cases(n));
+            gates
+        } else {
+            vec![
+                ("h-mask1", Matrix::hadamard(), vec![n - 1]),
+                ("rx-mid", Matrix::rotation_x(0.9), vec![4]),
+                ("cnot", Matrix::cnot(), vec![1, n - 1]),
+                ("rxx", Matrix::coupling_rotation(qdp_linalg::Pauli::X, 0.9), vec![2, 5]),
+            ]
+        };
+        for (label, m, targets) in gates {
+            let scalar_bits =
+                with_tier_cap(SimdTier::Scalar, || batched_bits(&states, &m, &targets));
+            let mut oracle = Vec::new();
+            for amps in &rows {
+                let mut row = amps.clone();
+                apply_matrix_reference(&mut row, n, &m, &targets);
+                oracle.extend(amp_bits(&row));
+            }
+            assert_eq!(
+                canon_zero(scalar_bits.clone()),
+                canon_zero(oracle),
+                "{label} {targets:?} n={n}: scalar planes vs reference scan"
+            );
+            for tier in vector_tiers() {
+                for &threads in &THREAD_COUNTS {
+                    qdp_par::set_max_threads(threads);
+                    let got = with_tier_cap(tier, || batched_bits(&states, &m, &targets));
+                    qdp_par::set_max_threads(0);
+                    let what = format!("{label} {targets:?} n={n}: {tier:?} threads={threads}");
+                    assert_eq!(got, scalar_bits, "{what}");
+                }
             }
         }
+    }
+}
+
+/// The extent of the Cross caveat (see `qdp_sim::simd`): on rows salted
+/// with NaN and ±inf, every short-orbit Cross kernel (RX on each low
+/// qubit, controlled RX and two RX blocks on short pairs) may differ from
+/// the scalar planes only in rows that hold a non-finite amplitude; every
+/// finite row stays bitwise equal.
+#[test]
+fn simd_cross_divergence_stays_in_non_finite_rows() {
+    let _guard = serialized();
+    let n = 5;
+    let dim = 1usize << n;
+    let mut rng = 0x6A11_u64;
+    let poisoned = [2usize, 9, 14];
+    let states: Vec<StateVector> = (0..16)
+        .map(|r| {
+            let mut amps = random_state(n, &mut rng);
+            if poisoned.contains(&r) {
+                amps[r % dim] = C64::new(f64::NAN, amps[r % dim].im);
+                amps[(r * 7 + 3) % dim] = C64::new(amps[0].re, f64::INFINITY);
+                amps[(r * 5 + 1) % dim] = C64::new(f64::NEG_INFINITY, 0.25);
+            }
+            StateVector::from_amplitudes(n, amps)
+        })
+        .collect();
+    let mut gates: Vec<(&str, Matrix, Vec<usize>)> =
+        (0..n).map(|t| ("rx", Matrix::rotation_x(TH), vec![t])).collect();
+    gates.extend(
+        short_pair_cases(n)
+            .into_iter()
+            .filter(|(label, _, _)| *label == "ctrl-rx-short" || *label == "blocks-rx-short"),
+    );
+    let mut diverged = 0usize;
+    for (label, m, targets) in gates {
+        let scalar_bits = with_tier_cap(SimdTier::Scalar, || batched_bits(&states, &m, &targets));
+        for tier in vector_tiers() {
+            let got = with_tier_cap(tier, || batched_bits(&states, &m, &targets));
+            for (r, (want, got)) in scalar_bits.chunks(dim).zip(got.chunks(dim)).enumerate() {
+                if poisoned.contains(&r) {
+                    diverged += usize::from(want != got);
+                } else {
+                    assert_eq!(got, want, "{label} {targets:?}: {tier:?} finite row {r} diverged");
+                }
+            }
+        }
+    }
+    if !vector_tiers().is_empty() {
+        // Guard the guard: the salting does reach the reduced chain.
+        assert!(diverged > 0, "expected the Cross chain to differ on a poisoned row");
     }
 }
 
@@ -989,20 +1113,9 @@ fn simd_kernels_preserve_signed_zero_bits() {
     let n = 10;
     let mut rng = 0x6521_u64;
     let mut amps = random_state(n, &mut rng);
-    // Salt the state with negative zeros in both components: the kernels'
-    // leading `0.0 +` flush and the untouched-segment copies must produce
-    // the same bits in every tier.
-    for i in (0..amps.len()).step_by(3) {
-        amps[i] = C64::new(-0.0, amps[i].im);
-    }
-    for i in (1..amps.len()).step_by(5) {
-        amps[i] = C64::new(amps[i].re, -0.0);
-    }
-    for i in (2..amps.len()).step_by(7) {
-        amps[i] = C64::new(-0.0, -0.0);
-    }
+    salt_signed_zeros(&mut amps);
 
-    let th = 0.7368_f64;
+    let th = TH;
     let cases: [(&str, Matrix, Vec<usize>); 5] = [
         ("dense-full-mask1", Matrix::rotation_z(1.1).mul(&Matrix::rotation_x(th)), vec![n - 1]),
         ("dense-cross-mask1", Matrix::rotation_x(th), vec![n - 1]),
