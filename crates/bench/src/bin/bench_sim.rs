@@ -44,7 +44,7 @@ use qdp_sim::kernels::{
 use qdp_sim::simd::{self, SimdTier};
 use qdp_sim::{
     BatchedStates, DensityMatrix, Measurement, Observable, ProjectiveObservable, ShotEngine,
-    ShotSampler, StateVector, TrajProgram,
+    ShotSampler, ShotStream, ShotVariates, StateVector, TrajProgram,
 };
 use qdp_vqc::baseline::PhaseShift;
 use qdp_vqc::circuits::{p1, p2};
@@ -508,7 +508,7 @@ fn seam_states() -> Vec<StateVector> {
 type Section = fn(&Fixture, &mut Guards) -> Fields;
 
 /// Every section, in record order.
-const SECTIONS: [(&str, Section); 17] = [
+const SECTIONS: [(&str, Section); 18] = [
     ("gate_apply", gate_apply),
     ("simd", simd_tiers),
     ("per_bit", per_bit),
@@ -519,6 +519,7 @@ const SECTIONS: [(&str, Section); 17] = [
     ("gradient_batch_16x", gradient_batch),
     ("exact_epoch", exact_epoch),
     ("estimator_shots", estimator_shots),
+    ("shot_variates", shot_variates),
     ("gradient_branching_batch", gradient_branching_batch),
     ("adjoint", adjoint),
     ("measurement_sweep", measurement_sweep),
@@ -1189,12 +1190,12 @@ fn per_shot_layer(fx: &Fixture) -> (f64, f64) {
     };
     let counts = [PER_SHOT_SHOTS; PER_SHOT_ROWS];
     let sweep = || -> Vec<f64> {
-        let mut samplers = Vec::with_capacity(PER_SHOT_ROWS * PER_SHOT_SHOTS);
+        let mut streams = Vec::with_capacity(PER_SHOT_ROWS * PER_SHOT_SHOTS);
         for seed in seeds() {
-            samplers.extend((0..PER_SHOT_SHOTS as u64).map(|s| ShotSampler::derived(seed, s)));
+            streams.extend((0..PER_SHOT_SHOTS as u64).map(|index| ShotStream { seed, index }));
         }
         engine
-            .sample_sweep(BatchedStates::from_states(&inputs), &counts, &mut samplers, &readout)
+            .sample_sweep(BatchedStates::from_states(&inputs), &counts, &streams, &readout)
             .expect("unmonitored sweep")
     };
     // Each row's measurement and read-out probabilities.
@@ -1237,6 +1238,133 @@ fn per_shot_layer(fx: &Fixture) -> (f64, f64) {
     let shots = (PER_SHOT_ROWS * PER_SHOT_SHOTS) as f64;
     (sweep_ns / shots, bare_ns / shots)
 }
+
+/// The stream layer of the sampled sweep on two workloads' stream sets,
+/// two draws per shot (a `case` and the read-out): each sweep's variate
+/// planes (`ShotVariates`, seeded and stepped in vector passes at the
+/// active SIMD tier) against the per-sampler path they replaced, kept here
+/// as the baseline — one `ShotSampler::derived` built per shot, then
+/// stepped twice. Both sum every draw in shot order, so their bits are
+/// checked equal. The workloads: the sweeps of P2's 16-row × 64-shot
+/// gradient (one stream set per parameter and program, the shots of each
+/// program on the non-contiguous indices that drew it), and the one-`case`
+/// per-shot workload of `estimator_shots` (16 rows × 256 shots).
+fn shot_variates(fx: &Fixture, g: &mut Guards) -> Fields {
+    let (p2, shots, seed) = (&fx.p2, 64, 42);
+    let row_seeds: Vec<u64> =
+        (0..fx.data.len() as u64).map(|r| qdp_sim::derive_seed(seed, r)).collect();
+    // The gradient's sweeps: per parameter, each row's program draws from
+    // its master stream, then one stream set per program.
+    let mut gradient_sweeps: Vec<Vec<ShotStream>> = Vec::new();
+    for (j, name) in p2.engine.parameters().enumerate() {
+        let diff = p2.engine.differentiated(name).expect("known parameter");
+        let m = diff.skeleton().lowered().programs().len();
+        let mut sweeps = vec![Vec::new(); m];
+        for &row_seed in &row_seeds {
+            let stream_seed = qdp_sim::derive_seed(row_seed, j as u64);
+            let mut master = ShotSampler::seeded(stream_seed);
+            for index in 0..shots as u64 {
+                let program = if m > 1 { master.uniform_index(m) } else { 0 };
+                sweeps[program].push(ShotStream { seed: stream_seed, index });
+            }
+        }
+        gradient_sweeps.extend(sweeps.into_iter().filter(|s| !s.is_empty()));
+    }
+    let per_shot_sweeps: Vec<Vec<ShotStream>> = vec![(0..PER_SHOT_ROWS as u64)
+        .flat_map(|r| {
+            let seed = qdp_sim::derive_seed(7, r);
+            (0..PER_SHOT_SHOTS as u64).map(move |index| ShotStream { seed, index })
+        })
+        .collect()];
+    // Each side folds every draw's bits into one word by XOR, a consumer
+    // far cheaper than either side; the plane side recycles its buffers
+    // across sweeps, as the sweep's scratch arena does.
+    let buffers = Cell::new((Vec::new(), Vec::new()));
+    let planes = |sweeps: &[Vec<ShotStream>], out: &mut Vec<u64>| {
+        for streams in sweeps {
+            let (state, planes) = buffers.take();
+            let mut variates = ShotVariates::with_buffers(streams, state, planes);
+            let mut draws = [0u64; 2];
+            for (k, draw) in draws.iter_mut().enumerate() {
+                *draw = variates.uniforms(k).iter().fold(0, |a, u| a ^ u.to_bits());
+            }
+            out.push(draws[0] ^ draws[1].rotate_left(1));
+            buffers.set(variates.into_buffers());
+        }
+    };
+    // The path the planes replaced: each sweep's samplers built into one
+    // list, then every sampler stepped once per draw depth.
+    let per_sampler = |sweeps: &[Vec<ShotStream>], out: &mut Vec<u64>| {
+        for streams in sweeps {
+            let mut samplers: Vec<ShotSampler> =
+                streams.iter().map(|s| ShotSampler::derived(s.seed, s.index)).collect();
+            let mut draws = [0u64; 2];
+            for draw in &mut draws {
+                *draw = samplers.iter_mut().fold(0, |a, s| a ^ s.next_uniform().to_bits());
+            }
+            out.push(draws[0] ^ draws[1].rotate_left(1));
+        }
+    };
+    // The bits, draw by draw, before any timing.
+    for streams in gradient_sweeps.iter().chain(&per_shot_sweeps) {
+        let mut variates = ShotVariates::new(streams);
+        for k in 0..2 {
+            for (u, stream) in variates.uniforms(k).iter().zip(streams) {
+                let mut sampler = ShotSampler::derived(stream.seed, stream.index);
+                let want = (0..=k).map(|_| sampler.next_uniform()).last();
+                assert_eq!(Some(u.to_bits()), want.map(f64::to_bits), "plane {k} bits");
+            }
+        }
+    }
+    let mut fields = fields!["simd_tier" => format!("{:?}", simd::active_tier())];
+    for (label, sweeps, floor) in [
+        ("p2_gradient", &gradient_sweeps, VARIATE_P2_FLOOR),
+        ("per_shot", &per_shot_sweeps, VARIATE_PER_SHOT_FLOOR),
+    ] {
+        let mut out = Vec::with_capacity(sweeps.len());
+        let (plane_ns, sampler_ns) = paired_ns(|is_plane| {
+            out.clear();
+            if is_plane {
+                planes(black_box(sweeps), &mut out);
+            } else {
+                per_sampler(black_box(sweeps), &mut out);
+            }
+            black_box(&out);
+        });
+        let streams: usize = sweeps.iter().map(Vec::len).sum();
+        let speedup = sampler_ns / plane_ns;
+        // Only the one-thread pass is guarded: both sides run on the
+        // calling thread, so the two-thread pass measures the same work
+        // beside whatever the host runs on the other vCPU. Only the
+        // AVX-512 tier is guarded: its seeding pass multiplies in vector
+        // registers (see the floors).
+        if g.pass == "at_1_thread" && simd::active_tier() == SimdTier::Avx512 {
+            let what = format!("shot variates: {label} planes vs per-shot samplers");
+            g.at_least(&what, speedup, floor);
+        }
+        fields.push((
+            label.to_string(),
+            Value::Obj(fields![
+                "sweeps" => sweeps.len(),
+                "streams" => streams,
+                "planes_ns_per_shot" => ns(plane_ns / streams as f64),
+                "per_sampler_ns_per_shot" => ns(sampler_ns / streams as f64),
+                "speedup" => ratio(speedup),
+            ]),
+        ));
+    }
+    fields
+}
+
+/// Floors of the `shot_variates` guards, at one thread and the AVX-512
+/// tier, about ¾ of the lowest of 11 runs (Intel Xeon, 2 vCPUs, AVX-512),
+/// 1 / 2 threads: P2 gradient 1.52–1.98 / 1.57–1.88, per-shot workload
+/// 1.38–1.53 / 1.44–1.73. Capped at AVX2 (4 runs) the planes only break
+/// even, 0.96–1.01 / 0.93–1.03 and 0.89–0.95 / 0.92–0.95: without
+/// AVX-512DQ the 64-bit multiplies of the seeding pass are emulated, so
+/// those runs are recorded, not guarded.
+const VARIATE_P2_FLOOR: f64 = 1.1;
+const VARIATE_PER_SHOT_FLOOR: f64 = 1.0;
 
 /// The 36-parameter gradient of the measurement-controlled `P2` over the
 /// 16-sample dataset: the batched adjoint sweep (which forks the whole

@@ -29,7 +29,7 @@ use qdp_ad::{differentiate, GradientEngine};
 use qdp_lang::ast::{Angle, Gate, Params, Stmt, Var};
 use qdp_lang::Register;
 use qdp_linalg::{C64, Pauli};
-use qdp_sim::{BatchedStates, Measurement, Observable, ShotEngine, ShotSampler, StateVector};
+use qdp_sim::{BatchedStates, Measurement, Observable, ShotEngine, ShotStream, StateVector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
@@ -347,19 +347,19 @@ fn sampled_trajectories_are_bitwise_invariant_under_batch_composition() {
         for rows in BATCH_SIZES {
             let states = random_batch(&mut rng, n, rows);
             let seed = 0xD00 + ci as u64;
-            let mut samplers: Vec<ShotSampler> = (0..rows)
-                .map(|r| ShotSampler::derived(seed, r as u64))
+            let streams: Vec<ShotStream> = (0..rows as u64)
+                .map(|index| ShotStream { seed, index })
                 .collect();
             let grouped = engine
-                .run(BatchedStates::from_states(&states), &vec![1; rows], &mut samplers)
+                .run(BatchedStates::from_states(&states), &vec![1; rows], &streams)
                 .unwrap();
             for (r, psi) in states.iter().enumerate() {
-                let mut solo_sampler = vec![ShotSampler::derived(seed, r as u64)];
+                let solo_stream = [streams[r]];
                 let solo = engine
                     .run(
                         BatchedStates::from_states(std::slice::from_ref(psi)),
                         &[1],
-                        &mut solo_sampler,
+                        &solo_stream,
                     )
                     .unwrap()
                     .remove(0);

@@ -34,7 +34,7 @@ use qdp_lang::compile::{compile, compile_invocations};
 use qdp_lang::{parse_program, program_fingerprint, Register};
 use qdp_linalg::{C64, Pauli};
 use qdp_sim::{
-    BatchedStates, Observable, ProjectiveObservable, ShotEngine, ShotSampler, StateVector,
+    BatchedStates, Observable, ProjectiveObservable, ShotEngine, ShotStream, StateVector,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -195,15 +195,13 @@ fn table_bound_engines_match_fresh_resolution_bitwise() {
 
             let inputs: Vec<StateVector> = (0..4).map(|_| random_state(&mut rng, reg.len())).collect();
             let seed = 0xF00 + (trial * 2 + round) as u64;
-            let mut samplers_a: Vec<ShotSampler> = (0..inputs.len())
-                .map(|r| ShotSampler::derived(seed, r as u64))
-                .collect();
-            let mut samplers_b: Vec<ShotSampler> = (0..inputs.len())
-                .map(|r| ShotSampler::derived(seed, r as u64))
+            let streams: Vec<ShotStream> = (0..inputs.len() as u64)
+                .map(|index| ShotStream { seed, index })
                 .collect();
             let shots = vec![1; inputs.len()];
-            let out_a = bound.run(BatchedStates::from_states(&inputs), &shots, &mut samplers_a).unwrap();
-            let out_b = resolved.run(BatchedStates::from_states(&inputs), &shots, &mut samplers_b).unwrap();
+            let out_a = bound.run(BatchedStates::from_states(&inputs), &shots, &streams).unwrap();
+            let out_b =
+                resolved.run(BatchedStates::from_states(&inputs), &shots, &streams).unwrap();
             for (r, (a, b)) in out_a.iter().zip(&out_b).enumerate() {
                 assert_eq!(a.outcomes, b.outcomes, "trial {trial} round {round} row {r}");
                 match (&a.state, &b.state) {
@@ -232,10 +230,10 @@ fn table_bound_engines_match_fresh_resolution_bitwise() {
             let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
             let counts = vec![3; inputs.len()];
             let sample = |engine: &ShotEngine| {
-                let mut samplers: Vec<ShotSampler> = (0..3 * inputs.len() as u64)
-                    .map(|s| ShotSampler::derived(seed, s))
+                let streams: Vec<ShotStream> = (0..3 * inputs.len() as u64)
+                    .map(|index| ShotStream { seed, index })
                     .collect();
-                let out = engine.sample_sweep(rows(), &counts, &mut samplers, &readout);
+                let out = engine.sample_sweep(rows(), &counts, &streams, &readout);
                 bits(out.unwrap())
             };
             let exact = |engine: &ShotEngine| bits(engine.expectation_sweep(rows(), &obs).unwrap());

@@ -22,7 +22,7 @@ use qdp_ad::LoweredSet;
 use qdp_lang::ast::{Angle, Gate, Params, Stmt, Var};
 use qdp_lang::Register;
 use qdp_linalg::{C64, Pauli};
-use qdp_sim::{BatchedStates, ShotEngine, ShotSampler, StateVector};
+use qdp_sim::{BatchedStates, ShotEngine, ShotSampler, ShotStream, StateVector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -137,11 +137,11 @@ fn check_program(program: &Stmt, params: &Params, rng: &mut StdRng, seed: u64) {
 
     for inputs in input_batches(rng, reg.len()) {
         let batch_size = inputs.len();
-        let mut samplers: Vec<ShotSampler> = (0..batch_size)
-            .map(|r| ShotSampler::derived(seed, r as u64))
+        let streams: Vec<ShotStream> = (0..batch_size as u64)
+            .map(|index| ShotStream { seed, index })
             .collect();
         let shots = vec![1; batch_size];
-        let batched = engine.run(BatchedStates::from_states(&inputs), &shots, &mut samplers).unwrap();
+        let batched = engine.run(BatchedStates::from_states(&inputs), &shots, &streams).unwrap();
 
         for (r, input) in inputs.iter().enumerate() {
             let mut serial_sampler = ShotSampler::derived(seed, r as u64);
@@ -260,10 +260,10 @@ fn batched_trajectories_of_derivative_multisets_match_serial() {
                 .collect();
             let batch_size = inputs.len();
             let seed = 0x1000 + i as u64;
-            let mut samplers: Vec<ShotSampler> = (0..batch_size)
-                .map(|r| ShotSampler::derived(seed, r as u64))
+            let streams: Vec<ShotStream> = (0..batch_size as u64)
+                .map(|index| ShotStream { seed, index })
                 .collect();
-            let batched = engine.run(BatchedStates::from_states(&rows), &shots, &mut samplers).unwrap();
+            let batched = engine.run(BatchedStates::from_states(&rows), &shots, &streams).unwrap();
             for (r, &input) in inputs.iter().enumerate() {
                 let mut sampler = ShotSampler::derived(seed, r as u64);
                 let mut outcomes = Vec::new();

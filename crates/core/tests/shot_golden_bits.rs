@@ -28,7 +28,7 @@ use qdp_ad::{differentiate, GradientEngine};
 use qdp_lang::ast::Params;
 use qdp_linalg::Matrix;
 use qdp_sim::{
-    BatchedStates, Measurement, Observable, ProjectiveObservable, ShotEngine, ShotSampler,
+    BatchedStates, Measurement, Observable, ProjectiveObservable, ShotEngine, ShotStream,
     StateVector, TrajProgram, SHOT_TILE,
 };
 use qdp_vqc::loss::SquaredLoss;
@@ -113,10 +113,10 @@ fn repeated_run_state_bits() {
     let mut psi = StateVector::zero_state(3);
     psi.apply_gate(&Matrix::hadamard(), &[2]);
     assert_golden("run on a repeated input", 0xdb00_26c2_656e_24e7, || {
-        let mut samplers: Vec<ShotSampler> =
-            (0..64).map(|s| ShotSampler::derived(0x5EA, s)).collect();
+        let streams: Vec<ShotStream> =
+            (0..64).map(|index| ShotStream { seed: 0x5EA, index }).collect();
         let rows = engine
-            .run(BatchedStates::from_states(std::slice::from_ref(&psi)), &[64], &mut samplers)
+            .run(BatchedStates::from_states(std::slice::from_ref(&psi)), &[64], &streams)
             .unwrap();
         rows.iter().fold(FNV_OFFSET, |h, row| {
             let h = row.outcomes.iter().fold(h, |h, &o| fnv(h, o as u64));

@@ -68,7 +68,7 @@ pub use measurement::{Measurement, MeasurementBranch};
 pub use observable::{Observable, ObservableError};
 pub use sampling::{
     chernoff_shots, collapse_with_draw, derive_seed, try_chernoff_shots, ProjectiveObservable,
-    ShotSampler,
+    ShotSampler, ShotStream, ShotVariates,
 };
 pub use shots::{
     estimate_batch, AdjointProgram, ParamGate, ShotEngine, TrajProgram, TrajectoryRow, BRANCH_PRUNE,

@@ -80,12 +80,230 @@ pub fn try_chernoff_shots(m: usize, delta: f64) -> Result<usize, crate::error::Q
 ///
 /// This is the workspace-wide determinism contract for parallel shot
 /// execution: shot `s` always draws from `ShotSampler::derived(seed, s)`,
-/// no matter which thread or tile runs it.
+/// no matter which thread or tile runs it, and its `k`-th draw is that
+/// stream's `k`-th uniform. The streams are keyed by `(seed, s)` alone, so
+/// a sampled sweep seeds all of them in one vector pass and reads draw `k`
+/// of every shot off one plane ([`ShotVariates`]).
 pub fn derive_seed(seed: u64, stream: u64) -> u64 {
-    let mut z = seed.wrapping_add(stream.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    finalize(seed.wrapping_add(stream.wrapping_add(1).wrapping_mul(GOLDEN_GAMMA)))
+}
+
+/// The SplitMix64 increment.
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 output finalizer.
+#[inline(always)]
+fn finalize(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The stream of one shot: the shot draws from
+/// `ShotSampler::derived(seed, index)`, its `k`-th draw being that
+/// stream's `k`-th uniform. The sampled entry points of
+/// [`crate::ShotEngine`] take one per shot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ShotStream {
+    /// The seed of the shot's row.
+    pub seed: u64,
+    /// The shot's stream index under that seed.
+    pub index: u64,
+}
+
+/// The variates of one sampled sweep, one plane per draw depth: plane `k`
+/// holds every shot's `k`-th uniform, bit for bit what
+/// `ShotSampler::derived(seed, index)`'s `k`-th
+/// [`next_uniform`](ShotSampler::next_uniform) returns.
+///
+/// Every shot's xoshiro256++ state is kept structure-of-arrays. The first
+/// plane seeds them all in one vector pass ([`derive_seed`], then the
+/// SplitMix64 expansion) and each later plane steps them all in one more;
+/// a plane is filled the first time [`uniforms`](Self::uniforms) asks for
+/// it, so a sweep fills exactly as many planes as its deepest draw. The
+/// passes run at the active [`SimdTier`](crate::simd::SimdTier): an
+/// AVX-512F+DQ body, an AVX2 body, or the portable loop. They are integer
+/// operations and one exact 53-bit conversion, so every tier fills the
+/// same bits.
+#[derive(Debug)]
+pub struct ShotVariates<'s> {
+    streams: &'s [ShotStream],
+    /// The four xoshiro256++ words of every shot, word-major.
+    state: Vec<u64>,
+    /// Plane `k` at `planes[k·shots..(k+1)·shots]`.
+    planes: Vec<f64>,
+    /// The planes filled so far.
+    depth: usize,
+}
+
+impl<'s> ShotVariates<'s> {
+    /// The plane set of `streams`, one shot each, before any draw.
+    pub fn new(streams: &'s [ShotStream]) -> Self {
+        ShotVariates::with_buffers(streams, Vec::new(), Vec::new())
+    }
+
+    /// [`new`](Self::new) on recycled buffers (their contents are ignored),
+    /// so a caller running one sweep after another allocates once.
+    pub fn with_buffers(
+        streams: &'s [ShotStream],
+        mut state: Vec<u64>,
+        mut planes: Vec<f64>,
+    ) -> Self {
+        state.clear();
+        planes.clear();
+        ShotVariates { streams, state, planes, depth: 0 }
+    }
+
+    /// The buffers, for the next sweep's [`with_buffers`](Self::with_buffers).
+    pub fn into_buffers(self) -> (Vec<u64>, Vec<f64>) {
+        (self.state, self.planes)
+    }
+
+    /// The planes filled so far: one more than the deepest draw read.
+    #[cfg(test)]
+    pub(crate) fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// Every shot's `k`-th uniform, in shot order, filling the planes up
+    /// to `k` first.
+    pub fn uniforms(&mut self, k: usize) -> &[f64] {
+        let tier = crate::simd::active_tier();
+        while self.depth <= k {
+            self.fill_next(tier);
+        }
+        let n = self.streams.len();
+        &self.planes[k * n..(k + 1) * n]
+    }
+
+    /// Fills the next plane at `tier`: seeds every state on the first.
+    pub(crate) fn fill_next(&mut self, tier: crate::simd::SimdTier) {
+        let n = self.streams.len();
+        let depth = self.depth;
+        self.depth += 1;
+        self.planes.resize((depth + 1) * n, 0.0);
+        let plane = &mut self.planes[depth * n..];
+        let seeds = (depth == 0).then(|| {
+            self.state.resize(4 * n, 0);
+            self.streams
+        });
+        variate_kernels::fill(tier, seeds, &mut self.state, plane);
+    }
+}
+
+/// The seeding and stepping passes of [`ShotVariates`], one body each,
+/// compiled once per tier.
+mod variate_kernels {
+    use super::{finalize, ShotStream, GOLDEN_GAMMA};
+    use crate::simd::SimdTier;
+
+    /// `(x >> 11) · 2⁻⁵³`, the rand shim's `f64` draw: the shift leaves 53
+    /// bits, so the conversion and the power-of-two scale are exact.
+    #[inline(always)]
+    fn uniform(x: u64) -> f64 {
+        (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// One xoshiro256++ step of `[a, b, c, d]`, returning its output.
+    #[inline(always)]
+    fn next(a: &mut u64, b: &mut u64, c: &mut u64, d: &mut u64) -> u64 {
+        let out = a.wrapping_add(*d).rotate_left(23).wrapping_add(*a);
+        let t = *b << 17;
+        *c ^= *a;
+        *d ^= *b;
+        *b ^= *c;
+        *a ^= *d;
+        *c ^= t;
+        *d = d.rotate_left(45);
+        out
+    }
+
+    /// The four xoshiro256++ words `ShotSampler::derived(seed, index)`
+    /// starts from: `derive_seed`, then `StdRng::seed_from_u64`'s
+    /// SplitMix64 expansion.
+    #[inline(always)]
+    fn seed_words(st: &ShotStream) -> [u64; 4] {
+        let x = finalize(st.seed.wrapping_add(st.index.wrapping_add(1).wrapping_mul(GOLDEN_GAMMA)));
+        [1, 2, 3, 4].map(|k: u64| finalize(x.wrapping_add(GOLDEN_GAMMA.wrapping_mul(k))))
+    }
+
+    /// Writes one uniform per shot into `plane`: seeds every stream first
+    /// when given the streams, steps every state otherwise.
+    #[inline(always)]
+    fn fill_body(streams: Option<&[ShotStream]>, state: &mut [u64], plane: &mut [f64]) {
+        let n = plane.len();
+        let (s0, rest) = state.split_at_mut(n);
+        let (s1, rest) = rest.split_at_mut(n);
+        let (s2, s3) = rest.split_at_mut(n);
+        let state = s0.iter_mut().zip(s1).zip(s2).zip(s3);
+        match streams {
+            Some(streams) => {
+                for ((st, u), (((a, b), c), d)) in streams.iter().zip(plane).zip(state) {
+                    [*a, *b, *c, *d] = seed_words(st);
+                    *u = uniform(next(a, b, c, d));
+                }
+            }
+            None => {
+                for (u, (((a, b), c), d)) in plane.iter_mut().zip(state) {
+                    *u = uniform(next(a, b, c, d));
+                }
+            }
+        }
+    }
+
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    mod x86 {
+        use super::{fill_body, ShotStream};
+
+        /// # Safety
+        ///
+        /// The CPU must support AVX-512F and AVX-512DQ.
+        #[target_feature(enable = "avx512f,avx512dq")]
+        pub(super) unsafe fn fill_avx512(
+            streams: Option<&[ShotStream]>,
+            state: &mut [u64],
+            plane: &mut [f64],
+        ) {
+            fill_body(streams, state, plane)
+        }
+
+        /// # Safety
+        ///
+        /// The CPU must support AVX2.
+        #[target_feature(enable = "avx2")]
+        pub(super) unsafe fn fill_avx2(
+            streams: Option<&[ShotStream]>,
+            state: &mut [u64],
+            plane: &mut [f64],
+        ) {
+            fill_body(streams, state, plane)
+        }
+    }
+
+    /// [`fill_body`] at `tier`, capped at the detected tier; the AVX-512
+    /// body also needs AVX-512DQ for its 64-bit multiplies and conversions.
+    pub(super) fn fill(
+        tier: SimdTier,
+        streams: Option<&[ShotStream]>,
+        state: &mut [u64],
+        plane: &mut [f64],
+    ) {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        match tier.min(crate::simd::detected_tier()) {
+            // SAFETY: the detected tier checked AVX-512F, and DQ is checked
+            // here.
+            SimdTier::Avx512 if is_x86_feature_detected!("avx512dq") => {
+                return unsafe { x86::fill_avx512(streams, state, plane) };
+            }
+            // SAFETY: the detected tier checked AVX2.
+            SimdTier::Avx512 | SimdTier::Avx2 => {
+                return unsafe { x86::fill_avx2(streams, state, plane) };
+            }
+            SimdTier::Scalar => {}
+        }
+        let _ = tier;
+        fill_body(streams, state, plane)
+    }
 }
 
 /// Performs one Born-rule shot of `measurement` on a normalised pure state
@@ -154,16 +372,58 @@ pub fn collapse_with_draw(
 }
 
 /// The precomputed layout of a **diagonal** observable's read-out: which
-/// spectral pair each computational-basis state belongs to, plus the
-/// full-index target masks — everything one bucketed `|amp|²` pass needs.
+/// spectral pair each computational-basis state belongs to — everything
+/// one bucketed `|amp|²` pass needs.
 #[derive(Clone, Debug)]
 struct DiagonalReadout {
-    /// Full-index bit of each target, in target order (first target most
-    /// significant in the local index).
-    masks: Vec<usize>,
-    /// `pair_of_local[b]` = index into `pairs` of the projector containing
-    /// local basis state `b`.
-    pair_of_local: Vec<usize>,
+    /// `pair_of_index[i]` = index into `pairs` of the projector containing
+    /// full basis state `i`, folded once through the target masks.
+    pair_of_index: Vec<u32>,
+}
+
+/// Rows a diagonal read-out accumulates together, one accumulator each.
+const READOUT_ROWS: usize = 4;
+
+/// Pairs a diagonal read-out accumulates per pass over a row block.
+const READOUT_PAIRS: usize = 4;
+
+/// The diagonal read-out of the `R` whole `dim`-amplitude rows at the head
+/// of `re`/`im` into their `pairs` entries at the head of `table`: each
+/// pair's `|amp|²` terms added in index order from `+0.0`, `READOUT_PAIRS`
+/// pairs at a time with every accumulator in a register. A term joins an
+/// accumulator through a bit select, never a multiply by a 0/1 mask, so an
+/// entry carries the bits of the serial bucket loop, NaN rows included.
+#[inline(always)]
+fn diagonal_rows<const R: usize>(
+    re: &[f64],
+    im: &[f64],
+    dim: usize,
+    pair_of: &[u32],
+    pairs: usize,
+    table: &mut [f64],
+) {
+    for k0 in (0..pairs).step_by(READOUT_PAIRS) {
+        let mut acc = [[0.0f64; R]; READOUT_PAIRS];
+        for (i, &pair) in pair_of.iter().enumerate() {
+            let mut t = [0.0f64; R];
+            for (r, t) in t.iter_mut().enumerate() {
+                let (a, b) = (re[r * dim + i], im[r * dim + i]);
+                *t = a * a + b * b;
+            }
+            for (k, acc) in acc.iter_mut().enumerate() {
+                let hit = 0u64.wrapping_sub(u64::from(pair as usize == k0 + k));
+                for (acc, &t) in acc.iter_mut().zip(&t) {
+                    let sum = (*acc + t).to_bits();
+                    *acc = f64::from_bits((sum & hit) | (acc.to_bits() & !hit));
+                }
+            }
+        }
+        for (k, acc) in acc.iter().enumerate().take(pairs - k0) {
+            for (r, &v) in acc.iter().enumerate() {
+                table[r * pairs + k0 + k] = v;
+            }
+        }
+    }
 }
 
 /// An observable's spectral measurement `{(λm, Pm)}` hoisted for repeated
@@ -273,13 +533,15 @@ impl ProjectiveObservable {
             return None;
         }
         let n = obs.num_qubits();
+        let masks: Vec<usize> = obs
+            .targets()
+            .iter()
+            .map(|&t| 1usize << crate::kernels::qubit_bit(n, t))
+            .collect();
         Some(DiagonalReadout {
-            masks: obs
-                .targets()
-                .iter()
-                .map(|&t| 1usize << crate::kernels::qubit_bit(n, t))
+            pair_of_index: (0..1usize << n)
+                .map(|i| pair_of_local[crate::kernels::local_index(i, &masks)] as u32)
                 .collect(),
-            pair_of_local,
         })
     }
 
@@ -301,11 +563,13 @@ impl ProjectiveObservable {
     /// `table[r·pairs .. (r+1)·pairs]`.
     ///
     /// Each row's buckets accumulate serially in index order (unlike the
-    /// measurement sweeps, no lane split: the `pair_of_local` indirection
-    /// maps basis states to buckets arbitrarily, so there are no
-    /// constant-outcome runs to exploit). A row's entries depend on that
-    /// row alone, so batched and single-row read-outs select from
-    /// bit-identical probabilities.
+    /// measurement sweeps, no lane split: the pair of each basis state is
+    /// arbitrary, so there are no constant-outcome runs to exploit), but
+    /// four rows run side by side with their accumulators in
+    /// registers, each basis state's pair looked up in a table built once
+    /// per observable. A row's entries depend on that row alone, so
+    /// batched and single-row read-outs select from bit-identical
+    /// probabilities.
     ///
     /// # Panics
     ///
@@ -328,15 +592,21 @@ impl ProjectiveObservable {
         let pairs = self.pairs.len();
         table.clear();
         table.resize(rows * pairs, 0.0);
-        for ((row_re, row_im), buckets) in re
-            .chunks_exact(dim)
-            .zip(im.chunks_exact(dim))
-            .zip(table.chunks_exact_mut(pairs))
+        let block = READOUT_ROWS * dim;
+        let whole = rows / READOUT_ROWS;
+        for ((re, im), table) in re
+            .chunks_exact(block)
+            .zip(im.chunks_exact(block))
+            .zip(table.chunks_exact_mut(READOUT_ROWS * pairs))
         {
-            for i in 0..dim {
-                let local = crate::kernels::local_index(i, &d.masks);
-                buckets[d.pair_of_local[local]] += row_re[i] * row_re[i] + row_im[i] * row_im[i];
-            }
+            diagonal_rows::<READOUT_ROWS>(re, im, dim, &d.pair_of_index, pairs, table);
+        }
+        for ((re, im), table) in re[whole * block..]
+            .chunks_exact(dim)
+            .zip(im[whole * block..].chunks_exact(dim))
+            .zip(table[whole * READOUT_ROWS * pairs..].chunks_exact_mut(pairs))
+        {
+            diagonal_rows::<1>(re, im, dim, &d.pair_of_index, pairs, table);
         }
         true
     }
@@ -398,31 +668,57 @@ impl ProjectiveObservable {
         }
     }
 
-    /// The cumulative Born-rule selection shared by every sampling path:
-    /// subtracts the pair probabilities `probs` in order from `u · total`
-    /// and returns the eigenvalue of the first pair driving the rest
-    /// non-positive — the last eigenvalue under floating-point slack. The
-    /// chain runs over every pair and the pair is counted, not branched
-    /// to, so a random draw costs no mispredicted branch.
+    /// The cumulative Born-rule selection shared by every sampling path
+    /// ([`select_counts`] on one draw): subtracts the pair probabilities
+    /// `probs` in order from `u · total` and returns the eigenvalue of the
+    /// first pair driving the rest non-positive — the last eigenvalue under
+    /// floating-point slack.
     ///
     /// [`sample_with_draw_planes`](Self::sample_with_draw_planes) and the
-    /// batched read-out of `ShotEngine::sample_sweep` both go through this
-    /// one loop, so their selection arithmetic can never drift apart.
+    /// batched read-out of `ShotEngine::sample_sweep` (which counts
+    /// [`SELECT_LANES`] draws at a time) both go through that one walk, so
+    /// their selection arithmetic can never drift apart.
     #[inline]
     pub(crate) fn select_with(&self, u: f64, total: f64, probs: &[f64]) -> f64 {
-        let mut r = u * total;
-        let mut stopped = false;
-        let mut first = 0;
-        for &p in probs {
-            r -= p;
-            stopped |= r <= 0.0;
-            first += usize::from(!stopped);
-        }
-        // Past the last pair (slack) reads the last eigenvalue.
+        let [first] = select_counts([u], total, probs);
+        self.eigenvalue_at(first)
+    }
+
+    /// The eigenvalue of the pair a selection count picks: past the last
+    /// pair (slack) reads the last eigenvalue.
+    #[inline]
+    pub(crate) fn eigenvalue_at(&self, first: usize) -> f64 {
         self.pairs
             .get(first.min(self.pairs.len().saturating_sub(1)))
             .map_or(0.0, |(l, _)| *l)
     }
+}
+
+/// Draws one member loop of a sampled sweep selects at once (see
+/// [`select_counts`]).
+pub(crate) const SELECT_LANES: usize = 8;
+
+/// The cumulative Born-rule walk of every sampling path, for `L` draws
+/// against one probability row: per lane, `r = u · total`, then `r -= p`
+/// over `probs` in order, counting the entries before the first that
+/// drives `r` non-positive — the selected index, or `probs.len()` under
+/// floating-point slack (a NaN never compares non-positive). The pair is
+/// counted, not branched to, so a random draw costs no mispredicted
+/// branch, and each lane runs the one-draw walk's operations in its order,
+/// so `L` lanes count what `L` single draws count.
+#[inline(always)]
+pub(crate) fn select_counts<const L: usize>(us: [f64; L], total: f64, probs: &[f64]) -> [usize; L] {
+    let mut r = us.map(|u| u * total);
+    let mut stopped = [false; L];
+    let mut first = [0usize; L];
+    for &p in probs {
+        for ((r, stopped), first) in r.iter_mut().zip(&mut stopped).zip(&mut first) {
+            *r -= p;
+            *stopped |= *r <= 0.0;
+            *first += usize::from(!*stopped);
+        }
+    }
+    first
 }
 
 /// A seeded sampler producing measurement shots from simulated states.
@@ -892,6 +1188,78 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// The diagonal read-out before its register-accumulator kernel, kept
+    /// as a transcription: per row, per basis state, the local index
+    /// folded through the target masks and the `|amp|²` term added into
+    /// its pair's bucket in memory, buckets starting at `+0.0`.
+    fn bucket_loop_oracle(obs: &Observable, re: &[f64], im: &[f64], rows: usize) -> Vec<f64> {
+        let general = ProjectiveObservable::general(obs);
+        let n = obs.num_qubits();
+        let masks: Vec<usize> =
+            obs.targets().iter().map(|&t| 1usize << crate::kernels::qubit_bit(n, t)).collect();
+        let pair_of_local: Vec<usize> = (0..1usize << masks.len())
+            .map(|b| {
+                let hit = |(_, p): &(f64, Observable)| p.matrix().get(b, b).re > 0.5;
+                general.pairs().iter().position(hit).expect("a projector holds b")
+            })
+            .collect();
+        let (dim, pairs) = (1usize << n, general.pairs().len());
+        let mut table = vec![0.0; rows * pairs];
+        for ((row_re, row_im), buckets) in
+            re.chunks_exact(dim).zip(im.chunks_exact(dim)).zip(table.chunks_exact_mut(pairs))
+        {
+            for i in 0..dim {
+                let local = crate::kernels::local_index(i, &masks);
+                buckets[pair_of_local[local]] += row_re[i] * row_re[i] + row_im[i] * row_im[i];
+            }
+        }
+        table
+    }
+
+    #[test]
+    fn diagonal_readout_kernel_matches_the_bucket_loop_bitwise() {
+        // Every row count from 1 to 11 (whole row blocks and remainders),
+        // 1- to 3-target observables with 2 to 5 pairs, rows salted with
+        // NaN, ±inf, -0.0 and all-zero rows: every entry keeps the bucket
+        // loop's bits, so a poisoned amplitude moves only its own pair of
+        // its own row.
+        let n = 5;
+        let spectrum = [0.5, -1.0, 2.0, 0.5, 3.0, -1.0, 0.0, 2.0];
+        let weights = Matrix::diagonal(&spectrum.map(C64::real));
+        let observables = [
+            Observable::pauli_z(n, 2),
+            Observable::projector_one(n - 1, 0).with_ancilla_z(),
+            Observable::new(n, vec![4, 1, 3], weights),
+        ];
+        for (oi, obs) in observables.iter().enumerate() {
+            let readout = ProjectiveObservable::new(obs);
+            assert!(readout.is_diagonal(), "observable {oi}");
+            for rows in 1..=11usize {
+                let states: Vec<StateVector> =
+                    (0..rows as u64).map(|k| awkward_state(n, 40 + k)).collect();
+                let batch = crate::batch::BatchedStates::from_states(&states);
+                let (mut re, mut im) = (batch.planes().0.to_vec(), batch.planes().1.to_vec());
+                let dim = 1 << n;
+                let salts = [(1, f64::NAN), (4, f64::INFINITY), (6, f64::NEG_INFINITY), (9, -0.0)];
+                for (r, salt) in salts {
+                    if r < rows {
+                        re[r * dim + 3 * r % dim] = salt;
+                        im[r * dim + (5 * r + 1) % dim] = salt;
+                    }
+                }
+                if rows > 7 {
+                    re[7 * dim..8 * dim].fill(0.0);
+                    im[7 * dim..8 * dim].fill(-0.0);
+                }
+                let mut table = vec![7.0];
+                assert!(readout.row_probabilities_block(&re, &im, rows, &mut table));
+                let want = bucket_loop_oracle(obs, &re, &im, rows);
+                let bits = |t: &[f64]| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&table), bits(&want), "observable {oi} rows {rows}");
             }
         }
     }

@@ -5,9 +5,10 @@
 //! as, in both execution modes:
 //!
 //! * **Sampled** (Section 7's shot-noise model): [`ShotEngine::run`] /
-//!   [`ShotEngine::sample_sweep`] take one state row per distinct input
-//!   and each row's shot count. Every shot draws one measurement outcome
-//!   from its own [`ShotSampler`] stream, and shots are regrouped into
+//!   [`ShotEngine::sample_sweep`] take one state row per distinct input,
+//!   each row's shot count, and each shot's [`ShotStream`]. Every shot
+//!   draws one measurement outcome from its own stream, and shots are
+//!   regrouped into
 //!   outcome-homogeneous sub-batches (*branch-grouped batching*), so a
 //!   Chernoff budget of `O(m²/δ²)` trajectories executes as batched
 //!   kernel calls instead of one state at a time. Trajectories known to
@@ -61,8 +62,14 @@
 //!
 //! # Determinism contract
 //!
-//! Sampled sweeps: every shot owns an independent [`ShotSampler`] stream.
-//! Measurement collapse goes through the same [`collapse_with_draw`] the
+//! Sampled sweeps: every shot owns an independent stream, named by its
+//! [`ShotStream`]: its `k`-th draw is the `k`-th uniform of
+//! `ShotSampler::derived(seed, index)`, read at depth `k`, after `k`
+//! measurements. The sweep never steps a generator per shot: it reads draw
+//! `k` of every shot off plane `k` of its [`ShotVariates`], seeded and
+//! filled in vector passes that carry the sampler's bits, and the serial
+//! [`ShotSampler`] stays the oracle. Measurement collapse goes through the
+//! same [`collapse_with_draw`] the
 //! serial sampler uses, gate streaming goes through
 //! [`BatchedStates::apply_gate`] (bit-for-bit equal to per-row
 //! application), and regrouping preserves shot order within each outcome —
@@ -86,15 +93,17 @@
 //!
 //! A sampled sweep's per-shot work is only each shot's own draws. A
 //! member is two `u32`s, its shot and its class. A measurement makes one
-//! pass over a group's members: each draws one uniform, selects its
-//! outcome against its class's probability row with the serial `r -= p`
-//! chain, picked without a data-dependent branch, and joins its outcome's
-//! bucket keyed by (class, slack flag); `p` and `total` stay in the
-//! class's rows. The buckets are a stable distribution sort, so each
-//! keeps shot order, and one pass over each numbers its sub-classes by
-//! first member; a bucket becomes its child group's member list. The
-//! read-out is one draw and one branch-free selection per member against
-//! its class's row of the group's probability table.
+//! pass over a group's members, run by run of one class: eight members at
+//! a time load their uniforms off the plane of the group's depth, select
+//! their outcomes against the class's probability row with the serial
+//! `r -= p` chain, one lane each, picked without a data-dependent branch,
+//! and join their outcomes' buckets keyed by (class, slack flag); `p` and
+//! `total` stay in the class's rows. The buckets are a stable distribution
+//! sort, so each keeps shot order, and one pass over each numbers its
+//! sub-classes by first member; a bucket becomes its child group's member
+//! list. The read-out is one draw off the next plane and one branch-free
+//! selection per member against its class's row of the group's
+//! probability table, eight lanes at a time.
 
 //! Exact sweeps are deterministic, full stop: per-row results are a pure
 //! function of the program and that row's input, **bit-for-bit invariant
@@ -110,7 +119,10 @@ use crate::batch::BatchedStates;
 use crate::error::{HealthConfig, HealthPolicy, QdpError};
 use crate::measurement::Measurement;
 use crate::observable::Observable;
-use crate::sampling::{collapse_with_draw, ProjectiveObservable, ShotSampler};
+use crate::sampling::{
+    collapse_with_draw, select_counts, ProjectiveObservable, ShotSampler, ShotStream, ShotVariates,
+    SELECT_LANES,
+};
 use crate::state::StateVector;
 use qdp_linalg::{C64, Matrix};
 use std::sync::Arc;
@@ -528,6 +540,8 @@ struct RegroupScratch {
     weighted_forks: Vec<Vec<(usize, WeightedGroup)>>,
     /// Pooled fork child lists (sampled mode).
     sampled_forks: Vec<Vec<(usize, Group)>>,
+    /// The pooled state and plane buffers of a sweep's [`ShotVariates`].
+    variates: (Vec<u64>, Vec<f64>),
 }
 
 /// Upper bound on every [`RegroupScratch`] pool: enough that real branch
@@ -642,27 +656,18 @@ thread_local! {
 }
 
 /// The Born-rule selection of [`collapse_with_draw`] on a pre-computed
-/// probability row: the same `r -= p` chain from `u · total`, selecting
-/// the first outcome that drives `r` non-positive, and under
-/// floating-point slack the last outcome with support (`true` in the
-/// second slot: the rescale then skips the `(total/p).sqrt()` blow-up).
-/// The chain runs over the whole row and the outcome is counted, not
-/// branched to, so a random draw costs no mispredicted branch; a NaN
-/// never compares non-positive, as in the early-exit walk.
+/// probability row, from the selection count [`select_counts`] took for
+/// the draw: the first outcome that drives `r` non-positive, and under
+/// floating-point slack (`first == probs.len()`) the last outcome with
+/// support (`true` in the second slot: the rescale then skips the
+/// `(total/p).sqrt()` blow-up). A NaN never compares non-positive, as in
+/// the early-exit walk.
 ///
 /// # Panics
 ///
 /// Panics when no branch has support.
 #[inline]
-fn select_branch(u: f64, total: f64, probs: &[f64]) -> (usize, bool) {
-    let mut r: f64 = u * total;
-    let mut stopped = false;
-    let mut first = 0;
-    for &p in probs {
-        r -= p;
-        stopped |= r <= 0.0;
-        first += usize::from(!stopped);
-    }
+fn select_branch(first: usize, probs: &[f64]) -> (usize, bool) {
     if first < probs.len() {
         return (first, false);
     }
@@ -671,6 +676,17 @@ fn select_branch(u: f64, total: f64, probs: &[f64]) -> (usize, bool) {
     #[allow(clippy::expect_used)]
     let outcome = probs.iter().rposition(|&p| p > 0.0).expect("no branch has support");
     (outcome, true)
+}
+
+/// The draws of up to [`SELECT_LANES`] members off `plane`, one lane each;
+/// lanes past the members draw 0 and are ignored.
+#[inline(always)]
+fn draws_of(members: &[Member], plane: &[f64]) -> [f64; SELECT_LANES] {
+    let mut us = [0.0; SELECT_LANES];
+    for (u, m) in us.iter_mut().zip(members) {
+        *u = plane[m.shot()];
+    }
+    us
 }
 
 /// Replays, in place on one freshly collapsed destination row, the
@@ -714,7 +730,7 @@ fn scale_planes(re: &mut [f64], im: &mut [f64], s: C64) {
 ///
 /// ```
 /// use qdp_linalg::Matrix;
-/// use qdp_sim::{BatchedStates, ShotEngine, ShotSampler, TrajProgram};
+/// use qdp_sim::{BatchedStates, ShotEngine, ShotStream, TrajProgram};
 ///
 /// // H then a computational measurement: every shot collapses to a basis
 /// // state recorded in its outcome history.
@@ -725,10 +741,9 @@ fn scale_planes(re: &mut [f64], im: &mut [f64], s: C64) {
 ///     vec![TrajProgram::new(), TrajProgram::new()],
 /// );
 /// let engine = ShotEngine::new(p);
-/// let mut samplers: Vec<ShotSampler> =
-///     (0..8).map(|s| ShotSampler::derived(1, s)).collect();
+/// let streams: Vec<ShotStream> = (0..8).map(|index| ShotStream { seed: 1, index }).collect();
 /// // Eight shots of one input row, |0⟩.
-/// let rows = engine.run(BatchedStates::zero(1, 1), &[8], &mut samplers)?;
+/// let rows = engine.run(BatchedStates::zero(1, 1), &[8], &streams)?;
 /// for row in &rows {
 ///     assert_eq!(row.outcomes.len(), 1);
 /// }
@@ -834,9 +849,14 @@ impl ShotEngine {
     }
 
     /// Runs `shots[r]` sampled trajectories from row `r` of `states`, shot
-    /// `i` drawing from `samplers[i]`, where shots are numbered row-major:
-    /// row 0's shots first, then row 1's, and so on. Returns one result per
-    /// shot, in that order.
+    /// `i` drawing from the stream `streams[i]`, where shots are numbered
+    /// row-major: row 0's shots first, then row 1's, and so on. Returns one
+    /// result per shot, in that order.
+    ///
+    /// Shot `i`'s `k`-th draw is the `k`-th uniform of
+    /// `ShotSampler::derived(streams[i].seed, streams[i].index)`, read at
+    /// depth `k` (after `k` measurements) off the sweep's
+    /// [`ShotVariates`] plane `k`; no shot steps a generator of its own.
     ///
     /// This is the **bitwise-reference executor**: gates are applied one
     /// by one in program order, so results equal running each shot as its
@@ -849,26 +869,27 @@ impl ShotEngine {
     /// [`HealthPolicy::FailFast`] (or unrepairable NaN/Inf under
     /// [`HealthPolicy::Renormalize`]) return a [`QdpError`] naming the
     /// lowest affected shot. Under [`HealthPolicy::DegradeToOracle`] the
-    /// affected shots are re-run serially from their inputs and streams on
-    /// the per-row reference path ([`collapse_with_draw`]) — bit-identical
+    /// affected shots are re-run serially from their inputs on their
+    /// streams' own samplers (`ShotSampler::derived`), on the per-row
+    /// reference path ([`collapse_with_draw`]) — bit-identical
     /// to this unfused executor's own contract — while healthy shots keep
     /// their batched bits.
     ///
     /// # Panics
     ///
     /// Panics when `shots` does not hold one count per row, a count is
-    /// zero, `samplers` does not hold one stream per shot, or there are
+    /// zero, `streams` does not hold one stream per shot, or there are
     /// 2^31 shots or more.
     pub fn run(
         &self,
         states: BatchedStates,
         shots: &[usize],
-        samplers: &mut [ShotSampler],
+        streams: &[ShotStream],
     ) -> Result<Vec<TrajectoryRow>, QdpError> {
-        let snapshot = self.degrade_snapshot(&states, shots, samplers);
-        let (finished, aborted, defects) = self.sampled_sweep(states, shots, samplers, false)?;
-        let mut out: Vec<Option<TrajectoryRow>> = (0..samplers.len()).map(|_| None).collect();
-        for group in &finished {
+        let inputs = self.degrade_snapshot(&states, shots);
+        let sweep = self.sampled_sweep(states, shots, streams, false)?;
+        let mut out: Vec<Option<TrajectoryRow>> = (0..streams.len()).map(|_| None).collect();
+        for group in &sweep.finished {
             for &m in &group.members {
                 out[m.shot()] = Some(TrajectoryRow {
                     state: Some(group.states.row_state(m.class())),
@@ -876,7 +897,7 @@ impl ShotEngine {
                 });
             }
         }
-        for (outcomes, members) in &aborted {
+        for (outcomes, members) in &sweep.aborted {
             for &m in members {
                 out[m.shot()] = Some(TrajectoryRow {
                     state: None,
@@ -884,10 +905,10 @@ impl ShotEngine {
                 });
             }
         }
-        reclaim_leaves(finished, aborted);
-        if let Some((inputs, mut streams)) = snapshot {
+        let defects = sweep.reclaim();
+        if let Some(inputs) = inputs {
             for orig in dedup_defects(defects) {
-                out[orig] = Some(self.replay_row(&inputs[orig], &mut streams[orig]));
+                out[orig] = Some(self.replay_row(&inputs[orig], streams[orig]).0);
             }
         }
         Ok(out
@@ -902,29 +923,36 @@ impl ShotEngine {
             .collect())
     }
 
-    /// The per-shot input/stream snapshots `DegradeToOracle` recovery
-    /// replays from, each shot's input read from its row — taken only when
-    /// that policy is active, so the other configurations pay nothing.
+    /// The per-shot inputs `DegradeToOracle` recovery replays from, each
+    /// shot's input read from its row — taken only when that policy is
+    /// active, so the other configurations pay nothing.
     fn degrade_snapshot(
         &self,
         states: &BatchedStates,
         shots: &[usize],
-        samplers: &[ShotSampler],
-    ) -> Option<(Vec<StateVector>, Vec<ShotSampler>)> {
+    ) -> Option<Vec<StateVector>> {
         match self.health {
-            Some(HealthConfig { policy: HealthPolicy::DegradeToOracle, .. }) => Some((
-                per_shot(shots, |r| states.row_state(r)),
-                samplers.to_vec(),
-            )),
+            Some(HealthConfig { policy: HealthPolicy::DegradeToOracle, .. }) => {
+                Some(per_shot(shots, |r| states.row_state(r)))
+            }
             _ => None,
         }
     }
 
-    /// Serial reference replay of one shot: gates in program order on a
-    /// single [`StateVector`], every measurement through the shared
-    /// [`collapse_with_draw`] primitive — the retained per-row path the
-    /// batched sampled executor is pinned against bit for bit.
-    fn replay_row(&self, input: &StateVector, sampler: &mut ShotSampler) -> TrajectoryRow {
+    /// Serial reference replay of one shot on its own stream: gates in
+    /// program order on a single [`StateVector`], every measurement
+    /// through the shared [`collapse_with_draw`] primitive, each draw
+    /// stepped from `ShotSampler::derived` — the retained per-row path the
+    /// batched sampled executor is pinned against bit for bit. Returns the
+    /// trajectory and the stream, ready for the read-out's draw.
+    fn replay_row(&self, input: &StateVector, stream: ShotStream) -> (TrajectoryRow, ShotSampler) {
+        let mut sampler = ShotSampler::derived(stream.seed, stream.index);
+        let row = self.replay_trajectory(input, &mut sampler);
+        (row, sampler)
+    }
+
+    /// [`replay_row`](Self::replay_row)'s trajectory, drawing from `sampler`.
+    fn replay_trajectory(&self, input: &StateVector, sampler: &mut ShotSampler) -> TrajectoryRow {
         let mut psi = input.clone();
         let mut outcomes = Vec::new();
         let mut ops: &[TrajOp] = &self.program.ops;
@@ -971,10 +999,12 @@ impl ShotEngine {
     }
 
     /// Runs `shots[r]` trajectories from row `r` of `states`, numbered
-    /// row-major as in [`run`](Self::run), and samples `readout` once on
-    /// each surviving final state (0.0 for aborted shots, which draw
-    /// nothing — matching the serial estimator). Returns one sample per
-    /// shot, in shot order.
+    /// row-major and drawing from `streams` as in [`run`](Self::run), and
+    /// samples `readout` once on each surviving final state (0.0 for
+    /// aborted shots, which draw nothing — matching the serial estimator).
+    /// Returns one sample per shot, in shot order. A shot's read-out is its
+    /// stream's next uniform: after `k` measurements, the `k`-th, read off
+    /// plane `k`.
     ///
     /// The read-out of each final group is **block-level**: one
     /// `classes × pairs` probability table per group
@@ -983,13 +1013,13 @@ impl ShotEngine {
     /// diagonal observables, one batched expectation pass per projector
     /// otherwise) plus one norm pass, so leaf read-out is one sweep per
     /// group instead of one per shot. Per shot there remain its own draws:
-    /// at each measurement one uniform and a branch-free selection against
-    /// its class's probability row, then one place in its outcome's bucket
-    /// (see the module's per-shot layout), and at the read-out one uniform
-    /// and the branch-free selection of the serial sampler against its
-    /// class's table row. The probabilities are bit-identical
-    /// to the per-row passes the serial sampler selects from, so draws can
-    /// never drift apart. On top of that, straight-line gate segments
+    /// at each measurement one uniform off the variate plane and a
+    /// branch-free selection against its class's probability row, then one
+    /// place in its outcome's bucket (see the module's per-shot layout), and
+    /// at the read-out one uniform and the branch-free selection of the
+    /// serial sampler against its class's table row. The probabilities are
+    /// bit-identical to the per-row passes the serial sampler selects from,
+    /// so draws can never drift apart. On top of that, straight-line gate segments
     /// **fuse** commuting single-qubit gates per qubit into one 2×2
     /// product before streaming (exactly like the exact sweeps), flushed
     /// at measurements, multi-qubit gates, and the read-out. Fusion
@@ -1002,8 +1032,9 @@ impl ShotEngine {
     ///
     /// The health-policy semantics of [`run`](Self::run), with
     /// [`HealthPolicy::DegradeToOracle`] shots re-run serially from their
-    /// inputs and streams ([`collapse_with_draw`] plus the shared per-row
-    /// read-out selection), unaffected shots keeping their batched bits.
+    /// inputs on `ShotSampler::derived` ([`collapse_with_draw`] plus the
+    /// shared per-row read-out selection), unaffected shots keeping their
+    /// batched bits.
     ///
     /// # Panics
     ///
@@ -1012,35 +1043,18 @@ impl ShotEngine {
         &self,
         states: BatchedStates,
         shots: &[usize],
-        samplers: &mut [ShotSampler],
+        streams: &[ShotStream],
         readout: &ProjectiveObservable,
     ) -> Result<Vec<f64>, QdpError> {
-        let snapshot = self.degrade_snapshot(&states, shots, samplers);
-        let (finished, aborted, defects) = self.sampled_sweep(states, shots, samplers, true)?;
-        let mut out = vec![0.0; samplers.len()];
-        let pairs = readout.pairs().len();
-        let mut table = Vec::new();
-        let mut totals = Vec::new();
-        for group in &finished {
-            // One table row per class, one draw per member.
-            readout.pair_probabilities_batch(&group.states, &mut table);
-            group.states.row_norms_sqr_into(&mut totals);
-            for &m in &group.members {
-                // The shared selection loop of `sample_with_draw_planes`, with
-                // the probabilities read off the group's table.
-                let c = m.class();
-                let total = totals[c];
-                if total > 1e-300 {
-                    let u = samplers[m.shot()].next_uniform();
-                    out[m.shot()] = readout.select_with(u, total, &table[c * pairs..(c + 1) * pairs]);
-                }
-            }
-        }
+        let inputs = self.degrade_snapshot(&states, shots);
+        let mut sweep = self.sampled_sweep(states, shots, streams, true)?;
+        let mut out = vec![0.0; streams.len()];
+        sweep.read_out(readout, &mut out);
         // Aborted shots stay 0.0 and draw nothing.
-        reclaim_leaves(finished, aborted);
-        if let Some((inputs, mut streams)) = snapshot {
+        let defects = sweep.reclaim();
+        if let Some(inputs) = inputs {
             for orig in dedup_defects(defects) {
-                let row = self.replay_row(&inputs[orig], &mut streams[orig]);
+                let (row, mut sampler) = self.replay_row(&inputs[orig], streams[orig]);
                 out[orig] = match row.state {
                     None => 0.0, // aborted shots draw nothing
                     Some(psi) => {
@@ -1048,7 +1062,7 @@ impl ShotEngine {
                         if total <= 1e-300 {
                             0.0
                         } else {
-                            let u = streams[orig].next_uniform();
+                            let u = sampler.next_uniform();
                             let (re, im) = psi.planes();
                             readout.sample_with_draw_planes(u, total, re, im)
                         }
@@ -1282,22 +1296,22 @@ impl ShotEngine {
     /// norm is its row's, read off one extra root pass and checked
     /// (piggybacked on the norms sweep every measurement already performs)
     /// at each boundary; unmonitored engines skip all of it.
-    fn sampled_sweep(
+    fn sampled_sweep<'s>(
         &self,
         states: BatchedStates,
         shots: &[usize],
-        samplers: &mut [ShotSampler],
+        streams: &'s [ShotStream],
         fuse: bool,
-    ) -> Result<SweepOutput, QdpError> {
+    ) -> Result<SweepOutput<'s>, QdpError> {
         assert_eq!(states.len(), shots.len(), "one shot count per input row");
         assert!(shots.iter().all(|&k| k > 0), "every input row needs a shot");
         assert_eq!(
             shots.iter().sum::<usize>(),
-            samplers.len(),
-            "one sampler stream per batch row shot"
+            streams.len(),
+            "one stream per batch row shot"
         );
         assert!(
-            samplers.len() <= MAX_SWEEP_SHOTS,
+            streams.len() <= MAX_SWEEP_SHOTS,
             "a sweep runs at most 2^31 - 1 shots"
         );
         let expected = match self.health {
@@ -1309,13 +1323,19 @@ impl ShotEngine {
             None => Vec::new(),
         };
         if states.is_empty() {
-            return Ok((Vec::new(), Vec::new(), Vec::new()));
+            return Ok(SweepOutput {
+                finished: Vec::new(),
+                aborted: Vec::new(),
+                defects: Vec::new(),
+                variates: ShotVariates::new(streams),
+            });
         }
         SCRATCH.with(|cell| {
             let scratch = &mut cell.borrow_mut();
             let group = sampled_root(states, shots, scratch);
+            let (state, planes) = std::mem::take(&mut scratch.variates);
             let mut sweep = SampledSweep {
-                samplers,
+                variates: ShotVariates::with_buffers(streams, state, planes),
                 fuse,
                 scratch,
                 table: &self.table,
@@ -1327,7 +1347,12 @@ impl ShotEngine {
                 defects: Vec::new(),
             };
             sweep.exec(&self.program.ops, None, group)?;
-            Ok((sweep.finished, sweep.aborted, sweep.defects))
+            Ok(SweepOutput {
+                finished: sweep.finished,
+                aborted: sweep.aborted,
+                defects: sweep.defects,
+                variates: sweep.variates,
+            })
         })
     }
 }
@@ -1347,8 +1372,10 @@ impl ShotEngine {
 /// else, so nothing is drawn. Shots are cut into fixed [`SHOT_TILE`]-shot
 /// tiles, and each (multiset, tile) pair runs one
 /// [`sample_sweep`](ShotEngine::sample_sweep) per program over every
-/// row's shots of that program, shot `s` on the derived stream
-/// `ShotSampler::derived(streams[j][r], s)`. A row sums its samples per
+/// row's shots of that program, shot `s` on the stream
+/// `ShotStream { seed: streams[j][r], index: s }`: its `k`-th draw is the
+/// `k`-th uniform of `ShotSampler::derived(streams[j][r], s)`, read at
+/// depth `k` off the sweep's variate planes. A row sums its samples per
 /// tile, program by program in shot order, then its tile sums in tile
 /// order. Rows share sweeps but no bits: entry `[j][r]` carries the bits
 /// of a batch of one row with that seed, under any thread count and
@@ -1448,11 +1475,12 @@ pub fn estimate_batch(
 /// Per input row, the sum of its samples in the shot tile `start..start +
 /// len` of the multiset `engines`: program by program, each program's
 /// shots in shot order. One loop over the tile's shots, row by row,
-/// builds each shot's sampler and buckets it by program, and each program
-/// runs **one** sampled sweep over every row's shots of it; row `r`'s
-/// shots drew their programs into `draws[r]` and sample on the streams
-/// derived from `streams[r]`. A one-program multiset draws nothing: every
-/// shot runs program 0, so each row's samplers are built in one run.
+/// buckets each shot's stream identity by program, and each program runs
+/// **one** sampled sweep over every row's shots of it; row `r`'s shots
+/// drew their programs into `draws[r]` and sample on the streams of seed
+/// `streams[r]`, shot `s` on index `s`, so a program's indices skip the
+/// shots of the others. A one-program multiset draws nothing: every shot
+/// runs program 0, so each row's streams are one run of indices.
 fn tile_sums(
     engines: &[ShotEngine],
     readout: &ProjectiveObservable,
@@ -1462,17 +1490,18 @@ fn tile_sums(
     (start, len): (usize, usize),
 ) -> Result<Vec<f64>, QdpError> {
     // Per program: the rows that drew it, each row's shots of it, and one
-    // sampler per shot, row by row.
+    // stream per shot, row by row.
     let m = engines.len();
     let mut rows: Vec<Vec<usize>> = vec![Vec::new(); m];
     let mut counts: Vec<Vec<usize>> = vec![Vec::new(); m];
-    let mut samplers: Vec<Vec<ShotSampler>> =
+    let mut shot_streams: Vec<Vec<ShotStream>> =
         (0..m).map(|_| Vec::with_capacity(len * streams.len() / m)).collect();
     for (r, &seed) in streams.iter().enumerate() {
         if m == 1 {
             rows[0].push(r);
             counts[0].push(len);
-            samplers[0].extend((start..start + len).map(|s| ShotSampler::derived(seed, s as u64)));
+            let run = (start..start + len).map(|s| ShotStream { seed, index: s as u64 });
+            shot_streams[0].extend(run);
             continue;
         }
         for (s, &prog) in draws[r].iter().enumerate().skip(start).take(len) {
@@ -1484,16 +1513,18 @@ fn tile_sums(
                     counts[prog].push(1);
                 }
             }
-            samplers[prog].push(ShotSampler::derived(seed, s as u64));
+            shot_streams[prog].push(ShotStream { seed, index: s as u64 });
         }
     }
     let mut acc = vec![0.0; inputs.len()];
-    for (((engine, rows), counts), samplers) in engines.iter().zip(&rows).zip(&counts).zip(&mut samplers) {
+    let sweeps = engines.iter().zip(&rows).zip(&counts).zip(&shot_streams);
+    for (((engine, rows), counts), shot_streams) in sweeps {
         if rows.is_empty() {
             continue;
         }
         let states: Vec<&StateVector> = rows.iter().map(|&r| &inputs[r]).collect();
-        let values = engine.sample_sweep(BatchedStates::gather(&states), counts, samplers, readout)?;
+        let states = BatchedStates::gather(&states);
+        let values = engine.sample_sweep(states, counts, shot_streams, readout)?;
         let mut rest = values.as_slice();
         for (&r, &k) in rows.iter().zip(counts) {
             let (row, tail) = rest.split_at(k);
@@ -1505,8 +1536,76 @@ fn tile_sums(
 }
 
 /// Outcome of a sampled sweep: finished leaf groups, aborted trajectories,
-/// and the indices of health-defected shots.
-type SweepOutput = (Vec<Group>, Vec<Aborted>, Vec<usize>);
+/// the indices of health-defected shots, and the variate planes the sweep
+/// filled, which the read-out goes on drawing from.
+struct SweepOutput<'s> {
+    finished: Vec<Group>,
+    aborted: Vec<Aborted>,
+    defects: Vec<usize>,
+    variates: ShotVariates<'s>,
+}
+
+impl SweepOutput<'_> {
+    /// Samples `readout` once on every finished shot with support into
+    /// `out[shot]`: per group one `classes × pairs` table and one norm
+    /// pass, then per member its draw at the group's depth (its history's
+    /// length) and the branch-free selection against its class's row. A
+    /// group whose classes all have zero norm draws nothing, so it fills no
+    /// plane.
+    fn read_out(&mut self, readout: &ProjectiveObservable, out: &mut [f64]) {
+        let pairs = readout.pairs().len();
+        let mut table = Vec::new();
+        let mut totals = Vec::new();
+        for group in &self.finished {
+            // One table row per class, one draw per member.
+            readout.pair_probabilities_batch(&group.states, &mut table);
+            group.states.row_norms_sqr_into(&mut totals);
+            if !totals.iter().any(|&total| total > 1e-300) {
+                continue;
+            }
+            let plane = self.variates.uniforms(group.outcomes.len());
+            for run in group.members.chunk_by(|a, b| a.class == b.class) {
+                // The shared selection walk of `sample_with_draw_planes`,
+                // with the probabilities read off the group's table.
+                let c = run[0].class();
+                let total = totals[c];
+                if total <= 1e-300 {
+                    continue;
+                }
+                let probs = &table[c * pairs..(c + 1) * pairs];
+                for lanes in run.chunks(SELECT_LANES) {
+                    let firsts = select_counts(draws_of(lanes, plane), total, probs);
+                    for (&m, &first) in lanes.iter().zip(&firsts) {
+                        out[m.shot()] = readout.eigenvalue_at(first);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Returns the leaf groups, aborted member lists and variate buffers
+    /// to the thread's [`RegroupScratch`], so the next sweep reuses them;
+    /// hands back the defected shots.
+    fn reclaim(self) -> Vec<usize> {
+        let SweepOutput { finished, aborted, defects, variates } = self;
+        SCRATCH.with(|cell| {
+            let scratch = &mut cell.borrow_mut();
+            for group in finished {
+                scratch.reclaim_sampled(group);
+            }
+            for (outcomes, mut members) in aborted {
+                members.clear();
+                pool_give(&mut scratch.sampled_rows, members);
+                pool_give(&mut scratch.histories, outcomes);
+            }
+            let (state, planes) = variates.into_buffers();
+            if state.capacity() <= SCRATCH_POOL_AMPS && planes.capacity() <= SCRATCH_POOL_AMPS {
+                scratch.variates = (state, planes);
+            }
+        });
+        defects
+    }
+}
 
 /// The trajectories of one group that reached an `abort`: the outcome
 /// history they share and their members (whose classes no longer mean
@@ -1551,22 +1650,6 @@ fn sampled_root(states: BatchedStates, shots: &[usize], scratch: &mut RegroupScr
     }
 }
 
-/// Returns a read-out sweep's leaf groups and aborted member lists to the
-/// thread's [`RegroupScratch`], so the next sweep's leaves reuse them.
-fn reclaim_leaves(finished: Vec<Group>, aborted: Vec<Aborted>) {
-    SCRATCH.with(|cell| {
-        let scratch = &mut cell.borrow_mut();
-        for group in finished {
-            scratch.reclaim_sampled(group);
-        }
-        for (outcomes, mut members) in aborted {
-            members.clear();
-            pool_give(&mut scratch.sampled_rows, members);
-            pool_give(&mut scratch.histories, outcomes);
-        }
-    });
-}
-
 /// Sorts and deduplicates the degraded-row index list (a row can fail
 /// checks at more than one boundary before its placeholder stabilises).
 fn dedup_defects(mut defects: Vec<usize>) -> Vec<usize> {
@@ -1575,10 +1658,12 @@ fn dedup_defects(mut defects: Vec<usize>) -> Vec<usize> {
     defects
 }
 
-/// The state of one **sampled** sweep: the per-row streams, the fusion
+/// The state of one **sampled** sweep: the variate planes, the fusion
 /// mode, the regroup scratch arena, and the accumulating leaf/abort lists.
-struct SampledSweep<'s> {
-    samplers: &'s mut [ShotSampler],
+struct SampledSweep<'s, 'v> {
+    /// Draw `k` of every shot, filled on the first measurement (or
+    /// read-out) at depth `k`.
+    variates: ShotVariates<'v>,
     fuse: bool,
     scratch: &'s mut RegroupScratch,
     /// The table the program's table gates read.
@@ -1598,7 +1683,7 @@ struct SampledSweep<'s> {
     defects: Vec<usize>,
 }
 
-impl SampledSweep<'_> {
+impl SampledSweep<'_, '_> {
     /// Executes `ops` on `group`, then `cont`, the continuation a `case`
     /// arm returns into.
     fn exec<'p>(
@@ -1696,7 +1781,8 @@ impl SampledSweep<'_> {
     /// block ([`Measurement::branch_probabilities_block`]).
     ///
     /// **Per member, only its own draw**: one pass over the members, each
-    /// drawing one uniform from its own stream and selecting against its
+    /// loading its uniform off the variate plane of the group's depth (its
+    /// history's length) and selecting against its
     /// class's row through the branch-free [`select_branch`], appends the
     /// member to its outcome's bucket with its class and slack flag packed
     /// in the class field. Buckets fill in member order, so each is a
@@ -1784,7 +1870,7 @@ impl SampledSweep<'_> {
                         // Replace the class row with a well-formed
                         // placeholder so the batched sweep stays defined;
                         // every member's output is discarded and recomputed
-                        // on the reference path. Per-row sampler
+                        // on the reference path. Per-shot stream
                         // independence and the row-order invariance
                         // contract keep healthy rows' bits untouched by the
                         // substitution.
@@ -1814,18 +1900,23 @@ impl SampledSweep<'_> {
         );
         let outcomes = meas.num_outcomes();
         let s = &mut *self.scratch;
-        let samplers = &mut *self.samplers;
+        let plane = self.variates.uniforms(history.len());
         // One pass: every member draws against its class's row and joins
         // its outcome's bucket, keyed by (class, slack flag) — a stable
         // distribution sort, so each bucket keeps shot order.
         let mut buckets = std::mem::take(&mut s.buckets);
         buckets.extend((0..outcomes).map(|_| s.sampled_rows.pop().unwrap_or_default()));
-        for &m in &members {
-            let c = m.class();
-            let u = samplers[m.shot()].next_uniform();
-            let (outcome, slack) =
-                select_branch(u, s.totals[c], &s.probs[c * outcomes..(c + 1) * outcomes]);
-            buckets[outcome].push(Member { shot: m.shot, class: m.class << 1 | u32::from(slack) });
+        for run in members.chunk_by(|a, b| a.class == b.class) {
+            let c = run[0].class();
+            let probs = &s.probs[c * outcomes..(c + 1) * outcomes];
+            for lanes in run.chunks(SELECT_LANES) {
+                let firsts = select_counts(draws_of(lanes, plane), s.totals[c], probs);
+                for (&m, &first) in lanes.iter().zip(&firsts) {
+                    let (outcome, slack) = select_branch(first, probs);
+                    let class = m.class << 1 | u32::from(slack);
+                    buckets[outcome].push(Member { shot: m.shot, class });
+                }
+            }
         }
         s.class_slot.clear();
         s.class_slot.resize(2 * classes, u32::MAX);
@@ -2689,7 +2780,8 @@ impl<'a> AdjointSweep<'a> {
 mod tests {
     use super::*;
     use crate::observable::Observable;
-    use crate::test_support::{crafted_rows, draws};
+    use crate::simd::SimdTier;
+    use crate::test_support::{crafted_rows, draws, oracle_sampler, streams};
 
     fn rotation_y(theta: f64) -> Matrix {
         Matrix::rotation_from_involution(&Matrix::pauli_y(), theta)
@@ -2703,8 +2795,8 @@ mod tests {
         p.push_gate(rotation_y(0.7), vec![1]);
         let engine = ShotEngine::new(p);
         let inputs: Vec<StateVector> = (0..5).map(|k| StateVector::basis_state(2, k % 4)).collect();
-        let mut samplers: Vec<ShotSampler> = (0..5).map(|s| ShotSampler::derived(3, s)).collect();
-        let rows = engine.run(BatchedStates::from_states(&inputs), &[1; 5], &mut samplers).unwrap();
+        let batch = BatchedStates::from_states(&inputs);
+        let rows = engine.run(batch, &[1; 5], &streams(3, 5)).unwrap();
         for (input, row) in inputs.iter().zip(&rows) {
             let mut expected = input.clone();
             expected.apply_gate(&Matrix::hadamard(), &[0]);
@@ -2724,8 +2816,7 @@ mod tests {
         p.push_gate(Matrix::hadamard(), vec![0]);
         p.push_init(0);
         let engine = ShotEngine::new(p);
-        let mut samplers: Vec<ShotSampler> = (0..32).map(|s| ShotSampler::derived(7, s)).collect();
-        let rows = engine.run(BatchedStates::zero(1, 1), &[32], &mut samplers).unwrap();
+        let rows = engine.run(BatchedStates::zero(1, 1), &[32], &streams(7, 32)).unwrap();
         let mut seen = [false, false];
         for row in &rows {
             assert_eq!(row.outcomes.len(), 1);
@@ -2748,8 +2839,7 @@ mod tests {
             vec![TrajProgram::new(), killed],
         );
         let engine = ShotEngine::new(p);
-        let mut samplers: Vec<ShotSampler> = (0..64).map(|s| ShotSampler::derived(11, s)).collect();
-        let rows = engine.run(BatchedStates::zero(1, 1), &[64], &mut samplers).unwrap();
+        let rows = engine.run(BatchedStates::zero(1, 1), &[64], &streams(11, 64)).unwrap();
         let mut aborted = 0usize;
         for row in &rows {
             match row.outcomes[0] {
@@ -2774,15 +2864,14 @@ mod tests {
             vec![TrajProgram::new(), TrajProgram::new()],
         );
         let engine = ShotEngine::new(p);
-        let mut samplers: Vec<ShotSampler> = (0..256).map(|s| ShotSampler::derived(4, s)).collect();
+        let streams = streams(4, 256);
         let psi = StateVector::zero_state(2);
         for fuse in [false, true] {
-            let (finished, aborted, _) = engine
-                .sampled_sweep(BatchedStates::from_states(std::slice::from_ref(&psi)), &[256], &mut samplers, fuse)
-                .unwrap();
-            assert!(aborted.is_empty());
-            let rows: usize = finished.iter().map(|g| g.states.len()).sum();
-            let members: usize = finished.iter().map(|g| g.members.len()).sum();
+            let batch = BatchedStates::from_states(std::slice::from_ref(&psi));
+            let sweep = engine.sampled_sweep(batch, &[256], &streams, fuse).unwrap();
+            assert!(sweep.aborted.is_empty());
+            let rows: usize = sweep.finished.iter().map(|g| g.states.len()).sum();
+            let members: usize = sweep.finished.iter().map(|g| g.members.len()).sum();
             assert!(rows <= 2, "fuse {fuse}: {rows} state rows for 256 shots");
             assert_eq!(members, 256);
         }
@@ -2808,16 +2897,18 @@ mod tests {
         let readout = ProjectiveObservable::new(&obs);
         let shots = 40;
 
+        let streams = streams(5, shots);
         let batch = BatchedStates::zero(1, 2);
-        let mut samplers: Vec<ShotSampler> =
-            (0..shots).map(|s| ShotSampler::derived(5, s as u64)).collect();
-        let samples = engine.sample_sweep(batch, &[shots], &mut samplers, &readout).unwrap();
+        let samples = engine.sample_sweep(batch, &[shots], &streams, &readout).unwrap();
 
         let batch = BatchedStates::zero(1, 2);
-        let mut samplers: Vec<ShotSampler> =
-            (0..shots).map(|s| ShotSampler::derived(5, s as u64)).collect();
-        let rows = engine.run(batch, &[shots], &mut samplers).unwrap();
-        for (row, (sampler, sample)) in rows.iter().zip(samplers.iter_mut().zip(&samples)) {
+        let rows = engine.run(batch, &[shots], &streams).unwrap();
+        for (row, (&stream, sample)) in rows.iter().zip(streams.iter().zip(&samples)) {
+            // The read-out is the stream's draw after the trajectory's.
+            let mut sampler = oracle_sampler(stream);
+            for _ in &row.outcomes {
+                sampler.next_uniform();
+            }
             let expected = match &row.state {
                 None => 0.0,
                 Some(psi) => sampler.sample_observable(psi, &obs),
@@ -2845,7 +2936,7 @@ mod tests {
     #[test]
     fn empty_batch_is_harmless() {
         let engine = ShotEngine::new(TrajProgram::new());
-        let rows = engine.run(BatchedStates::from_states(&[]), &[], &mut []).unwrap();
+        let rows = engine.run(BatchedStates::from_states(&[]), &[], &[]).unwrap();
         assert!(rows.is_empty());
         assert!(engine
             .expectation_sweep(BatchedStates::from_states(&[]), &Observable::pauli_z(1, 0))
@@ -3011,10 +3102,9 @@ mod tests {
         let rows = || BatchedStates::from_states(&inputs(3));
         let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
         let shots = [5, 3, 4];
-        let samplers =
-            || -> Vec<ShotSampler> { (0..12).map(|s| ShotSampler::derived(3, s)).collect() };
+        let streams = streams(3, 12);
         let run = |engine: &ShotEngine| -> Vec<(Vec<usize>, Option<Vec<u64>>)> {
-            let out = engine.run(rows(), &shots, &mut samplers()).unwrap();
+            let out = engine.run(rows(), &shots, &streams).unwrap();
             out.into_iter()
                 .map(|row| {
                     let amps = row.state.map(|s| {
@@ -3028,7 +3118,7 @@ mod tests {
         let sample = |engine: &ShotEngine| {
             bits(
                 engine
-                    .sample_sweep(rows(), &shots, &mut samplers(), &readout)
+                    .sample_sweep(rows(), &shots, &streams, &readout)
                     .unwrap(),
             )
         };
@@ -3247,13 +3337,29 @@ mod tests {
 
     #[test]
     fn branch_free_selection_matches_the_early_exit_walk() {
+        // One draw at a time, and `SELECT_LANES` draws at a time as the
+        // member loops count them.
         for (total, probs) in crafted_rows() {
-            for u in draws(total, &probs) {
+            let us = draws(total, &probs);
+            for u in &us {
+                let [first] = select_counts([*u], total, &probs);
                 assert_eq!(
-                    select_branch(u, total, &probs),
-                    early_exit_select(u, total, &probs),
+                    select_branch(first, &probs),
+                    early_exit_select(*u, total, &probs),
                     "u {u} total {total} probs {probs:?}"
                 );
+            }
+            for lanes in us.chunks(SELECT_LANES) {
+                let mut padded = [0.0; SELECT_LANES];
+                padded[..lanes.len()].copy_from_slice(lanes);
+                let firsts = select_counts(padded, total, &probs);
+                for (u, &first) in lanes.iter().zip(&firsts) {
+                    assert_eq!(
+                        select_branch(first, &probs),
+                        early_exit_select(*u, total, &probs),
+                        "lanes: u {u} total {total} probs {probs:?}"
+                    );
+                }
             }
         }
     }
@@ -3261,7 +3367,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "no branch has support")]
     fn branch_free_selection_of_a_nan_row_panics() {
-        select_branch(0.5, f64::NAN, &[f64::NAN, f64::NAN]);
+        let probs = [f64::NAN, f64::NAN];
+        select_branch(select_counts([0.5], f64::NAN, &probs)[0], &probs);
     }
 
     #[test]
@@ -3279,14 +3386,14 @@ mod tests {
         let engine = ShotEngine::new(p);
         let inputs = inputs(3);
         let counts = [1000, 24, 1024];
-        let mut samplers: Vec<ShotSampler> = (0..2048).map(|s| ShotSampler::derived(8, s)).collect();
-        let (finished, aborted, _) = engine
-            .sampled_sweep(BatchedStates::from_states(&inputs), &counts, &mut samplers, false)
+        let streams = streams(8, 2048);
+        let sweep = engine
+            .sampled_sweep(BatchedStates::from_states(&inputs), &counts, &streams, false)
             .unwrap();
-        assert!(aborted.is_empty());
-        assert_eq!(finished.len(), 4);
+        assert!(sweep.aborted.is_empty());
+        assert_eq!(sweep.finished.len(), 4);
         let mut seen = 0;
-        for group in &finished {
+        for group in &sweep.finished {
             assert!(group.members.windows(2).all(|w| w[0].shot < w[1].shot));
             let mut next_class = 0;
             for m in &group.members {
@@ -3300,10 +3407,152 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one sampler stream per batch row")]
-    fn mismatched_sampler_count_panics() {
+    #[should_panic(expected = "one stream per batch row shot")]
+    fn mismatched_stream_count_panics() {
         let engine = ShotEngine::new(TrajProgram::new());
-        let mut samplers = vec![ShotSampler::seeded(1)];
-        let _ = engine.run(BatchedStates::zero(2, 1), &[1, 1], &mut samplers);
+        let _ = engine.run(BatchedStates::zero(2, 1), &[1, 1], &streams(1, 1));
+    }
+
+    /// Streams of two seeds whose indices skip, as a multi-program
+    /// multiset's do, plus the index extremes.
+    fn scattered_streams(shots: usize) -> Vec<ShotStream> {
+        (0..shots as u64)
+            .map(|i| match i % 7 {
+                5 => ShotStream { seed: u64::MAX - i, index: u64::MAX - i },
+                _ => ShotStream { seed: 0xD1CE + (i & 1), index: 5 * i + 2 },
+            })
+            .collect()
+    }
+
+    /// Every plane up to `depth` against the streams' own samplers, bitwise.
+    fn assert_planes_match_samplers(
+        variates: &mut ShotVariates,
+        streams: &[ShotStream],
+        what: &str,
+    ) {
+        let depth = variates.depth();
+        let mut oracles: Vec<ShotSampler> = streams.iter().map(|&s| oracle_sampler(s)).collect();
+        for k in 0..depth {
+            let plane = variates.uniforms(k).to_vec();
+            for (i, (oracle, u)) in oracles.iter_mut().zip(&plane).enumerate() {
+                let want = oracle.next_uniform();
+                assert_eq!(want.to_bits(), u.to_bits(), "{what}: shot {i} draw {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn variate_plane_matches_derived_streams_at_every_tier() {
+        // 37 shots: whole vectors plus a remainder at every tier.
+        let streams = scattered_streams(37);
+        for tier in [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512] {
+            let mut variates = ShotVariates::new(&streams);
+            for _ in 0..5 {
+                variates.fill_next(tier);
+            }
+            assert_eq!(variates.depth(), 5);
+            assert_planes_match_samplers(&mut variates, &streams, &format!("{tier:?}"));
+        }
+        // Asking for a deep plane first fills every plane before it, and
+        // no more.
+        let mut variates = ShotVariates::new(&streams);
+        let deep = variates.uniforms(3).to_vec();
+        assert_eq!(variates.depth(), 4);
+        assert_eq!(deep, variates.uniforms(3));
+        assert_planes_match_samplers(&mut variates, &streams, "lazy");
+        assert!(ShotVariates::new(&[]).uniforms(2).is_empty());
+    }
+
+    /// `while M[q0] = 1 do RY(1.6)[q0] od` unrolled `bound` times (abort
+    /// past the bound), after an arm-dependent prelude: outcome 0 of the
+    /// first `case` resets `q1` (`init`) and reads out, outcome 1 enters
+    /// the loop. Every segment is one gate, so the fused sample sweep
+    /// carries `run`'s bits.
+    fn ragged_depth_program(bound: usize) -> TrajProgram {
+        fn unroll(k: usize) -> TrajProgram {
+            let mut p = TrajProgram::new();
+            if k == 0 {
+                p.push_abort();
+            } else {
+                p.push_gate(rotation_y(1.6), vec![0]);
+                p.push_case(
+                    Measurement::computational(vec![0]),
+                    vec![TrajProgram::new(), unroll(k - 1)],
+                );
+            }
+            p
+        }
+        let mut reset = TrajProgram::new();
+        reset.push_init(1);
+        let mut p = TrajProgram::new();
+        p.push_gate(Matrix::hadamard(), vec![0]);
+        p.push_case(Measurement::computational(vec![0]), vec![reset, unroll(bound)]);
+        p
+    }
+
+    #[test]
+    fn variate_plane_sweeps_draw_each_stream_at_its_depth() {
+        // Arms of different draw depth, an `init` reset, a bounded `while`
+        // and scattered stream indices, at every tier: each shot's
+        // outcomes, state and read-out equal its serial replay on
+        // `ShotSampler::derived`, and a sweep fills one plane per draw
+        // depth it reaches, none past its deepest draw.
+        let bound = 12;
+        let engine = ShotEngine::new(ragged_depth_program(bound));
+        let readout = ProjectiveObservable::new(&Observable::pauli_z(2, 1));
+        let inputs = inputs(3);
+        let counts = [40, 1, 23];
+        let streams = scattered_streams(counts.iter().sum());
+        let shot_inputs: Vec<&StateVector> =
+            inputs.iter().zip(&counts).flat_map(|(psi, &k)| std::iter::repeat_n(psi, k)).collect();
+        for tier in [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512] {
+            crate::simd::set_tier_cap(tier);
+            let rows = engine.run(BatchedStates::from_states(&inputs), &counts, &streams).unwrap();
+            let samples = engine
+                .sample_sweep(BatchedStates::from_states(&inputs), &counts, &streams, &readout)
+                .unwrap();
+            let mut deepest = 0;
+            let shots = rows.iter().zip(&streams).zip(&shot_inputs);
+            for (i, ((row, &stream), &input)) in shots.enumerate() {
+                let mut sampler = oracle_sampler(stream);
+                let replay = engine.replay_trajectory(input, &mut sampler);
+                assert_eq!(replay.outcomes, row.outcomes, "{tier:?} shot {i}");
+                let bits = |psi: &Option<StateVector>| {
+                    psi.as_ref().map(|psi| {
+                        let amps = psi.amplitudes();
+                        amps.iter().map(|a| (a.re.to_bits(), a.im.to_bits())).collect::<Vec<_>>()
+                    })
+                };
+                assert_eq!(bits(&replay.state), bits(&row.state), "{tier:?} shot {i}");
+                let read = match &replay.state {
+                    Some(psi) => {
+                        let (re, im) = psi.planes();
+                        let u = sampler.next_uniform();
+                        readout.sample_with_draw_planes(u, psi.norm_sqr(), re, im)
+                    }
+                    None => 0.0,
+                };
+                assert_eq!(read.to_bits(), samples[i].to_bits(), "{tier:?} shot {i} read-out");
+                deepest = deepest.max(row.outcomes.len() + usize::from(row.state.is_some()));
+            }
+            // The loop exits early for every shot, so the bound's planes
+            // stay unfilled.
+            assert!(deepest < bound, "{tier:?}: deepest draw {deepest}");
+            for fuse in [false, true] {
+                let mut sweep = engine
+                    .sampled_sweep(BatchedStates::from_states(&inputs), &counts, &streams, fuse)
+                    .unwrap();
+                let mut out = vec![0.0; streams.len()];
+                let trajectory_depth = rows.iter().map(|row| row.outcomes.len()).max().unwrap_or(0);
+                assert_eq!(sweep.variates.depth(), trajectory_depth, "{tier:?} fuse {fuse}");
+                if fuse {
+                    sweep.read_out(&readout, &mut out);
+                    assert_eq!(sweep.variates.depth(), deepest, "{tier:?} read-out");
+                }
+                assert_planes_match_samplers(&mut sweep.variates, &streams, &format!("{tier:?}"));
+                let _ = sweep.reclaim();
+            }
+        }
+        crate::simd::set_tier_cap(SimdTier::Avx512);
     }
 }

@@ -80,3 +80,13 @@ pub(crate) fn draws(total: f64, probs: &[f64]) -> Vec<f64> {
     }
     us
 }
+
+/// The streams of `shots` shots of one seed, indices `0..shots`.
+pub(crate) fn streams(seed: u64, shots: usize) -> Vec<crate::sampling::ShotStream> {
+    (0..shots as u64).map(|index| crate::sampling::ShotStream { seed, index }).collect()
+}
+
+/// The serial oracle of a shot's draws: its stream's own sampler.
+pub(crate) fn oracle_sampler(stream: crate::sampling::ShotStream) -> crate::sampling::ShotSampler {
+    crate::sampling::ShotSampler::derived(stream.seed, stream.index)
+}

@@ -20,7 +20,7 @@ use qdp_linalg::Matrix;
 use qdp_sim::fault::{fired_count, inject, FaultKind, FaultSite};
 use qdp_sim::{
     BatchedStates, HealthConfig, HealthPolicy, Measurement, Observable, ProjectiveObservable,
-    QdpError, ShotEngine, ShotSampler, StateVector, TrajProgram, SHOT_TILE,
+    QdpError, ShotEngine, ShotStream, StateVector, TrajProgram, SHOT_TILE,
 };
 use std::sync::{Mutex, MutexGuard};
 
@@ -79,8 +79,8 @@ fn batch(rows: usize) -> BatchedStates {
     BatchedStates::from_states(&inputs(rows))
 }
 
-fn samplers(rows: usize, seed: u64) -> Vec<ShotSampler> {
-    (0..rows).map(|r| ShotSampler::derived(seed, r as u64)).collect()
+fn streams(rows: usize, seed: u64) -> Vec<ShotStream> {
+    (0..rows as u64).map(|index| ShotStream { seed, index }).collect()
 }
 
 /// A shot estimate of `readout` from `psi` alone: a batch of one row on
@@ -125,8 +125,8 @@ fn healthy_runs_are_bitwise_identical_under_monitoring_and_threads() {
     // Unmonitored single-thread baselines.
     qdp_par::set_max_threads(1);
     let base_exact = engine().expectation_sweep(batch(ROWS), &obs).unwrap();
-    let mut s = samplers(ROWS, 99);
-    let base_sampled = engine().sample_sweep(batch(ROWS), &[1; ROWS], &mut s, &readout).unwrap();
+    let s = streams(ROWS, 99);
+    let base_sampled = engine().sample_sweep(batch(ROWS), &[1; ROWS], &s, &readout).unwrap();
     let base_estimate = estimate(&engine(), &inputs(1)[0], &readout, 3 * SHOT_TILE, 5).unwrap();
 
     for threads in [1usize, 2, 8] {
@@ -139,9 +139,9 @@ fn healthy_runs_are_bitwise_identical_under_monitoring_and_threads() {
                 &base_exact,
                 &format!("exact sweep ({what})"),
             );
-            let mut s = samplers(ROWS, 99);
+            let s = streams(ROWS, 99);
             assert_bits_eq(
-                &e.sample_sweep(batch(ROWS), &[1; ROWS], &mut s, &readout).unwrap(),
+                &e.sample_sweep(batch(ROWS), &[1; ROWS], &s, &readout).unwrap(),
                 &base_sampled,
                 &format!("sampled sweep ({what})"),
             );
@@ -162,9 +162,9 @@ fn injected_non_finite_amplitudes_fail_fast_with_typed_errors() {
     for policy in [HealthPolicy::FailFast, HealthPolicy::Renormalize] {
         for kind in [FaultKind::Nan, FaultKind::Inf] {
             let guard = inject(FaultSite::Kernel { call: 0, row: 2, kind });
-            let mut s = samplers(6, 7);
+            let s = streams(6, 7);
             let err = with_policy(policy)
-                .run(batch(6), &[1; 6], &mut s)
+                .run(batch(6), &[1; 6], &s)
                 .expect_err("poisoned row must be detected");
             assert!(
                 matches!(err, QdpError::NonFinite { row: 2, .. }),
@@ -223,9 +223,9 @@ fn injected_norm_drift_is_detected_and_renormalized() {
 
     // FailFast: typed NormDrift naming the row and the observed norm.
     let guard = inject(FaultSite::Kernel { call: 0, row: 2, kind: drift });
-    let mut s = samplers(6, 7);
+    let s = streams(6, 7);
     let err = with_policy(HealthPolicy::FailFast)
-        .run(batch(6), &[1; 6], &mut s)
+        .run(batch(6), &[1; 6], &s)
         .expect_err("drifted row must be detected");
     match err {
         QdpError::NormDrift { row, expected, actual, .. } => {
@@ -266,12 +266,12 @@ fn degrade_to_oracle_recovers_poisoned_rows_and_preserves_healthy_bits() {
 
     // Sampled trajectories: the defected row is replayed serially from
     // its original input and stream.
-    let mut s = samplers(6, 7);
-    let clean_rows = engine().run(batch(6), &[1; 6], &mut s).unwrap();
+    let s = streams(6, 7);
+    let clean_rows = engine().run(batch(6), &[1; 6], &s).unwrap();
     let guard = inject(FaultSite::Kernel { call: 0, row: 2, kind: FaultKind::Nan });
-    let mut s = samplers(6, 7);
+    let s = streams(6, 7);
     let recovered = with_policy(HealthPolicy::DegradeToOracle)
-        .run(batch(6), &[1; 6], &mut s)
+        .run(batch(6), &[1; 6], &s)
         .expect("degraded run must complete");
     assert_eq!(fired_count(), 1);
     drop(guard);
@@ -289,12 +289,12 @@ fn degrade_to_oracle_recovers_poisoned_rows_and_preserves_healthy_bits() {
     }
 
     // Sampled read-out sweep.
-    let mut s = samplers(6, 7);
-    let clean = engine().sample_sweep(batch(6), &[1; 6], &mut s, &readout).unwrap();
+    let s = streams(6, 7);
+    let clean = engine().sample_sweep(batch(6), &[1; 6], &s, &readout).unwrap();
     let guard = inject(FaultSite::Kernel { call: 0, row: 2, kind: FaultKind::Inf });
-    let mut s = samplers(6, 7);
+    let s = streams(6, 7);
     let recovered = with_policy(HealthPolicy::DegradeToOracle)
-        .sample_sweep(batch(6), &[1; 6], &mut s, &readout)
+        .sample_sweep(batch(6), &[1; 6], &s, &readout)
         .expect("degraded sweep must complete");
     drop(guard);
     for (r, (a, b)) in recovered.iter().zip(&clean).enumerate() {
@@ -339,19 +339,19 @@ fn faults_on_a_shared_row_reach_every_member() {
     // (whose class row 1 holds the three shots of `b`).
     let guard = inject(FaultSite::Kernel { call: 0, row: 0, kind: FaultKind::Nan });
     let err = with_policy(HealthPolicy::FailFast)
-        .run(shots(), &[SHOTS], &mut samplers(SHOTS, 7))
+        .run(shots(), &[SHOTS], &streams(SHOTS, 7))
         .expect_err("poisoned shared row must be detected");
     assert!(matches!(err, QdpError::NonFinite { row: 0, .. }), "unexpected error {err:?}");
     drop(guard);
     let rows = inputs(3);
     let guard = inject(FaultSite::Kernel { call: 0, row: 1, kind: FaultKind::Nan });
     let err = with_policy(HealthPolicy::FailFast)
-        .run(BatchedStates::from_states(&rows), &[1, 3, 1], &mut samplers(5, 7))
+        .run(BatchedStates::from_states(&rows), &[1, 3, 1], &streams(5, 7))
         .expect_err("poisoned shared row must be detected");
     assert!(matches!(err, QdpError::NonFinite { row: 1, .. }), "unexpected error {err:?}");
     drop(guard);
 
-    let clean = engine().run(shots(), &[SHOTS], &mut samplers(SHOTS, 7)).unwrap();
+    let clean = engine().run(shots(), &[SHOTS], &streams(SHOTS, 7)).unwrap();
     let assert_close = |got: &[qdp_sim::TrajectoryRow], what: &str| {
         for (r, (got, want)) in got.iter().zip(&clean).enumerate() {
             assert_eq!(got.outcomes, want.outcomes, "{what}: row {r} outcomes diverged");
@@ -367,7 +367,7 @@ fn faults_on_a_shared_row_reach_every_member() {
     // Renormalize repairs the shared row, and with it every member.
     let guard = inject(FaultSite::Kernel { call: 0, row: 0, kind: FaultKind::Scale(1.001) });
     let repaired = with_policy(HealthPolicy::Renormalize)
-        .run(shots(), &[SHOTS], &mut samplers(SHOTS, 7))
+        .run(shots(), &[SHOTS], &streams(SHOTS, 7))
         .expect("renormalize must repair finite drift");
     assert_eq!(fired_count(), 1);
     drop(guard);
@@ -376,16 +376,16 @@ fn faults_on_a_shared_row_reach_every_member() {
     // DegradeToOracle replays every member from its input and stream.
     let guard = inject(FaultSite::Kernel { call: 0, row: 0, kind: FaultKind::Nan });
     let replayed = with_policy(HealthPolicy::DegradeToOracle)
-        .run(shots(), &[SHOTS], &mut samplers(SHOTS, 7))
+        .run(shots(), &[SHOTS], &streams(SHOTS, 7))
         .expect("degraded run must complete");
     assert_eq!(fired_count(), 1);
     drop(guard);
     assert_close(&replayed, "replayed");
 
-    let clean = engine().sample_sweep(shots(), &[SHOTS], &mut samplers(SHOTS, 7), &readout).unwrap();
+    let clean = engine().sample_sweep(shots(), &[SHOTS], &streams(SHOTS, 7), &readout).unwrap();
     let guard = inject(FaultSite::Kernel { call: 0, row: 0, kind: FaultKind::Inf });
     let replayed = with_policy(HealthPolicy::DegradeToOracle)
-        .sample_sweep(shots(), &[SHOTS], &mut samplers(SHOTS, 7), &readout)
+        .sample_sweep(shots(), &[SHOTS], &streams(SHOTS, 7), &readout)
         .expect("degraded sweep must complete");
     assert_eq!(fired_count(), 1);
     drop(guard);

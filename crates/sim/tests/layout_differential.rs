@@ -33,6 +33,7 @@ use qdp_linalg::{C64, Matrix};
 use qdp_sim::kernels::apply_matrix_reference;
 use qdp_sim::{
     BatchedStates, Measurement, Observable, ProjectiveObservable, ShotEngine, ShotSampler,
+    ShotStream,
     StateVector, TrajProgram, BRANCH_PRUNE,
 };
 use std::sync::Mutex;
@@ -710,10 +711,10 @@ fn sampled_run_matches_serial_aos_replay_bitwise() {
                 .collect();
             for &threads in &THREAD_COUNTS {
                 qdp_par::set_max_threads(threads);
-                let mut samplers: Vec<ShotSampler> =
-                    (0..batch).map(|r| ShotSampler::derived(seed, r as u64)).collect();
+                let streams: Vec<ShotStream> =
+                    (0..batch as u64).map(|index| ShotStream { seed, index }).collect();
                 let out = engine
-                    .run(BatchedStates::from_states(&states), &vec![1; batch], &mut samplers)
+                    .run(BatchedStates::from_states(&states), &vec![1; batch], &streams)
                     .unwrap();
                 qdp_par::set_max_threads(0);
                 assert_eq!(out.len(), batch);

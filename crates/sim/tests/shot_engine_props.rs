@@ -17,7 +17,7 @@
 
 use qdp_linalg::{C64, Matrix};
 use qdp_sim::{
-    BatchedStates, Measurement, ProjectiveObservable, Observable, ShotEngine, ShotSampler,
+    BatchedStates, Measurement, ProjectiveObservable, Observable, ShotEngine, ShotStream,
     StateVector, TrajProgram,
 };
 use rand::rngs::StdRng;
@@ -120,17 +120,21 @@ fn regrouped_rows_match_per_row_fallback() {
         let batch_size = [1usize, 2, 7, 16, 33][trial % 5];
         let seed = 0xF00 + trial as u64;
         for (layout, (rows, counts)) in layouts(&mut rng, n, batch_size).iter().enumerate() {
-            let mut samplers: Vec<ShotSampler> = (0..batch_size)
-                .map(|r| ShotSampler::derived(seed, r as u64))
+            let streams: Vec<ShotStream> = (0..batch_size as u64)
+                .map(|index| ShotStream { seed, index })
                 .collect();
-            let grouped = engine.run(BatchedStates::from_states(rows), counts, &mut samplers).unwrap();
+            let grouped = engine.run(BatchedStates::from_states(rows), counts, &streams).unwrap();
 
             for (r, &input) in shot_inputs(rows, counts).iter().enumerate() {
                 // Per-row fallback: the same row alone, same stream — no
                 // regrouping or sharing can ever happen in a batch of one.
-                let mut solo_sampler = vec![ShotSampler::derived(seed, r as u64)];
+                let solo_stream = [streams[r]];
                 let solo = engine
-                    .run(BatchedStates::from_states(std::slice::from_ref(input)), &[1], &mut solo_sampler)
+                    .run(
+                        BatchedStates::from_states(std::slice::from_ref(input)),
+                        &[1],
+                        &solo_stream,
+                    )
                     .unwrap()
                     .remove(0);
 
@@ -169,20 +173,20 @@ fn regrouped_readout_samples_match_per_row_fallback() {
         let batch_size = 19;
         let seed = 0xABC + trial as u64;
         for (layout, (rows, counts)) in layouts(&mut rng, n, batch_size).iter().enumerate() {
-            let mut samplers: Vec<ShotSampler> = (0..batch_size)
-                .map(|r| ShotSampler::derived(seed, r as u64))
+            let streams: Vec<ShotStream> = (0..batch_size as u64)
+                .map(|index| ShotStream { seed, index })
                 .collect();
             let grouped = engine
-                .sample_sweep(BatchedStates::from_states(rows), counts, &mut samplers, &readout)
+                .sample_sweep(BatchedStates::from_states(rows), counts, &streams, &readout)
                 .unwrap();
 
             for (r, &input) in shot_inputs(rows, counts).iter().enumerate() {
-                let mut solo_sampler = vec![ShotSampler::derived(seed, r as u64)];
+                let solo_stream = [streams[r]];
                 let solo = engine
                     .sample_sweep(
                         BatchedStates::from_states(std::slice::from_ref(input)),
                         &[1],
-                        &mut solo_sampler,
+                        &solo_stream,
                         &readout,
                     )
                     .unwrap()[0];
@@ -207,18 +211,18 @@ fn regrouping_is_insensitive_to_row_order() {
     let batch_size = 11;
     let inputs: Vec<StateVector> = (0..batch_size).map(|_| random_state(&mut rng, n)).collect();
 
-    let mut samplers: Vec<ShotSampler> = (0..batch_size)
-        .map(|r| ShotSampler::derived(1, r as u64))
+    let streams: Vec<ShotStream> = (0..batch_size as u64)
+        .map(|index| ShotStream { seed: 1, index })
         .collect();
-    let forward = engine.run(BatchedStates::from_states(&inputs), &[1; 11], &mut samplers).unwrap();
+    let forward = engine.run(BatchedStates::from_states(&inputs), &[1; 11], &streams).unwrap();
 
     let rev_inputs: Vec<StateVector> = inputs.iter().rev().cloned().collect();
-    let mut rev_samplers: Vec<ShotSampler> = (0..batch_size)
+    let rev_streams: Vec<ShotStream> = (0..batch_size as u64)
         .rev()
-        .map(|r| ShotSampler::derived(1, r as u64))
+        .map(|index| ShotStream { seed: 1, index })
         .collect();
     let reversed = engine
-        .run(BatchedStates::from_states(&rev_inputs), &[1; 11], &mut rev_samplers)
+        .run(BatchedStates::from_states(&rev_inputs), &[1; 11], &rev_streams)
         .unwrap();
 
     for r in 0..batch_size {
@@ -309,21 +313,20 @@ fn regrouped_classes_at_scale_match_per_row_fallback() {
         let shots: usize = counts.iter().sum();
         let readout = ProjectiveObservable::new(&Observable::pauli_z(n, 2));
         let seed = 0x5EED + trial;
-        let streams = || -> Vec<ShotSampler> {
-            (0..shots).map(|s| ShotSampler::derived(seed, s as u64)).collect()
-        };
+        let streams: Vec<ShotStream> =
+            (0..shots as u64).map(|index| ShotStream { seed, index }).collect();
         let grouped = engine
-            .run(BatchedStates::from_states(&rows), &counts, &mut streams())
+            .run(BatchedStates::from_states(&rows), &counts, &streams)
             .unwrap();
         let samples = engine
-            .sample_sweep(BatchedStates::from_states(&rows), &counts, &mut streams(), &readout)
+            .sample_sweep(BatchedStates::from_states(&rows), &counts, &streams, &readout)
             .unwrap();
         let mut outcome_counts = [0usize; 4];
         let mut aborted = 0;
         for (r, &input) in shot_inputs(&rows, &counts).iter().enumerate() {
-            let solo_stream = || vec![ShotSampler::derived(seed, r as u64)];
+            let solo_stream = [streams[r]];
             let solo_input = || BatchedStates::from_states(std::slice::from_ref(input));
-            let solo = engine.run(solo_input(), &[1], &mut solo_stream()).unwrap().remove(0);
+            let solo = engine.run(solo_input(), &[1], &solo_stream).unwrap().remove(0);
             assert_eq!(solo.outcomes, grouped[r].outcomes, "trial {trial} shot {r}: outcomes");
             outcome_counts[solo.outcomes[0]] += 1;
             match (&solo.state, &grouped[r].state) {
@@ -339,7 +342,7 @@ fn regrouped_classes_at_scale_match_per_row_fallback() {
                 _ => panic!("trial {trial} shot {r}: abort status changed"),
             }
             let solo_sample = engine
-                .sample_sweep(solo_input(), &[1], &mut solo_stream(), &readout)
+                .sample_sweep(solo_input(), &[1], &solo_stream, &readout)
                 .unwrap()[0];
             assert_eq!(
                 solo_sample.to_bits(),
