@@ -122,7 +122,8 @@ pub struct ShotStream {
 /// a plane is filled the first time [`uniforms`](Self::uniforms) asks for
 /// it, so a sweep fills exactly as many planes as its deepest draw. The
 /// passes run at the active [`SimdTier`](crate::simd::SimdTier): an
-/// AVX-512F+DQ body, an AVX2 body, or the portable loop. They are integer
+/// AVX-512F+DQ body, or the portable loop, which the workspace's
+/// `x86-64-v3` pin compiles to AVX2. They are integer
 /// operations and one exact 53-bit conversion, so every tier fills the
 /// same bits.
 #[derive(Debug)]
@@ -266,22 +267,12 @@ mod variate_kernels {
         ) {
             fill_body(streams, state, plane)
         }
-
-        /// # Safety
-        ///
-        /// The CPU must support AVX2.
-        #[target_feature(enable = "avx2")]
-        pub(super) unsafe fn fill_avx2(
-            streams: Option<&[ShotStream]>,
-            state: &mut [u64],
-            plane: &mut [f64],
-        ) {
-            fill_body(streams, state, plane)
-        }
     }
 
-    /// [`fill_body`] at `tier`, capped at the detected tier; the AVX-512
-    /// body also needs AVX-512DQ for its 64-bit multiplies and conversions.
+    /// [`fill_body`] at `tier`, capped at the detected tier: the AVX-512
+    /// body (which also needs AVX-512DQ for its 64-bit multiplies and
+    /// conversions) or the portable loop, which the workspace's
+    /// `x86-64-v3` pin already compiles to AVX2.
     pub(super) fn fill(
         tier: SimdTier,
         streams: Option<&[ShotStream]>,
@@ -289,17 +280,12 @@ mod variate_kernels {
         plane: &mut [f64],
     ) {
         #[cfg(all(target_arch = "x86_64", not(miri)))]
-        match tier.min(crate::simd::detected_tier()) {
+        if tier.min(crate::simd::detected_tier()) == SimdTier::Avx512
+            && is_x86_feature_detected!("avx512dq")
+        {
             // SAFETY: the detected tier checked AVX-512F, and DQ is checked
             // here.
-            SimdTier::Avx512 if is_x86_feature_detected!("avx512dq") => {
-                return unsafe { x86::fill_avx512(streams, state, plane) };
-            }
-            // SAFETY: the detected tier checked AVX2.
-            SimdTier::Avx512 | SimdTier::Avx2 => {
-                return unsafe { x86::fill_avx2(streams, state, plane) };
-            }
-            SimdTier::Scalar => {}
+            return unsafe { x86::fill_avx512(streams, state, plane) };
         }
         let _ = tier;
         fill_body(streams, state, plane)
@@ -372,25 +358,34 @@ pub fn collapse_with_draw(
 }
 
 /// The precomputed layout of a **diagonal** observable's read-out: which
-/// spectral pair each computational-basis state belongs to — everything
-/// one bucketed `|amp|²` pass needs.
+/// spectral pair each computational-basis state belongs to, plus the
+/// full-index target masks — everything one bucketed `|amp|²` pass needs.
 #[derive(Clone, Debug)]
 struct DiagonalReadout {
-    /// `pair_of_index[i]` = index into `pairs` of the projector containing
-    /// full basis state `i`, folded once through the target masks.
-    pair_of_index: Vec<u32>,
+    /// Full-index bit of each target, in target order (first target most
+    /// significant in the local index).
+    masks: Vec<usize>,
+    /// `pair_of_local[b]` = index into `pairs` of the projector containing
+    /// local basis state `b`.
+    pair_of_local: Vec<usize>,
+    /// `pair_of_index[i]` = the pair of full basis state `i`, folded once
+    /// through the masks; built only for read-outs of at most
+    /// [`READOUT_PAIRS`] pairs, which run [`diagonal_rows`].
+    pair_of_index: Option<Vec<u8>>,
 }
 
 /// Rows a diagonal read-out accumulates together, one accumulator each.
 const READOUT_ROWS: usize = 4;
 
-/// Pairs a diagonal read-out accumulates per pass over a row block.
+/// The most pairs [`diagonal_rows`] accumulates in registers; read-outs
+/// with more pairs keep the bucket loop, whose cost does not grow with
+/// the pair count.
 const READOUT_PAIRS: usize = 4;
 
 /// The diagonal read-out of the `R` whole `dim`-amplitude rows at the head
-/// of `re`/`im` into their `pairs` entries at the head of `table`: each
-/// pair's `|amp|²` terms added in index order from `+0.0`, `READOUT_PAIRS`
-/// pairs at a time with every accumulator in a register. A term joins an
+/// of `re`/`im` into their `pairs ≤ READOUT_PAIRS` entries at the head of
+/// `table`: each pair's `|amp|²` terms added in index order from `+0.0`,
+/// in one pass with every accumulator in a register. A term joins an
 /// accumulator through a bit select, never a multiply by a 0/1 mask, so an
 /// entry carries the bits of the serial bucket loop, NaN rows included.
 #[inline(always)]
@@ -398,30 +393,28 @@ fn diagonal_rows<const R: usize>(
     re: &[f64],
     im: &[f64],
     dim: usize,
-    pair_of: &[u32],
+    pair_of: &[u8],
     pairs: usize,
     table: &mut [f64],
 ) {
-    for k0 in (0..pairs).step_by(READOUT_PAIRS) {
-        let mut acc = [[0.0f64; R]; READOUT_PAIRS];
-        for (i, &pair) in pair_of.iter().enumerate() {
-            let mut t = [0.0f64; R];
-            for (r, t) in t.iter_mut().enumerate() {
-                let (a, b) = (re[r * dim + i], im[r * dim + i]);
-                *t = a * a + b * b;
-            }
-            for (k, acc) in acc.iter_mut().enumerate() {
-                let hit = 0u64.wrapping_sub(u64::from(pair as usize == k0 + k));
-                for (acc, &t) in acc.iter_mut().zip(&t) {
-                    let sum = (*acc + t).to_bits();
-                    *acc = f64::from_bits((sum & hit) | (acc.to_bits() & !hit));
-                }
+    let mut acc = [[0.0f64; R]; READOUT_PAIRS];
+    for (i, &pair) in pair_of.iter().enumerate() {
+        let mut t = [0.0f64; R];
+        for (r, t) in t.iter_mut().enumerate() {
+            let (a, b) = (re[r * dim + i], im[r * dim + i]);
+            *t = a * a + b * b;
+        }
+        for (k, acc) in acc.iter_mut().enumerate() {
+            let hit = 0u64.wrapping_sub(u64::from(usize::from(pair) == k));
+            for (acc, &t) in acc.iter_mut().zip(&t) {
+                let sum = (*acc + t).to_bits();
+                *acc = f64::from_bits((sum & hit) | (acc.to_bits() & !hit));
             }
         }
-        for (k, acc) in acc.iter().enumerate().take(pairs - k0) {
-            for (r, &v) in acc.iter().enumerate() {
-                table[r * pairs + k0 + k] = v;
-            }
+    }
+    for (k, acc) in acc.iter().enumerate().take(pairs) {
+        for (r, &v) in acc.iter().enumerate() {
+            table[r * pairs + k] = v;
         }
     }
 }
@@ -538,11 +531,12 @@ impl ProjectiveObservable {
             .iter()
             .map(|&t| 1usize << crate::kernels::qubit_bit(n, t))
             .collect();
-        Some(DiagonalReadout {
-            pair_of_index: (0..1usize << n)
-                .map(|i| pair_of_local[crate::kernels::local_index(i, &masks)] as u32)
-                .collect(),
-        })
+        let pair_of_index = (self.pairs.len() <= READOUT_PAIRS).then(|| {
+            (0..1usize << n)
+                .map(|i| pair_of_local[crate::kernels::local_index(i, &masks)] as u8)
+                .collect()
+        });
+        Some(DiagonalReadout { masks, pair_of_local, pair_of_index })
     }
 
     /// The `(eigenvalue, projector-observable)` pairs in eigenvalue order.
@@ -564,10 +558,11 @@ impl ProjectiveObservable {
     ///
     /// Each row's buckets accumulate serially in index order (unlike the
     /// measurement sweeps, no lane split: the pair of each basis state is
-    /// arbitrary, so there are no constant-outcome runs to exploit), but
-    /// four rows run side by side with their accumulators in
-    /// registers, each basis state's pair looked up in a table built once
-    /// per observable. A row's entries depend on that row alone, so
+    /// arbitrary, so there are no constant-outcome runs to exploit). With
+    /// at most four pairs, four rows run side by side with their
+    /// accumulators in registers, each basis state's pair looked up in a
+    /// table built once per observable; with more, each row adds into its
+    /// buckets in memory. A row's entries depend on that row alone, so
     /// batched and single-row read-outs select from bit-identical
     /// probabilities.
     ///
@@ -592,6 +587,20 @@ impl ProjectiveObservable {
         let pairs = self.pairs.len();
         table.clear();
         table.resize(rows * pairs, 0.0);
+        let Some(pair_of_index) = d.pair_of_index.as_deref() else {
+            for ((row_re, row_im), buckets) in re
+                .chunks_exact(dim)
+                .zip(im.chunks_exact(dim))
+                .zip(table.chunks_exact_mut(pairs))
+            {
+                for i in 0..dim {
+                    let local = crate::kernels::local_index(i, &d.masks);
+                    buckets[d.pair_of_local[local]] +=
+                        row_re[i] * row_re[i] + row_im[i] * row_im[i];
+                }
+            }
+            return true;
+        };
         let block = READOUT_ROWS * dim;
         let whole = rows / READOUT_ROWS;
         for ((re, im), table) in re
@@ -599,14 +608,14 @@ impl ProjectiveObservable {
             .zip(im.chunks_exact(block))
             .zip(table.chunks_exact_mut(READOUT_ROWS * pairs))
         {
-            diagonal_rows::<READOUT_ROWS>(re, im, dim, &d.pair_of_index, pairs, table);
+            diagonal_rows::<READOUT_ROWS>(re, im, dim, pair_of_index, pairs, table);
         }
         for ((re, im), table) in re[whole * block..]
             .chunks_exact(dim)
             .zip(im[whole * block..].chunks_exact(dim))
             .zip(table[whole * READOUT_ROWS * pairs..].chunks_exact_mut(pairs))
         {
-            diagonal_rows::<1>(re, im, dim, &d.pair_of_index, pairs, table);
+            diagonal_rows::<1>(re, im, dim, pair_of_index, pairs, table);
         }
         true
     }
@@ -1223,7 +1232,8 @@ mod tests {
     #[test]
     fn diagonal_readout_kernel_matches_the_bucket_loop_bitwise() {
         // Every row count from 1 to 11 (whole row blocks and remainders),
-        // 1- to 3-target observables with 2 to 5 pairs, rows salted with
+        // 1- to 3-target observables with 2 to 5 pairs (the register
+        // kernel up to 4, the bucket loop past it), rows salted with
         // NaN, ±inf, -0.0 and all-zero rows: every entry keeps the bucket
         // loop's bits, so a poisoned amplitude moves only its own pair of
         // its own row.
@@ -1238,6 +1248,8 @@ mod tests {
         for (oi, obs) in observables.iter().enumerate() {
             let readout = ProjectiveObservable::new(obs);
             assert!(readout.is_diagonal(), "observable {oi}");
+            let register = readout.diagonal.as_ref().is_some_and(|d| d.pair_of_index.is_some());
+            assert_eq!(register, readout.pairs().len() <= READOUT_PAIRS, "observable {oi}");
             for rows in 1..=11usize {
                 let states: Vec<StateVector> =
                     (0..rows as u64).map(|k| awkward_state(n, 40 + k)).collect();

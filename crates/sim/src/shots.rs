@@ -3490,6 +3490,29 @@ mod tests {
         p
     }
 
+    /// Serialises the lib tests that move the process-wide SIMD tier cap.
+    static TIER_CAP_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Holds [`TIER_CAP_LOCK`] and puts back the cap it found when dropped,
+    /// a panic included, so a `QDP_SIMD` leg's cap outlives the test.
+    struct TierCapGuard {
+        prev: SimdTier,
+        _lock: std::sync::MutexGuard<'static, ()>,
+    }
+
+    impl TierCapGuard {
+        fn hold() -> Self {
+            let lock = TIER_CAP_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+            Self { prev: crate::simd::tier_cap(), _lock: lock }
+        }
+    }
+
+    impl Drop for TierCapGuard {
+        fn drop(&mut self) {
+            crate::simd::set_tier_cap(self.prev);
+        }
+    }
+
     #[test]
     fn variate_plane_sweeps_draw_each_stream_at_its_depth() {
         // Arms of different draw depth, an `init` reset, a bounded `while`
@@ -3505,6 +3528,7 @@ mod tests {
         let streams = scattered_streams(counts.iter().sum());
         let shot_inputs: Vec<&StateVector> =
             inputs.iter().zip(&counts).flat_map(|(psi, &k)| std::iter::repeat_n(psi, k)).collect();
+        let _cap = TierCapGuard::hold();
         for tier in [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512] {
             crate::simd::set_tier_cap(tier);
             let rows = engine.run(BatchedStates::from_states(&inputs), &counts, &streams).unwrap();
@@ -3553,6 +3577,5 @@ mod tests {
                 let _ = sweep.reclaim();
             }
         }
-        crate::simd::set_tier_cap(SimdTier::Avx512);
     }
 }
