@@ -15,7 +15,12 @@
 //! [`paired_ns`], the share of the host's CPU time stolen by the
 //! hypervisor while that guard was measured (`steal_share`, read from
 //! `/proc/stat`; `null` where it cannot be read), so a low ratio can be
-//! told apart from a crowded host. It changes no verdict.
+//! told apart from a crowded host. A guard of that pass that fails while
+//! its steal share is above [`STEAL_RETRY_SHARE`] is re-measured, with
+//! its whole section, up to [`STEAL_RETRIES`] times; one that fails every
+//! measurement under steal is *inconclusive*, recorded with each reading's
+//! steal share and reported apart, and does not fail the run (see
+//! [`verdict`]). No other guard is re-measured.
 //!
 //! Each floor is about ¾ of the lowest value its ratio took over 30 runs
 //! on a 2-vCPU AVX-512 Xeon; the comment beside it gives the spread at one
@@ -309,16 +314,75 @@ fn median(mut samples: Vec<f64>) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// The guards checked so far, the ones that failed, and the pass running.
+/// The share of the host's CPU time stolen while a guard was timed above
+/// which a failed guard of the `at_max_threads` pass is re-measured
+/// instead of failed. Above every steal share recorded while the guards
+/// passed, 21 paired guards per run on a 2-vCPU AVX-512 Xeon: 0–0.048 over
+/// 17 runs (0–0.027 in the seven committed records before this verdict,
+/// 0–0.048 over 10 consecutive runs that passed all 50 guards, six of
+/// them with some guard above 0.02).
+const STEAL_RETRY_SHARE: f64 = 0.05;
+
+/// Re-measurements a failed guard gets while its steal share stays above
+/// [`STEAL_RETRY_SHARE`] before it is inconclusive.
+const STEAL_RETRIES: usize = 2;
+
+/// A guard's verdict so far.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Verdict {
+    Passed,
+    Failed,
+    /// Failed under steal: measure it again.
+    Retry,
+    /// Failed under steal at every measurement.
+    Inconclusive,
+}
+
+/// The verdict on a guard from its measurements so far, first to last,
+/// each `(failed, steal share)`. A failure stands unless the guard runs
+/// `threaded` and its steal share (NaN when unread, which is no steal) is
+/// above [`STEAL_RETRY_SHARE`]; such a failure asks for another
+/// measurement, until [`STEAL_RETRIES`] re-measurements have failed under
+/// steal too. The last measurement decides.
+fn verdict(measurements: &[(bool, f64)], threaded: bool) -> Verdict {
+    match measurements.last() {
+        None | Some(&(false, _)) => Verdict::Passed,
+        Some(&(true, steal)) if threaded && steal > STEAL_RETRY_SHARE => {
+            if measurements.len() > STEAL_RETRIES {
+                Verdict::Inconclusive
+            } else {
+                Verdict::Retry
+            }
+        }
+        Some(_) => Verdict::Failed,
+    }
+}
+
+/// One measurement of a guard: its failure message when it failed, and
+/// the steal share while it was timed (NaN unless the pass records it for
+/// a paired guard).
+struct Reading {
+    what: String,
+    failure: Option<String>,
+    steal: f64,
+}
+
+/// The guards checked so far, the ones that failed or were inconclusive,
+/// and the pass running.
 #[derive(Default)]
 struct Guards {
     pass: &'static str,
     checked: usize,
     failed: Vec<String>,
+    /// Guards that failed every measurement under steal, with the steal
+    /// share of each.
+    inconclusive: Vec<String>,
     /// Whether this pass records each paired guard's steal share.
     record_steal: bool,
     /// The current section's steal shares, by guard.
     steal: Fields,
+    /// The current section's guard measurements.
+    readings: Vec<Reading>,
 }
 
 impl Guards {
@@ -341,17 +405,18 @@ impl Guards {
     }
 
     fn check(&mut self, what: &str, failed: bool, message: impl FnOnce() -> String) {
+        let mut steal = f64::NAN;
         if let Some(start) = STEAL_MARK.with(Cell::take) {
             if self.record_steal {
-                self.steal
-                    .push((what.to_string(), share(steal_share(start, cpu_jiffies()))));
+                steal = steal_share(start, cpu_jiffies());
+                self.steal.push((what.to_string(), share(steal)));
             }
         }
-        self.checked += 1;
-        if failed {
-            let pass = self.pass;
-            self.failed.push(format!("{pass}: {}", message()));
-        }
+        self.readings.push(Reading {
+            what: what.to_string(),
+            failure: failed.then(message),
+            steal,
+        });
     }
 }
 
@@ -1942,17 +2007,64 @@ fn run_pass(fx: &Fixture, pass: &'static str, threads: usize, g: &mut Guards) ->
     qdp_par::set_max_threads(threads);
     let mut fields = fields!["threads" => threads];
     for (name, section) in SECTIONS {
-        STEAL_MARK.with(|mark| mark.set(None));
-        let mut section_fields = section(fx, g);
-        if !g.steal.is_empty() {
-            section_fields.push((
-                "steal_share".to_string(),
-                Value::Obj(std::mem::take(&mut g.steal)),
-            ));
-        }
+        let section_fields = settle(fx, section, g, threads > 1);
         fields.push((name.to_string(), Value::Obj(section_fields)));
     }
     qdp_par::set_max_threads(0);
+    fields
+}
+
+/// Runs `section`, and files each of its guards' verdicts: a guard that
+/// asks for another measurement ([`verdict`]) gets one re-run of the
+/// section per measurement, which decides that guard alone. Returns the
+/// first run's fields with their steal shares, and a `retried` object
+/// holding each re-measured guard's verdict and steal share at every
+/// measurement.
+fn settle(fx: &Fixture, section: Section, g: &mut Guards, threaded: bool) -> Fields {
+    let run = |g: &mut Guards| {
+        STEAL_MARK.with(|mark| mark.set(None));
+        let mut fields = section(fx, g);
+        if !g.steal.is_empty() {
+            fields.push(("steal_share".to_string(), Value::Obj(std::mem::take(&mut g.steal))));
+        }
+        (fields, std::mem::take(&mut g.readings))
+    };
+    let (mut fields, readings) = run(g);
+    let mut retried = Fields::new();
+    for first in readings {
+        let mut history = vec![first];
+        let measured = |h: &[Reading]| -> Vec<(bool, f64)> {
+            h.iter().map(|r| (r.failure.is_some(), r.steal)).collect()
+        };
+        while verdict(&measured(&history), threaded) == Verdict::Retry {
+            let what = &history[0].what;
+            match run(g).1.into_iter().find(|r| &r.what == what) {
+                Some(again) => history.push(again),
+                None => break,
+            }
+        }
+        let v = verdict(&measured(&history), threaded);
+        let steal: Vec<String> = history.iter().map(|r| format!("{:.3}", r.steal)).collect();
+        let (pass, last) = (g.pass, &history[history.len() - 1]);
+        let failure = last.failure.clone().unwrap_or_default();
+        g.checked += 1;
+        match v {
+            Verdict::Passed => {}
+            Verdict::Inconclusive => g
+                .inconclusive
+                .push(format!("{pass}: {failure} (steal share {})", steal.join(", "))),
+            Verdict::Failed | Verdict::Retry => g.failed.push(format!("{pass}: {failure}")),
+        }
+        if history.len() > 1 {
+            let shares: Fields =
+                (1..).zip(&history).map(|(i, r)| (i.to_string(), share(r.steal))).collect();
+            let record = fields!["verdict" => format!("{v:?}").to_lowercase(), "steal_share" => shares];
+            retried.push((last.what.clone(), Value::Obj(record)));
+        }
+    }
+    if !retried.is_empty() {
+        fields.push(("retried".to_string(), Value::Obj(retried)));
+    }
     fields
 }
 
@@ -1972,6 +2084,9 @@ fn main() {
     print!("{json}");
     eprintln!("wrote {out_path}");
 
+    for inconclusive in &g.inconclusive {
+        eprintln!("guard inconclusive under steal: {inconclusive}");
+    }
     for failure in &g.failed {
         eprintln!("guard failed: {failure}");
     }
@@ -1979,7 +2094,8 @@ fn main() {
         eprintln!("{} of {} guards failed", g.failed.len(), g.checked);
         std::process::exit(1);
     }
-    eprintln!("all {} guards passed", g.checked);
+    let decided = g.checked - g.inconclusive.len();
+    eprintln!("{decided} of {} guards passed, {} inconclusive", g.checked, g.inconclusive.len());
 }
 
 #[cfg(test)]
@@ -2018,6 +2134,26 @@ mod tests {
         let record: Fields = fields!["steal_share" => fields!["g" => share(f64::NAN)]];
         let json = render(&record);
         assert!(json.contains("\"g\": null"), "{json}");
+    }
+
+    #[test]
+    fn verdicts_retry_only_threaded_failures_under_steal() {
+        let steal = STEAL_RETRY_SHARE * 2.0;
+        let calm = STEAL_RETRY_SHARE / 2.0;
+        // Pass: a passing measurement decides, stolen or not, first or last.
+        assert_eq!(verdict(&[(false, calm)], true), Verdict::Passed);
+        assert_eq!(verdict(&[(false, steal)], true), Verdict::Passed);
+        assert_eq!(verdict(&[(true, steal), (false, steal)], true), Verdict::Passed);
+        // Fail: at one thread, under little or unread steal, or when a
+        // re-measurement fails without steal.
+        assert_eq!(verdict(&[(true, steal)], false), Verdict::Failed);
+        assert_eq!(verdict(&[(true, calm)], true), Verdict::Failed);
+        assert_eq!(verdict(&[(true, f64::NAN)], true), Verdict::Failed);
+        assert_eq!(verdict(&[(true, steal), (true, calm)], true), Verdict::Failed);
+        // Retry, then inconclusive once every re-measurement failed under steal.
+        assert_eq!(verdict(&[(true, steal)], true), Verdict::Retry);
+        assert_eq!(verdict(&[(true, steal); STEAL_RETRIES], true), Verdict::Retry);
+        assert_eq!(verdict(&[(true, steal); STEAL_RETRIES + 1], true), Verdict::Inconclusive);
     }
 
     #[test]

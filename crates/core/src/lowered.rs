@@ -26,7 +26,8 @@
 //! parameterised gates name entries of one per-call matrix table (an
 //! entry per distinct gate, slot and offset, built exactly as
 //! [`LoweredProgram::resolve`] builds it). Every sweep runs on that one
-//! form, bound to the table of its call's valuation:
+//! form, bound to the table of its call's valuation, and every sweep is
+//! the one branch walker of `qdp_sim` with its own fork rule and action:
 //!
 //! * [`LoweredSet::expectation_batch`] runs each program as a
 //!   branch-weighted exact sweep
@@ -39,8 +40,10 @@
 //!   unmonitored: no health checks (no NaN/Inf or norm-drift detection)
 //!   and no mass budget.
 //! * [`LoweredSet::gradient_batch`] differentiates the programs by the
-//!   adjoint method ([`qdp_sim::AdjointProgram`]): one forward and one
-//!   backward sweep per branch give every slot's derivative. On the
+//!   adjoint method ([`qdp_sim::AdjointProgram`], built on the first
+//!   gradient from the same shared programs, not from copies): one
+//!   forward and one backward sweep per branch give every slot's
+//!   derivative. On the
 //!   forward program this is the production exact gradient
 //!   (`GradientEngine::gradient_pure_batch`,
 //!   `Differentiated::derivative_pure_batch`): by Theorem 6.2 it equals
@@ -140,8 +143,8 @@ pub struct LoweredSet {
     /// sweep, never at lowering.
     table_form: OnceLock<TableForm>,
     /// The table form as one adjoint program, the sweep behind
-    /// [`gradient_batch`](Self::gradient_batch). Built on the first
-    /// gradient.
+    /// [`gradient_batch`](Self::gradient_batch), sharing the table form's
+    /// programs. Built on the first gradient.
     adjoint: OnceLock<AdjointProgram>,
 }
 
@@ -280,7 +283,7 @@ impl LoweredSet {
         let form = self.table_form();
         let adjoint = self
             .adjoint
-            .get_or_init(|| AdjointProgram::build(form.programs.iter().map(|p| &**p)));
+            .get_or_init(|| AdjointProgram::build(form.programs.iter().cloned()));
         self.check_register(states);
         let gates: Vec<qdp_sim::ParamGate> = form
             .entries
@@ -930,6 +933,13 @@ mod tests {
             "later calls reuse the programs the first call built"
         );
         assert_eq!(first, second);
+        // The adjoint program holds the table form's own programs, not
+        // copies: each has exactly two owners, the form and the adjoint
+        // (the engines of the calls above are gone), where a copy would
+        // leave the form's program one.
+        for (i, p) in set.table_form.get().unwrap().programs.iter().enumerate() {
+            assert_eq!(Arc::strong_count(p), 2, "program {i} is shared, not copied");
+        }
     }
 
     #[test]

@@ -1,45 +1,61 @@
-//! Batched trajectory execution — **sampled and exact** sweeps over
-//! [`BatchedStates`], on one branching IR.
+//! Batched trajectory execution — **sampled, exact and adjoint** sweeps
+//! over [`BatchedStates`], on one branching IR and one branch walker.
 //!
 //! [`TrajProgram`] is the single lowered form every branching program runs
-//! as, in both execution modes:
+//! as. Every sweep is one depth-first walk over the program's tree of
+//! measurement branches: the walker (`Walker`) steps the ops, streams each
+//! gate over the whole group as one batched kernel call, enters `case`
+//! arms through stack-linked continuation frames, and forks the group at
+//! every measurement. It is generic, and monomorphised, over two things:
 //!
-//! * **Sampled** (Section 7's shot-noise model): [`ShotEngine::run`] /
-//!   [`ShotEngine::sample_sweep`] take one state row per distinct input,
-//!   each row's shot count, and each shot's [`ShotStream`]. Every shot
-//!   draws one measurement outcome from its own stream, and shots are
-//!   regrouped into
-//!   outcome-homogeneous sub-batches (*branch-grouped batching*), so a
-//!   Chernoff budget of `O(m²/δ²)` trajectories executes as batched
-//!   kernel calls instead of one state at a time. Trajectories known to
-//!   carry bitwise the same state **share one amplitude row** (a
-//!   *class*): each input row starts as the class of all its shots, and a
-//!   measurement splits a class only by what its members drew. A shot
-//!   block therefore simulates each distinct trajectory once instead of
-//!   once per shot, and the input is never copied per shot.
-//! * **Exact** (*branch-weighted*): [`ShotEngine::expectation_sweep`]
-//!   measures all rows at once, computes per-outcome branch probabilities,
-//!   and forks the block into **every** surviving outcome at once — the
-//!   same regrouping machinery generalized over a weight-carrying row
-//!   descriptor. Sub-batches carry accumulated branch weights
-//!   (probabilities, riding inside the unnormalised amplitudes) instead of
-//!   sampled draws, and leaf read-outs sum weighted expectations per
-//!   original row. This is exact branch enumeration at batched-kernel
-//!   speed, one program at a time; `qdp_ad` sweeps every exact forward
-//!   value and every multiset this way, one program after another. It
-//!   carries the health surface: per-fork trace checks with oracle
-//!   fallback ([`ShotEngine::with_health`]), the droppable-mass budget
-//!   ([`ShotEngine::with_mass_budget`]), the [`leaf_weights`] view and
-//!   the fault-injection checkpoints of its row tiles. `qdp_ad`'s exact
-//!   sweeps enable none of it: they run unmonitored.
+//! * **The fork rule** — how a group splits at a measurement.
+//!   - *Weighted* (`WeightedFork`, the exact sweeps): every row forks into
+//!     **every** surviving outcome, and the sub-groups carry their branch
+//!     weights (probabilities, riding inside the unnormalised amplitudes).
+//!     This is exact branch enumeration at batched-kernel speed. The rule
+//!     carries the health surface — per-fork trace checks with oracle
+//!     fallback ([`ShotEngine::with_health`]) — and the droppable-mass
+//!     budget ([`ShotEngine::with_mass_budget`]).
+//!   - *Sampled* (`SampledFork`, Section 7's shot-noise model): every
+//!     shot draws one outcome from its own stream, and shots are regrouped
+//!     into outcome-homogeneous sub-batches (*branch-grouped batching*),
+//!     so a Chernoff budget of `O(m²/δ²)` trajectories executes as batched
+//!     kernel calls instead of one state at a time. Trajectories known to
+//!     carry bitwise the same state **share one amplitude row** (a
+//!     *class*): each input row starts as the class of all its shots, and a
+//!     measurement splits a class only by what its members drew. A shot
+//!     block therefore simulates each distinct trajectory once instead of
+//!     once per shot, and the input is never copied per shot. It carries
+//!     the same health checks, against each shot's expected norm.
+//! * **The action** — what the walk does at leaves, aborts and forks.
+//!   - The exact read-out sum ([`ShotEngine::expectation_sweep`]): one
+//!     batched read-out pass per leaf group adds `⟨ψleaf|O|ψleaf⟩` to its
+//!     rows; `qdp_ad` sweeps every exact forward value and every multiset
+//!     this way, one program after another, unmonitored. The
+//!     [`leaf_weights`] view collects the leaf weights instead.
+//!   - The sampled finished and aborted lists ([`ShotEngine::run`],
+//!     [`ShotEngine::sample_sweep`]): the leaf groups are kept, then read
+//!     out per shot (or returned as trajectories).
+//!   - The adjoint ([`AdjointProgram::gradient_sweep`], the production
+//!     exact gradient): it records every gate of the open segments, keeps
+//!     the block each fork forked, sets the costate `λ = Oφ` at a leaf, and
+//!     walks each segment backward once its subtree has run, joining the
+//!     outcomes' costates at each fork and reading out every parameter's
+//!     derivative at once. Each parameter's derivative multiset swept
+//!     program by program is its oracle.
 //!
 //!   [`leaf_weights`]: ShotEngine::leaf_weights
-//! * **Exact gradients, reverse mode**: [`AdjointProgram::gradient_sweep`]
-//!   runs a program forward over its branch tree with the same forks, then
-//!   backward with the costate `λ = Oφ`, and reads out every parameter's
-//!   derivative at once (the adjoint method). It is the production exact
-//!   gradient; each parameter's derivative multiset swept program by
-//!   program is its oracle.
+//!
+//! **Fusion** is the walk's, decided per action: the exact sweeps fuse
+//! commuting single-qubit gates per qubit into one 2×2 product (flushed at
+//! measurements, at multi-qubit gates on that qubit and at leaves), and
+//! their runs continue across `case` joins; [`ShotEngine::sample_sweep`]
+//! fuses the same way; [`ShotEngine::run`], the bitwise reference, and
+//! the adjoint apply (and the adjoint records) every gate unfused. The
+//! per-row oracles stay outside the walker: `replay_trajectory` (one shot
+//! on a single state, serial sampler) and `exact_reference_from` (per-row
+//! branch enumeration), which [`HealthPolicy::DegradeToOracle`] replays
+//! defected rows on.
 //!
 //! A program's parameterised gates may name entries of a matrix table
 //! instead of holding their own matrices
@@ -47,13 +63,12 @@
 //! bound per call to one table of that valuation's matrices
 //! ([`ShotEngine::bound`], and the [`ParamGate`] table of
 //! [`AdjointProgram::gradient_sweep`]), so evaluating a valuation clones
-//! no program.
+//! no program. The adjoint runs on the same programs: a fixed gate's `U†`
+//! and a measurement's `M_m†` are built once per program, the first time
+//! an adjoint sweep reads them.
 //!
-//! Both modes share the straight-line machinery: gate segments stream as
-//! single batched kernel calls (with per-qubit 2×2 fusion of commuting
-//! single-qubit gates where the mode allows), and measurements are
-//! **block-level**: one bucketed probability sweep over the whole group's
-//! contiguous amplitude block
+//! Measurements are **block-level** under both fork rules: one bucketed
+//! probability sweep over the whole group's contiguous amplitude block
 //! ([`Measurement::branch_probabilities_block`]), one strided collapse
 //! pass per surviving outcome ([`Measurement::collapse_block_into`]), and
 //! a pooled `RegroupScratch` arena recycling every buffer a fork needs —
@@ -104,8 +119,9 @@
 //! list. The read-out is one draw off the next plane and one branch-free
 //! selection per member against its class's row of the group's
 //! probability table, eight lanes at a time.
-
-//! Exact sweeps are deterministic, full stop: per-row results are a pure
+//!
+//! Exact sweeps, the adjoint's among them, are deterministic, full stop:
+//! per-row results are a pure
 //! function of the program and that row's input, **bit-for-bit invariant
 //! under thread count, batch decomposition, and row order** (every
 //! batched kernel call and leaf read-out performs per-row-identical
@@ -125,7 +141,7 @@ use crate::sampling::{
 };
 use crate::state::StateVector;
 use qdp_linalg::{C64, Matrix};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Shots per parallel tile of [`estimate_batch`].
 ///
@@ -153,8 +169,9 @@ pub const TILE_RETRIES: usize = 2;
 /// Where a gate of a [`TrajProgram`] takes its matrix from.
 #[derive(Clone, Debug)]
 enum TrajMatrix {
-    /// Its own matrix, built with the program.
-    Own(Matrix),
+    /// Its own matrix, built with the program, and its adjoint `U†`,
+    /// which [`AdjointProgram::build`] fills once per program.
+    Own { matrix: Matrix, adjoint: OnceLock<Matrix> },
     /// Entry `i` of the table the program's engine is bound to
     /// ([`ShotEngine::bound`]).
     Table(usize),
@@ -167,11 +184,45 @@ impl TrajMatrix {
     ///
     /// Panics when `table` has no entry the gate names.
     #[inline]
-    fn get<'a>(&'a self, table: &'a [Matrix]) -> &'a Matrix {
+    fn get<'a, T: GateTable + ?Sized>(&'a self, table: &'a T) -> &'a Matrix {
         match self {
-            TrajMatrix::Own(m) => m,
-            TrajMatrix::Table(i) => &table[*i],
+            TrajMatrix::Own { matrix, .. } => matrix,
+            TrajMatrix::Table(i) => table.entry(*i),
         }
+    }
+}
+
+/// The per-call table a walk's table gates read: the bound engine's
+/// matrices, or an adjoint sweep's [`ParamGate`]s.
+trait GateTable {
+    fn entry(&self, i: usize) -> &Matrix;
+}
+
+impl GateTable for [Matrix] {
+    fn entry(&self, i: usize) -> &Matrix {
+        &self[i]
+    }
+}
+
+impl GateTable for [ParamGate] {
+    fn entry(&self, i: usize) -> &Matrix {
+        &self[i].matrix
+    }
+}
+
+/// A measurement of a [`TrajProgram`] with the adjoint `M_m†` of each
+/// operator, which pulls a costate back through outcome `m`; like a fixed
+/// gate's `U†`, [`AdjointProgram::build`] fills them once per program.
+#[derive(Clone, Debug)]
+struct TrajMeasurement {
+    meas: Measurement,
+    adjoints: OnceLock<Vec<Matrix>>,
+}
+
+impl TrajMeasurement {
+    fn adjoint(&self, outcome: usize) -> &Matrix {
+        &self.adjoints.get_or_init(|| self.meas.operators().iter().map(Matrix::dagger).collect())
+            [outcome]
     }
 }
 
@@ -185,13 +236,13 @@ enum TrajOp {
     },
     /// `q := |0⟩`, sampled: measure `q` and flip on outcome 1.
     Init {
-        meas: Measurement,
+        meas: TrajMeasurement,
         flip: Matrix,
         target: usize,
     },
     /// A measurement branching over per-outcome arm programs.
     Case {
-        meas: Measurement,
+        meas: TrajMeasurement,
         arms: Vec<TrajProgram>,
     },
     /// Drop the trajectory.
@@ -223,7 +274,7 @@ impl TrajProgram {
     /// Appends an operator application.
     pub fn push_gate(&mut self, matrix: Matrix, targets: Vec<usize>) {
         self.ops.push(TrajOp::Gate {
-            matrix: TrajMatrix::Own(matrix),
+            matrix: TrajMatrix::Own { matrix, adjoint: OnceLock::new() },
             targets,
         });
     }
@@ -243,7 +294,10 @@ impl TrajProgram {
     /// flip — the sampled form of the reset channel).
     pub fn push_init(&mut self, target: usize) {
         self.ops.push(TrajOp::Init {
-            meas: Measurement::computational(vec![target]),
+            meas: TrajMeasurement {
+                meas: Measurement::computational(vec![target]),
+                adjoints: OnceLock::new(),
+            },
             flip: Matrix::pauli_x(),
             target,
         });
@@ -261,6 +315,7 @@ impl TrajProgram {
             arms.len(),
             "one arm per measurement outcome"
         );
+        let meas = TrajMeasurement { meas, adjoints: OnceLock::new() };
         self.ops.push(TrajOp::Case { meas, arms });
     }
 
@@ -394,8 +449,7 @@ fn mul2(a: &[C64; 4], b: &[C64; 4]) -> [C64; 4] {
 
 /// Applies the pending 1q products of `targets` (ascending qubit order,
 /// deterministically), as one batched kernel call each, through the
-/// sweep's reusable 2×2 `gate` scratch (no per-flush heap traffic).
-/// Shared by the sampled and exact executors.
+/// walk's reusable 2×2 `gate` scratch (no per-flush heap traffic).
 fn flush_targets(
     states: &mut BatchedStates,
     pending: &mut [Option<[C64; 4]>],
@@ -430,27 +484,6 @@ fn flush_all(states: &mut BatchedStates, pending: &mut [Option<[C64; 4]>], gate:
             gate.as_mut_slice().copy_from_slice(&m);
             states.apply_gate(gate, &[t]);
         }
-    }
-}
-
-/// Applies one gate to an exact group in fused form: a single-qubit gate
-/// joins its qubit's pending product; a multi-qubit gate flushes the
-/// pending products of its own targets, then runs as one batched kernel
-/// call.
-fn apply_fused(
-    group: &mut WeightedGroup,
-    matrix: &Matrix,
-    targets: &[usize],
-    flush_gate: &mut Matrix,
-) {
-    if let [t] = targets[..] {
-        group.pending[t] = Some(match group.pending[t].take() {
-            None => mat2(matrix),
-            Some(prev) => mul2(&mat2(matrix), &prev),
-        });
-    } else {
-        flush_targets(&mut group.states, &mut group.pending, targets, flush_gate);
-        group.states.apply_gate(matrix, targets);
     }
 }
 
@@ -971,13 +1004,13 @@ impl ShotEngine {
             }
             match &ops[i] {
                 TrajOp::Gate { matrix, targets } => {
-                    psi.apply_gate(matrix.get(&self.table), targets);
+                    psi.apply_gate(matrix.get(&*self.table), targets);
                     i += 1;
                 }
                 TrajOp::Abort => return TrajectoryRow { state: None, outcomes },
                 TrajOp::Init { meas, flip, target } => {
                     let (outcome, collapsed) =
-                        collapse_with_draw(sampler.next_uniform(), &psi, meas);
+                        collapse_with_draw(sampler.next_uniform(), &psi, &meas.meas);
                     psi = collapsed;
                     outcomes.push(outcome);
                     if outcome == 1 {
@@ -987,7 +1020,7 @@ impl ShotEngine {
                 }
                 TrajOp::Case { meas, arms } => {
                     let (outcome, collapsed) =
-                        collapse_with_draw(sampler.next_uniform(), &psi, meas);
+                        collapse_with_draw(sampler.next_uniform(), &psi, &meas.meas);
                     psi = collapsed;
                     outcomes.push(outcome);
                     cont.push(&ops[i + 1..]);
@@ -1150,24 +1183,11 @@ impl ShotEngine {
         };
         let mut out = vec![0.0; states.len()];
         let mut values = Vec::new();
-        let defects = SCRATCH.with(|cell| {
-            let scratch = &mut cell.borrow_mut();
-            let group = weighted_root(states, scratch);
-            let mut sweep = ExactSweep {
-                budgets: self.budgets_for(&group),
-                scratch,
-                table: &self.table,
-                flush_gate: Matrix::zeros(2, 2),
-                health: self.health,
-                defects: Vec::new(),
-            };
-            sweep.exec(&self.program.ops, None, group, &mut |group: &WeightedGroup| {
-                obs.expectation_batch_into(&group.states, &mut values);
-                for (ctx, v) in group.rows.iter().zip(&values) {
-                    out[ctx.orig] += v;
-                }
-            })?;
-            Ok::<Vec<usize>, QdpError>(sweep.defects)
+        let defects = self.exact_walk(states, self.health, |group: &WeightedGroup| {
+            obs.expectation_batch_into(&group.states, &mut values);
+            for (ctx, v) in group.rows.iter().zip(&values) {
+                out[ctx.orig] += v;
+            }
         })?;
         if let Some(inputs) = inputs {
             for orig in dedup_defects(defects) {
@@ -1202,12 +1222,12 @@ impl ShotEngine {
         for (i, op) in ops.iter().enumerate() {
             match op {
                 TrajOp::Gate { matrix, targets } => {
-                    psi.apply_gate(matrix.get(&self.table), targets)
+                    psi.apply_gate(matrix.get(&*self.table), targets)
                 }
                 TrajOp::Abort => return,
                 TrajOp::Init { meas, flip, target } => {
                     let rest = &ops[i + 1..];
-                    for b in meas.branches_pure(&psi) {
+                    for b in meas.meas.branches_pure(&psi) {
                         if b.probability <= BRANCH_PRUNE {
                             continue;
                         }
@@ -1221,7 +1241,7 @@ impl ShotEngine {
                 }
                 TrajOp::Case { meas, arms } => {
                     let rest = &ops[i + 1..];
-                    for b in meas.branches_pure(&psi) {
+                    for b in meas.meas.branches_pure(&psi) {
                         if b.probability <= BRANCH_PRUNE {
                             continue;
                         }
@@ -1254,27 +1274,37 @@ impl ShotEngine {
         if total_rows == 0 {
             return out;
         }
+        // Diagnostic view: never health-monitored.
+        self.exact_walk(states, None, |group: &WeightedGroup| {
+            for ctx in &group.rows {
+                out[ctx.orig].push(ctx.weight);
+            }
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
+        out
+    }
+
+    /// Walks the program exactly over `states`, health-checking its forks
+    /// under `health`, and calls `leaf` on every surviving leaf group;
+    /// returns the (tile-local) rows degraded to the oracle.
+    fn exact_walk(
+        &self,
+        states: BatchedStates,
+        health: Option<HealthConfig>,
+        leaf: impl FnMut(&WeightedGroup),
+    ) -> Result<Vec<usize>, QdpError> {
         SCRATCH.with(|cell| {
-            let scratch = &mut cell.borrow_mut();
+            let scratch = &mut *cell.borrow_mut();
             let group = weighted_root(states, scratch);
-            let mut sweep = ExactSweep {
+            let rule = WeightedFork {
                 budgets: self.budgets_for(&group),
-                scratch,
-                table: &self.table,
-                flush_gate: Matrix::zeros(2, 2),
-                // Diagnostic view: never health-monitored.
-                health: None,
+                health,
                 defects: Vec::new(),
             };
-            sweep
-                .exec(&self.program.ops, None, group, &mut |group: &WeightedGroup| {
-                    for ctx in &group.rows {
-                        out[ctx.orig].push(ctx.weight);
-                    }
-                })
-                .unwrap_or_else(|e| panic!("{e}"));
-        });
-        out
+            let mut walker = Walker::new(scratch, &*self.table, true, rule, Leaves(leaf));
+            walker.walk(&self.program.ops, None, group)?;
+            Ok(walker.rule.defects)
+        })
     }
 
     /// Each root row's droppable-mass budget: `ε ×` its initial mass.
@@ -1331,27 +1361,23 @@ impl ShotEngine {
             });
         }
         SCRATCH.with(|cell| {
-            let scratch = &mut cell.borrow_mut();
+            let scratch = &mut *cell.borrow_mut();
             let group = sampled_root(states, shots, scratch);
             let (state, planes) = std::mem::take(&mut scratch.variates);
-            let mut sweep = SampledSweep {
+            let rule = SampledFork {
                 variates: ShotVariates::with_buffers(streams, state, planes),
-                fuse,
-                scratch,
-                table: &self.table,
-                flush_gate: Matrix::zeros(2, 2),
-                finished: Vec::new(),
-                aborted: Vec::new(),
                 health: self.health,
                 expected,
                 defects: Vec::new(),
             };
-            sweep.exec(&self.program.ops, None, group)?;
+            let mut walker = Walker::new(scratch, &*self.table, fuse, rule, Collect::default());
+            walker.walk(&self.program.ops, None, group)?;
+            let Walker { rule, action, .. } = walker;
             Ok(SweepOutput {
-                finished: sweep.finished,
-                aborted: sweep.aborted,
-                defects: sweep.defects,
-                variates: sweep.variates,
+                finished: action.finished,
+                aborted: action.aborted,
+                defects: rule.defects,
+                variates: rule.variates,
             })
         })
     }
@@ -1658,20 +1684,290 @@ fn dedup_defects(mut defects: Vec<usize>) -> Vec<usize> {
     defects
 }
 
-/// The state of one **sampled** sweep: the variate planes, the fusion
-/// mode, the regroup scratch arena, and the accumulating leaf/abort lists.
-struct SampledSweep<'s, 'v> {
+/// A group of rows a walk carries through the ops: the sampled [`Group`]
+/// or the exact [`WeightedGroup`].
+trait Branch: Sized {
+    /// The group's states and the pending 1q product of each qubit.
+    fn parts(&mut self) -> (&mut BatchedStates, &mut [Option<[C64; 4]>]);
+
+    /// The arena's pool of fork child lists of this group type.
+    fn fork_pool(scratch: &mut RegroupScratch) -> &mut Vec<Vec<(usize, Self)>>;
+}
+
+impl Branch for Group {
+    fn parts(&mut self) -> (&mut BatchedStates, &mut [Option<[C64; 4]>]) {
+        (&mut self.states, &mut self.pending)
+    }
+
+    fn fork_pool(scratch: &mut RegroupScratch) -> &mut Vec<Vec<(usize, Self)>> {
+        &mut scratch.sampled_forks
+    }
+}
+
+impl Branch for WeightedGroup {
+    fn parts(&mut self) -> (&mut BatchedStates, &mut [Option<[C64; 4]>]) {
+        (&mut self.states, &mut self.pending)
+    }
+
+    fn fork_pool(scratch: &mut RegroupScratch) -> &mut Vec<Vec<(usize, Self)>> {
+        &mut scratch.weighted_forks
+    }
+}
+
+/// How a walk forks a group at a measurement: into every surviving
+/// outcome, carrying branch weights ([`WeightedFork`]), or into the
+/// outcomes its shots draw ([`SampledFork`]).
+trait ForkRule {
+    type Group: Branch;
+
+    /// Forks `group`, whose pending products are flushed, at `meas`,
+    /// appending the child groups to `forks` in ascending outcome order.
+    fn fork(
+        &mut self,
+        scratch: &mut RegroupScratch,
+        group: Self::Group,
+        meas: &Measurement,
+        forks: &mut Vec<(usize, Self::Group)>,
+    ) -> Result<(), QdpError>;
+}
+
+/// What a walk does besides stepping its ops. A walk runs one
+/// straight-line segment, from its start (the root, or an outcome of a
+/// fork) to its end: a leaf, an `abort`, or a fork, whose outcomes each
+/// walk a segment of their own before the fork closes. `Up` is what a
+/// segment's walk hands back to the fork above it.
+trait Action<'p, G> {
+    type Up;
+
+    /// The walk applied (or fused) a gate.
+    fn gate(&mut self, _matrix: &'p TrajMatrix, _targets: &'p [usize]) {}
+
+    /// The walk reached the end of the program, its products flushed.
+    fn leaf(&mut self, scratch: &mut RegroupScratch, group: G) -> Self::Up;
+
+    /// The walk reached an `abort`.
+    fn abort(&mut self, scratch: &mut RegroupScratch, group: G) -> Self::Up;
+
+    /// A fork is about to take `group`, its products flushed.
+    fn split(&mut self, _scratch: &mut RegroupScratch, _group: &G) {}
+
+    /// Outcome `outcome` of the fork at `meas` handed back `up`; `flip` is
+    /// the reset's flip and target when the fork is an `init` and the
+    /// outcome is 1.
+    fn join(
+        &mut self,
+        _scratch: &mut RegroupScratch,
+        _outcome: usize,
+        _up: Self::Up,
+        _meas: &TrajMeasurement,
+        _flip: Option<(&Matrix, usize)>,
+    ) {
+    }
+
+    /// Every outcome of the fork has joined.
+    fn close(&mut self, scratch: &mut RegroupScratch) -> Self::Up;
+}
+
+/// The one depth-first walk over a [`TrajProgram`]'s branch tree, behind
+/// every sweep: it steps the ops, fuses 1q gates when `fuse` asks for it,
+/// enters `case` arms through stack-linked [`Cont`] frames, and forks at
+/// every measurement by its [`ForkRule`]; its [`Action`] does the rest.
+struct Walker<'s, T: ?Sized, R, A> {
+    scratch: &'s mut RegroupScratch,
+    /// The table the program's table gates read.
+    table: &'s T,
+    /// Whether straight-line segments fuse commuting 1q gates per qubit
+    /// into one 2×2 product, flushed at measurements, at multi-qubit gates
+    /// on that qubit, and at the leaf; otherwise every gate is one batched
+    /// kernel call, in program order.
+    fuse: bool,
+    /// Reusable 2×2 the pending products flush through.
+    flush_gate: Matrix,
+    rule: R,
+    action: A,
+}
+
+impl<'s, T: GateTable + ?Sized, R: ForkRule, A> Walker<'s, T, R, A> {
+    fn new(scratch: &'s mut RegroupScratch, table: &'s T, fuse: bool, rule: R, action: A) -> Self {
+        Walker {
+            scratch,
+            table,
+            fuse,
+            flush_gate: Matrix::zeros(2, 2),
+            rule,
+            action,
+        }
+    }
+
+    /// Walks `ops` on `group`, then `cont`, the continuation a `case` arm
+    /// returns into: the segment up to the next fork or the leaf, then,
+    /// through the fork, every subtree below it.
+    fn walk<'p>(
+        &mut self,
+        mut ops: &'p [TrajOp],
+        mut cont: Option<&Cont<'_, 'p>>,
+        mut group: R::Group,
+    ) -> Result<A::Up, QdpError>
+    where
+        A: Action<'p, R::Group>,
+    {
+        loop {
+            for (i, op) in ops.iter().enumerate() {
+                match op {
+                    TrajOp::Gate { matrix, targets } => {
+                        let (states, pending) = group.parts();
+                        let m = matrix.get(self.table);
+                        if !self.fuse {
+                            states.apply_gate(m, targets);
+                        } else if let [t] = targets[..] {
+                            pending[t] = Some(match pending[t].take() {
+                                None => mat2(m),
+                                Some(prev) => mul2(&mat2(m), &prev),
+                            });
+                        } else {
+                            // A multi-qubit gate orders against the pending
+                            // rotations of its own targets only.
+                            flush_targets(states, pending, targets, &mut self.flush_gate);
+                            states.apply_gate(m, targets);
+                        }
+                        self.action.gate(matrix, targets);
+                    }
+                    TrajOp::Abort => return Ok(self.action.abort(self.scratch, group)),
+                    TrajOp::Init { meas, flip, target } => {
+                        let rest = (&ops[i + 1..], cont);
+                        return self.fork(group, meas, Some((flip, *target)), |_| rest);
+                    }
+                    TrajOp::Case { meas, arms } => {
+                        let arm_cont = Cont {
+                            ops: &ops[i + 1..],
+                            outer: cont,
+                        };
+                        let arm = |m: usize| (&arms[m].ops[..], Some(&arm_cont));
+                        return self.fork(group, meas, None, arm);
+                    }
+                }
+            }
+            // Pending products flow into the continuation: there is no
+            // measurement between an arm's trailing gates and the join.
+            match cont {
+                Some(next) => (ops, cont) = (next.ops, next.outer),
+                None => break,
+            }
+        }
+        let (states, pending) = group.parts();
+        flush_all(states, pending, &mut self.flush_gate);
+        Ok(self.action.leaf(self.scratch, group))
+    }
+
+    /// Forks `group` at `meas`, flipping `reset`'s target on outcome 1, and
+    /// walks each outcome's subtree from `next(outcome)`, in ascending
+    /// outcome order.
+    fn fork<'p: 'c, 'c>(
+        &mut self,
+        mut group: R::Group,
+        meas: &'p TrajMeasurement,
+        reset: Option<(&'p Matrix, usize)>,
+        next: impl Fn(usize) -> (&'p [TrajOp], Option<&'c Cont<'c, 'p>>),
+    ) -> Result<A::Up, QdpError>
+    where
+        A: Action<'p, R::Group>,
+    {
+        let (states, pending) = group.parts();
+        flush_all(states, pending, &mut self.flush_gate);
+        self.action.split(self.scratch, &group);
+        let mut forks = R::Group::fork_pool(self.scratch).pop().unwrap_or_default();
+        self.rule.fork(self.scratch, group, &meas.meas, &mut forks)?;
+        for (outcome, mut sub) in forks.drain(..) {
+            let flip = reset.filter(|_| outcome == 1);
+            if let Some((flip, target)) = flip {
+                sub.parts().0.apply_gate(flip, &[target]);
+            }
+            let (ops, cont) = next(outcome);
+            let up = self.walk(ops, cont, sub)?;
+            self.action.join(self.scratch, outcome, up, meas, flip);
+        }
+        pool_give(R::Group::fork_pool(self.scratch), forks);
+        Ok(self.action.close(self.scratch))
+    }
+}
+
+/// What a failed health check leaves a fork to repair.
+enum Repair {
+    /// Rescale the row's amplitudes by `√ratio` (and its probability row
+    /// by `ratio`), `ratio` being the expected mass over the measured one.
+    Rescale(f64),
+    /// Drop the row from the sweep: it is re-run on the per-row oracle.
+    Degrade,
+}
+
+/// The health check of both forks: the mass `total` a fork measured on a
+/// row against the mass `expected` the row carries in. Returns `None` for
+/// a healthy row, the repair `cfg.policy` asks for otherwise, and under
+/// [`HealthPolicy::FailFast`] (or for NaN/Inf or zero mass under
+/// [`HealthPolicy::Renormalize`], which no rescale repairs) the error
+/// naming `row` and `context`.
+fn check_health(
+    cfg: HealthConfig,
+    row: usize,
+    context: &'static str,
+    expected: f64,
+    total: f64,
+) -> Result<Option<Repair>, QdpError> {
+    let non_finite = !total.is_finite() || !expected.is_finite();
+    let drifted = !non_finite
+        && (total - expected).abs() > cfg.drift_tol * expected.abs().max(f64::MIN_POSITIVE);
+    if !non_finite && !drifted {
+        return Ok(None);
+    }
+    match cfg.policy {
+        HealthPolicy::FailFast if non_finite => Err(QdpError::NonFinite { row, context }),
+        HealthPolicy::FailFast => Err(QdpError::NormDrift {
+            row,
+            expected,
+            actual: total,
+            tolerance: cfg.drift_tol,
+        }),
+        HealthPolicy::Renormalize if non_finite || total <= 1e-300 => {
+            Err(QdpError::NonFinite { row, context })
+        }
+        HealthPolicy::Renormalize => Ok(Some(Repair::Rescale(expected / total))),
+        HealthPolicy::DegradeToOracle => Ok(Some(Repair::Degrade)),
+    }
+}
+
+/// The sampled sweep's action: it keeps every leaf group and every aborted
+/// group's history and members.
+#[derive(Default)]
+struct Collect {
+    finished: Vec<Group>,
+    aborted: Vec<Aborted>,
+}
+
+impl Action<'_, Group> for Collect {
+    type Up = ();
+
+    fn leaf(&mut self, _: &mut RegroupScratch, group: Group) {
+        self.finished.push(group);
+    }
+
+    fn abort(&mut self, scratch: &mut RegroupScratch, group: Group) {
+        // Dropped rows never need their states or pending products.
+        let Group { states, outcomes, members, pending } = group;
+        scratch.give_block(states.into_raw());
+        pool_give(&mut scratch.pendings, pending);
+        self.aborted.push((outcomes, members));
+    }
+
+    fn close(&mut self, _: &mut RegroupScratch) {}
+}
+
+/// The sampled sweep's fork rule: each shot draws its outcome. Holds the
+/// variate planes, the health configuration, every shot's expected squared
+/// norm and the shots degraded to the oracle.
+struct SampledFork<'v> {
     /// Draw `k` of every shot, filled on the first measurement (or
     /// read-out) at depth `k`.
     variates: ShotVariates<'v>,
-    fuse: bool,
-    scratch: &'s mut RegroupScratch,
-    /// The table the program's table gates read.
-    table: &'s [Matrix],
-    /// Reusable 2×2 the pending products flush through.
-    flush_gate: Matrix,
-    finished: Vec<Group>,
-    aborted: Vec<Aborted>,
     /// Health monitoring config (`None` = no checks, today's bits).
     health: Option<HealthConfig>,
     /// Expected squared norm per shot: its input row's norm (collapse
@@ -1683,91 +1979,8 @@ struct SampledSweep<'s, 'v> {
     defects: Vec<usize>,
 }
 
-impl SampledSweep<'_, '_> {
-    /// Executes `ops` on `group`, then `cont`, the continuation a `case`
-    /// arm returns into.
-    fn exec<'p>(
-        &mut self,
-        ops: &'p [TrajOp],
-        cont: Option<&Cont<'_, 'p>>,
-        mut group: Group,
-    ) -> Result<(), QdpError> {
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                TrajOp::Gate { matrix, targets } => {
-                    let matrix = matrix.get(self.table);
-                    if !self.fuse {
-                        // Bitwise mode: one batched kernel call streams the
-                        // operator over every row, in program order.
-                        group.states.apply_gate(matrix, targets);
-                    } else if let [t] = targets[..] {
-                        group.pending[t] = Some(match group.pending[t].take() {
-                            None => mat2(matrix),
-                            Some(prev) => mul2(&mat2(matrix), &prev),
-                        });
-                    } else {
-                        // A multi-qubit gate orders against the pending
-                        // rotations of its own targets only.
-                        flush_targets(
-                            &mut group.states,
-                            &mut group.pending,
-                            targets,
-                            &mut self.flush_gate,
-                        );
-                        group.states.apply_gate(matrix, targets);
-                    }
-                }
-                TrajOp::Abort => {
-                    // Dropped rows never need their states or pending
-                    // products.
-                    let Group { states, outcomes, members, pending } = group;
-                    self.scratch.give_block(states.into_raw());
-                    pool_give(&mut self.scratch.pendings, pending);
-                    self.aborted.push((outcomes, members));
-                    return Ok(());
-                }
-                TrajOp::Init { meas, flip, target } => {
-                    flush_all(&mut group.states, &mut group.pending, &mut self.flush_gate);
-                    let rest = &ops[i + 1..];
-                    let mut forks = self.scratch.sampled_forks.pop().unwrap_or_default();
-                    self.measure_group(group, meas, &mut forks)?;
-                    for (outcome, mut sub) in forks.drain(..) {
-                        if outcome == 1 {
-                            sub.states.apply_gate(flip, &[*target]);
-                        }
-                        self.exec(rest, cont, sub)?;
-                    }
-                    pool_give(&mut self.scratch.sampled_forks, forks);
-                    return Ok(());
-                }
-                TrajOp::Case { meas, arms } => {
-                    flush_all(&mut group.states, &mut group.pending, &mut self.flush_gate);
-                    let rest = &ops[i + 1..];
-                    let mut forks = self.scratch.sampled_forks.pop().unwrap_or_default();
-                    self.measure_group(group, meas, &mut forks)?;
-                    let arm_cont = Cont {
-                        ops: rest,
-                        outer: cont,
-                    };
-                    for (outcome, sub) in forks.drain(..) {
-                        self.exec(&arms[outcome].ops, Some(&arm_cont), sub)?;
-                    }
-                    pool_give(&mut self.scratch.sampled_forks, forks);
-                    return Ok(());
-                }
-            }
-        }
-        match cont {
-            // Pending products flow into the continuation: there is no
-            // measurement between an arm's trailing gates and the join.
-            Some(next) => self.exec(next.ops, next.outer, group),
-            None => {
-                flush_all(&mut group.states, &mut group.pending, &mut self.flush_gate);
-                self.finished.push(group);
-                Ok(())
-            }
-        }
-    }
+impl ForkRule for SampledFork<'_> {
+    type Group = Group;
 
     /// Measures every member of `group` at once and regroups the members
     /// into outcome-homogeneous sub-batches, appended to `forks` in
@@ -1802,8 +2015,9 @@ impl SampledSweep<'_, '_> {
     /// # Panics
     ///
     /// Panics when a row has (numerically) zero norm.
-    fn measure_group(
+    fn fork(
         &mut self,
+        s: &mut RegroupScratch,
         group: Group,
         meas: &Measurement,
         forks: &mut Vec<(usize, Group)>,
@@ -1816,7 +2030,7 @@ impl SampledSweep<'_, '_> {
         let n = states.num_qubits();
         let dim = states.dim();
         let classes = states.len();
-        states.row_norms_sqr_into(&mut self.scratch.totals);
+        states.row_norms_sqr_into(&mut s.totals);
         // Health checks piggyback on the norms pass the measurement just
         // performed — before the zero-norm assert (NaN fails `> 1e-300`
         // too) and before the probability table is built, so repairs and
@@ -1833,40 +2047,15 @@ impl SampledSweep<'_, '_> {
                 }
                 next_class += 1;
                 let c = m.class();
-                let total = self.scratch.totals[c];
                 let expected = self.expected[m.shot()];
-                let non_finite = !total.is_finite() || !expected.is_finite();
-                let drifted = !non_finite
-                    && (total - expected).abs()
-                        > cfg.drift_tol * expected.abs().max(f64::MIN_POSITIVE);
-                if !non_finite && !drifted {
-                    continue;
-                }
-                match cfg.policy {
-                    HealthPolicy::FailFast => {
-                        return Err(if non_finite {
-                            QdpError::NonFinite { row: m.shot(), context: "row norms" }
-                        } else {
-                            QdpError::NormDrift {
-                                row: m.shot(),
-                                expected,
-                                actual: total,
-                                tolerance: cfg.drift_tol,
-                            }
-                        });
-                    }
-                    HealthPolicy::Renormalize => {
-                        // Finite drift is repairable by rescaling; NaN/Inf
-                        // amplitudes are not — no scale factor undoes them.
-                        if non_finite || total <= 1e-300 {
-                            return Err(QdpError::NonFinite { row: m.shot(), context: "row norms" });
-                        }
-                        let s = C64::real((expected / total).sqrt());
+                match check_health(cfg, m.shot(), "row norms", expected, s.totals[c])? {
+                    None => {}
+                    Some(Repair::Rescale(ratio)) => {
                         let (row_re, row_im) = states.row_planes_mut(c);
-                        scale_planes(row_re, row_im, s);
-                        self.scratch.totals[c] = expected;
+                        scale_planes(row_re, row_im, C64::real(ratio.sqrt()));
+                        s.totals[c] = expected;
                     }
-                    HealthPolicy::DegradeToOracle => {
+                    Some(Repair::Degrade) => {
                         // Replace the class row with a well-formed
                         // placeholder so the batched sweep stays defined;
                         // every member's output is discarded and recomputed
@@ -1885,21 +2074,20 @@ impl SampledSweep<'_, '_> {
                         row_re.fill(0.0);
                         row_im.fill(0.0);
                         row_re[0] = norm.sqrt();
-                        self.scratch.totals[c] = norm;
+                        s.totals[c] = norm;
                     }
                 }
             }
         }
         {
             let (re, im) = states.planes();
-            meas.branch_probabilities_block(n, re, im, &mut self.scratch.probs);
+            meas.branch_probabilities_block(n, re, im, &mut s.probs);
         }
         assert!(
-            self.scratch.totals.iter().all(|&total| total > 1e-300),
+            s.totals.iter().all(|&total| total > 1e-300),
             "cannot measure a zero-norm state"
         );
         let outcomes = meas.num_outcomes();
-        let s = &mut *self.scratch;
         let plane = self.variates.uniforms(history.len());
         // One pass: every member draws against its class's row and joins
         // its outcome's bucket, keyed by (class, slack flag) — a stable
@@ -2038,108 +2226,43 @@ fn weighted_root(states: BatchedStates, scratch: &mut RegroupScratch) -> Weighte
     }
 }
 
-/// The state of one **exact** branch-weighted sweep: the per-row
-/// droppable-mass budgets and the regroup scratch arena.
-struct ExactSweep<'a> {
+/// The exact sweep's action: `F` reads out every surviving leaf group,
+/// whose buffers then go back to the arena; aborted branches contribute
+/// nothing.
+struct Leaves<F>(F);
+
+impl<F: FnMut(&WeightedGroup)> Action<'_, WeightedGroup> for Leaves<F> {
+    type Up = ();
+
+    fn leaf(&mut self, scratch: &mut RegroupScratch, group: WeightedGroup) {
+        (self.0)(&group);
+        scratch.reclaim_weighted(group);
+    }
+
+    fn abort(&mut self, scratch: &mut RegroupScratch, group: WeightedGroup) {
+        scratch.reclaim_weighted(group);
+    }
+
+    fn close(&mut self, _: &mut RegroupScratch) {}
+}
+
+/// The fork rule of the exact sweeps: every surviving outcome, weighted.
+/// Holds the per-row droppable-mass budgets, the health configuration and
+/// the rows degraded to the oracle.
+struct WeightedFork {
     /// Remaining droppable probability mass per original (tile-local) row
     /// — `ε ×` the row's initial mass, shared by every fork of that row's
     /// branch tree in the sweep's deterministic depth-first order (see
     /// [`ShotEngine::with_mass_budget`]). All zero by default.
     budgets: Vec<f64>,
-    scratch: &'a mut RegroupScratch,
-    /// The table the program's table gates read.
-    table: &'a [Matrix],
-    /// Reusable 2×2 the pending products flush through.
-    flush_gate: Matrix,
     /// Health monitoring config (`None` = no checks, today's bits).
     health: Option<HealthConfig>,
     /// Original (tile-local) indices of rows degraded to the oracle.
     defects: Vec<usize>,
 }
 
-impl ExactSweep<'_> {
-    /// Executes `ops` on `group` **exactly**, then `cont`, the
-    /// continuation a `case` arm returns into. At every measurement the
-    /// group forks into
-    /// outcome-homogeneous sub-groups via
-    /// [`branch_groups`](Self::branch_groups); `leaf` is called once per
-    /// surviving leaf group (pending products flushed), whose buffers are
-    /// then reclaimed into the arena.
-    fn exec<'p>(
-        &mut self,
-        ops: &'p [TrajOp],
-        cont: Option<&Cont<'_, 'p>>,
-        mut group: WeightedGroup,
-        leaf: &mut dyn FnMut(&WeightedGroup),
-    ) -> Result<(), QdpError> {
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                TrajOp::Gate { matrix, targets } => {
-                    apply_fused(
-                        &mut group,
-                        matrix.get(self.table),
-                        targets,
-                        &mut self.flush_gate,
-                    );
-                }
-                TrajOp::Abort => {
-                    // Aborted branches contribute nothing.
-                    self.scratch.reclaim_weighted(group);
-                    return Ok(());
-                }
-                TrajOp::Init { meas, flip, target } => {
-                    let rest = &ops[i + 1..];
-                    let mut forks = self.fork(group, meas)?;
-                    for (outcome, mut sub) in forks.drain(..) {
-                        if outcome == 1 {
-                            sub.states.apply_gate(flip, &[*target]);
-                        }
-                        self.exec(rest, cont, sub, leaf)?;
-                    }
-                    pool_give(&mut self.scratch.weighted_forks, forks);
-                    return Ok(());
-                }
-                TrajOp::Case { meas, arms } => {
-                    let rest = &ops[i + 1..];
-                    let mut forks = self.fork(group, meas)?;
-                    let arm_cont = Cont {
-                        ops: rest,
-                        outer: cont,
-                    };
-                    for (outcome, sub) in forks.drain(..) {
-                        self.exec(&arms[outcome].ops, Some(&arm_cont), sub, leaf)?;
-                    }
-                    pool_give(&mut self.scratch.weighted_forks, forks);
-                    return Ok(());
-                }
-            }
-        }
-        match cont {
-            // Pending products flow into the continuation: there is no
-            // measurement between an arm's trailing gates and the join.
-            Some(next) => self.exec(next.ops, next.outer, group, leaf),
-            None => {
-                flush_all(&mut group.states, &mut group.pending, &mut self.flush_gate);
-                leaf(&group);
-                self.scratch.reclaim_weighted(group);
-                Ok(())
-            }
-        }
-    }
-
-    /// Flushes the group's pending products and forks it at `meas` (see
-    /// [`branch_groups`](Self::branch_groups)). The caller drains the
-    /// returned list and hands it back to the arena with `pool_give`.
-    fn fork(
-        &mut self,
-        mut group: WeightedGroup,
-        meas: &Measurement,
-    ) -> Result<Vec<(usize, WeightedGroup)>, QdpError> {
-        flush_all(&mut group.states, &mut group.pending, &mut self.flush_gate);
-        let mut forks = self.scratch.weighted_forks.pop().unwrap_or_default();
-        self.branch_groups(group, meas, &mut forks)?;
-        Ok(forks)
-    }
+impl ForkRule for WeightedFork {
+    type Group = WeightedGroup;
 
     /// Forks a weighted group at a measurement, appending the surviving
     /// outcome-homogeneous sub-groups to `forks` in ascending outcome
@@ -2161,8 +2284,9 @@ impl ExactSweep<'_> {
     /// of that, a row with remaining [mass budget](ShotEngine::with_mass_budget)
     /// greedily drops its lowest-weight surviving branches while their
     /// cumulative mass still fits the budget.
-    fn branch_groups(
+    fn fork(
         &mut self,
+        s: &mut RegroupScratch,
         group: WeightedGroup,
         meas: &Measurement,
         forks: &mut Vec<(usize, WeightedGroup)>,
@@ -2175,7 +2299,7 @@ impl ExactSweep<'_> {
         let n = states.num_qubits();
         {
             let (re, im) = states.planes();
-            meas.branch_probabilities_block(n, re, im, &mut self.scratch.probs);
+            meas.branch_probabilities_block(n, re, im, &mut s.probs);
         }
         let outcomes = meas.num_outcomes();
         // Health checks piggyback on the probability pass: measurements
@@ -2184,65 +2308,38 @@ impl ExactSweep<'_> {
         if let Some(cfg) = self.health {
             for (r, ctx) in rows.iter().enumerate() {
                 let range = r * outcomes..(r + 1) * outcomes;
-                let total: f64 = self.scratch.probs[range.clone()].iter().sum();
-                let expected = ctx.weight;
-                let orig = ctx.orig;
-                let non_finite = !total.is_finite() || !expected.is_finite();
-                let drifted = !non_finite
-                    && (total - expected).abs()
-                        > cfg.drift_tol * expected.abs().max(f64::MIN_POSITIVE);
-                if !non_finite && !drifted {
-                    continue;
-                }
-                match cfg.policy {
-                    HealthPolicy::FailFast => {
-                        return Err(if non_finite {
-                            QdpError::NonFinite { row: orig, context: "branch probabilities" }
-                        } else {
-                            QdpError::NormDrift {
-                                row: orig,
-                                expected,
-                                actual: total,
-                                tolerance: cfg.drift_tol,
-                            }
-                        });
-                    }
-                    HealthPolicy::Renormalize => {
-                        if non_finite || total <= 1e-300 {
-                            return Err(QdpError::NonFinite {
-                                row: orig,
-                                context: "branch probabilities",
-                            });
-                        }
+                let total: f64 = s.probs[range.clone()].iter().sum();
+                let check = check_health(cfg, ctx.orig, "branch probabilities", ctx.weight, total);
+                match check? {
+                    None => {}
+                    Some(Repair::Rescale(ratio)) => {
                         // Rescale the row's amplitudes and its probability
                         // entries together, so child weights stay
                         // consistent with the repaired amplitudes.
-                        let ratio = expected / total;
-                        let s = C64::real(ratio.sqrt());
                         let (row_re, row_im) = states.row_planes_mut(r);
-                        scale_planes(row_re, row_im, s);
-                        for p in &mut self.scratch.probs[range] {
+                        scale_planes(row_re, row_im, C64::real(ratio.sqrt()));
+                        for p in &mut s.probs[range] {
                             *p *= ratio;
                         }
                     }
-                    HealthPolicy::DegradeToOracle => {
+                    Some(Repair::Degrade) => {
                         // Zeroing the row's probability entries drops it
                         // from every outcome (nothing clears BRANCH_PRUNE),
                         // excising its subtree from the batched sweep; the
                         // tile re-runs it on the per-row enumerator.
-                        self.defects.push(orig);
-                        for p in &mut self.scratch.probs[range] {
+                        self.defects.push(ctx.orig);
+                        for p in &mut s.probs[range] {
                             *p = 0.0;
                         }
                     }
                 }
             }
         }
-        self.scratch.keep.clear();
-        self.scratch.keep.resize(rows.len() * outcomes, false);
+        s.keep.clear();
+        s.keep.resize(rows.len() * outcomes, false);
         for (r, ctx) in rows.iter().enumerate() {
-            let probs = &self.scratch.probs[r * outcomes..(r + 1) * outcomes];
-            let keep = &mut self.scratch.keep[r * outcomes..(r + 1) * outcomes];
+            let probs = &s.probs[r * outcomes..(r + 1) * outcomes];
+            let keep = &mut s.keep[r * outcomes..(r + 1) * outcomes];
             for (m, &w) in probs.iter().enumerate() {
                 keep[m] = w > BRANCH_PRUNE;
             }
@@ -2252,7 +2349,7 @@ impl ExactSweep<'_> {
                 // branches (ties by outcome index — fully deterministic)
                 // while their cumulative mass fits the row's remaining
                 // budget, and charge the budget for what was dropped.
-                let order = &mut self.scratch.order;
+                let order = &mut s.order;
                 order.clear();
                 order.extend((0..outcomes).filter(|&m| keep[m]));
                 order.sort_by(|&a, &b| probs[a].total_cmp(&probs[b]).then(a.cmp(&b)));
@@ -2267,29 +2364,29 @@ impl ExactSweep<'_> {
                 self.budgets[ctx.orig] = remaining;
             }
         }
-        let mut selected = std::mem::take(&mut self.scratch.selected);
+        let mut selected = std::mem::take(&mut s.selected);
         for m in 0..outcomes {
             selected.clear();
-            let mut sub_rows = self.scratch.weighted_rows.pop().unwrap_or_default();
+            let mut sub_rows = s.weighted_rows.pop().unwrap_or_default();
             for (r, ctx) in rows.iter().enumerate() {
-                if self.scratch.keep[r * outcomes + m] {
+                if s.keep[r * outcomes + m] {
                     selected.push(r);
                     sub_rows.push(WeightedRow {
                         orig: ctx.orig,
-                        weight: self.scratch.probs[r * outcomes + m],
+                        weight: s.probs[r * outcomes + m],
                     });
                 }
             }
             if selected.is_empty() {
-                pool_give(&mut self.scratch.weighted_rows, sub_rows);
+                pool_give(&mut s.weighted_rows, sub_rows);
                 continue;
             }
-            let (mut dst_re, mut dst_im) = self.scratch.take_block();
+            let (mut dst_re, mut dst_im) = s.take_block();
             {
                 let (re, im) = states.planes();
                 meas.collapse_block_into(n, re, im, &selected, m, &mut dst_re, &mut dst_im);
             }
-            let pending = self.scratch.take_pending(n);
+            let pending = s.take_pending(n);
             forks.push((
                 m,
                 WeightedGroup {
@@ -2299,9 +2396,9 @@ impl ExactSweep<'_> {
                 },
             ));
         }
-        self.scratch.selected = selected;
+        s.selected = selected;
         rows.clear();
-        self.scratch.reclaim_weighted(WeightedGroup { states, rows, pending });
+        s.reclaim_weighted(WeightedGroup { states, rows, pending });
         Ok(())
     }
 }
@@ -2322,83 +2419,6 @@ pub struct ParamGate {
     pub column: usize,
 }
 
-/// Where an adjoint gate takes its matrix from.
-#[derive(Clone, Debug)]
-enum AdjointMatrix {
-    /// Fixed when the program is built, with its adjoint.
-    Fixed { matrix: Matrix, adjoint: Matrix },
-    /// Entry `i` of the per-call [`ParamGate`] table.
-    Param(usize),
-}
-
-/// A measurement with the adjoint `M_m†` of each operator, which pulls a
-/// costate back through outcome `m`.
-#[derive(Clone, Debug)]
-struct AdjointMeasurement {
-    meas: Measurement,
-    adjoints: Vec<Matrix>,
-}
-
-impl AdjointMeasurement {
-    fn new(meas: Measurement) -> Self {
-        let adjoints = meas.operators().iter().map(Matrix::dagger).collect();
-        AdjointMeasurement { meas, adjoints }
-    }
-}
-
-#[derive(Clone, Debug)]
-enum AdjointOp {
-    Gate {
-        matrix: AdjointMatrix,
-        targets: Vec<usize>,
-    },
-    /// `q := |0⟩` on `target`: measure it and flip on outcome 1.
-    Init {
-        meas: AdjointMeasurement,
-        target: usize,
-    },
-    Case {
-        meas: AdjointMeasurement,
-        arms: Vec<Vec<AdjointOp>>,
-    },
-    Abort,
-}
-
-fn adjoint_ops(ops: &[TrajOp]) -> Vec<AdjointOp> {
-    ops.iter()
-        .map(|op| match op {
-            TrajOp::Gate { matrix, targets } => AdjointOp::Gate {
-                matrix: match matrix {
-                    TrajMatrix::Own(m) => AdjointMatrix::Fixed {
-                        matrix: m.clone(),
-                        adjoint: m.dagger(),
-                    },
-                    TrajMatrix::Table(i) => AdjointMatrix::Param(*i),
-                },
-                targets: targets.clone(),
-            },
-            TrajOp::Init { meas, target, .. } => AdjointOp::Init {
-                meas: AdjointMeasurement::new(meas.clone()),
-                target: *target,
-            },
-            TrajOp::Case { meas, arms } => AdjointOp::Case {
-                meas: AdjointMeasurement::new(meas.clone()),
-                arms: arms.iter().map(|arm| adjoint_ops(&arm.ops)).collect(),
-            },
-            TrajOp::Abort => AdjointOp::Abort,
-        })
-        .collect()
-}
-
-fn adjoint_op_count(ops: &[AdjointOp]) -> usize {
-    ops.iter()
-        .map(|op| match op {
-            AdjointOp::Case { arms, .. } => 1 + arms.iter().map(|a| adjoint_op_count(a)).sum::<usize>(),
-            _ => 1,
-        })
-        .sum()
-}
-
 /// Kernel passes an adjoint sweep makes per op, about: the forward
 /// application, then `U†` on the state and on the costate and `U(θ + π)`
 /// on a copy for the parameter's term.
@@ -2411,9 +2431,11 @@ const ADJOINT_PASSES: usize = 4;
 /// Each branch of a program is a linear map `A_b` on the unnormalised
 /// state (gates, then at every `case` or reset the operator `M_m` of the
 /// outcome taken), and `E = Σ_b ⟨A_bψ|O|A_bψ⟩`. So the sweep runs the
-/// program forward as a depth-first walk over its branch tree, forking
-/// each group at measurements with the exact sweep's branch-weighted fork
-/// and keeping the block it forked. At a leaf it sets the costate
+/// program forward on the walker every sweep runs on, unfused: a
+/// depth-first walk over its branch tree that forks each group at
+/// measurements with the exact sweeps' weighted fork rule (unmonitored,
+/// no mass budget), while its action records each gate and keeps the
+/// block each fork forked. At a leaf it sets the costate
 /// `λ = Oφ`. Walking each straight-line segment backward, it undoes every
 /// gate `U` on `φ` and on `λ` with `U†`, and adds `Re⟨λ|U(θ+π)|φ⟩` (with
 /// `λ` after the gate and `φ` before it: `2·Re⟨λ|∂U|φ⟩`) to the
@@ -2428,27 +2450,31 @@ const ADJOINT_PASSES: usize = 4;
 /// with `Z_A⊗O`) to rounding. Every row's arithmetic depends on that row alone: its
 /// gradients are bit-for-bit the same under any thread count and batch
 /// composition.
+///
+/// It holds the programs it is built from, shared, not copied: `qdp_ad`'s
+/// `LoweredSet` builds it from the same table-form programs its exact and
+/// sampled sweeps bind. Each fixed gate's `U†` and each measurement's
+/// `M_m†` are built once per program, the first time a gradient sweep
+/// reads them, and are kept with the program; the other sweeps never
+/// build them.
 #[derive(Clone, Debug)]
 pub struct AdjointProgram {
-    programs: Vec<Vec<AdjointOp>>,
+    programs: Vec<Arc<TrajProgram>>,
     /// Ops over every program, each measurement once plus its arms.
     ops: usize,
-    /// The flip of resets.
-    flip: Matrix,
 }
 
 impl AdjointProgram {
-    /// The programs of a multiset, whose gradients sum in multiset order.
+    /// The programs of a multiset, whose gradients sum in multiset order,
+    /// shared with their other owners.
     /// Table gates ([`TrajProgram::push_table_gate`]) are parameterised:
     /// the gate naming entry `i` reads entry `i` of the [`ParamGate`] table
     /// each sweep takes.
-    pub fn build<'a>(programs: impl IntoIterator<Item = &'a TrajProgram>) -> Self {
-        let programs: Vec<Vec<AdjointOp>> =
-            programs.into_iter().map(|p| adjoint_ops(&p.ops)).collect();
+    pub fn build(programs: impl IntoIterator<Item = Arc<TrajProgram>>) -> Self {
+        let programs: Vec<Arc<TrajProgram>> = programs.into_iter().collect();
         AdjointProgram {
-            ops: programs.iter().map(|p| adjoint_op_count(p)).sum(),
+            ops: programs.iter().map(|p| p.op_count()).sum(),
             programs,
-            flip: Matrix::pauli_x(),
         }
     }
 
@@ -2514,265 +2540,204 @@ impl AdjointProgram {
         let rows = states.len();
         SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
-            let mut sweep = AdjointSweep {
-                exact: ExactSweep {
-                    budgets: vec![0.0; rows],
-                    scratch,
-                    // Forks only: the adjoint reads its gates itself.
-                    table: &[],
-                    flush_gate: Matrix::zeros(2, 2),
-                    health: None,
-                    defects: Vec::new(),
-                },
+            // The unmonitored exact sweep's forks: zero mass budgets, no
+            // health checks.
+            let rule = WeightedFork {
+                budgets: vec![0.0; rows],
+                health: None,
+                defects: Vec::new(),
+            };
+            let action = Adjoint {
                 table,
                 adjoints,
-                flip: &self.flip,
                 obs,
                 grads: vec![0.0; rows * columns],
                 columns,
+                gates: Vec::new(),
+                forks: Vec::new(),
             };
+            let mut walker = Walker::new(scratch, table, false, rule, action);
             if let Some((last, rest)) = self.programs.split_last() {
-                for ops in rest {
-                    sweep.run_root(ops, states.clone())?;
+                for program in rest {
+                    let root = weighted_root(states.clone(), walker.scratch);
+                    walker.walk(&program.ops, None, root)?;
                 }
-                sweep.run_root(last, states)?;
+                let root = weighted_root(states, walker.scratch);
+                walker.walk(&last.ops, None, root)?;
             }
-            Ok(sweep.grads)
+            Ok(walker.action.grads)
         })
     }
 }
 
-/// One gate of a straight-line segment, as the backward pass reads it.
-#[derive(Clone, Copy)]
-struct SegmentGate<'a> {
-    matrix: &'a Matrix,
-    adjoint: &'a Matrix,
-    targets: &'a [usize],
-    /// The [`ParamGate`] entry whose term this gate adds, if any.
-    param: Option<usize>,
-}
-
-/// The state of one [`AdjointProgram`] sweep over one tile.
-struct AdjointSweep<'a> {
-    /// The exact sweep's fork machinery: arena, zero mass budgets, no
-    /// health checks.
-    exact: ExactSweep<'a>,
+/// The adjoint sweep's action over its (unfused) walk: it records the
+/// gates of every open segment, keeps the block each fork forked, sets the
+/// costate `λ = Oφ` at a leaf, joins each fork's outcomes into their
+/// parent's costate, and walks every segment backward once its subtree
+/// has run.
+struct Adjoint<'a> {
     table: &'a [ParamGate],
     /// `U†` of each table entry.
     adjoints: &'a [Matrix],
-    flip: &'a Matrix,
     obs: &'a Observable,
     /// Row-major `rows × columns`: row `r`'s gradient in column `c` at
     /// `r * columns + c`.
     grads: Vec<f64>,
     columns: usize,
+    /// The gates of every open segment, outermost segment first.
+    gates: Vec<(&'a TrajMatrix, &'a [usize])>,
+    /// Per open fork, innermost last: the block it forked, the costate its
+    /// outcomes have joined into so far, and where its outcomes' segments
+    /// start in `gates` (the root's segment starts at 0).
+    forks: Vec<(WeightedGroup, Option<BatchedStates>, usize)>,
 }
 
-impl<'a> AdjointSweep<'a> {
-    fn run_root(&mut self, ops: &'a [AdjointOp], states: BatchedStates) -> Result<(), QdpError> {
-        let group = weighted_root(states, self.exact.scratch);
-        self.run(ops, Vec::new(), group, false).map(|_| ())
+impl<'a> Action<'a, WeightedGroup> for Adjoint<'a> {
+    /// The costate at the segment's start over its rows, when some leaf
+    /// below survived.
+    type Up = Option<WeightedGroup>;
+
+    fn gate(&mut self, matrix: &'a TrajMatrix, targets: &'a [usize]) {
+        self.gates.push((matrix, targets));
     }
 
-    fn gate(&self, matrix: &'a AdjointMatrix, targets: &'a [usize]) -> SegmentGate<'a> {
-        match matrix {
-            AdjointMatrix::Fixed { matrix, adjoint } => SegmentGate {
-                matrix,
-                adjoint,
-                targets,
-                param: None,
-            },
-            AdjointMatrix::Param(i) => {
-                let (table, adjoints) = (self.table, self.adjoints);
-                SegmentGate {
-                    matrix: &table[*i].matrix,
-                    adjoint: &adjoints[*i],
-                    targets,
-                    param: Some(*i),
-                }
-            }
-        }
-    }
-
-    /// Runs `ops`, then the suspended continuations `cont` (innermost
-    /// last), forward on `group` up to the next fork or the leaf, then the
-    /// rest of the subtree, then this segment backward. Returns the
-    /// costate at the segment's start over `group`'s rows when `costate`
-    /// asks for it and some leaf below survived.
-    fn run(
-        &mut self,
-        mut ops: &'a [AdjointOp],
-        mut cont: Vec<&'a [AdjointOp]>,
-        mut group: WeightedGroup,
-        costate: bool,
-    ) -> Result<Option<WeightedGroup>, QdpError> {
-        let mut segment: Vec<SegmentGate<'a>> = Vec::new();
-        loop {
-            for (i, op) in ops.iter().enumerate() {
-                match op {
-                    AdjointOp::Gate { matrix, targets } => {
-                        let gate = self.gate(matrix, targets);
-                        group.states.apply_gate(gate.matrix, gate.targets);
-                        segment.push(gate);
-                    }
-                    AdjointOp::Abort => {
-                        // Aborted branches contribute nothing.
-                        self.exact.scratch.reclaim_weighted(group);
-                        return Ok(None);
-                    }
-                    AdjointOp::Init { .. } | AdjointOp::Case { .. } => {
-                        let lambda = self.fork(op, &ops[i + 1..], &cont, &mut group)?;
-                        return Ok(self.backward(&segment, group, lambda, costate));
-                    }
-                }
-            }
-            match cont.pop() {
-                Some(next) => ops = next,
-                None => break,
-            }
-        }
-        let mut lambda = self.exact.scratch.copy_states(&group.states);
+    fn leaf(&mut self, scratch: &mut RegroupScratch, group: WeightedGroup) -> Self::Up {
+        let mut lambda = scratch.copy_states(&group.states);
         lambda.apply_gate(self.obs.matrix(), self.obs.targets());
-        Ok(self.backward(&segment, group, Some(lambda), costate))
+        self.backward(scratch, group, Some(lambda))
     }
 
-    /// Forks `group` at `op` (a reset or a case) and runs every surviving
-    /// outcome's subtree, then pulls their costates back (`M_m†λ_m`, the
-    /// reset's flip undone first) and sums them, in ascending outcome
-    /// order, into one costate over `group`'s rows. `group` is left
-    /// holding the block it had before the fork.
-    fn fork(
+    fn abort(&mut self, scratch: &mut RegroupScratch, group: WeightedGroup) -> Self::Up {
+        // Aborted branches contribute nothing.
+        self.backward(scratch, group, None)
+    }
+
+    fn split(&mut self, scratch: &mut RegroupScratch, group: &WeightedGroup) {
+        let kept = scratch.copy_weighted(group);
+        self.forks.push((kept, None, self.gates.len()));
+    }
+
+    /// Pulls the outcome's costate back (`M_m†λ_m`, the reset's flip
+    /// undone first) and adds it, row by row, into the fork's costate.
+    fn join(
         &mut self,
-        op: &'a AdjointOp,
-        rest: &'a [AdjointOp],
-        cont: &[&'a [AdjointOp]],
-        group: &mut WeightedGroup,
-    ) -> Result<Option<BatchedStates>, QdpError> {
-        let (meas, reset) = match op {
-            AdjointOp::Init { meas, target } => (meas, Some(*target)),
-            AdjointOp::Case { meas, .. } => (meas, None),
-            _ => unreachable!("only resets and cases fork"),
+        scratch: &mut RegroupScratch,
+        outcome: usize,
+        up: Self::Up,
+        meas: &TrajMeasurement,
+        flip: Option<(&Matrix, usize)>,
+    ) {
+        let (Some(mut child), Some((group, lambda, _))) = (up, self.forks.last_mut()) else {
+            return;
         };
-        let kept = self.exact.scratch.copy_weighted(group);
-        let parent = std::mem::replace(group, kept);
-        let mut forks = self.exact.fork(parent, &meas.meas)?;
-        let mut lambda: Option<BatchedStates> = None;
-        for (outcome, mut sub) in forks.drain(..) {
-            let flipped = reset.filter(|_| outcome == 1);
-            if let Some(target) = flipped {
-                sub.states.apply_gate(self.flip, &[target]);
-            }
-            let child = match op {
-                AdjointOp::Case { arms, .. } => {
-                    let mut arm_cont = cont.to_vec();
-                    arm_cont.push(rest);
-                    self.run(&arms[outcome], arm_cont, sub, true)?
-                }
-                _ => self.run(rest, cont.to_vec(), sub, true)?,
-            };
-            let Some(mut child) = child else {
-                continue;
-            };
-            if let Some(target) = flipped {
-                child.states.apply_gate(self.flip, &[target]);
-            }
-            child.states.apply_gate(&meas.adjoints[outcome], meas.meas.targets());
-            let lambda = lambda.get_or_insert_with(|| {
-                let (mut re, mut im) = self.exact.scratch.take_block();
-                let len = group.states.len() * group.states.dim();
-                re.resize(len, 0.0);
-                im.resize(len, 0.0);
-                BatchedStates::from_raw(group.states.len(), group.states.num_qubits(), re, im)
-            });
-            // Rows keep their relative order through every fork, so each
-            // child row is found by one forward scan of the parent's.
-            let mut p = 0;
-            for (c, ctx) in child.rows.iter().enumerate() {
-                while group.rows[p].orig != ctx.orig {
-                    p += 1;
-                }
-                let (cre, cim) = child.states.row_planes(c);
-                let (lre, lim) = lambda.row_planes_mut(p);
-                for (l, x) in lre.iter_mut().zip(cre) {
-                    *l += x;
-                }
-                for (l, x) in lim.iter_mut().zip(cim) {
-                    *l += x;
-                }
-            }
-            self.exact.scratch.reclaim_weighted(child);
+        if let Some((flip, target)) = flip {
+            child.states.apply_gate(flip, &[target]);
         }
-        pool_give(&mut self.exact.scratch.weighted_forks, forks);
-        Ok(lambda)
+        child.states.apply_gate(meas.adjoint(outcome), meas.meas.targets());
+        let lambda = lambda.get_or_insert_with(|| {
+            let (mut re, mut im) = scratch.take_block();
+            let len = group.states.len() * group.states.dim();
+            re.resize(len, 0.0);
+            im.resize(len, 0.0);
+            BatchedStates::from_raw(group.states.len(), group.states.num_qubits(), re, im)
+        });
+        // Rows keep their relative order through every fork, so each
+        // child row is found by one forward scan of the parent's.
+        let mut p = 0;
+        for (c, ctx) in child.rows.iter().enumerate() {
+            while group.rows[p].orig != ctx.orig {
+                p += 1;
+            }
+            let (cre, cim) = child.states.row_planes(c);
+            let (lre, lim) = lambda.row_planes_mut(p);
+            for (l, x) in lre.iter_mut().zip(cre) {
+                *l += x;
+            }
+            for (l, x) in lim.iter_mut().zip(cim) {
+                *l += x;
+            }
+        }
+        scratch.reclaim_weighted(child);
     }
 
-    /// Walks `segment` backward from its end, where `phi` holds the state
-    /// and `lambda` the costate of `phi`'s rows (`None`: no leaf below
-    /// survived, so nothing flows back). Each gate is undone on both with
-    /// `U†`, and a parameterised gate adds `Re⟨λ|U(θ+π)|φ⟩`, the costate
-    /// after it against the state before it, to its column. Returns the
-    /// costate at the segment's start, over `phi`'s rows, when `costate`
-    /// asks for it; undoes nothing the rest of the walk does not read.
+    fn close(&mut self, scratch: &mut RegroupScratch) -> Self::Up {
+        let Some((kept, lambda, _)) = self.forks.pop() else {
+            unreachable!("a fork closes after it split")
+        };
+        self.backward(scratch, kept, lambda)
+    }
+}
+
+impl Adjoint<'_> {
+    /// Ends the innermost open segment, the one that starts at the
+    /// innermost open fork (or the root): walks it backward from its end,
+    /// where `phi` holds the state and `lambda` the costate of `phi`'s rows
+    /// (`None`: no leaf below survived, so nothing flows back). Each gate is
+    /// undone on both with `U†`, and a parameterised gate adds
+    /// `Re⟨λ|U(θ+π)|φ⟩`, the costate after it against the state before it,
+    /// to its column. Returns the costate at the segment's start, over
+    /// `phi`'s rows, unless the segment is the root's, whose costate no
+    /// fork reads; undoes nothing the rest of the walk does not read.
     fn backward(
         &mut self,
-        segment: &[SegmentGate<'a>],
+        scratch: &mut RegroupScratch,
         mut phi: WeightedGroup,
         lambda: Option<BatchedStates>,
-        costate: bool,
     ) -> Option<WeightedGroup> {
+        let (start, costate) = match self.forks.last() {
+            Some(&(_, _, start)) => (start, true),
+            None => (0, false),
+        };
         let Some(mut lambda) = lambda else {
-            self.exact.scratch.reclaim_weighted(phi);
+            self.gates.truncate(start);
+            scratch.reclaim_weighted(phi);
             return None;
         };
-        let first_param = segment.iter().position(|g| g.param.is_some());
-        for (k, gate) in segment.iter().enumerate().rev() {
+        let segment = &self.gates[start..];
+        let first_param = segment.iter().position(|(m, _)| matches!(m, TrajMatrix::Table(_)));
+        for (k, &(matrix, targets)) in segment.iter().enumerate().rev() {
             let terms_left = first_param.is_some_and(|f| f <= k);
             if !terms_left && !costate {
                 break;
             }
+            let adjoint = match matrix {
+                TrajMatrix::Own { matrix, adjoint } => adjoint.get_or_init(|| matrix.dagger()),
+                TrajMatrix::Table(i) => &self.adjoints[*i],
+            };
             if terms_left {
-                phi.states.apply_gate(gate.adjoint, gate.targets);
+                phi.states.apply_gate(adjoint, targets);
             }
-            if let Some(i) = gate.param {
-                let table = self.table;
-                self.add_terms(&table[i], gate.targets, &phi, &lambda);
+            if let TrajMatrix::Table(i) = matrix {
+                // `Re⟨λr|U(θ+π)|φr⟩` into row `r`'s column, every row.
+                let gate = &self.table[*i];
+                let mut shifted = scratch.copy_states(&phi.states);
+                shifted.apply_gate(&gate.shifted, targets);
+                for (r, ctx) in phi.rows.iter().enumerate() {
+                    let (lre, lim) = lambda.row_planes(r);
+                    let (sre, sim) = shifted.row_planes(r);
+                    self.grads[ctx.orig * self.columns + gate.column] +=
+                        crate::lanes::dot_re(lre, lim, sre, sim);
+                }
+                scratch.give_block(shifted.into_raw());
             }
             if costate || first_param.is_some_and(|f| f < k) {
-                lambda.apply_gate(gate.adjoint, gate.targets);
+                lambda.apply_gate(adjoint, targets);
             }
         }
+        self.gates.truncate(start);
         if costate {
             let WeightedGroup { states, rows, pending } = phi;
-            self.exact.scratch.give_block(states.into_raw());
+            scratch.give_block(states.into_raw());
             Some(WeightedGroup {
                 states: lambda,
                 rows,
                 pending,
             })
         } else {
-            self.exact.scratch.reclaim_weighted(phi);
-            self.exact.scratch.give_block(lambda.into_raw());
+            scratch.reclaim_weighted(phi);
+            scratch.give_block(lambda.into_raw());
             None
         }
-    }
-
-    /// Adds `Re⟨λr|U(θ+π)|φr⟩` to row `r`'s column of `gate`, every row.
-    fn add_terms(
-        &mut self,
-        gate: &ParamGate,
-        targets: &[usize],
-        phi: &WeightedGroup,
-        lambda: &BatchedStates,
-    ) {
-        let column = gate.column;
-        let mut shifted = self.exact.scratch.copy_states(&phi.states);
-        shifted.apply_gate(&gate.shifted, targets);
-        for (r, ctx) in phi.rows.iter().enumerate() {
-            let (lre, lim) = lambda.row_planes(r);
-            let (sre, sim) = shifted.row_planes(r);
-            self.grads[ctx.orig * self.columns + column] += crate::lanes::dot_re(lre, lim, sre, sim);
-        }
-        self.exact.scratch.give_block(shifted.into_raw());
     }
 }
 
@@ -2950,10 +2915,12 @@ mod tests {
     fn enumerate_branches(ops: &[TrajOp], mut psi: StateVector, out: &mut Vec<StateVector>) {
         for (i, op) in ops.iter().enumerate() {
             match op {
-                TrajOp::Gate { matrix, targets } => psi.apply_gate(matrix.get(&[]), targets),
+                TrajOp::Gate { matrix, targets } => {
+                    psi.apply_gate(matrix.get::<[Matrix]>(&[]), targets)
+                }
                 TrajOp::Abort => return,
                 TrajOp::Init { meas, flip, target } => {
-                    for b in meas.branches_pure(&psi) {
+                    for b in meas.meas.branches_pure(&psi) {
                         if b.probability > BRANCH_PRUNE {
                             let mut state = b.state;
                             if b.outcome == 1 {
@@ -2965,7 +2932,7 @@ mod tests {
                     return;
                 }
                 TrajOp::Case { meas, arms } => {
-                    for b in meas.branches_pure(&psi) {
+                    for b in meas.meas.branches_pure(&psi) {
                         if b.probability > BRANCH_PRUNE {
                             let mut mids = Vec::new();
                             enumerate_branches(&arms[b.outcome].ops, b.state, &mut mids);
@@ -3134,8 +3101,8 @@ mod tests {
         // one arm; the other arm resets, and a second program aborts in
         // one arm: every kind of fork the backward pass pulls back through.
         let programs = [
-            table_program(|p| p.push_init(1), None),
-            table_program(TrajProgram::push_abort, None),
+            Arc::new(table_program(|p| p.push_init(1), None)),
+            Arc::new(table_program(TrajProgram::push_abort, None)),
         ];
         let angles = [0.7, -1.3];
         let gates = |a: [f64; 2]| -> Vec<ParamGate> {
@@ -3153,7 +3120,7 @@ mod tests {
         };
         let obs = Observable::pauli_z(2, 1);
         let rows = inputs(3);
-        let grads = AdjointProgram::build(&programs).gradient_sweep(
+        let grads = AdjointProgram::build(programs.iter().cloned()).gradient_sweep(
             &gates(angles),
             2,
             BatchedStates::from_states(&rows),
@@ -3164,7 +3131,7 @@ mod tests {
             let columns: Vec<Vec<f64>> = programs
                 .iter()
                 .map(|p| {
-                    ShotEngine::bound(Arc::new(p.clone()), Arc::clone(&table))
+                    ShotEngine::bound(Arc::clone(p), Arc::clone(&table))
                         .expectation_sweep(BatchedStates::from_states(&rows), &obs)
                         .unwrap()
                 })
