@@ -37,7 +37,7 @@ use qdp_ad::estimator::{
 };
 use qdp_ad::transform::{fresh_ancilla, transform};
 use qdp_ad::{
-    CompiledSkeleton, GradientEngine, GradientService, LoweredSet, OverloadPolicy, RequestOptions,
+    Differentiated, GradientEngine, GradientService, LoweredSet, OverloadPolicy, RequestOptions,
     ServiceConfig,
 };
 use qdp_lang::ast::{Params, Stmt};
@@ -452,64 +452,32 @@ impl Circuit {
     }
 }
 
-/// The per-row "before" gradient executor: what single-input gradients
-/// ran before they became rows of a batched sweep, kept as the baseline of
-/// the per-row sections. Per call it interns every parameter's lowered
-/// derivative multiset, then runs it on one input program by program,
-/// parameters fanned out across `qdp_par`. Each multiset's slot remap into
-/// the canonical parameter order is resolved once.
-struct PerRowGradient<'e> {
-    engine: &'e GradientEngine,
-    remaps: Vec<(String, Vec<usize>)>,
-}
-
-impl<'e> PerRowGradient<'e> {
-    fn new(engine: &'e GradientEngine) -> Self {
-        let names: Vec<&str> = engine.parameters().collect();
-        let remaps = names
-            .iter()
-            .map(|&name| {
-                let skeleton = engine.differentiated(name).expect("known parameter").skeleton();
-                let remap = skeleton
-                    .lowered()
-                    .param_names()
-                    .iter()
-                    .map(|p| names.iter().position(|c| c == p).expect("a program parameter"))
-                    .collect();
-                (name.to_string(), remap)
-            })
-            .collect();
-        PerRowGradient { engine, remaps }
-    }
-
-    /// The gradient on `psi`: each multiset's programs by per-row branch
-    /// enumeration (`LoweredProgram::expectation_pure` on `|0⟩⊗ψ`), summed
-    /// in multiset order.
-    fn gradient(&self, params: &Params, obs: &Observable, psi: &StateVector) -> BTreeMap<String, f64> {
-        let ext_obs = obs.with_ancilla_z();
-        let ext_psi = StateVector::zero_state(1).tensor(psi);
-        let canonical: Vec<f64> = self
-            .engine
-            .parameters()
-            .map(|name| params.get(name).expect("parameter has a value"))
-            .collect();
-        let entries: Vec<(&String, &Vec<usize>, Arc<CompiledSkeleton>)> = self
-            .remaps
-            .iter()
-            .map(|(name, remap)| {
-                let diff = self.engine.differentiated(name).expect("known parameter");
-                (name, remap, diff.skeleton())
-            })
-            .collect();
-        qdp_par::par_map(&entries, |(name, remap, skeleton)| {
-            let values: Vec<f64> = remap.iter().map(|&i| canonical[i]).collect();
-            let programs = skeleton.lowered().programs();
-            let terms = qdp_par::par_map(programs, |p| p.expectation_pure(&values, &ext_psi, &ext_obs));
-            ((*name).clone(), terms.into_iter().sum())
-        })
-        .into_iter()
-        .collect()
-    }
+/// The per-row "before" gradient: what single-input gradients ran before
+/// they became rows of a batched sweep, kept as the baseline of the
+/// per-row sections. Each parameter's compiled derivative multiset runs
+/// on `|0⟩⊗ψ` through the AST interpreter (`denot::expectation_pure`),
+/// program by program, summed in multiset order, the parameters fanned
+/// out across `qdp_par`.
+fn per_row_gradient(
+    engine: &GradientEngine,
+    params: &Params,
+    obs: &Observable,
+    psi: &StateVector,
+) -> BTreeMap<String, f64> {
+    let ext_obs = obs.with_ancilla_z();
+    let ext_psi = StateVector::zero_state(1).tensor(psi);
+    let diffs: Vec<&Differentiated> = engine
+        .parameters()
+        .map(|name| engine.differentiated(name).expect("known parameter"))
+        .collect();
+    qdp_par::par_map(&diffs, |diff| {
+        let terms = qdp_par::par_map(diff.compiled(), |p| {
+            denot::expectation_pure(p, diff.ext_register(), params, &ext_psi, &ext_obs)
+        });
+        (diff.param().to_string(), terms.into_iter().sum())
+    })
+    .into_iter()
+    .collect()
 }
 
 /// What the sections share: `P1` and `P2`, the read-out observable, one
@@ -974,10 +942,9 @@ fn semantics_engines(_: &Fixture, _: &mut Guards) -> Fields {
 /// The full-batch training gradient of `P1` over the 16-sample dataset:
 /// `Trainer::loss_gradient` on the batched engine against the serial
 /// per-sample loop (one interpreted forward value and one
-/// [`PerRowGradient`] per row, chain rule accumulated in row order).
+/// [`per_row_gradient`] per row, chain rule accumulated in row order).
 fn gradient_batch(fx: &Fixture, g: &mut Guards) -> Fields {
     let (p1, obs, loss) = (&fx.p1, &fx.obs, SquaredLoss);
-    let per_row = PerRowGradient::new(&p1.engine);
     let serial_loop = || -> BTreeMap<String, f64> {
         let mut grads: BTreeMap<String, f64> = p1.values.keys().map(|k| (k.clone(), 0.0)).collect();
         for (psi, label) in &fx.data {
@@ -986,7 +953,7 @@ fn gradient_batch(fx: &Fixture, g: &mut Guards) -> Fields {
             if outer == 0.0 {
                 continue;
             }
-            for (name, g) in per_row.gradient(&p1.params, obs, psi) {
+            for (name, g) in per_row_gradient(&p1.engine, &p1.params, obs, psi) {
                 *grads.get_mut(&name).expect("known parameter") += outer * g;
             }
         }
@@ -1001,7 +968,9 @@ fn gradient_batch(fx: &Fixture, g: &mut Guards) -> Fields {
     });
     let speedup = serial_ns / batched_ns;
     // 30 runs, 1 / 2 threads: 5.85–6.46 / 6.54–8.76; 10 runs since the
-    // batched gradient is the adjoint sweep: 23.5–50.2 / 19.5–27.4.
+    // batched gradient is the adjoint sweep: 23.5–50.2 / 19.5–27.4; 13
+    // runs since the serial loop interprets the AST: 58.6–69.7 /
+    // 43.8–74.3.
     g.at_least("batched training gradient vs serial loop", speedup, 4.0);
     fields![
         "workload" => format!("Trainer::loss_gradient on P1, {}-sample batch", fx.data.len()),
@@ -1434,17 +1403,16 @@ const VARIATE_PER_SHOT_FLOOR: f64 = 1.0;
 /// The 36-parameter gradient of the measurement-controlled `P2` over the
 /// 16-sample dataset: the batched adjoint sweep (which forks the whole
 /// block at each measurement, branch-weighted) against per-row branch
-/// enumeration of the derivative programs (a [`PerRowGradient`] per
+/// interpretation of the derivative programs (a [`per_row_gradient`] per
 /// sample).
 fn gradient_branching_batch(fx: &Fixture, g: &mut Guards) -> Fields {
     let (p2, obs) = (&fx.p2, &fx.obs);
     let inputs = fx.inputs();
     let batch = BatchedStates::from_states(&inputs);
-    let executor = PerRowGradient::new(&p2.engine);
     let per_row = || -> Vec<BTreeMap<String, f64>> {
         inputs
             .iter()
-            .map(|psi| executor.gradient(&p2.params, obs, psi))
+            .map(|psi| per_row_gradient(&p2.engine, &p2.params, obs, psi))
             .collect()
     };
     let batched = || p2.engine.gradient_pure_batch(&p2.params, obs, &batch);
@@ -1456,7 +1424,9 @@ fn gradient_branching_batch(fx: &Fixture, g: &mut Guards) -> Fields {
     });
     let speedup = per_row_ns / batched_ns;
     // 30 runs, 1 / 2 threads: 4.28–4.94 / 4.44–5.76; 10 runs since the
-    // batched gradient is the adjoint sweep: 33.7–38.7 / 25.1–37.4.
+    // batched gradient is the adjoint sweep: 33.7–38.7 / 25.1–37.4; 13
+    // runs since the per-row side interprets the AST: 41.6–50.1 /
+    // 42.2–52.7.
     g.at_least("P2 branch-weighted batch vs per-row", speedup, 3.0);
     fields![
         "workload" => format!(
@@ -1583,8 +1553,9 @@ fn adjoint(fx: &Fixture, g: &mut Guards) -> Fields {
 /// Every `P2` derivative multiset (each program branches at the
 /// measurement its gadget controls) evaluated exactly over the 16-sample
 /// dataset: block sweeps (`ShotEngine::expectation_sweep`, one probability
-/// sweep and one collapse pass per group per fork) against the per-row
-/// oracle (`ResolvedProgram::expectation_pure`). Also one multiset at a
+/// sweep and one collapse pass per group per fork, on the engines
+/// `LoweredSet::shot_engines` binds) against the AST interpreter per row
+/// (`denot::expectation_pure`). Also one multiset at a
 /// 1024-shot budget, batched sweeps against the serial per-shot loop
 /// (recorded, not guarded).
 fn measurement_sweep(fx: &Fixture, g: &mut Guards) -> Fields {
@@ -1594,17 +1565,12 @@ fn measurement_sweep(fx: &Fixture, g: &mut Guards) -> Fields {
         .parameters()
         .map(|name| p2.engine.differentiated(name).expect("known parameter"))
         .collect();
-    let skeletons: Vec<_> = diffs.iter().map(|d| d.skeleton()).collect();
-    let mut resolved = Vec::new();
-    for skeleton in &skeletons {
+    let mut engines: Vec<ShotEngine> = Vec::new();
+    for diff in &diffs {
+        let skeleton = diff.skeleton();
         let lowered = skeleton.lowered();
-        let slots = lowered.slot_values(&p2.params);
-        resolved.extend(lowered.programs().iter().map(|p| p.resolve(&slots)));
+        engines.extend(lowered.shot_engines(&lowered.slot_values(&p2.params)));
     }
-    let engines: Vec<ShotEngine> = resolved
-        .iter()
-        .map(|p| ShotEngine::new(p.to_trajectory()))
-        .collect();
     let ext_obs = obs.with_ancilla_z();
     let ext_inputs: Vec<StateVector> = fx
         .inputs()
@@ -1622,14 +1588,15 @@ fn measurement_sweep(fx: &Fixture, g: &mut Guards) -> Fields {
             .sum()
     };
     let per_row = || -> f64 {
-        resolved
-            .iter()
-            .flat_map(|p| {
-                ext_inputs
-                    .iter()
-                    .map(|psi| p.expectation_pure(psi, &ext_obs))
-            })
-            .sum()
+        let mut sum = 0.0;
+        for diff in &diffs {
+            for p in diff.compiled() {
+                for psi in &ext_inputs {
+                    sum += denot::expectation_pure(p, diff.ext_register(), &p2.params, psi, &ext_obs);
+                }
+            }
+        }
+        sum
     };
     assert!(
         (block() - per_row()).abs() < 1e-9,
@@ -1641,7 +1608,8 @@ fn measurement_sweep(fx: &Fixture, g: &mut Guards) -> Fields {
         black_box(if is_block { block() } else { per_row() });
     });
     let speedup = per_row_ns / block_ns;
-    // 30 runs, 1 / 2 threads: 2.05–2.86 / 2.05–2.81.
+    // 30 runs, 1 / 2 threads: 2.05–2.86 / 2.05–2.81; 13 runs since the
+    // per-row side interprets the AST: 7.70–9.86 / 7.77–9.80.
     g.at_least("P2 block measurement sweeps vs per-row path", speedup, 1.5);
 
     let shots = 1024;

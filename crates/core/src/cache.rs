@@ -74,11 +74,11 @@ use qdp_lang::{multiset_fingerprint, Register, Stmt};
 use crate::lowered::LoweredSet;
 
 /// Everything parameter-independent about one compiled multiset, built
-/// once, on its first use: the lowered multiset (constant matrices
-/// hoisted), which builds the programs its sweeps run on its own first
-/// sweep. Interning builds nothing, so a multiset nobody evaluates (an
-/// exact gradient runs on the forward program, not on the derivative
-/// multisets) is never lowered.
+/// once, on its first use: the lowered multiset, whose programs are the
+/// ones every sweep of it runs (constant matrices built, parameterised
+/// gates naming entries of a per-call matrix table). Interning builds
+/// nothing, so a multiset nobody evaluates (an exact gradient runs on the
+/// forward program, not on the derivative multisets) is never lowered.
 #[derive(Debug)]
 pub struct CompiledSkeleton {
     compiled: Arc<[Stmt]>,

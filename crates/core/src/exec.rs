@@ -305,7 +305,7 @@ impl Differentiated {
     /// for bit the column [`GradientEngine::gradient_pure_batch`] computes
     /// for this parameter, and the same bits under any thread count and
     /// batch composition. The sweep's forks run unmonitored, as every
-    /// exact sweep's do: no health checks and no mass budget. For a program
+    /// exact sweep's do: no health checks. For a program
     /// with `+` it sweeps the program's compiled multiset, built once when
     /// this artifact was.
     pub fn derivative_pure_batch(
@@ -611,9 +611,9 @@ impl GradientEngine {
         );
         let skeleton = self.adjoint_skeleton();
         let lowered = skeleton.lowered();
-        // The bound programs carry the identical bits a fresh
-        // resolve-and-convert would: shot streams stay bit-stable across
-        // cold and warm cache states.
+        // The bound programs carry the identical bits of the programs built
+        // straight from the AST at this valuation: shot streams stay
+        // bit-stable across cold and warm cache states.
         let engines: Vec<qdp_sim::ShotEngine> =
             lowered.shot_engines(&lowered.slot_values(params)).collect();
         // Unmonitored engines: the only error is a tile's exhausted retries.
@@ -767,12 +767,10 @@ impl GradientEngine {
     /// Runs on the **lowered** adjoint multiset (resolved indices,
     /// interned slots, gate matrices built once per batch, swept by
     /// [`LoweredSet::expectation_batch`](crate::LoweredSet::expectation_batch)),
-    /// unmonitored: no health checks and no mass budget. That multiset is
-    /// the program itself when it is normal, and its compiled multiset,
-    /// summed in multiset order, when it has `+` (Proposition 3.1).
-    /// Agrees with the per-row oracles
-    /// ([`LoweredProgram::expectation_pure`](crate::LoweredProgram::expectation_pure)
-    /// and the interpreter's `denot::expectation_pure`) to ≪ 1e-12 on
+    /// unmonitored: no health checks. That multiset is the program itself
+    /// when it is normal, and its compiled multiset, summed in multiset
+    /// order, when it has `+` (Proposition 3.1). Agrees with the per-row
+    /// oracle, the interpreter's `denot::expectation_pure`, to ≪ 1e-12 on
     /// every row.
     ///
     /// # Panics
@@ -814,8 +812,7 @@ impl GradientEngine {
     /// every entry is bit-for-bit the same under any thread count and
     /// batch composition (`crates/core/tests/batch_equivalence.rs`). Large
     /// batches split into row tiles across `qdp_par`. The sweep's forks
-    /// run unmonitored, as every exact sweep's do: no health checks and no
-    /// mass budget.
+    /// run unmonitored, as every exact sweep's do: no health checks.
     ///
     /// # Panics
     ///

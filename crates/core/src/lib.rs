@@ -57,7 +57,7 @@ pub mod transform;
 
 pub use cache::{CacheCounters, CacheStats, CompiledSkeleton, ProgramCache};
 pub use exec::{differentiate, DenseEvaluation, Differentiated, GradientEngine};
-pub use lowered::{lower_invocations, LoweredProgram, LoweredSet, ResolvedProgram};
+pub use lowered::{lower_invocations, LoweredProgram, LoweredSet};
 pub use service::{
     GradientService, OverloadPolicy, ProgramHandle, Request, RequestOptions, Response,
     ServiceConfig,

@@ -1,6 +1,6 @@
 //! Differential tests of the batched evaluation engine against the serial
-//! per-sample oracle (`support/oracle.rs`: per-row branch enumeration and
-//! the AST interpreter) — the oracle every future backend inherits.
+//! per-sample oracle (`support/oracle.rs`: the AST interpreter per row) —
+//! the oracle every future backend inherits.
 //!
 //! Randomized circuits (up to 8 qubits, up to 24 parameters, with and
 //! without measurement control flow) are evaluated on random input batches

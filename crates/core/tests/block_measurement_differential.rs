@@ -20,10 +20,7 @@
 //! * sampled trajectories are **bitwise** unchanged: batched sweeps equal
 //!   per-row (batch-of-one) sweeps draw for draw, and whole shot-noise
 //!   estimates carry identical bits under forced 1/2/8-thread `qdp_par`
-//!   configurations;
-//! * the weighted-leaf mass budget (`ShotEngine::with_mass_budget`)
-//!   deviates from the unpruned oracle by at most ε per row and is exact
-//!   (bitwise) at the default ε = 0.
+//!   configurations.
 
 use qdp_ad::{differentiate, GradientEngine};
 use qdp_lang::ast::{Angle, Gate, Params, Stmt, Var};
@@ -328,20 +325,17 @@ fn sampled_trajectories_are_bitwise_invariant_under_batch_composition() {
     // The block regrouping of the sampled executor: a batched `run` must
     // produce, row for row, the identical outcome histories and the
     // identical collapsed amplitude bits as running each row alone with
-    // the same derived stream — on the trajectory IRs of real derivative
-    // multisets.
+    // the same derived stream — on real derivative programs, each built
+    // straight from its AST at the valuation (`oracle::trajectory`).
     let _guard = serialized();
     let mut rng = StdRng::seed_from_u64(0xB2);
     for (ci, case) in cases().iter().enumerate().take(3) {
         let param = case.engine.parameters().next().expect("has parameters");
         let diff = differentiate(case.engine.program(), param).unwrap();
-        let skeleton = diff.skeleton();
-        let lowered = skeleton.lowered();
-        let values = lowered.slot_values(&case.params);
-        let Some(prog) = lowered.programs().first() else {
+        let Some(prog) = diff.compiled().first() else {
             continue;
         };
-        let engine = ShotEngine::new(prog.resolve(&values).to_trajectory());
+        let engine = ShotEngine::new(oracle::trajectory(prog, diff.ext_register(), &case.params));
         // Derivative programs run on |0⟩A ⊗ ψ.
         let n = case.register.len() + 1;
         for rows in BATCH_SIZES {
@@ -409,46 +403,5 @@ fn sampled_estimates_are_bitwise_deterministic_across_thread_counts() {
         qdp_par::set_max_threads(0); // restore auto-detection
         assert_eq!(runs[0], runs[1], "case {ci}: 1 vs 2 threads");
         assert_eq!(runs[1], runs[2], "case {ci}: 2 vs 8 threads");
-    }
-}
-
-#[test]
-fn mass_budget_error_is_bounded_on_randomized_programs() {
-    // `‖Z‖ = 1`, so a pruned exact sweep may deviate from the unpruned
-    // oracle by at most the dropped mass — ε per row — and ε = 0 must be
-    // the unpruned sweep bit for bit.
-    let _guard = serialized();
-    let mut rng = StdRng::seed_from_u64(0xB4);
-    for (ci, case) in cases().iter().enumerate().take(3) {
-        let lowered =
-            qdp_ad::LoweredSet::lower(std::slice::from_ref(case.engine.program()), &case.register);
-        let values = lowered.slot_values(&case.params);
-        let traj = lowered.programs()[0].resolve(&values).to_trajectory();
-        let states = random_batch(&mut rng, case.register.len(), 9);
-        let batch = BatchedStates::from_states(&states);
-        let unpruned = ShotEngine::new(traj.clone())
-            .expectation_sweep(batch.clone(), &case.obs)
-            .unwrap();
-        let zero = ShotEngine::new(traj.clone())
-            .with_mass_budget(0.0)
-            .unwrap()
-            .expectation_sweep(batch.clone(), &case.obs)
-            .unwrap();
-        for (r, (a, b)) in unpruned.iter().zip(&zero).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "case {ci} row {r}: ε = 0 moved bits");
-        }
-        for epsilon in [0.02, 0.2] {
-            let pruned = ShotEngine::new(traj.clone())
-                .with_mass_budget(epsilon)
-                .unwrap()
-                .expectation_sweep(batch.clone(), &case.obs)
-                .unwrap();
-            for (r, (p, e)) in pruned.iter().zip(&unpruned).enumerate() {
-                assert!(
-                    (p - e).abs() <= epsilon + 1e-12,
-                    "case {ci} ε = {epsilon} row {r}: pruned {p} vs oracle {e}"
-                );
-            }
-        }
     }
 }

@@ -1,5 +1,5 @@
 //! Differential tests of the **branch-weighted exact executor** against the
-//! retained per-row branch-enumeration oracle.
+//! per-row oracle, the AST interpreter.
 //!
 //! Randomized *branching* circuits (up to 8 qubits, with measurement
 //! `case`s, `q := |0⟩` resets, and bounded `while` loops — every program is
@@ -10,9 +10,8 @@
 //!
 //! * batched forward values, per-parameter derivatives (the derivative
 //!   multisets the code transformation produces, including while-unroll
-//!   cases), and full gradients match the per-row oracle
-//!   (`ResolvedProgram::expectation_pure` branch enumeration, and the AST
-//!   interpreter for forwards) to `1e-12`,
+//!   cases), and full gradients match the per-row oracle (the AST
+//!   interpreter, `denot::expectation_pure`) to `1e-12`,
 //! * per-row results are **bitwise** invariant under batch composition and
 //!   under forced 1-, 2-, and 8-thread `qdp_par` configurations, and
 //! * the surviving **leaf weights of every row sum to 1** on abort-free
@@ -23,7 +22,7 @@ use qdp_ad::{differentiate, GradientEngine};
 use qdp_lang::ast::{Angle, Gate, Params, Stmt, Var};
 use qdp_lang::Register;
 use qdp_linalg::{C64, Pauli};
-use qdp_sim::{BatchedStates, Observable, ShotEngine, StateVector};
+use qdp_sim::{BatchedStates, Observable, StateVector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
@@ -301,8 +300,7 @@ fn leaf_weights_sum_to_one_per_row() {
         );
         let values = set.slot_values(&params);
         let states = random_batch(&mut rng, register.len(), 9);
-        for prog in set.programs() {
-            let engine = ShotEngine::new(prog.resolve(&values).to_trajectory());
+        for engine in set.shot_engines(&values) {
             let weights = engine.leaf_weights(BatchedStates::from_states(&states));
             for (r, row) in weights.iter().enumerate() {
                 let total: f64 = row.iter().sum();

@@ -5,9 +5,10 @@
 //!   [`LoweredSet::lower`] of the same compiled multiset: expectation
 //!   sweeps must agree **bitwise**, and the engines
 //!   [`LoweredSet::shot_engines`] binds to each valuation's matrix table
-//!   must reproduce the freshly-resolved trajectory's sampled runs,
-//!   sampled read-outs and exact sweeps bit for bit across successive
-//!   valuations of one shared skeleton.
+//!   must reproduce the sampled runs, sampled read-outs and exact sweeps
+//!   of the program built straight from its AST at that valuation bit for
+//!   bit, across successive valuations of one shared skeleton: the
+//!   bitwise pin of the one-pass lowering.
 //! * **Collision probes** — near-miss programs (wider register, renamed
 //!   parameter, ancilla-extended register, shifted constant angle) must
 //!   fingerprint apart and intern as distinct entries; a *forced* key
@@ -42,6 +43,9 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 mod support;
+
+#[path = "support/oracle.rs"]
+mod oracle;
 
 /// Serialises the tests that count the process-wide cache's lowers or
 /// evict its entries: every test thread of this binary shares it.
@@ -172,8 +176,8 @@ fn interned_lowering_matches_fresh_lowering_bitwise() {
 fn table_bound_engines_match_fresh_resolution_bitwise() {
     // Two successive valuations through ONE interned skeleton: binding
     // must leave no residue of the first valuation in the second, and each
-    // bound engine must run bit-identically to one on a freshly resolved
-    // trajectory.
+    // bound engine must run bit-identically to one on the program built
+    // straight from its AST at the valuation, every matrix its own.
     let mut rng = StdRng::seed_from_u64(0x7A7A);
     for trial in 0..8 {
         let n = 1 + (trial % 4);
@@ -181,7 +185,6 @@ fn table_bound_engines_match_fresh_resolution_bitwise() {
         let program = random_branching_program(&mut rng, n, &params, 5);
         let reg = Register::from_program(&program);
         let skeleton = ProgramCache::new().intern(std::slice::from_ref(&program), &reg);
-        let fresh = LoweredSet::lower(std::slice::from_ref(&program), &reg);
 
         for round in 0..2 {
             let values = Params::from_pairs(
@@ -189,9 +192,9 @@ fn table_bound_engines_match_fresh_resolution_bitwise() {
                     .iter()
                     .map(|p| (p.clone(), rng.gen::<f64>() * std::f64::consts::TAU)),
             );
-            let slots = fresh.slot_values(&values);
+            let slots = skeleton.lowered().slot_values(&values);
             let bound = skeleton.lowered().shot_engines(&slots).next().unwrap();
-            let resolved = ShotEngine::new(fresh.programs()[0].resolve(&slots).to_trajectory());
+            let resolved = ShotEngine::new(oracle::trajectory(&program, &reg, &values));
 
             let inputs: Vec<StateVector> = (0..4).map(|_| random_state(&mut rng, reg.len())).collect();
             let seed = 0xF00 + (trial * 2 + round) as u64;

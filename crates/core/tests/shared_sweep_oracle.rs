@@ -6,10 +6,12 @@
 //! gradient (`adjoint_oracle.rs`). It sweeps each program of the set,
 //! built once with its parameterised gates naming entries of a per-call
 //! matrix table, bound to the table of the call's valuation. Every entry
-//! must carry **exactly** the bits of the named oracle: each program on
-//! its own, resolved to the trajectory IR with every matrix its own and
-//! run through `ShotEngine::expectation_sweep`, the programs of a
-//! multiset summed per row in multiset order. Checked on:
+//! must carry **exactly** the bits of the named oracle: each compiled
+//! program on its own, built straight from its AST at the valuation with
+//! every matrix its own (`support/oracle.rs`'s `trajectory`, which does
+//! not go through the lowering) and run through
+//! `ShotEngine::expectation_sweep`, the programs of a multiset summed per
+//! row in multiset order. Checked on:
 //!
 //! * every parameter's derivative multiset of the paper circuits `P1` and
 //!   `P2`, the `S` rows of Table 3 and `hardware_efficient_ansatz(6, 2)`,
@@ -39,6 +41,9 @@ use rand::{Rng, SeedableRng};
 use std::sync::{Mutex, MutexGuard};
 
 mod support;
+
+#[path = "support/oracle.rs"]
+mod oracle;
 
 /// Serializes the file: `set_max_threads` is process-global.
 static THREADS: Mutex<()> = Mutex::new(());
@@ -99,21 +104,20 @@ fn sweep_bits(
         .collect()
 }
 
-/// One multiset on the oracle: each program's own exact sweep over its
-/// trajectory IR, summed per row in multiset order (an empty multiset
-/// reads 0).
+/// One multiset on the oracle: each program's own exact sweep over the
+/// trajectory built from its AST, summed per row in multiset order (an
+/// empty multiset reads 0).
 fn multiset_oracle(
-    lowered: &LoweredSet,
+    compiled: &[Stmt],
+    reg: &Register,
     params: &Params,
     obs: &Observable,
     batch: &BatchedStates,
 ) -> Vec<f64> {
-    let values = lowered.slot_values(params);
-    let columns: Vec<Vec<f64>> = lowered
-        .programs()
+    let columns: Vec<Vec<f64>> = compiled
         .iter()
         .map(|p| {
-            ShotEngine::new(p.resolve(&values).to_trajectory())
+            ShotEngine::new(oracle::trajectory(p, reg, params))
                 .expectation_sweep(batch.clone(), obs)
                 .unwrap()
         })
@@ -138,11 +142,8 @@ fn oracle_bits(
     let columns: Vec<Vec<f64>> = engine
         .parameters()
         .map(|name| {
-            let skeleton = engine
-                .differentiated(name)
-                .expect("engine parameter")
-                .skeleton();
-            multiset_oracle(skeleton.lowered(), params, &ext_obs, &ext_batch)
+            let diff = engine.differentiated(name).expect("engine parameter");
+            multiset_oracle(diff.compiled(), diff.ext_register(), params, &ext_obs, &ext_batch)
         })
         .collect();
     (0..batch.len())
@@ -250,10 +251,10 @@ fn generated_programs_match_the_oracle_under_splits_and_merges() {
         if program.is_normal() {
             let bits =
                 |values: Vec<f64>| -> Vec<u64> { values.iter().map(|v| v.to_bits()).collect() };
-            let forward = engine.forward_skeleton();
+            let forward = std::slice::from_ref(engine.program());
             assert!(
                 bits(engine.value_pure_batch(&params, &obs, &batch))
-                    == bits(multiset_oracle(forward.lowered(), &params, &obs, &batch)),
+                    == bits(multiset_oracle(forward, engine.register(), &params, &obs, &batch)),
                 "program {case}: the forward sweep differs from the oracle: {program:?}"
             );
             forward_checked += 1;

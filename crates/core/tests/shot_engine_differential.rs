@@ -22,7 +22,7 @@ use qdp_ad::LoweredSet;
 use qdp_lang::ast::{Angle, Gate, Params, Stmt, Var};
 use qdp_lang::Register;
 use qdp_linalg::{C64, Pauli};
-use qdp_sim::{BatchedStates, ShotEngine, ShotSampler, ShotStream, StateVector};
+use qdp_sim::{BatchedStates, ShotSampler, ShotStream, StateVector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -133,7 +133,7 @@ fn check_program(program: &Stmt, params: &Params, rng: &mut StdRng, seed: u64) {
     let reg = Register::from_program(program);
     let set = LoweredSet::lower(std::slice::from_ref(program), &reg);
     let values = set.slot_values(params);
-    let engine = ShotEngine::new(set.programs()[0].resolve(&values).to_trajectory());
+    let engine = set.shot_engines(&values).next().expect("one program");
 
     for inputs in input_batches(rng, reg.len()) {
         let batch_size = inputs.len();
@@ -233,13 +233,12 @@ fn batched_trajectories_of_derivative_multisets_match_serial() {
     let params = Params::from_pairs([("t", 1.234)]);
     let skeleton = diff.skeleton();
     let values = skeleton.lowered().slot_values(&params);
-    for (i, (compiled, lowered)) in diff
+    for (i, (compiled, engine)) in diff
         .compiled()
         .iter()
-        .zip(skeleton.lowered().programs())
+        .zip(skeleton.lowered().shot_engines(&values))
         .enumerate()
     {
-        let engine = ShotEngine::new(lowered.resolve(&values).to_trajectory());
         let ext_reg = diff.ext_register();
         let ext_input = |rng: &mut StdRng| {
             StateVector::zero_state(1).tensor(&random_state(rng, ext_reg.len() - 1))

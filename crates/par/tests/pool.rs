@@ -111,10 +111,14 @@ fn pool_survives_a_panicking_tile_and_still_fans_out() {
     std::panic::set_hook(Box::new(|_| {}));
     let items: Vec<usize> = (0..64).collect();
     for _ in 0..4 {
-        let err = qdp_par::try_par_map(&items, |&x| {
-            assert!(x != 50, "tile {x} exploded");
-            x
-        })
+        let err = qdp_par::try_par_map_retry(
+            &items,
+            |&x| {
+                assert!(x != 50, "tile {x} exploded");
+                x
+            },
+            0,
+        )
         .unwrap_err();
         assert_eq!(err.index, 50);
         let caught = catch_unwind(AssertUnwindSafe(|| {

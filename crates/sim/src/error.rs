@@ -7,9 +7,8 @@
 //! assumption breaks: a worker tile panicked ([`QdpError::WorkerPanic`],
 //! lifted from [`qdp_par::TileError`]), an amplitude sweep observed a
 //! NaN/Inf ([`QdpError::NonFinite`]) or a norm that drifted outside
-//! tolerance ([`QdpError::NormDrift`]), or an engine was configured with
-//! invalid inputs ([`QdpError::InvalidMassBudget`],
-//! [`QdpError::InvalidPrecision`]).
+//! tolerance ([`QdpError::NormDrift`]), or a shot budget was asked for at
+//! an invalid precision ([`QdpError::InvalidPrecision`]).
 //!
 //! [`HealthPolicy`] selects what a monitored engine does when a row fails
 //! a health check; [`HealthConfig`] pairs the policy with the drift
@@ -97,12 +96,6 @@ pub enum QdpError {
         /// The relative tolerance that was exceeded.
         tolerance: f64,
     },
-    /// `ShotEngine::with_mass_budget` was given an ε outside `[0, 1)`
-    /// or a non-finite ε.
-    InvalidMassBudget {
-        /// The rejected value.
-        epsilon: f64,
-    },
     /// A Chernoff shot budget was requested with a precision δ that is
     /// not finite and positive, or one so small that the budget
     /// `⌈(m/δ)²⌉` has no `usize` representation (the naive float cast
@@ -151,9 +144,6 @@ impl std::fmt::Display for QdpError {
                 "row {row} norm drifted: expected {expected}, got {actual} \
                  (relative tolerance {tolerance})"
             ),
-            QdpError::InvalidMassBudget { epsilon } => {
-                write!(f, "mass budget must be in [0, 1), got {epsilon}")
-            }
             QdpError::InvalidPrecision { value, what } => {
                 if value.is_finite() && *value > 0.0 {
                     // A finite positive value can only be rejected because

@@ -13,9 +13,8 @@
 //!     **every** surviving outcome, and the sub-groups carry their branch
 //!     weights (probabilities, riding inside the unnormalised amplitudes).
 //!     This is exact branch enumeration at batched-kernel speed. The rule
-//!     carries the health surface — per-fork trace checks with oracle
-//!     fallback ([`ShotEngine::with_health`]) — and the droppable-mass
-//!     budget ([`ShotEngine::with_mass_budget`]).
+//!     carries the health surface: per-fork trace checks with oracle
+//!     fallback ([`ShotEngine::with_health`]).
 //!   - *Sampled* (`SampledFork`, Section 7's shot-noise model): every
 //!     shot draws one outcome from its own stream, and shots are regrouped
 //!     into outcome-homogeneous sub-batches (*branch-grouped batching*),
@@ -252,11 +251,12 @@ enum TrajOp {
 /// A trajectory program: the form every branching program runs as, in
 /// both the sampled and the exact sweeps.
 ///
-/// Built through the `push_*` methods, either with every matrix fixed
-/// (`qdp_ad::ResolvedProgram::to_trajectory`, a fixed valuation) or with
+/// Built through the `push_*` methods, either with every matrix its own
+/// ([`push_gate`](Self::push_gate), a fixed valuation) or with
 /// parameterised gates naming entries of a per-call table
-/// ([`push_table_gate`](Self::push_table_gate), how `qdp_ad::LoweredSet`
-/// builds each program once for every valuation). The sampled semantics
+/// ([`push_table_gate`](Self::push_table_gate)): `qdp_ad::LoweredSet::lower`
+/// builds each program once this way, straight from its AST, for every
+/// valuation. The sampled semantics
 /// mirror `qdp_ad::estimator::sample_trajectory` op for op: `Init`
 /// measures the target and applies `X` on outcome 1, `Case` draws one
 /// outcome from the Born rule and continues into that arm.
@@ -555,8 +555,6 @@ struct RegroupScratch {
     /// Sub-class index of each (parent class, slack flag) pair in the
     /// outcome under construction, or `u32::MAX` (sampled mode).
     class_slot: Vec<u32>,
-    /// Outcome indices ordered by weight (mass-budget pruning).
-    order: Vec<usize>,
     /// `rows × outcomes` keep flags of the current fork (exact mode).
     keep: Vec<bool>,
     /// Pooled amplitude-plane pairs (`re`, `im`).
@@ -788,11 +786,6 @@ pub struct ShotEngine {
     /// The matrices the program's table gates name; empty for a program
     /// built with `push_gate` alone.
     table: Arc<[Matrix]>,
-    /// Droppable probability mass per row of the exact sweep, as a
-    /// fraction of the row's initial mass — see
-    /// [`with_mass_budget`](Self::with_mass_budget). 0 (the default)
-    /// prunes only below [`BRANCH_PRUNE`], preserving today's bits.
-    mass_budget: f64,
     /// Numerical-health monitoring at measurement boundaries — see
     /// [`with_health`](Self::with_health). `None` (the default) performs
     /// no checks and preserves the unmonitored engine bit for bit.
@@ -817,7 +810,6 @@ impl ShotEngine {
         ShotEngine {
             program,
             table,
-            mass_budget: 0.0,
             health: None,
         }
     }
@@ -843,37 +835,6 @@ impl ShotEngine {
     /// The engine's health configuration, when monitoring is enabled.
     pub fn health(&self) -> Option<HealthConfig> {
         self.health
-    }
-
-    /// Gives the **exact** sweep a weighted-leaf pruning budget: each
-    /// row may drop measurement branches totalling at most
-    /// `epsilon × (that row's initial squared norm)` of probability mass
-    /// over its whole branch tree — i.e. the cumulative kept leaf weight
-    /// stays ≥ `1 − ε` on normalised inputs. At every fork the
-    /// lowest-weight surviving branches are dropped first (greedily, in
-    /// the sweep's deterministic depth-first order), which prunes whole
-    /// subtrees and trades a **bounded** read-out error — at most `ε` for
-    /// observables with `‖O‖ ≤ 1`, since
-    /// `|Σ_dropped ⟨ψb|O|ψb⟩| ≤ Σ_dropped ‖ψb‖²` — for large speedups on
-    /// deep while-unrollings.
-    ///
-    /// Pruning decisions are a pure per-row function of the program and
-    /// that row's input, so the exact sweep's thread-count / batch-composition /
-    /// row-order invariance is untouched. The default `ε = 0` drops
-    /// nothing beyond [`BRANCH_PRUNE`] and preserves the unpruned sweep
-    /// bit for bit. Sampled sweeps never prune (every shot follows one
-    /// drawn branch).
-    ///
-    /// # Errors
-    ///
-    /// Rejects ε outside `[0, 1)` — NaN included, since `(0.0..1.0)`
-    /// contains no NaN — as [`QdpError::InvalidMassBudget`].
-    pub fn with_mass_budget(mut self, epsilon: f64) -> Result<Self, QdpError> {
-        if !(0.0..1.0).contains(&epsilon) {
-            return Err(QdpError::InvalidMassBudget { epsilon });
-        }
-        self.mass_budget = epsilon;
-        Ok(self)
     }
 
     /// The wrapped program.
@@ -1264,10 +1225,8 @@ impl ShotEngine {
     /// row's depth-first branch order — the diagnostic view of
     /// [`expectation_sweep`](Self::expectation_sweep) the property suites
     /// pin: for an abort-free program on normalised inputs each row's
-    /// weights sum to 1 (up to the [`BRANCH_PRUNE`] threshold — and up to
-    /// the engine's [mass budget](Self::with_mass_budget), which drops at
-    /// most `ε` of each row's mass), because its branch tree is
-    /// trace-preserving.
+    /// weights sum to 1 (up to the [`BRANCH_PRUNE`] threshold), because its
+    /// branch tree is trace-preserving.
     pub fn leaf_weights(&self, states: BatchedStates) -> Vec<Vec<f64>> {
         let total_rows = states.len();
         let mut out: Vec<Vec<f64>> = vec![Vec::new(); total_rows];
@@ -1297,7 +1256,6 @@ impl ShotEngine {
             let scratch = &mut *cell.borrow_mut();
             let group = weighted_root(states, scratch);
             let rule = WeightedFork {
-                budgets: self.budgets_for(&group),
                 health,
                 defects: Vec::new(),
             };
@@ -1305,14 +1263,6 @@ impl ShotEngine {
             walker.walk(&self.program.ops, None, group)?;
             Ok(walker.rule.defects)
         })
-    }
-
-    /// Each root row's droppable-mass budget: `ε ×` its initial mass.
-    fn budgets_for(&self, root: &WeightedGroup) -> Vec<f64> {
-        root.rows
-            .iter()
-            .map(|ctx| self.mass_budget * ctx.weight)
-            .collect()
     }
 
     /// Executes the program over every shot, branch-grouping on every
@@ -2247,14 +2197,8 @@ impl<F: FnMut(&WeightedGroup)> Action<'_, WeightedGroup> for Leaves<F> {
 }
 
 /// The fork rule of the exact sweeps: every surviving outcome, weighted.
-/// Holds the per-row droppable-mass budgets, the health configuration and
-/// the rows degraded to the oracle.
+/// Holds the health configuration and the rows degraded to the oracle.
 struct WeightedFork {
-    /// Remaining droppable probability mass per original (tile-local) row
-    /// — `ε ×` the row's initial mass, shared by every fork of that row's
-    /// branch tree in the sweep's deterministic depth-first order (see
-    /// [`ShotEngine::with_mass_budget`]). All zero by default.
-    budgets: Vec<f64>,
     /// Health monitoring config (`None` = no checks, today's bits).
     health: Option<HealthConfig>,
     /// Original (tile-local) indices of rows degraded to the oracle.
@@ -2280,10 +2224,7 @@ impl ForkRule for WeightedFork {
     /// branch enumeration requires. No per-row kernel calls; the scratch
     /// arena makes the fork allocation-free once warm.
     ///
-    /// Branches at weight ≤ [`BRANCH_PRUNE`] are dropped as always; on top
-    /// of that, a row with remaining [mass budget](ShotEngine::with_mass_budget)
-    /// greedily drops its lowest-weight surviving branches while their
-    /// cumulative mass still fits the budget.
+    /// Branches at weight ≤ [`BRANCH_PRUNE`] are dropped.
     fn fork(
         &mut self,
         s: &mut RegroupScratch,
@@ -2337,32 +2278,8 @@ impl ForkRule for WeightedFork {
         }
         s.keep.clear();
         s.keep.resize(rows.len() * outcomes, false);
-        for (r, ctx) in rows.iter().enumerate() {
-            let probs = &s.probs[r * outcomes..(r + 1) * outcomes];
-            let keep = &mut s.keep[r * outcomes..(r + 1) * outcomes];
-            for (m, &w) in probs.iter().enumerate() {
-                keep[m] = w > BRANCH_PRUNE;
-            }
-            let budget = self.budgets[ctx.orig];
-            if budget > 0.0 {
-                // Mass-budget pruning: drop the lowest-weight surviving
-                // branches (ties by outcome index — fully deterministic)
-                // while their cumulative mass fits the row's remaining
-                // budget, and charge the budget for what was dropped.
-                let order = &mut s.order;
-                order.clear();
-                order.extend((0..outcomes).filter(|&m| keep[m]));
-                order.sort_by(|&a, &b| probs[a].total_cmp(&probs[b]).then(a.cmp(&b)));
-                let mut remaining = budget;
-                for &m in order.iter() {
-                    if probs[m] > remaining {
-                        break;
-                    }
-                    remaining -= probs[m];
-                    keep[m] = false;
-                }
-                self.budgets[ctx.orig] = remaining;
-            }
+        for (keep, &w) in s.keep.iter_mut().zip(&s.probs) {
+            *keep = w > BRANCH_PRUNE;
         }
         let mut selected = std::mem::take(&mut s.selected);
         for m in 0..outcomes {
@@ -2433,8 +2350,8 @@ const ADJOINT_PASSES: usize = 4;
 /// outcome taken), and `E = Σ_b ⟨A_bψ|O|A_bψ⟩`. So the sweep runs the
 /// program forward on the walker every sweep runs on, unfused: a
 /// depth-first walk over its branch tree that forks each group at
-/// measurements with the exact sweeps' weighted fork rule (unmonitored,
-/// no mass budget), while its action records each gate and keeps the
+/// measurements with the exact sweeps' weighted fork rule (unmonitored),
+/// while its action records each gate and keeps the
 /// block each fork forked. At a leaf it sets the costate
 /// `λ = Oφ`. Walking each straight-line segment backward, it undoes every
 /// gate `U` on `φ` and on `λ` with `U†`, and adds `Re⟨λ|U(θ+π)|φ⟩` (with
@@ -2452,7 +2369,7 @@ const ADJOINT_PASSES: usize = 4;
 /// composition.
 ///
 /// It holds the programs it is built from, shared, not copied: `qdp_ad`'s
-/// `LoweredSet` builds it from the same table-form programs its exact and
+/// `LoweredSet` builds it from the same programs its exact and
 /// sampled sweeps bind. Each fixed gate's `U†` and each measurement's
 /// `M_m†` are built once per program, the first time a gradient sweep
 /// reads them, and are kept with the program; the other sweeps never
@@ -2488,8 +2405,7 @@ impl AdjointProgram {
     ///
     /// The sweep runs **unmonitored**, as an engine without
     /// [`ShotEngine::with_health`] does: its forks carry no health checks
-    /// and a zero mass budget (only branches at weight ≤ [`BRANCH_PRUNE`]
-    /// are dropped).
+    /// and drop only branches at weight ≤ [`BRANCH_PRUNE`].
     ///
     /// # Panics
     ///
@@ -2540,10 +2456,8 @@ impl AdjointProgram {
         let rows = states.len();
         SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
-            // The unmonitored exact sweep's forks: zero mass budgets, no
-            // health checks.
+            // The unmonitored exact sweep's forks: no health checks.
             let rule = WeightedFork {
-                budgets: vec![0.0; rows],
                 health: None,
                 defects: Vec::new(),
             };
@@ -2910,8 +2824,9 @@ mod tests {
     }
 
     /// The per-row exact branch enumerator — the oracle of the weighted
-    /// sweep, mirroring `qdp_ad::ResolvedProgram::run_from` on the
-    /// trajectory IR (Init enumerated as measure + flip).
+    /// sweep on the trajectory IR, branch for branch in the depth-first
+    /// order of `qdp_lang::denot::run_pure_branches` (Init enumerated as
+    /// measure + flip).
     fn enumerate_branches(ops: &[TrajOp], mut psi: StateVector, out: &mut Vec<StateVector>) {
         for (i, op) in ops.iter().enumerate() {
             match op {
@@ -3194,95 +3109,6 @@ mod tests {
             assert_eq!(row.len(), 1, "only the surviving branch leaves a leaf");
             assert!((row[0] - 0.5).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn zero_mass_budget_preserves_unpruned_bits() {
-        let plain = ShotEngine::new(branching_program());
-        let pruned = ShotEngine::new(branching_program()).with_mass_budget(0.0).unwrap();
-        let obs = Observable::pauli_z(2, 1);
-        let inputs: Vec<StateVector> = (0..5)
-            .map(|k| {
-                let mut s = StateVector::basis_state(2, k % 4);
-                s.apply_gate(&rotation_y(0.2 + 0.3 * k as f64), &[1]);
-                s
-            })
-            .collect();
-        let batch = BatchedStates::from_states(&inputs);
-        let a = plain.expectation_sweep(batch.clone(), &obs).unwrap();
-        let b = pruned.expectation_sweep(batch, &obs).unwrap();
-        for (r, (x, y)) in a.iter().zip(&b).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "row {r}");
-        }
-    }
-
-    #[test]
-    fn mass_budget_error_is_bounded_by_epsilon() {
-        // ‖Z‖ = 1, so the pruned sweep may deviate from the unpruned
-        // oracle by at most the dropped probability mass — ε per row.
-        let oracle = ShotEngine::new(branching_program());
-        let obs = Observable::pauli_z(2, 1);
-        let inputs: Vec<StateVector> = (0..6)
-            .map(|k| {
-                let mut s = StateVector::basis_state(2, k % 4);
-                s.apply_gate(&rotation_y(0.15 + 0.23 * k as f64), &[0]);
-                s
-            })
-            .collect();
-        let exact = oracle.expectation_sweep(BatchedStates::from_states(&inputs), &obs).unwrap();
-        for epsilon in [0.01, 0.1, 0.3] {
-            let engine = ShotEngine::new(branching_program()).with_mass_budget(epsilon).unwrap();
-            let pruned = engine.expectation_sweep(BatchedStates::from_states(&inputs), &obs).unwrap();
-            for (r, (p, e)) in pruned.iter().zip(&exact).enumerate() {
-                assert!(
-                    (p - e).abs() <= epsilon + 1e-12,
-                    "ε = {epsilon} row {r}: pruned {p} vs exact {e}"
-                );
-            }
-            // Kept leaf mass per row stays ≥ 1 − ε.
-            let weights = engine.leaf_weights(BatchedStates::from_states(&inputs));
-            for (r, row) in weights.iter().enumerate() {
-                let total: f64 = row.iter().sum();
-                assert!(
-                    total >= 1.0 - epsilon - 1e-12,
-                    "ε = {epsilon} row {r}: kept mass {total}"
-                );
-            }
-            // Pruning decisions are per-row: batch composition invariance
-            // survives a non-zero budget.
-            for (r, psi) in inputs.iter().enumerate() {
-                let alone = engine
-                    .expectation_sweep(BatchedStates::from_states(std::slice::from_ref(psi)), &obs)
-                    .unwrap()[0];
-                assert_eq!(pruned[r].to_bits(), alone.to_bits(), "ε = {epsilon} row {r}");
-            }
-        }
-    }
-
-    #[test]
-    fn mass_budget_drops_low_weight_branches() {
-        // RY(0.2) puts ~1% of the mass on |1⟩; a 5% budget prunes that
-        // branch (and everything under it), halving the leaf count.
-        let mut p = TrajProgram::new();
-        p.push_gate(rotation_y(0.2), vec![0]);
-        p.push_case(
-            Measurement::computational(vec![0]),
-            vec![TrajProgram::new(), TrajProgram::new()],
-        );
-        let unpruned = ShotEngine::new(p.clone()).leaf_weights(BatchedStates::zero(1, 1));
-        assert_eq!(unpruned[0].len(), 2);
-        let pruned = ShotEngine::new(p)
-            .with_mass_budget(0.05)
-            .unwrap()
-            .leaf_weights(BatchedStates::zero(1, 1));
-        assert_eq!(pruned[0].len(), 1, "low-weight branch survives: {:?}", pruned[0]);
-        assert!(pruned[0][0] >= 0.95);
-    }
-
-    #[test]
-    fn mass_budget_rejects_out_of_range_epsilon() {
-        let err = ShotEngine::new(TrajProgram::new()).with_mass_budget(1.0).unwrap_err();
-        assert!(err.to_string().contains("mass budget must be in [0, 1)"), "{err}");
     }
 
     /// The early-exit selection walk the sampled fork ran before it

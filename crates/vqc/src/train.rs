@@ -633,8 +633,8 @@ mod tests {
     #[test]
     fn batched_loss_and_gradient_match_per_sample_loop() {
         // The pre-batch implementation: one interpreter forward and one
-        // per-sample gradient per dataset row, each derivative summed over
-        // its lowered multiset by per-row branch enumeration. The batched
+        // per-sample gradient per dataset row, each derivative its compiled
+        // multiset's interpreted expectations, summed. The batched
         // trainer must reproduce it to 1e-12 on both circuits (P2
         // exercises the branching executor).
         for program in [p1(), p2()] {
@@ -666,13 +666,19 @@ mod tests {
                 }
                 let ext_psi = StateVector::zero_state(1).tensor(psi);
                 for (name, g) in serial_grads.iter_mut() {
-                    let skeleton = engine.differentiated(name).unwrap().skeleton();
-                    let values = skeleton.lowered().slot_values(&params);
-                    let derivative: f64 = skeleton
-                        .lowered()
-                        .programs()
+                    let diff = engine.differentiated(name).unwrap();
+                    let derivative: f64 = diff
+                        .compiled()
                         .iter()
-                        .map(|p| p.expectation_pure(&values, &ext_psi, &ext_obs))
+                        .map(|p| {
+                            qdp_lang::denot::expectation_pure(
+                                p,
+                                diff.ext_register(),
+                                &params,
+                                &ext_psi,
+                                &ext_obs,
+                            )
+                        })
                         .sum();
                     *g += outer * derivative;
                 }
